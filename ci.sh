@@ -225,8 +225,9 @@ echo "== bench diff: fresh vs committed metrics (per-metric regression floors) =
 python3 - <<'EOF'
 import json, subprocess, sys
 
-# Gate the metrics the benches assert on (higher is better), each with
-# its own minimum fresh/committed ratio. Raw timings vary too much
+# Gate the metrics the benches assert on, each with its own minimum
+# fresh/committed ratio (committed/fresh for the LOWER_IS_BETTER ids,
+# so "ratio < floor" always means "got worse"). Raw timings vary too much
 # across hosts to diff; read throughput and scaling ratios are stable
 # enough for a 25% band, while WAL commit throughput swings ~2x
 # run-to-run on 1-core CI containers, so its band only catches
@@ -238,6 +239,14 @@ GATED = {
         "read/threads_1_stmts_per_sec": 0.75,
         "read/scaling_x8": 0.75,
         "wal/commits_per_sec": 0.30,
+        # A durable one-row UPDATE through the engine, at 10k and 100k
+        # rows. The commit frame's metadata bytes are deterministic, so
+        # the tight floor catches any field that starts riding along on
+        # every commit; the time is as noisy as the WAL throughput.
+        "commit/engine_update_ns_10k": 0.30,
+        "commit/engine_update_ns_100k": 0.30,
+        "commit/engine_meta_bytes_10k": 0.90,
+        "commit/engine_meta_bytes_100k": 0.90,
     },
     # Wide-but-sparse solve time must stay within 2x of the 64-wide
     # solve (t64/t256 >= 0.5, also asserted in-bench); the CI floor
@@ -270,6 +279,11 @@ GATED = {
         "sessions_1/stmts_per_sec": 0.30,
         "advisor/overhead_ratio": 0.50,
     },
+}
+
+LOWER_IS_BETTER = {
+    "commit/engine_update_ns_10k", "commit/engine_update_ns_100k",
+    "commit/engine_meta_bytes_10k", "commit/engine_meta_bytes_100k",
 }
 
 def host_cores(records):
@@ -309,7 +323,8 @@ for path, gated in GATED.items():
         if m not in old:
             print(f"{path}: {m}: new metric, no committed baseline yet, skipping")
             continue
-        ratio = new[m] / old[m] if old[m] else 1.0
+        better, worse = (old[m], new[m]) if m in LOWER_IS_BETTER else (new[m], old[m])
+        ratio = better / worse if worse else 1.0
         verdict = "REGRESSION" if ratio < floor else "ok"
         failed = failed or ratio < floor
         print(f"{path}: {m}: {old[m]:.3f} -> {new[m]:.3f} "

@@ -25,10 +25,17 @@
 //!   same 100k-transaction WAL. Recovery is verified in-bench: the
 //!   reopened pager must land on the exact committed sequence and
 //!   app-meta the writer reached.
+//! * **engine commit** — a durable one-row `UPDATE` through
+//!   `Database` at 10k and at 100k rows: ns per statement and the WAL
+//!   bytes its commit frame carries beside the page images (the catalog
+//!   delta plus the pager's allocation state). A commit costs what the
+//!   statement changed, not the size of the catalog, so both must stay
+//!   within 2× across the 10× growth; asserted.
 
 use cdpd::engine::{parallel_map, Database, IndexSpec};
-use cdpd::sql::SelectStmt;
-use cdpd::storage::{DurableOptions, MemVfs, Pager};
+use cdpd::sql::{Condition, Dml, SelectStmt, UpdateStmt};
+use cdpd::storage::{DurableOptions, MemVfs, Pager, PAGE_SIZE};
+use cdpd::types::{ColumnDef, Schema, Value};
 use cdpd_bench::{build_database, Scale};
 use cdpd_testkit::bench::Criterion;
 use cdpd_testkit::{criterion_group, criterion_main};
@@ -173,7 +180,7 @@ fn durable_metrics() -> DurableMetrics {
         "recovery lands on the writer's seq"
     );
     assert_eq!(
-        recovered.app_meta,
+        recovered.app_deltas.last().unwrap_or(&recovered.app_image)[..],
         (COMMITS - 1).to_le_bytes(),
         "recovery yields the last committed app meta"
     );
@@ -184,6 +191,63 @@ fn durable_metrics() -> DurableMetrics {
         checkpoint_ms: checkpoint_s * 1e3,
         recovery_ms: recovery_s * 1e3,
     }
+}
+
+/// What a durable one-row `UPDATE` costs on an analysed, indexed table
+/// of `rows` rows, over a `MemVfs` with an fsync per commit and no
+/// checkpoint under the measurement: (ns per statement, WAL bytes per
+/// commit beside its page images).
+fn engine_commit_cost(rows: i64) -> (f64, f64) {
+    const UPDATES: i64 = 2_000;
+    let opts = DurableOptions {
+        checkpoint_wal_bytes: 0,
+        ..DurableOptions::default()
+    };
+    let db = Database::open_with_vfs(std::sync::Arc::new(MemVfs::new()), opts)
+        .expect("fresh durable database");
+    let columns = ["a", "b", "c", "d"].map(ColumnDef::int).to_vec();
+    db.create_table("t", Schema::new(columns)).expect("creates");
+    let data: Vec<Vec<Value>> = (0..rows)
+        .map(|i| {
+            [i, i % (rows / 10), i % 97, i * 7 % rows]
+                .map(Value::Int)
+                .to_vec()
+        })
+        .collect();
+    db.insert_many("t", data.iter().map(Vec::as_slice))
+        .expect("loads");
+    db.analyze("t").expect("analyzes");
+    db.create_index(&IndexSpec::new("t", &["a"]))
+        .expect("builds");
+    db.checkpoint().expect("checkpoints");
+
+    // Every statement moves one row's `d` to a value the column has
+    // not held: a new distinct value and, when sampled, a new sample
+    // entry — the delta's widest case.
+    let updates: Vec<Dml> = (0..UPDATES)
+        .map(|i| {
+            Dml::Update(UpdateStmt {
+                table: "t".into(),
+                set: vec![("d".into(), Value::Int(rows + i))],
+                conditions: vec![Condition::Eq {
+                    column: "a".into(),
+                    value: Value::Int(i * 131 % rows),
+                }],
+            })
+        })
+        .collect();
+    let (wal, frames) = (db.pager().wal_bytes(), db.pager().durable_stats());
+    let start = Instant::now();
+    for u in &updates {
+        let r = db.execute_dml(u).expect("updates");
+        assert_eq!(std::hint::black_box(r).count, 1);
+    }
+    let ns = start.elapsed().as_nanos() as f64 / UPDATES as f64;
+    let frames = db.pager().durable_stats().delta(frames);
+    assert_eq!(frames.wal_commits, UPDATES as u64);
+    let page_frame = 1 + 4 + PAGE_SIZE as u64 + 8;
+    let meta = db.pager().wal_bytes() - wal - frames.wal_appends * page_frame;
+    (ns, meta as f64 / UPDATES as f64)
 }
 
 fn bench_storage(criterion: &mut Criterion) {
@@ -238,6 +302,18 @@ fn bench_storage(criterion: &mut Criterion) {
 
     let pager_x8 = pager_scaling();
     let durable = durable_metrics();
+    let (commit_ns_10k, commit_bytes_10k) = engine_commit_cost(10_000);
+    let (commit_ns_100k, commit_bytes_100k) = engine_commit_cost(100_000);
+    assert!(
+        commit_bytes_100k < 2.0 * commit_bytes_10k,
+        "commit metadata must not grow with the table: \
+         {commit_bytes_10k:.0} B at 10k rows, {commit_bytes_100k:.0} B at 100k"
+    );
+    assert!(
+        commit_ns_100k < 2.0 * commit_ns_10k,
+        "a durable one-row UPDATE must not slow with the table: \
+         {commit_ns_10k:.0} ns at 10k rows, {commit_ns_100k:.0} ns at 100k"
+    );
 
     let mut group = criterion.benchmark_group("storage");
     group.sample_size(10);
@@ -250,6 +326,10 @@ fn bench_storage(criterion: &mut Criterion) {
     group.metric("wal/append_mib_per_sec", durable.append_mib_per_sec);
     group.metric("checkpoint/latency_ms", durable.checkpoint_ms);
     group.metric("recovery/ms_100k_commits", durable.recovery_ms);
+    group.metric("commit/engine_update_ns_10k", commit_ns_10k);
+    group.metric("commit/engine_update_ns_100k", commit_ns_100k);
+    group.metric("commit/engine_meta_bytes_10k", commit_bytes_10k);
+    group.metric("commit/engine_meta_bytes_100k", commit_bytes_100k);
     group.bench_function("batch_reads/threads_1", |b| {
         b.iter(|| run_batch(&db, &batch, 1))
     });

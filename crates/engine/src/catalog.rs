@@ -91,6 +91,35 @@ pub struct TableSnapshot {
     pub index_specs: Vec<IndexSpec>,
 }
 
+/// What the last durable commit recorded of one table, so the next
+/// commit frame carries only what its statements changed
+/// (`persist::encode_table`). Marks advance only once the commit is
+/// acknowledged; a failed commit leaves them, and the next frame then
+/// carries both statements' changes.
+#[derive(Default)]
+pub(crate) struct CommitMark {
+    /// Whether any commit has carried the table; until one has, the
+    /// next frame carries it whole.
+    pub(crate) committed: bool,
+    /// A mutator has taken the table's write lock since that commit
+    /// (`Database::write_entry`). Set when the lock is *taken*, not when
+    /// the statement succeeds: a statement that fails midway has
+    /// already changed shapes and dirtied pages, and the next
+    /// acknowledged commit logs those pages — so it must log this
+    /// table's shape with them. A committed table with this clear
+    /// contributes nothing.
+    pub(crate) touched: bool,
+    /// Length of the heap's page chain at that commit (chains only grow).
+    pub(crate) heap_pages: usize,
+    /// Length of each recorded index's page list, by canonical name
+    /// (page lists only grow). An index not listed is carried whole.
+    pub(crate) index_pages: std::collections::BTreeMap<String, usize>,
+    /// Recorded indexes dropped since.
+    pub(crate) dropped: Vec<String>,
+    /// `stats` was replaced since (by `ANALYZE` or a refresh).
+    pub(crate) stats_replaced: bool,
+}
+
 /// A table in the catalog. Schema and statistics are behind `Arc` so a
 /// statement (or a what-if snapshot) can share them without copying;
 /// statistics are replaced wholesale on refresh, never mutated, so a
@@ -116,6 +145,11 @@ pub(crate) struct TableEntry {
     /// Logs of the online index builds currently scanning this table;
     /// every mutating statement appends its row deltas to each.
     pub(crate) build_logs: Vec<BuildLog>,
+    /// What the last durable commit recorded. Behind a mutex so the
+    /// commit path advances it through the shared table lock (it never
+    /// waits on, or stalls, the table's readers); mutators holding the
+    /// write lock reach it lock-free via `get_mut`.
+    pub(crate) mark: Mutex<CommitMark>,
 }
 
 impl TableEntry {
@@ -131,6 +165,7 @@ impl TableEntry {
             epoch: 0,
             version: None,
             build_logs: Vec::new(),
+            mark: Mutex::default(),
         }
     }
 
@@ -159,6 +194,24 @@ impl TableEntry {
         });
         self.version = Some(snap.clone());
         snap
+    }
+
+    /// Note for the next commit frame that `stats` was replaced.
+    pub(crate) fn note_stats_replaced(&mut self) {
+        self.mark
+            .get_mut()
+            .expect("commit mark poisoned")
+            .stats_replaced = true;
+    }
+
+    /// Note for the next commit frame that index `name` was dropped —
+    /// if a commit ever recorded it (a never-committed index, like any
+    /// index of an in-memory database, just vanishes).
+    pub(crate) fn note_index_dropped(&mut self, name: &str) {
+        let mark = self.mark.get_mut().expect("commit mark poisoned");
+        if mark.index_pages.remove(name).is_some() {
+            mark.dropped.push(name.to_owned());
+        }
     }
 
     /// Append one row delta to every active build log. Called by DML

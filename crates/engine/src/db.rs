@@ -7,7 +7,7 @@ use cdpd_sql::{DeleteStmt, Dml, SelectStmt, Statement, UpdateStmt};
 use cdpd_storage::{codec, BTree, IoStats, Pager, ThreadIoScope};
 use cdpd_types::{ColumnId, Error, Result, Rid, Schema, TableId, Value};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Result of one executed query: output plus measured cost.
@@ -91,8 +91,12 @@ pub struct Database {
     pub(crate) tables: RwLock<BTreeMap<String, Arc<RwLock<TableEntry>>>>,
     pub(crate) next_table_id: AtomicU32,
     /// Opaque application state (the advisory layer's warm state),
-    /// persisted with the catalog on every durable commit.
+    /// persisted with the catalog.
     pub(crate) app_state: RwLock<Vec<u8>>,
+    /// `app_state` was replaced since the last durable commit, so the
+    /// next commit frame carries it. Set under the shared commit phase
+    /// and read under the exclusive one, which is what orders it.
+    pub(crate) app_state_dirty: AtomicBool,
     /// Commit phase lock: mutating statements hold it shared for their
     /// mutation, `commit_if_durable` holds it exclusively — a durable
     /// commit never captures a half-applied statement.
@@ -109,20 +113,27 @@ impl Database {
     /// An empty in-memory database (no durability; mutations are lost
     /// on drop). Use [`Database::open`] for a durable one.
     pub fn new() -> Database {
+        Self::with_pager(Arc::new(Pager::new()))
+    }
+
+    /// An empty catalog over `pager`.
+    pub(crate) fn with_pager(pager: Arc<Pager>) -> Database {
         Database {
-            pager: Arc::new(Pager::new()),
+            pager,
             tables: RwLock::new(BTreeMap::new()),
             next_table_id: AtomicU32::new(0),
             app_state: RwLock::new(Vec::new()),
+            app_state_dirty: AtomicBool::new(false),
             write_phase: RwLock::new(()),
         }
     }
 
     /// Open (creating if absent) a durable database rooted at directory
     /// `dir`, recovering to the newest committed state: the write-ahead
-    /// log is replayed past the last checkpoint, the committed catalog
-    /// is decoded, and every table, index, and statistics object is
-    /// re-attached exactly as the last successful commit left it.
+    /// log is replayed past the last checkpoint, the catalog is rebuilt
+    /// from the checkpoint's image plus the replayed commits' deltas,
+    /// and every table, index, and statistics object is re-attached
+    /// exactly as the last successful commit left it.
     pub fn open(dir: impl AsRef<std::path::Path>) -> Result<Database> {
         let vfs = cdpd_storage::DiskVfs::new(dir.as_ref())?;
         Self::open_with_vfs(Arc::new(vfs), cdpd_storage::DurableOptions::default())
@@ -135,18 +146,11 @@ impl Database {
         opts: cdpd_storage::DurableOptions,
     ) -> Result<Database> {
         let opened = Pager::open_durable(vfs, opts)?;
-        let pager = Arc::new(opened.pager);
-        if opened.app_meta.is_empty() {
-            Ok(Database {
-                pager,
-                tables: RwLock::new(BTreeMap::new()),
-                next_table_id: AtomicU32::new(0),
-                app_state: RwLock::new(Vec::new()),
-                write_phase: RwLock::new(()),
-            })
-        } else {
-            crate::persist::decode_catalog(&opened.app_meta, pager)
-        }
+        crate::persist::decode_catalog(
+            &opened.app_image,
+            &opened.app_deltas,
+            Arc::new(opened.pager),
+        )
     }
 
     /// Whether this database persists commits (opened via
@@ -161,17 +165,29 @@ impl Database {
         self.pager.committed_seq()
     }
 
-    /// Flush dirty pages to the data file and truncate the write-ahead
-    /// log. A no-op for in-memory databases. Every public mutation
-    /// commits on completion, so this is safe to call at any quiescent
-    /// point; recovery time after a crash is proportional to the WAL
-    /// written since the last checkpoint.
+    /// Flush dirty pages to the data file, write the catalog's image
+    /// into the checkpoint header, and truncate the write-ahead log. A
+    /// no-op for in-memory databases. Safe to call at any time: it
+    /// holds the commit phase exclusively and first commits whatever
+    /// statements have completed but not yet committed, so the image it
+    /// writes is exactly the committed state. Recovery time after a
+    /// crash is proportional to the WAL written since the last
+    /// checkpoint.
     pub fn checkpoint(&self) -> Result<()> {
-        if self.pager.is_durable() {
-            self.pager.checkpoint()
-        } else {
-            Ok(())
+        if !self.pager.is_durable() {
+            return Ok(());
         }
+        let _phase = self.write_phase.write().expect("phase lock poisoned");
+        let (delta, carried) = crate::persist::encode(self, false);
+        if !carried.is_empty() || self.app_state_dirty.load(Ordering::Relaxed) {
+            self.commit_record(&delta, &carried)?;
+        }
+        // Nothing logged since the last checkpoint — which that commit
+        // may itself just have taken: the header is current.
+        if self.pager.wal_bytes() == 0 {
+            return Ok(());
+        }
+        self.pager.checkpoint_with(&|| crate::persist::image(self))
     }
 
     /// Replace the opaque application-state blob persisted alongside
@@ -180,6 +196,7 @@ impl Database {
         {
             let _phase = self.mutation_phase();
             *self.app_state.write().expect("app state poisoned") = state;
+            self.app_state_dirty.store(true, Ordering::Relaxed);
         }
         self.commit_if_durable()
     }
@@ -199,11 +216,12 @@ impl Database {
         self.write_phase.read().expect("phase lock poisoned")
     }
 
-    /// Commit the current state durably: serialize the catalog and
-    /// append every page mutated since the last commit to the WAL as
-    /// one transaction. In-memory databases return `Ok` untouched.
-    /// Called by every public mutator on successful completion, after
-    /// all table guards are released.
+    /// Commit the current state durably: append every page mutated
+    /// since the last commit, plus the catalog *delta* — what the
+    /// statements since then changed (see [`crate::persist`]) — to the
+    /// WAL as one transaction. In-memory databases return `Ok`
+    /// untouched. Called by every public mutator on successful
+    /// completion, after all table guards are released.
     ///
     /// Holds the commit phase exclusively: no statement is mid-mutation
     /// while the dirty-page set and the catalog are captured, so what a
@@ -214,8 +232,22 @@ impl Database {
             return Ok(());
         }
         let _phase = self.write_phase.write().expect("phase lock poisoned");
-        let blob = crate::persist::encode_catalog(self);
-        self.pager.commit(&blob)?;
+        let (delta, carried) = crate::persist::encode(self, false);
+        self.commit_record(&delta, &carried)
+    }
+
+    /// Commit `delta`, the record `persist::encode` just produced, with
+    /// the commit phase held exclusively. The commit marks advance only
+    /// once the pager acknowledges: after an `Err` the next commit's
+    /// delta carries these changes again (harmlessly, should this frame
+    /// have reached the log after all — records fold idempotently). The
+    /// catalog image is built only if the pager's auto-checkpoint asks
+    /// for it, by which point the in-memory catalog *is* the committed
+    /// state.
+    fn commit_record(&self, delta: &[u8], carried: &crate::persist::Carried) -> Result<()> {
+        self.pager
+            .commit_with(delta, &|| crate::persist::image(self))?;
+        crate::persist::advance_marks(self, carried);
         Ok(())
     }
 
@@ -242,8 +274,14 @@ impl Database {
         entry.read().expect("table lock poisoned")
     }
 
+    /// The table write lock, for a mutator: the table is marked touched
+    /// as the lock is taken, so the next commit frame carries its shape
+    /// on every exit path — including a statement that fails after it
+    /// has changed the heap or an index.
     fn write_entry(entry: &RwLock<TableEntry>) -> RwLockWriteGuard<'_, TableEntry> {
-        entry.write().expect("table lock poisoned")
+        let mut guard = entry.write().expect("table lock poisoned");
+        guard.mark.get_mut().expect("commit mark poisoned").touched = true;
+        guard
     }
 
     /// Create a table.
@@ -278,7 +316,9 @@ impl Database {
         }
         // Cache miss: the last statement was a mutation. Escalate to
         // the write lock just long enough to rebuild the snapshot.
-        let snap = Self::write_entry(&entry).snapshot();
+        // (Not `write_entry`: caching a snapshot changes nothing a
+        // commit records.)
+        let snap = entry.write().expect("table lock poisoned").snapshot();
         Ok(snap)
     }
 
@@ -383,6 +423,7 @@ impl Database {
         let stats = Arc::new(maintainer.snapshot(entry.heap.page_count()));
         entry.stats = Some(stats.clone());
         entry.maintainer = Some(maintainer);
+        entry.note_stats_replaced();
         entry.bump_epoch();
         Ok(stats)
     }
@@ -419,6 +460,7 @@ impl Database {
         cdpd_obs::counter!("engine.stats.refreshes").inc();
         let refresh = maintainer.take_refresh();
         entry.stats = Some(Arc::new(maintainer.snapshot(entry.heap.page_count())));
+        entry.note_stats_replaced();
         entry.bump_epoch();
         Ok(refresh)
     }
@@ -618,6 +660,7 @@ impl Database {
         let Some(dropped) = entry.indexes.remove(&name) else {
             return Err(Error::NotFound(format!("index {name}")));
         };
+        entry.note_index_dropped(&name);
         entry.bump_epoch();
         self.pager.free(&dropped.btree.into_pages());
         // Account the catalog write on a real page so measured TRANS

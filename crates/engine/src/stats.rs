@@ -281,6 +281,11 @@ impl StatsRefresh {
 /// *gain* values (deletes leave them as stale upper bounds — the
 /// standard engineering trade-off incremental ANALYZE makes). Row and
 /// byte counts are exact.
+///
+/// That growth-only shape is also what makes durable commits cheap:
+/// between two commits a sample gains a suffix and a distinct set gains
+/// members, so a commit frame carries just those ([`MaintainerMark`],
+/// [`StatsMaintainer::encode`]) instead of the whole state.
 pub(crate) struct StatsMaintainer {
     rows: u64,
     bytes: u64,
@@ -293,6 +298,26 @@ pub(crate) struct StatsMaintainer {
     dirty: Vec<bool>,
     /// Row/byte counts moved since the last snapshot.
     rows_dirty: bool,
+    /// What the last durable commit recorded. Behind a mutex so the
+    /// commit path can advance it through the shared table lock
+    /// readers hold; mutators reach it lock-free via `get_mut`.
+    mark: std::sync::Mutex<MaintainerMark>,
+}
+
+/// What the last durable commit recorded of a maintainer: the next
+/// frame carries only what lies past it.
+#[derive(Default)]
+struct MaintainerMark {
+    /// Whether any durable commit has carried this maintainer. Until
+    /// one has — fresh from `ANALYZE`, or forever in an in-memory
+    /// database — the next frame carries it whole and `added` stays
+    /// empty.
+    committed: bool,
+    /// Per column: `sample[..len]` is what the commit recorded.
+    sample_lens: Vec<usize>,
+    /// Per column: the values that entered `distinct` since, in
+    /// arrival order.
+    added: Vec<Vec<Value>>,
 }
 
 struct ColBuilder {
@@ -304,8 +329,15 @@ struct ColBuilder {
 }
 
 impl ColBuilder {
-    fn absorb(&mut self, v: &Value, sampled: bool) {
-        self.distinct.insert(v.clone());
+    /// Fold one value in; a value new to `distinct` is also noted in
+    /// `added` when the commit mark is tracking.
+    fn absorb(&mut self, v: &Value, sampled: bool, added: Option<&mut Vec<Value>>) {
+        if !self.distinct.contains(v) {
+            self.distinct.insert(v.clone());
+            if let Some(added) = added {
+                added.push(v.clone());
+            }
+        }
         if self.min.as_ref().is_none_or(|m| v < m) {
             self.min = Some(v.clone());
         }
@@ -339,6 +371,7 @@ impl StatsMaintainer {
             update_events: 0,
             dirty: vec![false; n_columns],
             rows_dirty: false,
+            mark: std::sync::Mutex::default(),
         }
     }
 
@@ -346,12 +379,13 @@ impl StatsMaintainer {
         let sampled = self.rows.is_multiple_of(self.stride);
         self.rows += 1;
         self.rows_dirty = true;
-        for ((cb, v), dirty) in self.cols.iter_mut().zip(values).zip(&mut self.dirty) {
+        let mark = self.mark.get_mut().expect("commit mark poisoned");
+        for (i, (cb, v)) in self.cols.iter_mut().zip(values).enumerate() {
             let w = v.encoded_len() as u64;
             self.bytes += w;
             cb.width_sum += w;
-            cb.absorb(v, sampled);
-            *dirty = true;
+            cb.absorb(v, sampled, mark.added.get_mut(i));
+            self.dirty[i] = true;
         }
     }
 
@@ -360,6 +394,7 @@ impl StatsMaintainer {
     pub(crate) fn update_row(&mut self, old: &[Value], new: &[Value]) {
         let sampled = self.update_events.is_multiple_of(self.stride);
         self.update_events += 1;
+        let mark = self.mark.get_mut().expect("commit mark poisoned");
         for (i, (o, n)) in old.iter().zip(new).enumerate() {
             if o == n {
                 continue;
@@ -368,7 +403,7 @@ impl StatsMaintainer {
             let (ow, nw) = (o.encoded_len() as u64, n.encoded_len() as u64);
             self.bytes = self.bytes + nw - ow;
             cb.width_sum = cb.width_sum + nw - ow;
-            cb.absorb(n, sampled);
+            cb.absorb(n, sampled, mark.added.get_mut(i));
             self.dirty[i] = true;
         }
     }
@@ -410,71 +445,105 @@ impl StatsMaintainer {
         refresh
     }
 
-    /// Serialize every field exactly. The maintainer is *state*, not a
-    /// cache: folded-forward statistics differ from a fresh analyze
-    /// (deletes leave stale upper bounds), and the stride/`update_events`
-    /// sampling clock decides which future values enter the histogram
-    /// sample — so bit-identical recovery requires all of it. Distinct
-    /// sets are written in sorted order so equal states serialize to
-    /// equal bytes.
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        use crate::persist::{put_opt_value, put_u16, put_u64, put_u8, put_values};
+    /// Append this maintainer's part of a commit record. The maintainer
+    /// is *state*, not a cache: folded-forward statistics differ from a
+    /// fresh analyze (deletes leave stale upper bounds), and the
+    /// stride/`update_events` sampling clock decides which future
+    /// values enter the histogram sample — so bit-identical recovery
+    /// requires all of it.
+    ///
+    /// Scalars are written as they stand. A sample is written as
+    /// "keep the first `n`, then append these"; a distinct set as "add
+    /// these". Against the commit mark that is the few values the
+    /// committed statements contributed, and nothing is cloned or
+    /// sorted; with `whole` set, or before any commit has carried this
+    /// maintainer, it is the same record against the *empty* maintainer
+    /// (keep 0, add everything — sorted, so equal states serialize to
+    /// equal bytes), flagged so [`StatsMaintainer::apply`] starts from
+    /// empty. Applying a record twice, or on top of a later record that
+    /// covered a prefix of the same changes, yields the same state.
+    pub(crate) fn encode(&self, whole: bool, out: &mut Vec<u8>) {
+        use crate::persist::{put_opt_value, put_u16, put_u32, put_u64, put_u8, put_value_iter};
+        let mark = self.mark.lock().expect("commit mark poisoned");
+        let whole = whole || !mark.committed;
+        put_u8(out, whole as u8);
         put_u64(out, self.rows);
         put_u64(out, self.bytes);
         put_u64(out, self.stride);
         put_u64(out, self.update_events);
         put_u8(out, self.rows_dirty as u8);
         put_u16(out, self.cols.len() as u16);
-        for (cb, dirty) in self.cols.iter().zip(&self.dirty) {
-            let mut distinct: Vec<Value> = cb.distinct.iter().cloned().collect();
-            distinct.sort();
-            put_values(out, &distinct);
+        for (i, (cb, dirty)) in self.cols.iter().zip(&self.dirty).enumerate() {
+            let keep = if whole {
+                let mut distinct: Vec<&Value> = cb.distinct.iter().collect();
+                distinct.sort_unstable();
+                put_value_iter(out, distinct.into_iter());
+                0
+            } else {
+                put_value_iter(out, mark.added[i].iter());
+                mark.sample_lens[i]
+            };
             put_opt_value(out, &cb.min);
             put_opt_value(out, &cb.max);
-            put_values(out, &cb.sample);
+            put_u32(out, u32::try_from(keep).expect("sample too long"));
+            put_value_iter(out, cb.sample[keep..].iter());
             put_u64(out, cb.width_sum);
             put_u8(out, *dirty as u8);
         }
     }
 
-    pub(crate) fn decode(
+    /// The commit that carried [`StatsMaintainer::encode`]'s record is
+    /// durable: what it recorded is the new mark.
+    pub(crate) fn advance_mark(&self) {
+        let mut mark = self.mark.lock().expect("commit mark poisoned");
+        mark.committed = true;
+        mark.sample_lens.clear();
+        mark.sample_lens
+            .extend(self.cols.iter().map(|cb| cb.sample.len()));
+        mark.added.iter_mut().for_each(Vec::clear);
+        mark.added.resize_with(self.cols.len(), Vec::new);
+    }
+
+    /// Fold one [`StatsMaintainer::encode`] record into `slot`: a whole
+    /// record replaces whatever is there, a difference patches it.
+    pub(crate) fn apply(
+        slot: &mut Option<StatsMaintainer>,
         r: &mut crate::persist::Reader<'_>,
-    ) -> cdpd_types::Result<StatsMaintainer> {
+    ) -> cdpd_types::Result<()> {
+        use cdpd_types::Error::Corrupt;
+        let whole = r.u8()? != 0;
         let rows = r.u64()?;
         let bytes = r.u64()?;
         let stride = r.u64()?;
         if stride == 0 {
-            return Err(cdpd_types::Error::Corrupt("zero sampling stride".into()));
+            return Err(Corrupt("zero sampling stride".into()));
         }
         let update_events = r.u64()?;
         let rows_dirty = r.u8()? != 0;
         let n = r.u16()? as usize;
-        let mut cols = Vec::with_capacity(n);
-        let mut dirty = Vec::with_capacity(n);
-        for _ in 0..n {
-            let distinct: std::collections::HashSet<Value> = r.values()?.into_iter().collect();
-            let min = r.opt_value()?;
-            let max = r.opt_value()?;
-            let sample = r.values()?;
-            let width_sum = r.u64()?;
-            dirty.push(r.u8()? != 0);
-            cols.push(ColBuilder {
-                distinct,
-                min,
-                max,
-                sample,
-                width_sum,
-            });
+        if whole {
+            *slot = Some(StatsMaintainer::new(n, 0));
         }
-        Ok(StatsMaintainer {
-            rows,
-            bytes,
-            cols,
-            stride,
-            update_events,
-            dirty,
-            rows_dirty,
-        })
+        let m = match slot {
+            Some(m) if m.cols.len() == n => m,
+            _ => return Err(Corrupt("maintainer patch matches no maintainer".into())),
+        };
+        (m.rows, m.bytes, m.stride) = (rows, bytes, stride);
+        (m.update_events, m.rows_dirty) = (update_events, rows_dirty);
+        for (cb, dirty) in m.cols.iter_mut().zip(&mut m.dirty) {
+            cb.distinct.extend(r.values()?);
+            cb.min = r.opt_value()?;
+            cb.max = r.opt_value()?;
+            let keep = r.u32()? as usize;
+            if keep > cb.sample.len() {
+                return Err(Corrupt("sample patch starts past the sample".into()));
+            }
+            cb.sample.truncate(keep);
+            cb.sample.extend(r.values()?);
+            cb.width_sum = r.u64()?;
+            *dirty = r.u8()? != 0;
+        }
+        Ok(())
     }
 
     /// Materialize [`TableStats`] from the retained state: O(sample)

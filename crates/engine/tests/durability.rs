@@ -6,8 +6,10 @@
 //! contract the crash suite builds on.
 
 use cdpd_engine::{Database, IndexSpec};
-use cdpd_storage::{DurableOptions, MemVfs};
-use cdpd_types::{ColumnDef, Schema, Value};
+use cdpd_storage::{DurableOptions, MemVfs, Vfs, VfsFile, PAGE_SIZE};
+use cdpd_testkit::FaultyVfs;
+use cdpd_types::{ColumnDef, Error, Result, Schema, Value};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn iv(i: i64) -> Value {
@@ -230,4 +232,289 @@ fn disk_backed_database_round_trips() {
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(after, before);
+}
+
+// --- Commit deltas ------------------------------------------------------
+
+/// Bytes of a WAL page frame: tag, page id, image, checksum.
+const PAGE_FRAME: u64 = 1 + 4 + PAGE_SIZE as u64 + 8;
+
+/// A durable commit costs what the statement changed, not the size of
+/// the catalog: the WAL bytes a one-row `UPDATE` appends, less its page
+/// images, stay under 4 KiB whether the analysed table holds 10k rows or
+/// 100k (whose distinct sets and samples alone are megabytes).
+#[test]
+fn one_row_update_commits_a_flat_delta_at_10k_and_100k_rows() {
+    for rows in [10_000i64, 100_000] {
+        let opts = DurableOptions {
+            checkpoint_wal_bytes: 0, // the log must not reset under the measurement
+            ..DurableOptions::default()
+        };
+        let mut db = Database::open_with_vfs(Arc::new(MemVfs::new()), opts).unwrap();
+        load(&mut db, rows);
+        db.create_index(&IndexSpec::new("t", &["a"])).unwrap();
+        db.checkpoint().unwrap();
+        for (i, sql) in [
+            // A value no row held: enters a distinct set and a sample.
+            format!("UPDATE t SET c = {} WHERE a = 7", rows * 3),
+            // One the column already holds.
+            "UPDATE t SET c = 5 WHERE a = 8".to_owned(),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let (wal, frames) = (db.pager().wal_bytes(), db.pager().durable_stats());
+            assert_eq!(db.execute_sql(sql).unwrap().count, 1);
+            let frames = db.pager().durable_stats().delta(frames);
+            assert_eq!(frames.wal_commits, 1);
+            let meta = db.pager().wal_bytes() - wal - frames.wal_appends * PAGE_FRAME;
+            assert!(
+                meta < 4096,
+                "{rows} rows, update {i}: {meta} bytes of commit metadata \
+                 beside {} page images",
+                frames.wal_appends
+            );
+        }
+    }
+}
+
+/// A [`Vfs`] whose log can be made to fail on demand — at the write
+/// (nothing reaches the log) or at the fsync (the frame is in the log,
+/// but the commit is not acknowledged) — and then heal.
+#[derive(Clone)]
+struct FlakyVfs {
+    inner: MemVfs,
+    fail_write: Arc<AtomicBool>,
+    fail_sync: Arc<AtomicBool>,
+}
+
+struct FlakyFile {
+    inner: Box<dyn VfsFile>,
+    vfs: FlakyVfs,
+}
+
+fn injected() -> Error {
+    Error::Io(std::io::Error::other("injected log failure"))
+}
+
+impl Vfs for FlakyVfs {
+    fn open(&self, name: &str) -> Result<Box<dyn VfsFile>> {
+        let inner = self.inner.open(name)?;
+        Ok(if name == "wal" {
+            Box::new(FlakyFile {
+                inner,
+                vfs: self.clone(),
+            })
+        } else {
+            inner
+        })
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+    fn delete(&self, name: &str) -> Result<()> {
+        self.inner.delete(name)
+    }
+}
+
+impl VfsFile for FlakyFile {
+    fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<usize> {
+        self.inner.read_at(off, buf)
+    }
+    fn write_at(&self, off: u64, data: &[u8]) -> Result<()> {
+        if self.vfs.fail_write.load(Ordering::Relaxed) {
+            return Err(injected());
+        }
+        self.inner.write_at(off, data)
+    }
+    fn sync(&self) -> Result<()> {
+        if self.vfs.fail_sync.load(Ordering::Relaxed) {
+            return Err(injected());
+        }
+        self.inner.sync()
+    }
+    fn len(&self) -> Result<u64> {
+        self.inner.len()
+    }
+    fn truncate(&self, len: u64) -> Result<()> {
+        self.inner.truncate(len)
+    }
+}
+
+type Stmt = Box<dyn Fn(&Database) -> Result<()>>;
+
+/// The statements the failed-commit tests run: between them they touch
+/// every part of a commit delta — new distinct values and sample
+/// entries, the heap chain, an index drop and a build, a replaced
+/// maintainer, a refreshed snapshot, the app state.
+fn delta_script() -> Vec<Stmt> {
+    fn sql(text: &'static str) -> Stmt {
+        Box::new(move |db| db.execute_sql(text).map(|_| ()))
+    }
+    vec![
+        sql("UPDATE t SET b = 4001 WHERE a < 30"),
+        sql("UPDATE t SET c = 4002, d = 'moved to a longer string' WHERE a >= 380"),
+        Box::new(|db| db.drop_index(&IndexSpec::new("t", &["b"])).map(|_| ())),
+        sql("DELETE FROM t WHERE a = 17"),
+        Box::new(|db| db.refresh_stats("t").map(|_| ())),
+        Box::new(|db| db.set_app_state(b"advisor state v2".to_vec())),
+        sql("INSERT INTO t VALUES (9001, 4003, 4004, 'fresh')"),
+        Box::new(|db| db.create_index(&IndexSpec::new("t", &["c"])).map(|_| ())),
+        Box::new(|db| db.analyze("t").map(|_| ())),
+        sql("UPDATE t SET b = 4005 WHERE a = 9001"),
+        Box::new(|db| db.create_index(&IndexSpec::new("t", &["b"])).map(|_| ())),
+        sql("UPDATE t SET c = 4006 WHERE b = 4001"),
+    ]
+}
+
+fn delta_fixture(db: &mut Database) {
+    load(db, 400);
+    db.create_index(&IndexSpec::new("t", &["b"])).unwrap();
+}
+
+/// [`digest`] plus what only the catalog holds: index set, app state,
+/// and the statistics a refresh produces from the recovered maintainer
+/// (its distinct sets, samples and dirty flags, not just the last
+/// snapshot).
+fn full_digest(db: &Database) -> impl PartialEq + std::fmt::Debug {
+    let before = format!("{:?}", db.stats("t").unwrap());
+    let refresh = db.refresh_stats("t").unwrap();
+    let after = format!("{:?}", db.stats("t").unwrap());
+    (
+        digest(db),
+        db.index_specs("t").unwrap(),
+        db.app_state(),
+        (before, refresh, after),
+    )
+}
+
+/// A commit fails and the handle *keeps going*: the commit marks must
+/// not have advanced, so the next acknowledged commit carries the
+/// failed statements' changes too — whether or not the failed frames
+/// reached the log (fsync failures leave them there, to be folded
+/// again by recovery). No delta is ever half-accounted.
+#[test]
+fn failed_commits_are_carried_by_the_next_acknowledged_one() {
+    let script = delta_script();
+    let mut control = Database::new();
+    delta_fixture(&mut control);
+    for stmt in &script {
+        stmt(&control).unwrap();
+    }
+    let expected = full_digest(&control);
+
+    for fail_at_sync in [false, true] {
+        // Fail two statements out of every three.
+        let vfs = FlakyVfs {
+            inner: MemVfs::new(),
+            fail_write: Arc::default(),
+            fail_sync: Arc::default(),
+        };
+        let arm = |on: bool| {
+            let flag = if fail_at_sync {
+                &vfs.fail_sync
+            } else {
+                &vfs.fail_write
+            };
+            flag.store(on, Ordering::Relaxed);
+        };
+        let mut db =
+            Database::open_with_vfs(Arc::new(vfs.clone()), DurableOptions::default()).unwrap();
+        delta_fixture(&mut db);
+        for (i, stmt) in script.iter().enumerate() {
+            let fail = i % 3 != 2;
+            arm(fail);
+            let seq = db.committed_seq();
+            assert_eq!(stmt(&db).is_err(), fail, "statement {i}");
+            assert_eq!(db.committed_seq() > seq, !fail, "statement {i}");
+        }
+        drop(db);
+        let db = open_mem(&vfs.inner);
+        assert_eq!(
+            full_digest(&db),
+            expected,
+            "fail_at_sync={fail_at_sync}: recovery must see every statement exactly once"
+        );
+    }
+}
+
+/// A commit fails and the handle is *dropped*: whatever statement the
+/// crash interrupts, the reopened database equals the replay of exactly
+/// the acknowledged statements.
+#[test]
+fn failed_commit_then_drop_recovers_the_acknowledged_prefix() {
+    let script = delta_script();
+    // Counting pass: the VFS op count as each statement begins.
+    let counting = FaultyVfs::new(Arc::new(MemVfs::new()), u64::MAX, 0);
+    let mut db =
+        Database::open_with_vfs(Arc::new(counting.clone()), DurableOptions::default()).unwrap();
+    delta_fixture(&mut db);
+    let mut starts = Vec::new();
+    for stmt in &script {
+        starts.push(counting.ops());
+        stmt(&db).unwrap();
+    }
+    drop(db);
+
+    for (k, &ops_before) in starts.iter().enumerate() {
+        // Kill at statement k's first log write: its commit fails torn.
+        let mem = MemVfs::new();
+        let vfs = FaultyVfs::new(Arc::new(mem.clone()), ops_before + 1, k as u64);
+        let mut db =
+            Database::open_with_vfs(Arc::new(vfs.clone()), DurableOptions::default()).unwrap();
+        delta_fixture(&mut db);
+        let acked = script.iter().take_while(|stmt| stmt(&db).is_ok()).count();
+        assert!(vfs.killed());
+        assert_eq!(acked, k, "the kill must land in statement {k}'s commit");
+        drop(db);
+
+        let mut control = Database::new();
+        delta_fixture(&mut control);
+        for stmt in &script[..k] {
+            stmt(&control).unwrap();
+        }
+        assert_eq!(
+            full_digest(&open_mem(&mem)),
+            full_digest(&control),
+            "statement {k}'s failed commit leaked into (or out of) the recovered state"
+        );
+    }
+}
+
+/// A statement fails *midway* — the heap insert lands, the index insert
+/// refuses the key — and commits nothing itself. Its page writes ride
+/// the next acknowledged commit of any statement, so that commit's
+/// delta must carry the failed statement's table too: the recovered
+/// database equals the live one, rows and page counts alike.
+#[test]
+fn statement_that_fails_midway_is_carried_by_the_next_commit() {
+    let vfs = MemVfs::new();
+    let mut db = open_mem(&vfs);
+    load(&mut db, 2);
+    db.create_index(&IndexSpec::new("t", &["d"])).unwrap();
+    db.create_table("u", abcd_schema()).unwrap();
+    for len in [4200, 4300, 4400] {
+        // Fits a heap page, not a B-tree key.
+        let row = [iv(100), iv(0), iv(0), Value::Str("\0".repeat(len))];
+        let seq = db.committed_seq();
+        assert!(matches!(db.insert("t", &row), Err(Error::TooLarge(_))));
+        assert_eq!(db.committed_seq(), seq);
+    }
+    // An unrelated commit logs the failed statements' pages.
+    db.insert("u", &[iv(1), iv(1), iv(1), Value::Str("u".into())])
+        .unwrap();
+    let all = cdpd_sql::parse("SELECT * FROM t").unwrap();
+    let cdpd_sql::Statement::Select(all) = all else {
+        panic!("not a select")
+    };
+    let live = (db.query(&all).unwrap().rows.unwrap(), db.page_count());
+    assert_eq!(live.0.len(), 5, "the heap kept the failed statements' rows");
+    drop(db);
+    let db = open_mem(&vfs);
+    let recovered = (db.query(&all).unwrap().rows.unwrap(), db.page_count());
+    assert_eq!(recovered, live);
+    // And the recovered shape still takes writes.
+    db.insert("t", &[iv(7), iv(7), iv(7), Value::Str("seven".into())])
+        .unwrap();
+    assert_eq!(db.query(&all).unwrap().rows.unwrap().len(), 6);
 }

@@ -30,7 +30,7 @@ use crate::pager::{Page, PAGER_SHARDS, PAGE_SIZE};
 use crate::vfs::{Vfs, VfsFile};
 use crate::wal::WalWriter;
 use cdpd_types::{Error, PageId, Result};
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Mutex};
 
 pub(crate) const FILE_DATA: &str = "data";
@@ -107,26 +107,38 @@ impl DurableStats {
     }
 }
 
-/// The committed allocation state carried by commit frames and headers.
-#[derive(Clone, Default)]
+/// The decoded metadata of one commit frame or checkpoint header: the
+/// pager's allocation state plus the application's bytes (a delta in a
+/// commit frame, a self-contained image in a header).
 pub(crate) struct CommittedMeta {
     pub(crate) next: u32,
     pub(crate) free: Vec<Vec<PageId>>,
     pub(crate) app_meta: Vec<u8>,
 }
 
-pub(crate) fn encode_meta(meta: &CommittedMeta) -> Vec<u8> {
+/// Encode everything of a frame's or header's metadata *except* the
+/// application bytes, which follow it verbatim: `next`, the per-stripe
+/// free lists, and the length of the application bytes. The split lets
+/// commit and checkpoint write the application bytes from where they
+/// already are instead of copying them into an intermediate blob.
+pub(crate) fn encode_meta_head<L>(
+    next: u32,
+    free: impl ExactSizeIterator<Item = L>,
+    app_len: usize,
+) -> Vec<u8>
+where
+    L: std::ops::Deref<Target = Vec<PageId>>,
+{
     let mut out = Vec::new();
-    out.extend_from_slice(&meta.next.to_le_bytes());
-    out.extend_from_slice(&(meta.free.len() as u32).to_le_bytes());
-    for list in &meta.free {
+    out.extend_from_slice(&next.to_le_bytes());
+    out.extend_from_slice(&(free.len() as u32).to_le_bytes());
+    for list in free {
         out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-        for id in list {
+        for id in list.iter() {
             out.extend_from_slice(&id.raw().to_le_bytes());
         }
     }
-    out.extend_from_slice(&(meta.app_meta.len() as u64).to_le_bytes());
-    out.extend_from_slice(&meta.app_meta);
+    out.extend_from_slice(&(app_len as u64).to_le_bytes());
     out
 }
 
@@ -175,17 +187,26 @@ pub(crate) struct Header {
     pub(crate) meta: CommittedMeta,
 }
 
-pub(crate) fn encode_header(ckpt_no: u64, seq: u64, meta: &CommittedMeta) -> Vec<u8> {
-    let body = encode_meta(meta);
-    let mut out = Vec::with_capacity(8 + 8 + 8 + 4 + body.len() + 8);
+/// A checkpoint header: `head` is [`encode_meta_head`]'s output and
+/// `app_image` the self-contained application image it announces.
+pub(crate) fn encode_header(
+    ckpt_no: u64,
+    seq: u64,
+    head: &[u8],
+    app_image: &[u8],
+) -> Result<Vec<u8>> {
+    let body_len = u32::try_from(head.len() + app_image.len())
+        .map_err(|_| Error::InvalidArgument("checkpoint header exceeds 4 GiB".into()))?;
+    let mut out = Vec::with_capacity(8 + 8 + 8 + 4 + body_len as usize + 8);
     out.extend_from_slice(HDR_MAGIC);
     out.extend_from_slice(&ckpt_no.to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
+    out.extend_from_slice(&body_len.to_le_bytes());
+    out.extend_from_slice(head);
+    out.extend_from_slice(app_image);
     let crc = crc64_finish(crc64_update(crc64_begin(), &out));
     out.extend_from_slice(&crc.to_le_bytes());
-    out
+    Ok(out)
 }
 
 /// Parse one header file; `None` if missing, torn, or corrupt (the
@@ -224,14 +245,24 @@ pub(crate) struct Durable {
     pub(crate) seq: AtomicU64,
     /// Checkpoints taken over the pager's life (drives header ping-pong).
     pub(crate) ckpt_no: AtomicU64,
-    /// Snapshot of the last committed state (what a checkpoint headers).
-    pub(crate) committed: Mutex<CommittedMeta>,
     /// Serializes whole commits: dirty-page collection, sequence-number
-    /// assignment, WAL append, and committed-meta publication must be
-    /// one atomic unit even when several sessions commit concurrently
-    /// (the engine orders mutation vs. commit with its own phase lock;
-    /// this mutex makes `Pager::commit` itself safe regardless).
+    /// assignment and WAL append must be one atomic unit even when
+    /// several sessions commit concurrently (the engine orders mutation
+    /// vs. commit with its own phase lock; this mutex makes
+    /// `Pager::commit` itself safe regardless).
     pub(crate) commit_serial: Mutex<()>,
+    /// Pages were freed since the last commit. Freeing dirties no frame,
+    /// so this is what tells a checkpoint that the live free lists are
+    /// ahead of the log. `Relaxed` suffices: commit and checkpoint
+    /// require that no mutation is in flight, and whatever the caller
+    /// uses to ensure that (the engine's commit phase lock) orders
+    /// this flag too.
+    pub(crate) free_uncommitted: AtomicBool,
+    /// The bytes of the newest [`crate::Pager::commit`] — self-contained
+    /// by that call's contract — which [`crate::Pager::checkpoint`]
+    /// writes as the header image. Seeded at open with the newest
+    /// committed bytes.
+    pub(crate) last_blob: Mutex<Vec<u8>>,
     pub(crate) wal_appends: AtomicU64,
     pub(crate) wal_commits: AtomicU64,
     pub(crate) wal_fsyncs: AtomicU64,
@@ -294,13 +325,19 @@ impl Durable {
 }
 
 /// Outcome of opening a durable pager: the recovered pager plus the
-/// application metadata blob of the last committed transaction.
+/// application metadata recovery found — the image in the checkpoint
+/// header it started from and the delta of every WAL commit it replayed
+/// on top. Folding them is the application's job (the engine's catalog
+/// codec); the pager never interprets either.
 pub struct DurableOpen {
     /// The recovered pager.
     pub pager: crate::Pager,
-    /// Application metadata from the newest committed transaction (the
-    /// engine's serialized catalog), empty for a fresh database.
-    pub app_meta: Vec<u8>,
+    /// The application image in the adopted checkpoint header (what
+    /// [`crate::Pager::checkpoint_with`] was handed), empty for a fresh
+    /// database.
+    pub app_image: Vec<u8>,
+    /// The application bytes of each replayed WAL commit, oldest first.
+    pub app_deltas: Vec<Vec<u8>>,
     /// Sequence number of the newest committed transaction (0 for a
     /// fresh database).
     pub committed_seq: u64,
@@ -353,16 +390,18 @@ mod tests {
     use super::*;
     use crate::vfs::MemVfs;
 
+    fn encode_meta(next: u32, free: &[Vec<PageId>], app: &[u8]) -> Vec<u8> {
+        let mut bytes = encode_meta_head(next, free.iter(), app.len());
+        bytes.extend_from_slice(app);
+        bytes
+    }
+
     #[test]
     fn meta_roundtrip() {
-        let meta = CommittedMeta {
-            next: 42,
-            free: (0..PAGER_SHARDS)
-                .map(|s| (0..s).map(|i| PageId((s * 16 + i) as u32)).collect())
-                .collect(),
-            app_meta: b"catalog bytes".to_vec(),
-        };
-        let decoded = decode_meta(&encode_meta(&meta)).unwrap();
+        let free: Vec<Vec<PageId>> = (0..PAGER_SHARDS)
+            .map(|s| (0..s).map(|i| PageId((s * 16 + i) as u32)).collect())
+            .collect();
+        let decoded = decode_meta(&encode_meta(42, &free, b"catalog bytes")).unwrap();
         assert_eq!(decoded.next, 42);
         assert_eq!(decoded.free.len(), PAGER_SHARDS);
         assert_eq!(decoded.free[3].len(), 3);
@@ -373,12 +412,7 @@ mod tests {
     fn meta_rejects_garbage() {
         assert!(decode_meta(b"").is_err());
         assert!(decode_meta(&[0u8; 6]).is_err());
-        let meta = CommittedMeta {
-            next: 1,
-            free: vec![Vec::new(); PAGER_SHARDS],
-            app_meta: Vec::new(),
-        };
-        let mut bytes = encode_meta(&meta);
+        let mut bytes = encode_meta(1, &vec![Vec::new(); PAGER_SHARDS], b"");
         bytes.push(0); // trailing byte
         assert!(decode_meta(&bytes).is_err());
     }
@@ -386,12 +420,9 @@ mod tests {
     #[test]
     fn header_roundtrip_and_corruption() {
         let vfs = MemVfs::new();
-        let meta = CommittedMeta {
-            next: 7,
-            free: vec![Vec::new(); PAGER_SHARDS],
-            app_meta: b"app".to_vec(),
-        };
-        let bytes = encode_header(3, 19, &meta);
+        let free = vec![Vec::new(); PAGER_SHARDS];
+        let head = encode_meta_head(7, free.iter(), 3);
+        let bytes = encode_header(3, 19, &head, b"app").unwrap();
         vfs.open("hdr.0").unwrap().write_at(0, &bytes).unwrap();
         let h = read_header(&*vfs.open("hdr.0").unwrap()).unwrap();
         assert_eq!(h.ckpt_no, 3);

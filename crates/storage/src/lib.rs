@@ -13,9 +13,6 @@
 //!   is accounted here, which is what makes measured costs
 //!   deterministic. [`ThreadIoScope`] attributes I/O to the current
 //!   thread so per-statement accounting stays exact under concurrency.
-//! * [`BufferPool`] — per-stripe LRU caches in front of a pager that
-//!   distinguish *logical* accesses from *physical* fetches (hit/miss
-//!   statistics).
 //! * slotted pages ([`slotted`]) — variable-length record layout used by
 //!   heap pages.
 //! * [`codec`] — row serialization and an order-preserving
@@ -49,7 +46,6 @@ mod crc;
 mod durable;
 mod heap;
 mod pager;
-mod pool;
 mod wal;
 
 pub use btree::{BTree, BTreeCursor};
@@ -57,5 +53,4 @@ pub use crc::crc64;
 pub use durable::{DurableOpen, DurableOptions, DurableStats};
 pub use heap::{HeapFile, HeapScan};
 pub use pager::{IoStats, Page, Pager, ThreadIoScope, PAGER_SHARDS, PAGE_SIZE};
-pub use pool::BufferPool;
 pub use vfs::{DiskVfs, MemVfs, Vfs, VfsFile};

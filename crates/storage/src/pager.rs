@@ -1,12 +1,12 @@
 use crate::durable::{
-    encode_header, encode_meta, recover_base, CommittedMeta, Durable, DurableOpen, DurableOptions,
+    encode_header, encode_meta_head, recover_base, Durable, DurableOpen, DurableOptions,
     DurableStats, FILE_DATA, FILE_HDR, FILE_SUMS, FILE_WAL,
 };
 use crate::vfs::Vfs;
 use crate::wal::WalWriter;
 use cdpd_types::{Error, PageId, Result};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Size of a page in bytes. 8 KiB matches the SQL Server page size used
@@ -188,11 +188,46 @@ impl Frame {
     }
 }
 
+/// One stripe's frame array plus the slots whose dirty bits are set,
+/// so commit and checkpoint visit the dirty frames and nothing else.
+#[derive(Default)]
+struct FrameTable {
+    frames: Vec<Frame>,
+    /// Slots with `dirty_log` set, each listed once.
+    log_dirty: Vec<usize>,
+    /// Slots with `dirty_page` set, each listed once.
+    page_dirty: Vec<usize>,
+}
+
+impl FrameTable {
+    /// The frame at `slot`, growing the array to reach it.
+    fn frame_mut(&mut self, slot: usize) -> &mut Frame {
+        if self.frames.len() <= slot {
+            self.frames.resize_with(slot + 1, Frame::empty);
+        }
+        &mut self.frames[slot]
+    }
+
+    /// Set `dirty_log` on the frame at `slot`, listing it if it was clean.
+    fn mark_log_dirty(&mut self, slot: usize) {
+        if !std::mem::replace(&mut self.frames[slot].dirty_log, true) {
+            self.log_dirty.push(slot);
+        }
+    }
+
+    /// Set `dirty_page` on the frame at `slot`, listing it if it was clean.
+    fn mark_page_dirty(&mut self, slot: usize) {
+        if !std::mem::replace(&mut self.frames[slot].dirty_page, true) {
+            self.page_dirty.push(slot);
+        }
+    }
+}
+
 /// One lock stripe of the page table: a slice of the frame array plus
 /// the stripe's free list. Stripe `s` holds pages `s, s+16, s+32, …` at
 /// slots `0, 1, 2, …`.
 struct PageShard {
-    frames: RwLock<Vec<Frame>>,
+    frames: RwLock<FrameTable>,
     free: Mutex<Vec<PageId>>,
     /// Clock for LRU stamps (durable mode only).
     clock: AtomicU64,
@@ -204,7 +239,7 @@ struct PageShard {
 impl PageShard {
     fn new() -> PageShard {
         PageShard {
-            frames: RwLock::new(Vec::new()),
+            frames: RwLock::new(FrameTable::default()),
             free: Mutex::new(Vec::new()),
             clock: AtomicU64::new(0),
             resident: AtomicUsize::new(0),
@@ -300,17 +335,9 @@ impl Pager {
         let sums = vfs.open(FILE_SUMS)?;
         let wal_file = vfs.open(FILE_WAL)?;
 
-        let (mut meta, hdr_seq, ckpt_no) = match base {
-            Some(h) => (h.meta, h.seq, h.ckpt_no),
-            None => (
-                CommittedMeta {
-                    next: 0,
-                    free: vec![Vec::new(); PAGER_SHARDS],
-                    app_meta: Vec::new(),
-                },
-                0,
-                0,
-            ),
+        let (mut next, mut free, app_image, hdr_seq, ckpt_no) = match base {
+            Some(h) => (h.meta.next, h.meta.free, h.meta.app_meta, h.seq, h.ckpt_no),
+            None => (0, vec![Vec::new(); PAGER_SHARDS], Vec::new(), 0, 0),
         };
 
         // Replay the committed WAL suffix on top of the header state.
@@ -320,7 +347,7 @@ impl Pager {
         let (txns, valid_len) = crate::wal::scan(&*wal_file)?;
         let mut seq = hdr_seq;
         let mut overlay: std::collections::HashMap<u32, Page> = std::collections::HashMap::new();
-        let mut replayed = 0u64;
+        let mut app_deltas = Vec::new();
         for txn in txns {
             if txn.seq <= hdr_seq {
                 continue;
@@ -328,15 +355,17 @@ impl Pager {
             for (id, page) in txn.pages {
                 overlay.insert(id.raw(), page);
             }
-            meta = crate::durable::decode_meta(&txn.meta)?;
+            let meta = crate::durable::decode_meta(&txn.meta)?;
+            next = meta.next;
+            free = meta.free;
+            app_deltas.push(meta.app_meta);
             seq = txn.seq;
-            replayed += 1;
         }
 
         if fresh {
             // Make the empty state durable so a later open can always
             // find a valid header once transactions start committing.
-            let bytes = encode_header(0, 0, &meta);
+            let bytes = encode_header(0, 0, &encode_meta_head(next, free.iter(), 0), &[])?;
             hdr0.write_at(0, &bytes)?;
             hdr0.truncate(bytes.len() as u64)?;
             hdr0.sync()?;
@@ -350,8 +379,9 @@ impl Pager {
             opts,
             seq: AtomicU64::new(seq),
             ckpt_no: AtomicU64::new(ckpt_no),
-            committed: Mutex::new(meta.clone()),
             commit_serial: Mutex::new(()),
+            free_uncommitted: AtomicBool::new(false),
+            last_blob: Mutex::new(app_deltas.last().unwrap_or(&app_image).clone()),
             wal_appends: AtomicU64::new(0),
             wal_commits: AtomicU64::new(0),
             wal_fsyncs: AtomicU64::new(0),
@@ -360,11 +390,11 @@ impl Pager {
             backend_fetches: AtomicU64::new(0),
         };
         let pager = Pager::build(Some(durable));
-        pager.next.store(meta.next, Ordering::Relaxed);
+        pager.next.store(next, Ordering::Relaxed);
         let mut free_total = 0u64;
-        for (s, list) in meta.free.iter().enumerate() {
+        for (shard, list) in pager.shards.iter().zip(free) {
             free_total += list.len() as u64;
-            *pager.shards[s].free.lock().expect("pager lock poisoned") = list.clone();
+            *shard.free.lock().expect("pager lock poisoned") = list;
         }
         pager.free_len.store(free_total, Ordering::Release);
 
@@ -376,19 +406,16 @@ impl Pager {
             let shard = &pager.shards[shard_of(id)];
             let mut frames = shard.frames.write().expect("pager lock poisoned");
             let slot = slot_of(id);
-            if frames.len() <= slot {
-                frames.resize_with(slot + 1, Frame::empty);
-            }
-            let frame = &mut frames[slot];
-            frame.page = Some(page);
-            frame.dirty_page = true;
+            frames.frame_mut(slot).page = Some(page);
+            frames.mark_page_dirty(slot);
             shard.resident.fetch_add(1, Ordering::Relaxed);
         }
 
         cdpd_obs::counter!("storage.recovery.opens").inc();
-        cdpd_obs::counter!("storage.recovery.replayed_txns").add(replayed);
+        cdpd_obs::counter!("storage.recovery.replayed_txns").add(app_deltas.len() as u64);
         Ok(DurableOpen {
-            app_meta: meta.app_meta.clone(),
+            app_image,
+            app_deltas,
             committed_seq: seq,
             pager,
         })
@@ -452,13 +479,10 @@ impl Pager {
                 if let Some(id) = popped {
                     self.free_len.fetch_sub(1, Ordering::Release);
                     let mut frames = shard.frames.write().expect("pager lock poisoned");
-                    let slot = slot_of(id);
-                    if frames.len() <= slot {
-                        // A recovered free-list page may predate any
-                        // frame this process has materialized.
-                        frames.resize_with(slot + 1, Frame::empty);
-                    }
-                    self.install(shard, &mut frames, slot, blank_page());
+                    // A recovered free-list page may predate any frame
+                    // this process has materialized; `install` grows
+                    // the table to reach it.
+                    self.install(shard, &mut frames, slot_of(id), blank_page());
                     return id;
                 }
             }
@@ -468,30 +492,33 @@ impl Pager {
         let id = PageId(raw);
         let shard = &self.shards[shard_of(id)];
         let mut frames = shard.frames.write().expect("pager lock poisoned");
-        let slot = slot_of(id);
-        if frames.len() <= slot {
-            frames.resize_with(slot + 1, Frame::empty);
-        }
-        self.install(shard, &mut frames, slot, blank_page());
+        self.install(shard, &mut frames, slot_of(id), blank_page());
         id
     }
 
-    /// Put `page` into a frame, marking it dirty in durable mode and
-    /// keeping the stripe's resident count exact.
-    fn install(&self, shard: &PageShard, frames: &mut [Frame], slot: usize, page: Page) {
-        let frame = &mut frames[slot];
+    /// Put `page` into the frame at `slot` (growing the table to reach
+    /// it), marking it dirty in durable mode and keeping the stripe's
+    /// resident count exact.
+    fn install(&self, shard: &PageShard, frames: &mut FrameTable, slot: usize, page: Page) {
+        let frame = frames.frame_mut(slot);
         if frame.page.is_none() {
             shard.resident.fetch_add(1, Ordering::Relaxed);
         }
         frame.page = Some(page);
         if self.durable.is_some() {
-            frame.dirty_log = true;
-            frame.dirty_page = true;
-            frame.stamp.store(
-                shard.clock.fetch_add(1, Ordering::Relaxed) + 1,
-                Ordering::Relaxed,
-            );
+            self.touch_dirty(shard, frames, slot);
         }
+    }
+
+    /// Durable mode: note that the resident frame at `slot` was just
+    /// mutated — both dirty bits and a fresh LRU stamp.
+    fn touch_dirty(&self, shard: &PageShard, frames: &mut FrameTable, slot: usize) {
+        frames.mark_log_dirty(slot);
+        frames.mark_page_dirty(slot);
+        frames.frames[slot].stamp.store(
+            shard.clock.fetch_add(1, Ordering::Relaxed) + 1,
+            Ordering::Relaxed,
+        );
     }
 
     /// Return pages to the allocator (e.g. after `DROP INDEX`). The
@@ -508,6 +535,11 @@ impl Pager {
             debug_assert!(!free.contains(&id), "double free of page {id}");
             free.push(id);
             self.free_len.fetch_add(1, Ordering::Release);
+        }
+        if !ids.is_empty() {
+            if let Some(d) = &self.durable {
+                d.free_uncommitted.store(true, Ordering::Relaxed);
+            }
         }
     }
 
@@ -529,7 +561,7 @@ impl Pager {
         let shard = &self.shards[shard_of(id)];
         let cached = {
             let frames = shard.frames.read().expect("pager lock poisoned");
-            frames.get(slot_of(id)).and_then(|f| {
+            frames.frames.get(slot_of(id)).and_then(|f| {
                 let page = f.page.clone()?;
                 if self.durable.is_some() {
                     f.stamp.store(
@@ -573,15 +605,12 @@ impl Pager {
         let shard = &self.shards[shard_of(id)];
         let mut frames = shard.frames.write().expect("pager lock poisoned");
         let slot = slot_of(id);
-        if frames.len() <= slot {
-            frames.resize_with(slot + 1, Frame::empty);
-        }
-        if let Some(raced) = frames[slot].page.clone() {
+        if let Some(raced) = frames.frame_mut(slot).page.clone() {
             // Another thread cached it while we fetched.
             return Ok(raced);
         }
-        Self::evict_over_budget(shard, &mut frames, d.stripe_capacity(), 1);
-        let frame = &mut frames[slot];
+        Self::evict_over_budget(shard, &mut frames.frames, d.stripe_capacity(), 1);
+        let frame = &mut frames.frames[slot];
         frame.page = Some(page.clone());
         frame.stamp.store(
             shard.clock.fetch_add(1, Ordering::Relaxed) + 1,
@@ -618,12 +647,8 @@ impl Pager {
         let shard = &self.shards[shard_of(id)];
         let mut frames = shard.frames.write().expect("pager lock poisoned");
         let slot = slot_of(id);
-        if frames.get(slot).is_none() {
-            if self.durable.is_some() {
-                frames.resize_with(slot + 1, Frame::empty);
-            } else {
-                return Err(Self::out_of_range(id));
-            }
+        if frames.frames.len() <= slot && self.durable.is_none() {
+            return Err(Self::out_of_range(id));
         }
         self.install(shard, &mut frames, slot, page);
         self.writes.fetch_add(1, Ordering::Relaxed);
@@ -644,14 +669,10 @@ impl Pager {
         let shard = &self.shards[shard_of(id)];
         let mut frames = shard.frames.write().expect("pager lock poisoned");
         let slot = slot_of(id);
-        if frames.get(slot).is_none() {
-            if self.durable.is_some() {
-                frames.resize_with(slot + 1, Frame::empty);
-            } else {
-                return Err(Self::out_of_range(id));
-            }
+        if frames.frames.len() <= slot && self.durable.is_none() {
+            return Err(Self::out_of_range(id));
         }
-        if frames[slot].page.is_none() {
+        if frames.frame_mut(slot).page.is_none() {
             // Evicted: refetch before mutating. The frame write lock is
             // held across the fetch, which is fine for the single-writer
             // workloads that mutate through `update`.
@@ -661,20 +682,14 @@ impl Pager {
             let page = d.fetch(id)?;
             d.backend_fetches.fetch_add(1, Ordering::Relaxed);
             cdpd_obs::tracked_counter!("storage.backend.fetches").inc();
-            let frame = &mut frames[slot];
-            frame.page = Some(page);
+            frames.frames[slot].page = Some(page);
             shard.resident.fetch_add(1, Ordering::Relaxed);
         }
-        let frame = &mut frames[slot];
+        let frame = &mut frames.frames[slot];
         let buf = Arc::make_mut(frame.page.as_mut().expect("frame resident"));
         let r = f(buf);
         if self.durable.is_some() {
-            frame.dirty_log = true;
-            frame.dirty_page = true;
-            frame.stamp.store(
-                shard.clock.fetch_add(1, Ordering::Relaxed) + 1,
-                Ordering::Relaxed,
-            );
+            self.touch_dirty(shard, &mut frames, slot);
         }
         self.reads.fetch_add(1, Ordering::Relaxed);
         self.writes.fetch_add(1, Ordering::Relaxed);
@@ -684,11 +699,35 @@ impl Pager {
         Ok(r)
     }
 
+    /// Commit every mutation since the last commit, with `app_meta` as
+    /// the application's metadata: [`Pager::commit_with`] for a caller
+    /// whose every commit is self-contained — the bytes are this
+    /// commit's delta *and* the image any checkpoint up to the next
+    /// commit writes ([`Pager::checkpoint`] remembers them).
+    pub fn commit(&self, app_meta: &[u8]) -> Result<u64> {
+        self.commit_inner(app_meta, &|| app_meta.to_vec(), true)
+    }
+
     /// Commit every mutation since the last commit: append the dirty
     /// page images plus a commit frame carrying the allocation state
-    /// and `app_meta` (the caller's catalog blob) to the WAL, fsyncing
-    /// per the group-commit policy. Returns the commit's sequence
-    /// number. No-op (returning 0) on an in-memory pager.
+    /// and `app_delta` — what this transaction changed of the
+    /// application's metadata — to the WAL, fsyncing per the
+    /// group-commit policy. Returns the commit's sequence number. No-op
+    /// (returning 0) on an in-memory pager.
+    ///
+    /// The cost is that of what changed: only dirty frames are visited
+    /// (clean stripes are not even write-locked) and `app_delta` is
+    /// copied once, into the frame. `app_image` is called only if this
+    /// commit pushes the log past
+    /// [`DurableOptions::checkpoint_wal_bytes`] and the auto-checkpoint
+    /// runs (see [`Pager::checkpoint_with`]); it must return a
+    /// self-contained image of the application metadata *as of this
+    /// commit*.
+    ///
+    /// On `Err` from the log append nothing was acknowledged and nothing
+    /// is forgotten: the pages stay marked for the next commit. (An
+    /// `Err` from the auto-checkpoint leaves the commit itself durable —
+    /// [`Pager::committed_seq`] has advanced.)
     ///
     /// Commits are serialized internally (racing callers queue on a
     /// commit mutex), and readers may run concurrently — but a commit
@@ -696,69 +735,148 @@ impl Pager {
     /// caller must ensure no mutation is mid-flight when it commits
     /// (the engine holds its commit-phase lock exclusively here, and
     /// shared during statement mutation, for exactly this reason).
-    pub fn commit(&self, app_meta: &[u8]) -> Result<u64> {
+    pub fn commit_with(&self, app_delta: &[u8], app_image: &dyn Fn() -> Vec<u8>) -> Result<u64> {
+        self.commit_inner(app_delta, app_image, false)
+    }
+
+    /// [`Pager::commit_with`]; `self_contained` says `app_delta` is also
+    /// an image, to be remembered for [`Pager::checkpoint`].
+    fn commit_inner(
+        &self,
+        app_delta: &[u8],
+        app_image: &dyn Fn() -> Vec<u8>,
+        self_contained: bool,
+    ) -> Result<u64> {
         let Some(d) = &self.durable else {
             return Ok(0);
         };
         let _serial = d.commit_serial.lock().expect("pager lock poisoned");
         let _span = cdpd_obs::span!("storage.commit");
+        let dirty = self.take_log_dirty();
+        let freed = d.free_uncommitted.swap(false, Ordering::Relaxed);
+        let seq = d.seq.load(Ordering::Relaxed) + 1;
+        if let Err(e) = self.append_txn(d, seq, &dirty, app_delta) {
+            for (id, _) in &dirty {
+                let mut frames = self.shards[shard_of(*id)]
+                    .frames
+                    .write()
+                    .expect("pager lock poisoned");
+                frames.mark_log_dirty(slot_of(*id));
+            }
+            d.free_uncommitted.fetch_or(freed, Ordering::Relaxed);
+            return Err(e);
+        }
+        d.seq.store(seq, Ordering::Relaxed);
+        if self_contained {
+            let mut last = d.last_blob.lock().expect("pager lock poisoned");
+            last.clear();
+            last.extend_from_slice(app_delta);
+        }
+
+        if d.opts.checkpoint_wal_bytes > 0 && self.wal_bytes() > d.opts.checkpoint_wal_bytes {
+            self.checkpoint_with(app_image)?;
+        }
+        Ok(seq)
+    }
+
+    /// Clear `dirty_log` everywhere it is set and return those pages in
+    /// id order. Stripes with nothing to log are only read-locked.
+    fn take_log_dirty(&self) -> Vec<(PageId, Page)> {
         let mut dirty: Vec<(PageId, Page)> = Vec::new();
         for (s, shard) in self.shards.iter().enumerate() {
-            let mut frames = shard.frames.write().expect("pager lock poisoned");
-            for (slot, frame) in frames.iter_mut().enumerate() {
-                if frame.dirty_log {
-                    let page = frame.page.clone().expect("dirty frame is pinned resident");
-                    dirty.push((id_of(s, slot), page));
-                    frame.dirty_log = false;
-                }
+            let clean = shard
+                .frames
+                .read()
+                .expect("pager lock poisoned")
+                .log_dirty
+                .is_empty();
+            if clean {
+                continue;
+            }
+            let mut table = shard.frames.write().expect("pager lock poisoned");
+            let FrameTable {
+                frames, log_dirty, ..
+            } = &mut *table;
+            for slot in log_dirty.drain(..) {
+                let frame = &mut frames[slot];
+                frame.dirty_log = false;
+                let page = frame.page.clone().expect("dirty frame is pinned resident");
+                dirty.push((id_of(s, slot), page));
             }
         }
         dirty.sort_by_key(|(id, _)| id.raw());
+        dirty
+    }
 
-        let meta = CommittedMeta {
-            next: self.next.load(Ordering::Relaxed),
-            free: self
-                .shards
+    /// Append one transaction — `dirty`'s page frames, then the commit
+    /// frame — to the log.
+    fn append_txn(
+        &self,
+        d: &Durable,
+        seq: u64,
+        dirty: &[(PageId, Page)],
+        app_delta: &[u8],
+    ) -> Result<()> {
+        let head = self.encode_alloc_state(app_delta.len());
+        let mut wal = d.wal.lock().expect("pager lock poisoned");
+        for (id, page) in dirty {
+            wal.append_page(*id, page)?;
+            d.wal_appends.fetch_add(1, Ordering::Relaxed);
+            cdpd_obs::tracked_counter!("storage.wal.appends").inc();
+        }
+        let synced = wal.append_commit(seq, &head, app_delta, d.opts.group_commit)?;
+        d.wal_commits.fetch_add(1, Ordering::Relaxed);
+        cdpd_obs::tracked_counter!("storage.wal.commits").inc();
+        if synced {
+            d.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
+            cdpd_obs::tracked_counter!("storage.wal.fsyncs").inc();
+        }
+        Ok(())
+    }
+
+    /// The live allocation state, encoded as the head of a frame's or
+    /// header's metadata (the application bytes, `app_len` of them,
+    /// follow). Equal to the committed state whenever nothing is
+    /// uncommitted, which is when commit and checkpoint read it.
+    fn encode_alloc_state(&self, app_len: usize) -> Vec<u8> {
+        encode_meta_head(
+            self.next.load(Ordering::Relaxed),
+            self.shards
                 .iter()
-                .map(|s| s.free.lock().expect("pager lock poisoned").clone())
-                .collect(),
-            app_meta: app_meta.to_vec(),
-        };
-        let encoded = encode_meta(&meta);
-        let seq = d.seq.load(Ordering::Relaxed) + 1;
-        {
-            let mut wal = d.wal.lock().expect("pager lock poisoned");
-            for (id, page) in &dirty {
-                wal.append_page(*id, page)?;
-                d.wal_appends.fetch_add(1, Ordering::Relaxed);
-                cdpd_obs::tracked_counter!("storage.wal.appends").inc();
-            }
-            let synced = wal.append_commit(seq, &encoded, d.opts.group_commit)?;
-            d.wal_commits.fetch_add(1, Ordering::Relaxed);
-            cdpd_obs::tracked_counter!("storage.wal.commits").inc();
-            if synced {
-                d.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
-                cdpd_obs::tracked_counter!("storage.wal.fsyncs").inc();
-            }
-        }
-        d.seq.store(seq, Ordering::Relaxed);
-        *d.committed.lock().expect("pager lock poisoned") = meta;
+                .map(|s| s.free.lock().expect("pager lock poisoned")),
+            app_len,
+        )
+    }
 
-        if d.opts.checkpoint_wal_bytes > 0 && self.wal_bytes() > d.opts.checkpoint_wal_bytes {
-            self.checkpoint()?;
-        }
-        Ok(seq)
+    /// [`Pager::checkpoint_with`] for a caller that commits through
+    /// [`Pager::commit`]: the image is the newest commit's bytes.
+    pub fn checkpoint(&self) -> Result<()> {
+        let Some(d) = &self.durable else {
+            return Ok(());
+        };
+        self.checkpoint_with(&|| d.last_blob.lock().expect("pager lock poisoned").clone())
     }
 
     /// Flush every dirty page to the checksummed data file, make the
     /// committed state durable in a ping-pong header, and truncate the
     /// WAL. No-op on an in-memory pager.
     ///
+    /// The header is the one place a self-contained image of the
+    /// application metadata is stored — commit frames carry deltas —
+    /// so `app_image` is asked for it here, once, after the write-back.
+    /// It must describe the state as of the last commit; the caller
+    /// guarantees (as for [`Pager::commit_with`]) that nothing is
+    /// uncommitted or mid-flight.
+    ///
+    /// Only frames dirtied since the last checkpoint are visited, and a
+    /// stripe with none (and within its cache budget) is only
+    /// read-locked, so readers of clean stripes are not stalled.
+    ///
     /// # Errors
     /// [`Error::InvalidArgument`] if uncommitted mutations exist —
-    /// writing them back would bypass the write-ahead rule; call
-    /// [`Pager::commit`] first.
-    pub fn checkpoint(&self) -> Result<()> {
+    /// writing them back would bypass the write-ahead rule; commit
+    /// first.
+    pub fn checkpoint_with(&self, app_image: &dyn Fn() -> Vec<u8>) -> Result<()> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
@@ -768,13 +886,15 @@ impl Pager {
         // The write-ahead rule requires every page we are about to
         // write back to be durable in the log first: sync any
         // group-commit debt, and refuse if uncommitted mutations exist.
-        for shard in &self.shards {
-            let frames = shard.frames.read().expect("pager lock poisoned");
-            if frames.iter().any(|f| f.dirty_log) {
-                return Err(Error::InvalidArgument(
-                    "checkpoint with uncommitted pages — commit first".into(),
-                ));
-            }
+        let uncommitted = d.free_uncommitted.load(Ordering::Relaxed)
+            || self.shards.iter().any(|shard| {
+                let frames = shard.frames.read().expect("pager lock poisoned");
+                !frames.log_dirty.is_empty()
+            });
+        if uncommitted {
+            return Err(Error::InvalidArgument(
+                "checkpoint with uncommitted pages — commit first".into(),
+            ));
         }
         {
             let mut wal = d.wal.lock().expect("pager lock poisoned");
@@ -784,25 +904,44 @@ impl Pager {
         }
 
         let mut written = 0u64;
+        let capacity = d.stripe_capacity();
         for (s, shard) in self.shards.iter().enumerate() {
-            let mut frames = shard.frames.write().expect("pager lock poisoned");
-            for (slot, frame) in frames.iter_mut().enumerate() {
-                if frame.dirty_page {
-                    let page = frame.page.as_ref().expect("dirty frame is pinned resident");
-                    d.write_back(id_of(s, slot), page)?;
-                    frame.dirty_page = false;
-                    written += 1;
-                }
+            let idle = shard
+                .frames
+                .read()
+                .expect("pager lock poisoned")
+                .page_dirty
+                .is_empty()
+                && shard.resident.load(Ordering::Relaxed) <= capacity;
+            if idle {
+                continue;
             }
-            Self::evict_over_budget(shard, &mut frames, d.stripe_capacity(), 0);
+            let mut table = shard.frames.write().expect("pager lock poisoned");
+            let FrameTable {
+                frames, page_dirty, ..
+            } = &mut *table;
+            // Bits are cleared only once the whole stripe is written:
+            // an error leaves every frame listed for the next attempt.
+            for &slot in page_dirty.iter() {
+                let page = frames[slot]
+                    .page
+                    .as_ref()
+                    .expect("dirty frame is pinned resident");
+                d.write_back(id_of(s, slot), page)?;
+            }
+            written += page_dirty.len() as u64;
+            for slot in page_dirty.drain(..) {
+                frames[slot].dirty_page = false;
+            }
+            Self::evict_over_budget(shard, frames, capacity, 0);
         }
         d.data.sync()?;
         d.sums.sync()?;
 
         let ckpt_no = d.ckpt_no.load(Ordering::Relaxed) + 1;
         let seq = d.seq.load(Ordering::Relaxed);
-        let meta = d.committed.lock().expect("pager lock poisoned").clone();
-        let bytes = encode_header(ckpt_no, seq, &meta);
+        let image = app_image();
+        let bytes = encode_header(ckpt_no, seq, &self.encode_alloc_state(image.len()), &image)?;
         let slot = (ckpt_no % 2) as usize;
         d.hdr[slot].write_at(0, &bytes)?;
         d.hdr[slot].truncate(bytes.len() as u64)?;
@@ -839,6 +978,7 @@ impl Pager {
 mod tests {
     use super::*;
     use crate::vfs::MemVfs;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn allocate_read_write_roundtrip() {
@@ -1013,7 +1153,8 @@ mod tests {
 
         let reopened = open(&vfs, DurableOptions::default());
         assert_eq!(reopened.committed_seq, 1);
-        assert_eq!(reopened.app_meta, b"app state");
+        assert_eq!(reopened.app_image, b"", "nothing checkpointed an image");
+        assert_eq!(reopened.app_deltas, [b"app state".to_vec()]);
         assert_eq!(reopened.pager.page_count(), 2);
         assert_eq!(reopened.pager.read(a).unwrap()[0], 0x11);
         assert_eq!(reopened.pager.read(b).unwrap()[0], 0x22);
@@ -1030,7 +1171,7 @@ mod tests {
         drop(pager);
 
         let reopened = open(&vfs, DurableOptions::default());
-        assert_eq!(reopened.app_meta, b"v1");
+        assert_eq!(reopened.app_deltas, [b"v1".to_vec()]);
         assert_eq!(
             reopened.pager.read(a).unwrap()[0],
             1,
@@ -1055,7 +1196,10 @@ mod tests {
         assert_eq!(stats.writeback_pages, 40);
         drop(pager);
 
-        let reopened = open(&vfs, DurableOptions::default()).pager;
+        let reopened = open(&vfs, DurableOptions::default());
+        assert_eq!(reopened.app_image, b"loaded", "the header holds the image");
+        assert!(reopened.app_deltas.is_empty(), "and the log nothing");
+        let reopened = reopened.pager;
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(reopened.pager_read_byte(id), i as u8);
         }
@@ -1221,10 +1365,157 @@ mod tests {
 
         let reopened = open(&vfs, DurableOptions::default());
         assert_eq!(reopened.committed_seq, 1, "stale txn must not double-apply");
-        assert_eq!(reopened.app_meta, b"v1");
+        assert_eq!(reopened.app_image, b"v1");
+        assert!(
+            reopened.app_deltas.is_empty(),
+            "stale delta must not replay"
+        );
         assert_eq!(reopened.pager.read(id).unwrap()[0], 5);
         // And committing again continues the sequence.
         assert_eq!(reopened.pager.commit(b"v2").unwrap(), 2);
+    }
+
+    #[test]
+    fn recovery_hands_back_image_then_ordered_deltas() {
+        let vfs = MemVfs::new();
+        let pager = open(&vfs, DurableOptions::default()).pager;
+        let id = pager.allocate();
+        pager
+            .commit_with(b"d1", &|| unreachable!("no checkpoint is due"))
+            .unwrap();
+        pager.checkpoint_with(&|| b"image@1".to_vec()).unwrap();
+        for delta in [&b"d2"[..], b"", b"d4"] {
+            pager.update(id, |p| p[0] += 1).unwrap();
+            pager
+                .commit_with(delta, &|| unreachable!("no checkpoint is due"))
+                .unwrap();
+        }
+        drop(pager);
+        let reopened = open(&vfs, DurableOptions::default());
+        assert_eq!(reopened.committed_seq, 4);
+        assert_eq!(reopened.app_image, b"image@1");
+        assert_eq!(
+            reopened.app_deltas,
+            [b"d2".to_vec(), b"".to_vec(), b"d4".to_vec()]
+        );
+        assert_eq!(reopened.pager.read(id).unwrap()[0], 3);
+    }
+
+    #[test]
+    fn auto_checkpoint_asks_for_the_image_lazily() {
+        let vfs = MemVfs::new();
+        let opts = DurableOptions {
+            checkpoint_wal_bytes: 20 * 1024,
+            ..DurableOptions::default()
+        };
+        let pager = open(&vfs, opts.clone()).pager;
+        let id = pager.allocate();
+        let asked = AtomicU64::new(0);
+        for i in 0..10u8 {
+            pager.update(id, |p| p[0] = i).unwrap();
+            pager
+                .commit_with(&[i], &|| {
+                    asked.fetch_add(1, Ordering::Relaxed);
+                    vec![b'i', i]
+                })
+                .unwrap();
+        }
+        let checkpoints = pager.durable_stats().checkpoints;
+        assert!(checkpoints > 0 && checkpoints < 10, "{checkpoints}");
+        assert_eq!(
+            asked.load(Ordering::Relaxed),
+            checkpoints,
+            "one image per checkpoint, none per plain commit"
+        );
+        drop(pager);
+        // Image + suffix: the header's image names the commit it was
+        // taken at, and exactly the later deltas follow it.
+        let reopened = open(&vfs, opts);
+        let at = reopened.app_image[1];
+        let later: Vec<Vec<u8>> = (at + 1..10).map(|i| vec![i]).collect();
+        assert_eq!(reopened.app_deltas, later);
+    }
+
+    #[test]
+    fn failed_commit_forgets_nothing() {
+        // The log append fails (the VFS dies under it); the same handle
+        // must still hold every page marked for the next commit.
+        struct FailingWal(MemVfs, Arc<AtomicBool>);
+        struct FailingFile(Box<dyn crate::vfs::VfsFile>, Arc<AtomicBool>);
+        impl Vfs for FailingWal {
+            fn open(&self, name: &str) -> Result<Box<dyn crate::vfs::VfsFile>> {
+                let file = self.0.open(name)?;
+                Ok(if name == FILE_WAL {
+                    Box::new(FailingFile(file, self.1.clone()))
+                } else {
+                    file
+                })
+            }
+            fn exists(&self, name: &str) -> bool {
+                self.0.exists(name)
+            }
+            fn delete(&self, name: &str) -> Result<()> {
+                self.0.delete(name)
+            }
+        }
+        impl crate::vfs::VfsFile for FailingFile {
+            fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<usize> {
+                self.0.read_at(off, buf)
+            }
+            fn write_at(&self, off: u64, data: &[u8]) -> Result<()> {
+                self.0.write_at(off, data)
+            }
+            fn sync(&self) -> Result<()> {
+                if self.1.load(Ordering::Relaxed) {
+                    return Err(Error::Io(std::io::Error::other("injected fsync failure")));
+                }
+                self.0.sync()
+            }
+            fn truncate(&self, len: u64) -> Result<()> {
+                self.0.truncate(len)
+            }
+            fn len(&self) -> Result<u64> {
+                self.0.len()
+            }
+        }
+
+        let mem = MemVfs::new();
+        let failing = Arc::new(AtomicBool::new(false));
+        let vfs = FailingWal(mem.clone(), failing.clone());
+        let pager = Pager::open_durable(Arc::new(vfs), DurableOptions::default())
+            .unwrap()
+            .pager;
+        let ids: Vec<PageId> = (0..3).map(|_| pager.allocate()).collect();
+        pager.commit(b"").unwrap();
+        for &id in &ids {
+            pager.update(id, |p| p[0] = 9).unwrap();
+        }
+        pager.free(&ids[2..]);
+        failing.store(true, Ordering::Relaxed);
+        assert!(pager.commit(b"").is_err());
+        assert_eq!(
+            pager.committed_seq(),
+            1,
+            "a failed commit acknowledges nothing"
+        );
+        let err = pager.checkpoint().unwrap_err();
+        assert!(
+            matches!(err, Error::InvalidArgument(_)),
+            "the pages are uncommitted again: {err}"
+        );
+        failing.store(false, Ordering::Relaxed);
+        assert_eq!(pager.commit(b"").unwrap(), 2);
+        drop(pager);
+
+        let reopened = open(&mem, DurableOptions::default()).pager;
+        for &id in &ids[..2] {
+            assert_eq!(
+                reopened.read(id).unwrap()[0],
+                9,
+                "retried commit carried {id}"
+            );
+        }
+        assert_eq!(reopened.free_count(), 1);
     }
 
     #[test]

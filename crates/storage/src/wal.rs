@@ -9,7 +9,9 @@
 //!
 //! A *transaction* is zero or more page frames followed by one commit
 //! frame; the commit's `meta` carries the pager allocation state and
-//! the application's catalog blob, so replaying a committed prefix
+//! the application's *delta* — what this transaction changed of the
+//! application's metadata (the engine's catalog), not a copy of all of
+//! it — so replaying a committed prefix on top of a checkpoint header
 //! reconstructs both page contents and everything needed to interpret
 //! them. Each crc64 covers its whole frame (tag through payload), so
 //! recovery ([`scan`]) can walk the log from the start and stop at the
@@ -76,18 +78,25 @@ impl WalWriter {
 
     /// Append a commit frame sealing the transaction, then fsync if
     /// `group_commit` commits have accumulated since the last sync.
-    /// Returns whether this commit was synced.
+    /// Returns whether this commit was synced. The frame's metadata is
+    /// `head` followed by `tail`, taken as two slices so the caller
+    /// never has to join them first.
     pub(crate) fn append_commit(
         &mut self,
         seq: u64,
-        meta: &[u8],
+        head: &[u8],
+        tail: &[u8],
         group_commit: usize,
     ) -> Result<bool> {
-        let mut frame = Vec::with_capacity(1 + 8 + 4 + meta.len() + 8);
+        let meta_len = u32::try_from(head.len() + tail.len()).map_err(|_| {
+            cdpd_types::Error::InvalidArgument("commit metadata exceeds 4 GiB".into())
+        })?;
+        let mut frame = Vec::with_capacity(1 + 8 + 4 + meta_len as usize + 8);
         frame.push(TAG_COMMIT);
         frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-        frame.extend_from_slice(meta);
+        frame.extend_from_slice(&meta_len.to_le_bytes());
+        frame.extend_from_slice(head);
+        frame.extend_from_slice(tail);
         let crc = crc64_finish(crc64_update(crc64_begin(), &frame));
         frame.extend_from_slice(&crc.to_le_bytes());
         self.file.write_at(self.len, &frame)?;
@@ -216,8 +225,8 @@ mod tests {
         let mut w = WalWriter::new(vfs.open("wal").unwrap(), 0).unwrap();
         w.append_page(PageId(3), &page_of(0xAA)).unwrap();
         w.append_page(PageId(7), &page_of(0xBB)).unwrap();
-        assert!(w.append_commit(1, b"meta-one", 1).unwrap());
-        assert!(w.append_commit(2, b"", 1).unwrap());
+        assert!(w.append_commit(1, b"meta-", b"one", 1).unwrap());
+        assert!(w.append_commit(2, b"", b"", 1).unwrap());
 
         let (txns, end) = scan(&*vfs.open("wal").unwrap()).unwrap();
         assert_eq!(end, w.len());
@@ -235,10 +244,10 @@ mod tests {
     fn torn_tail_is_truncated_to_last_commit() {
         let vfs = MemVfs::new();
         let mut w = WalWriter::new(vfs.open("wal").unwrap(), 0).unwrap();
-        w.append_commit(1, b"a", 1).unwrap();
+        w.append_commit(1, b"a", b"", 1).unwrap();
         let committed = w.len();
         w.append_page(PageId(0), &page_of(1)).unwrap();
-        w.append_commit(2, b"b", 1).unwrap();
+        w.append_commit(2, b"b", b"", 1).unwrap();
         // Tear the second transaction's commit frame mid-write.
         let mut bytes = vfs.snapshot("wal").unwrap();
         bytes.truncate(bytes.len() - 3);
@@ -252,7 +261,7 @@ mod tests {
         // torn tail and appends cleanly after it.
         let mut w = WalWriter::new(vfs.open("wal").unwrap(), end).unwrap();
         assert_eq!(w.len(), committed);
-        w.append_commit(2, b"retry", 1).unwrap();
+        w.append_commit(2, b"retry", b"", 1).unwrap();
         let (txns, _) = scan(&*vfs.open("wal").unwrap()).unwrap();
         assert_eq!(txns.len(), 2);
         assert_eq!(txns[1].meta, b"retry");
@@ -263,8 +272,8 @@ mod tests {
         let vfs = MemVfs::new();
         let mut w = WalWriter::new(vfs.open("wal").unwrap(), 0).unwrap();
         w.append_page(PageId(5), &page_of(9)).unwrap();
-        w.append_commit(1, b"x", 1).unwrap();
-        w.append_commit(2, b"y", 1).unwrap();
+        w.append_commit(1, b"x", b"", 1).unwrap();
+        w.append_commit(2, b"y", b"", 1).unwrap();
         // Flip a byte inside the second commit's metadata.
         let mut bytes = vfs.snapshot("wal").unwrap();
         let n = bytes.len();
@@ -279,7 +288,7 @@ mod tests {
     fn uncommitted_pages_are_dropped() {
         let vfs = MemVfs::new();
         let mut w = WalWriter::new(vfs.open("wal").unwrap(), 0).unwrap();
-        w.append_commit(1, b"only", 1).unwrap();
+        w.append_commit(1, b"only", b"", 1).unwrap();
         w.append_page(PageId(2), &page_of(2)).unwrap();
         let (txns, end) = scan(&*vfs.open("wal").unwrap()).unwrap();
         assert_eq!(txns.len(), 1);
@@ -291,19 +300,25 @@ mod tests {
     fn group_commit_batches_syncs() {
         let vfs = MemVfs::new();
         let mut w = WalWriter::new(vfs.open("wal").unwrap(), 0).unwrap();
-        assert!(!w.append_commit(1, b"", 3).unwrap());
-        assert!(!w.append_commit(2, b"", 3).unwrap());
-        assert!(w.append_commit(3, b"", 3).unwrap(), "third commit syncs");
-        assert!(!w.append_commit(4, b"", 3).unwrap());
+        assert!(!w.append_commit(1, b"", b"", 3).unwrap());
+        assert!(!w.append_commit(2, b"", b"", 3).unwrap());
+        assert!(
+            w.append_commit(3, b"", b"", 3).unwrap(),
+            "third commit syncs"
+        );
+        assert!(!w.append_commit(4, b"", b"", 3).unwrap());
         w.sync().unwrap();
-        assert!(!w.append_commit(5, b"", 3).unwrap(), "sync reset the debt");
+        assert!(
+            !w.append_commit(5, b"", b"", 3).unwrap(),
+            "sync reset the debt"
+        );
     }
 
     #[test]
     fn reset_empties_log() {
         let vfs = MemVfs::new();
         let mut w = WalWriter::new(vfs.open("wal").unwrap(), 0).unwrap();
-        w.append_commit(1, b"", 1).unwrap();
+        w.append_commit(1, b"", b"", 1).unwrap();
         w.reset().unwrap();
         assert_eq!(w.len(), 0);
         let (txns, end) = scan(&*vfs.open("wal").unwrap()).unwrap();

@@ -168,7 +168,7 @@ props! {
         };
 
         let open = Pager::open_durable(Arc::new(vfs), opts).unwrap();
-        assert_eq!(open.app_meta, b"end");
+        assert_eq!(open.app_deltas.last().unwrap_or(&open.app_image), b"end");
         let (root, height, pages, leaves, entries) = parts;
         let mut tree =
             BTree::from_parts(Arc::new(open.pager), root, height, pages, leaves, entries);

@@ -20,7 +20,17 @@
 //! 4. the recovered logical state is **bit-identical** to a fresh
 //!    in-memory database replaying exactly that committed prefix of
 //!    the script (rows, index set, plans, full statistics snapshot,
-//!    app state).
+//!    app state) — and stays so when both run a fixed continuation of
+//!    DML and a statistics refresh, which is what shows the recovered
+//!    *maintainer* (distinct sets, samples, sampling clock, dirty
+//!    flags), not just its last snapshot, is the control's.
+//!
+//! Durable commits carry catalog *deltas*; only checkpoint headers hold
+//! an image. Every script therefore ends by walking recovery through
+//! each shape it must fold — header image only, image + N deltas, and
+//! deltas that replace (an `ANALYZE`'s fresh maintainer, a
+//! `set_app_state`) as well as patch — and
+//! `recovery_folds_every_record_shape` pins each shape explicitly.
 //!
 //! The same binary proves the advisory layer resumes warm:
 //! [`OnlineAdvisor::save_state`] → restart → [`OnlineAdvisor::restore`]
@@ -88,11 +98,39 @@ fn batch(rng: &mut Prng, rows: usize) -> Vec<Vec<Value>> {
         .collect()
 }
 
+/// Where [`script`]'s shape tail stands after each of its three legs.
+struct ShapeCuts {
+    /// Just checkpointed: recovery sees the header image and no delta.
+    image_only: usize,
+    /// `TAIL_DELTAS` DML commits later: image + that many deltas.
+    image_and_deltas: usize,
+    /// After an `ANALYZE`, a `set_app_state` and more DML: the deltas
+    /// now replace a maintainer and the app state as well as patch.
+    replacing_deltas: usize,
+}
+
+const TAIL_DELTAS: usize = 4;
+
+/// A write statement that always changes rows (`a` covers the domain),
+/// so it always commits a delta with new sample entries.
+fn tail_update(rng: &mut Prng) -> Op {
+    Op::Sql(format!(
+        "UPDATE t SET c = {} WHERE a = {}",
+        DOMAIN + rng.gen_range(0..1_000i64),
+        rng.gen_range(0..DOMAIN)
+    ))
+}
+
 /// Build the deterministic script for `(seed, which)`: create + load +
 /// analyze, then a mix of paper-workload statements, synthetic write
 /// DML, index DDL over the §6.1 pool, stats maintenance, checkpoints,
-/// and app-state writes.
+/// and app-state writes — and last the shape tail (see the module
+/// docs).
 fn script(seed: u64, which: u64) -> Vec<Op> {
+    script_with_cuts(seed, which).0
+}
+
+fn script_with_cuts(seed: u64, which: u64) -> (Vec<Op>, ShapeCuts) {
     let mut rng = Prng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ which);
     let mut ops = vec![Op::CreateTable];
     for _ in 0..6 {
@@ -157,7 +195,25 @@ fn script(seed: u64, which: u64) -> Vec<Op> {
         };
         ops.push(op);
     }
-    ops
+
+    ops.push(Op::Checkpoint);
+    let image_only = ops.len();
+    for _ in 0..TAIL_DELTAS {
+        ops.push(tail_update(&mut rng));
+    }
+    let image_and_deltas = ops.len();
+    ops.push(Op::Analyze);
+    ops.push(Op::SetAppState(rng.next_u64().to_le_bytes().to_vec()));
+    ops.push(tail_update(&mut rng));
+    ops.push(Op::InsertBatch(batch(&mut rng, 5)));
+    ops.push(Op::RefreshStats);
+    ops.push(tail_update(&mut rng));
+    let cuts = ShapeCuts {
+        image_only,
+        image_and_deltas,
+        replacing_deltas: ops.len(),
+    };
+    (ops, cuts)
 }
 
 fn apply(db: &mut Database, op: &Op) -> cdpd::types::Result<()> {
@@ -232,13 +288,46 @@ fn digest(db: &mut Database) -> Option<Digest> {
     })
 }
 
-/// Replay `ops` into a fresh in-memory database and digest it.
-fn control_digest(ops: &[Op]) -> Option<Digest> {
+/// Replay `ops` into a fresh in-memory database.
+fn control(ops: &[Op]) -> Database {
     let mut db = Database::new();
     for op in ops {
         apply(&mut db, op).expect("control replay is crash-free");
     }
-    digest(&mut db)
+    db
+}
+
+/// Invariant 4: `recovered` is bit-identical to the control replay of
+/// `prefix`, now and after both run the same continuation — new values
+/// for the distinct sets and samples, then a refresh that rebuilds the
+/// statistics from the maintainer.
+#[track_caller]
+fn assert_matches_control(recovered: &mut Database, prefix: &[Op], context: &str) {
+    let mut control = control(prefix);
+    let now = digest(recovered);
+    assert_eq!(
+        now,
+        digest(&mut control),
+        "{context}: recovered state diverges from the committed prefix"
+    );
+    if now.is_none() {
+        return; // no table yet: nothing to continue on
+    }
+    let continuation = [
+        Op::Sql(format!("UPDATE t SET b = {} WHERE a = 1", DOMAIN + 7)),
+        Op::Sql(format!("UPDATE t SET d = {} WHERE c = 2", DOMAIN + 8)),
+        Op::InsertBatch(vec![vec![Value::Int(DOMAIN + 9); 4]; 3]),
+        Op::RefreshStats,
+    ];
+    for op in &continuation {
+        apply(recovered, op).expect("recovered database continues");
+        apply(&mut control, op).expect("control continues");
+    }
+    assert_eq!(
+        digest(recovered),
+        digest(&mut control),
+        "{context}: recovered maintainer diverges once the continuation refreshes from it"
+    );
 }
 
 // --- The kill-at-any-point check ---------------------------------------
@@ -335,13 +424,83 @@ fn check_kill(ops: &[Op], count: &CountRun, kill_at: u64, torn_seed: u64) {
 
     // (4) Bit-identical to the committed-prefix replay.
     let prefix = prefix_end.map_or(&ops[..0], |i| &ops[..=i]);
-    assert_eq!(
-        digest(&mut recovered),
-        control_digest(prefix),
-        "kill {kill_at}: recovered state diverges from the committed prefix ({} of {} ops)",
-        prefix.len(),
-        ops.len()
+    assert_matches_control(
+        &mut recovered,
+        prefix,
+        &format!("kill {kill_at} ({} of {} ops)", prefix.len(), ops.len()),
     );
+}
+
+// --- The shapes recovery folds -----------------------------------------
+
+/// Durable commits carry deltas and only checkpoint headers an image,
+/// so recovery folds one of three shapes. Each is pinned here on the
+/// seeded scripts' tails with a clean shutdown at the cut — the shape
+/// is read back from the surviving files through the raw pager, so the
+/// test cannot pass by recovering through some other shape.
+#[test]
+fn recovery_folds_every_record_shape() {
+    // No auto-checkpoint: the script's own checkpoints decide the shape.
+    let opts = DurableOptions {
+        checkpoint_wal_bytes: 0,
+        ..opts()
+    };
+    for seed in 0..8u64 {
+        let (ops, cuts) = script_with_cuts(seed * 31 + 5, seed % 3);
+        for (cut, deltas) in [
+            (cuts.image_only, 0),
+            (cuts.image_and_deltas, TAIL_DELTAS),
+            // ANALYZE, set_app_state, UPDATE, INSERT, refresh, UPDATE.
+            (cuts.replacing_deltas, TAIL_DELTAS + 6),
+        ] {
+            let mem = MemVfs::new();
+            let mut db = Database::open_with_vfs(Arc::new(mem.clone()), opts.clone())
+                .expect("fresh durable database");
+            for op in &ops[..cut] {
+                apply(&mut db, op).expect("crash-free run");
+            }
+            drop(db);
+
+            // What recovery will fold, read through the raw pager (after
+            // a clean shutdown opening it changes nothing on the VFS).
+            let raw = cdpd::storage::Pager::open_durable(Arc::new(mem.clone()), opts.clone())
+                .expect("raw open");
+            assert!(
+                !raw.app_image.is_empty(),
+                "seed {seed}: header holds an image"
+            );
+            assert_eq!(
+                raw.app_deltas.len(),
+                deltas,
+                "seed {seed}, cut {cut}: deltas past the header"
+            );
+            let image = raw.app_image.len();
+            for (i, delta) in raw.app_deltas.iter().enumerate() {
+                // The ANALYZE's delta carries a whole maintainer and a
+                // statistics snapshot, the refresh's a snapshot alone;
+                // every other delta only what its statement touched.
+                let fits = match i.checked_sub(TAIL_DELTAS) {
+                    Some(0) => delta.len() > image / 2,
+                    Some(4) => delta.len() > 1024 && delta.len() < image / 2,
+                    _ => delta.len() < 1024,
+                };
+                assert!(
+                    fits,
+                    "seed {seed}, cut {cut}: delta {i} is {} bytes beside a {image}-byte image",
+                    delta.len()
+                );
+            }
+            drop(raw);
+
+            let mut recovered =
+                Database::open_with_vfs(Arc::new(mem), opts.clone()).expect("recovery");
+            assert_matches_control(
+                &mut recovered,
+                &ops[..cut],
+                &format!("seed {seed}, cut {cut}"),
+            );
+        }
+    }
 }
 
 // --- Drivers -----------------------------------------------------------

@@ -294,83 +294,6 @@ impl Config {
             .iter()
             .fold(0u64, |acc, w| acc.rotate_left(7) ^ w)
     }
-
-    /// Software PEXT: gather the bits of `self` selected by `mask` into
-    /// a compact code — the i-th set structure of `mask` becomes bit i.
-    /// This is the dense-table indexing primitive, so the mask must
-    /// name at most 64 structures (a table wider than that could not be
-    /// materialized anyway). Inverse of [`Config::pdep_code`]. Bits of
-    /// `self` outside `mask` are ignored.
-    pub fn pext_code(&self, mask: &Config) -> u64 {
-        match (&self.0, &mask.0) {
-            (Repr::Inline(bits), Repr::Inline(m)) => compress_word(*bits, *m),
-            _ => {
-                assert!(mask.len() <= 64, "PEXT mask wider than a 64-bit code");
-                let mut out = 0u64;
-                for (j, pos) in mask.structures().enumerate() {
-                    if self.contains(pos) {
-                        out |= 1u64 << j;
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// Software PDEP: scatter the low bits of `code` to the set
-    /// structures of `mask` — bit i of `code` lands on the i-th set
-    /// structure. Inverse of [`Config::pext_code`] for codes within
-    /// `mask`'s width.
-    pub fn pdep_code(code: u64, mask: &Config) -> Config {
-        match &mask.0 {
-            Repr::Inline(m) => Config(Repr::Inline(expand_word(code, *m))),
-            Repr::Spilled(_) => {
-                assert!(mask.len() <= 64, "PDEP mask wider than a 64-bit code");
-                let mut words = vec![0u64; mask.words().len()];
-                for (j, pos) in mask.structures().enumerate() {
-                    if (code >> j) & 1 == 1 {
-                        words[pos / 64] |= 1u64 << (pos % 64);
-                    }
-                }
-                Config::from_word_vec(words)
-            }
-        }
-    }
-}
-
-/// Word-level PEXT with a fast path for contiguous low masks.
-fn compress_word(bits: u64, mask: u64) -> u64 {
-    let bits = bits & mask;
-    if mask & mask.wrapping_add(1) == 0 {
-        return bits; // mask is 0..w contiguous from bit 0
-    }
-    let mut out = 0u64;
-    let mut m = mask;
-    let mut j = 0;
-    while m != 0 {
-        let i = m.trailing_zeros();
-        out |= ((bits >> i) & 1) << j;
-        j += 1;
-        m &= m - 1;
-    }
-    out
-}
-
-/// Word-level PDEP with a fast path for contiguous low masks.
-fn expand_word(code: u64, mask: u64) -> u64 {
-    if mask & mask.wrapping_add(1) == 0 {
-        return code & mask;
-    }
-    let mut out = 0u64;
-    let mut m = mask;
-    let mut j = 0;
-    while m != 0 {
-        let i = m.trailing_zeros();
-        out |= ((code >> j) & 1) << i;
-        j += 1;
-        m &= m - 1;
-    }
-    out
 }
 
 impl PartialOrd for Config {
@@ -415,22 +338,35 @@ impl fmt::Display for Config {
     }
 }
 
+/// The one enumerate-vs-greedy width threshold: [`enumerate_configs`]
+/// refuses vocabularies wider than this, and the candidate policy
+/// ([`crate::decompose::candidate_configs`]) enumerates exactly when
+/// the active set fits. `2^20` masks is about a million cheap loop
+/// iterations — the most a candidate derivation should scan — and with
+/// the per-configuration cap the advisors pass (default 2) the list
+/// that survives the scan has at most 211 entries (uncapped it is every
+/// subset: the cap, not this threshold, is what keeps the list short).
+/// Past it, greedy per-stage derivation keeps the list proportional to
+/// the stage count.
+pub const ENUMERABLE_WIDTH: usize = 20;
+
 /// Enumerate every candidate configuration: all subsets of the oracle's
 /// structures that satisfy the space bound and (optionally) a cap on
 /// structures per configuration.
 ///
 /// The paper's experiments restrict the design space to "at most one
-/// index" — pass `max_structures = Some(1)` for that regime. Full
-/// enumeration is `O(2^m)` and refused for `m > 20` (at that point use
-/// [`crate::greedy`] or [`crate::decompose::candidate_configs`], which
-/// exist precisely because of this wall).
+/// index" — pass `max_structures = Some(1)` for that regime. The walk
+/// over all `2^m` masks is refused for `m >` [`ENUMERABLE_WIDTH`] (at
+/// that point use [`crate::greedy`] or
+/// [`crate::decompose::candidate_configs`], which exist precisely
+/// because of this wall).
 pub fn enumerate_configs(
     oracle: &dyn crate::CostOracle,
     space_bound: Option<u64>,
     max_structures: Option<usize>,
 ) -> Result<Vec<Config>> {
     let m = oracle.n_structures();
-    if m > 20 {
+    if m > ENUMERABLE_WIDTH {
         return Err(Error::InvalidArgument(format!(
             "refusing full 2^{m} configuration enumeration; use greedy candidate selection"
         )));
@@ -562,30 +498,6 @@ mod tests {
         assert_eq!(mask.rank(6), 2);
         assert_eq!(mask.rank(70), 2);
         assert_eq!(mask.rank(200), 3);
-    }
-
-    #[test]
-    fn pext_pdep_roundtrip() {
-        for mask in [
-            Config::from_bits(0b1),
-            Config::from_bits(0b1010),
-            Config::from_bits(0b1101_0110),
-            Config::EMPTY.with(1).with(64).with(129),
-        ] {
-            for code in 0..(1u64 << mask.len()) {
-                let cfg = Config::pdep_code(code, &mask);
-                assert!(cfg.is_subset_of(&mask));
-                assert_eq!(cfg.pext_code(&mask), code, "mask={mask} code={code}");
-            }
-        }
-        // Bits outside the mask are ignored.
-        let mask = Config::from_bits(0b0101);
-        assert_eq!(
-            Config::from_bits(0b1111).pext_code(&mask),
-            Config::from_bits(0b0101).pext_code(&mask)
-        );
-        let wide_mask = Config::EMPTY.with(0).with(100);
-        assert_eq!(Config::EMPTY.with(50).with(100).pext_code(&wide_mask), 0b10);
     }
 
     #[test]

@@ -10,28 +10,27 @@
 //! cannot change any schedule's exec cost, and no optimal schedule
 //! builds them (they cost transition I/Os and space for nothing). A
 //! [`Decomposition`] renames the active set to a dense `0..a` local
-//! index space; solvers, dense tables, and memo keys then scale with
-//! `a` (relevant structures), not `m` (vocabulary width). On an
-//! instance whose active set fits one word the localized solve is
-//! bit-identical to solving the narrow instance directly — localization
-//! is a pure index relabeling, not an approximation.
+//! index space; candidate derivation and solvers then scale with `a`
+//! (relevant structures), not `m` (vocabulary width). The localized
+//! solve is bit-identical to solving the narrow instance directly —
+//! localization is a pure index relabeling, not an approximation.
 //!
 //! The pieces compose: [`Decomposition::from_oracle`] computes the
 //! active set, [`LocalOracle`] presents the inner oracle in local
-//! coordinates, [`Decomposition::globalize_schedule`] maps a local
-//! solution back, and [`solve_decomposed`] bundles the round trip.
+//! coordinates, [`candidate_configs`] is the candidate policy,
+//! [`Decomposition::globalize_schedule`] maps a local solution back,
+//! and [`solve_decomposed`] is the one function that performs the
+//! round trip — the batch and online advisors both call it, over a
+//! memo keyed in *global* coordinates (the rename sits above the cache,
+//! so entries survive re-solves whose active sets differ), and differ
+//! only in the solver they pass it.
 
-use crate::config::{enumerate_configs, Config};
-use crate::oracle::{ProjectableOracle, RelevanceMask};
+use crate::config::{enumerate_configs, Config, ENUMERABLE_WIDTH};
+use crate::greedy;
+use crate::oracle::ProjectableOracle;
 use crate::problem::{CostOracle, Problem};
 use crate::schedule::Schedule;
-use crate::{greedy, kaware};
 use cdpd_types::{Cost, Result};
-
-/// Widest vocabulary for which [`candidate_configs`] still enumerates
-/// every subset (`2^12 = 4096` candidates); wider instances switch to
-/// greedy per-stage candidate derivation.
-pub const ENUMERABLE_WIDTH: usize = 12;
 
 /// A rename of the workload's *active* structures — the union of every
 /// stage's relevance mask and the problem's boundary configurations —
@@ -72,24 +71,6 @@ impl Decomposition {
         Decomposition::from_active(active)
     }
 
-    /// Decompose around explicit per-stage masks (same construction as
-    /// [`Self::from_oracle`], for callers that already hold a
-    /// [`RelevanceMask`]).
-    pub fn from_masks(
-        masks: &RelevanceMask,
-        problem: &Problem,
-        pinned: &[Config],
-    ) -> Decomposition {
-        let mut active = masks.union_all().union(&problem.initial);
-        if let Some(f) = &problem.final_config {
-            active = active.union(f);
-        }
-        for cfg in pinned {
-            active = active.union(cfg);
-        }
-        Decomposition::from_active(active)
-    }
-
     /// Decompose around an explicit active set.
     pub fn from_active(active: Config) -> Decomposition {
         let members = active.structures().collect();
@@ -109,13 +90,6 @@ impl Decomposition {
     /// Select table: `members()[local]` is the global structure index.
     pub fn members(&self) -> &[usize] {
         &self.members
-    }
-
-    /// True if localization would be the identity over an `n_structures`
-    /// vocabulary — the active set is exactly `0..n_structures`. Callers
-    /// use this to skip the wrapper entirely on dense instances.
-    pub fn is_identity(&self, n_structures: usize) -> bool {
-        self.members.len() == n_structures && self.members.iter().enumerate().all(|(i, &g)| i == g)
     }
 
     /// Rename `global` into local coordinates, projecting away any
@@ -150,15 +124,6 @@ impl Decomposition {
         }
     }
 
-    /// Localize a candidate list (deduplicated: distinct global
-    /// candidates that agree on the active set collapse to one).
-    pub fn localize_configs(&self, configs: &[Config]) -> Vec<Config> {
-        let mut out: Vec<Config> = configs.iter().map(|c| self.localize(c)).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Map a schedule solved in local coordinates back to global
     /// structure indexes. Costs and the change count carry over
     /// unchanged — localization preserves both by construction.
@@ -185,21 +150,13 @@ impl Decomposition {
 
 /// An oracle adapter presenting the wrapped oracle's active structures
 /// as a dense `0..n_local` vocabulary. Every probe renames its
-/// configurations through the [`Decomposition`]; relevance masks are
-/// renamed too, so the caching layers ([`crate::oracle::ProjectedOracle`],
-/// [`crate::oracle::DenseOracle`]) stack on top and tabulate in the
-/// *same* local coordinates — the dense width check sees the part's
-/// relevant width whichever side of the rename it runs on.
+/// configurations through the [`Decomposition`] before it reaches the
+/// wrapped oracle — over a [`crate::oracle::ProjectedOracle`] that
+/// means the memo stays keyed in global coordinates. Relevance masks
+/// are renamed too, so the adapter is itself projectable.
 pub struct LocalOracle<'a, O: ?Sized> {
     inner: &'a O,
     decomp: &'a Decomposition,
-}
-
-impl<O: ?Sized> LocalOracle<'_, O> {
-    /// The decomposition this adapter renames through.
-    pub fn decomposition(&self) -> &Decomposition {
-        self.decomp
-    }
 }
 
 impl<O: ProjectableOracle + ?Sized> CostOracle for LocalOracle<'_, O> {
@@ -248,46 +205,69 @@ impl<O: ProjectableOracle + ?Sized> ProjectableOracle for LocalOracle<'_, O> {
     }
 }
 
-/// Width-aware candidate generation: full enumeration while the
-/// vocabulary fits [`ENUMERABLE_WIDTH`], greedy per-stage derivation
-/// ([`greedy::candidates`]) beyond it. This is the default policy the
-/// decomposed solve and the facade use once instances outgrow
-/// [`enumerate_configs`]'s hard wall.
+/// The candidate policy: every subset while the vocabulary fits
+/// [`ENUMERABLE_WIDTH`], greedy per-stage derivation
+/// ([`greedy::candidates`]) beyond it.
 pub fn candidate_configs(oracle: &dyn CostOracle, problem: &Problem) -> Result<Vec<Config>> {
-    if oracle.n_structures() <= ENUMERABLE_WIDTH {
-        enumerate_configs(oracle, problem.space_bound, None)
-    } else {
-        Ok(greedy::candidates(oracle, problem))
-    }
+    capped_candidates(oracle, problem, None)
 }
 
-/// Solve a k-constrained instance through the full decomposition round
-/// trip: compute the active set, rename, derive candidates in local
-/// coordinates ([`candidate_configs`]), run the k-aware solver, and
-/// globalize the schedule. On instances whose active set is the whole
-/// vocabulary this reduces to `kaware::solve` over the same candidates.
+/// [`candidate_configs`] under a cap on structures per configuration.
+/// The greedy arm pushes top-two pairs whatever the cap, so the cap is
+/// enforced on its output; the problem's boundary configurations stay
+/// (a design already in place is not a recommendation to build it).
+fn capped_candidates(
+    oracle: &dyn CostOracle,
+    problem: &Problem,
+    max_structures: Option<usize>,
+) -> Result<Vec<Config>> {
+    if oracle.n_structures() <= ENUMERABLE_WIDTH {
+        return enumerate_configs(oracle, problem.space_bound, max_structures);
+    }
+    let mut candidates = greedy::candidates(oracle, problem);
+    if let Some(cap) = max_structures {
+        candidates.retain(|c| {
+            c.len() <= cap || *c == problem.initial || problem.final_config.as_ref() == Some(c)
+        });
+    }
+    Ok(candidates)
+}
+
+/// The decomposition round trip: compute the active set (with `pinned`
+/// — an online advisor's committed prefix — unioned in, so localization
+/// is lossless on it), rename, derive candidates in local coordinates
+/// under the `max_structures` cap, hand the local instance to `solve`,
+/// and globalize the schedule it returns. `solve` receives the local
+/// oracle, the local problem, the candidates, and `pinned` localized.
+///
+/// Local indexes never escape this function. On instances whose active
+/// set is the whole vocabulary the rename is the identity and this
+/// reduces to calling `solve` over the same candidates.
 pub fn solve_decomposed<O: ProjectableOracle + ?Sized>(
     oracle: &O,
     problem: &Problem,
-    k: usize,
+    pinned: &[Config],
+    max_structures: Option<usize>,
+    solve: impl FnOnce(&dyn CostOracle, &Problem, &[Config], &[Config]) -> Result<Schedule>,
 ) -> Result<Schedule> {
-    let decomp = Decomposition::from_oracle(oracle, problem, &[]);
+    let decomp = Decomposition::from_oracle(oracle, problem, pinned);
     let _span = cdpd_obs::span!(
         "solve.decomposed",
         vocabulary = oracle.n_structures(),
-        active = decomp.n_local(),
-        k = k
+        active = decomp.n_local()
     );
     let local = decomp.local_oracle(oracle);
     let local_problem = decomp.localize_problem(problem);
-    let cands = candidate_configs(&local, &local_problem)?;
-    let schedule = kaware::solve(&local, &local_problem, &cands, k)?;
+    let local_pinned: Vec<Config> = pinned.iter().map(|c| decomp.localize(c)).collect();
+    let candidates = capped_candidates(&local, &local_problem, max_structures)?;
+    let schedule = solve(&local, &local_problem, &candidates, &local_pinned)?;
     Ok(decomp.globalize_schedule(schedule))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kaware;
     use cdpd_types::Cost;
 
     fn c(io: u64) -> Cost {
@@ -363,7 +343,6 @@ mod tests {
         assert_eq!(d.globalize(&l), g);
         // Structures outside the active set are projected away.
         assert_eq!(d.localize(&g.with(42)), l);
-        assert!(!d.is_identity(200));
         // Pinned configs widen the active set.
         let pinned = Decomposition::from_oracle(&o, &p, &[Config::single(42)]);
         assert_eq!(pinned.n_local(), 5);
@@ -371,25 +350,14 @@ mod tests {
     }
 
     #[test]
-    fn identity_on_dense_instances() {
+    fn rename_is_the_identity_on_dense_instances() {
         let o = Sparse::new(2, 3, vec![vec![0, 1], vec![1, 2]]);
         let p = Problem::default();
         let d = Decomposition::from_oracle(&o, &p, &[]);
-        assert!(d.is_identity(3));
+        assert_eq!(d.members(), &[0, 1, 2]);
         let g = Config::EMPTY.with(0).with(2);
         assert_eq!(d.localize(&g), g);
         assert_eq!(d.globalize(&g), g);
-    }
-
-    #[test]
-    fn from_masks_matches_from_oracle() {
-        let o = Sparse::new(3, 200, vec![vec![5, 130], vec![5, 70], vec![199]]);
-        let p = Problem::paper_experiment();
-        let masks = RelevanceMask::new((0..3).map(|s| o.mask(s)).collect());
-        assert_eq!(
-            Decomposition::from_masks(&masks, &p, &[]),
-            Decomposition::from_oracle(&o, &p, &[])
-        );
     }
 
     #[test]
@@ -444,7 +412,10 @@ mod tests {
         let narrow = Sparse::new(5, 4, picks_narrow);
         let p = Problem::paper_experiment();
         for k in [0, 1, 2, 4] {
-            let via_decomp = solve_decomposed(&wide, &p, k).unwrap();
+            let via_decomp = solve_decomposed(&wide, &p, &[], None, |o, p, cands, _| {
+                kaware::solve(o, p, cands, k)
+            })
+            .unwrap();
             let d = Decomposition::from_oracle(&wide, &p, &[]);
             let cands = candidate_configs(&narrow, &p).unwrap();
             let direct = kaware::solve(&narrow, &p, &cands, k).unwrap();
@@ -489,15 +460,54 @@ mod tests {
         assert!(wide_cands.contains(&Config::EMPTY));
     }
 
+    /// 30 structures, every one relevant; stage `s` is served by the
+    /// pair `{2s, 2s + 1}`, so greedy derivation wants pairs.
+    fn pairwise(n_stages: usize) -> Sparse {
+        Sparse::new(
+            n_stages,
+            30,
+            (0..n_stages).map(|s| vec![2 * s, 2 * s + 1]).collect(),
+        )
+    }
+
     #[test]
-    fn localize_configs_dedups_collapsed_candidates() {
-        let d = Decomposition::from_active(Config::EMPTY.with(5).with(70));
-        let configs = vec![
-            Config::single(5),
-            Config::single(5).with(9), // 9 inactive: collapses onto {5}
-            Config::single(70),
-        ];
-        let local = d.localize_configs(&configs);
-        assert_eq!(local, vec![Config::single(0), Config::single(1)]);
+    fn cap_is_enforced_past_the_enumeration_width() {
+        let o = pairwise(4);
+        let p = Problem::default();
+        assert!(o.n_structures() > ENUMERABLE_WIDTH);
+        let uncapped = candidate_configs(&o, &p).unwrap();
+        assert!(uncapped.iter().any(|c| c.len() == 2), "{uncapped:?}");
+        let capped = capped_candidates(&o, &p, Some(1)).unwrap();
+        assert!(capped.iter().all(|c| c.len() <= 1), "{capped:?}");
+        assert!(capped.len() > 1, "singletons survive the cap");
+        // Boundary configurations stay, whatever their width.
+        let boundary = Problem {
+            initial: Config::EMPTY.with(0).with(9).with(20),
+            ..Problem::default()
+        };
+        let capped = capped_candidates(&o, &boundary, Some(1)).unwrap();
+        assert!(capped.contains(&boundary.initial));
+        assert!(capped
+            .iter()
+            .all(|c| c.len() <= 1 || *c == boundary.initial));
+    }
+
+    #[test]
+    fn pinned_prefix_survives_the_round_trip() {
+        // Structure 42 is relevant to nothing, but a committed prefix
+        // holds it: it must be pinned into the active set, reach the
+        // solver localized, and come back unchanged.
+        let o = Sparse::new(3, 200, vec![vec![5, 130], vec![5, 70], vec![199]]);
+        let p = Problem::default();
+        let prefix = vec![Config::single(42)];
+        let s = solve_decomposed(&o, &p, &prefix, Some(1), |lo, lp, cands, pinned| {
+            assert_eq!(lo.n_structures(), 5);
+            assert_eq!(pinned, [Config::single(1)]);
+            kaware::solve_with_prefix(lo, lp, cands, 2, pinned)
+        })
+        .unwrap();
+        assert_eq!(s.configs[0], prefix[0]);
+        assert!(s.configs.iter().all(|c| c.len() <= 1));
+        s.validate(&o, &p, Some(2)).unwrap();
     }
 }

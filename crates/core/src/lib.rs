@@ -25,11 +25,10 @@
 //! The crate is engine-agnostic: solvers consume a [`CostOracle`]
 //! (`EXEC`/`TRANS`/`SIZE` for bitmask [`Config`]s over a candidate
 //! structure list). Every solver probe funnels through the [`oracle`]
-//! layer — relevance projection, sharded memoization or up-front dense
-//! materialization, and instrumentation. The `cdpd` facade crate
-//! adapts the storage engine's what-if optimizer to these traits;
-//! [`SyntheticOracle`] provides table-driven costs for tests and
-//! benchmarks (built on the same dense layer).
+//! layer — relevance projection, one sharded memo, and
+//! instrumentation. The `cdpd` facade crate adapts the storage engine's
+//! what-if optimizer to these traits; [`SyntheticOracle`] provides
+//! closure-driven costs for tests and benchmarks (over the same memo).
 
 #![warn(missing_docs)]
 
@@ -48,11 +47,10 @@ mod schedule;
 pub mod seqgraph;
 mod warm;
 
-pub use config::{enumerate_configs, Config, MAX_STRUCTURE_INDEX};
+pub use config::{enumerate_configs, Config, ENUMERABLE_WIDTH, MAX_STRUCTURE_INDEX};
 pub use decompose::{Decomposition, LocalOracle};
 pub use oracle::{
-    DenseOracle, OracleStats, OracleStatsSnapshot, ProjectableOracle, ProjectedOracle,
-    RelevanceMask, SharedOracle, Unprojected,
+    OracleStats, OracleStatsSnapshot, ProjectableOracle, ProjectedOracle, SharedOracle,
 };
 pub use problem::{CostOracle, Problem, SyntheticOracle};
 pub use schedule::Schedule;

@@ -1,27 +1,20 @@
 //! The unified cost path: every solver probe of `EXEC`/`SIZE` funnels
 //! through this module instead of ad-hoc per-caller memo tables.
 //!
-//! The layer stacks three ideas:
+//! The layer stacks two ideas:
 //!
 //! 1. **Relevance projection** (CoPhy's observation): a statement's
 //!    cost depends only on the candidate structures the planner could
-//!    actually use for it. An oracle that knows its per-stage
-//!    [`RelevanceMask`] — and, finer, its per-*part* masks, where a
-//!    part is a group of statements sharing one mask — lets the layer
-//!    rewrite `exec(i, c)` as `Σ_p exec_part(i, p, c ∩ mask[i][p])`,
-//!    so distinct full configurations share cache entries.
-//! 2. **Caching**: [`ProjectedOracle`] memoizes projected part costs in
-//!    sharded hash maps; [`DenseOracle`] goes further and materializes
-//!    each part's full projected cost table up front with a
-//!    `std::thread::scope` fan-out, leaving lock-free `Vec<Cost>` reads
-//!    on the solver's hot path. The dense cap is per part: a part whose
-//!    *relevant* width fits `max_bits` is tabulated in local
-//!    coordinates regardless of how wide the overall vocabulary is;
-//!    wider parts fall back to the sharded memo.
-//! 3. **Instrumentation**: one [`OracleStats`] bundle of atomic
+//!    actually use for it. An oracle that knows its per-*part* masks —
+//!    a part is a group of statements sharing one mask — lets
+//!    [`ProjectedOracle`], the one cache, rewrite `exec(i, c)` as
+//!    `Σ_p exec_part(i, p, c ∩ mask[i][p])` and memoize each summand
+//!    in sharded hash maps keyed by the projected sub-configuration, so
+//!    distinct full configurations share cache entries.
+//! 2. **Instrumentation**: one [`OracleStats`] bundle of atomic
 //!    counters is threaded from the raw what-if engine through the
-//!    caching layer, so facades can report how many engine cost calls a
-//!    solve actually issued versus how many were served projected.
+//!    cache, so facades can report how many engine cost calls a solve
+//!    actually issued versus how many were served projected.
 //!
 //! Correctness of the rewrite rests on two facts. Costs are saturating
 //! non-negative fixed-point integers, so a saturating sum is
@@ -32,7 +25,7 @@
 //! so adding or removing that structure leaves the statement's plan —
 //! hence its cost — untouched; projecting it away is exact, not an
 //! approximation. The differential property suite
-//! (`tests/oracle_prop.rs`) checks both ends against the raw engine.
+//! (`tests/oracle_prop.rs`) checks the cache against the raw engine.
 
 use crate::config::Config;
 use crate::problem::CostOracle;
@@ -40,7 +33,6 @@ use cdpd_types::Cost;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// A [`CostOracle`] that is shareable across solver worker threads.
 ///
@@ -60,8 +52,8 @@ impl<T: CostOracle + Sync + ?Sized> SharedOracle for T {}
 /// Shared atomic counters for one oracle pipeline.
 ///
 /// Create one `Arc<OracleStats>`, attach it to the raw engine adapter
-/// *and* the caching layer (that is what `into_shared`/`into_dense` on
-/// `EngineOracle` do), and read a coherent [`OracleStatsSnapshot`] at
+/// *and* the caching layer (that is what `into_shared` on
+/// `EngineOracle` does), and read a coherent [`OracleStatsSnapshot`] at
 /// any point. All counters are monotone; ordering is `Relaxed` because
 /// they are statistics, not synchronization.
 #[derive(Debug, Default)]
@@ -70,8 +62,6 @@ pub struct OracleStats {
     raw_exec_evals: AtomicU64,
     whatif_calls: AtomicU64,
     projected_hits: AtomicU64,
-    dense_build_nanos: AtomicU64,
-    bytes_resident: AtomicU64,
 }
 
 impl OracleStats {
@@ -86,7 +76,7 @@ impl OracleStats {
         cdpd_obs::counter!("oracle.exec_requests").inc();
     }
 
-    /// One projected part cost served from a cache or dense table.
+    /// One projected part cost served from the cache.
     pub fn record_projected_hit(&self) {
         self.projected_hits.fetch_add(1, Ordering::Relaxed);
         cdpd_obs::counter!("oracle.projected_hits").inc();
@@ -98,45 +88,21 @@ impl OracleStats {
         cdpd_obs::tracked_counter!("oracle.raw_exec_evals").inc();
     }
 
-    /// `n` inner evaluations at once (dense table builds).
-    pub fn record_raw_evals(&self, n: u64) {
-        self.raw_exec_evals.fetch_add(n, Ordering::Relaxed);
-        cdpd_obs::tracked_counter!("oracle.raw_exec_evals").add(n);
-    }
-
     /// `n` underlying what-if engine cost calls (per-statement).
     pub fn record_whatif_calls(&self, n: u64) {
         self.whatif_calls.fetch_add(n, Ordering::Relaxed);
         cdpd_obs::counter!("oracle.whatif_calls").add(n);
     }
-
-    /// Wall time spent materializing dense tables.
-    pub fn record_dense_build_nanos(&self, nanos: u64) {
-        self.dense_build_nanos.fetch_add(nanos, Ordering::Relaxed);
-        cdpd_obs::counter!("oracle.dense_build_nanos").add(nanos);
-        cdpd_obs::histogram!("oracle.dense_build_nanos_hist").record(nanos);
-    }
-
-    /// `n` more bytes resident in dense tables.
-    pub fn record_bytes_resident(&self, n: u64) {
-        self.bytes_resident.fetch_add(n, Ordering::Relaxed);
-        cdpd_obs::counter!("oracle.bytes_resident").add(n);
-        cdpd_obs::gauge!("oracle.bytes_resident").add(n as i64);
-    }
 }
 
 impl From<&OracleStats> for OracleStatsSnapshot {
-    /// A point-in-time copy of every counter in one bundle. For
-    /// process-wide totals across bundles, prefer
-    /// [`OracleStatsSnapshot::from_registry`].
+    /// A point-in-time copy of every counter in one bundle.
     fn from(stats: &OracleStats) -> OracleStatsSnapshot {
         OracleStatsSnapshot {
             exec_requests: stats.exec_requests.load(Ordering::Relaxed),
             raw_exec_evals: stats.raw_exec_evals.load(Ordering::Relaxed),
             whatif_calls: stats.whatif_calls.load(Ordering::Relaxed),
             projected_hits: stats.projected_hits.load(Ordering::Relaxed),
-            dense_build_nanos: stats.dense_build_nanos.load(Ordering::Relaxed),
-            bytes_resident: stats.bytes_resident.load(Ordering::Relaxed),
         }
     }
 }
@@ -151,30 +117,8 @@ pub struct OracleStatsSnapshot {
     /// Per-statement what-if engine cost calls issued (zero for
     /// oracles with no engine underneath, e.g. synthetic ones).
     pub whatif_calls: u64,
-    /// Projected part costs served from a cache or dense table.
+    /// Projected part costs served from the cache.
     pub projected_hits: u64,
-    /// Nanoseconds spent materializing dense tables.
-    pub dense_build_nanos: u64,
-    /// Bytes resident in dense cost tables.
-    pub bytes_resident: u64,
-}
-
-impl OracleStatsSnapshot {
-    /// Process-wide totals summed over every [`OracleStats`] bundle,
-    /// read from the `cdpd-obs` metrics registry (`oracle.*` counters).
-    /// This is the registry view to use for whole-process reporting;
-    /// `OracleStatsSnapshot::from(&stats)` copies one bundle.
-    pub fn from_registry() -> OracleStatsSnapshot {
-        let r = cdpd_obs::registry();
-        OracleStatsSnapshot {
-            exec_requests: r.counter_value("oracle.exec_requests"),
-            raw_exec_evals: r.counter_value("oracle.raw_exec_evals"),
-            whatif_calls: r.counter_value("oracle.whatif_calls"),
-            projected_hits: r.counter_value("oracle.projected_hits"),
-            dense_build_nanos: r.counter_value("oracle.dense_build_nanos"),
-            bytes_resident: r.counter_value("oracle.bytes_resident"),
-        }
-    }
 }
 
 impl std::fmt::Display for OracleStatsSnapshot {
@@ -187,15 +131,12 @@ impl std::fmt::Display for OracleStatsSnapshot {
         };
         write!(
             f,
-            "{} exec requests, {} raw evals, {} projected hits ({:.1}%), \
-             {} what-if calls, dense build {:.2} ms, {:.1} KiB resident",
+            "{} exec requests, {} raw evals, {} projected hits ({:.1}%), {} what-if calls",
             self.exec_requests,
             self.raw_exec_evals,
             self.projected_hits,
             hit_pct,
             self.whatif_calls,
-            self.dense_build_nanos as f64 / 1e6,
-            self.bytes_resident as f64 / 1024.0,
         )
     }
 }
@@ -203,62 +144,6 @@ impl std::fmt::Display for OracleStatsSnapshot {
 // ---------------------------------------------------------------------
 // Relevance
 // ---------------------------------------------------------------------
-
-/// Per-stage masks of the structures that can affect each stage's cost.
-///
-/// `exec(i, c) == exec(i, c ∩ stage(i))` for any config `c` — the
-/// contract that makes projection exact. A mask of all ones is always
-/// sound (it projects nothing away).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RelevanceMask {
-    masks: Vec<Config>,
-}
-
-impl RelevanceMask {
-    /// Build from explicit per-stage masks.
-    pub fn new(masks: Vec<Config>) -> RelevanceMask {
-        RelevanceMask { masks }
-    }
-
-    /// The trivial (project-nothing) mask: all structures relevant to
-    /// every stage.
-    pub fn full(n_stages: usize, n_structures: usize) -> RelevanceMask {
-        RelevanceMask {
-            masks: vec![Config::full(n_structures); n_stages],
-        }
-    }
-
-    /// The mask for `stage`.
-    pub fn stage(&self, stage: usize) -> &Config {
-        &self.masks[stage]
-    }
-
-    /// Project `config` onto `stage`'s relevant structures.
-    pub fn project(&self, stage: usize, config: &Config) -> Config {
-        config.intersect(&self.masks[stage])
-    }
-
-    /// The union of every stage's mask: all structures that can affect
-    /// any stage's cost — the active set of CoPhy-style decomposition.
-    pub fn union_all(&self) -> Config {
-        self.masks.iter().fold(Config::EMPTY, |acc, m| acc.union(m))
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.masks.len()
-    }
-
-    /// True if there are no stages.
-    pub fn is_empty(&self) -> bool {
-        self.masks.is_empty()
-    }
-
-    /// The widest stage mask, in structures.
-    pub fn max_width(&self) -> usize {
-        self.masks.iter().map(|m| m.len()).max().unwrap_or(0)
-    }
-}
 
 /// An oracle that can expose the relevance structure of its stages.
 ///
@@ -301,32 +186,6 @@ pub trait ProjectableOracle: CostOracle {
         self.exec(stage, config)
     }
 }
-
-/// Adapter stripping an oracle's relevance info: single full-mask part
-/// per stage, so a [`ProjectedOracle`] over it degenerates to exactly
-/// the seed `MemoOracle` behavior — one cache entry per distinct
-/// `(stage, full config)`. Exists for baselines and differential tests.
-pub struct Unprojected<O>(pub O);
-
-impl<O: CostOracle> CostOracle for Unprojected<O> {
-    fn n_stages(&self) -> usize {
-        self.0.n_stages()
-    }
-    fn n_structures(&self) -> usize {
-        self.0.n_structures()
-    }
-    fn exec(&self, stage: usize, config: &Config) -> Cost {
-        self.0.exec(stage, config)
-    }
-    fn trans(&self, from: &Config, to: &Config) -> Cost {
-        self.0.trans(from, to)
-    }
-    fn size(&self, config: &Config) -> u64 {
-        self.0.size(config)
-    }
-}
-
-impl<O: CostOracle> ProjectableOracle for Unprojected<O> {}
 
 // ---------------------------------------------------------------------
 // Sharded memo
@@ -419,8 +278,8 @@ fn part_key(stage: usize, part: usize) -> u64 {
 /// `size` is memoized per config.
 ///
 /// Over an oracle with no relevance info (the [`ProjectableOracle`]
-/// defaults, or [`Unprojected`]) this behaves exactly like the seed
-/// `MemoOracle` did: one cache entry per distinct `(stage, config)`.
+/// defaults) this is a plain memo: one cache entry per distinct
+/// `(stage, config)`.
 pub struct ProjectedOracle<O> {
     inner: O,
     stats: Arc<OracleStats>,
@@ -577,249 +436,6 @@ impl<O: ProjectableOracle> ProjectableOracle for ProjectedOracle<O> {
     }
 }
 
-// ---------------------------------------------------------------------
-// DenseOracle
-// ---------------------------------------------------------------------
-
-/// Widest part mask (in structures) that [`DenseOracle`] will tabulate
-/// by default; wider parts fall back to the sharded memo. The cap is on
-/// a part's *relevant* width — how many structures its statements can
-/// use — never on the vocabulary, so a 256-candidate instance whose
-/// statements each touch a handful of structures still tabulates fully,
-/// in local (mask-compressed) coordinates. `2^12` costs × 8 bytes =
-/// 32 KiB per part at the cap.
-pub const DENSE_MAX_BITS: usize = 12;
-
-struct DensePart {
-    mask: Config,
-    /// `table[c.pext_code(&mask)]`, present iff the mask's width fits
-    /// the cap — a local-coordinate cost table.
-    table: Option<Vec<Cost>>,
-}
-
-/// Up-front materialization of every part's projected cost table.
-///
-/// Construction fans out over chunks of stages with
-/// `std::thread::scope` (each worker owns a disjoint slice, so the
-/// build is deterministic and lock-free); afterwards the solver hot
-/// path is a pure `Vec<Cost>` index — no locks, no hashing. Parts
-/// whose mask is wider than `max_bits` are not tabulated and served
-/// through a sharded memo instead (the width-capped fallback).
-pub struct DenseOracle<O> {
-    inner: O,
-    stats: Arc<OracleStats>,
-    stages: Vec<Vec<DensePart>>,
-    max_bits: usize,
-    overflow: Sharded<(u64, Config), Cost>,
-    size_cache: Sharded<Config, u64>,
-}
-
-/// Materialize dense part tables for `count` stages starting at
-/// `first_stage`, fanning the evaluation out over a `thread::scope`
-/// (each worker owns a disjoint slice, so the build is deterministic
-/// and lock-free). Shared by the constructor (`first_stage = 0`) and
-/// [`DenseOracle::extend`] (appended suffix only).
-fn build_stage_tables<O: ProjectableOracle + Sync>(
-    inner: &O,
-    first_stage: usize,
-    count: usize,
-    max_bits: usize,
-) -> Vec<Vec<DensePart>> {
-    let mut stages: Vec<Vec<DensePart>> = (0..count)
-        .map(|off| {
-            let s = first_stage + off;
-            (0..inner.n_parts(s))
-                .map(|p| DensePart {
-                    mask: inner.part_mask(s, p),
-                    table: None,
-                })
-                .collect()
-        })
-        .collect();
-
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .clamp(1, 16);
-    let chunk = count.div_ceil(workers.max(1)).max(1);
-    std::thread::scope(|scope| {
-        for (chunk_idx, chunk_slice) in stages.chunks_mut(chunk).enumerate() {
-            let base = first_stage + chunk_idx * chunk;
-            scope.spawn(move || {
-                let _span = cdpd_obs::span!("oracle.dense.build.chunk", chunk = chunk_idx);
-                for (off, parts) in chunk_slice.iter_mut().enumerate() {
-                    let stage = base + off;
-                    for (p, part) in parts.iter_mut().enumerate() {
-                        let width = part.mask.len();
-                        if width > max_bits {
-                            continue;
-                        }
-                        let mask = &part.mask;
-                        let table = (0..1u64 << width)
-                            .map(|code| inner.exec_part(stage, p, &Config::pdep_code(code, mask)))
-                            .collect();
-                        part.table = Some(table);
-                    }
-                }
-            });
-        }
-    });
-    stages
-}
-
-fn table_entries(stages: &[Vec<DensePart>]) -> u64 {
-    stages
-        .iter()
-        .flatten()
-        .filter_map(|p| p.table.as_ref())
-        .map(|t| t.len() as u64)
-        .sum()
-}
-
-impl<O: ProjectableOracle + Sync> DenseOracle<O> {
-    /// Materialize with the default width cap ([`DENSE_MAX_BITS`]).
-    pub fn new(inner: O) -> DenseOracle<O> {
-        DenseOracle::with_stats(inner, OracleStats::shared(), DENSE_MAX_BITS)
-    }
-
-    /// Materialize, recording into `stats`, tabulating parts up to
-    /// `max_bits` mask width (`max_bits = 0` disables tabulation
-    /// entirely, leaving a pure sharded-memo oracle). `max_bits` must
-    /// stay below 26 — a table bigger than that is hundreds of MiB and
-    /// certainly a bug.
-    pub fn with_stats(inner: O, stats: Arc<OracleStats>, max_bits: usize) -> DenseOracle<O> {
-        assert!(max_bits < 26, "dense table cap unreasonably wide");
-        let _span = cdpd_obs::span!(
-            "oracle.dense.build",
-            stages = inner.n_stages(),
-            max_bits = max_bits
-        );
-        let started = Instant::now();
-        let n_stages = inner.n_stages();
-        let stages = build_stage_tables(&inner, 0, n_stages, max_bits);
-        let entries = table_entries(&stages);
-        stats.record_dense_build_nanos(started.elapsed().as_nanos() as u64);
-        stats.record_bytes_resident(entries * std::mem::size_of::<Cost>() as u64);
-        stats.record_raw_evals(entries);
-        DenseOracle {
-            inner,
-            stats,
-            stages,
-            max_bits,
-            overflow: Sharded::new(),
-            size_cache: Sharded::new(),
-        }
-    }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped oracle, for in-place growth. Dense
-    /// tables are indexed by stage, so *appending* stages leaves every
-    /// existing table valid — call [`Self::extend`] afterwards to
-    /// materialize tables for the new suffix. Mutating existing stages
-    /// would silently desynchronize the tables; rebuild instead.
-    pub fn inner_mut(&mut self) -> &mut O {
-        &mut self.inner
-    }
-
-    /// Materialize tables for stages the inner oracle gained since this
-    /// wrapper was built (grow it through [`Self::inner_mut`], then call
-    /// this). Existing stage tables and overflow-memo entries stay warm;
-    /// only the appended suffix is evaluated. Returns the number of
-    /// stages added.
-    pub fn extend(&mut self) -> usize {
-        let built = self.stages.len();
-        let now = self.inner.n_stages();
-        assert!(
-            now >= built,
-            "inner oracle lost stages under a DenseOracle ({built} -> {now})"
-        );
-        if now == built {
-            return 0;
-        }
-        let _span = cdpd_obs::span!("oracle.dense.extend", from = built, to = now);
-        let started = Instant::now();
-        let new_stages = build_stage_tables(&self.inner, built, now - built, self.max_bits);
-        let entries = table_entries(&new_stages);
-        self.stages.extend(new_stages);
-        self.stats
-            .record_dense_build_nanos(started.elapsed().as_nanos() as u64);
-        self.stats
-            .record_bytes_resident(entries * std::mem::size_of::<Cost>() as u64);
-        self.stats.record_raw_evals(entries);
-        now - built
-    }
-
-    /// The shared stats bundle.
-    pub fn stats(&self) -> &Arc<OracleStats> {
-        &self.stats
-    }
-
-    /// A point-in-time copy of the counters.
-    pub fn stats_snapshot(&self) -> OracleStatsSnapshot {
-        OracleStatsSnapshot::from(&*self.stats)
-    }
-
-    /// True if every part of every stage was tabulated (no part fell
-    /// back to memo mode).
-    pub fn is_fully_dense(&self) -> bool {
-        self.stages.iter().flatten().all(|p| p.table.is_some())
-    }
-}
-
-impl<O: ProjectableOracle + Sync> CostOracle for DenseOracle<O> {
-    fn n_stages(&self) -> usize {
-        self.inner.n_stages()
-    }
-
-    fn n_structures(&self) -> usize {
-        self.inner.n_structures()
-    }
-
-    fn exec(&self, stage: usize, config: &Config) -> Cost {
-        self.stats.record_exec_request();
-        let mut total = Cost::ZERO;
-        for (p, part) in self.stages[stage].iter().enumerate() {
-            let projected = config.intersect(&part.mask);
-            if let Some(table) = &part.table {
-                self.stats.record_projected_hit();
-                total += table[projected.pext_code(&part.mask) as usize];
-                continue;
-            }
-            // Fallback: this part's mask was too wide to tabulate.
-            let pk = part_key(stage, p);
-            let h = shard_hash(pk, projected.shard_key());
-            let key = (pk, projected);
-            if let Some(c) = self.overflow.get(h, &key) {
-                self.stats.record_projected_hit();
-                total += c;
-                continue;
-            }
-            let c = self.inner.exec_part(stage, p, &key.1);
-            self.stats.record_raw_eval();
-            self.overflow.insert(h, key, c);
-            total += c;
-        }
-        total
-    }
-
-    fn trans(&self, from: &Config, to: &Config) -> Cost {
-        self.inner.trans(from, to)
-    }
-
-    fn size(&self, config: &Config) -> u64 {
-        let h = shard_hash(config.shard_key(), 0x5153);
-        if let Some(s) = self.size_cache.get(h, config) {
-            return s;
-        }
-        let s = self.inner.size(config);
-        self.size_cache.insert(h, config.clone(), s);
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -880,26 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn relevance_mask_projects() {
-        let m = RelevanceMask::new(vec![Config::from_bits(0b011), Config::from_bits(0b110)]);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.max_width(), 2);
-        assert_eq!(m.union_all(), Config::from_bits(0b111));
-        assert_eq!(
-            m.project(0, &Config::from_bits(0b111)),
-            Config::from_bits(0b011)
-        );
-        assert_eq!(
-            m.project(1, &Config::from_bits(0b101)),
-            Config::from_bits(0b100)
-        );
-        let full = RelevanceMask::full(2, 64);
-        assert_eq!(*full.stage(0), Config::from_bits(u64::MAX));
-        let wide = RelevanceMask::full(2, 130);
-        assert_eq!(wide.max_width(), 130);
-    }
-
-    #[test]
     fn projected_shares_entries_across_full_configs() {
         let o = ProjectedOracle::new(two_part());
         // Configs 0b1000 and 0b0000 agree on every part mask.
@@ -945,65 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_matches_raw_and_reads_lock_free() {
-        let raw = two_part();
-        let o = DenseOracle::new(two_part());
-        assert!(o.is_fully_dense());
-        // Tables were built eagerly: 3 stages × (2^2 + 2^1) entries.
-        assert_eq!(o.stats_snapshot().raw_exec_evals, 18);
-        assert_eq!(o.inner().evals.load(Ordering::Relaxed), 18);
-        for stage in 0..3 {
-            for bits in 0..16u64 {
-                let cfg = Config::from_bits(bits);
-                assert_eq!(
-                    o.exec(stage, &cfg),
-                    raw.exec(stage, &cfg),
-                    "EXEC({stage},{cfg})"
-                );
-            }
-        }
-        // No post-build inner evaluations: all reads hit the tables.
-        assert_eq!(o.inner().evals.load(Ordering::Relaxed), 18);
-        assert!(o.stats_snapshot().bytes_resident > 0);
-        assert!(o.stats_snapshot().dense_build_nanos > 0);
-    }
-
-    #[test]
-    fn dense_width_cap_falls_back_to_memo() {
-        let o = DenseOracle::with_stats(two_part(), OracleStats::shared(), 1);
-        assert!(!o.is_fully_dense(), "the 2-wide part must overflow");
-        // Only the 1-wide part {2} was tabulated: 3 stages × 2 entries.
-        assert_eq!(o.stats_snapshot().raw_exec_evals, 6);
-        let raw = two_part();
-        for stage in 0..3 {
-            for bits in 0..16u64 {
-                let cfg = Config::from_bits(bits);
-                assert_eq!(
-                    o.exec(stage, &cfg),
-                    raw.exec(stage, &cfg),
-                    "EXEC({stage},{cfg})"
-                );
-            }
-        }
-        // Overflow memo: 3 stages × 4 projected configs of part {0,1}.
-        assert_eq!(o.stats_snapshot().raw_exec_evals, 6 + 12);
-        // Re-probing adds nothing.
-        o.exec(0, &Config::from_bits(0b11));
-        assert_eq!(o.stats_snapshot().raw_exec_evals, 18);
-    }
-
-    #[test]
-    fn unprojected_restores_seed_memo_granularity() {
-        let o = ProjectedOracle::new(Unprojected(two_part()));
-        o.exec(0, &Config::from_bits(0b1000));
-        o.exec(0, &Config::EMPTY);
-        // Without relevance info these configs are distinct cache keys.
-        assert_eq!(o.exec_evaluations(), 2);
-        o.exec(0, &Config::from_bits(0b1000));
-        assert_eq!(o.exec_evaluations(), 2, "repeat probe is a hit");
-    }
-
-    #[test]
     fn retain_parts_evicts_only_named_stages() {
         let o = ProjectedOracle::new(two_part());
         for stage in 0..3 {
@@ -1033,61 +570,23 @@ mod tests {
         assert_eq!(o.size(&Config::from_bits(0b11)), 14);
     }
 
-    #[test]
-    fn dense_extend_appends_stages_without_rebuilding() {
-        let mut o = DenseOracle::new(two_part());
-        assert_eq!(o.n_stages(), 3);
-        let built = o.inner().evals.load(Ordering::Relaxed);
-        assert_eq!(o.extend(), 0, "nothing appended yet");
-        assert_eq!(o.inner().evals.load(Ordering::Relaxed), built);
-        // Grow the inner oracle by two stages, then extend.
-        o.inner_mut().n_stages = 5;
-        assert_eq!(o.extend(), 2);
-        assert!(o.is_fully_dense());
-        // Only the new stages were evaluated: 2 stages × (2^2 + 2^1).
-        assert_eq!(o.inner().evals.load(Ordering::Relaxed), built + 12);
-        let raw = TwoPart {
-            n_stages: 5,
-            evals: AtomicU64::new(0),
-        };
-        for stage in 0..5 {
-            for bits in 0..16u64 {
-                let cfg = Config::from_bits(bits);
-                assert_eq!(
-                    o.exec(stage, &cfg),
-                    raw.exec(stage, &cfg),
-                    "EXEC({stage},{cfg})"
-                );
-            }
-        }
-        // Reads after extend never touch the inner oracle.
-        assert_eq!(o.inner().evals.load(Ordering::Relaxed), built + 12);
-    }
-
-    /// A sparse wide oracle: 200 structures, but each stage's only
-    /// relevant part is 3 structures around `stage * 7` — the CoPhy
-    /// regime the dense layer must tabulate in local coordinates.
-    struct SparseWide {
-        n_stages: usize,
+    /// 200 structures and no relevance info (the trait defaults: one
+    /// full-mask part per stage), so every probed configuration is its
+    /// own cache key — including ones spilled past 64 structures.
+    struct FullMaskWide {
         evals: AtomicU64,
     }
 
-    impl SparseWide {
-        fn mask(&self, stage: usize) -> Config {
-            let base = stage * 7;
-            Config::EMPTY.with(base).with(base + 64).with(base + 150)
-        }
-    }
-
-    impl CostOracle for SparseWide {
+    impl CostOracle for FullMaskWide {
         fn n_stages(&self) -> usize {
-            self.n_stages
+            2
         }
         fn n_structures(&self) -> usize {
             200
         }
         fn exec(&self, stage: usize, config: &Config) -> Cost {
-            self.exec_part(stage, 0, &config.intersect(&self.mask(stage)))
+            self.evals.fetch_add(1, Ordering::Relaxed);
+            c(1000 + 100 * stage as u64 + config.structures().sum::<usize>() as u64)
         }
         fn trans(&self, from: &Config, to: &Config) -> Cost {
             c(10).scale(to.minus(from).len() as u64)
@@ -1097,63 +596,23 @@ mod tests {
         }
     }
 
-    impl ProjectableOracle for SparseWide {
-        fn relevance_mask(&self, stage: usize) -> Config {
-            self.mask(stage)
-        }
-        fn exec_part(&self, stage: usize, _part: usize, config: &Config) -> Cost {
-            self.evals.fetch_add(1, Ordering::Relaxed);
-            // Depend on *which* of the mask's structures are present.
-            c(1000 + 100 * config.pext_code(&self.mask(stage)))
-        }
-    }
-
-    #[test]
-    fn dense_tabulates_wide_vocabulary_with_narrow_parts() {
-        let o = DenseOracle::new(SparseWide {
-            n_stages: 4,
-            evals: AtomicU64::new(0),
-        });
-        // Every part is 3 relevant structures out of 200 — all
-        // tabulated, in local coordinates: 4 stages × 2^3 entries.
-        assert!(o.is_fully_dense());
-        assert_eq!(o.stats_snapshot().raw_exec_evals, 32);
-        let raw = SparseWide {
-            n_stages: 4,
-            evals: AtomicU64::new(0),
-        };
-        for stage in 0..4 {
-            for probe in [
-                Config::EMPTY,
-                Config::single(stage * 7),
-                Config::single(stage * 7 + 64),
-                Config::full(200),
-                Config::EMPTY
-                    .with(stage * 7)
-                    .with(stage * 7 + 150)
-                    .with(199),
-            ] {
-                assert_eq!(
-                    o.exec(stage, &probe),
-                    raw.exec(stage, &probe),
-                    "EXEC({stage},{probe})"
-                );
-            }
-        }
-        // All table hits — no post-build inner evaluations.
-        assert_eq!(o.inner().evals.load(Ordering::Relaxed), 32);
-    }
+    impl ProjectableOracle for FullMaskWide {}
 
     #[test]
     fn projected_caches_spilled_configs() {
-        let o = ProjectedOracle::new(Unprojected(SparseWide {
-            n_stages: 2,
+        let o = ProjectedOracle::new(FullMaskWide {
             evals: AtomicU64::new(0),
-        }));
+        });
         let wide = Config::EMPTY.with(0).with(64).with(150);
         let a = o.exec(0, &wide);
+        assert_eq!(a, c(1214));
         assert_eq!(o.exec(0, &wide), a, "memo hit on a spilled key");
-        assert_eq!(o.inner().0.evals.load(Ordering::Relaxed), 1);
+        assert_eq!(o.inner().evals.load(Ordering::Relaxed), 1);
+        // Without relevance info nothing is projected away: a config
+        // differing in any structure is a distinct cache key.
+        o.exec(0, &wide.with(199));
+        assert_eq!(o.exec_evaluations(), 2);
+        assert_eq!(o.inner().evals.load(Ordering::Relaxed), 2);
         assert_eq!(o.size(&wide), 3);
         o.size(&wide);
         assert_eq!(o.invalidate_sizes(), 1);

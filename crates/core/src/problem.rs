@@ -1,5 +1,5 @@
 use crate::config::Config;
-use crate::oracle::{DenseOracle, OracleStats, ProjectableOracle};
+use crate::oracle::{ProjectableOracle, ProjectedOracle};
 use cdpd_types::Cost;
 
 /// The `EXEC` / `TRANS` / `SIZE` cost oracle of the paper's §2.
@@ -77,12 +77,11 @@ impl Problem {
     }
 }
 
-/// The closure-backed inner oracle [`SyntheticOracle`] materializes.
+/// The closure-backed inner oracle [`SyntheticOracle`] memoizes.
 /// `TRANS` is per-structure build costs plus a flat drop cost; `SIZE`
 /// is additive over per-structure sizes. Relevance info is the trivial
-/// default (one full-mask part per stage), which makes the dense layer
-/// tabulate the complete `[stage][config]` matrix — exactly the table
-/// the seed implementation kept by hand.
+/// default (one full-mask part per stage), so the cache holds one entry
+/// per distinct `(stage, config)` probed.
 type ExecFn = Box<dyn Fn(usize, &Config) -> Cost + Send + Sync>;
 
 struct FnOracle {
@@ -125,20 +124,18 @@ impl CostOracle for FnOracle {
 
 impl ProjectableOracle for FnOracle {}
 
-/// A table-driven oracle for tests, simulations, and benchmarks.
+/// A closure-driven oracle for tests, simulations, and benchmarks.
 ///
-/// Built on the production [`DenseOracle`] layer: up to 16 structures,
-/// `EXEC` is materialized up front as per-stage dense cost tables, so
-/// every test and simulation exercises the same cache path the
-/// engine-backed advisor uses. Wider instances fall back to the dense
-/// layer's memo path — identical results, demand-driven evaluation —
-/// which is what the width-boundary tests and benches rely on.
+/// A thin wrapper over [`ProjectedOracle`] — the one cache the
+/// engine-backed advisor uses — so every test and simulation exercises
+/// the production cost path: the cost function is evaluated on demand,
+/// once per distinct `(stage, config)`, at any vocabulary width.
 pub struct SyntheticOracle {
-    dense: DenseOracle<FnOracle>,
+    memo: ProjectedOracle<FnOracle>,
 }
 
 impl SyntheticOracle {
-    /// Materialize an oracle from a cost function.
+    /// Build an oracle from a cost function.
     ///
     /// # Panics
     /// Panics if the `build`/`sizes` vectors have the wrong length.
@@ -160,33 +157,31 @@ impl SyntheticOracle {
             drop_cost,
             sizes,
         };
-        // Width cap 16: instances with m ≤ 16 are fully tabulated up
-        // front; wider ones skip tabulation and memoize on demand.
         SyntheticOracle {
-            dense: DenseOracle::with_stats(inner, OracleStats::shared(), 16),
+            memo: ProjectedOracle::new(inner),
         }
     }
 }
 
 impl CostOracle for SyntheticOracle {
     fn n_stages(&self) -> usize {
-        self.dense.n_stages()
+        self.memo.n_stages()
     }
 
     fn n_structures(&self) -> usize {
-        self.dense.n_structures()
+        self.memo.n_structures()
     }
 
     fn exec(&self, stage: usize, config: &Config) -> Cost {
-        self.dense.exec(stage, config)
+        self.memo.exec(stage, config)
     }
 
     fn trans(&self, from: &Config, to: &Config) -> Cost {
-        self.dense.trans(from, to)
+        self.memo.trans(from, to)
     }
 
     fn size(&self, config: &Config) -> u64 {
-        self.dense.size(config)
+        self.memo.size(config)
     }
 }
 
@@ -222,25 +217,9 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_is_fully_materialized() {
-        // 3 stages × 2^2 configs, tabulated at construction; probing
-        // afterwards adds no inner evaluations.
-        let o = oracle();
-        let before = o.dense.stats_snapshot();
-        assert_eq!(before.raw_exec_evals, 12);
-        for stage in 0..3 {
-            for bits in 0..4u64 {
-                o.exec(stage, &Config::from_bits(bits));
-            }
-        }
-        assert_eq!(o.dense.stats_snapshot().raw_exec_evals, 12);
-        assert!(o.dense.is_fully_dense());
-    }
-
-    #[test]
-    fn synthetic_wide_instances_memoize_on_demand() {
-        // Past the 16-bit tabulation cap nothing is materialized up
-        // front; probes evaluate once and hit the memo afterwards.
+    fn synthetic_memoizes_on_demand_at_any_width() {
+        // Nothing is evaluated up front; each distinct probe reaches
+        // the cost function once, spilled configurations included.
         let o = SyntheticOracle::from_fn(
             2,
             80,
@@ -249,12 +228,11 @@ mod tests {
             c(1),
             vec![1; 80],
         );
-        assert_eq!(o.dense.stats_snapshot().raw_exec_evals, 0);
+        assert_eq!(o.memo.stats_snapshot().raw_exec_evals, 0);
         let wide = Config::EMPTY.with(3).with(79);
         assert_eq!(o.exec(0, &wide), c(102));
         assert_eq!(o.exec(0, &wide), c(102));
-        assert_eq!(o.dense.stats_snapshot().raw_exec_evals, 1);
-        assert!(!o.dense.is_fully_dense());
+        assert_eq!(o.memo.stats_snapshot().raw_exec_evals, 1);
         assert_eq!(o.size(&wide), 2);
         assert_eq!(o.trans(&Config::EMPTY, &wide), c(2));
     }

@@ -1,13 +1,13 @@
 //! Config boundary behavior at the representation's width boundaries:
 //! 63 (last inline slot), 64 (first spill), 65, and 128 must work
-//! through every solver and both caching oracles, and out-of-range
+//! through every solver and the caching oracle, and out-of-range
 //! indices must fail the same way everywhere — a panic, never a silent
 //! `false`.
 
 use cdpd_core::decompose;
 use cdpd_core::{
-    greedy, hybrid, kaware, kselect, merging, ranking, seqgraph, Config, CostOracle, DenseOracle,
-    Problem, ProjectableOracle, ProjectedOracle,
+    greedy, hybrid, kaware, kselect, merging, ranking, seqgraph, Config, CostOracle, Problem,
+    ProjectableOracle, ProjectedOracle,
 };
 use cdpd_types::Cost;
 
@@ -145,21 +145,20 @@ fn every_solver_handles_boundary_widths() {
         // The decomposed solve collapses every width to the same 2-wide
         // local instance; full local enumeration can only improve on the
         // restricted singleton candidate list above.
-        let dec = decompose::solve_decomposed(&o, &p, 2).unwrap();
+        let dec = decompose::solve_decomposed(&o, &p, &[], None, |lo, lp, cands, _| {
+            kaware::solve(lo, lp, cands, 2)
+        })
+        .unwrap();
         dec.validate(&o, &p, Some(2)).unwrap();
         assert!(dec.total_cost() <= unconstrained.total_cost(), "m={m}");
     }
 }
 
 #[test]
-fn both_caching_oracles_agree_across_boundary_widths() {
+fn caching_oracle_agrees_across_boundary_widths() {
     for m in WIDTHS {
         let raw = wide(m);
         let projected = ProjectedOracle::new(wide(m));
-        // The relevance mask is 2 wide, so the dense layer tabulates
-        // fully (in local coordinates) at every vocabulary width.
-        let dense = DenseOracle::new(wide(m));
-        assert!(dense.is_fully_dense());
         let probes = [
             Config::EMPTY,
             Config::single(m - 1),
@@ -169,23 +168,18 @@ fn both_caching_oracles_agree_across_boundary_widths() {
         for stage in 0..raw.n_stages() {
             for cfg in &probes {
                 assert_eq!(projected.exec(stage, cfg), raw.exec(stage, cfg));
-                assert_eq!(dense.exec(stage, cfg), raw.exec(stage, cfg));
             }
         }
         for cfg in &probes {
             assert_eq!(projected.size(cfg), raw.size(cfg));
-            assert_eq!(dense.size(cfg), raw.size(cfg));
         }
-        // Solving through each wrapper reproduces the raw optimum.
+        // Solving through the wrapper reproduces the raw optimum.
         let p = Problem::default();
         let cands = candidates(m);
         let want = seqgraph::solve(&raw, &p, &cands).unwrap();
         let via_projected = seqgraph::solve(&projected, &p, &cands).unwrap();
-        let via_dense = seqgraph::solve(&dense, &p, &cands).unwrap();
         assert_eq!(via_projected.total_cost(), want.total_cost());
-        assert_eq!(via_dense.total_cost(), want.total_cost());
         assert_eq!(via_projected.configs, want.configs);
-        assert_eq!(via_dense.configs, want.configs);
     }
 }
 

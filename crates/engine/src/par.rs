@@ -61,6 +61,10 @@ pub fn parallel_map<T: Send>(
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
+                    // A root span per worker: tracked counters (pager
+                    // I/O, raw oracle evals) bumped under `f` are
+                    // attributed to some span on every thread.
+                    let _span = cdpd_obs::span!("engine.par.worker");
                     let mut out = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);

@@ -1,9 +1,8 @@
 use crate::candidates::candidate_indexes;
 use crate::oracle::EngineOracle;
-use cdpd_core::decompose::{self, Decomposition};
 use cdpd_core::{
-    enumerate_configs, greedy, hybrid, kaware, merging, ranking, seqgraph, Config, CostOracle,
-    OracleStats, OracleStatsSnapshot, Problem, ProjectedOracle, Schedule,
+    decompose, greedy, hybrid, kaware, merging, ranking, seqgraph, Config, CostOracle,
+    OracleStatsSnapshot, Problem, Schedule,
 };
 use cdpd_engine::{Database, IndexSpec, WhatIfEngine};
 use cdpd_obs::MetricsSnapshot;
@@ -315,7 +314,7 @@ pub(crate) fn recommend_for_workload(
         }
     }
 
-    let mut engine = EngineOracle::new(whatif, structures, workload)?;
+    let engine = EngineOracle::new(whatif, structures, workload)?;
     let initial = engine
         .config_of(&current)
         .expect("current indexes were added to the structure list");
@@ -326,71 +325,28 @@ pub(crate) fn recommend_for_workload(
         count_initial_change: options.count_initial_change,
     };
 
+    // The one cost path: engine → projected memo (global keys) →
+    // rename to the active set → candidates → solver → globalize.
+    let oracle = engine.into_shared();
     let mut hybrid_strategy = None;
-    let (schedule, structures, oracle_stats) = if engine.n_structures() <= ENUMERABLE_VOCABULARY {
-        // Narrow vocabulary: the seed pipeline, byte for byte — full
-        // enumeration over the whole structure list.
-        let oracle = engine.into_shared();
-        let candidates = enumerate_configs(
-            &oracle,
-            options.space_bound_pages,
-            options.max_structures_per_config,
-        )?;
-        let schedule = run_solver(
-            &oracle,
-            &problem,
-            &candidates,
-            options,
-            &mut hybrid_strategy,
-        )?;
-        schedule.validate(&oracle, &problem, options.k)?;
-        (
-            schedule,
-            oracle.inner().structures().to_vec(),
-            oracle.stats_snapshot(),
-        )
-    } else {
-        // Wide vocabulary: CoPhy-style decomposition. Rename the active
-        // set (union of per-stage relevance masks + boundary configs) to
-        // local coordinates, generate candidates and solve there, then
-        // map the schedule back. When the active set itself is narrow
-        // this is bit-identical to solving the narrow instance directly;
-        // the seed pipeline simply refused these instances.
-        let stats = OracleStats::shared();
-        engine.attach_stats(stats.clone());
-        let decomp = Decomposition::from_oracle(&engine, &problem, &[]);
-        cdpd_obs::event!(
-            "advisor: decomposed {} candidates to {} active structures",
-            engine.n_structures(),
-            decomp.n_local()
-        );
-        let local_problem = decomp.localize_problem(&problem);
-        let oracle = ProjectedOracle::with_stats(decomp.local_oracle(&engine), stats);
-        let candidates = if decomp.n_local() <= ENUMERABLE_VOCABULARY {
-            enumerate_configs(
-                &oracle,
-                options.space_bound_pages,
-                options.max_structures_per_config,
-            )?
-        } else {
-            decompose::candidate_configs(&oracle, &local_problem)?
-        };
-        let schedule = run_solver(
-            &oracle,
-            &local_problem,
-            &candidates,
-            options,
-            &mut hybrid_strategy,
-        )?;
-        schedule.validate(&oracle, &local_problem, options.k)?;
-        let snapshot = oracle.stats_snapshot();
-        drop(oracle);
-        (
-            decomp.globalize_schedule(schedule),
-            engine.structures().to_vec(),
-            snapshot,
-        )
-    };
+    let schedule = decompose::solve_decomposed(
+        &oracle,
+        &problem,
+        &[],
+        options.max_structures_per_config,
+        |local, local_problem, candidates, _| {
+            run_solver(
+                local,
+                local_problem,
+                candidates,
+                options,
+                &mut hybrid_strategy,
+            )
+        },
+    )?;
+    schedule.validate(&oracle, &problem, options.k)?;
+    let oracle_stats = oracle.stats_snapshot();
+    let structures = oracle.into_inner().structures().to_vec();
 
     // Close the span before rendering so the recommend record itself
     // lands in the ring and the profile covers the whole call.
@@ -409,12 +365,7 @@ pub(crate) fn recommend_for_workload(
     })
 }
 
-/// Vocabularies up to this width take the seed path: full `2^m`
-/// enumeration (the historical `enumerate_configs` wall). Wider ones
-/// go through the CoPhy decomposition above.
-pub(crate) const ENUMERABLE_VOCABULARY: usize = 20;
-
-/// One solver dispatch shared by the narrow and decomposed paths.
+/// Dispatch on [`AdvisorOptions::algorithm`].
 fn run_solver(
     oracle: &dyn CostOracle,
     problem: &Problem,

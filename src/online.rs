@@ -27,18 +27,13 @@
 //! online approximation (no hindsight past the sealed window); the
 //! finish-time commit is the batch answer.
 
-use crate::advisor::{
-    recommend_for_workload, AdvisorOptions, Recommendation, ENUMERABLE_VOCABULARY,
-};
+use crate::advisor::{recommend_for_workload, AdvisorOptions, Recommendation};
 use crate::calibrate::{
     CalibrationOptions, CalibrationReport, CalibrationTracker, WindowCalibration,
 };
 use crate::candidates::candidate_indexes;
 use crate::oracle::EngineOracle;
-use cdpd_core::{
-    decompose, enumerate_configs, kaware, seqgraph, Config, CostOracle, Decomposition, Problem,
-    ProjectedOracle,
-};
+use cdpd_core::{decompose, kaware, seqgraph, Config, CostOracle, Problem, ProjectedOracle};
 use cdpd_engine::{Database, IndexSpec, StatsRefresh, WhatIfEngine};
 use cdpd_sql::Dml;
 use cdpd_types::{Error, Result};
@@ -613,65 +608,31 @@ impl OnlineAdvisor {
         })
     }
 
-    /// The warm suffix re-solve: derive candidates over the retained
-    /// horizon and solve with the committed prefix pinned, returning
-    /// the configuration for the just-sealed window.
-    ///
-    /// Narrow vocabularies take the seed path — full enumeration over
-    /// the warm memoized oracle, byte-for-byte the old behavior. Wider
-    /// ones rename through the CoPhy decomposition first: the committed
-    /// prefix is pinned into the active set (localization is lossless
-    /// on it), candidates are derived in local coordinates, and the
-    /// chosen configuration is mapped back. Committed configurations
-    /// always stay in *global* coordinates — the decomposition is
-    /// per-re-solve, so local indexes never escape this function.
+    /// The warm suffix re-solve: the same decomposition round trip as
+    /// the batch pipeline ([`decompose::solve_decomposed`]), over the
+    /// retained horizon with the committed prefix pinned, returning the
+    /// configuration for the just-sealed window. The rename goes through
+    /// the *warm* oracle — probes globalize back before they hit the
+    /// memo — so cache entries survive across re-solves whatever the
+    /// active set, and committed configurations stay in global
+    /// coordinates.
     fn resolve_suffix(
         &self,
         oracle: &ProjectedOracle<EngineOracle>,
         horizon: &Problem,
         prefix: &[Config],
     ) -> Result<Config> {
-        let space = self.options.advisor.space_bound_pages;
-        let max_per_config = self.options.advisor.max_structures_per_config;
-        if self.structures.len() <= ENUMERABLE_VOCABULARY {
-            let candidates = enumerate_configs(oracle, space, max_per_config)?;
-            let schedule = match self.options.advisor.k {
-                None => seqgraph::solve_with_prefix(oracle, horizon, &candidates, prefix)?,
-                Some(k) => kaware::solve_with_prefix(oracle, horizon, &candidates, k, prefix)?,
-            };
-            Ok(schedule.configs[prefix.len()].clone())
-        } else {
-            let decomp = Decomposition::from_oracle(oracle, horizon, prefix);
-            cdpd_obs::event!(
-                "online advisor: decomposed {} candidates to {} active structures",
-                self.structures.len(),
-                decomp.n_local()
-            );
-            // The rename goes through the *warm* oracle: probes
-            // globalize back before they hit the memo, so cache entries
-            // survive across re-solves regardless of the active set.
-            let local = decomp.local_oracle(oracle);
-            let local_problem = decomp.localize_problem(horizon);
-            let local_prefix: Vec<Config> = prefix.iter().map(|c| decomp.localize(c)).collect();
-            let candidates = if decomp.n_local() <= ENUMERABLE_VOCABULARY {
-                enumerate_configs(&local, space, max_per_config)?
-            } else {
-                decompose::candidate_configs(&local, &local_problem)?
-            };
-            let schedule = match self.options.advisor.k {
-                None => {
-                    seqgraph::solve_with_prefix(&local, &local_problem, &candidates, &local_prefix)?
-                }
-                Some(k) => kaware::solve_with_prefix(
-                    &local,
-                    &local_problem,
-                    &candidates,
-                    k,
-                    &local_prefix,
-                )?,
-            };
-            Ok(decomp.globalize(&schedule.configs[prefix.len()]))
-        }
+        let schedule = decompose::solve_decomposed(
+            oracle,
+            horizon,
+            prefix,
+            self.options.advisor.max_structures_per_config,
+            |local, problem, candidates, prefix| match self.options.advisor.k {
+                None => seqgraph::solve_with_prefix(local, problem, candidates, prefix),
+                Some(k) => kaware::solve_with_prefix(local, problem, candidates, k, prefix),
+            },
+        )?;
+        Ok(schedule.configs[prefix.len()].clone())
     }
 
     /// Serialize the session's complete dynamic state into an opaque
@@ -686,33 +647,9 @@ impl OnlineAdvisor {
     /// drift is runtime telemetry about an execution environment the
     /// restored session may not share.
     pub fn save_state(&self) -> Vec<u8> {
-        self.save_state_impl(StateVersion::V2)
-    }
-
-    /// Writer for the legacy v1 blob layout (`u64`-bitmask configs),
-    /// kept so tests can prove [`OnlineAdvisor::restore`] still accepts
-    /// sessions saved before configurations became width-agnostic.
-    /// Only valid while the vocabulary fits the old 64-bit encoding.
-    #[cfg(test)]
-    pub(crate) fn save_state_v1(&self) -> Vec<u8> {
-        assert!(
-            self.structures.len() <= 64,
-            "v1 blobs cannot encode vocabularies wider than 64"
-        );
-        self.save_state_impl(StateVersion::V1)
-    }
-
-    fn save_state_impl(&self, version: StateVersion) -> Vec<u8> {
         use crate::state::{put_config, put_f64, put_opt_u64, put_str, put_u32, put_u64, put_u8};
-        let write_cfg = |out: &mut Vec<u8>, cfg: &Config| match version {
-            StateVersion::V1 => put_u64(out, cfg.bits()),
-            StateVersion::V2 => put_config(out, cfg),
-        };
         let mut out = Vec::new();
-        out.extend_from_slice(match version {
-            StateVersion::V1 => STATE_MAGIC_V1,
-            StateVersion::V2 => STATE_MAGIC,
-        });
+        out.extend_from_slice(STATE_MAGIC);
         put_str(&mut out, &self.table);
         let st = self.stream.state();
         put_u64(&mut out, st.window_len as u64);
@@ -746,15 +683,15 @@ impl OnlineAdvisor {
         put_u8(&mut out, self.derived as u8);
         put_u64(&mut out, self.dropped_structures as u64);
         put_u64(&mut out, self.oracle_first as u64);
-        write_cfg(&mut out, &self.initial);
+        put_config(&mut out, &self.initial);
         put_u32(&mut out, self.committed.len() as u32);
         for c in &self.committed {
-            write_cfg(&mut out, c);
+            put_config(&mut out, c);
         }
         put_u32(&mut out, self.decisions.len() as u32);
         for d in &self.decisions {
             put_u64(&mut out, d.window as u64);
-            write_cfg(&mut out, &d.config);
+            put_config(&mut out, &d.config);
             put_u32(&mut out, d.specs.len() as u32);
             for spec in &d.specs {
                 put_spec(&mut out, spec);
@@ -789,17 +726,9 @@ impl OnlineAdvisor {
     /// persisted candidate structure must still validate against `db`.
     pub fn restore(db: &Database, options: OnlineOptions, state: &[u8]) -> Result<OnlineAdvisor> {
         let mut r = crate::state::Reader::new(state);
-        let version = match r.take(STATE_MAGIC.len())? {
-            m if m == STATE_MAGIC => StateVersion::V2,
-            m if m == STATE_MAGIC_V1 => StateVersion::V1,
-            _ => return Err(Error::Corrupt("bad advisor state magic".into())),
-        };
-        let read_cfg = |r: &mut crate::state::Reader<'_>| -> Result<Config> {
-            match version {
-                StateVersion::V1 => Ok(Config::from_bits(r.u64()?)),
-                StateVersion::V2 => r.config(),
-            }
-        };
+        if r.take(STATE_MAGIC.len())? != STATE_MAGIC {
+            return Err(Error::Corrupt("bad advisor state magic".into()));
+        }
         let table = r.str()?;
         let window_len = r.u64()? as usize;
         let max_windows = r.opt_u64()?.map(|v| v as usize);
@@ -854,11 +783,6 @@ impl OnlineAdvisor {
         for _ in 0..n {
             structures.push(read_spec(&mut r)?);
         }
-        if version == StateVersion::V1 && structures.len() > 64 {
-            return Err(Error::Corrupt(
-                "saved v1 vocabulary exceeds the 64-structure encoding".into(),
-            ));
-        }
         if structures.len() > options.max_candidates {
             return Err(Error::InvalidArgument(format!(
                 "saved vocabulary has {} structures, restore options allow max_candidates = {}",
@@ -875,17 +799,17 @@ impl OnlineAdvisor {
         }
         let dropped_structures = r.u64()? as usize;
         let oracle_first = r.u64()? as usize;
-        let initial = read_cfg(&mut r)?;
+        let initial = r.config()?;
         let n = r.u32()? as usize;
         let mut committed = Vec::with_capacity(n);
         for _ in 0..n {
-            committed.push(read_cfg(&mut r)?);
+            committed.push(r.config()?);
         }
         let n = r.u32()? as usize;
         let mut decisions = Vec::with_capacity(n);
         for _ in 0..n {
             let window = r.u64()? as usize;
-            let config = read_cfg(&mut r)?;
+            let config = r.config()?;
             let n_specs = r.u32()? as usize;
             let mut specs = Vec::with_capacity(n_specs);
             for _ in 0..n_specs {
@@ -973,20 +897,9 @@ impl OnlineAdvisor {
 }
 
 /// Magic + version of the [`OnlineAdvisor::save_state`] blob: v2
-/// persists configurations as word lists (width-agnostic).
+/// persists configurations as word lists (width-agnostic). Any other
+/// magic is [`Error::Corrupt`].
 const STATE_MAGIC: &[u8; 8] = b"cdpdadv2";
-
-/// The legacy v1 magic: configurations as bare `u64` bitmasks, from
-/// when the vocabulary was capped at 64 structures. Still accepted by
-/// [`OnlineAdvisor::restore`].
-const STATE_MAGIC_V1: &[u8; 8] = b"cdpdadv1";
-
-/// Which blob layout to write or read.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum StateVersion {
-    V1,
-    V2,
-}
 
 fn put_spec(out: &mut Vec<u8>, spec: &IndexSpec) {
     crate::state::put_str(out, &spec.table);
@@ -1293,34 +1206,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_blobs_restore_across_the_representation_change() {
-        let db = db_with(5_000, Some("d"));
-        let options = opts(30, Some(2));
-        let mut session = OnlineAdvisor::new(&db, "t", options.clone()).unwrap();
-        for i in 0..90 {
-            let col = if i < 60 { "a" } else { "c" };
-            session.ingest(&db, &q(col, i % 40)).unwrap();
-        }
-        // A blob saved before configurations went width-agnostic (bare
-        // u64 bitmasks, v1 magic)...
-        let v1 = session.save_state_v1();
-        assert_eq!(&v1[..8], b"cdpdadv1");
-        let v2 = session.save_state();
-        assert_eq!(&v2[..8], b"cdpdadv2");
-        assert_ne!(v1, v2);
-        // ...restores cleanly — not Corrupt — to the same session a
-        // current blob produces, and keeps deciding identically.
-        let mut from_v1 = OnlineAdvisor::restore(&db, options.clone(), &v1).unwrap();
-        let mut from_v2 = OnlineAdvisor::restore(&db, options, &v2).unwrap();
-        assert_eq!(from_v1.committed(), from_v2.committed());
-        assert_eq!(from_v1.structures(), from_v2.structures());
-        assert_eq!(from_v1.live_specs(), session.live_specs());
-        for i in 0..60 {
-            let a = from_v1.ingest(&db, &q("c", i % 40)).unwrap();
-            let b = from_v2.ingest(&db, &q("c", i % 40)).unwrap();
-            assert_eq!(a.map(|d| d.config), b.map(|d| d.config));
-        }
-        assert_eq!(from_v1.committed(), from_v2.committed());
+    fn v1_blobs_are_rejected_as_corrupt() {
+        let db = db_with(1_000, None);
+        let err = OnlineAdvisor::restore(&db, opts(30, Some(2)), b"cdpdadv1").err();
+        assert!(matches!(err, Some(Error::Corrupt(_))), "{err:?}");
     }
 
     /// An 8-column table whose index permutations push the vocabulary

@@ -1,6 +1,4 @@
-use cdpd_core::{
-    Config, CostOracle, DenseOracle, OracleStats, ProjectableOracle, ProjectedOracle, RelevanceMask,
-};
+use cdpd_core::{Config, CostOracle, OracleStats, ProjectableOracle, ProjectedOracle};
 use cdpd_engine::{IndexSpec, WhatIfEngine};
 use cdpd_sql::Dml;
 use cdpd_types::{Cost, Error, Result};
@@ -38,9 +36,9 @@ fn mask_of(relevant: &[bool]) -> Config {
 /// at construction it asks the planner which structures can affect
 /// each statement and groups every stage's statements into equal-mask
 /// parts, implementing [`ProjectableOracle`]. Hand it to a solver
-/// through [`EngineOracle::into_shared`] (sharded projected memo) or
-/// [`EngineOracle::into_dense`] (up-front dense tables) — both count
-/// raw what-if calls into a shared [`OracleStats`] bundle.
+/// through [`EngineOracle::into_shared`] — the sharded projected memo,
+/// which counts raw what-if calls and cache hits into one shared
+/// [`OracleStats`] bundle.
 pub struct EngineOracle {
     whatif: WhatIfEngine,
     structures: Vec<IndexSpec>,
@@ -221,21 +219,9 @@ impl EngineOracle {
         &self.whatif
     }
 
-    /// The per-stage relevance masks the planner derived for this
-    /// workload (union over each stage's statement masks).
-    pub fn relevance(&self) -> RelevanceMask {
-        RelevanceMask::new(self.stage_masks.clone())
-    }
-
     /// The stats bundle this oracle counts raw what-if calls into.
     pub fn stats(&self) -> &Arc<OracleStats> {
         &self.stats
-    }
-
-    /// Record counters into an existing bundle instead (callers that
-    /// aggregate several oracles, or the `into_*` constructors below).
-    pub fn attach_stats(&mut self, stats: Arc<OracleStats>) {
-        self.stats = stats;
     }
 
     /// Wrap in the sharded projected-memo layer, sharing one stats
@@ -245,20 +231,6 @@ impl EngineOracle {
         let stats = OracleStats::shared();
         self.stats = stats.clone();
         ProjectedOracle::with_stats(self, stats)
-    }
-
-    /// Materialize dense per-part cost tables up front (parallel
-    /// build; see [`DenseOracle`]), sharing one stats bundle like
-    /// [`EngineOracle::into_shared`].
-    pub fn into_dense(self) -> DenseOracle<EngineOracle> {
-        self.into_dense_capped(cdpd_core::oracle::DENSE_MAX_BITS)
-    }
-
-    /// [`EngineOracle::into_dense`] with an explicit table-width cap.
-    pub fn into_dense_capped(mut self, max_bits: usize) -> DenseOracle<EngineOracle> {
-        let stats = OracleStats::shared();
-        self.stats = stats.clone();
-        DenseOracle::with_stats(self, stats, max_bits)
     }
 }
 
@@ -274,8 +246,8 @@ impl CostOracle for EngineOracle {
     fn exec(&self, stage: usize, config: &Config) -> Cost {
         // Deliberately unprojected: the raw path sums every part under
         // the full configuration, which keeps this method a reference
-        // implementation the projected/dense layers are differentially
-        // tested against. (Saturating sums are grouping-independent,
+        // implementation the projected memo is differentially tested
+        // against. (Saturating sums are grouping-independent,
         // so summing part-by-part equals the seed's statement order.)
         (0..self.parts[stage].len())
             .map(|p| self.exec_part(stage, p, config))
@@ -439,8 +411,6 @@ mod tests {
                 assert!(o.part_mask(stage, p).len() < o.n_structures());
             }
         }
-        let rel = o.relevance();
-        assert_eq!(rel.len(), o.n_stages());
     }
 
     #[test]
@@ -459,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_and_dense_count_fewer_whatif_calls_than_raw() {
+    fn shared_counts_fewer_whatif_calls_than_raw() {
         let probe = |o: &dyn CostOracle| {
             for stage in 0..o.n_stages() {
                 for bits in 0..(1u64 << 6) {
@@ -475,18 +445,12 @@ mod tests {
         probe(&shared);
         let shared_calls = shared.stats_snapshot().whatif_calls;
 
-        let dense = oracle(5_000).into_dense();
-        probe(&dense);
-        let dense_calls = dense.stats_snapshot().whatif_calls;
-
         assert!(shared_calls < raw_calls, "{shared_calls} !< {raw_calls}");
-        assert!(dense_calls < raw_calls, "{dense_calls} !< {raw_calls}");
-        // And the layers agree with the raw reference.
+        // And the memo agrees with the raw reference.
         for stage in [0, 15, 29] {
             for bits in [0u64, 0b101, 0b111111] {
                 let cfg = Config::from_bits(bits);
                 assert_eq!(shared.exec(stage, &cfg), raw.exec(stage, &cfg));
-                assert_eq!(dense.exec(stage, &cfg), raw.exec(stage, &cfg));
             }
         }
     }

@@ -17,6 +17,9 @@ use cdpd::{Advisor, AdvisorOptions};
 use common::{paper_database, paper_params, paper_structures};
 use std::sync::Mutex;
 
+/// Serializes the tests that toggle the process-wide trace switch. It
+/// guards no data, so a guard poisoned by one failing test is simply
+/// recovered — one failure must not cascade into the others.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Minimal JSON value for validating trace output without dependencies.
@@ -221,7 +224,7 @@ fn input_slice(b: &[u8], at: usize, len: usize) -> Result<&str, String> {
 /// carry the full field set with consistent timing.
 #[test]
 fn jsonl_sink_emits_parseable_monotonic_records() {
-    let _guard = TRACE_LOCK.lock().expect("trace lock");
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let path = std::env::temp_dir().join(format!("cdpd_obs_golden_{}.jsonl", std::process::id()));
     cdpd_obs::trace::drain();
     cdpd_obs::trace::set_file_sink(Some(&path)).expect("create trace file");
@@ -303,7 +306,7 @@ fn jsonl_sink_emits_parseable_monotonic_records() {
 /// to the global [`IoStats`] registry delta over the same region.
 #[test]
 fn span_pager_counters_reconcile_with_global_io_stats() {
-    let _guard = TRACE_LOCK.lock().expect("trace lock");
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     cdpd_obs::trace::drain();
     cdpd_obs::trace::set_enabled(true);
     let io_before = IoStats::global();

@@ -1,10 +1,12 @@
 //! Property tests for the oracle pipeline: the raw [`EngineOracle`]
-//! (which evaluates *unprojected* configurations, part by part), the
-//! sharded-memo [`cdpd::core::ProjectedOracle`], and the materialized
-//! [`cdpd::core::DenseOracle`] must be bit-identical on EXEC, TRANS,
-//! and SIZE — over random workloads mixing point, range, projection,
-//! aggregate, UPDATE, and DELETE templates, and over random candidate
-//! structure subsets.
+//! (which evaluates *unprojected* configurations, part by part) and the
+//! sharded-memo [`cdpd::core::ProjectedOracle`] must be bit-identical
+//! on EXEC, TRANS, and SIZE — over random workloads mixing point,
+//! range, projection, aggregate, UPDATE, and DELETE templates, and over
+//! random candidate structure subsets. And the advisor's one pipeline
+//! (memo, rename to the active set, candidates, solver, globalize) must
+//! return exactly the schedule a direct solve over the raw, un-renamed
+//! oracle returns.
 //!
 //! This is the differential argument for the whole layer: projection
 //! (`exec(i, c) = exec(i, c ∩ mask)`) and part decomposition
@@ -13,11 +15,13 @@
 
 mod common;
 
-use cdpd::core::{decompose, kaware, Config, CostOracle, Decomposition, Problem};
+use cdpd::core::{
+    decompose, enumerate_configs, kaware, Config, CostOracle, Decomposition, Problem,
+};
 use cdpd::engine::{Database, IndexSpec, WhatIfEngine};
 use cdpd::sql::Dml;
 use cdpd::workload::{summarize, Trace};
-use cdpd::EngineOracle;
+use cdpd::{Advisor, AdvisorOptions, Algorithm, EngineOracle};
 use cdpd_testkit::prop::Config as PropConfig;
 use cdpd_testkit::{props, Prng};
 use common::paper_database;
@@ -63,7 +67,11 @@ fn random_stmt(rng: &mut Prng, domain: i64) -> Dml {
         6 => format!("UPDATE t SET {col2} = {v} WHERE {col} = {v}"),
         _ => format!("DELETE FROM t WHERE {col} = {v}"),
     };
-    match cdpd::sql::parse(&sql).expect("template is valid SQL") {
+    dml(&sql)
+}
+
+fn dml(sql: &str) -> Dml {
+    match cdpd::sql::parse(sql).expect("template is valid SQL") {
         cdpd::sql::Statement::Select(s) => Dml::Select(s),
         cdpd::sql::Statement::Update(u) => Dml::Update(u),
         cdpd::sql::Statement::Delete(d) => Dml::Delete(d),
@@ -145,7 +153,6 @@ props! {
         };
         let raw = mk();
         let shared = mk().into_shared();
-        let dense = mk().into_dense();
 
         // EXEC: full sweep of every configuration at every stage.
         for stage in 0..STAGES {
@@ -153,7 +160,6 @@ props! {
                 let cfg = Config::from_bits(bits);
                 let want = raw.exec(stage, &cfg);
                 assert_eq!(want, shared.exec(stage, &cfg), "EXEC stage {stage} cfg {cfg:?}");
-                assert_eq!(want, dense.exec(stage, &cfg), "EXEC stage {stage} cfg {cfg:?}");
             }
         }
         // TRANS and SIZE: sampled configuration pairs.
@@ -162,10 +168,8 @@ props! {
             let y = Config::from_bits(rng.gen_range(0..1u64 << m));
             let t = raw.trans(&x, &y);
             assert_eq!(t, shared.trans(&x, &y), "TRANS {x:?} -> {y:?}");
-            assert_eq!(t, dense.trans(&x, &y), "TRANS {x:?} -> {y:?}");
             let s = raw.size(&x);
             assert_eq!(s, shared.size(&x), "SIZE {x:?}");
-            assert_eq!(s, dense.size(&x), "SIZE {x:?}");
         }
     }
 
@@ -190,11 +194,7 @@ props! {
             .map(|_| {
                 let j = rng.gen_range(0..3u32);
                 let v = rng.gen_range(0..domain);
-                let sql = format!("SELECT * FROM w WHERE c{j} = {v}");
-                match cdpd::sql::parse(&sql).expect("template is valid SQL") {
-                    cdpd::sql::Statement::Select(s) => Dml::Select(s),
-                    _ => unreachable!(),
-                }
+                dml(&format!("SELECT * FROM w WHERE c{j} = {v}"))
             })
             .collect();
         let workload =
@@ -247,5 +247,79 @@ props! {
                 "renamed configurations must resolve to the same indexes"
             );
         }
+    }
+
+    /// The rename must be invisible on narrow instances too: with
+    /// m ≤ 12 structures, some on columns no statement touches,
+    /// `Advisor::recommend` — memoized, renamed to the active set —
+    /// must return the schedule a direct k-aware solve over full
+    /// enumeration on the raw, un-renamed, un-memoized `EngineOracle`
+    /// returns: same configurations, EXEC, TRANS, and change count.
+    fn narrow_recommendation_matches_direct_solve_on_the_raw_oracle(
+        seed in 0u64..1_000_000,
+        m in 3usize..13,
+        k in 0usize..4,
+        cap in 1usize..3,
+    ) {
+        let db = wide_db();
+        let mut rng = Prng::seed_from_u64(seed.wrapping_mul(0xD1B5_4A32_D192_ED03) ^ *m as u64);
+        // The pool's singles and ordered pairs over all eight columns.
+        // The statements below touch only c0..c3, so roughly half of
+        // any sample is irrelevant to every stage — and the first pick,
+        // drawn from c4..c7 alone, always is.
+        let all: Vec<IndexSpec> = wide_pool().into_iter().take(WIDE_COLS * WIDE_COLS).collect();
+        let cold = format!("c{}", rng.gen_range(4..WIDE_COLS));
+        let mut structures = vec![IndexSpec::new("w", &[cold.as_str()])];
+        while structures.len() < *m {
+            let spec = all[rng.gen_range(0..all.len())].clone();
+            if !structures.contains(&spec) {
+                structures.push(spec);
+            }
+        }
+
+        let domain = WIDE_ROWS / 5;
+        let stmts: Vec<Dml> = (0..STAGES * STMTS_PER_STAGE)
+            .map(|_| {
+                let col = rng.gen_range(0..4u32);
+                let col2 = rng.gen_range(0..4u32);
+                let v = rng.gen_range(0..domain);
+                dml(&match rng.gen_range(0..6u32) {
+                    0..=2 => format!("SELECT * FROM w WHERE c{col} = {v}"),
+                    3 => format!("SELECT c{col2} FROM w WHERE c{col} = {v}"),
+                    4 => format!(
+                        "SELECT * FROM w WHERE c{col} BETWEEN {v} AND {}",
+                        v + domain / 20
+                    ),
+                    _ => format!("UPDATE w SET c{col2} = {v} WHERE c{col} = {v}"),
+                })
+            })
+            .collect();
+        let trace = Trace::new("w", stmts);
+
+        let rec = Advisor::new(db, "w")
+            .options(AdvisorOptions {
+                k: Some(*k),
+                window_len: STMTS_PER_STAGE,
+                structures: Some(structures.clone()),
+                max_structures_per_config: Some(*cap),
+                algorithm: Algorithm::KAware,
+                ..Default::default()
+            })
+            .recommend(&trace)
+            .expect("narrow instance solves");
+
+        let workload = summarize(&trace, STMTS_PER_STAGE).expect("aligned windows");
+        let raw = EngineOracle::new(
+            WhatIfEngine::snapshot(db, "w").expect("analyzed"),
+            structures.clone(),
+            &workload,
+        )
+        .expect("valid oracle");
+        let active = Decomposition::from_oracle(&raw, &Problem::default(), &[]).n_local();
+        assert!(active < *m, "the cold structure must fall outside the active set");
+        let cands = enumerate_configs(&raw, None, Some(*cap)).expect("m <= 12");
+        let want = kaware::solve(&raw, &Problem::default(), &cands, *k).expect("solvable");
+        assert_eq!(rec.schedule, want, "m={m} active={active} k={k} cap={cap}");
+        assert_eq!(rec.structures, structures);
     }
 }

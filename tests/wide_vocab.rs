@@ -123,3 +123,69 @@ fn online_window_seals_over_128_candidates() {
         d.specs
     );
 }
+
+/// Two columns per window, a different pair each window: all 128
+/// candidates are relevant, so the active set is far past the
+/// enumeration width and candidates come from greedy derivation — which
+/// proposes the top-two *pair* for every window, because it helps.
+fn two_column_windows(windows: usize) -> Vec<Dml> {
+    let domain = ROWS / 5;
+    (0..(windows * WINDOW) as i64)
+        .map(|i| {
+            let window = i as usize / WINDOW;
+            let col = format!("c{}", (2 * window + i as usize % 2) % COLS);
+            q(&col, i % domain)
+        })
+        .collect()
+}
+
+#[test]
+fn structure_cap_holds_past_the_enumeration_width() {
+    let db = common::wide_database(ROWS, COLS, 7);
+    let stmts = two_column_windows(4);
+    let capped = AdvisorOptions {
+        k: Some(3),
+        ..options()
+    };
+
+    // Without the cap the pairs are taken: the instance exercises the
+    // path the cap has to hold on.
+    let uncapped = Advisor::new(&db, "w")
+        .options(AdvisorOptions {
+            max_structures_per_config: None,
+            ..capped.clone()
+        })
+        .recommend(&Trace::new("w", stmts.clone()))
+        .expect("solves");
+    assert!(
+        uncapped.schedule.configs.iter().any(|c| c.len() == 2),
+        "greedy derivation must want pairs here: {:?}",
+        uncapped.schedule.configs
+    );
+
+    let rec = Advisor::new(&db, "w")
+        .options(capped.clone())
+        .recommend(&Trace::new("w", stmts.clone()))
+        .expect("solves");
+    assert_eq!(rec.schedule.configs.len(), 4);
+    for cfg in &rec.schedule.configs {
+        assert!(cfg.len() <= 1, "batch: cap 1 violated by {cfg:?}");
+    }
+    assert!(rec.schedule.configs.iter().any(|c| c.len() == 1));
+
+    let mut adv = OnlineAdvisor::new(
+        &db,
+        "w",
+        OnlineOptions {
+            advisor: capped,
+            ..Default::default()
+        },
+    )
+    .expect("session opens");
+    let decisions = adv.ingest_all(&db, &stmts).expect("ingests");
+    assert_eq!(decisions.len(), 4);
+    for d in &decisions {
+        assert!(d.config.len() <= 1, "online: cap 1 violated by {d:?}");
+    }
+    assert!(decisions.iter().any(|d| d.config.len() == 1));
+}

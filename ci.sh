@@ -229,6 +229,16 @@ cargo test -q --offline -p cdpd --test w4_workload
 echo "== plan equivalence: every access path matches the seq-scan baseline =="
 cargo test -q --offline -p cdpd --test predicate_equiv
 
+echo "== the repository benchmark builds and advises correctly =="
+# benchmark/ is a package of its own and compiles against the advisor's
+# public API; one short timed `advise` run must finish with every
+# correctness check passed and no failed operation.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload advise --seed 1 --seconds 1 --trace 0 | tail -n 1 > target/advise-smoke.json
+grep -q '"correct":true' target/advise-smoke.json
+grep -q '"failed":0[,}]' target/advise-smoke.json
+echo "ok: $(cut -c1-60 target/advise-smoke.json)..."
+
 echo "== bench diff: fresh vs committed metrics (per-metric regression floors) =="
 python3 - <<'EOF'
 import json, subprocess, sys
@@ -261,10 +271,15 @@ GATED = {
     # sits lower to absorb host noise while still catching a collapse
     # of the decomposition's width independence. The cold solve's
     # what-if call count is deterministic (part masks x candidate
-    # list), so its tight floor catches any loss of projection sharing.
+    # list), so its tight floor catches any loss of projection sharing;
+    # so are the exec and trans calls one k-aware solve makes of its
+    # oracle (n x |C| and |C|^2 while the solver reads each price into
+    # its tables once), which catch a solver that asks inside its loops.
     "BENCH_oracle.json": {
         "width_scaling/within_2x_256": 0.30,
         "whatif_calls/projected": 0.90,
+        "exec_calls/kaware": 0.90,
+        "trans_calls/kaware": 0.90,
     },
     # Calibrated replay throughput: the predicted-vs-actual loop is on
     # by default in replay_with, so a collapse here means the
@@ -295,7 +310,7 @@ GATED = {
 LOWER_IS_BETTER = {
     "commit/engine_update_ns_10k", "commit/engine_update_ns_100k",
     "commit/engine_meta_bytes_10k", "commit/engine_meta_bytes_100k",
-    "whatif_calls/projected",
+    "whatif_calls/projected", "exec_calls/kaware", "trans_calls/kaware",
 }
 
 def host_cores(records):

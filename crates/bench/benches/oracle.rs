@@ -7,8 +7,12 @@
 //! The what-if call count is deterministic (it depends only on the
 //! workload's part masks and the candidate list), so it lands in
 //! `BENCH_oracle.json` as a gated lower-is-better metric: a change that
-//! erodes projection sharing shows up as a jump here. The raw
-//! [`EngineOracle`] is the reference the memoized solve must match.
+//! erodes projection sharing shows up as a jump here. So are the
+//! numbers of `exec` and `trans` calls one k-aware solve makes of the
+//! oracle under it — `n·|C|` and at most `|C|² + 2·|C|` while every
+//! price is read into the solver's tables once; a solver that goes back
+//! to asking inside its loops shows up there. The raw [`EngineOracle`]
+//! is the reference the memoized solve must match.
 
 use cdpd::core::{
     decompose, enumerate_configs, kaware, Config, CostOracle, Problem, ProjectableOracle,
@@ -21,6 +25,38 @@ use cdpd_bench::{build_database, paper_structures, Scale};
 use cdpd_engine::Database;
 use cdpd_testkit::bench::Criterion;
 use cdpd_testkit::{criterion_group, criterion_main};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Counts the `exec` and `trans` calls a solver makes of `inner`.
+struct CountingOracle<'a, O> {
+    inner: &'a O,
+    exec_calls: AtomicU64,
+    trans_calls: AtomicU64,
+}
+
+impl<O: CostOracle> CostOracle for CountingOracle<'_, O> {
+    fn n_stages(&self) -> usize {
+        self.inner.n_stages()
+    }
+
+    fn n_structures(&self) -> usize {
+        self.inner.n_structures()
+    }
+
+    fn exec(&self, stage: usize, config: &Config) -> Cost {
+        self.exec_calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.exec(stage, config)
+    }
+
+    fn trans(&self, from: &Config, to: &Config) -> Cost {
+        self.trans_calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.trans(from, to)
+    }
+
+    fn size(&self, config: &Config) -> u64 {
+        self.inner.size(config)
+    }
+}
 
 fn mk_engine(db: &Database, workload: &SummarizedWorkload) -> EngineOracle {
     EngineOracle::new(
@@ -57,9 +93,27 @@ fn bench_oracle(criterion: &mut Criterion) {
         "a solve must be served mostly from the memo: {snap}"
     );
 
+    // One more solve through a counting wrapper: how often the solver
+    // itself goes to the oracle, whatever the memo then absorbs.
+    let counting = CountingOracle {
+        inner: &projected,
+        exec_calls: AtomicU64::new(0),
+        trans_calls: AtomicU64::new(0),
+    };
+    let s_counted = kaware::solve(&counting, &problem, &candidates, 2).expect("feasible");
+    assert_eq!(s_counted, s_proj);
+
     let mut group = criterion.benchmark_group("oracle");
     group.sample_size(10);
     group.metric("whatif_calls/projected", snap.whatif_calls as f64);
+    group.metric(
+        "exec_calls/kaware",
+        counting.exec_calls.load(Ordering::Relaxed) as f64,
+    );
+    group.metric(
+        "trans_calls/kaware",
+        counting.trans_calls.load(Ordering::Relaxed) as f64,
+    );
 
     // Warm solves: pure lookup + solver work.
     group.bench_function("solve_warm/projected", |b| {

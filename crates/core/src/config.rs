@@ -56,29 +56,22 @@ impl Config {
     /// A configuration containing exactly `structure`.
     pub fn single(structure: usize) -> Config {
         check_index(structure);
-        if structure < 64 {
-            Config(Repr::Inline(1u64 << structure))
-        } else {
-            let mut words = vec![0u64; structure / 64 + 1];
-            words[structure / 64] = 1u64 << (structure % 64);
-            Config::from_word_vec(words)
-        }
+        let (w, bit) = (structure / 64, 1u64 << (structure % 64));
+        Config::from_word_fn(w + 1, |i| if i == w { bit } else { 0 })
     }
 
     /// The configuration containing structures `0..n` — the full mask
     /// over an `n`-structure vocabulary.
     pub fn full(n: usize) -> Config {
         assert!(n <= MAX_STRUCTURE_INDEX, "structure count out of range");
-        if n == 0 {
-            return Config::EMPTY;
-        }
-        let whole = n / 64;
-        let rest = n % 64;
-        let mut words = vec![u64::MAX; whole];
-        if rest > 0 {
-            words.push((1u64 << rest) - 1);
-        }
-        Config::from_word_vec(words)
+        let (whole, rest) = (n / 64, n % 64);
+        Config::from_word_fn(n.div_ceil(64), |i| {
+            if i < whole {
+                u64::MAX
+            } else {
+                (1u64 << rest) - 1
+            }
+        })
     }
 
     /// From a raw 64-bit mask (structures `0..64` only). Wider
@@ -114,19 +107,23 @@ impl Config {
     /// Rebuild from [`Config::words`] output (the persistence codec).
     /// Trailing zero words are tolerated and normalized away.
     pub fn from_words(words: &[u64]) -> Config {
-        Config::from_word_vec(words.to_vec())
+        Config::from_word_fn(words.len(), |i| words[i])
     }
 
-    /// Normalizing constructor: strips trailing zero words and picks
-    /// the inline representation whenever one word suffices.
-    fn from_word_vec(mut words: Vec<u64>) -> Config {
-        while words.len() > 1 && *words.last().expect("non-empty") == 0 {
-            words.pop();
+    /// Normalizing constructor over computed words `word(0..upper)`:
+    /// trailing zero words are dropped, one word stays inline, and a
+    /// wider result is collected straight into its shared slice — one
+    /// allocation per spilled configuration, which is what keeps probes
+    /// over a wide vocabulary close to the price of narrow ones.
+    fn from_word_fn(upper: usize, word: impl Fn(usize) -> u64) -> Config {
+        let mut n = upper;
+        while n > 1 && word(n - 1) == 0 {
+            n -= 1;
         }
-        if words.len() <= 1 {
-            Config(Repr::Inline(words.first().copied().unwrap_or(0)))
-        } else {
-            Config(Repr::Spilled(words.into()))
+        match n {
+            0 => Config::EMPTY,
+            1 => Config(Repr::Inline(word(0))),
+            _ => Config(Repr::Spilled((0..n).map(word).collect())),
         }
     }
 
@@ -151,12 +148,11 @@ impl Config {
                 Config(Repr::Inline(bits | (1u64 << structure)))
             }
             _ => {
-                let mut words = self.words().to_vec();
-                if words.len() <= structure / 64 {
-                    words.resize(structure / 64 + 1, 0);
-                }
-                words[structure / 64] |= 1u64 << (structure % 64);
-                Config::from_word_vec(words)
+                let old = self.words();
+                let (w, bit) = (structure / 64, 1u64 << (structure % 64));
+                Config::from_word_fn(old.len().max(w + 1), |i| {
+                    old.get(i).copied().unwrap_or(0) | if i == w { bit } else { 0 }
+                })
             }
         }
     }
@@ -173,12 +169,9 @@ impl Config {
                 };
                 Config(Repr::Inline(bits & mask))
             }
-            Repr::Spilled(_) => {
-                let mut words = self.words().to_vec();
-                if structure / 64 < words.len() {
-                    words[structure / 64] &= !(1u64 << (structure % 64));
-                }
-                Config::from_word_vec(words)
+            Repr::Spilled(old) => {
+                let (w, bit) = (structure / 64, 1u64 << (structure % 64));
+                Config::from_word_fn(old.len(), |i| old[i] & if i == w { !bit } else { u64::MAX })
             }
         }
     }
@@ -189,12 +182,9 @@ impl Config {
             (Repr::Inline(a), Repr::Inline(b)) => Config(Repr::Inline(a | b)),
             _ => {
                 let (a, b) = (self.words(), other.words());
-                let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-                let mut words = long.to_vec();
-                for (w, s) in words.iter_mut().zip(short) {
-                    *w |= s;
-                }
-                Config::from_word_vec(words)
+                Config::from_word_fn(a.len().max(b.len()), |i| {
+                    a.get(i).copied().unwrap_or(0) | b.get(i).copied().unwrap_or(0)
+                })
             }
         }
     }
@@ -207,8 +197,7 @@ impl Config {
             (Repr::Inline(a), _) => Config(Repr::Inline(a & other.words()[0])),
             (_, Repr::Inline(b)) => Config(Repr::Inline(self.words()[0] & b)),
             (Repr::Spilled(a), Repr::Spilled(b)) => {
-                let words = a.iter().zip(b.iter()).map(|(x, y)| x & y).collect();
-                Config::from_word_vec(words)
+                Config::from_word_fn(a.len().min(b.len()), |i| a[i] & b[i])
             }
         }
     }
@@ -219,14 +208,8 @@ impl Config {
         match (&self.0, &other.0) {
             (Repr::Inline(a), _) => Config(Repr::Inline(a & !other.words()[0])),
             _ => {
-                let b = other.words();
-                let words = self
-                    .words()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, w)| w & !b.get(i).copied().unwrap_or(0))
-                    .collect();
-                Config::from_word_vec(words)
+                let (a, b) = (self.words(), other.words());
+                Config::from_word_fn(a.len(), |i| a[i] & !b.get(i).copied().unwrap_or(0))
             }
         }
     }

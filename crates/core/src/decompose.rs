@@ -27,7 +27,7 @@
 
 use crate::config::{enumerate_configs, Config, ENUMERABLE_WIDTH};
 use crate::greedy;
-use crate::oracle::ProjectableOracle;
+use crate::oracle::{ProjectableOracle, SingletonCosts};
 use crate::problem::{CostOracle, Problem};
 use crate::schedule::Schedule;
 use cdpd_types::{Cost, Result};
@@ -203,12 +203,26 @@ impl<O: ProjectableOracle + ?Sized> ProjectableOracle for LocalOracle<'_, O> {
         self.inner
             .exec_part(stage, part, &self.decomp.globalize(config))
     }
+
+    fn singleton_costs(&self, stage: usize) -> SingletonCosts {
+        // The stage's mask is inside the active set and `rank` is
+        // monotone, so the rename keeps the ascending order.
+        let global = self.inner.singleton_costs(stage);
+        SingletonCosts {
+            empty: global.empty,
+            singles: global
+                .singles
+                .into_iter()
+                .map(|(g, cost)| (self.decomp.active.rank(g), cost))
+                .collect(),
+        }
+    }
 }
 
 /// The candidate policy: every subset while the vocabulary fits
 /// [`ENUMERABLE_WIDTH`], greedy per-stage derivation
 /// ([`greedy::candidates`]) beyond it.
-pub fn candidate_configs(oracle: &dyn CostOracle, problem: &Problem) -> Result<Vec<Config>> {
+pub fn candidate_configs(oracle: &dyn ProjectableOracle, problem: &Problem) -> Result<Vec<Config>> {
     capped_candidates(oracle, problem, None)
 }
 
@@ -217,10 +231,11 @@ pub fn candidate_configs(oracle: &dyn CostOracle, problem: &Problem) -> Result<V
 /// enforced on its output; the problem's boundary configurations stay
 /// (a design already in place is not a recommendation to build it).
 fn capped_candidates(
-    oracle: &dyn CostOracle,
+    oracle: &dyn ProjectableOracle,
     problem: &Problem,
     max_structures: Option<usize>,
 ) -> Result<Vec<Config>> {
+    let _span = cdpd_obs::span!("solve.candidates", stages = oracle.n_stages());
     if oracle.n_structures() <= ENUMERABLE_WIDTH {
         return enumerate_configs(oracle, problem.space_bound, max_structures);
     }
@@ -248,7 +263,7 @@ pub fn solve_decomposed<O: ProjectableOracle + ?Sized>(
     problem: &Problem,
     pinned: &[Config],
     max_structures: Option<usize>,
-    solve: impl FnOnce(&dyn CostOracle, &Problem, &[Config], &[Config]) -> Result<Schedule>,
+    solve: impl FnOnce(&dyn ProjectableOracle, &Problem, &[Config], &[Config]) -> Result<Schedule>,
 ) -> Result<Schedule> {
     let decomp = Decomposition::from_oracle(oracle, problem, pinned);
     let _span = cdpd_obs::span!(

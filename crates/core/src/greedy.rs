@@ -14,28 +14,41 @@
 //! configuration, and the problem's boundary configurations.
 
 use crate::config::Config;
-use crate::problem::{CostOracle, Problem};
+use crate::oracle::ProjectableOracle;
+use crate::problem::Problem;
 use crate::schedule::Schedule;
 use crate::{kaware, seqgraph};
 use cdpd_types::Result;
 
 /// Derive the restricted candidate set from per-stage analysis.
-pub fn candidates(oracle: &dyn CostOracle, problem: &Problem) -> Vec<Config> {
+///
+/// The per-stage ranking of single structures is read from
+/// [`ProjectableOracle::singleton_costs`], which covers the stage's
+/// relevance mask; every structure outside the mask costs what the
+/// empty configuration costs, so the two lowest-indexed of those stand
+/// in for all of them and the top two are exactly those of a ranking
+/// over the whole vocabulary (ties go to the lower index).
+pub fn candidates(oracle: &dyn ProjectableOracle, problem: &Problem) -> Vec<Config> {
     let m = oracle.n_structures();
     let mut out: Vec<Config> = vec![Config::EMPTY, problem.initial.clone()];
     if let Some(f) = &problem.final_config {
         out.push(f.clone());
     }
     for stage in 0..oracle.n_stages() {
-        // Rank singleton structures by this stage's exec cost.
-        let mut singles: Vec<(usize, cdpd_types::Cost)> = (0..m)
-            .map(|s| (s, oracle.exec(stage, &Config::single(s))))
-            .collect();
-        singles.sort_by_key(|&(_, cost)| cost);
-        if let Some(&(best, best_cost)) = singles.first() {
+        let costs = oracle.singleton_costs(stage);
+        let mut in_mask = costs.singles.iter().map(|&(s, _)| s).peekable();
+        let outside = (0..m)
+            .filter(|s| in_mask.next_if_eq(s).is_none())
+            .take(2)
+            .map(|s| (costs.empty, s));
+        // Rank by this stage's exec cost, lower index first among equals.
+        let mut singles: Vec<_> = costs.singles.iter().map(|&(s, cost)| (cost, s)).collect();
+        singles.extend(outside);
+        singles.sort_unstable();
+        if let Some(&(best_cost, best)) = singles.first() {
             let best_cfg = Config::single(best);
             // The union of the top two, when it actually helps.
-            if let Some(&(second, _)) = singles.get(1) {
+            if let Some(&(_, second)) = singles.get(1) {
                 let pair = best_cfg.with(second);
                 if problem.fits(oracle, &pair) && oracle.exec(stage, &pair) < best_cost {
                     out.push(pair);
@@ -52,7 +65,7 @@ pub fn candidates(oracle: &dyn CostOracle, problem: &Problem) -> Vec<Config> {
 }
 
 /// Constrained design over the restricted candidate set.
-pub fn solve(oracle: &dyn CostOracle, problem: &Problem, k: usize) -> Result<Schedule> {
+pub fn solve(oracle: &dyn ProjectableOracle, problem: &Problem, k: usize) -> Result<Schedule> {
     let _span = cdpd_obs::span!("solve.greedy", k = k);
     let cands = candidates(oracle, problem);
     kaware::solve(oracle, problem, &cands, k)
@@ -60,7 +73,7 @@ pub fn solve(oracle: &dyn CostOracle, problem: &Problem, k: usize) -> Result<Sch
 
 /// Unconstrained design over the restricted candidate set
 /// (Agrawal et al.'s original GREEDY-SEQ).
-pub fn solve_unconstrained(oracle: &dyn CostOracle, problem: &Problem) -> Result<Schedule> {
+pub fn solve_unconstrained(oracle: &dyn ProjectableOracle, problem: &Problem) -> Result<Schedule> {
     let _span = cdpd_obs::span!("solve.greedy_unconstrained");
     let cands = candidates(oracle, problem);
     seqgraph::solve(oracle, problem, &cands)

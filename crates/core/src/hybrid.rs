@@ -17,6 +17,7 @@
 use crate::config::Config;
 use crate::problem::{CostOracle, Problem};
 use crate::schedule::Schedule;
+use crate::tables::CostTables;
 use crate::{kaware, merging, seqgraph};
 use cdpd_types::Result;
 
@@ -64,7 +65,11 @@ pub fn solve_with_switch(
     switch_fraction: f64,
 ) -> Result<HybridOutcome> {
     let _span = cdpd_obs::span!("solve.hybrid", k = k, candidates = candidates.len());
-    let unconstrained = seqgraph::solve(oracle, problem, candidates)?;
+    // One set of tables prices both stages: the unconstrained solve and
+    // whichever strategy then brings it down to `k` changes.
+    let tables = CostTables::build(oracle, problem, candidates)?;
+    let path = seqgraph::shortest_path(&tables, problem)?;
+    let unconstrained = tables.schedule(problem, &path);
     if unconstrained.changes <= k {
         return Ok(HybridOutcome {
             schedule: unconstrained,
@@ -73,15 +78,16 @@ pub fn solve_with_switch(
     }
     let l = unconstrained.changes as f64;
     if (k as f64) >= switch_fraction * l {
-        let schedule = merging::refine(oracle, problem, candidates, k, &unconstrained)?;
+        let replacements = tables.configs().len();
+        let schedule = merging::refine_path(oracle, problem, &tables, replacements, k, &path)?;
         Ok(HybridOutcome {
             schedule,
             strategy: Strategy::Merging,
         })
     } else {
-        let schedule = kaware::solve(oracle, problem, candidates, k)?;
+        let path = kaware::shortest_path(&tables, problem, k)?;
         Ok(HybridOutcome {
-            schedule,
+            schedule: tables.schedule(problem, &path),
             strategy: Strategy::KAwareGraph,
         })
     }

@@ -9,16 +9,32 @@
 //! are exactly the dynamic designs with at most `k` changes, so the
 //! shortest path is the constrained optimum — `O(k·n·4^m)` time with
 //! full enumeration (the paper's `O(k·n·2^{2m})`).
+//!
+//! The layered graph is walked, not built: `EXEC` and `TRANS` are read
+//! into dense tables once per solve and a forward dynamic program keeps
+//! one stage of `|C|·(k + 1)` distances plus a predecessor per node
+//! (`crate::tables`), resolving equal-cost designs exactly as the
+//! explicit graph's shortest-path walk did.
 
 use crate::config::Config;
 use crate::problem::{CostOracle, Problem};
 use crate::schedule::Schedule;
-use crate::seqgraph::usable_candidates;
-use cdpd_graph::{Dag, NodeId};
-use cdpd_types::{Cost, Error, Result};
+use crate::tables::CostTables;
+use cdpd_types::{Error, Result};
+
+/// The constrained optimum over already-built tables, as a path of
+/// configuration indexes.
+pub(crate) fn shortest_path(
+    tables: &CostTables,
+    problem: &Problem,
+    k: usize,
+) -> Result<Vec<usize>> {
+    tables
+        .shortest_path(problem, Some(k))
+        .ok_or_else(|| Error::Infeasible(format!("no design with at most {k} changes")))
+}
 
 /// Optimal design with at most `k` changes over `candidates`.
-#[allow(clippy::needless_range_loop)] // layer indexes three parallel structures; a range is clearer
 pub fn solve(
     oracle: &dyn CostOracle,
     problem: &Problem,
@@ -26,100 +42,9 @@ pub fn solve(
     k: usize,
 ) -> Result<Schedule> {
     let _span = cdpd_obs::span!("solve.kaware", k = k, candidates = candidates.len());
-    let candidates = usable_candidates(oracle, problem, candidates)?;
-    let n = oracle.n_stages();
-    let ncand = candidates.len();
-    let layers = k + 1;
-
-    // Node ids per (stage, candidate, layer); source first so edges are
-    // forward in insertion order.
-    let mut dag: Dag<Option<(usize, usize)>> = Dag::with_capacity(n * ncand * layers + 2);
-    let source = dag.add_node(None, Cost::ZERO);
-    // nodes[stage][cand][layer]
-    let mut nodes: Vec<Vec<Vec<NodeId>>> = Vec::with_capacity(n);
-    for stage in 0..n {
-        let mut per_cand = Vec::with_capacity(ncand);
-        for (ci, cfg) in candidates.iter().enumerate() {
-            let exec = oracle.exec(stage, cfg);
-            let per_layer: Vec<NodeId> = (0..layers)
-                .map(|_| dag.add_node(Some((stage, ci)), exec))
-                .collect();
-            per_cand.push(per_layer);
-        }
-        nodes.push(per_cand);
-    }
-    let dest = dag.add_node(None, Cost::ZERO);
-
-    // Source edges: entering `C_1 = c` lands on layer 0, unless the
-    // initial build counts as a change (strict Definition 1 mode).
-    for (ci, cfg) in candidates.iter().enumerate() {
-        let layer = if *cfg != problem.initial && problem.count_initial_change {
-            1
-        } else {
-            0
-        };
-        if layer >= layers {
-            continue; // k = 0 in strict mode: only the initial config enters
-        }
-        dag.add_edge(
-            source,
-            nodes[0][ci][layer],
-            oracle.trans(&problem.initial, cfg),
-        );
-    }
-
-    // Stage-to-stage edges.
-    for stage in 0..n.saturating_sub(1) {
-        for (ai, a) in candidates.iter().enumerate() {
-            for (bi, b) in candidates.iter().enumerate() {
-                if ai == bi {
-                    for layer in 0..layers {
-                        dag.add_edge(
-                            nodes[stage][ai][layer],
-                            nodes[stage + 1][bi][layer],
-                            Cost::ZERO,
-                        );
-                    }
-                } else {
-                    let trans = oracle.trans(a, b);
-                    for layer in 0..layers.saturating_sub(1) {
-                        dag.add_edge(
-                            nodes[stage][ai][layer],
-                            nodes[stage + 1][bi][layer + 1],
-                            trans,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // Destination edges: the closing transition (to the pinned final
-    // configuration, if any) does not consume change budget.
-    for (ci, cfg) in candidates.iter().enumerate() {
-        let w = match &problem.final_config {
-            Some(f) => oracle.trans(cfg, f),
-            None => Cost::ZERO,
-        };
-        for layer in 0..layers {
-            dag.add_edge(nodes[n - 1][ci][layer], dest, w);
-        }
-    }
-
-    let sp = dag
-        .shortest_path(source, dest)
-        .ok_or_else(|| Error::Infeasible(format!("no design with at most {k} changes")))?;
-    let configs: Vec<Config> = sp
-        .nodes
-        .iter()
-        .filter_map(|&node| dag.payload(node).map(|(_, ci)| candidates[ci].clone()))
-        .collect();
-    let schedule = Schedule::evaluate(oracle, problem, configs);
-    debug_assert_eq!(
-        schedule.total_cost(),
-        sp.cost,
-        "graph and evaluator disagree"
-    );
+    let tables = CostTables::build(oracle, problem, candidates)?;
+    let path = shortest_path(&tables, problem, k)?;
+    let schedule = tables.schedule(problem, &path);
     debug_assert!(
         schedule.changes <= k,
         "layering must enforce the change budget"
@@ -181,6 +106,7 @@ mod tests {
     use crate::config::enumerate_configs;
     use crate::problem::SyntheticOracle;
     use crate::seqgraph;
+    use cdpd_types::Cost;
 
     fn c(io: u64) -> Cost {
         Cost::from_ios(io)

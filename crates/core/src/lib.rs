@@ -45,12 +45,14 @@ pub mod ranking;
 pub mod report;
 mod schedule;
 pub mod seqgraph;
+mod tables;
 mod warm;
 
 pub use config::{enumerate_configs, Config, ENUMERABLE_WIDTH, MAX_STRUCTURE_INDEX};
 pub use decompose::{Decomposition, LocalOracle};
 pub use oracle::{
     OracleStats, OracleStatsSnapshot, ProjectableOracle, ProjectedOracle, SharedOracle,
+    SingletonCosts,
 };
 pub use problem::{CostOracle, Problem, SyntheticOracle};
 pub use schedule::Schedule;

@@ -22,25 +22,30 @@ use crate::config::Config;
 use crate::problem::{CostOracle, Problem};
 use crate::schedule::Schedule;
 use crate::seqgraph;
+use crate::tables::{usable_candidates, CostTables};
 use cdpd_types::{Cost, Error, Result};
 use std::ops::Range;
 
+/// A maximal run of one configuration, by its index in the tables.
 #[derive(Clone, Debug)]
 struct Run {
-    config: Config,
+    config: usize,
     stages: Range<usize>,
 }
 
-fn changes_of(runs: &[Run], problem: &Problem) -> usize {
-    let boundary = runs.len().saturating_sub(1);
-    let initial = usize::from(
-        problem.count_initial_change && runs.first().is_some_and(|r| r.config != problem.initial),
-    );
-    boundary + initial
-}
-
-fn exec_range(oracle: &dyn CostOracle, stages: Range<usize>, cfg: &Config) -> Cost {
-    stages.map(|s| oracle.exec(s, cfg)).sum()
+/// Maximal runs of equal entries of `path`.
+fn runs_of(path: &[usize]) -> Vec<Run> {
+    let mut runs: Vec<Run> = Vec::new();
+    for (stage, &config) in path.iter().enumerate() {
+        match runs.last_mut() {
+            Some(run) if run.config == config => run.stages.end = stage + 1,
+            _ => runs.push(Run {
+                config,
+                stages: stage..stage + 1,
+            }),
+        }
+    }
+    runs
 }
 
 /// Refine `start` (typically the unconstrained optimum) until it uses at
@@ -55,25 +60,56 @@ pub fn refine(
     k: usize,
     start: &Schedule,
 ) -> Result<Schedule> {
-    let candidates = seqgraph::usable_candidates(oracle, problem, candidates)?;
+    let mut configs = usable_candidates(oracle, problem, candidates)?;
     if start.configs.len() != oracle.n_stages() {
         return Err(Error::InvalidArgument(
             "starting schedule does not cover the workload".into(),
         ));
     }
-    let mut runs: Vec<Run> = start
-        .segments()
-        .into_iter()
-        .map(|(stages, config)| Run { config, stages })
+    // Configurations only the starting design uses are priced too, past
+    // the end of the replacement set.
+    let replacements = configs.len();
+    let path: Vec<usize> = start
+        .configs
+        .iter()
+        .map(|cfg| {
+            configs.iter().position(|c| c == cfg).unwrap_or_else(|| {
+                configs.push(cfg.clone());
+                configs.len() - 1
+            })
+        })
         .collect();
+    let tables = CostTables::over(oracle, problem, configs);
+    refine_path(oracle, problem, &tables, replacements, k, &path)
+}
 
-    while changes_of(&runs, problem) > k {
+/// [`refine`] over already-built tables: `start` is a path of table
+/// indexes, and the first `replacements` table entries are the
+/// configurations a merged run may be replaced by.
+pub(crate) fn refine_path(
+    oracle: &dyn CostOracle,
+    problem: &Problem,
+    tables: &CostTables,
+    replacements: usize,
+    k: usize,
+    start: &[usize],
+) -> Result<Schedule> {
+    let mut runs = runs_of(start);
+    let changes_of = |runs: &[Run]| {
+        let initial = problem.count_initial_change
+            && runs
+                .first()
+                .is_some_and(|r| tables.configs()[r.config] != problem.initial);
+        runs.len().saturating_sub(1) + usize::from(initial)
+    };
+
+    while changes_of(&runs) > k {
         if runs.len() == 1 {
             // Only possible in strict counting mode with k = 0: the sole
             // remaining move is to stay in the initial configuration.
             if problem.fits(oracle, &problem.initial) {
-                runs[0].config = problem.initial.clone();
-                break;
+                let stay = vec![problem.initial.clone(); tables.n_stages()];
+                return Ok(Schedule::evaluate(oracle, problem, stay));
             }
             return Err(Error::Infeasible(
                 "cannot reach the change budget: initial configuration violates the space bound"
@@ -81,34 +117,30 @@ pub fn refine(
             ));
         }
 
-        let mut best: Option<(i128, usize, Config)> = None;
+        let mut best: Option<(i128, usize, usize)> = None;
         for i in 0..runs.len() - 1 {
-            let prev_cfg = if i == 0 {
-                &problem.initial
-            } else {
-                &runs[i - 1].config
-            };
-            let next_cfg = if i + 2 < runs.len() {
-                Some(&runs[i + 2].config)
-            } else {
-                problem.final_config.as_ref()
-            };
             let (left, right) = (&runs[i], &runs[i + 1]);
-            let trans_out =
-                |cfg: &Config| -> Cost { next_cfg.map_or(Cost::ZERO, |nx| oracle.trans(cfg, nx)) };
-            let old_cost = oracle.trans(prev_cfg, &left.config)
-                + exec_range(oracle, left.stages.clone(), &left.config)
-                + oracle.trans(&left.config, &right.config)
-                + exec_range(oracle, right.stages.clone(), &right.config)
-                + trans_out(&right.config);
+            let trans_in = |c: usize| match i.checked_sub(1) {
+                Some(p) => tables.trans(runs[p].config, c),
+                None => tables.enter(c),
+            };
+            let trans_out = |c: usize| match runs.get(i + 2) {
+                Some(next) => tables.trans(c, next.config),
+                None => tables.leave(c),
+            };
+            let old_cost = trans_in(left.config)
+                + tables.exec_range(left.stages.clone(), left.config)
+                + tables.trans(left.config, right.config)
+                + tables.exec_range(right.stages.clone(), right.config)
+                + trans_out(right.config);
 
-            for cand in &candidates {
-                let new_cost = oracle.trans(prev_cfg, cand)
-                    + exec_range(oracle, left.stages.start..right.stages.end, cand)
+            for cand in 0..replacements {
+                let new_cost: Cost = trans_in(cand)
+                    + tables.exec_range(left.stages.start..right.stages.end, cand)
                     + trans_out(cand);
                 let penalty = new_cost.raw() as i128 - old_cost.raw() as i128;
                 if best.as_ref().is_none_or(|(bp, ..)| penalty < *bp) {
-                    best = Some((penalty, i, cand.clone()));
+                    best = Some((penalty, i, cand));
                 }
             }
         }
@@ -135,14 +167,12 @@ pub fn refine(
         }
     }
 
-    let mut configs = vec![Config::EMPTY; oracle.n_stages()];
+    let mut path = vec![0; tables.n_stages()];
     for run in &runs {
-        for s in run.stages.clone() {
-            configs[s] = run.config.clone();
-        }
+        path[run.stages.clone()].fill(run.config);
     }
-    let schedule = Schedule::evaluate(oracle, problem, configs);
-    schedule.validate(oracle, problem, Some(k))?;
+    let schedule = tables.schedule(problem, &path);
+    schedule.check_feasible(oracle, problem, Some(k))?;
     Ok(schedule)
 }
 
@@ -155,11 +185,14 @@ pub fn solve(
     k: usize,
 ) -> Result<Schedule> {
     let _span = cdpd_obs::span!("solve.merging", k = k, candidates = candidates.len());
-    let unconstrained = seqgraph::solve(oracle, problem, candidates)?;
+    let tables = CostTables::build(oracle, problem, candidates)?;
+    let path = seqgraph::shortest_path(&tables, problem)?;
+    let unconstrained = tables.schedule(problem, &path);
     if unconstrained.changes <= k {
         return Ok(unconstrained);
     }
-    refine(oracle, problem, candidates, k, &unconstrained)
+    let replacements = tables.configs().len();
+    refine_path(oracle, problem, &tables, replacements, k, &path)
 }
 
 #[cfg(test)]

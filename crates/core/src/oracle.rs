@@ -163,7 +163,10 @@ impl std::fmt::Display for OracleStatsSnapshot {
 ///   independent, so any partition of the statement block qualifies);
 /// * `exec_part(i, p, c)` may assume the caller already projected `c`
 ///   onto `part_mask(i, p)`, and must depend only on that projection;
-/// * `relevance_mask(i)` is the union of the stage's part masks.
+/// * `relevance_mask(i)` is the union of the stage's part masks — so a
+///   structure outside it leaves `exec(i, ·)` where it was, which is
+///   what lets [`ProjectableOracle::singleton_costs`] answer for the
+///   whole vocabulary from the mask alone.
 pub trait ProjectableOracle: CostOracle {
     /// Structures that can affect `stage`'s cost.
     fn relevance_mask(&self, _stage: usize) -> Config {
@@ -184,6 +187,49 @@ pub trait ProjectableOracle: CostOracle {
     /// caller-projected sub-configuration.
     fn exec_part(&self, stage: usize, _part: usize, config: &Config) -> Cost {
         self.exec(stage, config)
+    }
+
+    /// What `stage` costs under no structure and under each single
+    /// structure of its relevance mask — the per-stage analysis the
+    /// greedy candidate derivation and the design alerter both start
+    /// from. Caching layers keep the answer per stage, so a horizon that
+    /// grows by one stage prices one stage.
+    fn singleton_costs(&self, stage: usize) -> SingletonCosts {
+        price_singletons(self, stage)
+    }
+}
+
+/// A stage's cost under `{}` and under every `{s}` that can move it
+/// ([`ProjectableOracle::singleton_costs`]). Sized by the stage's
+/// relevance mask, never by the vocabulary.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SingletonCosts {
+    /// `exec(stage, {})` — also `exec(stage, {s})` for every structure
+    /// `s` outside the stage's relevance mask.
+    pub empty: Cost,
+    /// `(s, exec(stage, {s}))` for each `s` in the relevance mask, in
+    /// ascending structure order.
+    pub singles: Vec<(usize, Cost)>,
+}
+
+impl SingletonCosts {
+    /// The cheapest of `empty` and every single: the best the stage can
+    /// do with at most one structure from the whole vocabulary.
+    pub fn best(&self) -> Cost {
+        self.singles
+            .iter()
+            .fold(self.empty, |best, &(_, cost)| best.min(cost))
+    }
+}
+
+fn price_singletons<O: ProjectableOracle + ?Sized>(oracle: &O, stage: usize) -> SingletonCosts {
+    SingletonCosts {
+        empty: oracle.exec(stage, &Config::EMPTY),
+        singles: oracle
+            .relevance_mask(stage)
+            .structures()
+            .map(|s| (s, oracle.exec(stage, &Config::single(s))))
+            .collect(),
     }
 }
 
@@ -280,10 +326,17 @@ fn part_key(stage: usize, part: usize) -> u64 {
 /// Over an oracle with no relevance info (the [`ProjectableOracle`]
 /// defaults) this is a plain memo: one cache entry per distinct
 /// `(stage, config)`.
+///
+/// The memo also keeps each stage's [`SingletonCosts`] once asked:
+/// they are sums of entries it already holds, kept so that re-deriving
+/// candidates over a long horizon is a read per stage, not a probe per
+/// structure per stage. They live and die with the stage's part
+/// entries ([`Self::retain_parts`]).
 pub struct ProjectedOracle<O> {
     inner: O,
     stats: Arc<OracleStats>,
     exec_cache: Sharded<(u64, Config), Cost>,
+    singleton_cache: Mutex<HashMap<usize, SingletonCosts>>,
     size_cache: Sharded<Config, u64>,
 }
 
@@ -300,6 +353,7 @@ impl<O: ProjectableOracle> ProjectedOracle<O> {
             inner,
             stats,
             exec_cache: Sharded::new(),
+            singleton_cache: Mutex::new(HashMap::new()),
             size_cache: Sharded::new(),
         }
     }
@@ -346,13 +400,23 @@ impl<O: ProjectableOracle> ProjectedOracle<O> {
     /// `(stage, part)` pairs `keep` accepts, evicting the rest (e.g.
     /// the stages whose statistics a DML batch changed). Returns the
     /// number of evicted entries. Entries for untouched stages stay
-    /// warm across the re-solve — the point of the online pipeline.
+    /// warm across the re-solve — the point of the online pipeline. A
+    /// stage that loses any entry also loses its singleton answer.
     pub fn retain_parts(&self, mut keep: impl FnMut(usize, usize) -> bool) -> usize {
+        let mut stale_stages = std::collections::HashSet::new();
         let evicted = self.exec_cache.retain(|&(sp, _)| {
             let stage = (sp >> 24) as usize;
             let part = (sp & 0x00FF_FFFF) as usize;
-            keep(stage, part)
+            let kept = keep(stage, part);
+            if !kept {
+                stale_stages.insert(stage);
+            }
+            kept
         });
+        self.singleton_cache
+            .lock()
+            .expect("oracle cache lock")
+            .retain(|stage, _| !stale_stages.contains(stage));
         if evicted > 0 {
             cdpd_obs::counter!("oracle.memo_evictions").add(evicted as u64);
         }
@@ -433,6 +497,25 @@ impl<O: ProjectableOracle> ProjectableOracle for ProjectedOracle<O> {
 
     fn exec_part(&self, stage: usize, part: usize, config: &Config) -> Cost {
         self.inner.exec_part(stage, part, config)
+    }
+
+    fn singleton_costs(&self, stage: usize) -> SingletonCosts {
+        let cached = self
+            .singleton_cache
+            .lock()
+            .expect("oracle cache lock")
+            .get(&stage)
+            .cloned();
+        cached.unwrap_or_else(|| {
+            // Priced outside the lock, through the memo: a racing
+            // caller computes the same answer.
+            let costs = price_singletons(self, stage);
+            self.singleton_cache
+                .lock()
+                .expect("oracle cache lock")
+                .insert(stage, costs.clone());
+            costs
+        })
     }
 }
 

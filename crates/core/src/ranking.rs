@@ -20,6 +20,7 @@ use crate::config::Config;
 use crate::problem::{CostOracle, Problem};
 use crate::schedule::Schedule;
 use crate::seqgraph;
+use crate::tables::CostTables;
 use cdpd_graph::PathRanking;
 use cdpd_types::{Error, Result};
 
@@ -51,8 +52,8 @@ pub fn solve_with_stats(
     max_paths: usize,
 ) -> Result<(Schedule, RankingStats)> {
     let _span = cdpd_obs::span!("solve.ranking", k = k, max_paths = max_paths);
-    let candidates = seqgraph::usable_candidates(oracle, problem, candidates)?;
-    let graph = seqgraph::build(oracle, problem, &candidates);
+    let tables = CostTables::build(oracle, problem, candidates)?;
+    let graph = seqgraph::build(&tables);
     let mut ranked = 0usize;
     for path in PathRanking::new(&graph.dag, graph.source, graph.dest) {
         ranked += 1;
@@ -61,10 +62,13 @@ pub fn solve_with_stats(
                 "ranking budget of {max_paths} paths exhausted before a ≤{k}-change design"
             )));
         }
-        let configs = seqgraph::path_to_configs(&graph, &candidates, &path.nodes);
-        let changes = count_changes(problem, &configs);
-        if changes <= k {
-            let schedule = Schedule::evaluate(oracle, problem, configs);
+        let picks: Vec<usize> = path
+            .nodes
+            .iter()
+            .filter_map(|&n| *graph.dag.payload(n))
+            .collect();
+        if tables.changes(problem, &picks) <= k {
+            let schedule = tables.schedule(problem, &picks);
             debug_assert_eq!(schedule.total_cost(), path.cost);
             return Ok((
                 schedule,
@@ -77,18 +81,6 @@ pub fn solve_with_stats(
     Err(Error::Infeasible(format!(
         "no design with at most {k} changes exists in the sequence graph"
     )))
-}
-
-fn count_changes(problem: &Problem, configs: &[Config]) -> usize {
-    let mut changes = 0;
-    let mut prev = &problem.initial;
-    for (i, c) in configs.iter().enumerate() {
-        if c != prev && (i > 0 || problem.count_initial_change) {
-            changes += 1;
-        }
-        prev = c;
-    }
-    changes
 }
 
 #[cfg(test)]
@@ -170,17 +162,5 @@ mod tests {
         // cheaper than any frozen design, so a tiny budget must trip.
         let err = solve(&o, &p, &cands, 0, 2).unwrap_err();
         assert!(err.to_string().contains("budget"), "{err}");
-    }
-
-    #[test]
-    fn change_counting_respects_strict_mode() {
-        let p_loose = Problem::default();
-        let p_strict = Problem {
-            count_initial_change: true,
-            ..Problem::default()
-        };
-        let cfgs = vec![Config::single(0), Config::single(0), Config::single(1)];
-        assert_eq!(count_changes(&p_loose, &cfgs), 1);
-        assert_eq!(count_changes(&p_strict, &cfgs), 2);
     }
 }

@@ -83,6 +83,25 @@ impl Schedule {
         problem: &Problem,
         k: Option<usize>,
     ) -> Result<()> {
+        self.check_feasible(oracle, problem, k)?;
+        let reference = Schedule::evaluate(oracle, problem, self.configs.clone());
+        if reference != *self {
+            return Err(Error::InvalidArgument(
+                "schedule cost bookkeeping does not match re-evaluation".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// The feasibility half of [`Schedule::validate`] — stage count,
+    /// space bound, change budget — which asks the oracle for sizes
+    /// only, never for a cost.
+    pub(crate) fn check_feasible(
+        &self,
+        oracle: &dyn CostOracle,
+        problem: &Problem,
+        k: Option<usize>,
+    ) -> Result<()> {
         if self.configs.len() != oracle.n_stages() {
             return Err(Error::InvalidArgument(format!(
                 "schedule has {} stages, workload has {}",
@@ -96,12 +115,6 @@ impl Schedule {
                     "stage {i} config {c} exceeds the space bound"
                 )));
             }
-        }
-        let reference = Schedule::evaluate(oracle, problem, self.configs.clone());
-        if reference != *self {
-            return Err(Error::InvalidArgument(
-                "schedule cost bookkeeping does not match re-evaluation".into(),
-            ));
         }
         if let Some(k) = k {
             if self.changes > k {

@@ -12,68 +12,40 @@
 use crate::config::Config;
 use crate::problem::{CostOracle, Problem};
 use crate::schedule::Schedule;
+use crate::tables::CostTables;
 use cdpd_graph::{Dag, NodeId};
 use cdpd_types::{Cost, Error, Result};
 
-/// Node payload: which (stage, candidate) a node stands for; `None` for
-/// the source/destination terminals.
-pub(crate) type Payload = Option<(usize, usize)>;
-
-/// A built sequence graph plus its terminals.
+/// A materialised sequence graph plus its terminals. Only path
+/// *ranking* needs the graph itself (it enumerates paths, not just the
+/// shortest); the solvers run [`CostTables::shortest_path`] instead.
 pub(crate) struct SeqGraph {
-    pub(crate) dag: Dag<Payload>,
+    /// Node payload: the candidate a node stands for; `None` for the
+    /// source/destination terminals.
+    pub(crate) dag: Dag<Option<usize>>,
     pub(crate) source: NodeId,
     pub(crate) dest: NodeId,
 }
 
-/// Drop candidates violating the space bound; error out when nothing
-/// survives or the workload is empty.
-pub(crate) fn usable_candidates(
-    oracle: &dyn CostOracle,
-    problem: &Problem,
-    candidates: &[Config],
-) -> Result<Vec<Config>> {
-    if oracle.n_stages() == 0 {
-        return Err(Error::InvalidArgument("workload has no statements".into()));
-    }
-    let mut out: Vec<Config> = Vec::with_capacity(candidates.len());
-    for c in candidates {
-        if problem.fits(oracle, c) && !out.contains(c) {
-            out.push(c.clone());
-        }
-    }
-    if out.is_empty() {
-        return Err(Error::Infeasible(
-            "no candidate configuration satisfies the space bound".into(),
-        ));
-    }
-    Ok(out)
-}
-
-/// Build the (unconstrained) sequence graph over `candidates`.
-pub(crate) fn build(oracle: &dyn CostOracle, problem: &Problem, candidates: &[Config]) -> SeqGraph {
-    let n = oracle.n_stages();
-    let mut dag = Dag::with_capacity(n * candidates.len() + 2);
+/// Build the (unconstrained) sequence graph over `tables`.
+pub(crate) fn build(tables: &CostTables) -> SeqGraph {
+    let n = tables.n_stages();
+    let ncand = tables.configs().len();
+    let mut dag = Dag::with_capacity(n * ncand + 2);
     let source = dag.add_node(None, Cost::ZERO);
     let mut prev: Vec<NodeId> = Vec::new();
     for stage in 0..n {
-        let mut cur = Vec::with_capacity(candidates.len());
-        for (ci, cfg) in candidates.iter().enumerate() {
-            let node = dag.add_node(Some((stage, ci)), oracle.exec(stage, cfg));
-            cur.push(node);
-        }
+        let cur: Vec<NodeId> = (0..ncand)
+            .map(|ci| dag.add_node(Some(ci), tables.exec(stage, ci)))
+            .collect();
         if stage == 0 {
             for (ci, &node) in cur.iter().enumerate() {
-                dag.add_edge(
-                    source,
-                    node,
-                    oracle.trans(&problem.initial, &candidates[ci]),
-                );
+                dag.add_edge(source, node, tables.enter(ci));
             }
         } else {
             for (ai, &a) in prev.iter().enumerate() {
                 for (bi, &b) in cur.iter().enumerate() {
-                    dag.add_edge(a, b, oracle.trans(&candidates[ai], &candidates[bi]));
+                    dag.add_edge(a, b, tables.trans(ai, bi));
                 }
             }
         }
@@ -81,25 +53,17 @@ pub(crate) fn build(oracle: &dyn CostOracle, problem: &Problem, candidates: &[Co
     }
     let dest = dag.add_node(None, Cost::ZERO);
     for (ci, &node) in prev.iter().enumerate() {
-        let w = match &problem.final_config {
-            Some(f) => oracle.trans(&candidates[ci], f),
-            None => Cost::ZERO,
-        };
-        dag.add_edge(node, dest, w);
+        dag.add_edge(node, dest, tables.leave(ci));
     }
     SeqGraph { dag, source, dest }
 }
 
-/// Convert a graph path back into per-stage configurations.
-pub(crate) fn path_to_configs(
-    graph: &SeqGraph,
-    candidates: &[Config],
-    nodes: &[NodeId],
-) -> Vec<Config> {
-    nodes
-        .iter()
-        .filter_map(|&n| graph.dag.payload(n).map(|(_, ci)| candidates[ci].clone()))
-        .collect()
+/// The unconstrained optimum over already-built tables, as a path of
+/// configuration indexes.
+pub(crate) fn shortest_path(tables: &CostTables, problem: &Problem) -> Result<Vec<usize>> {
+    tables
+        .shortest_path(problem, None)
+        .ok_or_else(|| Error::Infeasible("sequence graph has no finite-cost path".into()))
 }
 
 /// Optimal *unconstrained* dynamic design over `candidates`
@@ -110,20 +74,9 @@ pub fn solve(
     candidates: &[Config],
 ) -> Result<Schedule> {
     let _span = cdpd_obs::span!("solve.seqgraph", candidates = candidates.len());
-    let candidates = usable_candidates(oracle, problem, candidates)?;
-    let graph = build(oracle, problem, &candidates);
-    let sp = graph
-        .dag
-        .shortest_path(graph.source, graph.dest)
-        .ok_or_else(|| Error::Infeasible("sequence graph has no finite-cost path".into()))?;
-    let configs = path_to_configs(&graph, &candidates, &sp.nodes);
-    let schedule = Schedule::evaluate(oracle, problem, configs);
-    debug_assert_eq!(
-        schedule.total_cost(),
-        sp.cost,
-        "graph and evaluator disagree"
-    );
-    Ok(schedule)
+    let tables = CostTables::build(oracle, problem, candidates)?;
+    let path = shortest_path(&tables, problem)?;
+    Ok(tables.schedule(problem, &path))
 }
 
 /// Optimal unconstrained design whose first `prefix.len()` stages are

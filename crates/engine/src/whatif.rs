@@ -134,15 +134,45 @@ impl WhatIfEngine {
             .collect()
     }
 
-    /// Physical shape of an index: the captured materialized shape for
-    /// indexes built at [`WhatIfEngine::snapshot_live`] time, else the
+    /// `spec` as the planner sees it: column ids bound against the
+    /// snapshot schema, and the captured materialized shape for indexes
+    /// built at [`WhatIfEngine::snapshot_live`] time, else the
     /// statistics estimate.
-    pub fn shape(&self, spec: &IndexSpec) -> Result<IndexShape> {
+    ///
+    /// Resolving is the expensive, statement-independent half of a
+    /// what-if call (name formatting, column lookup, shape estimation);
+    /// a caller that costs many statements over one structure list
+    /// resolves it once and passes the result to
+    /// [`WhatIfEngine::dml_cost_resolved`] /
+    /// [`WhatIfEngine::relevant_resolved`]. A resolved structure is
+    /// only meaningful to the snapshot that resolved it — shapes follow
+    /// the statistics.
+    ///
+    /// # Errors
+    /// `spec` must be on this table and name real columns.
+    pub fn resolve_structure(&self, spec: &IndexSpec) -> Result<IndexInfo> {
         let columns = self.resolve(spec)?;
-        if let Some(shape) = self.live_shapes.get(&spec.name()) {
-            return Ok(*shape);
-        }
-        Ok(CostModel::estimate_shape(&self.stats, &columns))
+        let name = spec.name();
+        let shape = match self.live_shapes.get(&name) {
+            Some(shape) => *shape,
+            None => CostModel::estimate_shape(&self.stats, &columns),
+        };
+        Ok(IndexInfo {
+            name,
+            shape,
+            columns,
+        })
+    }
+
+    /// [`WhatIfEngine::resolve_structure`] over a list, in order.
+    pub fn resolve_structures(&self, specs: &[IndexSpec]) -> Result<Vec<IndexInfo>> {
+        specs.iter().map(|s| self.resolve_structure(s)).collect()
+    }
+
+    /// Physical shape of an index (see
+    /// [`WhatIfEngine::resolve_structure`]).
+    pub fn shape(&self, spec: &IndexSpec) -> Result<IndexShape> {
+        Ok(self.resolve_structure(spec)?.shape)
     }
 
     /// Estimated size of one index, in pages.
@@ -155,18 +185,26 @@ impl WhatIfEngine {
         config.iter().map(|s| self.index_size_pages(s)).sum()
     }
 
+    fn check_table(&self, table: &str) -> Result<()> {
+        if table != self.table {
+            return Err(Error::InvalidArgument(format!(
+                "statement is on table {table}, oracle is for {}",
+                self.table
+            )));
+        }
+        Ok(())
+    }
+
     /// Estimated cost of executing `stmt` under hypothetical
     /// configuration `config` (`EXEC(S, C)`).
     pub fn exec_cost(&self, stmt: &SelectStmt, config: &[IndexSpec]) -> Result<Cost> {
-        if stmt.table != self.table {
-            return Err(Error::InvalidArgument(format!(
-                "statement is on table {}, oracle is for {}",
-                stmt.table, self.table
-            )));
-        }
+        self.select_cost(stmt, &self.resolve_structures(config)?)
+    }
+
+    fn select_cost(&self, stmt: &SelectStmt, indexes: &[IndexInfo]) -> Result<Cost> {
+        self.check_table(&stmt.table)?;
         cdpd_obs::tracked_counter!("engine.whatif.calls").inc();
-        let infos = self.infos(config)?;
-        let planner = Planner::new(&self.schema, &self.stats, &infos);
+        let planner = Planner::new(&self.schema, &self.stats, indexes);
         Ok(planner.plan(stmt)?.est_cost)
     }
 
@@ -178,19 +216,18 @@ impl WhatIfEngine {
     /// would invalidate, so update-heavy phases penalize configurations
     /// with many (or wide) indexes.
     pub fn dml_cost(&self, stmt: &Dml, config: &[IndexSpec]) -> Result<Cost> {
+        self.dml_cost_resolved(stmt, &self.resolve_structures(config)?)
+    }
+
+    /// [`WhatIfEngine::dml_cost`] under a configuration this snapshot
+    /// already resolved ([`WhatIfEngine::resolve_structures`]).
+    pub fn dml_cost_resolved(&self, stmt: &Dml, indexes: &[IndexInfo]) -> Result<Cost> {
         match stmt {
-            Dml::Select(s) => self.exec_cost(s, config),
+            Dml::Select(s) => self.select_cost(s, indexes),
             Dml::Update(_) | Dml::Delete(_) => {
-                if stmt.table() != self.table {
-                    return Err(Error::InvalidArgument(format!(
-                        "statement is on table {}, oracle is for {}",
-                        stmt.table(),
-                        self.table
-                    )));
-                }
+                self.check_table(stmt.table())?;
                 cdpd_obs::tracked_counter!("engine.whatif.calls").inc();
-                let infos = self.infos(config)?;
-                let planner = Planner::new(&self.schema, &self.stats, &infos);
+                let planner = Planner::new(&self.schema, &self.stats, indexes);
                 Ok(planner.plan_write(stmt)?.est_total)
             }
         }
@@ -213,34 +250,21 @@ impl WhatIfEngine {
     /// `structures` must belong to this table and name real columns;
     /// `stmt` must bind against the schema.
     pub fn relevant_structures(&self, stmt: &Dml, structures: &[IndexSpec]) -> Result<Vec<bool>> {
-        if stmt.table() != self.table {
-            return Err(Error::InvalidArgument(format!(
-                "statement is on table {}, oracle is for {}",
-                stmt.table(),
-                self.table
-            )));
-        }
-        let infos = self.infos(structures)?;
-        let planner = Planner::new(&self.schema, &self.stats, &infos);
+        self.relevant_resolved(stmt, &self.resolve_structures(structures)?)
+    }
+
+    /// [`WhatIfEngine::relevant_structures`] over a structure list this
+    /// snapshot already resolved.
+    pub fn relevant_resolved(&self, stmt: &Dml, structures: &[IndexInfo]) -> Result<Vec<bool>> {
+        self.check_table(stmt.table())?;
+        let planner = Planner::new(&self.schema, &self.stats, structures);
         planner.relevant_indexes(stmt)
     }
 
-    fn infos(&self, config: &[IndexSpec]) -> Result<Vec<IndexInfo>> {
-        config
-            .iter()
-            .map(|spec| {
-                let columns = self.resolve(spec)?;
-                let shape = match self.live_shapes.get(&spec.name()) {
-                    Some(shape) => *shape,
-                    None => CostModel::estimate_shape(&self.stats, &columns),
-                };
-                Ok(IndexInfo {
-                    name: spec.name(),
-                    shape,
-                    columns,
-                })
-            })
-            .collect()
+    /// Estimated cost of building one resolved structure: the `TRANS`
+    /// term it contributes when a design change adds it.
+    pub fn build_cost(&self, index: &IndexInfo) -> Cost {
+        CostModel::build(&self.stats, index.shape)
     }
 
     /// Estimated cost of changing the design from `from` to `to`
@@ -250,7 +274,7 @@ impl WhatIfEngine {
         let mut total = Cost::ZERO;
         for spec in to {
             if !from.contains(spec) {
-                total += CostModel::build(&self.stats, self.shape(spec)?);
+                total += self.build_cost(&self.resolve_structure(spec)?);
             }
         }
         for spec in from {

@@ -1,8 +1,8 @@
 use crate::candidates::candidate_indexes;
 use crate::oracle::EngineOracle;
 use cdpd_core::{
-    decompose, greedy, hybrid, kaware, merging, ranking, seqgraph, Config, CostOracle,
-    OracleStatsSnapshot, Problem, Schedule,
+    decompose, greedy, hybrid, kaware, merging, ranking, seqgraph, Config, OracleStatsSnapshot,
+    Problem, ProjectableOracle, Schedule,
 };
 use cdpd_engine::{Database, IndexSpec, WhatIfEngine};
 use cdpd_obs::MetricsSnapshot;
@@ -367,7 +367,7 @@ pub(crate) fn recommend_for_workload(
 
 /// Dispatch on [`AdvisorOptions::algorithm`].
 fn run_solver(
-    oracle: &dyn CostOracle,
+    oracle: &dyn ProjectableOracle,
     problem: &Problem,
     candidates: &[Config],
     options: &AdvisorOptions,

@@ -33,7 +33,9 @@ use crate::calibrate::{
 };
 use crate::candidates::candidate_indexes;
 use crate::oracle::EngineOracle;
-use cdpd_core::{decompose, kaware, seqgraph, Config, CostOracle, Problem, ProjectedOracle};
+use cdpd_core::{
+    decompose, kaware, seqgraph, Config, CostOracle, Problem, ProjectableOracle, ProjectedOracle,
+};
 use cdpd_engine::{Database, IndexSpec, StatsRefresh, WhatIfEngine};
 use cdpd_sql::Dml;
 use cdpd_types::{Error, Result};
@@ -283,6 +285,14 @@ impl OnlineAdvisor {
     /// The candidate vocabulary accumulated so far.
     pub fn structures(&self) -> &[IndexSpec] {
         &self.structures
+    }
+
+    /// The warm cost oracle over the retained sealed windows (`None`
+    /// until the first window seals): what the session currently
+    /// believes every stage costs, for inspection and differential
+    /// tests against a cold-built oracle.
+    pub fn oracle(&self) -> Option<&ProjectedOracle<EngineOracle>> {
+        self.oracle.as_ref()
     }
 
     /// Candidates discarded because the vocabulary hit
@@ -546,11 +556,12 @@ impl OnlineAdvisor {
 
         // Folded alerter: live design vs best single candidate on the
         // sealed window (detection, not optimization — see Alerter).
+        // The singleton answer is priced here, on first touch of the new
+        // stage, and read back by every later candidate derivation.
+        let alert_span = cdpd_obs::span!("online.alert", stage = stage);
         let live_cost = oracle.exec(stage, &live);
-        let mut best = oracle.exec(stage, &Config::EMPTY);
-        for i in 0..self.structures.len() {
-            best = best.min(oracle.exec(stage, &Config::single(i)));
-        }
+        let best = oracle.singleton_costs(stage).best();
+        drop(alert_span);
         let degradation = if best.raw() == 0 {
             0.0
         } else {

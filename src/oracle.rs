@@ -1,5 +1,5 @@
 use cdpd_core::{Config, CostOracle, OracleStats, ProjectableOracle, ProjectedOracle};
-use cdpd_engine::{IndexSpec, WhatIfEngine};
+use cdpd_engine::{CostModel, IndexInfo, IndexSpec, WhatIfEngine};
 use cdpd_sql::Dml;
 use cdpd_types::{Cost, Error, Result};
 use cdpd_workload::SummarizedWorkload;
@@ -27,10 +27,17 @@ fn mask_of(relevant: &[bool]) -> Config {
 /// [`CostOracle`] trait.
 ///
 /// A [`Config`] bit `i` means "candidate structure `structures[i]` is
-/// materialized". `EXEC(stage, C)` is the weighted sum of what-if
+/// materialized" — positions are the structures, so a spec listed twice
+/// is two structures. `EXEC(stage, C)` is the weighted sum of what-if
 /// estimates for the stage's summarized statements under that index
-/// set; `TRANS`/`SIZE` delegate to the what-if engine's build/drop/size
-/// estimates.
+/// set; `TRANS` is a build per structure gained plus a drop per
+/// structure lost, `SIZE` the sum of their pages.
+///
+/// The structure list is resolved against the snapshot once
+/// ([`WhatIfEngine::resolve_structures`]; again on
+/// [`EngineOracle::refresh_whatif`], since shapes follow statistics),
+/// and every relevance mask, what-if call, transition and size reads
+/// the resolved form.
 ///
 /// The oracle performs no caching itself, but it *exports relevance*:
 /// at construction it asks the planner which structures can affect
@@ -42,6 +49,8 @@ fn mask_of(relevant: &[bool]) -> Config {
 pub struct EngineOracle {
     whatif: WhatIfEngine,
     structures: Vec<IndexSpec>,
+    /// `structures` as `whatif` resolved them, position for position.
+    resolved: Vec<IndexInfo>,
     /// Per stage: equal-mask statement groups.
     parts: Vec<Vec<Part>>,
     /// Per stage: union of the stage's part masks.
@@ -62,6 +71,11 @@ impl EngineOracle {
         structures: Vec<IndexSpec>,
         workload: &SummarizedWorkload,
     ) -> Result<EngineOracle> {
+        let _span = cdpd_obs::span!(
+            "advisor.oracle_build",
+            stages = workload.blocks.len(),
+            structures = structures.len()
+        );
         if workload.is_empty() {
             return Err(Error::InvalidArgument("workload has no blocks".into()));
         }
@@ -72,51 +86,34 @@ impl EngineOracle {
                 whatif.table()
             )));
         }
-        for spec in &structures {
-            whatif.shape(spec)?; // validates table + columns
-        }
-        // Probe every statement once under the empty configuration so
-        // unknown columns and type mismatches surface now, and group
-        // each stage's statements by their planner relevance mask.
-        let mut parts: Vec<Vec<Part>> = Vec::with_capacity(workload.blocks.len());
-        let mut stage_masks = Vec::with_capacity(workload.blocks.len());
-        for block in &workload.blocks {
-            let mut stage_parts: Vec<Part> = Vec::new();
-            for w in &block.weighted {
-                whatif.dml_cost(&w.statement, &[])?;
-                let mask = mask_of(&whatif.relevant_structures(&w.statement, &structures)?);
-                match stage_parts.iter_mut().find(|p| p.mask == mask) {
-                    Some(part) => part.members.push((w.statement.clone(), w.count)),
-                    None => stage_parts.push(Part {
-                        mask,
-                        members: vec![(w.statement.clone(), w.count)],
-                    }),
-                }
-            }
-            stage_masks.push(
-                stage_parts
-                    .iter()
-                    .fold(Config::EMPTY, |acc, p| acc.union(&p.mask)),
-            );
-            parts.push(stage_parts);
-        }
-        Ok(EngineOracle {
+        let resolved = whatif.resolve_structures(&structures)?; // validates table + columns
+        let mut oracle = EngineOracle {
             whatif,
             structures,
-            parts,
-            stage_masks,
+            resolved,
+            parts: Vec::with_capacity(workload.blocks.len()),
+            stage_masks: Vec::with_capacity(workload.blocks.len()),
             stats: OracleStats::shared(),
-        })
+        };
+        for block in &workload.blocks {
+            oracle.append_block(block)?;
+        }
+        Ok(oracle)
     }
 
     /// Append one workload block as a new stage, without touching the
-    /// existing stages: the streaming counterpart of the constructor's
-    /// per-block loop. Stage indices of everything already built are
+    /// existing stages (the constructor is this, folded over the
+    /// workload). Stage indices of everything already built are
     /// stable, so a wrapping [`ProjectedOracle`] keeps every memo entry
     /// for earlier stages warm across the extension.
     ///
+    /// Every statement is probed once under the empty configuration so
+    /// unknown columns and type mismatches surface now, and the stage's
+    /// statements are grouped by their planner relevance mask.
+    ///
     /// # Errors
-    /// Same per-statement validation as [`EngineOracle::new`].
+    /// A statement that does not bind against the oracle's table; the
+    /// oracle is left as it was.
     pub fn append_block(&mut self, block: &cdpd_workload::Block) -> Result<()> {
         let _span = cdpd_obs::span!(
             "oracle.engine.append_block",
@@ -125,11 +122,11 @@ impl EngineOracle {
         );
         let mut stage_parts: Vec<Part> = Vec::new();
         for w in &block.weighted {
-            self.whatif.dml_cost(&w.statement, &[])?;
+            self.whatif.dml_cost_resolved(&w.statement, &[])?;
             let mask = mask_of(
                 &self
                     .whatif
-                    .relevant_structures(&w.statement, &self.structures)?,
+                    .relevant_resolved(&w.statement, &self.resolved)?,
             );
             match stage_parts.iter_mut().find(|p| p.mask == mask) {
                 Some(part) => part.members.push((w.statement.clone(), w.count)),
@@ -154,7 +151,9 @@ impl EngineOracle {
     /// shape and the structure columns, not on the statistics, so the
     /// part decomposition survives a stats change — only the cached
     /// *costs* go stale, and which of those to evict is exactly what
-    /// [`EngineOracle::part_references`] answers.
+    /// [`EngineOracle::part_references`] answers. The structure list is
+    /// resolved again: shapes, and with them `TRANS` and `SIZE`, follow
+    /// the statistics.
     ///
     /// # Errors
     /// The new snapshot must be over the same table and resolve every
@@ -167,9 +166,7 @@ impl EngineOracle {
                 self.whatif.table()
             )));
         }
-        for spec in &self.structures {
-            whatif.shape(spec)?;
-        }
+        self.resolved = whatif.resolve_structures(&self.structures)?;
         self.whatif = whatif;
         Ok(())
     }
@@ -255,15 +252,19 @@ impl CostOracle for EngineOracle {
     }
 
     fn trans(&self, from: &Config, to: &Config) -> Cost {
-        self.whatif
-            .trans_cost(&self.specs_of(from), &self.specs_of(to))
-            .expect("constructor validated structures")
+        let builds: Cost = to
+            .minus(from)
+            .structures()
+            .map(|i| self.whatif.build_cost(&self.resolved[i]))
+            .sum();
+        builds + CostModel::drop().scale(from.minus(to).len() as u64)
     }
 
     fn size(&self, config: &Config) -> u64 {
-        self.whatif
-            .config_size_pages(&self.specs_of(config))
-            .expect("constructor validated structures")
+        config
+            .structures()
+            .map(|i| self.resolved[i].shape.total_pages)
+            .sum()
     }
 }
 
@@ -282,13 +283,16 @@ impl ProjectableOracle for EngineOracle {
 
     fn exec_part(&self, stage: usize, part: usize, config: &Config) -> Cost {
         let part = &self.parts[stage][part];
-        let specs = self.specs_of(config);
+        let indexes: Vec<IndexInfo> = config
+            .structures()
+            .map(|i| self.resolved[i].clone())
+            .collect();
         self.stats.record_whatif_calls(part.members.len() as u64);
         part.members
             .iter()
             .map(|(stmt, count)| {
                 self.whatif
-                    .dml_cost(stmt, &specs)
+                    .dml_cost_resolved(stmt, &indexes)
                     .expect("constructor validated statements and structures")
                     .scale(*count)
             })

@@ -6,7 +6,10 @@
 //! random candidate structure subsets. And the advisor's one pipeline
 //! (memo, rename to the active set, candidates, solver, globalize) must
 //! return exactly the schedule a direct solve over the raw, un-renamed
-//! oracle returns.
+//! oracle returns. And a *warm* oracle — one that has priced stages,
+//! kept per-stage singleton answers, resolved its structures — must
+//! never serve a price the statistics have since moved: after every
+//! kind of refresh it agrees with an oracle built cold.
 //!
 //! This is the differential argument for the whole layer: projection
 //! (`exec(i, c) = exec(i, c ∩ mask)`) and part decomposition
@@ -17,11 +20,13 @@ mod common;
 
 use cdpd::core::{
     decompose, enumerate_configs, kaware, Config, CostOracle, Decomposition, Problem,
+    ProjectableOracle,
 };
 use cdpd::engine::{Database, IndexSpec, WhatIfEngine};
 use cdpd::sql::Dml;
-use cdpd::workload::{summarize, Trace};
-use cdpd::{Advisor, AdvisorOptions, Algorithm, EngineOracle};
+use cdpd::types::Value;
+use cdpd::workload::{summarize, SummarizedWorkload, Trace};
+use cdpd::{Advisor, AdvisorOptions, Algorithm, EngineOracle, OnlineAdvisor, OnlineOptions};
 use cdpd_testkit::prop::Config as PropConfig;
 use cdpd_testkit::{props, Prng};
 use common::paper_database;
@@ -121,6 +126,273 @@ fn wide_pool() -> Vec<IndexSpec> {
         }
     }
     out
+}
+
+/// A statement over any of the wide table's eight columns, writes
+/// included.
+fn random_wide_stmt(rng: &mut Prng, domain: i64) -> Dml {
+    let col = rng.gen_range(0..WIDE_COLS);
+    let col2 = rng.gen_range(0..WIDE_COLS);
+    let v = rng.gen_range(0..domain);
+    dml(&match rng.gen_range(0..7u32) {
+        0 | 1 => format!("SELECT * FROM w WHERE c{col} = {v}"),
+        2 => format!("SELECT c{col2} FROM w WHERE c{col} = {v}"),
+        3 => format!(
+            "SELECT * FROM w WHERE c{col} BETWEEN {v} AND {}",
+            v + domain / 20
+        ),
+        4 => format!("SELECT * FROM w WHERE c{col} = {v} AND c{col2} = {v}"),
+        5 => format!("UPDATE w SET c{col2} = {v} WHERE c{col} = {v}"),
+        _ => format!("DELETE FROM w WHERE c{col} = {v}"),
+    })
+}
+
+/// Configurations to compare two oracles on: nothing, every single
+/// structure, and random sets of two to four.
+fn sample_configs(rng: &mut Prng, m: usize) -> Vec<Config> {
+    let mut out = vec![Config::EMPTY];
+    out.extend((0..m).map(Config::single));
+    for _ in 0..40 {
+        let width = rng.gen_range(2..5usize);
+        out.push((0..width).fold(Config::EMPTY, |c, _| c.with(rng.gen_range(0..m))));
+    }
+    out
+}
+
+/// Every price the warm oracle serves over `sample` — `exec`, the
+/// per-stage singleton answer, `trans`, `size` — against an oracle
+/// built cold, and unmemoized, over the database's current statistics.
+fn assert_prices_match_a_cold_oracle<O: ProjectableOracle>(
+    when: &str,
+    warm: &O,
+    db: &Database,
+    structures: &[IndexSpec],
+    workload: &SummarizedWorkload,
+    sample: &[Config],
+) {
+    let cold = EngineOracle::new(
+        WhatIfEngine::snapshot(db, "w").expect("analyzed"),
+        structures.to_vec(),
+        workload,
+    )
+    .expect("valid oracle");
+    assert_eq!(warm.n_stages(), cold.n_stages(), "{when}");
+    for stage in 0..cold.n_stages() {
+        for cfg in sample {
+            assert_eq!(
+                warm.exec(stage, cfg),
+                cold.exec(stage, cfg),
+                "{when}: EXEC stage {stage} cfg {cfg:?}"
+            );
+        }
+        assert_eq!(
+            warm.singleton_costs(stage),
+            cold.singleton_costs(stage),
+            "{when}: singleton answer, stage {stage}"
+        );
+    }
+    for (i, x) in sample.iter().enumerate() {
+        let y = &sample[(i * 7 + 3) % sample.len()];
+        assert_eq!(
+            warm.trans(x, y),
+            cold.trans(x, y),
+            "{when}: TRANS {x:?} -> {y:?}"
+        );
+        assert_eq!(warm.size(x), cold.size(x), "{when}: SIZE {x:?}");
+    }
+}
+
+/// Ask for every price in `sample`, so a memo that forgets to evict has
+/// something stale to serve.
+fn warm_up<O: ProjectableOracle>(oracle: &O, sample: &[Config]) {
+    for stage in 0..oracle.n_stages() {
+        for cfg in sample {
+            oracle.exec(stage, cfg);
+        }
+        oracle.singleton_costs(stage);
+    }
+    for cfg in sample {
+        oracle.size(cfg);
+    }
+}
+
+fn run_update(db: &Database, rng: &mut Prng, domain: i64) {
+    let (set, by) = (rng.gen_range(0..WIDE_COLS), rng.gen_range(0..WIDE_COLS));
+    let (to, at) = (rng.gen_range(0..domain), rng.gen_range(0..domain));
+    db.execute_dml(&dml(&format!(
+        "UPDATE w SET c{set} = {to} WHERE c{by} = {at}"
+    )))
+    .expect("update runs");
+}
+
+fn insert_rows(db: &Database, rng: &mut Prng, rows: i64, domain: i64) {
+    for _ in 0..rows {
+        let row: Vec<Value> = (0..WIDE_COLS)
+            .map(|_| Value::Int(rng.gen_range(0..domain)))
+            .collect();
+        db.insert("w", &row).expect("row matches schema");
+    }
+}
+
+props! {
+    config: PropConfig::with_cases(4);
+
+    /// No stale price survives a statistics refresh, whichever way it
+    /// arrives: through `OnlineAdvisor::note_stats_refresh` when only
+    /// column statistics moved (evict the parts predicating on them),
+    /// through it when the row count moved (evict everything, sizes
+    /// too), or through `EngineOracle::refresh_whatif` driven by hand.
+    /// The resolved structure list is refreshed with the snapshot, so
+    /// TRANS and SIZE follow the statistics as EXEC does.
+    fn no_stale_price_survives_a_stats_refresh(seed in 0u64..1_000_000) {
+        const ROWS: i64 = 2_000;
+        let db = common::wide_database(ROWS, WIDE_COLS, 1 + *seed);
+        let domain = ROWS / 5;
+        let mut rng = Prng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut structures: Vec<IndexSpec> = Vec::new();
+        let pool = wide_pool();
+        while structures.len() < 20 {
+            let spec = pool[rng.gen_range(0..pool.len())].clone();
+            if !structures.contains(&spec) {
+                structures.push(spec);
+            }
+        }
+        let stmts: Vec<Dml> = (0..STAGES * STMTS_PER_STAGE)
+            .map(|_| random_wide_stmt(&mut rng, domain))
+            .collect();
+        let workload =
+            summarize(&Trace::new("w", stmts.clone()), STMTS_PER_STAGE).expect("aligned windows");
+        let sample = sample_configs(&mut rng, structures.len());
+
+        let mut advisor = OnlineAdvisor::new(
+            &db,
+            "w",
+            OnlineOptions {
+                advisor: AdvisorOptions {
+                    k: Some(2),
+                    window_len: STMTS_PER_STAGE,
+                    structures: Some(structures.clone()),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        )
+        .expect("pool validates");
+        let decisions = advisor.ingest_all(&db, &stmts).expect("statements bind");
+        assert_eq!(decisions.len(), STAGES);
+        let check = |when: &str, advisor: &OnlineAdvisor| {
+            let warm = advisor.oracle().expect("windows sealed");
+            assert_prices_match_a_cold_oracle(when, warm, &db, &structures, &workload, &sample);
+        };
+        check("freshly built", &advisor);
+
+        // Column statistics move, row and page counts do not.
+        warm_up(advisor.oracle().expect("windows sealed"), &sample);
+        for _ in 0..120 {
+            run_update(&db, &mut rng, domain);
+        }
+        let refresh = db.refresh_stats("w").expect("analyzed");
+        assert!(
+            !refresh.rows_changed && !refresh.changed_columns.is_empty(),
+            "updates move column statistics only: {refresh:?}"
+        );
+        advisor.note_stats_refresh(&db, &refresh).expect("same table");
+        check("after a changed-columns refresh", &advisor);
+
+        // The row count moves: every selectivity, shape, build cost and
+        // size with it.
+        warm_up(advisor.oracle().expect("windows sealed"), &sample);
+        insert_rows(&db, &mut rng, ROWS / 4, domain);
+        let refresh = db.refresh_stats("w").expect("analyzed");
+        assert!(refresh.rows_changed, "{refresh:?}");
+        advisor.note_stats_refresh(&db, &refresh).expect("same table");
+        check("after a rows-changed refresh", &advisor);
+
+        // The same protocol by hand on a bare memo: refresh the
+        // snapshot, evict every part, drop the sizes.
+        let mut bare = EngineOracle::new(
+            WhatIfEngine::snapshot(&db, "w").expect("analyzed"),
+            structures.clone(),
+            &workload,
+        )
+        .expect("valid oracle")
+        .into_shared();
+        warm_up(&bare, &sample);
+        insert_rows(&db, &mut rng, ROWS / 4, domain);
+        db.refresh_stats("w").expect("analyzed");
+        bare.inner_mut()
+            .refresh_whatif(WhatIfEngine::snapshot(&db, "w").expect("analyzed"))
+            .expect("same table, same structures");
+        bare.retain_parts(|_, _| false);
+        bare.invalidate_sizes();
+        assert_prices_match_a_cold_oracle(
+            "after refresh_whatif",
+            &bare,
+            &db,
+            &structures,
+            &workload,
+            &sample,
+        );
+    }
+
+    /// Appending a stage leaves the earlier stages' singleton answers
+    /// where they are — served from the memo, no part re-evaluated —
+    /// and the relevance masks a stage is grouped by are, statement by
+    /// statement, the ones `WhatIfEngine::relevant_structures` answers
+    /// over unresolved specs.
+    fn appended_stages_keep_earlier_answers_and_masks_match_the_planner(
+        seed in 0u64..1_000_000,
+    ) {
+        let db = wide_db();
+        let domain = WIDE_ROWS / 5;
+        let mut rng = Prng::seed_from_u64(seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1);
+        let structures = wide_pool();
+        let whatif = WhatIfEngine::snapshot(db, "w").expect("analyzed");
+        // One statement per stage: a stage has one part, and its mask
+        // is that statement's.
+        let stmts: Vec<Dml> = (0..8).map(|_| random_wide_stmt(&mut rng, domain)).collect();
+        let workload = summarize(&Trace::new("w", stmts.clone()), 1).expect("aligned windows");
+        let head = SummarizedWorkload {
+            table: workload.table.clone(),
+            blocks: workload.blocks[..4].to_vec(),
+        };
+        let mut oracle = EngineOracle::new(
+            WhatIfEngine::snapshot(db, "w").expect("analyzed"),
+            structures.clone(),
+            &head,
+        )
+        .expect("valid oracle")
+        .into_shared();
+        let before: Vec<_> = (0..4).map(|stage| oracle.singleton_costs(stage)).collect();
+
+        for (i, block) in workload.blocks[4..].iter().enumerate() {
+            oracle.inner_mut().append_block(block).expect("statement binds");
+            let evals = oracle.stats_snapshot().raw_exec_evals;
+            for (stage, want) in before.iter().enumerate() {
+                assert_eq!(oracle.singleton_costs(stage), *want, "stage {stage}");
+            }
+            assert_eq!(
+                oracle.stats_snapshot().raw_exec_evals,
+                evals,
+                "earlier stages are read, not re-priced"
+            );
+            let fresh = oracle.singleton_costs(4 + i);
+            assert!(oracle.stats_snapshot().raw_exec_evals > evals, "the new stage is priced");
+            assert_eq!(fresh.singles.len(), oracle.relevance_mask(4 + i).len());
+        }
+
+        for (stage, stmt) in stmts.iter().enumerate() {
+            let relevant = whatif.relevant_structures(stmt, &structures).expect("binds");
+            let mask = relevant
+                .iter()
+                .enumerate()
+                .filter(|(_, &r)| r)
+                .fold(Config::EMPTY, |acc, (i, _)| acc.with(i));
+            assert_eq!(oracle.n_parts(stage), 1);
+            assert_eq!(oracle.part_mask(stage, 0), mask, "statement {stmt}");
+            assert_eq!(oracle.relevance_mask(stage), mask, "statement {stmt}");
+        }
+    }
 }
 
 props! {

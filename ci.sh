@@ -170,6 +170,16 @@ assert spans > 0, "trace contains no span records"
 print(f"ok: {spans} span + {events} event records, monotonic timestamps")
 EOF
 
+echo "== §7 and §8 entry points run: alerter-gated online loop, one-pass k-curve =="
+# The alerter gate must hold some windows back (a gate that always
+# re-solves is no gate), and W1's cost-vs-k curve must knee at its two
+# major shifts.
+cargo run --release --offline --quiet --example alerter_loop > target/alerter_loop.txt
+grep -q "resolved false" target/alerter_loop.txt
+cargo run --release --offline --quiet --example pick_k > target/pick_k.txt
+grep -q "knee of the curve: k = 2" target/pick_k.txt
+echo "ok: alerter_loop and pick_k ran"
+
 echo "== calibration report: example emits schema-valid JSON =="
 # The calibrate example replays W1 under ModelAccount calibration and
 # prints exactly one CalibrationReport JSON object on stdout; validate
@@ -282,7 +292,7 @@ GATED = {
         "trans_calls/kaware": 0.90,
     },
     # Calibrated replay throughput: the predicted-vs-actual loop is on
-    # by default in replay_with, so a collapse here means the
+    # by default in replay, so a collapse here means the
     # calibration layer started costing real time. Wide band: raw
     # throughput swings with host load.
     "BENCH_obs.json": {

@@ -18,7 +18,7 @@
 //!
 //! The calibration layer gets the same treatment: a quickstart-scale
 //! replay runs with the predicted-vs-actual loop closed (the
-//! `replay_with` default), its wall time and statement count are
+//! `replay` default), its wall time and statement count are
 //! measured, and the per-statement [`cdpd::WindowCalibration::record`]
 //! cost plus a once-per-window [`Sampler::sample_now`] are priced
 //! against it. That combined ratio is also asserted `< 2%`, and the
@@ -26,7 +26,7 @@
 //! ci.sh bench-diff gate.
 
 use cdpd::obs::timeseries::Sampler;
-use cdpd::replay::replay_with;
+use cdpd::replay::{replay, ReplayOptions};
 use cdpd::workload::{generate, paper, QueryMix, WorkloadSpec};
 use cdpd::{PathKind, WindowCalibration};
 use cdpd_bench::{build_database, Scale};
@@ -130,7 +130,7 @@ fn bench_obs_overhead(criterion: &mut Criterion) {
 
     // --- Sampler + calibration overhead on a quickstart-scale replay.
     //
-    // The replay runs with calibration on (replay_with's default
+    // The replay runs with calibration on (replay's default
     // MeasuredIo pass), so its wall time already *includes* the loop;
     // pricing the per-statement record plus a once-per-window registry
     // sample against that wall is therefore conservative.
@@ -154,8 +154,12 @@ fn bench_obs_overhead(criterion: &mut Criterion) {
     for _ in 0..3 {
         let db = build_database(&scale);
         let start = Instant::now();
+        let options = ReplayOptions {
+            threads: 1,
+            ..Default::default()
+        };
         let report =
-            replay_with(&db, &trace, WINDOW, &schedule, None, 1).expect("calibrated replay runs");
+            replay(&db, &trace, WINDOW, &schedule, None, options).expect("calibrated replay runs");
         replay_wall_ns = replay_wall_ns.min(start.elapsed().as_nanos() as f64);
         let calib = report.calibration.expect("replay always calibrates");
         assert_eq!(calib.samples, trace.len() as u64);

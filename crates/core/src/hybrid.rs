@@ -42,8 +42,11 @@ pub struct HybridOutcome {
 }
 
 /// Fraction of the unconstrained change count above which merging is
-/// chosen. Calibrated from the Figure 4 reproduction: the curves cross
-/// near `k ≈ l/2`.
+/// chosen: the paper's §6.4 split, "merging for larger k", placed at
+/// half of `l`. It is not fitted to a measurement: the Figure 4
+/// reproduction (EXPERIMENTS.md) finds merging cheaper at every `k` in
+/// `2..=18`. Choosing the strategy from evidence instead is ROADMAP.md
+/// item 5(b).
 pub const DEFAULT_SWITCH_FRACTION: f64 = 0.5;
 
 /// Solve with the default switch point.

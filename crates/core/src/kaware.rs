@@ -31,7 +31,12 @@ pub(crate) fn shortest_path(
 ) -> Result<Vec<usize>> {
     tables
         .shortest_path(problem, Some(k))
-        .ok_or_else(|| Error::Infeasible(format!("no design with at most {k} changes")))
+        .ok_or_else(|| no_design(k))
+}
+
+/// The error for a budget under which no finite-cost design exists.
+pub(crate) fn no_design(k: usize) -> Error {
+    Error::Infeasible(format!("no design with at most {k} changes"))
 }
 
 /// Optimal design with at most `k` changes over `candidates`.

@@ -5,8 +5,7 @@
 //! Two tools:
 //!
 //! * [`cost_curve`] — the constrained-optimal cost for every `k` in
-//!   `0..=k_max`, computed in parallel (each `k` is an independent
-//!   k-aware solve). The curve is non-increasing and flattens once `k`
+//!   `0..=k_max`. The curve is non-increasing and flattens once `k`
 //!   reaches the unconstrained change count.
 //! * [`suggest_k`] — the *knee* of that curve: the smallest `k` whose
 //!   cost is within `tolerance` of the unconstrained optimum. Costs
@@ -15,12 +14,18 @@
 //!   domain-knowledge rule of thumb §2 describes (*"choose a value of k
 //!   equal to or a bit larger than the number of anticipated
 //!   fluctuations"*), derived from data instead of domain knowledge.
+//!
+//! Every curve is one table build and one k-aware pass at `k_max`,
+//! whose lower layers hold every smaller budget's answer, ties
+//! included (`tests/solver_prop.rs` holds it against `k_max + 1`
+//! separate [`kaware`] solves).
 
 use crate::config::Config;
 use crate::kaware;
-use crate::oracle::SharedOracle;
-use crate::problem::Problem;
+use crate::problem::{CostOracle, Problem};
 use crate::schedule::Schedule;
+use crate::tables::CostTables;
+use crate::warm;
 use cdpd_types::{Cost, Error, Result};
 
 /// One point of the cost-vs-k curve.
@@ -34,14 +39,12 @@ pub struct KCurvePoint {
     pub changes: usize,
 }
 
-/// Constrained-optimal cost for each `k ∈ 0..=k_max`, solved in
-/// parallel across budgets.
+/// Constrained-optimal cost for each `k ∈ 0..=k_max`.
 ///
-/// Like every parallel sweep in this module, the oracle bound is the
-/// unified [`SharedOracle`] (`CostOracle + Sync`) — any oracle built
-/// through the `crate::oracle` layer qualifies.
-pub fn cost_curve<O: SharedOracle>(
-    oracle: &O,
+/// # Errors
+/// Those of [`kaware::solve`] at any budget in the range.
+pub fn cost_curve(
+    oracle: &dyn CostOracle,
     problem: &Problem,
     candidates: &[Config],
     k_max: usize,
@@ -51,57 +54,79 @@ pub fn cost_curve<O: SharedOracle>(
 
 /// [`cost_curve`] with the first `prefix.len()` stages pinned to an
 /// already-committed prefix — the rolling-budget sweep an online
-/// advisor runs when its horizon grows (each budget is a warm
-/// [`kaware::solve_with_prefix`], so a shared memoizing oracle serves
-/// most probes from cache).
+/// advisor runs when its horizon grows. Point `k` is
+/// [`kaware::solve_with_prefix`]'s answer at `k`.
 ///
-/// Budgets smaller than the changes the prefix already spent are
-/// infeasible by construction and *omitted* from the returned curve
-/// (the curve then starts at the spent-change count); any other error
-/// is propagated. An empty prefix reproduces [`cost_curve`] exactly.
-pub fn cost_curve_with_prefix<O: SharedOracle>(
-    oracle: &O,
+/// Under a non-empty prefix, a budget with no feasible design — in
+/// particular one smaller than the changes the prefix already spent —
+/// is *omitted* from the returned curve; any other error is propagated.
+/// An empty prefix reproduces [`cost_curve`] exactly.
+pub fn cost_curve_with_prefix(
+    oracle: &dyn CostOracle,
     problem: &Problem,
     candidates: &[Config],
     k_max: usize,
     prefix: &[Config],
 ) -> Result<Vec<KCurvePoint>> {
-    let mut results: Vec<Option<Result<Option<KCurvePoint>>>> = Vec::new();
-    results.resize_with(k_max + 1, || None);
-    // std::thread::scope re-raises worker panics after joining; catch
-    // them so a poisoned solve surfaces as an error, not an abort.
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        std::thread::scope(|scope| {
-            for (k, slot) in results.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    let _span = cdpd_obs::span!("kselect.solve_k", k = k);
-                    let started = std::time::Instant::now();
-                    let solved = kaware::solve_with_prefix(oracle, problem, candidates, k, prefix);
-                    *slot = Some(match solved {
-                        Ok(s) => Ok(Some(KCurvePoint {
-                            k,
-                            cost: s.total_cost(),
-                            changes: s.changes,
-                        })),
-                        // The committed prefix outspends this budget:
-                        // skip the point rather than poisoning the sweep.
-                        Err(Error::Infeasible(_)) if !prefix.is_empty() => Ok(None),
-                        Err(e) => Err(e),
-                    });
-                    cdpd_obs::histogram!("kselect.k_solve_nanos")
-                        .record(started.elapsed().as_nanos() as u64);
-                });
+    let _span = cdpd_obs::span!("kselect.curve", k_max = k_max, prefix = prefix.len());
+    Ok(schedules(oracle, problem, candidates, k_max, prefix)?
+        .into_iter()
+        .map(|(k, s)| KCurvePoint {
+            k,
+            cost: s.total_cost(),
+            changes: s.changes,
+        })
+        .collect())
+}
+
+/// `(k, schedule)` at every budget [`cost_curve_with_prefix`] keeps.
+fn schedules(
+    oracle: &dyn CostOracle,
+    problem: &Problem,
+    candidates: &[Config],
+    k_max: usize,
+    prefix: &[Config],
+) -> Result<Vec<(usize, Schedule)>> {
+    // Under a prefix an infeasible budget is omitted, and infeasibility
+    // that does not depend on the budget omits every one; with no
+    // prefix it is an error, as it is for every per-budget solve.
+    let omit = |e: Error| match e {
+        Error::Infeasible(_) if !prefix.is_empty() => Ok(Vec::new()),
+        e => Err(e),
+    };
+    if let Err(e) = warm::check_prefix(oracle, problem, prefix) {
+        return omit(e);
+    }
+    let spent = warm::prefix_changes(problem, prefix);
+    let Some(room) = k_max.checked_sub(spent) else {
+        return Ok(Vec::new());
+    };
+    if !prefix.is_empty() && prefix.len() == oracle.n_stages() {
+        let pinned = Schedule::evaluate(oracle, problem, prefix.to_vec());
+        return Ok((spent..=k_max).map(|k| (k, pinned.clone())).collect());
+    }
+    let suffix = warm::SuffixOracle {
+        inner: oracle,
+        start: prefix.len(),
+    };
+    let sub = warm::suffix_problem(problem, prefix);
+    let tables = match CostTables::build(&suffix, &sub, candidates) {
+        Ok(tables) => tables,
+        Err(e) => return omit(e),
+    };
+    let mut out = Vec::with_capacity(room + 1);
+    for (k, tail) in (spent..=k_max).zip(tables.shortest_paths(&sub, Some(room), 0)) {
+        match tail {
+            Some(tail) => {
+                let mut configs = prefix.to_vec();
+                configs.extend(tail.iter().map(|&c| tables.configs()[c].clone()));
+                out.push((k, Schedule::evaluate(oracle, problem, configs)));
             }
-        });
-    }))
-    .map_err(|_| Error::InvalidArgument("k-sweep worker panicked".into()))?;
-    let mut curve = Vec::with_capacity(k_max + 1);
-    for r in results {
-        if let Some(point) = r.expect("every slot filled by its worker")? {
-            curve.push(point);
+            None if prefix.is_empty() => return Err(kaware::no_design(k)),
+            None => {}
         }
     }
-    Ok(curve)
+    Ok(out)
 }
 
 /// The knee of a cost curve: the smallest `k` whose cost is within
@@ -173,12 +198,11 @@ pub struct RobustPoint {
 /// monotonically with `k` — held-out cost does not, and its minimum is
 /// the `k` that generalizes.
 ///
-/// Budgets are solved in parallel, like [`cost_curve`] — the two
-/// sweeps share the [`SharedOracle`] bound (holdouts included, since
-/// every worker re-costs on them).
-pub fn robust_curve<O: SharedOracle>(
-    train: &O,
-    holdouts: &[&dyn SharedOracle],
+/// Budget `k`'s schedule is [`kaware::solve`]'s at `k`, read off one
+/// pass like [`cost_curve`]'s.
+pub fn robust_curve(
+    train: &dyn CostOracle,
+    holdouts: &[&dyn CostOracle],
     problem: &Problem,
     candidates: &[Config],
     k_max: usize,
@@ -195,41 +219,23 @@ pub fn robust_curve<O: SharedOracle>(
             ));
         }
     }
-    let mut results: Vec<Option<Result<RobustPoint>>> = Vec::new();
-    results.resize_with(k_max + 1, || None);
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        std::thread::scope(|scope| {
-            for (k, slot) in results.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    let _span = cdpd_obs::span!("kselect.robust_k", k = k);
-                    let started = std::time::Instant::now();
-                    *slot = Some(
-                        kaware::solve(train, problem, candidates, k).map(|schedule| {
-                            let mut total: u128 = 0;
-                            for oracle in holdouts {
-                                let s =
-                                    Schedule::evaluate(*oracle, problem, schedule.configs.clone());
-                                total += s.total_cost().raw() as u128;
-                            }
-                            let mean = (total / holdouts.len() as u128) as u64;
-                            RobustPoint {
-                                k,
-                                train_cost: schedule.total_cost(),
-                                mean_test_cost: Cost::from_raw(mean),
-                            }
-                        }),
-                    );
-                    cdpd_obs::histogram!("kselect.k_solve_nanos")
-                        .record(started.elapsed().as_nanos() as u64);
-                });
-            }
-        });
-    }))
-    .map_err(|_| Error::InvalidArgument("robust k-sweep worker panicked".into()))?;
-    results
+    let _span = cdpd_obs::span!("kselect.robust_curve", k_max = k_max);
+    Ok(schedules(train, problem, candidates, k_max, &[])?
         .into_iter()
-        .map(|r| r.expect("every slot filled by its worker"))
-        .collect()
+        .map(|(k, schedule)| {
+            let total: u128 = holdouts
+                .iter()
+                .map(|h| Schedule::evaluate(*h, problem, schedule.configs.clone()))
+                .map(|s| s.total_cost().raw() as u128)
+                .sum();
+            let mean = (total / holdouts.len() as u128) as u64;
+            RobustPoint {
+                k,
+                train_cost: schedule.total_cost(),
+                mean_test_cost: Cost::from_raw(mean),
+            }
+        })
+        .collect())
 }
 
 /// The budget minimizing held-out cost (smallest such `k` on ties).
@@ -399,7 +405,7 @@ mod tests {
         let holdout = fluctuating(0);
         let p = Problem::paper_experiment();
         let cands = enumerate_configs(&train, None, Some(1)).unwrap();
-        let curve = robust_curve(&train, &[&holdout as &dyn SharedOracle], &p, &cands, 10).unwrap();
+        let curve = robust_curve(&train, &[&holdout as &dyn CostOracle], &p, &cands, 10).unwrap();
         // Training cost is non-increasing in k ...
         for w in curve.windows(2) {
             assert!(w[1].train_cost <= w[0].train_cost);
@@ -424,7 +430,7 @@ mod tests {
         assert!(robust_curve(&train, &[], &p, &cands, 3).is_err());
         let short = SyntheticOracle::from_fn(5, 3, |_, _| c(1), vec![c(1); 3], c(1), vec![1; 3]);
         assert!(
-            robust_curve(&train, &[&short as &dyn SharedOracle], &p, &cands, 3).is_err(),
+            robust_curve(&train, &[&short as &dyn CostOracle], &p, &cands, 3).is_err(),
             "stage-count mismatch must be rejected"
         );
         assert_eq!(suggest_robust_k(&[]), None);
@@ -467,17 +473,5 @@ mod tests {
         let plain = cost_curve(&o, &p, &cands, 5).unwrap();
         let empty = cost_curve_with_prefix(&o, &p, &cands, 5, &[]).unwrap();
         assert_eq!(plain, empty);
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let o = w1_like();
-        let p = Problem::paper_experiment();
-        let cands = enumerate_configs(&o, None, Some(1)).unwrap();
-        let curve = cost_curve(&o, &p, &cands, 5).unwrap();
-        for point in &curve {
-            let serial = kaware::solve(&o, &p, &cands, point.k).unwrap();
-            assert_eq!(serial.total_cost(), point.cost);
-        }
     }
 }

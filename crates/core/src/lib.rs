@@ -51,8 +51,7 @@ mod warm;
 pub use config::{enumerate_configs, Config, ENUMERABLE_WIDTH, MAX_STRUCTURE_INDEX};
 pub use decompose::{Decomposition, LocalOracle};
 pub use oracle::{
-    OracleStats, OracleStatsSnapshot, ProjectableOracle, ProjectedOracle, SharedOracle,
-    SingletonCosts,
+    OracleStats, OracleStatsSnapshot, ProjectableOracle, ProjectedOracle, SingletonCosts,
 };
 pub use problem::{CostOracle, Problem, SyntheticOracle};
 pub use schedule::Schedule;

@@ -34,17 +34,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A [`CostOracle`] that is shareable across solver worker threads.
-///
-/// This is the unified bound every solver entry point uses (previously
-/// `cost_curve` demanded `O: CostOracle + Sync` while `robust_curve`
-/// asked for bare `CostOracle` — the drift this trait removes). It is
-/// blanket-implemented, object-safe (`&dyn SharedOracle` works for
-/// holdout lists), and carries no methods of its own.
-pub trait SharedOracle: CostOracle + Sync {}
-
-impl<T: CostOracle + Sync + ?Sized> SharedOracle for T {}
-
 // ---------------------------------------------------------------------
 // Instrumentation
 // ---------------------------------------------------------------------
@@ -522,7 +511,6 @@ impl<O: ProjectableOracle> ProjectableOracle for ProjectedOracle<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::SyntheticOracle;
 
     fn c(io: u64) -> Cost {
         Cost::from_ios(io)
@@ -699,24 +687,6 @@ mod tests {
         assert_eq!(o.size(&wide), 3);
         o.size(&wide);
         assert_eq!(o.invalidate_sizes(), 1);
-    }
-
-    #[test]
-    fn shared_oracle_is_object_safe_and_unified() {
-        let o = SyntheticOracle::from_fn(
-            2,
-            2,
-            |s, cfg| c(10 + s as u64 + cfg.len() as u64),
-            vec![c(1), c(2)],
-            c(1),
-            vec![1, 2],
-        );
-        let as_dyn: &dyn SharedOracle = &o;
-        assert_eq!(as_dyn.exec(0, &Config::EMPTY), c(10));
-        fn takes_shared<O: SharedOracle>(o: &O) -> usize {
-            o.n_stages()
-        }
-        assert_eq!(takes_shared(&o), 2);
     }
 
     #[test]

@@ -164,6 +164,21 @@ impl CostTables {
     /// paper's k-aware sequence graph (at most `k` changes), with `None`
     /// that of the plain sequence graph. `None` when no finite-cost
     /// design exists.
+    pub(crate) fn shortest_path(
+        &self,
+        problem: &Problem,
+        budget: Option<usize>,
+    ) -> Option<Vec<usize>> {
+        let top = budget.unwrap_or(0);
+        self.shortest_paths(problem, budget, top).pop().flatten()
+    }
+
+    /// [`CostTables::shortest_path`] at every budget from `lowest` up to
+    /// `budget`, in that order, from one forward pass: layer `j`'s
+    /// distances and predecessors depend only on layers `≤ j`, so the
+    /// pass at budget `k` holds the budget-`j` pass in its first `j + 1`
+    /// layers, and budget `j`'s path is read by restricting the
+    /// destination to them.
     ///
     /// The graph is never materialised. A node is `(stage, config,
     /// layer)`, `layer` being the changes spent so far (always 0 without
@@ -176,11 +191,12 @@ impl CostTables {
     /// the destination, the lowest `(configuration, layer)`. Equal-cost
     /// designs therefore resolve exactly as they did on the explicit
     /// graph (`tests/solver_prop.rs` holds the two side by side).
-    pub(crate) fn shortest_path(
+    pub(crate) fn shortest_paths(
         &self,
         problem: &Problem,
         budget: Option<usize>,
-    ) -> Option<Vec<usize>> {
+        lowest: usize,
+    ) -> Vec<Option<Vec<usize>>> {
         let nc = self.configs.len();
         let layers = budget.map_or(1, |k| k + 1);
         let at = |c: usize, layer: usize| c * layers + layer;
@@ -235,37 +251,40 @@ impl CostTables {
             }
             std::mem::swap(&mut dist, &mut next);
         }
-
-        let mut end = (Cost::MAX, 0, 0);
-        for c in 0..nc {
-            for layer in 0..layers {
-                let total = dist[at(c, layer)] + self.leave(c);
-                if total < end.0 {
-                    end = (total, c, layer);
+        (lowest..layers)
+            .map(|max_layer| {
+                let mut end = (Cost::MAX, 0, 0);
+                for c in 0..nc {
+                    for layer in 0..=max_layer {
+                        let total = dist[at(c, layer)] + self.leave(c);
+                        if total < end.0 {
+                            end = (total, c, layer);
+                        }
+                    }
                 }
-            }
-        }
-        let (total, mut c, mut layer) = end;
-        if total.is_infinite() {
-            return None;
-        }
-        let mut path = vec![0; self.n_stages];
-        for stage in (0..self.n_stages).rev() {
-            path[stage] = c;
-            if stage > 0 {
-                let from = pred[(stage - 1) * nc * layers + at(c, layer)] as usize;
-                if from != c && budget.is_some() {
-                    layer -= 1;
+                let (total, mut c, mut layer) = end;
+                if total.is_infinite() {
+                    return None;
                 }
-                c = from;
-            }
-        }
-        debug_assert_eq!(
-            self.schedule(problem, &path).total_cost(),
-            total,
-            "dynamic program and evaluator disagree"
-        );
-        Some(path)
+                let mut path = vec![0; self.n_stages];
+                for stage in (0..self.n_stages).rev() {
+                    path[stage] = c;
+                    if stage > 0 {
+                        let from = pred[(stage - 1) * nc * layers + at(c, layer)] as usize;
+                        if from != c && budget.is_some() {
+                            layer -= 1;
+                        }
+                        c = from;
+                    }
+                }
+                debug_assert_eq!(
+                    self.schedule(problem, &path).total_cost(),
+                    total,
+                    "dynamic program and evaluator disagree"
+                );
+                Some(path)
+            })
+            .collect()
     }
 }
 

@@ -1,7 +1,8 @@
 //! Warm-start plumbing shared by the prefix-committed solver entry
 //! points ([`crate::seqgraph::solve_with_prefix`],
-//! [`crate::kaware::solve_with_prefix`],
-//! [`crate::kselect::cost_curve_with_prefix`]).
+//! [`crate::kaware::solve_with_prefix`]) and the one-pass k-curve under
+//! a prefix ([`crate::kselect::cost_curve_with_prefix`], one suffix
+//! pass for every budget).
 //!
 //! An online advisor extends its horizon one window at a time. The
 //! stages it has already *executed* are committed — their

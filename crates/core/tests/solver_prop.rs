@@ -4,15 +4,17 @@
 //! than optimal, budgets behave monotonically — and the table-driven
 //! solvers return, schedule for schedule, what the explicit layered
 //! graphs they replaced return ([`reference`]), asking the oracle for
-//! each price at most once.
+//! each price at most once. The one-pass k-curves return what a
+//! separate solve per budget returns.
 
+use cdpd_core::kselect::{self, KCurvePoint, RobustPoint};
 use cdpd_core::{
     enumerate_configs, greedy, hybrid, kaware, merging, ranking, seqgraph, Config as SolverConfig,
     CostOracle, Problem, Schedule, SyntheticOracle,
 };
 use cdpd_testkit::prop::{any_bool, any_u8, vec_of, Config};
 use cdpd_testkit::props;
-use cdpd_types::{Cost, Result};
+use cdpd_types::{Cost, Error, Result};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -354,8 +356,8 @@ fn tied_instance(n: usize, m: usize, exec_seed: &[u8], build_seed: &[u8]) -> Syn
 }
 
 /// Same schedule, or both refuse.
-fn assert_same(what: &str, got: Result<Schedule>, want: &Result<Schedule>) {
-    match (&got, want) {
+fn assert_same(what: &str, got: &Result<Schedule>, want: &Result<Schedule>) {
+    match (got, want) {
         (Ok(g), Ok(w)) => assert_eq!(g, w, "{what}"),
         (Err(_), Err(_)) => {}
         (g, w) => panic!("{what}: tables {g:?} vs reference {w:?}"),
@@ -566,10 +568,10 @@ props! {
             .collect();
 
         let unconstrained = reference::seqgraph(&o, &p, &cands);
-        assert_same("seqgraph", seqgraph::solve(&o, &p, &cands), &unconstrained);
+        assert_same("seqgraph", &seqgraph::solve(&o, &p, &cands), &unconstrained);
         assert_same(
             "kaware",
-            kaware::solve(&o, &p, &cands, k),
+            &kaware::solve(&o, &p, &cands, k),
             &reference::kaware(&o, &p, &cands, k),
         );
 
@@ -579,7 +581,7 @@ props! {
             .collect();
         assert_same(
             "kaware with prefix",
-            kaware::solve_with_prefix(&o, &p, &cands, k, &prefix),
+            &kaware::solve_with_prefix(&o, &p, &cands, k, &prefix),
             &reference::kaware_with_prefix(&o, &p, &cands, k, &prefix),
         );
 
@@ -589,9 +591,118 @@ props! {
         for start in unconstrained.into_iter().chain([arbitrary]) {
             assert_same(
                 "merging",
-                merging::refine(&o, &p, &cands, k, &start),
+                &merging::refine(&o, &p, &cands, k, &start),
                 &reference::refine(&o, &p, &cands, k, &start),
             );
+        }
+    }
+
+    fn one_pass_curves_equal_per_budget_solves(
+        n in 1usize..13,
+        m in 1usize..5,
+        k_max in 0usize..6,
+        exec_seed in vec_of(any_u8(), 8..64),
+        build_seed in vec_of(any_u8(), 1..8),
+        picks in vec_of(any_u8(), 16..32),
+        flags in any_u8(),
+    ) {
+        let (n, m, k_max) = (*n, *m, *k_max);
+        let o = tied_instance(n, m, exec_seed, build_seed);
+        let all = enumerate_configs(&o, None, None).unwrap();
+        let pick = |i: usize| all[picks[i % picks.len()] as usize % all.len()].clone();
+        let p = Problem {
+            initial: if flags & 1 == 0 { SolverConfig::EMPTY } else { pick(0) },
+            final_config: (flags & 2 != 0).then(|| pick(1)),
+            space_bound: (flags & 4 != 0).then_some(1 + (picks[2] as u64) % m as u64),
+            count_initial_change: flags & 8 != 0,
+        };
+        let rotate = picks[3] as usize % all.len();
+        let mut cands: Vec<SolverConfig> =
+            all[rotate..].iter().chain(&all[..rotate]).rev().cloned().collect();
+        if flags & 32 != 0 {
+            // Nothing fits: infeasible at every budget.
+            cands.retain(|c| !p.fits(&o, c));
+        }
+        let fitting: Vec<&SolverConfig> = all.iter().filter(|c| p.fits(&o, c)).collect();
+        let prefix: Vec<SolverConfig> = if flags & 16 == 0 {
+            Vec::new()
+        } else {
+            (0..1 + picks[4] as usize % n)
+                .map(|i| fitting[picks[(5 + i) % picks.len()] as usize % fitting.len()].clone())
+                .collect()
+        };
+
+        // k_max + 1 independent solves, each checked against the
+        // explicit layered graph, which fixes the tie-break.
+        let per_budget: Result<Vec<(usize, Schedule)>> = (0..=k_max)
+            .filter_map(|k| {
+                let solved = kaware::solve_with_prefix(&o, &p, &cands, k, &prefix);
+                let graph = if prefix.is_empty() {
+                    reference::kaware(&o, &p, &cands, k)
+                } else {
+                    reference::kaware_with_prefix(&o, &p, &cands, k, &prefix)
+                };
+                assert_same(&format!("kaware k={k}"), &solved, &graph);
+                match solved {
+                    Ok(s) => Some(Ok((k, s))),
+                    Err(Error::Infeasible(_)) if !prefix.is_empty() => None,
+                    Err(e) => Some(Err(e)),
+                }
+            })
+            .collect();
+        let curve = kselect::cost_curve_with_prefix(&o, &p, &cands, k_max, &prefix);
+        match (&curve, &per_budget) {
+            (Ok(curve), Ok(want)) => {
+                let want: Vec<KCurvePoint> = want
+                    .iter()
+                    .map(|(k, s)| KCurvePoint { k: *k, cost: s.total_cost(), changes: s.changes })
+                    .collect();
+                assert_eq!(curve, &want);
+            }
+            (Err(Error::Infeasible(_)), Err(Error::Infeasible(_))) => {
+                assert!(prefix.is_empty(), "a prefix omits infeasible budgets");
+            }
+            (got, want) => panic!("curve {got:?} vs per-budget {want:?}"),
+        }
+
+        if !prefix.is_empty() {
+            return;
+        }
+        // Re-costing on hold-outs sees the configurations: the
+        // fingerprint hold-out prices a schedule as its configurations'
+        // digits in base 17, so equal costs mean equal designs.
+        let fingerprint = SyntheticOracle::from_fn(
+            n,
+            m,
+            |stage, cfg| Cost::from_raw((cfg.bits() + 1) * 17u64.pow(stage as u32)),
+            vec![Cost::ZERO; m],
+            Cost::ZERO,
+            vec![1; m],
+        );
+        let other = tied_instance(n, m, build_seed, exec_seed);
+        for holdouts in [vec![&fingerprint], vec![&fingerprint, &other]] {
+            let dyn_holdouts: Vec<&dyn CostOracle> =
+                holdouts.iter().map(|h| *h as &dyn CostOracle).collect();
+            let robust = kselect::robust_curve(&o, &dyn_holdouts, &p, &cands, k_max);
+            let want: Result<Vec<RobustPoint>> = (0..=k_max)
+                .map(|k| {
+                    let s = kaware::solve(&o, &p, &cands, k)?;
+                    let held: u128 = holdouts
+                        .iter()
+                        .map(|h| Schedule::evaluate(*h, &p, s.configs.clone()).total_cost().raw() as u128)
+                        .sum();
+                    Ok(RobustPoint {
+                        k,
+                        train_cost: s.total_cost(),
+                        mean_test_cost: Cost::from_raw((held / holdouts.len() as u128) as u64),
+                    })
+                })
+                .collect();
+            match (robust, want) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want),
+                (Err(Error::Infeasible(_)), Err(Error::Infeasible(_))) => {}
+                (got, want) => panic!("robust curve {got:?} vs per-budget {want:?}"),
+            }
         }
     }
 

@@ -5,20 +5,22 @@
 //! > these technologies to trigger an off-line dynamic optimizer such
 //! > as the one presented here."*
 //!
-//! A live system executes statements; an [`Alerter`](cdpd::Alerter)
-//! watches the recent window. When the workload drifts and the current
-//! design deteriorates, the alert fires, carrying the recent trace —
-//! which is fed straight to the offline advisor, whose recommendation
-//! is applied with online DDL. Rinse, repeat.
+//! A live system executes statements and feeds them to an
+//! [`OnlineAdvisor`](cdpd::OnlineAdvisor) whose re-solves are gated by
+//! the alerter check: at every window seal the live design is priced
+//! against the best single candidate on that window, and only when it
+//! is more than 50% worse (`resolve_threshold: Some(0.5)`) does the
+//! optimizer run, its decision applied with online DDL. Rinse, repeat.
 //!
 //! ```sh
 //! cargo run --release --example alerter_loop
 //! ```
 
-use cdpd::engine::{Database, IndexSpec};
+use cdpd::engine::{default_threads, Database, IndexSpec};
+use cdpd::replay::drive;
 use cdpd::types::{ColumnDef, Schema, Value};
 use cdpd::workload::{generate, QueryMix, WorkloadSpec};
-use cdpd::{Advisor, AdvisorOptions, Alerter};
+use cdpd::{AdvisorOptions, OnlineAdvisor, OnlineOptions};
 use cdpd_testkit::Prng;
 
 const ROWS: i64 = 30_000;
@@ -65,46 +67,45 @@ fn main() -> cdpd::types::Result<()> {
         .iter()
         .map(|c| IndexSpec::new("t", &[*c]))
         .collect();
-    let mut alerter = Alerter::new(&db, "t", candidates, 150, 0.5)?;
+    let mut session = OnlineAdvisor::new(
+        &db,
+        "t",
+        OnlineOptions {
+            advisor: AdvisorOptions {
+                k: None,
+                window_len: CHECK_EVERY,
+                structures: Some(candidates),
+                max_structures_per_config: Some(1),
+                ..Default::default()
+            },
+            resolve_threshold: Some(0.5),
+            ..Default::default()
+        },
+    )?;
+    drive(&db, &day, &mut session, default_threads())?;
 
-    let mut alerts = 0;
-    for (i, stmt) in day.statements().iter().enumerate() {
-        db.execute_dml(stmt)?;
-        alerter.observe(stmt);
-
-        if (i + 1) % CHECK_EVERY != 0 {
-            continue;
-        }
-        if let Some(alert) = alerter.check(&db)? {
-            alerts += 1;
-            println!(
-                "statement {:>5}: ALERT — current design {:.0}% worse than achievable",
-                i + 1,
-                alert.degradation * 100.0
-            );
-            // The §7 loop: feed the alert's trace to the offline
-            // advisor and apply its (here: static, k = 0) answer.
-            let rec = Advisor::new(&db, "t")
-                .options(AdvisorOptions {
-                    k: Some(0),
-                    window_len: alert.recent_trace.len(),
-                    max_structures_per_config: Some(1),
-                    ..Default::default()
-                })
-                .recommend(&alert.recent_trace)?;
-            let specs = rec.specs_at(0);
-            let report = db.apply_configuration("t", &specs)?;
-            println!(
-                "                 re-tuned: +[{}] -[{}] ({} I/Os)",
-                report.created.join(", "),
-                report.dropped.join(", "),
-                report.io.total()
-            );
-        }
+    for d in session.decisions() {
+        println!(
+            "window {} (statements {:>4}..{:>4}): live design {:>4.0}% worse than achievable, \
+             resolved {:<5} changed {:<5} -> [{}]",
+            d.window,
+            d.window * CHECK_EVERY,
+            (d.window + 1) * CHECK_EVERY,
+            d.degradation * 100.0,
+            d.resolved,
+            d.changed,
+            d.specs
+                .iter()
+                .map(IndexSpec::display_short)
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
     }
     println!(
-        "\nday finished: {} statements, {alerts} alert-triggered re-tunings",
-        day.len()
+        "\nday finished: {} statements, {} of {} windows re-solved (the first always is)",
+        day.len(),
+        session.resolves(),
+        session.decisions().len()
     );
     println!(
         "final design: [{}]",

@@ -12,7 +12,7 @@
 //! schema check — ci.sh does exactly that.
 
 use cdpd::engine::{Database, IndexSpec};
-use cdpd::replay::replay_calibrated;
+use cdpd::replay::{replay, ReplayOptions};
 use cdpd::types::{ColumnDef, Schema, Value};
 use cdpd::workload::{generate, paper};
 use cdpd::{CalibrationMode, CalibrationOptions};
@@ -74,18 +74,14 @@ fn main() -> cdpd::types::Result<()> {
     // 4. Replay under ModelAccount calibration: the oracle predicts
     //    from the live materialized shapes, the executor keeps its own
     //    model account, and the two must reconcile exactly.
-    let report = replay_calibrated(
-        &db,
-        &trace,
-        WINDOW,
-        &schedule,
-        Some(&[]),
-        2,
-        CalibrationOptions {
+    let options = ReplayOptions {
+        threads: 2,
+        calibration: CalibrationOptions {
             mode: CalibrationMode::ModelAccount,
             ..Default::default()
         },
-    )?;
+    };
+    let report = replay(&db, &trace, WINDOW, &schedule, Some(&[]), options)?;
     let sampler = sampler.stop();
 
     let calib = report

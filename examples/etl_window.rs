@@ -19,7 +19,7 @@
 //! ```
 
 use cdpd::engine::{Database, IndexSpec};
-use cdpd::replay::{replay, replay_recommendation};
+use cdpd::replay::{replay, replay_recommendation, ReplayOptions};
 use cdpd::types::{ColumnDef, Schema, Value};
 use cdpd::workload::{generate, QueryMix, Template, WorkloadSpec};
 use cdpd::{Advisor, AdvisorOptions, Algorithm};
@@ -115,7 +115,14 @@ fn main() -> cdpd::types::Result<()> {
     let db_static = load_accounts(7)?;
     let stages = trace.len().div_ceil(WINDOW);
     let static_specs = vec![vec![IndexSpec::new("accounts", &["balance"])]; stages];
-    let pinned = replay(&db_static, &trace, WINDOW, &static_specs, None)?;
+    let pinned = replay(
+        &db_static,
+        &trace,
+        WINDOW,
+        &static_specs,
+        None,
+        ReplayOptions::default(),
+    )?;
 
     println!("measured I/O over the whole day:");
     println!(

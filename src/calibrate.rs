@@ -7,9 +7,9 @@
 //! ([`cdpd_engine::QueryResult::io`]). This module pairs them per
 //! statement, folds the pairs into per-window summaries, and watches
 //! the *drift* — a smoothed signed relative error — against a
-//! configurable band, raising a watchdog [`cdpd_obs::event!`] (and an
-//! alerter input, see [`crate::Alerter::note_calibration`]) when the
-//! model can no longer be trusted.
+//! configurable band, raising a watchdog [`cdpd_obs::event!`] (and
+//! forcing the §7 gate, [`crate::OnlineOptions::resolve_threshold`],
+//! open) when the model can no longer be trusted.
 //!
 //! Two comparison modes ([`CalibrationMode`]):
 //!
@@ -352,6 +352,11 @@ impl CalibrationTracker {
     /// The current drift score.
     pub fn drift(&self) -> f64 {
         self.drift
+    }
+
+    /// Whether the drift is outside the band right now.
+    pub(crate) fn in_breach(&self) -> bool {
+        self.in_breach
     }
 
     /// The knobs this tracker runs under.

@@ -12,7 +12,7 @@
 use crate::candidates::candidate_indexes;
 use crate::oracle::EngineOracle;
 use cdpd_core::{
-    enumerate_configs, kselect, OracleStatsSnapshot, Problem, ProjectedOracle, SharedOracle,
+    enumerate_configs, kselect, CostOracle, OracleStatsSnapshot, Problem, ProjectedOracle,
 };
 use cdpd_engine::{Database, IndexSpec, WhatIfEngine};
 use cdpd_types::{Error, Result};
@@ -117,8 +117,8 @@ pub fn suggest_k_robust(
             options.seed + 101 + i as u64,
         ))?);
     }
-    let holdout_refs: Vec<&dyn SharedOracle> =
-        holdouts.iter().map(|o| o as &dyn SharedOracle).collect();
+    let holdout_refs: Vec<&dyn CostOracle> =
+        holdouts.iter().map(|o| o as &dyn CostOracle).collect();
 
     let problem = Problem::paper_experiment();
     let candidates = enumerate_configs(&train, None, options.max_structures_per_config)?;

@@ -17,8 +17,9 @@
 //!   [`candidate_indexes`] derives candidate structures from a trace,
 //!   [`Advisor`] is the one-call API, [`OnlineAdvisor`] is its
 //!   streaming counterpart (ingest statements, get design-change
-//!   decisions at every window seal), [`replay`] executes a workload
-//!   under a recommended design schedule, measuring real I/O, and
+//!   decisions at every window seal, gated by the §7 alerter),
+//!   [`replay`] executes a workload under a design schedule or an
+//!   online session, measuring real I/O, and
 //!   [`calibrate`] closes the predicted-vs-actual loop over those
 //!   executions (drift scores and a watchdog over the cost model).
 //!
@@ -54,7 +55,6 @@ pub use cdpd_types as types;
 pub use cdpd_workload as workload;
 
 mod advisor;
-pub mod alerter;
 pub mod calibrate;
 mod candidates;
 pub mod kadvice;
@@ -64,7 +64,6 @@ pub mod replay;
 mod state;
 
 pub use advisor::{Advisor, AdvisorOptions, Algorithm, Recommendation};
-pub use alerter::{Alert, Alerter};
 pub use calibrate::{
     CalibrationMode, CalibrationOptions, CalibrationReport, CalibrationTracker, PathKind,
     WindowCalibration,

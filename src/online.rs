@@ -12,11 +12,11 @@
 //! rolling change budget `k` — so each boundary costs suffix work, not
 //! an O(n) cold solve.
 //!
-//! The §7 *design alerter* is folded into the same loop: every sealed
-//! window is scored for degradation (live design vs best single
-//! candidate, the exact [`crate::Alerter`] check), the signal rides on
-//! every [`OnlineDecision`], and [`OnlineOptions::resolve_threshold`]
-//! can gate re-solving on it.
+//! The §7 *design alerter* is this loop's gate: every sealed window is
+//! scored for degradation (live design vs best single candidate), the
+//! signal rides on every [`OnlineDecision`], and
+//! [`OnlineOptions::resolve_threshold`] gates re-solving on it (or on
+//! calibration drift out of band).
 //!
 //! **Batch equivalence** is the anchor invariant, proven by test
 //! (`tests/online_equiv.rs`): with an unbounded window,
@@ -52,11 +52,12 @@ pub struct OnlineOptions {
     /// k-aware graph); `algorithm` is honored by
     /// [`OnlineAdvisor::finish`], which runs the full batch pipeline.
     pub advisor: AdvisorOptions,
-    /// Fold of the §7 alerter into the loop: when `Some(t)`, a sealed
-    /// window triggers a re-solve only if it ran more than `t`
-    /// (fractional, e.g. `0.5` = 50%) worse under the live design than
-    /// under the best single candidate; `None` re-solves at every
-    /// window boundary.
+    /// The §7 alerter gate: when `Some(t)`, a sealed window triggers a
+    /// re-solve only if it ran more than `t` (fractional, e.g. `0.5` =
+    /// 50%) worse under the live design than under the best single
+    /// candidate, or while the calibration tracker is in breach (the
+    /// degradation is made of the estimates the drift discredits);
+    /// `None` re-solves at every window boundary.
     pub resolve_threshold: Option<f64>,
     /// Retain at most this many sealed windows (`None` = unbounded —
     /// required for batch equivalence). Bounding the window bounds
@@ -554,10 +555,10 @@ impl OnlineAdvisor {
         let stage = oracle.n_stages() - 1;
         let live = self.committed.last().unwrap_or(&self.initial).clone();
 
-        // Folded alerter: live design vs best single candidate on the
-        // sealed window (detection, not optimization — see Alerter).
-        // The singleton answer is priced here, on first touch of the new
-        // stage, and read back by every later candidate derivation.
+        // The §7 alerter: live design vs best single candidate on the
+        // sealed window (detection, not optimization). The singleton
+        // answer is priced here, on first touch of the new stage, and
+        // read back by every later candidate derivation.
         let alert_span = cdpd_obs::span!("online.alert", stage = stage);
         let live_cost = oracle.exec(stage, &live);
         let best = oracle.singleton_costs(stage).best();
@@ -570,8 +571,9 @@ impl OnlineAdvisor {
         let tripped = match self.options.resolve_threshold {
             None => true,
             // Always solve the first window: there is no committed
-            // design yet to carry forward.
-            Some(t) => degradation > t || self.committed.is_empty(),
+            // design yet to carry forward. A cost model out of its
+            // calibration band cannot vouch for a low degradation.
+            Some(t) => degradation > t || self.committed.is_empty() || self.calibration.in_breach(),
         };
         if tripped && self.options.resolve_threshold.is_some() {
             cdpd_obs::counter!("online.alerts").inc();
@@ -1122,6 +1124,96 @@ mod tests {
         assert_eq!(adv.resolves(), 2);
     }
 
+    /// A session over I(a) and the four single-column candidates,
+    /// re-solving only when the §7 gate trips.
+    fn gated(db: &Database, calibration: CalibrationOptions) -> OnlineAdvisor {
+        let structures = ["a", "b", "c", "d"]
+            .iter()
+            .map(|c| IndexSpec::new("t", &[*c]))
+            .collect();
+        let mut options = opts(50, Some(4));
+        options.advisor.structures = Some(structures);
+        options.resolve_threshold = Some(0.5);
+        options.calibration = calibration;
+        OnlineAdvisor::new(db, "t", options).unwrap()
+    }
+
+    #[test]
+    fn quiet_while_the_design_matches() {
+        let db = db_with(10_000, Some("a"));
+        let mut adv = gated(&db, CalibrationOptions::default());
+        for i in 0..200 {
+            adv.ingest(&db, &q("a", i % 100)).unwrap();
+        }
+        let d = adv.decisions();
+        assert_eq!(d.len(), 4);
+        assert!(d[0].resolved, "first window must solve");
+        for later in &d[1..] {
+            assert!(!later.resolved, "I(a) serves a-queries: {later:?}");
+        }
+        assert_eq!(adv.live_specs(), vec![IndexSpec::new("t", &["a"])]);
+    }
+
+    #[test]
+    fn resolves_when_workload_shifts_away() {
+        let db = db_with(10_000, Some("a"));
+        let mut adv = gated(&db, CalibrationOptions::default());
+        for i in 0..50 {
+            adv.ingest(&db, &q("a", i)).unwrap();
+        }
+        assert_eq!(adv.live_specs(), vec![IndexSpec::new("t", &["a"])]);
+        // The workload has moved to column c: I(a) is now useless.
+        let alerts = || cdpd_obs::registry().snapshot().counter("online.alerts");
+        let before = alerts();
+        let mut decision = None;
+        for i in 0..50 {
+            decision = adv.ingest(&db, &q("c", i)).unwrap().or(decision);
+        }
+        let d = decision.expect("the window sealed");
+        assert!(d.resolved, "shift must trip the gate: {d:?}");
+        assert!(d.degradation > 0.5, "{d:?}");
+        assert!(d.changed);
+        assert_eq!(d.specs, vec![IndexSpec::new("t", &["c"])]);
+        assert!(alerts() > before, "online.alerts counts the shift");
+    }
+
+    #[test]
+    fn tripped_calibration_forces_a_resolve() {
+        use crate::calibrate::PathKind;
+        let db = db_with(10_000, Some("a"));
+        let mut adv = gated(
+            &db,
+            CalibrationOptions {
+                band: 1.0,
+                ewma_alpha: 1.0,
+                ..Default::default()
+            },
+        );
+        for i in 0..100 {
+            adv.ingest(&db, &q("a", i % 100)).unwrap();
+        }
+        assert!(!adv.decisions()[1].resolved, "design holds");
+        // A 10× systematic mis-costing trips the drift watchdog; the
+        // degradation estimate is now untrustworthy, so the next seal
+        // must re-solve even though it is still under the threshold.
+        let mut w = WindowCalibration::default();
+        w.record(100, 10, PathKind::IndexSeek);
+        assert!(adv.note_calibration(&w), "drift must trip");
+        let alerts = || cdpd_obs::registry().snapshot().counter("online.alerts");
+        let before = alerts();
+        let mut decision = None;
+        for i in 0..50 {
+            decision = adv.ingest(&db, &q("a", i)).unwrap().or(decision);
+        }
+        let d = decision.expect("the window sealed");
+        assert!(d.resolved, "tripped drift forces a re-solve");
+        assert!(d.degradation <= 0.5, "{}", d.degradation);
+        assert!(d.calibration.expect("drift rides on the decision").tripped);
+        // Other tests bump the process-wide counter concurrently, so
+        // only a lower bound is exact.
+        assert!(alerts() > before, "online.alerts counts the drift resolve");
+    }
+
     #[test]
     fn rolling_budget_is_respected_across_the_session() {
         let db = db_with(10_000, None);
@@ -1400,6 +1492,21 @@ mod tests {
             },
             ..Default::default()
         };
+        assert!(OnlineAdvisor::new(&db, "t", bad).is_err());
+    }
+
+    #[test]
+    fn constructor_validates() {
+        let db = db_with(1_000, None);
+        assert!(OnlineAdvisor::new(&db, "t", opts(0, None)).is_err());
+        let no_candidates = OnlineOptions {
+            max_candidates: 0,
+            ..opts(10, None)
+        };
+        assert!(OnlineAdvisor::new(&db, "t", no_candidates).is_err());
+        assert!(OnlineAdvisor::new(&db, "missing", opts(10, None)).is_err());
+        let mut bad = opts(10, None);
+        bad.advisor.structures = Some(vec![IndexSpec::new("t", &["nope"])]);
         assert!(OnlineAdvisor::new(&db, "t", bad).is_err());
     }
 }

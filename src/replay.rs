@@ -1,6 +1,7 @@
 //! Execute a workload under a design schedule, measuring real I/O.
 //!
-//! Two drivers share one window-execution core:
+//! Two drivers share one window loop; they differ only in where the
+//! next window's design comes from:
 //!
 //! * [`replay`] — the batch form (Figure 3): a *precomputed* schedule
 //!   is applied window by window via online DDL, and every trace
@@ -25,8 +26,8 @@
 //! statement's planner estimate is paired with the page I/O its
 //! thread-local scope measured, folded per window into a drift score
 //! ([`crate::calibrate`]), and surfaced on
-//! [`ReplayReport::calibration`]. [`replay_calibrated`] exposes the
-//! knobs (comparison mode, drift band, fault injection);
+//! [`ReplayReport::calibration`]. [`ReplayOptions::calibration`]
+//! exposes the knobs (comparison mode, drift band, fault injection);
 //! `tests/calibration.rs` uses them to prove the oracle and the
 //! executor keep exactly one cost model between them.
 
@@ -161,6 +162,84 @@ fn execute_window(
     Ok((exec_io, rows, (hi - lo) as u64))
 }
 
+/// How [`replay`] executes a trace.
+#[derive(Clone, Debug)]
+pub struct ReplayOptions {
+    /// Workers for window reads and index builds; any count gives a
+    /// bit-identical report. Defaults to [`default_threads`].
+    pub threads: usize,
+    /// Comparison mode, drift band, or an injected mis-costing.
+    pub calibration: CalibrationOptions,
+}
+
+impl Default for ReplayOptions {
+    fn default() -> ReplayOptions {
+        ReplayOptions {
+            threads: default_threads(),
+            calibration: CalibrationOptions::default(),
+        }
+    }
+}
+
+/// The window loop under both drivers: enter window 0 with `first`,
+/// then execute each window and hand its statements and calibration
+/// pairs to `after`, whose answer is the design entering the next
+/// window (`None` keeps the live one). `final_trans_io` is left 0 and
+/// `calibration` unset for the caller.
+fn run_windows(
+    db: &Database,
+    trace: &Trace,
+    window_len: usize,
+    threads: usize,
+    calibration: &CalibrationOptions,
+    first: Option<&[IndexSpec]>,
+    mut after: impl FnMut(&[Dml], &WindowCalibration) -> Result<Option<Vec<IndexSpec>>>,
+) -> Result<ReplayReport> {
+    let start = Instant::now();
+    let transition = |stage: usize, specs: &[IndexSpec]| {
+        let _span = cdpd_obs::span!("replay.transition", stage = stage);
+        db.apply_configuration_with(trace.table(), specs, threads)
+    };
+    let windows = trace.len().div_ceil(window_len);
+    let mut stages = Vec::with_capacity(windows);
+    let mut statements = 0u64;
+    let mut row_checksum = 0u64;
+    let mut pending = first.map(|specs| transition(0, specs)).transpose()?;
+    for w in 0..windows {
+        let lo = w * window_len;
+        let hi = ((w + 1) * window_len).min(trace.len());
+        let mut window = WindowCalibration::default();
+        let (exec_io, rows, stmts) =
+            execute_window(db, trace, w, lo, hi, threads, calibration, &mut window)?;
+        row_checksum += rows;
+        statements += stmts;
+        let next = after(&trace.statements()[lo..hi], &window)?;
+        stages.push(match pending.take() {
+            Some(ddl) => StageReport {
+                trans_io: ddl.io.total(),
+                exec_io,
+                created: ddl.created,
+                dropped: ddl.dropped,
+            },
+            None => StageReport {
+                exec_io,
+                ..StageReport::default()
+            },
+        });
+        if let Some(specs) = next.filter(|_| w + 1 < windows) {
+            pending = Some(transition(w + 1, &specs)?);
+        }
+    }
+    Ok(ReplayReport {
+        stages,
+        final_trans_io: 0,
+        wall: start.elapsed(),
+        statements,
+        row_checksum,
+        calibration: None,
+    })
+}
+
 /// Replay `trace` against `db`, applying `stage_specs[i]` before window
 /// `i` (windows are `window_len` statements). `final_specs` pins the
 /// configuration restored after the run, like the paper's "final
@@ -176,55 +255,7 @@ pub fn replay(
     window_len: usize,
     stage_specs: &[Vec<IndexSpec>],
     final_specs: Option<&[IndexSpec]>,
-) -> Result<ReplayReport> {
-    replay_with(
-        db,
-        trace,
-        window_len,
-        stage_specs,
-        final_specs,
-        default_threads(),
-    )
-}
-
-/// [`replay`] with an explicit worker-thread count for window reads
-/// and concurrent index builds. `threads == 1` is the serial replay;
-/// any `threads` produces a bit-identical [`ReplayReport`]
-/// (thread-count knob: the `CDPD_THREADS` environment variable drives
-/// the default).
-pub fn replay_with(
-    db: &Database,
-    trace: &Trace,
-    window_len: usize,
-    stage_specs: &[Vec<IndexSpec>],
-    final_specs: Option<&[IndexSpec]>,
-    threads: usize,
-) -> Result<ReplayReport> {
-    replay_calibrated(
-        db,
-        trace,
-        window_len,
-        stage_specs,
-        final_specs,
-        threads,
-        CalibrationOptions::default(),
-    )
-}
-
-/// [`replay_with`] under explicit [`CalibrationOptions`]: choose the
-/// comparison mode, tighten or widen the drift band, or inject a
-/// mis-costing ([`CalibrationOptions::index_cost_scale`]) to prove the
-/// watchdog fires. The default options give [`replay_with`]'s
-/// behavior: measured-I/O calibration with the stock band.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_calibrated(
-    db: &Database,
-    trace: &Trace,
-    window_len: usize,
-    stage_specs: &[Vec<IndexSpec>],
-    final_specs: Option<&[IndexSpec]>,
-    threads: usize,
-    calibration: CalibrationOptions,
+    options: ReplayOptions,
 ) -> Result<ReplayReport> {
     if window_len == 0 {
         return Err(Error::InvalidArgument("window_len must be positive".into()));
@@ -238,57 +269,29 @@ pub fn replay_calibrated(
     }
     let _span = cdpd_obs::span!("replay.run", stages = stage_specs.len());
     let start = Instant::now();
-    let table = trace.table().to_owned();
-    let mut stages = Vec::with_capacity(stage_specs.len());
-    let mut statements = 0u64;
-    let mut row_checksum = 0u64;
-    let mut tracker = CalibrationTracker::new(calibration);
-
-    for (i, specs) in stage_specs.iter().enumerate() {
-        let ddl = {
-            let _span = cdpd_obs::span!("replay.transition", stage = i);
-            db.apply_configuration_with(&table, specs, threads)?
-        };
-        let lo = i * window_len;
-        let hi = ((i + 1) * window_len).min(trace.len());
-        let mut window = WindowCalibration::default();
-        let (exec_io, rows, stmts) = execute_window(
-            db,
-            trace,
-            i,
-            lo,
-            hi,
-            threads,
-            tracker.options(),
-            &mut window,
-        )?;
-        tracker.observe_window(&window);
-        row_checksum += rows;
-        statements += stmts;
-        stages.push(StageReport {
-            trans_io: ddl.io.total(),
-            exec_io,
-            created: ddl.created,
-            dropped: ddl.dropped,
-        });
-    }
-
-    let final_trans_io = match final_specs {
-        Some(specs) => db
-            .apply_configuration_with(&table, specs, threads)?
+    let mut tracker = CalibrationTracker::new(options.calibration.clone());
+    let mut next = stage_specs.iter().skip(1);
+    let mut report = run_windows(
+        db,
+        trace,
+        window_len,
+        options.threads,
+        &options.calibration,
+        stage_specs.first().map(Vec::as_slice),
+        |_, window| {
+            tracker.observe_window(window);
+            Ok(next.next().cloned())
+        },
+    )?;
+    if let Some(specs) = final_specs {
+        report.final_trans_io = db
+            .apply_configuration_with(trace.table(), specs, options.threads)?
             .io
-            .total(),
-        None => 0,
-    };
-
-    Ok(ReplayReport {
-        stages,
-        final_trans_io,
-        wall: start.elapsed(),
-        statements,
-        row_checksum,
-        calibration: Some(tracker.report()),
-    })
+            .total();
+    }
+    report.wall = start.elapsed();
+    report.calibration = Some(tracker.report());
+    Ok(report)
 }
 
 /// Replay a trace under an advisor [`Recommendation`].
@@ -308,6 +311,7 @@ pub fn replay_recommendation(
         rec.window_len,
         &rec.stage_specs(),
         final_specs.as_deref(),
+        ReplayOptions::default(),
     )
 }
 
@@ -323,17 +327,14 @@ pub fn replay_recommendation(
 /// and a final [`OnlineAdvisor::finish`] gives the batch-quality
 /// hindsight recommendation for the whole observed trace.
 ///
+/// `threads` is [`ReplayOptions::threads`]; the calibration knobs are
+/// the session's own ([`crate::OnlineOptions::calibration`]), so the
+/// pairs recorded here and the tracker gating re-solves agree.
+///
 /// # Errors
 /// The trace must target the advisor's table; execution, ingestion,
 /// and solver errors propagate.
-pub fn drive(db: &Database, trace: &Trace, advisor: &mut OnlineAdvisor) -> Result<ReplayReport> {
-    drive_with(db, trace, advisor, default_threads())
-}
-
-/// [`drive`] with an explicit worker-thread count for window reads and
-/// concurrent index builds. `threads == 1` is the serial online loop;
-/// any `threads` produces bit-identical decisions and reports.
-pub fn drive_with(
+pub fn drive(
     db: &Database,
     trace: &Trace,
     advisor: &mut OnlineAdvisor,
@@ -346,78 +347,32 @@ pub fn drive_with(
             advisor.table()
         )));
     }
-    run_online(db, trace, advisor, threads)
-}
-
-fn run_online(
-    db: &Database,
-    trace: &Trace,
-    advisor: &mut OnlineAdvisor,
-    threads: usize,
-) -> Result<ReplayReport> {
     let _span = cdpd_obs::span!("replay.drive", statements = trace.len());
-    let start = Instant::now();
-    let table = trace.table().to_owned();
-    let window_len = advisor.window_len();
-    let windows = trace.len().div_ceil(window_len);
-    let mut stages = Vec::with_capacity(windows);
-    let mut statements = 0u64;
-    let mut row_checksum = 0u64;
-    let mut pending: Option<cdpd_engine::DdlReport> = None;
     let calibration = advisor.options().calibration.clone();
-
-    for w in 0..windows {
-        let ddl = pending.take();
-        let lo = w * window_len;
-        let hi = ((w + 1) * window_len).min(trace.len());
-        let mut window = WindowCalibration::default();
-        let (exec_io, rows, stmts) =
-            execute_window(db, trace, w, lo, hi, threads, &calibration, &mut window)?;
-        row_checksum += rows;
-        statements += stmts;
-
-        // Fold this window's calibration pairs and statistics deltas
-        // before the advisor seals it, so the decision the seal emits
-        // carries this window's drift and the re-solve prices the
-        // post-write table.
-        advisor.note_calibration(&window);
-        let refresh = db.refresh_stats(&table)?;
-        advisor.note_stats_refresh(db, &refresh)?;
-
-        let mut decision = None;
-        for stmt in &trace.statements()[lo..hi] {
-            if let Some(d) = advisor.ingest(db, stmt)? {
-                decision = Some(d);
+    let mut report = run_windows(
+        db,
+        trace,
+        advisor.window_len(),
+        threads,
+        &calibration,
+        None,
+        |stmts, window| {
+            // Fold this window's calibration pairs and statistics deltas
+            // before the advisor seals it, so the decision the seal
+            // emits carries this window's drift and the re-solve prices
+            // the post-write table.
+            advisor.note_calibration(window);
+            let refresh = db.refresh_stats(trace.table())?;
+            advisor.note_stats_refresh(db, &refresh)?;
+            let mut decision = None;
+            for stmt in stmts {
+                if let Some(d) = advisor.ingest(db, stmt)? {
+                    decision = Some(d);
+                }
             }
-        }
-
-        stages.push(match ddl {
-            Some(ddl) => StageReport {
-                trans_io: ddl.io.total(),
-                exec_io,
-                created: ddl.created,
-                dropped: ddl.dropped,
-            },
-            None => StageReport {
-                exec_io,
-                ..StageReport::default()
-            },
-        });
-
-        if let Some(d) = decision {
-            if w + 1 < windows && d.changed {
-                let _span = cdpd_obs::span!("replay.transition", stage = w + 1);
-                pending = Some(db.apply_configuration_with(&table, &d.specs, threads)?);
-            }
-        }
-    }
-
-    Ok(ReplayReport {
-        stages,
-        final_trans_io: 0,
-        wall: start.elapsed(),
-        statements,
-        row_checksum,
-        calibration: Some(advisor.calibration().report()),
-    })
+            Ok(decision.filter(|d| d.changed).map(|d| d.specs))
+        },
+    )?;
+    report.calibration = Some(advisor.calibration().report());
+    Ok(report)
 }

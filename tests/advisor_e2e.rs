@@ -5,7 +5,7 @@
 mod common;
 
 use cdpd::core::kselect;
-use cdpd::core::{CostOracle, ProjectableOracle, SharedOracle};
+use cdpd::core::{CostOracle, ProjectableOracle};
 use cdpd::engine::{IndexSpec, WhatIfEngine};
 use cdpd::workload::{generate, paper, summarize, Trace};
 use cdpd::{candidate_indexes, Advisor, AdvisorOptions, Algorithm, EngineOracle};
@@ -197,7 +197,7 @@ fn robust_k_picks_2_on_w1_with_w2_w3_holdouts() {
     let h3 = mk_oracle(&generate(&paper::w3_with(&params), 53));
     let problem = cdpd::core::Problem::paper_experiment();
     let candidates = cdpd::core::enumerate_configs(&train, None, Some(1)).unwrap();
-    let holdouts: Vec<&dyn SharedOracle> = vec![&h2, &h3];
+    let holdouts: Vec<&dyn CostOracle> = vec![&h2, &h3];
     let curve = kselect::robust_curve(&train, &holdouts, &problem, &candidates, 8).unwrap();
     let k = kselect::suggest_robust_k(&curve).unwrap();
     assert_eq!(k, 2, "{curve:?}");

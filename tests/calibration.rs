@@ -13,7 +13,7 @@
 mod common;
 
 use cdpd::engine::IndexSpec;
-use cdpd::replay::{replay_calibrated, replay_with};
+use cdpd::replay::{replay, ReplayOptions};
 use cdpd::workload::{generate, paper, QueryMix, Template, Trace, WorkloadSpec};
 use cdpd::{CalibrationMode, CalibrationOptions, PathKind};
 use common::{paper_database, paper_params, paper_structures, ROWS_PER_VALUE};
@@ -73,10 +73,13 @@ fn write_trace(seed: u64) -> Trace {
     generate(&spec, seed)
 }
 
-fn model_account() -> CalibrationOptions {
-    CalibrationOptions {
-        mode: CalibrationMode::ModelAccount,
-        ..Default::default()
+fn model_account(threads: usize) -> ReplayOptions {
+    ReplayOptions {
+        threads,
+        calibration: CalibrationOptions {
+            mode: CalibrationMode::ModelAccount,
+            ..Default::default()
+        },
     }
 }
 
@@ -96,16 +99,8 @@ fn oracle_reconciles_with_executor_exactly_across_w1_w2_w3() {
             let trace = generate(&spec, seed);
             let db = paper_database(ROWS, seed);
             let schedule = rotating_schedule(trace.len().div_ceil(WINDOW));
-            let report = replay_calibrated(
-                &db,
-                &trace,
-                WINDOW,
-                &schedule,
-                Some(&[]),
-                2,
-                model_account(),
-            )
-            .expect("replay runs");
+            let report = replay(&db, &trace, WINDOW, &schedule, Some(&[]), model_account(2))
+                .expect("replay runs");
             let calib = report.calibration.expect("replay always calibrates");
             assert_eq!(
                 calib.samples,
@@ -155,16 +150,8 @@ fn oracle_reconciles_exactly_on_intersection_and_union_paths() {
             // All four single-column indexes: EqPair conjunctions can
             // intersect, OrPair/IN statements can union.
             let schedule = indexed_schedule(trace.len().div_ceil(WINDOW));
-            let report = replay_calibrated(
-                &db,
-                &trace,
-                WINDOW,
-                &schedule,
-                Some(&[]),
-                2,
-                model_account(),
-            )
-            .expect("replay runs");
+            let report = replay(&db, &trace, WINDOW, &schedule, Some(&[]), model_account(2))
+                .expect("replay runs");
             let calib = report.calibration.expect("replay always calibrates");
             assert_eq!(calib.samples, trace.len() as u64, "{name} seed {seed}");
             assert!(
@@ -204,8 +191,8 @@ fn oracle_reconciles_writes_exactly() {
         let trace = write_trace(seed);
         let db = paper_database(ROWS, seed);
         let schedule = rotating_schedule(trace.len().div_ceil(WINDOW));
-        let report = replay_calibrated(&db, &trace, WINDOW, &schedule, None, 1, model_account())
-            .expect("replay runs");
+        let report =
+            replay(&db, &trace, WINDOW, &schedule, None, model_account(1)).expect("replay runs");
         let calib = report.calibration.expect("replay always calibrates");
         assert!(
             calib.is_exact(),
@@ -235,7 +222,7 @@ fn injected_index_mis_costing_trips_the_drift_watchdog() {
     let schedule = indexed_schedule(trace.len().div_ceil(WINDOW));
 
     let db = paper_database(ROWS, 42);
-    let control = replay_calibrated(&db, &trace, WINDOW, &schedule, None, 2, model_account())
+    let control = replay(&db, &trace, WINDOW, &schedule, None, model_account(2))
         .expect("replay runs")
         .calibration
         .expect("replay always calibrates");
@@ -243,21 +230,12 @@ fn injected_index_mis_costing_trips_the_drift_watchdog() {
     assert_eq!(control.alerts, 0, "control run must not alert");
 
     let db = paper_database(ROWS, 42);
-    let skewed = replay_calibrated(
-        &db,
-        &trace,
-        WINDOW,
-        &schedule,
-        None,
-        2,
-        CalibrationOptions {
-            index_cost_scale: 8.0,
-            ..model_account()
-        },
-    )
-    .expect("replay runs")
-    .calibration
-    .expect("replay always calibrates");
+    let mut skew = model_account(2);
+    skew.calibration.index_cost_scale = 8.0;
+    let skewed = replay(&db, &trace, WINDOW, &schedule, None, skew)
+        .expect("replay runs")
+        .calibration
+        .expect("replay always calibrates");
     assert!(!skewed.is_exact(), "scaled predictions must diverge");
     assert!(
         skewed.alerts >= 1,
@@ -288,7 +266,11 @@ fn calibration_is_bit_identical_across_thread_counts() {
     let schedule = rotating_schedule(trace.len().div_ceil(WINDOW));
     let run = |threads: usize| {
         let db = paper_database(ROWS, 7);
-        replay_with(&db, &trace, WINDOW, &schedule, Some(&[]), threads)
+        let options = ReplayOptions {
+            threads,
+            ..Default::default()
+        };
+        replay(&db, &trace, WINDOW, &schedule, Some(&[]), options)
             .expect("replay runs")
             .calibration
             .expect("replay always calibrates")

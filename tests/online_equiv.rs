@@ -16,7 +16,7 @@
 mod common;
 
 use cdpd::core::Schedule;
-use cdpd::engine::Database;
+use cdpd::engine::{default_threads, Database};
 use cdpd::workload::{generate, paper, Trace};
 use cdpd::{Advisor, AdvisorOptions, OnlineAdvisor, OnlineOptions, Recommendation};
 use cdpd_testkit::prop::Config as PropConfig;
@@ -150,7 +150,8 @@ fn drive_executes_decisions_and_finish_still_matches_batch() {
     )
     .expect("session opens");
 
-    let report = cdpd::replay::drive(&db, &trace, &mut online).expect("drive runs");
+    let report =
+        cdpd::replay::drive(&db, &trace, &mut online, default_threads()).expect("drive runs");
     let windows = trace.len().div_ceil(WINDOW);
     assert_eq!(report.stages.len(), windows);
     assert_eq!(report.statements, trace.len() as u64);
@@ -194,5 +195,5 @@ fn drive_validates_the_table() {
         window_len: WINDOW,
     };
     let wrong = generate(&paper::w1_with(&params), 1);
-    assert!(cdpd::replay::drive(&db, &wrong, &mut online).is_err());
+    assert!(cdpd::replay::drive(&db, &wrong, &mut online, default_threads()).is_err());
 }

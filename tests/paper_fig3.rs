@@ -10,7 +10,7 @@
 
 mod common;
 
-use cdpd::replay::{replay, replay_recommendation};
+use cdpd::replay::{replay, replay_recommendation, ReplayOptions};
 use cdpd::workload::{generate, paper, Trace};
 use cdpd::{Advisor, AdvisorOptions, Algorithm, Recommendation};
 use common::{paper_database, paper_params, paper_structures};
@@ -105,10 +105,10 @@ fn replay_validates_inputs() {
     });
     let trace = generate(&spec, 1);
     // Wrong stage count.
-    let err = replay(&db, &trace, 50, &[vec![]], None).unwrap_err();
+    let err = replay(&db, &trace, 50, &[vec![]], None, ReplayOptions::default()).unwrap_err();
     assert!(err.to_string().contains("stages"), "{err}");
     // Zero window.
-    assert!(replay(&db, &trace, 0, &[], None).is_err());
+    assert!(replay(&db, &trace, 0, &[], None, ReplayOptions::default()).is_err());
 }
 
 #[test]

@@ -17,7 +17,7 @@
 mod common;
 
 use cdpd::engine::{Database, IndexSpec, QueryResult};
-use cdpd::replay::{drive_with, replay_with, ReplayReport};
+use cdpd::replay::{drive, replay, ReplayOptions, ReplayReport};
 use cdpd::workload::{generate, paper, QueryMix, Template, Trace, WorkloadSpec};
 use cdpd::{AdvisorOptions, Algorithm, OnlineAdvisor, OnlineOptions};
 use cdpd_engine::parallel_map;
@@ -183,8 +183,12 @@ fn parallel_replay_is_bit_identical_to_serial() {
         let run = |threads: usize| -> (ReplayReport, u64) {
             let db = paper_database(ROWS, seed);
             let before = db.pager().stats();
-            let report = replay_with(&db, &trace, WINDOW, &schedule, Some(&[]), threads)
-                .expect("replay runs");
+            let options = ReplayOptions {
+                threads,
+                ..Default::default()
+            };
+            let report =
+                replay(&db, &trace, WINDOW, &schedule, Some(&[]), options).expect("replay runs");
             let ledger = db.pager().stats().delta(before).total();
             (report, ledger)
         };
@@ -237,7 +241,7 @@ fn parallel_drive_reproduces_decisions_and_schedule() {
         let run = |threads: usize| {
             let db = paper_database(ROWS, seed);
             let mut advisor = OnlineAdvisor::new(&db, "t", options.clone()).expect("session opens");
-            let report = drive_with(&db, &trace, &mut advisor, threads).expect("drive runs");
+            let report = drive(&db, &trace, &mut advisor, threads).expect("drive runs");
             let decisions: Vec<(usize, Vec<IndexSpec>, bool)> = advisor
                 .decisions()
                 .iter()

@@ -115,7 +115,15 @@ fn maintenance_makes_write_phase_config_matter_in_replay() {
     let db_bad = paper_database(ROWS, 33);
     let stages = trace.len().div_ceil(WINDOW);
     let pinned: Vec<Vec<IndexSpec>> = vec![vec![IndexSpec::new("t", &["b"])]; stages];
-    let bad = cdpd::replay::replay(&db_bad, &trace, WINDOW, &pinned, Some(&[])).expect("replay");
+    let bad = cdpd::replay::replay(
+        &db_bad,
+        &trace,
+        WINDOW,
+        &pinned,
+        Some(&[]),
+        Default::default(),
+    )
+    .expect("replay");
 
     assert!(
         good.total_io() < bad.total_io(),

@@ -180,6 +180,15 @@ cargo run --release --offline --quiet --example pick_k > target/pick_k.txt
 grep -q "knee of the curve: k = 2" target/pick_k.txt
 echo "ok: alerter_loop and pick_k ran"
 
+echo "== §5 entry point runs: ranking exhausts its budget where the k-aware graph answers =="
+# advisor_comparison is the one facade user of Algorithm::Ranking. On
+# W1 at k = 2 the ranking must run out of its 50,000-path budget, and
+# the k-aware graph must spend both changes.
+cargo run --release --offline --quiet --example advisor_comparison > target/advisor_comparison.txt
+grep -q "budget of 50000 paths exhausted" target/advisor_comparison.txt
+grep -Eq '^k-aware graph \(§3, optimal\) +[0-9.]+ +2 ' target/advisor_comparison.txt
+echo "ok: advisor_comparison ran"
+
 echo "== calibration report: example emits schema-valid JSON =="
 # The calibrate example replays W1 under ModelAccount calibration and
 # prints exactly one CalibrationReport JSON object on stdout; validate

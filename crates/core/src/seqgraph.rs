@@ -7,56 +7,15 @@
 //! configuration). Dynamic designs are exactly the source→destination
 //! paths, and the optimal unconstrained design is the shortest path —
 //! `O(n·4^m)` with full candidate enumeration, or `O(n·|cands|²)` in
-//! general.
+//! general. No solver materialises the graph: this one and the k-aware
+//! graph run a layered dynamic program over the cost tables, and §5
+//! ranking searches the same tables best-first.
 
 use crate::config::Config;
 use crate::problem::{CostOracle, Problem};
 use crate::schedule::Schedule;
 use crate::tables::CostTables;
-use cdpd_graph::{Dag, NodeId};
-use cdpd_types::{Cost, Error, Result};
-
-/// A materialised sequence graph plus its terminals. Only path
-/// *ranking* needs the graph itself (it enumerates paths, not just the
-/// shortest); the solvers run [`CostTables::shortest_path`] instead.
-pub(crate) struct SeqGraph {
-    /// Node payload: the candidate a node stands for; `None` for the
-    /// source/destination terminals.
-    pub(crate) dag: Dag<Option<usize>>,
-    pub(crate) source: NodeId,
-    pub(crate) dest: NodeId,
-}
-
-/// Build the (unconstrained) sequence graph over `tables`.
-pub(crate) fn build(tables: &CostTables) -> SeqGraph {
-    let n = tables.n_stages();
-    let ncand = tables.configs().len();
-    let mut dag = Dag::with_capacity(n * ncand + 2);
-    let source = dag.add_node(None, Cost::ZERO);
-    let mut prev: Vec<NodeId> = Vec::new();
-    for stage in 0..n {
-        let cur: Vec<NodeId> = (0..ncand)
-            .map(|ci| dag.add_node(Some(ci), tables.exec(stage, ci)))
-            .collect();
-        if stage == 0 {
-            for (ci, &node) in cur.iter().enumerate() {
-                dag.add_edge(source, node, tables.enter(ci));
-            }
-        } else {
-            for (ai, &a) in prev.iter().enumerate() {
-                for (bi, &b) in cur.iter().enumerate() {
-                    dag.add_edge(a, b, tables.trans(ai, bi));
-                }
-            }
-        }
-        prev = cur;
-    }
-    let dest = dag.add_node(None, Cost::ZERO);
-    for (ci, &node) in prev.iter().enumerate() {
-        dag.add_edge(node, dest, tables.leave(ci));
-    }
-    SeqGraph { dag, source, dest }
-}
+use cdpd_types::{Error, Result};
 
 /// The unconstrained optimum over already-built tables, as a path of
 /// configuration indexes.
@@ -125,6 +84,7 @@ mod tests {
     use super::*;
     use crate::config::enumerate_configs;
     use crate::problem::SyntheticOracle;
+    use cdpd_types::Cost;
 
     fn c(io: u64) -> Cost {
         Cost::from_ios(io)

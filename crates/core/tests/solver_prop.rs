@@ -20,15 +20,91 @@ use std::collections::HashMap;
 
 /// The solvers as they were before the cost tables: every price asked
 /// of the oracle where it is used, the sequence graphs materialised as
-/// [`cdpd_graph::Dag`]s and solved by its shortest-path walk. Kept as
-/// the definition of which of several equal-cost designs is *the*
-/// answer.
+/// explicit `Dag`s and solved by its shortest-path walk. Kept as the
+/// definition of which of several equal-cost designs is *the* answer.
 mod reference {
     use super::SolverConfig as Config;
     use cdpd_core::{CostOracle, Problem, Schedule};
-    use cdpd_graph::{Dag, NodeId};
     use cdpd_types::{Cost, Error, Result};
     use std::ops::Range;
+
+    /// A node's position in insertion order, which is topological.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    struct NodeId(usize);
+
+    struct Node<N> {
+        payload: N,
+        weight: Cost,
+        /// In-edges as `(source, edge weight)`, in insertion order.
+        inc: Vec<(NodeId, Cost)>,
+    }
+
+    /// A staged graph with `EXEC` on its nodes and `TRANS` on its
+    /// edges; a path's cost is the sum of both along it.
+    struct Dag<N> {
+        nodes: Vec<Node<N>>,
+    }
+
+    impl<N> Dag<N> {
+        fn with_capacity(nodes: usize) -> Self {
+            Dag {
+                nodes: Vec::with_capacity(nodes),
+            }
+        }
+
+        fn add_node(&mut self, payload: N, weight: Cost) -> NodeId {
+            self.nodes.push(Node {
+                payload,
+                weight,
+                inc: Vec::new(),
+            });
+            NodeId(self.nodes.len() - 1)
+        }
+
+        fn add_edge(&mut self, from: NodeId, to: NodeId, weight: Cost) {
+            assert!(from.0 < to.0, "edges must go forward in insertion order");
+            self.nodes[to.0].inc.push((from, weight));
+        }
+
+        fn payload(&self, id: NodeId) -> &N {
+            &self.nodes[id.0].payload
+        }
+
+        /// The cheapest `source → target` path's cost and nodes; `None`
+        /// when every route saturates. The path is walked back from
+        /// `target`, each node taking its first in-edge that attains its
+        /// distance: that walk is the tie-break.
+        fn shortest_path(&self, source: NodeId, target: NodeId) -> Option<(Cost, Vec<NodeId>)> {
+            let mut dist: Vec<Option<Cost>> = vec![None; self.nodes.len()];
+            dist[source.0] = Some(self.nodes[source.0].weight);
+            for id in source.0 + 1..self.nodes.len() {
+                let node = &self.nodes[id];
+                dist[id] = node
+                    .inc
+                    .iter()
+                    .filter_map(|&(from, ew)| dist[from.0].map(|d| d + ew + node.weight))
+                    .min();
+            }
+            let total = dist[target.0].filter(|d| !d.is_infinite())?;
+            let mut nodes = vec![target];
+            let mut cur = target;
+            while cur != source {
+                let node = &self.nodes[cur.0];
+                let d_cur = dist[cur.0].expect("on-path node must be reachable");
+                cur = node
+                    .inc
+                    .iter()
+                    .find(|&&(from, ew)| {
+                        dist[from.0].is_some_and(|d| d + ew + node.weight == d_cur)
+                    })
+                    .map(|&(from, _)| from)
+                    .expect("shortest-path predecessor must exist");
+                nodes.push(cur);
+            }
+            nodes.reverse();
+            Some((total, nodes))
+        }
+    }
 
     fn usable(oracle: &dyn CostOracle, problem: &Problem, cands: &[Config]) -> Result<Vec<Config>> {
         if oracle.n_stages() == 0 {
@@ -54,20 +130,15 @@ mod reference {
         source: NodeId,
         dest: NodeId,
     ) -> Result<Schedule> {
-        let sp = dag
+        let (cost, nodes) = dag
             .shortest_path(source, dest)
             .ok_or_else(|| Error::Infeasible("no finite-cost path".into()))?;
-        let configs: Vec<Config> = sp
-            .nodes
+        let configs: Vec<Config> = nodes
             .iter()
             .filter_map(|&n| dag.payload(n).map(|ci| cands[ci].clone()))
             .collect();
         let schedule = Schedule::evaluate(oracle, problem, configs);
-        assert_eq!(
-            schedule.total_cost(),
-            sp.cost,
-            "graph and evaluator disagree"
-        );
+        assert_eq!(schedule.total_cost(), cost, "graph and evaluator disagree");
         Ok(schedule)
     }
 
@@ -733,19 +804,32 @@ props! {
     }
 
     fn ranking_agrees_with_kaware(
-        n in 2usize..5,
-        m in 1usize..3,
-        k in 0usize..3,
+        n in 1usize..6,
+        m in 1usize..4,
+        k in 0usize..4,
         exec_seed in vec_of(any_u8(), 8..64),
         build_seed in vec_of(any_u8(), 1..8),
+        picks in vec_of(any_u8(), 16..32),
+        flags in any_u8(),
     ) {
-        let o = instance(*n, *m, exec_seed, build_seed);
-        let p = Problem::default();
-        let cands = enumerate_configs(&o, None, None).unwrap();
-        let graph = kaware::solve(&o, &p, &cands, *k);
-        let rank = ranking::solve(&o, &p, &cands, *k, 5_000_000);
+        let (n, m, k) = (*n, *m, *k);
+        let o = tied_instance(n, m, exec_seed, build_seed);
+        let all = enumerate_configs(&o, None, None).unwrap();
+        let pick = |i: usize| all[picks[i % picks.len()] as usize % all.len()].clone();
+        let p = Problem {
+            initial: if flags & 1 == 0 { SolverConfig::EMPTY } else { pick(0) },
+            final_config: (flags & 2 != 0).then(|| pick(1)),
+            space_bound: (flags & 4 != 0).then_some(1 + (picks[2] as u64) % m as u64),
+            count_initial_change: flags & 8 != 0,
+        };
+        let graph = kaware::solve(&o, &p, &all, k);
+        let rank = ranking::solve(&o, &p, &all, k, 5_000_000);
         match (graph, rank) {
-            (Ok(g), Ok(r)) => assert_eq!(g.total_cost(), r.total_cost()),
+            (Ok(g), Ok(r)) => {
+                assert_eq!(g.total_cost(), r.total_cost());
+                assert!(r.changes <= k, "{r}");
+                r.validate(&o, &p, Some(k)).unwrap();
+            }
             (Err(_), Err(_)) => {}
             (g, r) => panic!("solvers disagree on feasibility: {g:?} vs {r:?}"),
         }

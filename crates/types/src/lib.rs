@@ -6,9 +6,9 @@
 //! [`Rid`]), the fixed-point [`Cost`] unit used by the cost model and the
 //! design advisor, and the workspace-wide [`Error`] type.
 //!
-//! Keeping these in a leaf crate lets the algorithm crates
-//! (`cdpd-graph`, `cdpd-core`) stay independent of the storage engine
-//! while still sharing one cost and error vocabulary with it.
+//! Keeping these in a leaf crate lets the algorithm crate (`cdpd-core`)
+//! stay independent of the storage engine while still sharing one cost
+//! and error vocabulary with it.
 
 #![warn(missing_docs)]
 

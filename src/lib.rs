@@ -11,7 +11,9 @@
 //! * [`workload`] — the paper's query mixes, workload generators, and
 //!   trace summarization;
 //! * [`core`] — the constrained dynamic design algorithms themselves
-//!   (sequence graphs, k-aware graphs, merging, ranking, hybrid);
+//!   (sequence graphs, k-aware graphs, merging, ranking, hybrid), all
+//!   searching one set of dense `EXEC`/`TRANS` tables: the sequence
+//!   graph is never materialised;
 //! * this crate — the glue: [`EngineOracle`] adapts the what-if engine
 //!   to the solver-facing [`core::CostOracle`] trait,
 //!   [`candidate_indexes`] derives candidate structures from a trace,
@@ -46,7 +48,6 @@
 
 pub use cdpd_core as core;
 pub use cdpd_engine as engine;
-pub use cdpd_graph as graph;
 pub use cdpd_obs as obs;
 pub use cdpd_sql as sql;
 pub use cdpd_storage as storage;

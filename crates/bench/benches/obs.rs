@@ -22,15 +22,15 @@
 //! measured, and the per-statement [`cdpd::WindowCalibration::record`]
 //! cost plus a once-per-window [`Sampler::sample_now`] are priced
 //! against it. That combined ratio is also asserted `< 2%`, and the
-//! calibrated replay throughput lands in `BENCH_obs.json` for the
-//! ci.sh bench-diff gate.
+//! calibrated replay throughput lands in `BENCH_obs.json` as a gated
+//! metric.
 
 use cdpd::obs::timeseries::Sampler;
 use cdpd::replay::{replay, ReplayOptions};
 use cdpd::workload::{generate, paper, QueryMix, WorkloadSpec};
 use cdpd::{PathKind, WindowCalibration};
 use cdpd_bench::{build_database, Scale};
-use cdpd_testkit::bench::Criterion;
+use cdpd_testkit::bench::{Better, Criterion};
 use cdpd_testkit::{criterion_group, criterion_main};
 use std::time::Instant;
 
@@ -187,9 +187,13 @@ fn bench_obs_overhead(criterion: &mut Criterion) {
     let calib_ratio = calib_cost_ns / replay_wall_ns;
     group.metric("sampler_sample_ns", sample_ns);
     group.metric("calibration_record_ns", record_ns);
-    group.metric(
+    // Gated with a wide floor: raw throughput swings with host load, so
+    // only a collapse (the calibration layer costing real time) fails.
+    group.gated_metric(
         "calibration/replay_stmts_per_sec",
         calibrated_samples as f64 / (replay_wall_ns / 1e9),
+        Better::Higher,
+        0.30,
     );
     group.metric("calibration/overhead_ratio", calib_ratio);
     group.finish();

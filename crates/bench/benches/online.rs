@@ -1,12 +1,9 @@
-//! The online-pipeline bench: what streaming costs and what
-//! warm-starting buys, on the Table-1 instance (W1, paper design
-//! space).
+//! The online-pipeline bench: what warm-starting buys, on the Table-1
+//! instance (W1, paper design space). Ingest throughput is the
+//! benchmark's `online.ingest_ns`.
 //!
-//! Three records land in `BENCH_online.json`:
+//! Records in `BENCH_online.json`:
 //!
-//! * **ingest throughput** — statements/sec through
-//!   [`OnlineAdvisor::ingest`], window maintenance, incremental oracle
-//!   appends, and per-seal re-solves included;
 //! * **re-solve latency** — p95 over every warm re-solve the session
 //!   ran (each seal solves the whole retained horizon with the
 //!   committed prefix pinned);
@@ -46,23 +43,15 @@ fn bench_online(criterion: &mut Criterion) {
         ..OnlineOptions::default()
     };
 
-    let run_session = || -> OnlineAdvisor {
-        let mut online = OnlineAdvisor::new(&db, "t", options.clone()).expect("session opens");
-        online
-            .ingest_all(&db, trace.statements())
-            .expect("trace ingests");
-        online
-    };
-
-    // Ingest throughput and warm re-solve latencies, best of a few runs.
-    let mut best_ingest_ns = u64::MAX;
+    // Warm re-solve latencies, best of a few runs.
     let mut warm_final_ns = u64::MAX;
     let mut resolve_ns: Vec<u64> = Vec::new();
     let mut session = None;
     for _ in 0..3 {
-        let start = Instant::now();
-        let online = run_session();
-        best_ingest_ns = best_ingest_ns.min(start.elapsed().as_nanos() as u64);
+        let mut online = OnlineAdvisor::new(&db, "t", options.clone()).expect("session opens");
+        online
+            .ingest_all(&db, trace.statements())
+            .expect("trace ingests");
         let solves: Vec<u64> = online
             .decisions()
             .iter()
@@ -81,7 +70,6 @@ fn bench_online(criterion: &mut Criterion) {
     );
     resolve_ns.sort_unstable();
     let p95 = resolve_ns[(resolve_ns.len() * 95 / 100).min(resolve_ns.len() - 1)];
-    let statements_per_sec = trace.len() as f64 / (best_ingest_ns as f64 / 1e9);
 
     // Cold baseline at the same final boundary: rebuild everything the
     // session kept warm — what-if snapshot, per-part cost probing,
@@ -111,21 +99,12 @@ fn bench_online(criterion: &mut Criterion) {
     );
 
     let mut group = criterion.benchmark_group("online");
-    group.sample_size(10);
-    group.metric("ingest/statements_per_sec", statements_per_sec);
     group.metric("resolve/p95_ms", p95 as f64 / 1e6);
     group.metric("resolve/warm_final_ms", warm_final_ns as f64 / 1e6);
     group.metric("resolve/cold_final_ms", cold_ns as f64 / 1e6);
     group.metric("resolve/warm_speedup", speedup);
-    group.bench_function("ingest_full_trace", |b| {
-        b.iter(run_session);
-    });
     group.finish();
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_online
-}
+criterion_group!(benches, bench_online);
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 use cdpd::engine::IndexSpec;
 use cdpd::sql::{parse, SelectStmt, Statement};
 use cdpd_bench::{build_database, Scale};
-use cdpd_testkit::bench::Criterion;
+use cdpd_testkit::bench::{Better, Criterion};
 use cdpd_testkit::{criterion_group, criterion_main};
 use std::hint::black_box;
 
@@ -81,18 +81,16 @@ fn bench_planner(criterion: &mut Criterion) {
     ] {
         group.metric(id, result.est_cost.ios() as f64);
     }
-    group.metric(
-        "win_margin/in_vs_scan",
-        scan_ios / in_plan.est_cost.ios().max(1) as f64,
-    );
-    group.metric(
-        "win_margin/or_vs_scan",
-        scan_ios / or_plan.est_cost.ios().max(1) as f64,
-    );
-    group.metric(
-        "win_margin/and_vs_scan",
-        scan_ios / and_plan.est_cost.ios().max(1) as f64,
-    );
+    // Deterministic, so a tight floor catches any cost-model change
+    // that erodes the IndexOr/IndexAnd advantage.
+    for (id, result) in [
+        ("win_margin/in_vs_scan", &in_plan),
+        ("win_margin/or_vs_scan", &or_plan),
+        ("win_margin/and_vs_scan", &and_plan),
+    ] {
+        let margin = scan_ios / result.est_cost.ios().max(1) as f64;
+        group.gated_metric(id, margin, Better::Higher, 0.90);
+    }
     group.finish();
 }
 

@@ -74,20 +74,21 @@ impl Config {
         })
     }
 
-    /// From a raw 64-bit mask (structures `0..64` only). Wider
-    /// configurations must be built through the set operations or
-    /// [`Config::from_words`] — new call sites outside this module and
-    /// tests are rejected by CI, because raw-mask arithmetic is exactly
-    /// the width assumption this type exists to remove.
-    pub const fn from_bits(bits: u64) -> Config {
+    /// From a raw 64-bit mask (structures `0..64` only), for
+    /// [`enumerate_configs`] and this crate's unit tests. It is not
+    /// `pub`: raw-mask arithmetic is exactly the width assumption this
+    /// type exists to remove, so other crates build configurations
+    /// through the set operations or [`Config::from_words`].
+    pub(crate) const fn from_bits(bits: u64) -> Config {
         Config(Repr::Inline(bits))
     }
 
-    /// The raw bitmask of an inline (≤ 64-structure) configuration.
+    /// The raw bitmask of an inline (≤ 64-structure) configuration, for
+    /// this crate's unit tests; other crates read [`Config::words`].
     ///
-    /// Panics if the configuration has spilled past 64 structures; use
-    /// [`Config::words`] for a width-agnostic view.
-    pub fn bits(&self) -> u64 {
+    /// Panics if the configuration has spilled past 64 structures.
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> u64 {
         match &self.0 {
             Repr::Inline(bits) => *bits,
             Repr::Spilled(_) => panic!("configuration is wider than 64 bits"),

@@ -93,7 +93,7 @@ fn config_ops_at_boundary_indices() {
     }
     // The spill boundary itself: 63 stays inline, 64 spills.
     assert_eq!(Config::single(63).words().len(), 1);
-    assert_eq!(Config::single(63).bits(), 1u64 << 63);
+    assert_eq!(Config::single(63).words(), [1u64 << 63]);
     assert_eq!(Config::single(64).words().len(), 2);
     assert_eq!(Config::full(64).words().len(), 1);
     assert_eq!(Config::full(65).words().len(), 2);

@@ -418,7 +418,7 @@ fn tied_instance(n: usize, m: usize, exec_seed: &[u8], build_seed: &[u8]) -> Syn
         n,
         m,
         move |stage, cfg| {
-            Cost::from_ios(exec[(stage * 31 + cfg.bits() as usize * 17) % exec.len()])
+            Cost::from_ios(exec[(stage * 31 + cfg.words()[0] as usize * 17) % exec.len()])
         },
         build,
         Cost::from_ios(1),
@@ -567,7 +567,7 @@ fn instance(n: usize, m: usize, exec_seed: &[u8], build_seed: &[u8]) -> Syntheti
         n,
         m,
         move |stage, cfg| {
-            let idx = (stage * 31 + cfg.bits() as usize * 17) % el;
+            let idx = (stage * 31 + cfg.words()[0] as usize * 17) % el;
             Cost::from_ios(exec[idx])
         },
         build,
@@ -745,7 +745,7 @@ props! {
         let fingerprint = SyntheticOracle::from_fn(
             n,
             m,
-            |stage, cfg| Cost::from_raw((cfg.bits() + 1) * 17u64.pow(stage as u32)),
+            |stage, cfg| Cost::from_raw((cfg.words()[0] + 1) * 17u64.pow(stage as u32)),
             vec![Cost::ZERO; m],
             Cost::ZERO,
             vec![1; m],

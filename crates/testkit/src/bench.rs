@@ -19,7 +19,13 @@
 //! ns/iteration. The report prints median and p95; when
 //! `CDPD_BENCH_JSON_DIR` is set, each group also writes
 //! `BENCH_<group>.json` there, so repeated runs build a trajectory.
+//!
+//! A metric recorded with [`BenchmarkGroup::gated_metric`] carries its
+//! regression floor and direction in its own record, and [`diff`]
+//! judges a fresh report against a committed one by them: the gate is
+//! declared once, where the metric is measured.
 
+use crate::json::{self, Json};
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -109,8 +115,33 @@ pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
     results: Vec<Stats>,
-    metrics: Vec<(String, f64)>,
+    metrics: Vec<Metric>,
 }
+
+/// Which direction of a gated metric is an improvement.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Better {
+    /// Larger values are better (throughputs, win margins).
+    Higher,
+    /// Smaller values are better (call counts, byte counts).
+    Lower,
+}
+
+impl Better {
+    fn label(self) -> &'static str {
+        match self {
+            Better::Higher => "higher",
+            Better::Lower => "lower",
+        }
+    }
+}
+
+/// A metric's regression gate: its direction and its floor, the
+/// smallest accepted better-over-worse ratio of fresh to committed.
+type Gate = (Better, f64);
+
+/// A recorded metric: its id, its value and its gate, if any.
+type Metric = (String, f64, Option<Gate>);
 
 impl BenchmarkGroup<'_> {
     /// Set the number of timed samples per benchmark (default 15).
@@ -164,13 +195,25 @@ impl BenchmarkGroup<'_> {
     /// `{"group", "id", "metric"}` records, so trajectories can track
     /// work counts as well as durations.
     pub fn metric(&mut self, id: impl Into<String>, value: f64) {
-        let id = id.into();
+        self.record(id.into(), value, None);
+    }
+
+    /// Record a metric that [`diff`] gates against the committed report:
+    /// the fresh run regresses when `fresh / committed` (or
+    /// `committed / fresh` when [`Better::Lower`]) falls below `floor`.
+    /// The record carries `better` and `floor`, so this call is the
+    /// only place the gate is declared.
+    pub fn gated_metric(&mut self, id: impl Into<String>, value: f64, better: Better, floor: f64) {
+        self.record(id.into(), value, Some((better, floor)));
+    }
+
+    fn record(&mut self, id: String, value: f64, gate: Option<Gate>) {
         println!(
             "{:<44} metric {:>14}",
             format!("{}/{}", self.name, id),
             fmt_metric(value)
         );
-        self.metrics.push((id, value));
+        self.metrics.push((id, value, gate));
     }
 
     /// Write the group's JSON report (if configured). Dropping the
@@ -183,17 +226,24 @@ impl Drop for BenchmarkGroup<'_> {
         let Some(dir) = self.criterion.json_dir.clone() else {
             return;
         };
-        if self.results.is_empty() && self.metrics.is_empty() {
-            return;
-        }
-        if std::fs::create_dir_all(&dir).is_err() {
+        if self.results.is_empty() && self.metrics.is_empty()
+            || std::fs::create_dir_all(&dir).is_err()
+        {
             return;
         }
         let path = dir.join(format!("BENCH_{}.json", self.name.replace('/', "_")));
-        // Every report leads with a uniform host stanza: bench numbers
-        // are only comparable across runs on like hardware, and the
-        // ci.sh bench-diff gate reads `cores` to skip cross-host diffs.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if std::fs::write(&path, self.report(cores)).is_err() {
+            cdpd_obs::event!("warning: could not write {}", path.display());
+        }
+    }
+}
+
+impl BenchmarkGroup<'_> {
+    /// The group's `BENCH_*.json` text. It leads with a host stanza:
+    /// bench numbers are only comparable across runs on like hardware,
+    /// and [`diff`] reads `cores` to skip cross-host comparisons.
+    fn report(&self, cores: usize) -> String {
         let mut records: Vec<String> = vec![format!(
             "  {{\"group\": {:?}, \"id\": \"host\", \"cores\": {cores}, \"os\": {:?}}}",
             self.name,
@@ -208,16 +258,16 @@ impl Drop for BenchmarkGroup<'_> {
                     self.name, s.id, s.median_ns, s.p95_ns, s.samples, s.iters_per_sample,
                 )
             }));
-        records.extend(self.metrics.iter().map(|(id, value)| {
+        records.extend(self.metrics.iter().map(|(id, value, gate)| {
+            let gate = gate.map_or(String::new(), |(better, floor)| {
+                format!(", \"better\": \"{}\", \"floor\": {floor}", better.label())
+            });
             format!(
-                "  {{\"group\": {:?}, \"id\": {:?}, \"metric\": {value}}}",
+                "  {{\"group\": {:?}, \"id\": {:?}, \"metric\": {value}{gate}}}",
                 self.name, id
             )
         }));
-        let json = format!("[\n{}\n]\n", records.join(",\n"));
-        if std::fs::write(&path, json).is_err() {
-            cdpd_obs::event!("warning: could not write {}", path.display());
-        }
+        format!("[\n{}\n]\n", records.join(",\n"))
     }
 }
 
@@ -287,6 +337,101 @@ impl Bencher {
     }
 }
 
+/// What [`diff`] found in one report.
+#[derive(Debug, Default, PartialEq)]
+pub struct Diff {
+    /// One line per gated metric, or one line saying why the report was
+    /// skipped; empty when the report gates nothing.
+    pub lines: Vec<String>,
+    /// Whether a gated metric fell below its floor or went missing.
+    pub regressed: bool,
+}
+
+/// The host core count and the metric records of a `BENCH_*.json`
+/// report, as [`BenchmarkGroup`] writes it.
+fn read_report(text: &str) -> Result<(Option<u64>, Vec<Metric>), String> {
+    let doc = json::parse(text)?;
+    let mut cores = None;
+    let mut metrics = Vec::new();
+    for record in doc.as_array().ok_or("a report is a JSON array")? {
+        let id = record
+            .get("id")
+            .and_then(Json::as_str)
+            .ok_or("a record without an id")?;
+        if id == "host" {
+            cores = record.get("cores").and_then(Json::as_u64);
+        }
+        let Some(value) = record.get("metric").and_then(Json::as_f64) else {
+            continue;
+        };
+        let better = record.get("better").and_then(Json::as_str);
+        let gate = match (better, record.get("floor").and_then(Json::as_f64)) {
+            (None, None) => None,
+            (Some("higher"), Some(floor)) => Some((Better::Higher, floor)),
+            (Some("lower"), Some(floor)) => Some((Better::Lower, floor)),
+            _ => return Err(format!("{id}: a gate needs `better` and `floor`")),
+        };
+        metrics.push((id.to_owned(), value, gate));
+    }
+    Ok((cores, metrics))
+}
+
+/// Judge the fresh text of report `file` against its committed text:
+///
+/// * a gated metric regresses when its better-over-worse ratio against
+///   the committed value falls below its floor;
+/// * a metric gated in the committed report but absent from the fresh
+///   one regresses, so a gate cannot vanish unnoticed;
+/// * a gated metric with no committed value is new, and skipped;
+/// * a report whose committed run came from a host with another core
+///   count is skipped whole: scaling ratios do not carry across hosts.
+pub fn diff(file: &str, committed: &str, fresh: &str) -> Result<Diff, String> {
+    let (old_cores, old) = read_report(committed)?;
+    let (new_cores, new) = read_report(fresh)?;
+    let value = |records: &[Metric], id: &str| records.iter().find(|r| r.0 == id).map(|r| r.1);
+    // The fresh run declares the gates; the committed one's count only
+    // for metrics the fresh run lacks.
+    let gates: Vec<(&str, Gate)> = new
+        .iter()
+        .chain(old.iter().filter(|o| value(&new, &o.0).is_none()))
+        .filter_map(|(id, _, gate)| Some((id.as_str(), (*gate)?)))
+        .collect();
+    let mut out = Diff::default();
+    if gates.is_empty() {
+        return Ok(out);
+    }
+    if old_cores.is_some() && old_cores != new_cores {
+        let cores = |c: Option<u64>| c.map_or("?".to_owned(), |c| c.to_string());
+        out.lines.push(format!(
+            "{file}: committed baseline is from a {}-core host, this is a {}-core host; skipping",
+            cores(old_cores),
+            cores(new_cores)
+        ));
+        return Ok(out);
+    }
+    for (id, (direction, floor)) in gates {
+        let verdict = match (value(&old, id), value(&new, id)) {
+            (_, None) => {
+                out.regressed = true;
+                "missing from the fresh run".to_owned()
+            }
+            (None, Some(_)) => "new metric, no committed baseline yet, skipping".to_owned(),
+            (Some(o), Some(n)) => {
+                let (better, worse) = match direction {
+                    Better::Higher => (n, o),
+                    Better::Lower => (o, n),
+                };
+                let ratio = if worse != 0.0 { better / worse } else { 1.0 };
+                out.regressed |= ratio < floor;
+                let mark = if ratio < floor { "REGRESSION" } else { "ok" };
+                format!("{o:.3} -> {n:.3} ({ratio:.2}x, floor {floor}) {mark}")
+            }
+        };
+        out.lines.push(format!("{file}: {id}: {verdict}"));
+    }
+    Ok(out)
+}
+
 fn fmt_metric(value: f64) -> String {
     if value == value.trunc() && value.abs() < 1e15 {
         format!("{}", value as i64)
@@ -353,5 +498,55 @@ mod tests {
         assert_eq!(stats.samples, 8);
         assert!(stats.median_ns > 0.0);
         assert!(stats.p95_ns >= stats.median_ns);
+    }
+
+    /// The report a group named `g` writes on a `cores`-core host.
+    fn report(cores: usize, metrics: &[(&str, f64, Option<Gate>)]) -> String {
+        let mut criterion = Criterion {
+            json_dir: None,
+            default_sample_size: 2,
+        };
+        let mut group = criterion.benchmark_group("g");
+        for &(id, value, gate) in metrics {
+            group.record(id.to_owned(), value, gate);
+        }
+        group.report(cores)
+    }
+
+    /// `diff` of one metric `m` under `gate`, committed on a
+    /// `cores`-core host and fresh on a 2-core one; `None` omits it.
+    fn judge(cores: usize, old: Option<f64>, new: Option<f64>, gate: Option<Gate>) -> Diff {
+        let records = |v: Option<f64>| v.map(|v| ("m", v, gate)).into_iter().collect::<Vec<_>>();
+        diff(
+            "B.json",
+            &report(cores, &records(old)),
+            &report(2, &records(new)),
+        )
+        .expect("the writer's reports read back")
+    }
+
+    #[test]
+    fn diff_judges_direction_floor_missing_new_and_core_count() {
+        let (lo, hi) = (Some((Better::Lower, 0.9)), Some((Better::Higher, 0.75)));
+        #[rustfmt::skip]
+        let cases = [
+            // The same 20% rise fails a lower-is-better count and passes
+            // a higher-is-better throughput.
+            (2, Some(480.0), Some(576.0), lo, true, "m: 480.000 -> 576.000 (0.83x, floor 0.9) REGRESSION"),
+            (2, Some(480.0), Some(576.0), hi, false, "m: 480.000 -> 576.000 (1.20x, floor 0.75) ok"),
+            // The floor is the smallest accepted ratio.
+            (2, Some(100.0), Some(75.0), hi, false, "m: 100.000 -> 75.000 (0.75x, floor 0.75) ok"),
+            (2, Some(100.0), Some(74.0), hi, true, "m: 100.000 -> 74.000 (0.74x, floor 0.75) REGRESSION"),
+            (2, Some(480.0), None, lo, true, "m: missing from the fresh run"),
+            (2, None, Some(480.0), lo, false, "m: new metric, no committed baseline yet, skipping"),
+            (1, Some(480.0), Some(4800.0), lo, false,
+             "committed baseline is from a 1-core host, this is a 2-core host; skipping"),
+        ];
+        for (cores, old, new, gate, regressed, line) in cases {
+            let lines = vec![format!("B.json: {line}")];
+            assert_eq!(judge(cores, old, new, gate), Diff { lines, regressed });
+        }
+        // A plain metric has no floor, however far it moves.
+        assert_eq!(judge(2, Some(100.0), Some(1.0), None), Diff::default());
     }
 }

@@ -16,7 +16,10 @@
 //!   proptest's `*.proptest-regressions`).
 //! * [`mod@bench`] — a minimal criterion replacement (warmup, timed samples,
 //!   median/p95 report, optional JSON output via `CDPD_BENCH_JSON_DIR`)
-//!   keeping the `criterion_group!`/`criterion_main!` bench layout.
+//!   keeping the `criterion_group!`/`criterion_main!` bench layout, plus
+//!   the bench-diff verdict over the reports it writes.
+//! * [`json`] — a minimal JSON reader for validating what the workspace
+//!   writes (bench reports, trace JSONL, calibration reports).
 //! * [`fault`] — deterministic crash injection ([`FaultyVfs`]): a VFS
 //!   wrapper that kills the process-model at the N-th mutating storage
 //!   operation with a seeded torn write, powering the kill-at-any-point
@@ -26,6 +29,7 @@
 
 pub mod bench;
 pub mod fault;
+pub mod json;
 pub mod prop;
 pub mod rng;
 

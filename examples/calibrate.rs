@@ -9,7 +9,8 @@
 //!
 //! The narrative goes to stderr; **stdout carries exactly one line of
 //! JSON** (the report), so the output can be piped straight into a
-//! schema check — ci.sh does exactly that.
+//! schema check; `calibrate::tests::report_json_is_well_formed` pins
+//! that schema.
 
 use cdpd::engine::{Database, IndexSpec};
 use cdpd::replay::{replay, ReplayOptions};

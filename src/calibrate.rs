@@ -553,6 +553,7 @@ pub(crate) fn predict(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdpd_testkit::json::{self, Json};
 
     #[test]
     fn path_kinds_parse_plan_prefixes() {
@@ -717,21 +718,62 @@ mod tests {
         w.record(12, 10, PathKind::SeqScan);
         w.record(3, 3, PathKind::IndexSeek);
         t.observe_window(&w);
-        let json = t.report().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for key in [
-            "\"mode\":\"measured_io\"",
-            "\"windows\":1",
-            "\"samples\":2",
-            "\"predicted_ios\":15",
-            "\"actual_ios\":13",
-            "\"abs_err_ios\":2",
-            "\"exact\":1",
-            "\"tripped\":false",
-            "\"by_path\":[{\"path\":\"seq_scan\"",
-        ] {
-            assert!(json.contains(key), "{key} missing from {json}");
+        let text = t.report().to_json();
+        let rep = json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        let keys = |v: &Json| match v {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys(&rep).join(" "),
+            "mode windows samples predicted_ios actual_ios abs_err_ios overestimates \
+             underestimates exact signed_error drift band alerts tripped by_path"
+        );
+        let int = |v: &Json, key: &str| {
+            v.get(key)
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("{key} is not a count in {text}"))
+        };
+        for key in ["signed_error", "drift", "band"] {
+            assert!(rep.get(key).and_then(Json::as_f64).is_some(), "{key}");
         }
+        assert_eq!(rep.get("mode").and_then(Json::as_str), Some("measured_io"));
+        assert_eq!(rep.get("tripped"), Some(&Json::Bool(false)));
+        let counts = [
+            "windows",
+            "samples",
+            "predicted_ios",
+            "actual_ios",
+            "abs_err_ios",
+            "alerts",
+        ];
+        assert_eq!(counts.map(|k| int(&rep, k)), [1, 2, 15, 13, 2, 0]);
+        let split = ["overestimates", "underestimates", "exact"].map(|k| int(&rep, k));
+        assert_eq!(split, [1, 0, 1]);
+        assert_eq!(split.iter().sum::<u64>(), int(&rep, "samples"));
+
+        // `by_path` lists exactly the exercised paths, by label, and
+        // partitions the samples.
+        let by_path = rep.get("by_path").and_then(Json::as_array).expect("array");
+        let labels: Vec<&str> = PathKind::ALL.iter().map(|p| p.label()).collect();
+        let mut sampled = 0;
+        for entry in by_path {
+            assert_eq!(
+                keys(entry).join(" "),
+                "path samples predicted_ios actual_ios"
+            );
+            let path = entry.get("path").and_then(Json::as_str).expect("label");
+            assert!(labels.contains(&path), "{path} is not a PathKind label");
+            assert!(int(entry, "samples") > 0, "only exercised paths are listed");
+            int(entry, "predicted_ios");
+            int(entry, "actual_ios");
+            sampled += int(entry, "samples");
+        }
+        assert_eq!(sampled, int(&rep, "samples"));
+        assert_eq!(
+            by_path[0].get("path").and_then(Json::as_str),
+            Some("seq_scan")
+        );
     }
 
     #[test]

@@ -422,7 +422,7 @@ mod tests {
         let o = oracle(10_000);
         for stage in [0, 10, 20] {
             for bits in [0u64, 0b1, 0b10000, 0b110011, 0b111111] {
-                let cfg = Config::from_bits(bits);
+                let cfg = Config::from_words(&[bits]);
                 let whole = o.exec(stage, &cfg);
                 let parts: Cost = (0..o.n_parts(stage))
                     .map(|p| o.exec_part(stage, p, &cfg.intersect(&o.part_mask(stage, p))))
@@ -437,7 +437,7 @@ mod tests {
         let probe = |o: &dyn CostOracle| {
             for stage in 0..o.n_stages() {
                 for bits in 0..(1u64 << 6) {
-                    o.exec(stage, &Config::from_bits(bits));
+                    o.exec(stage, &Config::from_words(&[bits]));
                 }
             }
         };
@@ -453,7 +453,7 @@ mod tests {
         // And the memo agrees with the raw reference.
         for stage in [0, 15, 29] {
             for bits in [0u64, 0b101, 0b111111] {
-                let cfg = Config::from_bits(bits);
+                let cfg = Config::from_words(&[bits]);
                 assert_eq!(shared.exec(stage, &cfg), raw.exec(stage, &cfg));
             }
         }
@@ -494,7 +494,7 @@ mod tests {
             assert_eq!(inc.n_parts(stage), batch.n_parts(stage));
             assert_eq!(inc.relevance_mask(stage), batch.relevance_mask(stage));
             for bits in [0u64, 0b1, 0b10110, 0b111111] {
-                let cfg = Config::from_bits(bits);
+                let cfg = Config::from_words(&[bits]);
                 assert_eq!(inc.exec(stage, &cfg), batch.exec(stage, &cfg));
             }
         }

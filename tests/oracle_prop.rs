@@ -429,15 +429,15 @@ props! {
         // EXEC: full sweep of every configuration at every stage.
         for stage in 0..STAGES {
             for bits in 0..1u64 << m {
-                let cfg = Config::from_bits(bits);
+                let cfg = Config::from_words(&[bits]);
                 let want = raw.exec(stage, &cfg);
                 assert_eq!(want, shared.exec(stage, &cfg), "EXEC stage {stage} cfg {cfg:?}");
             }
         }
         // TRANS and SIZE: sampled configuration pairs.
         for _ in 0..24 {
-            let x = Config::from_bits(rng.gen_range(0..1u64 << m));
-            let y = Config::from_bits(rng.gen_range(0..1u64 << m));
+            let x = Config::from_words(&[rng.gen_range(0..1u64 << m)]);
+            let y = Config::from_words(&[rng.gen_range(0..1u64 << m)]);
             let t = raw.trans(&x, &y);
             assert_eq!(t, shared.trans(&x, &y), "TRANS {x:?} -> {y:?}");
             let s = raw.size(&x);

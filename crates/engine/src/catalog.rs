@@ -1,5 +1,5 @@
-use cdpd_storage::{BTree, HeapFile};
-use cdpd_types::{ColumnId, Rid, Schema, TableId, Value};
+use cdpd_storage::{codec, BTree, HeapFile};
+use cdpd_types::{ColumnId, Result, Rid, Schema, TableId, Value};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -36,6 +36,29 @@ impl IndexSpec {
     /// Paper-style display, e.g. `I(a,b)`.
     pub fn display_short(&self) -> String {
         format!("I({})", self.columns.join(","))
+    }
+
+    /// Append the spec in the record codec: the table, then the key
+    /// columns behind a `u16` count. The catalog and the online
+    /// advisor's saved state both persist specs this way.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        codec::put_str(out, &self.table);
+        let n = u16::try_from(self.columns.len()).expect("an index has at most u16::MAX columns");
+        codec::put_u16(out, n);
+        for c in &self.columns {
+            codec::put_str(out, c);
+        }
+    }
+
+    /// Inverse of [`IndexSpec::encode`].
+    ///
+    /// # Errors
+    /// [`cdpd_types::Error::Corrupt`] on a truncated or malformed spec.
+    pub fn decode(r: &mut codec::Reader<'_>) -> Result<IndexSpec> {
+        let table = r.str()?;
+        let n = r.u16()? as usize;
+        let columns = r.items(n, codec::Reader::str)?;
+        Ok(IndexSpec { table, columns })
     }
 }
 

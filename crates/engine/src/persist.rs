@@ -51,13 +51,19 @@
 //! to [`Error::Corrupt`], never to a half-built catalog. Statistics are
 //! persisted field-exactly — including the maintainer's sampling clock
 //! and dirty flags — so a recovered database plans every statement
-//! bit-identically to the uninterrupted run.
+//! bit-identically to the uninterrupted run. The fields are written in
+//! the shared record codec ([`cdpd_storage::codec`]'s `put_*` writers
+//! and [`Reader`]), whose strictness this inherits.
 
 use crate::catalog::{IndexEntry, IndexSpec, TableEntry};
 use crate::stats::{StatsMaintainer, TableStats};
 use crate::Database;
-use cdpd_storage::{codec, BTree, HeapFile, Pager};
-use cdpd_types::{ColumnDef, ColumnId, Error, PageId, Result, Schema, TableId, Value, ValueType};
+use cdpd_storage::codec::{
+    put_bool, put_bytes, put_len, put_list, put_opt, put_str, put_u16, put_u32, put_u64, put_u8,
+    Reader,
+};
+use cdpd_storage::{BTree, HeapFile, Pager};
+use cdpd_types::{ColumnDef, ColumnId, Error, PageId, Result, Schema, TableId, ValueType};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, RwLock};
@@ -65,177 +71,11 @@ use std::sync::{Arc, Mutex, RwLock};
 /// Commit record magic: format name + version in one token.
 const MAGIC: &[u8; 8] = b"cdpdcat2";
 
-// ---------------------------------------------------------------------
-// Primitive writers
-// ---------------------------------------------------------------------
-
-pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// `f64` as IEEE-754 bits: exact round-trip, no formatting involved.
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, u32::try_from(bytes.len()).expect("blob too large"));
-    out.extend_from_slice(bytes);
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-/// A value list, reusing the row codec (tagged, self-delimiting):
-/// count, byte length, then the values — written in place, from
-/// wherever the values live.
-pub(crate) fn put_value_iter<'v>(
-    out: &mut Vec<u8>,
-    values: impl ExactSizeIterator<Item = &'v Value>,
-) {
-    put_u32(out, u32::try_from(values.len()).expect("too many values"));
-    let len_at = out.len();
-    put_u32(out, 0);
-    for v in values {
-        codec::encode_row(std::slice::from_ref(v), out);
-    }
-    let len = u32::try_from(out.len() - len_at - 4).expect("blob too large");
-    out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-pub(crate) fn put_values(out: &mut Vec<u8>, values: &[Value]) {
-    put_value_iter(out, values.iter());
-}
-
 /// A page list as "keep the first `keep`, then append the rest" — the
 /// whole list when `keep` is 0.
 fn put_page_patch(out: &mut Vec<u8>, keep: usize, pages: &[PageId]) {
-    put_u32(out, u32::try_from(keep).expect("page list too long"));
-    put_u32(out, (pages.len() - keep) as u32);
-    for p in &pages[keep..] {
-        put_u32(out, p.0);
-    }
-}
-
-pub(crate) fn put_opt_value(out: &mut Vec<u8>, v: &Option<Value>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(v) => {
-            put_u8(out, 1);
-            put_values(out, std::slice::from_ref(v));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Strict reader
-// ---------------------------------------------------------------------
-
-/// Cursor over a catalog blob. Every accessor fails with
-/// [`Error::Corrupt`] on truncation; [`Reader::finish`] rejects
-/// trailing bytes.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() < n {
-            return Err(Error::Corrupt(format!(
-                "catalog truncated: need {n} bytes, have {}",
-                self.buf.len()
-            )));
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len")))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len")))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn bytes(&mut self) -> Result<&'a [u8]> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String> {
-        let bytes = self.bytes()?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| Error::Corrupt("catalog string is not UTF-8".into()))
-    }
-
-    pub(crate) fn values(&mut self) -> Result<Vec<Value>> {
-        let count = self.u32()? as usize;
-        let bytes = self.bytes()?;
-        let values = codec::decode_row(bytes)?;
-        if values.len() != count {
-            return Err(Error::Corrupt(format!(
-                "value list decodes to {} values, header says {count}",
-                values.len()
-            )));
-        }
-        Ok(values)
-    }
-
-    pub(crate) fn opt_value(&mut self) -> Result<Option<Value>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let mut vs = self.values()?;
-                if vs.len() != 1 {
-                    return Err(Error::Corrupt("optional value is not a singleton".into()));
-                }
-                Ok(vs.pop())
-            }
-            t => Err(Error::Corrupt(format!("bad option tag {t}"))),
-        }
-    }
-
-    pub(crate) fn finish(self) -> Result<()> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(Error::Corrupt(format!(
-                "catalog has {} trailing bytes",
-                self.buf.len()
-            )))
-        }
-    }
+    put_len(out, keep);
+    put_list(out, &pages[keep..], |out, p| put_u32(out, p.0));
 }
 
 // ---------------------------------------------------------------------
@@ -257,12 +97,9 @@ pub(crate) fn encode(db: &Database, whole: bool) -> (Vec<u8>, Carried) {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, db.next_table_id.load(Ordering::Relaxed));
-    if whole || db.app_state_dirty.load(Ordering::Relaxed) {
-        put_u8(&mut out, 1);
-        put_bytes(&mut out, &db.app_state.read().expect("app state poisoned"));
-    } else {
-        put_u8(&mut out, 0);
-    }
+    let app_state = (whole || db.app_state_dirty.load(Ordering::Relaxed))
+        .then(|| db.app_state.read().expect("app state poisoned"));
+    put_opt(&mut out, app_state, |out, app| put_bytes(out, &app));
     let count_at = out.len();
     put_u32(&mut out, 0);
     let mut carried = Carried::new();
@@ -292,7 +129,7 @@ fn encode_table(out: &mut Vec<u8>, name: &str, e: &TableEntry, whole: bool) -> b
     // A table no commit has carried goes whole, like every table of an image.
     let whole = whole || !mark.committed;
     put_str(out, name);
-    put_u8(out, whole as u8);
+    put_bool(out, whole);
     if whole {
         put_u32(out, e.id.0);
         put_u16(out, e.schema.len() as u16);
@@ -306,35 +143,17 @@ fn encode_table(out: &mut Vec<u8>, name: &str, e: &TableEntry, whole: bool) -> b
     // Retained analyze state and the materialized snapshot. Both are
     // persisted: the snapshot may lag the maintainer (DML folded in but
     // not yet refreshed), and recovery must reproduce exactly that.
-    match &e.maintainer {
-        None => put_u8(out, 0),
-        Some(m) => {
-            put_u8(out, 1);
-            m.encode(whole, out);
-        }
-    }
-    match &e.stats {
-        Some(s) if whole || mark.stats_replaced => {
-            put_u8(out, 1);
-            s.encode(out);
-        }
-        _ => put_u8(out, 0),
-    }
+    put_opt(out, e.maintainer.as_ref(), |out, m| m.encode(whole, out));
+    let stats = e.stats.as_ref().filter(|_| whole || mark.stats_replaced);
+    put_opt(out, stats, |out, s| s.encode(out));
     let dropped: &[String] = if whole { &[] } else { &mark.dropped };
-    put_u32(out, dropped.len() as u32);
-    for name in dropped {
-        put_str(out, name);
-    }
+    put_list(out, dropped, |out, name| put_str(out, name));
     // Indexes, in canonical-name order (BTreeMap iteration). A few
     // dozen bytes each, so every index of a touched table is written
     // rather than tracking which of them the statements reached.
-    put_u32(out, e.indexes.len() as u32);
+    put_len(out, e.indexes.len());
     for (name, ix) in &e.indexes {
-        put_str(out, &ix.spec.table);
-        put_u16(out, ix.spec.columns.len() as u16);
-        for c in &ix.spec.columns {
-            put_str(out, c);
-        }
+        ix.spec.encode(out);
         put_u16(out, ix.columns.len() as u16);
         for c in &ix.columns {
             put_u16(out, c.0);
@@ -480,15 +299,11 @@ pub(crate) fn decode_catalog(
 
 /// Fold one commit record into `state`.
 fn apply(state: &mut CatalogState, record: &[u8]) -> Result<()> {
-    let mut r = Reader::new(record);
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(Error::Corrupt("bad catalog magic".into()));
-    }
+    let mut r = Reader::new(record, "catalog record");
+    r.magic(MAGIC)?;
     state.next_table_id = r.u32()?;
-    match r.u8()? {
-        0 => {}
-        1 => state.app_state = r.bytes()?.to_vec(),
-        t => return Err(Error::Corrupt(format!("bad app-state tag {t}"))),
+    if let Some(app_state) = r.opt(Reader::bytes)? {
+        state.app_state = app_state.to_vec();
     }
     for _ in 0..r.u32()? {
         apply_table(state, &mut r)?;
@@ -498,15 +313,12 @@ fn apply(state: &mut CatalogState, record: &[u8]) -> Result<()> {
 
 fn apply_table(state: &mut CatalogState, r: &mut Reader<'_>) -> Result<()> {
     let name = r.str()?;
-    if r.u8()? != 0 {
+    if r.bool()? {
         let id = TableId(r.u32()?);
         let n_cols = r.u16()? as usize;
-        let mut cols = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            let name = r.str()?;
-            let ty = type_from_tag(r.u8()?)?;
-            cols.push(ColumnDef::new(name, ty));
-        }
+        let cols = r.items(n_cols, |r| {
+            Ok(ColumnDef::new(r.str()?, type_from_tag(r.u8()?)?))
+        })?;
         let whole = TableState {
             id,
             schema: Arc::new(Schema::new(cols)),
@@ -524,36 +336,20 @@ fn apply_table(state: &mut CatalogState, r: &mut Reader<'_>) -> Result<()> {
         .ok_or_else(|| Error::Corrupt(format!("delta for unknown table {name}")))?;
     patch_pages(&mut t.heap_pages, r)?;
     t.row_count = r.u64()?;
-    match r.u8()? {
-        0 => {}
-        1 => StatsMaintainer::apply(&mut t.maintainer, r)?,
-        tag => return Err(Error::Corrupt(format!("bad maintainer tag {tag}"))),
+    if r.bool()? {
+        StatsMaintainer::apply(&mut t.maintainer, r)?;
     }
-    match r.u8()? {
-        0 => {}
-        1 => t.stats = Some(Arc::new(TableStats::decode(r)?)),
-        tag => return Err(Error::Corrupt(format!("bad stats tag {tag}"))),
+    if let Some(stats) = r.opt(TableStats::decode)? {
+        t.stats = Some(Arc::new(stats));
     }
     for _ in 0..r.u32()? {
         // Absent already if an earlier record covered the same drop.
         t.indexes.remove(&r.str()?);
     }
     for _ in 0..r.u32()? {
-        let table = r.str()?;
-        let n_spec_cols = r.u16()? as usize;
-        let mut spec_cols = Vec::with_capacity(n_spec_cols);
-        for _ in 0..n_spec_cols {
-            spec_cols.push(r.str()?);
-        }
-        let spec = IndexSpec {
-            table,
-            columns: spec_cols,
-        };
+        let spec = IndexSpec::decode(r)?;
         let n_key_cols = r.u16()? as usize;
-        let mut columns = Vec::with_capacity(n_key_cols);
-        for _ in 0..n_key_cols {
-            columns.push(ColumnId(r.u16()?));
-        }
+        let columns = r.items(n_key_cols, |r| r.u16().map(ColumnId))?;
         let root = PageId(r.u32()?);
         let height = r.u32()?;
         let name = spec.name();
@@ -583,11 +379,7 @@ fn patch_pages(pages: &mut Vec<PageId>, r: &mut Reader<'_>) -> Result<()> {
         )));
     }
     pages.truncate(keep);
-    let n = r.u32()? as usize;
-    pages.reserve(n.min(1 << 20));
-    for _ in 0..n {
-        pages.push(PageId(r.u32()?));
-    }
+    pages.extend(r.list(|r| r.u32().map(PageId))?);
     Ok(())
 }
 
@@ -609,41 +401,7 @@ fn type_from_tag(tag: u8) -> Result<ValueType> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reader_rejects_truncation_and_trailing_bytes() {
-        let mut out = Vec::new();
-        put_u64(&mut out, 7);
-        let mut r = Reader::new(&out[..4]);
-        assert!(r.u64().is_err());
-        let mut r = Reader::new(&out);
-        assert_eq!(r.u64().unwrap(), 7);
-        r.finish().unwrap();
-        let mut out = Vec::new();
-        put_u64(&mut out, 7);
-        put_u8(&mut out, 1);
-        let mut r = Reader::new(&out);
-        r.u64().unwrap();
-        assert!(matches!(r.finish(), Err(Error::Corrupt(_))));
-    }
-
-    #[test]
-    fn value_round_trips() {
-        let vals = vec![
-            Value::Int(-5),
-            Value::Str("héllo".into()),
-            Value::Int(i64::MAX),
-        ];
-        let mut out = Vec::new();
-        put_values(&mut out, &vals);
-        put_opt_value(&mut out, &Some(Value::Str("x".into())));
-        put_opt_value(&mut out, &None);
-        let mut r = Reader::new(&out);
-        assert_eq!(r.values().unwrap(), vals);
-        assert_eq!(r.opt_value().unwrap(), Some(Value::Str("x".into())));
-        assert_eq!(r.opt_value().unwrap(), None);
-        r.finish().unwrap();
-    }
+    use cdpd_types::Value;
 
     #[test]
     fn bad_magic_is_corrupt() {
@@ -653,5 +411,37 @@ mod tests {
             Err(e) => panic!("expected Corrupt, got {e}"),
             Ok(_) => panic!("bad magic decoded"),
         }
+    }
+
+    /// Every proper prefix of an image — schema, statistics, maintainer,
+    /// indexes and app state all present — and the image plus one byte
+    /// are corrupt. (The empty record is the pager's "no metadata".)
+    #[test]
+    fn every_truncation_of_an_image_is_corrupt() {
+        let db = Database::new();
+        let schema = Schema::new(vec![ColumnDef::int("a"), ColumnDef::text("b")]);
+        db.create_table("t", schema).unwrap();
+        for i in 0..40 {
+            db.insert("t", &[Value::Int(i), Value::Str(format!("s{i}"))])
+                .unwrap();
+        }
+        db.analyze("t").unwrap();
+        db.create_index(&IndexSpec::new("t", &["a"])).unwrap();
+        db.set_app_state(b"app".to_vec()).unwrap();
+        let record = image(&db);
+        decode_catalog(&record, &[], db.pager.clone()).unwrap();
+        for cut in 1..record.len() {
+            match decode_catalog(&record[..cut], &[], db.pager.clone()) {
+                Err(Error::Corrupt(_)) => {}
+                Err(e) => panic!("cut {cut}: expected Corrupt, got {e}"),
+                Ok(_) => panic!("cut {cut}: a truncated image decoded"),
+            }
+        }
+        let mut long = record;
+        long.push(0);
+        assert!(matches!(
+            decode_catalog(&long, &[], db.pager.clone()),
+            Err(Error::Corrupt(_))
+        ));
     }
 }

@@ -13,7 +13,14 @@
 //! that way: any future incremental maintenance must build a new value
 //! and swap it.
 
+use cdpd_storage::codec;
 use cdpd_types::{ColumnId, Value};
+
+/// An optional value in the record codec: statistics persist `min`/`max`
+/// this way.
+fn put_opt_value(out: &mut Vec<u8>, v: &Option<Value>) {
+    codec::put_opt(out, v.as_ref(), codec::put_value);
+}
 
 /// Equi-depth histogram: `bounds[i]` is the upper bound of a bucket and
 /// `cum[i]` the fraction of sampled values ≤ that bound. Duplicate
@@ -114,27 +121,20 @@ impl Histogram {
     }
 
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        crate::persist::put_values(out, &self.bounds);
-        crate::persist::put_u32(out, self.cum.len() as u32);
-        for c in &self.cum {
-            crate::persist::put_f64(out, *c);
-        }
-        crate::persist::put_opt_value(out, &self.min);
+        codec::put_values(out, self.bounds.iter());
+        codec::put_list(out, &self.cum, |out, c| codec::put_f64(out, *c));
+        put_opt_value(out, &self.min);
     }
 
-    pub(crate) fn decode(r: &mut crate::persist::Reader<'_>) -> cdpd_types::Result<Histogram> {
+    pub(crate) fn decode(r: &mut codec::Reader<'_>) -> cdpd_types::Result<Histogram> {
         let bounds = r.values()?;
-        let n = r.u32()? as usize;
-        if n != bounds.len() {
+        let cum = r.list(codec::Reader::f64)?;
+        if cum.len() != bounds.len() {
             return Err(cdpd_types::Error::Corrupt(
                 "histogram bounds/cum length mismatch".into(),
             ));
         }
-        let mut cum = Vec::with_capacity(n);
-        for _ in 0..n {
-            cum.push(r.f64()?);
-        }
-        let min = r.opt_value()?;
+        let min = r.opt(codec::Reader::value)?;
         Ok(Histogram { bounds, cum, min })
     }
 }
@@ -205,7 +205,7 @@ impl TableStats {
     }
 
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        use crate::persist::{put_f64, put_opt_value, put_u16, put_u64};
+        use codec::{put_f64, put_u16, put_u64};
         put_u64(out, self.row_count);
         put_u64(out, self.heap_pages);
         put_f64(out, self.avg_row_width);
@@ -219,26 +219,20 @@ impl TableStats {
         }
     }
 
-    pub(crate) fn decode(r: &mut crate::persist::Reader<'_>) -> cdpd_types::Result<TableStats> {
+    pub(crate) fn decode(r: &mut codec::Reader<'_>) -> cdpd_types::Result<TableStats> {
         let row_count = r.u64()?;
         let heap_pages = r.u64()?;
         let avg_row_width = r.f64()?;
         let n = r.u16()? as usize;
-        let mut columns = Vec::with_capacity(n);
-        for _ in 0..n {
-            let distinct = r.u64()?;
-            let min = r.opt_value()?;
-            let max = r.opt_value()?;
-            let histogram = Histogram::decode(r)?;
-            let avg_width = r.f64()?;
-            columns.push(ColumnStats {
-                distinct,
-                min,
-                max,
-                histogram,
-                avg_width,
-            });
-        }
+        let columns = r.items(n, |r| {
+            Ok(ColumnStats {
+                distinct: r.u64()?,
+                min: r.opt(codec::Reader::value)?,
+                max: r.opt(codec::Reader::value)?,
+                histogram: Histogram::decode(r)?,
+                avg_width: r.f64()?,
+            })
+        })?;
         Ok(TableStats {
             row_count,
             heap_pages,
@@ -463,32 +457,32 @@ impl StatsMaintainer {
     /// empty. Applying a record twice, or on top of a later record that
     /// covered a prefix of the same changes, yields the same state.
     pub(crate) fn encode(&self, whole: bool, out: &mut Vec<u8>) {
-        use crate::persist::{put_opt_value, put_u16, put_u32, put_u64, put_u8, put_value_iter};
+        use codec::{put_bool, put_len, put_u16, put_u64, put_values};
         let mark = self.mark.lock().expect("commit mark poisoned");
         let whole = whole || !mark.committed;
-        put_u8(out, whole as u8);
+        put_bool(out, whole);
         put_u64(out, self.rows);
         put_u64(out, self.bytes);
         put_u64(out, self.stride);
         put_u64(out, self.update_events);
-        put_u8(out, self.rows_dirty as u8);
+        put_bool(out, self.rows_dirty);
         put_u16(out, self.cols.len() as u16);
         for (i, (cb, dirty)) in self.cols.iter().zip(&self.dirty).enumerate() {
             let keep = if whole {
                 let mut distinct: Vec<&Value> = cb.distinct.iter().collect();
                 distinct.sort_unstable();
-                put_value_iter(out, distinct.into_iter());
+                put_values(out, distinct.into_iter());
                 0
             } else {
-                put_value_iter(out, mark.added[i].iter());
+                put_values(out, mark.added[i].iter());
                 mark.sample_lens[i]
             };
             put_opt_value(out, &cb.min);
             put_opt_value(out, &cb.max);
-            put_u32(out, u32::try_from(keep).expect("sample too long"));
-            put_value_iter(out, cb.sample[keep..].iter());
+            put_len(out, keep);
+            put_values(out, cb.sample[keep..].iter());
             put_u64(out, cb.width_sum);
-            put_u8(out, *dirty as u8);
+            put_bool(out, *dirty);
         }
     }
 
@@ -508,10 +502,10 @@ impl StatsMaintainer {
     /// record replaces whatever is there, a difference patches it.
     pub(crate) fn apply(
         slot: &mut Option<StatsMaintainer>,
-        r: &mut crate::persist::Reader<'_>,
+        r: &mut codec::Reader<'_>,
     ) -> cdpd_types::Result<()> {
         use cdpd_types::Error::Corrupt;
-        let whole = r.u8()? != 0;
+        let whole = r.bool()?;
         let rows = r.u64()?;
         let bytes = r.u64()?;
         let stride = r.u64()?;
@@ -519,7 +513,7 @@ impl StatsMaintainer {
             return Err(Corrupt("zero sampling stride".into()));
         }
         let update_events = r.u64()?;
-        let rows_dirty = r.u8()? != 0;
+        let rows_dirty = r.bool()?;
         let n = r.u16()? as usize;
         if whole {
             *slot = Some(StatsMaintainer::new(n, 0));
@@ -532,8 +526,8 @@ impl StatsMaintainer {
         (m.update_events, m.rows_dirty) = (update_events, rows_dirty);
         for (cb, dirty) in m.cols.iter_mut().zip(&mut m.dirty) {
             cb.distinct.extend(r.values()?);
-            cb.min = r.opt_value()?;
-            cb.max = r.opt_value()?;
+            cb.min = r.opt(codec::Reader::value)?;
+            cb.max = r.opt(codec::Reader::value)?;
             let keep = r.u32()? as usize;
             if keep > cb.sample.len() {
                 return Err(Corrupt("sample patch starts past the sample".into()));
@@ -541,7 +535,7 @@ impl StatsMaintainer {
             cb.sample.truncate(keep);
             cb.sample.extend(r.values()?);
             cb.width_sum = r.u64()?;
-            *dirty = r.u8()? != 0;
+            *dirty = r.bool()?;
         }
         Ok(())
     }

@@ -21,13 +21,15 @@
 //! reading the body — after which the stream cannot be resynchronized,
 //! so the connection must close.
 //!
-//! Result payloads reuse the storage row codec
-//! ([`cdpd_storage::codec::encode_row`]) for rows and aggregates, so
-//! the values that cross the wire are bit-identical to the values in
-//! the pages they came from.
+//! Result payloads are records in the storage record codec
+//! ([`cdpd_storage::codec`]), the format the catalog and the pager's
+//! metadata are persisted in; rows and aggregates inside them are in
+//! the storage row codec ([`cdpd_storage::codec::encode_row`]), so the
+//! values that cross the wire are bit-identical to the values in the
+//! pages they came from.
 
 use cdpd_engine::QueryResult;
-use cdpd_storage::codec;
+use cdpd_storage::codec::{self, put_framed, put_list, put_str, put_u64, put_u8, Reader};
 use cdpd_storage::IoStats;
 use cdpd_types::{Error, Result, Value};
 use std::io::{Read, Write};
@@ -116,20 +118,18 @@ pub struct RemoteResult {
     pub plan: String,
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
+/// A row as a blob of its row-codec bytes, encoded in place.
 fn put_row(out: &mut Vec<u8>, row: &[Value]) {
-    let mut bytes = Vec::new();
-    codec::encode_row(row, &mut bytes);
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(&bytes);
+    put_framed(out, |out| codec::encode_row(row, out));
 }
+
+fn read_row(r: &mut Reader<'_>) -> Result<Vec<Value>> {
+    codec::decode_row(r.bytes()?)
+}
+
+/// `flags` bits of a result payload.
+const HAS_ROWS: u8 = 1;
+const HAS_AGGREGATE: u8 = 2;
 
 /// Encode a [`QueryResult`] as an OK payload.
 pub fn encode_result(r: &QueryResult) -> Vec<u8> {
@@ -138,48 +138,22 @@ pub fn encode_result(r: &QueryResult) -> Vec<u8> {
     put_u64(&mut out, r.io.reads);
     put_u64(&mut out, r.io.writes);
     put_u64(&mut out, r.io.allocs);
-    let flags = u8::from(r.rows.is_some()) | (u8::from(r.aggregate.is_some()) << 1);
-    out.push(flags);
+    let mut flags = 0;
+    if r.rows.is_some() {
+        flags |= HAS_ROWS;
+    }
+    if r.aggregate.is_some() {
+        flags |= HAS_AGGREGATE;
+    }
+    put_u8(&mut out, flags);
     if let Some(agg) = &r.aggregate {
         put_row(&mut out, std::slice::from_ref(agg));
     }
     if let Some(rows) = &r.rows {
-        put_u32(&mut out, rows.len() as u32);
-        for row in rows {
-            put_row(&mut out, row);
-        }
+        put_list(&mut out, rows, |out, row| put_row(out, row));
     }
-    put_u32(&mut out, r.plan.len() as u32);
-    out.extend_from_slice(r.plan.as_bytes());
+    put_str(&mut out, &r.plan);
     out
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() < n {
-            return Err(Error::Corrupt("truncated result payload".into()));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn row(&mut self) -> Result<Vec<Value>> {
-        let len = self.u32()? as usize;
-        codec::decode_row(self.take(len)?)
-    }
 }
 
 /// Decode an OK payload back into a [`RemoteResult`]: the inverse of
@@ -188,40 +162,35 @@ impl<'a> Reader<'a> {
 /// # Errors
 /// The payload must be well-formed and fully consumed.
 pub fn decode_result(payload: &[u8]) -> Result<RemoteResult> {
-    let mut r = Reader { buf: payload };
+    let mut r = Reader::new(payload, "result payload");
     let count = r.u64()?;
     let io = IoStats {
         reads: r.u64()?,
         writes: r.u64()?,
         allocs: r.u64()?,
     };
-    let flags = r.take(1)?[0];
-    let aggregate = if flags & 2 != 0 {
-        let row = r.row()?;
-        Some(
-            row.into_iter()
-                .next()
-                .ok_or_else(|| Error::Corrupt("aggregate row is empty".into()))?,
-        )
-    } else {
-        None
-    };
-    let rows = if flags & 1 != 0 {
-        let n = r.u32()? as usize;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            rows.push(r.row()?);
-        }
-        Some(rows)
-    } else {
-        None
-    };
-    let plan_len = r.u32()? as usize;
-    let plan = String::from_utf8(r.take(plan_len)?.to_vec())
-        .map_err(|_| Error::Corrupt("plan is not UTF-8".into()))?;
-    if !r.buf.is_empty() {
-        return Err(Error::Corrupt("trailing bytes after result".into()));
+    let flags = r.u8()?;
+    if flags & !(HAS_ROWS | HAS_AGGREGATE) != 0 {
+        return Err(Error::Corrupt(format!(
+            "result payload: bad flags {flags:#x}"
+        )));
     }
+    let aggregate = if flags & HAS_AGGREGATE != 0 {
+        let mut row = read_row(&mut r)?;
+        match (row.pop(), row.is_empty()) {
+            (Some(v), true) => Some(v),
+            _ => return Err(Error::Corrupt("aggregate row is not one value".into())),
+        }
+    } else {
+        None
+    };
+    let rows = if flags & HAS_ROWS != 0 {
+        Some(r.list(read_row)?)
+    } else {
+        None
+    };
+    let plan = r.str()?;
+    r.finish()?;
     Ok(RemoteResult {
         count,
         rows,
@@ -335,6 +304,44 @@ mod tests {
         assert_eq!(decoded.aggregate, Some(Value::Int(42)));
         assert_eq!(decoded.io, result.io);
         assert_eq!(decoded.plan, "IndexScan(ix_t_a)");
+    }
+
+    #[test]
+    fn result_payload_layout_is_pinned() {
+        let payload = encode_result(&QueryResult {
+            count: 3,
+            rows: Some(vec![vec![Value::Int(1)]]),
+            aggregate: Some(Value::Int(42)),
+            io: IoStats {
+                reads: 7,
+                writes: 1,
+                allocs: 0,
+            },
+            est_cost: cdpd_types::Cost::ZERO,
+            plan: "Scan".into(),
+        });
+        let int = |v: i64| [&[0x01][..], &v.to_le_bytes()].concat();
+        let mut want = Vec::new();
+        for v in [3u64, 7, 1, 0] {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        want.push(HAS_ROWS | HAS_AGGREGATE);
+        want.extend_from_slice(&9u32.to_le_bytes());
+        want.extend(int(42));
+        want.extend_from_slice(&1u32.to_le_bytes());
+        want.extend_from_slice(&9u32.to_le_bytes());
+        want.extend(int(1));
+        want.extend_from_slice(&4u32.to_le_bytes());
+        want.extend_from_slice(b"Scan");
+        assert_eq!(payload, want);
+
+        // Unknown flag bits and trailing bytes are corrupt.
+        let mut bad_flags = payload.clone();
+        bad_flags[32] |= 4;
+        assert!(matches!(decode_result(&bad_flags), Err(Error::Corrupt(_))));
+        let mut long = payload;
+        long.push(0);
+        assert!(matches!(decode_result(&long), Err(Error::Corrupt(_))));
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Row serialization and order-preserving key encoding.
+//! Row serialization, order-preserving key encoding, and the record
+//! codec every persisted or transmitted structure is written in.
 //!
-//! Two independent encodings live here:
+//! Three independent encodings live here:
 //!
 //! * **Row codec** ([`encode_row`] / [`decode_row`] / [`RowView`]) — the
 //!   on-page tuple format used by heap pages. Self-describing (one tag
@@ -15,6 +16,18 @@
 //!   encoding, so a composite index `I(a,b)` can be seeked with just an
 //!   `a` value. Integers are tagged and offset-flipped big-endian;
 //!   strings are `0x00`-escaped and double-zero terminated.
+//!
+//! * **Record codec** (the `put_*` writers and [`Reader`]) — the
+//!   little-endian field format of the engine's catalog commit records,
+//!   the online advisor's saved state, the pager's commit and
+//!   checkpoint metadata, and the server's result payloads. Integers are
+//!   fixed-width little-endian, `f64` travels as its IEEE-754 bits,
+//!   strings, byte blobs and lists carry a `u32` length, and an
+//!   optional or boolean field is a `0`/`1` tag byte. Decoding is
+//!   *strict*: truncation, trailing bytes, a tag other than `0`/`1`, or
+//!   invalid UTF-8 is [`Error::Corrupt`], never a half-decoded value,
+//!   and no length read from the input can reserve more elements than
+//!   the input has bytes left.
 
 use cdpd_types::{Error, PageId, Result, Rid, Value};
 
@@ -26,17 +39,21 @@ const TAG_STR: u8 = 0x02;
 /// Append the row encoding of `values` to `out`.
 pub fn encode_row(values: &[Value], out: &mut Vec<u8>) {
     for v in values {
-        match v {
-            Value::Int(i) => {
-                out.push(TAG_INT);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Str(s) => {
-                out.push(TAG_STR);
-                let len = u16::try_from(s.len()).expect("string too long for row codec");
-                out.extend_from_slice(&len.to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
+        encode_value(v, out);
+    }
+}
+
+fn encode_value(v: &Value, out: &mut Vec<u8>) {
+    match v {
+        Value::Int(i) => {
+            out.push(TAG_INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Value::Str(s) => {
+            out.push(TAG_STR);
+            let len = u16::try_from(s.len()).expect("string too long for row codec");
+            out.extend_from_slice(&len.to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
         }
     }
 }
@@ -261,6 +278,266 @@ pub fn decode_rid(bytes: &[u8]) -> Result<Rid> {
     Ok(Rid::new(PageId(page), slot))
 }
 
+// --- Record codec -------------------------------------------------------
+
+/// Append one byte.
+pub fn put_u8(out: &mut Vec<u8>, v: u8) {
+    out.push(v);
+}
+
+/// Append a little-endian `u16`.
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append a little-endian `u32`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append a little-endian `u64`.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append an `f64` as its IEEE-754 bits: an exact round trip.
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+    put_u64(out, v.to_bits());
+}
+
+/// Append a boolean as a `0`/`1` tag byte.
+pub fn put_bool(out: &mut Vec<u8>, v: bool) {
+    out.push(u8::from(v));
+}
+
+/// Append a `u32` length or count.
+///
+/// # Panics
+/// If `n` does not fit in a `u32`.
+pub fn put_len(out: &mut Vec<u8>, n: usize) {
+    put_u32(
+        out,
+        u32::try_from(n).expect("length exceeds the record codec's u32"),
+    );
+}
+
+/// Append a byte blob: its `u32` length, then the bytes. Decodes with
+/// [`Reader::bytes`].
+pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_len(out, bytes.len());
+    out.extend_from_slice(bytes);
+}
+
+/// Append a string as the blob of its UTF-8 bytes. Decodes with
+/// [`Reader::str`].
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_bytes(out, s.as_bytes());
+}
+
+/// Append a blob whose body `write` appends straight into `out`; the
+/// `u32` length is filled in afterwards, so the body is never staged in
+/// a buffer of its own. Decodes with [`Reader::bytes`].
+pub fn put_framed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    put_u32(out, 0);
+    write(out);
+    let len = u32::try_from(out.len() - at - 4).expect("blob exceeds the record codec's u32");
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Append a list: its `u32` count, then every item as `put` writes it.
+/// Decodes with [`Reader::list`].
+pub fn put_list<I>(out: &mut Vec<u8>, items: I, mut put: impl FnMut(&mut Vec<u8>, I::Item))
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+{
+    let items = items.into_iter();
+    put_len(out, items.len());
+    for item in items {
+        put(out, item);
+    }
+}
+
+/// Append an optional field: a `0` tag, or a `1` tag and the value as
+/// `put` writes it. Decodes with [`Reader::opt`].
+pub fn put_opt<T>(out: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    put_bool(out, v.is_some());
+    if let Some(v) = v {
+        put(out, v);
+    }
+}
+
+/// Append a value list: its count, then the values in the row codec as
+/// one blob — written in place, from wherever the values live. Decodes
+/// with [`Reader::values`].
+pub fn put_values<'v>(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = &'v Value>) {
+    put_len(out, values.len());
+    put_framed(out, |out| values.for_each(|v| encode_value(v, out)));
+}
+
+/// Append one value as a one-value list. Decodes with [`Reader::value`].
+pub fn put_value(out: &mut Vec<u8>, v: &Value) {
+    put_values(out, std::iter::once(v));
+}
+
+/// Strict cursor over one record written with the `put_*` functions.
+///
+/// Every accessor fails with [`Error::Corrupt`] on truncation and
+/// [`Reader::finish`] rejects trailing bytes; `what` names the record
+/// in those messages.
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    what: &'static str,
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `buf`, a record described as `what`.
+    pub fn new(buf: &'a [u8], what: &'static str) -> Reader<'a> {
+        Reader { buf, what }
+    }
+
+    fn corrupt(&self, detail: std::fmt::Arguments<'_>) -> Error {
+        Error::Corrupt(format!("{}: {detail}", self.what))
+    }
+
+    /// The next `n` raw bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if self.buf.len() < n {
+            return Err(self.corrupt(format_args!(
+                "truncated: need {n} bytes, have {}",
+                self.buf.len()
+            )));
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
+    }
+
+    /// Consume `magic`, failing if the record does not start with it.
+    pub fn magic(&mut self, magic: &[u8]) -> Result<()> {
+        if self.take(magic.len())? != magic {
+            return Err(self.corrupt(format_args!("bad magic")));
+        }
+        Ok(())
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// An `f64` from its IEEE-754 bits.
+    pub fn f64(&mut self) -> Result<f64> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// A `0`/`1` tag byte; any other byte is corrupt.
+    pub fn bool(&mut self) -> Result<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(self.corrupt(format_args!("bad tag byte {t:#x}"))),
+        }
+    }
+
+    /// A blob written by [`put_bytes`] or [`put_framed`], borrowed.
+    pub fn bytes(&mut self) -> Result<&'a [u8]> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
+    /// A string written by [`put_str`].
+    pub fn str(&mut self) -> Result<String> {
+        let bytes = self.bytes()?;
+        match std::str::from_utf8(bytes) {
+            Ok(s) => Ok(s.to_owned()),
+            Err(_) => Err(self.corrupt(format_args!("string is not UTF-8"))),
+        }
+    }
+
+    /// A list written by [`put_list`], each item decoded by `item`.
+    pub fn list<T>(&mut self, item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let n = self.u32()? as usize;
+        self.items(n, item)
+    }
+
+    /// `n` items decoded by `item`, for a count the caller read itself.
+    /// Every item occupies at least one byte, so at most one slot per
+    /// remaining byte is reserved: a corrupt count fails on truncation
+    /// instead of driving a huge allocation.
+    pub fn items<T>(
+        &mut self,
+        n: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let mut out = Vec::with_capacity(n.min(self.buf.len()));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// An optional field written by [`put_opt`].
+    pub fn opt<T>(&mut self, item: impl FnOnce(&mut Self) -> Result<T>) -> Result<Option<T>> {
+        if self.bool()? {
+            item(self).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// A value list written by [`put_values`].
+    pub fn values(&mut self) -> Result<Vec<Value>> {
+        let count = self.u32()? as usize;
+        let values = decode_row(self.bytes()?)?;
+        if values.len() != count {
+            return Err(self.corrupt(format_args!(
+                "value list decodes to {} values, header says {count}",
+                values.len()
+            )));
+        }
+        Ok(values)
+    }
+
+    /// A single value written by [`put_values`] as a one-value list.
+    pub fn value(&mut self) -> Result<Value> {
+        let mut values = self.values()?;
+        match (values.pop(), values.is_empty()) {
+            (Some(v), true) => Ok(v),
+            _ => Err(self.corrupt(format_args!("value list is not a singleton"))),
+        }
+    }
+
+    /// End of the record: any byte left over is corrupt.
+    pub fn finish(self) -> Result<()> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(self.corrupt(format_args!("{} trailing bytes", self.buf.len())))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,5 +630,99 @@ mod tests {
         assert_eq!(decode_rid(&ea).unwrap(), a);
         assert!(ea < eb, "rid encoding must preserve order");
         assert!(decode_rid(&[0, 1]).is_err());
+    }
+
+    /// One record exercising every writer, and its decoder.
+    fn sample_record() -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u8(&mut out, 3);
+        put_u16(&mut out, 515);
+        put_u32(&mut out, 70_000);
+        put_u64(&mut out, u64::MAX - 1);
+        put_f64(&mut out, -0.125);
+        put_bool(&mut out, true);
+        put_str(&mut out, "héllo");
+        put_framed(&mut out, |o| o.extend_from_slice(b"body"));
+        put_list(&mut out, [1u64, 2, 3], put_u64);
+        put_opt(&mut out, Some(9u64), put_u64);
+        put_opt(&mut out, None::<u64>, put_u64);
+        put_values(&mut out, [iv(-5), Value::from("x")].iter());
+        put_values(&mut out, std::iter::once(&iv(7)));
+        out
+    }
+
+    fn read_sample(r: &mut Reader<'_>) -> Result<()> {
+        assert_eq!(r.u8()?, 3);
+        assert_eq!(r.u16()?, 515);
+        assert_eq!(r.u32()?, 70_000);
+        assert_eq!(r.u64()?, u64::MAX - 1);
+        assert_eq!(r.f64()?, -0.125);
+        assert!(r.bool()?);
+        assert_eq!(r.str()?, "héllo");
+        assert_eq!(r.bytes()?, b"body");
+        assert_eq!(r.list(Reader::u64)?, [1, 2, 3]);
+        assert_eq!(r.opt(Reader::u64)?, Some(9));
+        assert_eq!(r.opt(Reader::u64)?, None);
+        assert_eq!(r.values()?, [iv(-5), Value::from("x")]);
+        assert_eq!(r.value()?, iv(7));
+        Ok(())
+    }
+
+    #[test]
+    fn records_round_trip() {
+        let bytes = sample_record();
+        let mut r = Reader::new(&bytes, "sample");
+        read_sample(&mut r).unwrap();
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn every_truncation_and_any_trailing_byte_is_corrupt() {
+        let bytes = sample_record();
+        for cut in 0..bytes.len() {
+            let mut r = Reader::new(&bytes[..cut], "sample");
+            let err = read_sample(&mut r).and_then(|()| r.finish()).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "cut {cut}: {err}");
+        }
+        let mut long = bytes.clone();
+        long.push(0);
+        let mut r = Reader::new(&long, "sample");
+        read_sample(&mut r).unwrap();
+        match r.finish() {
+            Err(Error::Corrupt(m)) => assert_eq!(m, "sample: 1 trailing bytes"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tags_utf8_and_magic_are_strict() {
+        assert!(Reader::new(&[2], "t").bool().is_err());
+        assert!(Reader::new(&[2, 0], "t").opt(Reader::u8).is_err());
+        let mut bad_utf8 = Vec::new();
+        put_bytes(&mut bad_utf8, &[0xFF, 0xFE]);
+        assert!(Reader::new(&bad_utf8, "t").str().is_err());
+        assert!(Reader::new(b"cdpdxxx1", "t").magic(b"cdpdxxx2").is_err());
+        assert!(Reader::new(b"cdpd", "t").magic(b"cdpdxxx2").is_err());
+        Reader::new(b"cdpdxxx2", "t").magic(b"cdpdxxx2").unwrap();
+        // A value list whose count disagrees with its body, and a
+        // "single" value that is two.
+        let mut lying = Vec::new();
+        put_u32(&mut lying, 3);
+        put_framed(&mut lying, |o| encode_row(&[iv(1)], o));
+        assert!(Reader::new(&lying, "t").values().is_err());
+        let mut two = Vec::new();
+        put_values(&mut two, [iv(1), iv(2)].iter());
+        assert!(Reader::new(&two, "t").value().is_err());
+    }
+
+    #[test]
+    fn a_corrupt_count_fails_without_reserving_it() {
+        let mut out = Vec::new();
+        put_u32(&mut out, u32::MAX);
+        put_u64(&mut out, 1);
+        let mut r = Reader::new(&out, "t");
+        // Four billion u64 slots would be 32 GiB; the reader reserves at
+        // most one per remaining byte and fails on the second item.
+        assert!(matches!(r.list(Reader::u64), Err(Error::Corrupt(_))));
     }
 }

@@ -25,7 +25,8 @@
 //!    header plus the full WAL or the new header plus a WAL whose stale
 //!    transactions are skipped by sequence number.
 
-use crate::crc::{crc64, crc64_begin, crc64_finish, crc64_update};
+use crate::codec::{put_list, put_u32, put_u64, Reader};
+use crate::crc::crc64;
 use crate::pager::{Page, PAGER_SHARDS, PAGE_SIZE};
 use crate::vfs::{Vfs, VfsFile};
 use crate::wal::WalWriter;
@@ -130,49 +131,27 @@ where
     L: std::ops::Deref<Target = Vec<PageId>>,
 {
     let mut out = Vec::new();
-    out.extend_from_slice(&next.to_le_bytes());
-    out.extend_from_slice(&(free.len() as u32).to_le_bytes());
-    for list in free {
-        out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-        for id in list.iter() {
-            out.extend_from_slice(&id.raw().to_le_bytes());
-        }
-    }
-    out.extend_from_slice(&(app_len as u64).to_le_bytes());
+    put_u32(&mut out, next);
+    put_list(&mut out, free, |out, list| {
+        put_list(out, list.iter(), |out, id| put_u32(out, id.raw()));
+    });
+    put_u64(&mut out, app_len as u64);
     out
 }
 
 pub(crate) fn decode_meta(bytes: &[u8]) -> Result<CommittedMeta> {
-    let corrupt = || Error::Corrupt("short pager commit metadata".into());
-    let mut off = 0usize;
-    let take = |off: &mut usize, n: usize| -> Result<&[u8]> {
-        let s = bytes.get(*off..*off + n).ok_or_else(corrupt)?;
-        *off += n;
-        Ok(s)
-    };
-    let next = u32::from_le_bytes(take(&mut off, 4)?.try_into().expect("4 bytes"));
-    let lists = u32::from_le_bytes(take(&mut off, 4)?.try_into().expect("4 bytes")) as usize;
+    let mut r = Reader::new(bytes, "pager metadata");
+    let next = r.u32()?;
+    let lists = r.u32()? as usize;
     if lists != PAGER_SHARDS {
         return Err(Error::Corrupt(format!(
             "pager metadata has {lists} free lists, expected {PAGER_SHARDS}"
         )));
     }
-    let mut free = Vec::with_capacity(lists);
-    for _ in 0..lists {
-        let n = u32::from_le_bytes(take(&mut off, 4)?.try_into().expect("4 bytes")) as usize;
-        let mut list = Vec::with_capacity(n);
-        for _ in 0..n {
-            list.push(PageId(u32::from_le_bytes(
-                take(&mut off, 4)?.try_into().expect("4 bytes"),
-            )));
-        }
-        free.push(list);
-    }
-    let app_len = u64::from_le_bytes(take(&mut off, 8)?.try_into().expect("8 bytes")) as usize;
-    let app_meta = take(&mut off, app_len)?.to_vec();
-    if off != bytes.len() {
-        return Err(Error::Corrupt("trailing bytes in pager metadata".into()));
-    }
+    let free = r.items(lists, |r| r.list(|r| r.u32().map(PageId)))?;
+    let app_len = r.u64()? as usize;
+    let app_meta = r.take(app_len)?.to_vec();
+    r.finish()?;
     Ok(CommittedMeta {
         next,
         free,
@@ -197,39 +176,45 @@ pub(crate) fn encode_header(
 ) -> Result<Vec<u8>> {
     let body_len = u32::try_from(head.len() + app_image.len())
         .map_err(|_| Error::InvalidArgument("checkpoint header exceeds 4 GiB".into()))?;
-    let mut out = Vec::with_capacity(8 + 8 + 8 + 4 + body_len as usize + 8);
+    let mut out = Vec::with_capacity(HDR_FIXED + body_len as usize + 8);
     out.extend_from_slice(HDR_MAGIC);
-    out.extend_from_slice(&ckpt_no.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&body_len.to_le_bytes());
+    put_u64(&mut out, ckpt_no);
+    put_u64(&mut out, seq);
+    put_u32(&mut out, body_len);
     out.extend_from_slice(head);
     out.extend_from_slice(app_image);
-    let crc = crc64_finish(crc64_update(crc64_begin(), &out));
-    out.extend_from_slice(&crc.to_le_bytes());
+    let crc = crc64(&out);
+    put_u64(&mut out, crc);
     Ok(out)
 }
+
+/// Header bytes before the metadata: magic, checkpoint number, commit
+/// sequence number, metadata length.
+const HDR_FIXED: usize = 8 + 8 + 8 + 4;
 
 /// Parse one header file; `None` if missing, torn, or corrupt (the
 /// caller falls back to the other slot).
 pub(crate) fn read_header(file: &dyn VfsFile) -> Option<Header> {
-    let mut fixed = [0u8; 28];
+    let mut fixed = [0u8; HDR_FIXED];
     if file.read_at(0, &mut fixed).ok()? < fixed.len() || &fixed[..8] != HDR_MAGIC {
         return None;
     }
-    let body_len = u32::from_le_bytes(fixed[24..28].try_into().expect("4 bytes")) as usize;
-    let total = 28 + body_len + 8;
+    let body_len = u32::from_le_bytes(fixed[24..].try_into().expect("4 bytes")) as usize;
+    let total = HDR_FIXED + body_len + 8;
     let mut bytes = vec![0u8; total];
     if file.read_at(0, &mut bytes).ok()? < total {
         return None;
     }
     let (body, crc_bytes) = bytes.split_at(total - 8);
-    let crc = u64::from_le_bytes(crc_bytes.try_into().expect("8 bytes"));
-    if crc64_finish(crc64_update(crc64_begin(), body)) != crc {
+    if crc64(body).to_le_bytes() != crc_bytes {
         return None;
     }
-    let ckpt_no = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
-    let seq = u64::from_le_bytes(body[16..24].try_into().expect("8 bytes"));
-    let meta = decode_meta(&body[28..]).ok()?;
+    let mut r = Reader::new(body, "checkpoint header");
+    r.magic(HDR_MAGIC).ok()?;
+    let ckpt_no = r.u64().ok()?;
+    let seq = r.u64().ok()?;
+    let meta = decode_meta(r.bytes().ok()?).ok()?;
+    r.finish().ok()?;
     Some(Header { ckpt_no, seq, meta })
 }
 
@@ -410,11 +395,17 @@ mod tests {
 
     #[test]
     fn meta_rejects_garbage() {
-        assert!(decode_meta(b"").is_err());
-        assert!(decode_meta(&[0u8; 6]).is_err());
-        let mut bytes = encode_meta(1, &vec![Vec::new(); PAGER_SHARDS], b"");
+        let mut free = vec![Vec::new(); PAGER_SHARDS];
+        free[1] = vec![PageId(9), PageId(4)];
+        let mut bytes = encode_meta(1, &free, b"app");
+        for cut in 0..bytes.len() {
+            assert!(decode_meta(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
         bytes.push(0); // trailing byte
         assert!(decode_meta(&bytes).is_err());
+        // A free-list count other than the stripe count.
+        let wrong_shards = encode_meta(1, &free[1..], b"");
+        assert!(decode_meta(&wrong_shards).is_err());
     }
 
     #[test]

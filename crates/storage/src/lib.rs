@@ -15,9 +15,11 @@
 //!   thread so per-statement accounting stays exact under concurrency.
 //! * slotted pages ([`slotted`]) — variable-length record layout used by
 //!   heap pages.
-//! * [`codec`] — row serialization and an order-preserving
+//! * [`codec`] — row serialization, an order-preserving
 //!   ("memcomparable") key encoding, so B+-tree pages can compare keys
-//!   with plain `memcmp`.
+//!   with plain `memcmp`, and the strict record codec that the pager's
+//!   metadata, the engine's catalog, the advisor's saved state and the
+//!   server's result payloads are written in.
 //! * [`HeapFile`] — unordered tuple storage with record ids.
 //! * [`BTree`] — a paged B+-tree over memcomparable keys supporting
 //!   point seeks, ordered range cursors, full leaf scans (for index-only

@@ -62,7 +62,6 @@ pub mod kadvice;
 pub mod online;
 mod oracle;
 pub mod replay;
-mod state;
 
 pub use advisor::{Advisor, AdvisorOptions, Algorithm, Recommendation};
 pub use calibrate::{

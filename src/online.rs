@@ -38,6 +38,9 @@ use cdpd_core::{
 };
 use cdpd_engine::{Database, IndexSpec, StatsRefresh, WhatIfEngine};
 use cdpd_sql::Dml;
+use cdpd_storage::codec::{
+    put_bool, put_f64, put_list, put_opt, put_str, put_u16, put_u64, Reader,
+};
 use cdpd_types::{Error, Result};
 use cdpd_workload::{Block, OnlineShiftDetector, StatementStream, StreamState};
 
@@ -660,62 +663,36 @@ impl OnlineAdvisor {
     /// drift is runtime telemetry about an execution environment the
     /// restored session may not share.
     pub fn save_state(&self) -> Vec<u8> {
-        use crate::state::{put_config, put_f64, put_opt_u64, put_str, put_u32, put_u64, put_u8};
         let mut out = Vec::new();
         out.extend_from_slice(STATE_MAGIC);
         put_str(&mut out, &self.table);
         let st = self.stream.state();
         put_u64(&mut out, st.window_len as u64);
-        put_opt_u64(&mut out, st.max_windows.map(|v| v as u64));
+        put_opt(&mut out, st.max_windows, |out, v| put_u64(out, v as u64));
         put_u64(&mut out, st.evicted as u64);
         put_u64(&mut out, st.pushed as u64);
-        put_u32(&mut out, st.sealed.len() as u32);
-        for b in &st.sealed {
-            put_block(&mut out, b);
-        }
-        put_u32(&mut out, st.profiles.len() as u32);
-        for p in &st.profiles {
-            put_profile(&mut out, p);
-        }
+        put_list(&mut out, &st.sealed, put_block);
+        put_list(&mut out, &st.profiles, put_profile);
         put_weighted_list(&mut out, &st.open);
-        match self.detector.last_profile() {
-            None => put_u8(&mut out, 0),
-            Some(p) => {
-                put_u8(&mut out, 1);
-                put_profile(&mut out, p);
-            }
-        }
-        put_u32(&mut out, self.detector.scores().len() as u32);
-        for s in self.detector.scores() {
-            put_f64(&mut out, *s);
-        }
-        put_u32(&mut out, self.structures.len() as u32);
-        for spec in &self.structures {
-            put_spec(&mut out, spec);
-        }
-        put_u8(&mut out, self.derived as u8);
+        put_opt(&mut out, self.detector.last_profile(), put_profile);
+        put_list(&mut out, self.detector.scores(), |out, s| put_f64(out, *s));
+        put_list(&mut out, &self.structures, |out, spec| spec.encode(out));
+        put_bool(&mut out, self.derived);
         put_u64(&mut out, self.dropped_structures as u64);
         put_u64(&mut out, self.oracle_first as u64);
         put_config(&mut out, &self.initial);
-        put_u32(&mut out, self.committed.len() as u32);
-        for c in &self.committed {
-            put_config(&mut out, c);
-        }
-        put_u32(&mut out, self.decisions.len() as u32);
-        for d in &self.decisions {
-            put_u64(&mut out, d.window as u64);
-            put_config(&mut out, &d.config);
-            put_u32(&mut out, d.specs.len() as u32);
-            for spec in &d.specs {
-                put_spec(&mut out, spec);
-            }
-            put_u8(&mut out, d.changed as u8);
-            put_f64(&mut out, d.degradation);
-            put_u8(&mut out, d.resolved as u8);
-            put_u64(&mut out, d.solve_nanos);
-            put_u64(&mut out, d.changes_used as u64);
-            put_u64(&mut out, d.suggested_k as u64);
-        }
+        put_list(&mut out, &self.committed, put_config);
+        put_list(&mut out, &self.decisions, |out, d| {
+            put_u64(out, d.window as u64);
+            put_config(out, &d.config);
+            put_list(out, &d.specs, |out, spec| spec.encode(out));
+            put_bool(out, d.changed);
+            put_f64(out, d.degradation);
+            put_bool(out, d.resolved);
+            put_u64(out, d.solve_nanos);
+            put_u64(out, d.changes_used as u64);
+            put_u64(out, d.suggested_k as u64);
+        });
         put_u64(&mut out, self.resolves as u64);
         put_u64(&mut out, self.rebuilds as u64);
         out
@@ -738,13 +715,11 @@ impl OnlineAdvisor {
     /// `options` must agree with the persisted session shape, and every
     /// persisted candidate structure must still validate against `db`.
     pub fn restore(db: &Database, options: OnlineOptions, state: &[u8]) -> Result<OnlineAdvisor> {
-        let mut r = crate::state::Reader::new(state);
-        if r.take(STATE_MAGIC.len())? != STATE_MAGIC {
-            return Err(Error::Corrupt("bad advisor state magic".into()));
-        }
+        let mut r = Reader::new(state, "advisor state");
+        r.magic(STATE_MAGIC)?;
         let table = r.str()?;
         let window_len = r.u64()? as usize;
-        let max_windows = r.opt_u64()?.map(|v| v as usize);
+        let max_windows = r.opt(Reader::u64)?.map(|v| v as usize);
         if options.advisor.window_len != window_len {
             return Err(Error::InvalidArgument(format!(
                 "restore options have window_len {}, saved session used {window_len}",
@@ -759,16 +734,8 @@ impl OnlineAdvisor {
         }
         let evicted = r.u64()? as usize;
         let pushed = r.u64()? as usize;
-        let n = r.u32()? as usize;
-        let mut sealed = Vec::with_capacity(n);
-        for _ in 0..n {
-            sealed.push(read_block(&mut r)?);
-        }
-        let n = r.u32()? as usize;
-        let mut profiles = Vec::with_capacity(n);
-        for _ in 0..n {
-            profiles.push(read_profile(&mut r)?);
-        }
+        let sealed = r.list(read_block)?;
+        let profiles = r.list(read_profile)?;
         let open = read_weighted_list(&mut r)?;
         let stream = StatementStream::from_state(StreamState {
             table: table.clone(),
@@ -780,22 +747,10 @@ impl OnlineAdvisor {
             pushed,
             open,
         })?;
-        let last = match r.u8()? {
-            0 => None,
-            1 => Some(read_profile(&mut r)?),
-            t => return Err(Error::Corrupt(format!("bad profile tag {t}"))),
-        };
-        let n = r.u32()? as usize;
-        let mut scores = Vec::with_capacity(n);
-        for _ in 0..n {
-            scores.push(r.f64()?);
-        }
+        let last = r.opt(read_profile)?;
+        let scores = r.list(Reader::f64)?;
         let detector = OnlineShiftDetector::from_state(last, scores);
-        let n = r.u32()? as usize;
-        let mut structures = Vec::with_capacity(n);
-        for _ in 0..n {
-            structures.push(read_spec(&mut r)?);
-        }
+        let structures = r.list(IndexSpec::decode)?;
         if structures.len() > options.max_candidates {
             return Err(Error::InvalidArgument(format!(
                 "saved vocabulary has {} structures, restore options allow max_candidates = {}",
@@ -812,42 +767,23 @@ impl OnlineAdvisor {
         }
         let dropped_structures = r.u64()? as usize;
         let oracle_first = r.u64()? as usize;
-        let initial = r.config()?;
-        let n = r.u32()? as usize;
-        let mut committed = Vec::with_capacity(n);
-        for _ in 0..n {
-            committed.push(r.config()?);
-        }
-        let n = r.u32()? as usize;
-        let mut decisions = Vec::with_capacity(n);
-        for _ in 0..n {
-            let window = r.u64()? as usize;
-            let config = r.config()?;
-            let n_specs = r.u32()? as usize;
-            let mut specs = Vec::with_capacity(n_specs);
-            for _ in 0..n_specs {
-                specs.push(read_spec(&mut r)?);
-            }
-            let changed = r.bool()?;
-            let degradation = r.f64()?;
-            let resolved = r.bool()?;
-            let solve_nanos = r.u64()?;
-            let changes_used = r.u64()? as usize;
-            let suggested_k = r.u64()? as usize;
-            decisions.push(OnlineDecision {
-                window,
-                config,
-                specs,
-                changed,
-                degradation,
-                resolved,
-                solve_nanos,
-                changes_used,
-                suggested_k,
+        let initial = read_config(&mut r)?;
+        let committed = r.list(read_config)?;
+        let decisions = r.list(|r| {
+            Ok(OnlineDecision {
+                window: r.u64()? as usize,
+                config: read_config(r)?,
+                specs: r.list(IndexSpec::decode)?,
+                changed: r.bool()?,
+                degradation: r.f64()?,
+                resolved: r.bool()?,
+                solve_nanos: r.u64()?,
+                changes_used: r.u64()? as usize,
+                suggested_k: r.u64()? as usize,
                 // Runtime telemetry, deliberately not persisted.
                 calibration: None,
-            });
-        }
+            })
+        })?;
         let resolves = r.u64()? as usize;
         let rebuilds = r.u64()? as usize;
         r.finish()?;
@@ -914,41 +850,40 @@ impl OnlineAdvisor {
 /// magic is [`Error::Corrupt`].
 const STATE_MAGIC: &[u8; 8] = b"cdpdadv2";
 
-fn put_spec(out: &mut Vec<u8>, spec: &IndexSpec) {
-    crate::state::put_str(out, &spec.table);
-    crate::state::put_u16(out, spec.columns.len() as u16);
-    for c in &spec.columns {
-        crate::state::put_str(out, c);
-    }
+/// A configuration as a `u16` word count and little-endian words: the
+/// width-agnostic form of the v2 blob. The count is bounded at
+/// `MAX_STRUCTURE_INDEX / 64` words.
+fn put_config(out: &mut Vec<u8>, cfg: &Config) {
+    let words = cfg.words();
+    put_u16(
+        out,
+        u16::try_from(words.len()).expect("config words fit u16"),
+    );
+    words.iter().for_each(|w| put_u64(out, *w));
 }
 
-fn read_spec(r: &mut crate::state::Reader<'_>) -> Result<IndexSpec> {
-    let table = r.str()?;
+fn read_config(r: &mut Reader<'_>) -> Result<Config> {
     let n = r.u16()? as usize;
-    let mut columns = Vec::with_capacity(n);
-    for _ in 0..n {
-        columns.push(r.str()?);
+    if n > cdpd_core::MAX_STRUCTURE_INDEX / 64 {
+        return Err(Error::Corrupt(format!(
+            "persisted configuration claims {n} words"
+        )));
     }
-    Ok(IndexSpec { table, columns })
+    Ok(Config::from_words(&r.items(n, Reader::u64)?))
 }
 
 /// Statements persist as SQL text: the parser/printer round trip is
 /// exact (proven by the sql crate's property tests), and the format
 /// stays debuggable.
 fn put_weighted_list(out: &mut Vec<u8>, list: &[cdpd_workload::WeightedStatement]) {
-    crate::state::put_u32(out, list.len() as u32);
-    for ws in list {
-        crate::state::put_str(out, &ws.statement.to_string());
-        crate::state::put_u64(out, ws.count);
-    }
+    put_list(out, list, |out, ws| {
+        put_str(out, &ws.statement.to_string());
+        put_u64(out, ws.count);
+    });
 }
 
-fn read_weighted_list(
-    r: &mut crate::state::Reader<'_>,
-) -> Result<Vec<cdpd_workload::WeightedStatement>> {
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
+fn read_weighted_list(r: &mut Reader<'_>) -> Result<Vec<cdpd_workload::WeightedStatement>> {
+    r.list(|r| {
         let sql = r.str()?;
         let statement = match cdpd_sql::parse(&sql)? {
             cdpd_sql::Statement::Select(s) => Dml::Select(s),
@@ -961,47 +896,36 @@ fn read_weighted_list(
             }
         };
         let count = r.u64()?;
-        out.push(cdpd_workload::WeightedStatement { statement, count });
-    }
-    Ok(out)
+        Ok(cdpd_workload::WeightedStatement { statement, count })
+    })
 }
 
 fn put_block(out: &mut Vec<u8>, b: &Block) {
-    crate::state::put_u64(out, b.start as u64);
-    crate::state::put_u64(out, b.len as u64);
+    put_u64(out, b.start as u64);
+    put_u64(out, b.len as u64);
     put_weighted_list(out, &b.weighted);
 }
 
-fn read_block(r: &mut crate::state::Reader<'_>) -> Result<Block> {
-    let start = r.u64()? as usize;
-    let len = r.u64()? as usize;
-    let weighted = read_weighted_list(r)?;
+fn read_block(r: &mut Reader<'_>) -> Result<Block> {
     Ok(Block {
-        start,
-        len,
-        weighted,
+        start: r.u64()? as usize,
+        len: r.u64()? as usize,
+        weighted: read_weighted_list(r)?,
     })
 }
 
 fn put_profile(out: &mut Vec<u8>, p: &cdpd_workload::analysis::WindowProfile) {
-    crate::state::put_u32(out, p.fractions.len() as u32);
-    for (k, v) in &p.fractions {
-        crate::state::put_str(out, k);
-        crate::state::put_f64(out, *v);
-    }
+    put_list(out, &p.fractions, |out, (k, v)| {
+        put_str(out, k);
+        put_f64(out, *v);
+    });
 }
 
-fn read_profile(
-    r: &mut crate::state::Reader<'_>,
-) -> Result<cdpd_workload::analysis::WindowProfile> {
-    let n = r.u32()? as usize;
-    let mut fractions = std::collections::BTreeMap::new();
-    for _ in 0..n {
-        let k = r.str()?;
-        let v = r.f64()?;
-        fractions.insert(k, v);
-    }
-    Ok(cdpd_workload::analysis::WindowProfile { fractions })
+fn read_profile(r: &mut Reader<'_>) -> Result<cdpd_workload::analysis::WindowProfile> {
+    let fractions = r.list(|r| Ok((r.str()?, r.f64()?)))?;
+    Ok(cdpd_workload::analysis::WindowProfile {
+        fractions: fractions.into_iter().collect(),
+    })
 }
 
 #[cfg(test)]
@@ -1315,6 +1239,56 @@ mod tests {
         assert!(matches!(err, Some(Error::Corrupt(_))), "{err:?}");
     }
 
+    #[test]
+    fn every_truncation_of_a_saved_state_is_corrupt() {
+        let db = db_with(1_000, None);
+        let options = OnlineOptions {
+            max_windows: Some(2),
+            ..opts(10, Some(2))
+        };
+        let mut adv = OnlineAdvisor::new(&db, "t", options.clone()).unwrap();
+        for i in 0..35 {
+            adv.ingest(&db, &q(if i < 20 { "a" } else { "b" }, i))
+                .unwrap();
+        }
+        let blob = adv.save_state();
+        for cut in 0..blob.len() {
+            let err = OnlineAdvisor::restore(&db, options.clone(), &blob[..cut]).err();
+            assert!(matches!(err, Some(Error::Corrupt(_))), "cut {cut}: {err:?}");
+        }
+        let mut long = blob;
+        long.push(0);
+        let err = OnlineAdvisor::restore(&db, options, &long).err();
+        assert!(matches!(err, Some(Error::Corrupt(_))), "{err:?}");
+    }
+
+    #[test]
+    fn configs_round_trip_across_the_spill_boundary() {
+        let cases = [
+            Config::EMPTY,
+            Config::single(0),
+            Config::single(63),
+            Config::single(64),
+            Config::full(64),
+            Config::full(65),
+            Config::single(5).with(200).with(70),
+        ];
+        let mut out = Vec::new();
+        for c in &cases {
+            put_config(&mut out, c);
+        }
+        let mut r = Reader::new(&out, "configs");
+        for c in &cases {
+            assert_eq!(&read_config(&mut r).unwrap(), c);
+        }
+        r.finish().unwrap();
+
+        // A corrupt word count is rejected before it can allocate.
+        let mut bad = Vec::new();
+        put_u16(&mut bad, u16::MAX);
+        assert!(read_config(&mut Reader::new(&bad, "configs")).is_err());
+    }
+
     /// An 8-column table whose index permutations push the vocabulary
     /// past the old 64-structure cap.
     fn wide_db(rows: i64) -> Database {
@@ -1424,6 +1398,7 @@ mod tests {
         let blob = session.save_state();
         let mut resumed = OnlineAdvisor::restore(&db, options, &blob).unwrap();
         assert_eq!(session.committed(), resumed.committed());
+        assert_eq!(resumed.save_state(), blob, "re-saving reproduces the blob");
         for i in 0..30 {
             let a = session.ingest(&db, &wq("c1", i)).unwrap();
             let b = resumed.ingest(&db, &wq("c1", i)).unwrap();

@@ -118,6 +118,14 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
 grep -q '"correct":true' target/advise-smoke.json
 grep -q '"failed":0[,}]' target/advise-smoke.json
 
+echo "== the repository benchmark writes durably: acknowledged UPDATEs survive a restart =="
+# serve-write's correctness check reopens the durable store and reads
+# back every acknowledged UPDATE, through the WAL's delta frames.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload serve-write --seed 1 --seconds 1 --trace 0 | tail -n 1 > target/serve-write-smoke.json
+grep -q '"correct":true' target/serve-write-smoke.json
+grep -q '"failed":0[,}]' target/serve-write-smoke.json
+
 echo "== tmpdir hygiene: tests must not leak files into the workspace =="
 # Disk-backed tests create their stores under the OS tempdir and clean
 # up after themselves; anything untracked left inside the repo after a

@@ -170,7 +170,7 @@ fn persisted_record_bytes_are_pinned() {
         [
             (116, 3420504732432106958),
             (21280, 14769384914008760432),
-            (38774, 8739008854093503920),
+            (30626, 13284286642863478798),
         ],
         "hdr.0, hdr.1, wal"
     );
@@ -271,15 +271,15 @@ fn disk_backed_database_round_trips() {
 
 // --- Commit deltas ------------------------------------------------------
 
-/// Bytes of a WAL page frame: tag, page id, image, checksum.
-const PAGE_FRAME: u64 = 1 + 4 + PAGE_SIZE as u64 + 8;
-
 /// A durable commit costs what the statement changed, not the size of
-/// the catalog: the WAL bytes a one-row `UPDATE` appends, less its page
-/// images, stay under 4 KiB whether the analysed table holds 10k rows or
-/// 100k (whose distinct sets and samples alone are megabytes).
+/// the page or of the catalog: a heap-only one-row `UPDATE` appends
+/// under 4 KiB of WAL in total — its page frame and its commit
+/// metadata — whether the analysed table holds 10k rows or 100k (whose
+/// distinct sets and samples alone are megabytes). The first UPDATE of
+/// the page after the checkpoint logs the full image by design; the
+/// measured ones are the page's next UPDATEs.
 #[test]
-fn one_row_update_commits_a_flat_delta_at_10k_and_100k_rows() {
+fn heap_only_update_logs_under_4k_at_10k_and_100k_rows() {
     for rows in [10_000i64, 100_000] {
         let opts = DurableOptions {
             checkpoint_wal_bytes: 0, // the log must not reset under the measurement
@@ -289,6 +289,17 @@ fn one_row_update_commits_a_flat_delta_at_10k_and_100k_rows() {
         load(&mut db, rows);
         db.create_index(&IndexSpec::new("t", &["a"])).unwrap();
         db.checkpoint().unwrap();
+        let wal = db.pager().wal_bytes();
+        assert_eq!(
+            db.execute_sql("UPDATE t SET c = 6 WHERE a = 6")
+                .unwrap()
+                .count,
+            1
+        );
+        assert!(
+            db.pager().wal_bytes() - wal > PAGE_SIZE as u64,
+            "the page's first log after the checkpoint is its full image"
+        );
         for (i, sql) in [
             // A value no row held: enters a distinct set and a sample.
             format!("UPDATE t SET c = {} WHERE a = 7", rows * 3),
@@ -301,15 +312,70 @@ fn one_row_update_commits_a_flat_delta_at_10k_and_100k_rows() {
             let (wal, frames) = (db.pager().wal_bytes(), db.pager().durable_stats());
             assert_eq!(db.execute_sql(sql).unwrap().count, 1);
             let frames = db.pager().durable_stats().delta(frames);
-            assert_eq!(frames.wal_commits, 1);
-            let meta = db.pager().wal_bytes() - wal - frames.wal_appends * PAGE_FRAME;
+            assert_eq!(
+                (frames.wal_commits, frames.wal_appends),
+                (1, 1),
+                "heap only"
+            );
+            let logged = db.pager().wal_bytes() - wal;
             assert!(
-                meta < 4096,
-                "{rows} rows, update {i}: {meta} bytes of commit metadata \
-                 beside {} page images",
-                frames.wal_appends
+                logged < 4096,
+                "{rows} rows, update {i}: {logged} bytes of WAL"
             );
         }
+    }
+}
+
+/// A commit whose frame reached the log but whose fsync failed is not
+/// acknowledged, and its pages' next frames must not be deltas against
+/// what was logged before it: recovery resolves a delta against the
+/// newest image in the log, which is the unacknowledged frame. The
+/// fsync arm writes a byte back to its pre-failure value (an empty
+/// delta against the old base, wrongly resolved onto the failed frame);
+/// the write arm leaves the failed statement's byte alone and updates
+/// its neighbour (a delta against a base that never reached the log
+/// would omit the failed byte). Either way, the reopened database must
+/// equal the acknowledged state.
+#[test]
+fn pages_of_a_failed_commit_are_logged_whole_on_retry() {
+    let script = [
+        "UPDATE t SET c = 4001 WHERE a = 5",
+        "UPDATE t SET c = 4002 WHERE a = 5", // its commit fails
+    ];
+    for (fail_at_sync, retry) in [
+        (true, "UPDATE t SET c = 4001 WHERE a = 5"),
+        (false, "UPDATE t SET b = 4003 WHERE a = 5"),
+    ] {
+        let vfs = FlakyVfs {
+            inner: MemVfs::new(),
+            fail_write: Arc::default(),
+            fail_sync: Arc::default(),
+        };
+        let flag = if fail_at_sync {
+            &vfs.fail_sync
+        } else {
+            &vfs.fail_write
+        };
+        let mut db =
+            Database::open_with_vfs(Arc::new(vfs.clone()), DurableOptions::default()).unwrap();
+        load(&mut db, 400);
+        db.execute_sql(script[0]).unwrap();
+        flag.store(true, Ordering::Relaxed);
+        assert!(db.execute_sql(script[1]).is_err());
+        flag.store(false, Ordering::Relaxed);
+        db.execute_sql(retry).unwrap();
+        drop(db);
+
+        let mut control = Database::new();
+        load(&mut control, 400);
+        for sql in script.iter().chain([&retry]) {
+            control.execute_sql(sql).unwrap();
+        }
+        assert_eq!(
+            full_digest(&open_mem(&vfs.inner)),
+            full_digest(&control),
+            "fail_at_sync={fail_at_sync}"
+        );
     }
 }
 

@@ -19,7 +19,9 @@
 //!
 //! 1. a page reaches `data` only after the commit that produced it is
 //!    in the WAL (write-ahead rule) — so every potentially torn `data`
-//!    or `sums` write is shadowed by a WAL page image at recovery;
+//!    or `sums` write is shadowed by a WAL page image at recovery (the
+//!    page's first frame after the last checkpoint is a full image, and
+//!    its later delta frames resolve against the log alone);
 //! 2. the WAL is truncated only after the new header is fsynced — so a
 //!    crash anywhere inside a checkpoint recovers from either the old
 //!    header plus the full WAL or the new header plus a WAL whose stale
@@ -80,7 +82,7 @@ impl Default for DurableOptions {
 /// with the registry — property-tested in `tests/obs_ledger.rs`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DurableStats {
-    /// WAL page frames appended.
+    /// WAL page frames (full images or deltas) of acknowledged commits.
     pub wal_appends: u64,
     /// WAL commit frames appended.
     pub wal_commits: u64,
@@ -360,8 +362,8 @@ pub(crate) fn recover_base(vfs: &dyn Vfs) -> Result<Option<Header>> {
         ));
     }
     if vfs.exists(FILE_WAL) {
-        let (txns, _) = crate::wal::scan(&*vfs.open(FILE_WAL)?)?;
-        if !txns.is_empty() {
+        let (committed_len, _) = crate::wal::scan(&*vfs.open(FILE_WAL)?, |_| Ok(()))?;
+        if committed_len > 0 {
             return Err(Error::Corrupt(
                 "no valid pager header but the WAL holds committed transactions".into(),
             ));

@@ -164,7 +164,14 @@ impl ThreadIoScope {
 /// backend), its durable-tier dirty bits, and a clock-LRU stamp.
 ///
 /// `dirty_log` — modified since the last [`Pager::commit`]; the next
-/// commit appends the image to the WAL and clears it.
+/// commit appends a frame for the page to the WAL and clears it. The
+/// frame holds the byte ranges that differ from the page's *base*, the
+/// image its previous frame logged (a full image when it has none: the
+/// first log after open, after a checkpoint, or after a failed
+/// append). The WAL writer keeps the base as the `Arc` the commit
+/// logged, which is this frame's `page` until the next
+/// [`Pager::update`] copies it, so a page not mutated since its commit
+/// holds no second copy.
 /// `dirty_page` — modified since the last [`Pager::checkpoint`]; the
 /// next checkpoint writes the image back to the data file and clears
 /// it. `dirty_log ⊆ dirty_page` always, and dirty frames are pinned
@@ -344,23 +351,21 @@ impl Pager {
         // Transactions at or below the header's sequence predate the
         // checkpoint that wrote it (the crash hit between header fsync
         // and WAL truncation) and are skipped.
-        let (txns, valid_len) = crate::wal::scan(&*wal_file)?;
         let mut seq = hdr_seq;
-        let mut overlay: std::collections::HashMap<u32, Page> = std::collections::HashMap::new();
+        let mut replayed = std::collections::HashSet::new();
         let mut app_deltas = Vec::new();
-        for txn in txns {
+        let (valid_len, mut images) = crate::wal::scan(&*wal_file, |txn| {
             if txn.seq <= hdr_seq {
-                continue;
+                return Ok(());
             }
-            for (id, page) in txn.pages {
-                overlay.insert(id.raw(), page);
-            }
+            replayed.extend(txn.pages.iter().map(|id| id.raw()));
             let meta = crate::durable::decode_meta(&txn.meta)?;
             next = meta.next;
             free = meta.free;
             app_deltas.push(meta.app_meta);
             seq = txn.seq;
-        }
+            Ok(())
+        })?;
 
         if fresh {
             // Make the empty state durable so a later open can always
@@ -401,7 +406,10 @@ impl Pager {
         // Install replayed page images, pinned dirty: they are durable
         // in the WAL but not yet in the data file, so they must survive
         // in cache until the next checkpoint writes them back.
-        for (raw, page) in overlay {
+        for raw in replayed {
+            let page = images
+                .remove(&raw)
+                .expect("the scan resolves every logged page");
             let id = PageId(raw);
             let shard = &pager.shards[shard_of(id)];
             let mut frames = shard.frames.write().expect("pager lock poisoned");
@@ -708,8 +716,9 @@ impl Pager {
         self.commit_inner(app_meta, &|| app_meta.to_vec(), true)
     }
 
-    /// Commit every mutation since the last commit: append the dirty
-    /// page images plus a commit frame carrying the allocation state
+    /// Commit every mutation since the last commit: append a frame per
+    /// dirty page (what changed since the page's last logged image, see
+    /// the `wal` module) plus a commit frame carrying the allocation state
     /// and `app_delta` — what this transaction changed of the
     /// application's metadata — to the WAL, fsyncing per the
     /// group-commit policy. Returns the commit's sequence number. No-op
@@ -725,7 +734,8 @@ impl Pager {
     /// commit*.
     ///
     /// On `Err` from the log append nothing was acknowledged and nothing
-    /// is forgotten: the pages stay marked for the next commit. (An
+    /// is forgotten: the pages stay marked for the next commit, which
+    /// logs them whole. (An
     /// `Err` from the auto-checkpoint leaves the commit itself durable —
     /// [`Pager::committed_seq`] has advanced.)
     ///
@@ -818,13 +828,16 @@ impl Pager {
         app_delta: &[u8],
     ) -> Result<()> {
         let head = self.encode_alloc_state(app_delta.len());
-        let mut wal = d.wal.lock().expect("pager lock poisoned");
-        for (id, page) in dirty {
-            wal.append_page(*id, page)?;
-            d.wal_appends.fetch_add(1, Ordering::Relaxed);
-            cdpd_obs::tracked_counter!("storage.wal.appends").inc();
-        }
-        let synced = wal.append_commit(seq, &head, app_delta, d.opts.group_commit)?;
+        let synced = d.wal.lock().expect("pager lock poisoned").append_txn(
+            seq,
+            dirty,
+            &head,
+            app_delta,
+            d.opts.group_commit,
+        )?;
+        d.wal_appends
+            .fetch_add(dirty.len() as u64, Ordering::Relaxed);
+        cdpd_obs::tracked_counter!("storage.wal.appends").add(dirty.len() as u64);
         d.wal_commits.fetch_add(1, Ordering::Relaxed);
         cdpd_obs::tracked_counter!("storage.wal.commits").inc();
         if synced {
@@ -1213,6 +1226,35 @@ mod tests {
     }
 
     #[test]
+    fn relogged_pages_cost_their_changes_until_the_checkpoint() {
+        let vfs = MemVfs::new();
+        let pager = open(&vfs, DurableOptions::default()).pager;
+        let id = pager.allocate();
+        let logged = |bump: u8| {
+            let before = pager.wal_bytes();
+            pager.update(id, |p| p[100] = bump).unwrap();
+            pager.commit(b"").unwrap();
+            pager.wal_bytes() - before
+        };
+        assert!(logged(1) > PAGE_SIZE as u64, "first log after open: whole");
+        assert!(logged(2) < 256, "then a delta");
+        pager.checkpoint().unwrap();
+        assert!(logged(3) > PAGE_SIZE as u64, "first log after a checkpoint");
+        assert!(logged(4) < 256);
+        drop(pager);
+
+        let reopened = open(&vfs, DurableOptions::default()).pager;
+        assert_eq!(reopened.read(id).unwrap()[100], 4);
+        let before = reopened.wal_bytes();
+        reopened.update(id, |p| p[100] = 5).unwrap();
+        reopened.commit(b"").unwrap();
+        assert!(
+            reopened.wal_bytes() - before > PAGE_SIZE as u64,
+            "first log after reopen: whole"
+        );
+    }
+
+    #[test]
     fn checkpoint_requires_commit_first() {
         let vfs = MemVfs::new();
         let pager = open(&vfs, DurableOptions::default()).pager;
@@ -1289,7 +1331,8 @@ mod tests {
         let pager = open(&vfs, opts).pager;
         let id = pager.allocate();
         for i in 0..40u8 {
-            pager.update(id, |p| p[0] = i).unwrap();
+            // Every byte changes, so every frame is page-sized.
+            pager.update(id, |p| p.fill(i)).unwrap();
             pager.commit(b"").unwrap();
         }
         assert!(
@@ -1412,7 +1455,8 @@ mod tests {
         let id = pager.allocate();
         let asked = AtomicU64::new(0);
         for i in 0..10u8 {
-            pager.update(id, |p| p[0] = i).unwrap();
+            // Every byte changes, so every frame is page-sized.
+            pager.update(id, |p| p.fill(i)).unwrap();
             pager
                 .commit_with(&[i], &|| {
                     asked.fetch_add(1, Ordering::Relaxed);

@@ -17,7 +17,7 @@
 use cdpd_storage::{Vfs, VfsFile};
 use cdpd_types::{Error, Result};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::rng::splitmix64;
 
@@ -33,6 +33,8 @@ struct FaultState {
     /// Seed for the torn-write prefix length.
     seed: u64,
     killed: AtomicBool,
+    /// The write the kill landed on, if it landed on a write.
+    torn: Mutex<Option<TornWrite>>,
 }
 
 impl FaultState {
@@ -61,6 +63,18 @@ fn crashed() -> Error {
     Error::Io(std::io::Error::other("injected crash: process killed"))
 }
 
+/// The write a kill landed on: what the process meant to write and how
+/// much of it reached storage.
+#[derive(Clone, Debug)]
+pub struct TornWrite {
+    /// The file written.
+    pub file: String,
+    /// Every byte the write was asked to write.
+    pub data: Vec<u8>,
+    /// How many of them (a prefix) reached storage.
+    pub kept: usize,
+}
+
 /// A [`Vfs`] wrapper that injects a deterministic process-kill at the
 /// `kill_at`-th mutating operation. See the [module docs](self).
 #[derive(Clone)]
@@ -83,6 +97,7 @@ impl FaultyVfs {
                 kill_at,
                 seed,
                 killed: AtomicBool::new(false),
+                torn: Mutex::new(None),
             }),
         }
     }
@@ -96,6 +111,12 @@ impl FaultyVfs {
     pub fn killed(&self) -> bool {
         self.state.killed.load(Ordering::Relaxed)
     }
+
+    /// The write the kill tore, if the kill landed on a write (not on
+    /// an fsync, truncate or delete).
+    pub fn torn_write(&self) -> Option<TornWrite> {
+        self.state.torn.lock().expect("fault lock poisoned").clone()
+    }
 }
 
 impl Vfs for FaultyVfs {
@@ -106,6 +127,7 @@ impl Vfs for FaultyVfs {
             return Err(crashed());
         }
         Ok(Box::new(FaultyFile {
+            name: name.to_owned(),
             inner: self.inner.open(name)?,
             state: Arc::clone(&self.state),
         }))
@@ -126,6 +148,7 @@ impl Vfs for FaultyVfs {
 }
 
 struct FaultyFile {
+    name: String,
     inner: Box<dyn VfsFile>,
     state: Arc<FaultState>,
 }
@@ -148,6 +171,11 @@ impl VfsFile for FaultyFile {
                 if keep > 0 {
                     self.inner.write_at(off, &data[..keep])?;
                 }
+                *self.state.torn.lock().expect("fault lock poisoned") = Some(TornWrite {
+                    file: self.name.clone(),
+                    data: data.to_vec(),
+                    kept: keep,
+                });
                 Err(crashed())
             }
             Fate::Dead => Err(crashed()),
@@ -217,6 +245,10 @@ mod tests {
         assert!(bytes.len() >= 5, "first write fully present");
         assert_eq!(&bytes[..5], b"first");
         assert!(bytes.len() <= 11, "fatal write at most a prefix");
+        let torn = vfs.torn_write().expect("the kill landed on a write");
+        assert_eq!(torn.file, "x");
+        assert_eq!(torn.data, b"second");
+        assert_eq!(bytes.len(), 5 + torn.kept);
     }
 
     #[test]

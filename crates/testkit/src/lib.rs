@@ -33,5 +33,5 @@ pub mod json;
 pub mod prop;
 pub mod rng;
 
-pub use fault::FaultyVfs;
+pub use fault::{FaultyVfs, TornWrite};
 pub use rng::Prng;

@@ -47,7 +47,7 @@ mod common;
 
 use cdpd::engine::{Database, IndexSpec};
 use cdpd::sql::Dml;
-use cdpd::storage::{DurableOptions, MemVfs};
+use cdpd::storage::{DurableOptions, MemVfs, PAGE_SIZE};
 use cdpd::types::{ColumnDef, Schema, Value};
 use cdpd::workload::paper::PaperParams;
 use cdpd::workload::{generate, paper};
@@ -336,10 +336,12 @@ fn opts() -> DurableOptions {
     DurableOptions {
         // Small cache so recovery also exercises eviction + backend
         // refetch; small auto-checkpoint threshold so crashes land
-        // inside checkpoints the script didn't ask for.
+        // inside checkpoints the script didn't ask for (a page's frames
+        // after its first are deltas, so it takes ~30 checkpoints over
+        // the 8-seed sweep, as many as page-sized frames took at 128 KiB).
         cache_pages: 16,
         group_commit: 1,
-        checkpoint_wal_bytes: 128 * 1024,
+        checkpoint_wal_bytes: 48 * 1024,
     }
 }
 
@@ -368,9 +370,14 @@ fn count_run(ops: &[Op]) -> CountRun {
     }
 }
 
+/// The WAL's page-frame tag (`cdpd_storage`'s `wal` module docs).
+const WAL_PAGE_FRAME: u8 = 0x01;
+
 /// Run the script against a `FaultyVfs` killing at `kill_at`, reopen
 /// the surviving bytes, and check invariants 1–4 of the module docs.
-fn check_kill(ops: &[Op], count: &CountRun, kill_at: u64, torn_seed: u64) {
+/// Returns whether the kill tore a WAL delta frame: a page frame shorter
+/// than a page (a full image is longer), cut strictly inside.
+fn check_kill(ops: &[Op], count: &CountRun, kill_at: u64, torn_seed: u64) -> bool {
     assert!(kill_at >= 1 && kill_at <= count.total_ops);
     let mem = MemVfs::new();
     let vfs = FaultyVfs::new(Arc::new(mem.clone()), kill_at, torn_seed);
@@ -389,6 +396,12 @@ fn check_kill(ops: &[Op], count: &CountRun, kill_at: u64, torn_seed: u64) {
         vfs.killed(),
         "kill_at {kill_at} within the op budget must fire (determinism)"
     );
+    let tore_delta = vfs.torn_write().is_some_and(|w| {
+        w.file == "wal"
+            && w.data[0] == WAL_PAGE_FRAME
+            && w.data.len() < PAGE_SIZE
+            && (1..w.data.len()).contains(&w.kept)
+    });
 
     // The crashed process is gone; recovery reopens the surviving bytes
     // through the inner (clean) VFS.
@@ -429,6 +442,7 @@ fn check_kill(ops: &[Op], count: &CountRun, kill_at: u64, torn_seed: u64) {
         prefix,
         &format!("kill {kill_at} ({} of {} ops)", prefix.len(), ops.len()),
     );
+    tore_delta
 }
 
 // --- The shapes recovery folds -----------------------------------------
@@ -519,17 +533,19 @@ props! {
         let ops = script(*seed, *which);
         let count = count_run(&ops);
         let kill_at = 1 + frac % count.total_ops;
-        check_kill(&ops, &count, kill_at, *seed ^ *frac);
+        let _ = check_kill(&ops, &count, kill_at, *seed ^ *frac);
     }
 }
 
 /// The fixed CI matrix: 8 seeds (cycling through W1/W2/W3) × 50 kill
 /// points spread evenly across each script's full mutating-op range —
-/// including the initial open, the load, and every checkpoint.
+/// including the initial open, the load, and every checkpoint — of
+/// which some must tear a WAL delta frame.
 #[test]
 fn kill_point_sweep_covers_the_full_op_range() {
     const SEEDS: u64 = 8;
     const POINTS: u64 = 50;
+    let mut torn_deltas = 0;
     for seed in 0..SEEDS {
         let which = seed % 3;
         let ops = script(seed * 31 + 5, which);
@@ -540,9 +556,10 @@ fn kill_point_sweep_covers_the_full_op_range() {
         );
         for j in 0..POINTS {
             let kill_at = 1 + j * (count.total_ops - 1) / (POINTS - 1);
-            check_kill(&ops, &count, kill_at, seed ^ (j << 8));
+            torn_deltas += usize::from(check_kill(&ops, &count, kill_at, seed ^ (j << 8)));
         }
     }
+    assert!(torn_deltas > 0, "no kill point tore a WAL delta frame");
 }
 
 /// A recovered database is live, not read-only: it accepts new commits

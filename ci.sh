@@ -73,14 +73,16 @@ for seed in 0x5eed 0xc0ffee 0xdecade; do
     --test recovery_prop kill_at_any_point_recovers_to_committed_prefix
 done
 
-echo "== §7 and §8 entry points run: alerter-gated online loop, one-pass k-curve =="
+echo "== §7 and §8 entry points run: alerter-gated online loop, the two k answers =="
 # The alerter gate must hold some windows back (a gate that always
-# re-solves is no gate), and W1's cost-vs-k curve must knee at its two
-# major shifts.
+# re-solves is no gate); W1's cost-vs-k curve must knee at its two
+# major shifts, and cross-validation (train W1, hold out W2 and W3)
+# must pick the same budget.
 cargo run --release --offline --quiet --example alerter_loop > target/alerter_loop.txt
 grep -q "resolved false" target/alerter_loop.txt
 cargo run --release --offline --quiet --example pick_k > target/pick_k.txt
 grep -q "knee of the curve: k = 2" target/pick_k.txt
+grep -q "cross-validated (train W1, hold out W2, W3): k = 2" target/pick_k.txt
 
 echo "== §5 entry point runs: ranking exhausts its budget where the k-aware graph answers =="
 # advisor_comparison is the one facade user of Algorithm::Ranking. On

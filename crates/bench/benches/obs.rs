@@ -20,12 +20,10 @@
 //! replay runs with the predicted-vs-actual loop closed (the
 //! `replay` default), its wall time and statement count are
 //! measured, and the per-statement [`cdpd::WindowCalibration::record`]
-//! cost plus a once-per-window [`Sampler::sample_now`] are priced
-//! against it. That combined ratio is also asserted `< 2%`, and the
-//! calibrated replay throughput lands in `BENCH_obs.json` as a gated
-//! metric.
+//! cost is priced against it. That ratio is also asserted `< 2%`, and
+//! the calibrated replay throughput lands in `BENCH_obs.json` as a
+//! gated metric.
 
-use cdpd::obs::timeseries::Sampler;
 use cdpd::replay::{replay, ReplayOptions};
 use cdpd::workload::{generate, paper, QueryMix, WorkloadSpec};
 use cdpd::{PathKind, WindowCalibration};
@@ -128,12 +126,12 @@ fn bench_obs_overhead(criterion: &mut Criterion) {
     group.metric("table1_counter_bumps", bumps as f64);
     group.metric("overhead_ratio", overhead_ratio);
 
-    // --- Sampler + calibration overhead on a quickstart-scale replay.
+    // --- Calibration overhead on a quickstart-scale replay.
     //
     // The replay runs with calibration on (replay's default
     // MeasuredIo pass), so its wall time already *includes* the loop;
-    // pricing the per-statement record plus a once-per-window registry
-    // sample against that wall is therefore conservative.
+    // pricing the per-statement record against that wall is therefore
+    // conservative.
     const ROWS: i64 = 10_000;
     const WINDOW: usize = 200;
     let scale = Scale {
@@ -176,16 +174,8 @@ fn bench_obs_overhead(criterion: &mut Criterion) {
             PathKind::IndexSeek,
         );
     });
-    // Per-sample cost of snapshotting the (by now fully populated)
-    // registry into ring-buffer time series.
-    let mut sampler = Sampler::new(1024);
-    let sample_ns = measure_ns(5, 2_000, || {
-        sampler.sample_now();
-    });
 
-    let calib_cost_ns = calibrated_samples as f64 * record_ns + windows as f64 * sample_ns;
-    let calib_ratio = calib_cost_ns / replay_wall_ns;
-    group.metric("sampler_sample_ns", sample_ns);
+    let calib_ratio = calibrated_samples as f64 * record_ns / replay_wall_ns;
     group.metric("calibration_record_ns", record_ns);
     // Gated with a wide floor: raw throughput swings with host load, so
     // only a collapse (the calibration layer costing real time) fails.
@@ -208,9 +198,8 @@ fn bench_obs_overhead(criterion: &mut Criterion) {
     );
     assert!(
         calib_ratio < OVERHEAD_BUDGET,
-        "calibration+sampling overhead {:.4}% exceeds the {:.0}% budget \
-         ({calibrated_samples} records × {record_ns:.1} ns + {windows} samples × \
-         {sample_ns:.1} ns over {replay_wall_ns:.0} ns of replay)",
+        "calibration overhead {:.4}% exceeds the {:.0}% budget \
+         ({calibrated_samples} records × {record_ns:.1} ns over {replay_wall_ns:.0} ns of replay)",
         calib_ratio * 100.0,
         OVERHEAD_BUDGET * 100.0,
     );
@@ -220,7 +209,7 @@ fn bench_obs_overhead(criterion: &mut Criterion) {
         OVERHEAD_BUDGET * 100.0
     );
     println!(
-        "calibration+sampling overhead: {:.5}% of calibrated replay wall time (budget {:.0}%)",
+        "calibration overhead: {:.5}% of calibrated replay wall time (budget {:.0}%)",
         calib_ratio * 100.0,
         OVERHEAD_BUDGET * 100.0
     );

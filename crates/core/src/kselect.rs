@@ -2,18 +2,18 @@
 //! (§8: *"One question is how to choose an appropriate change
 //! constraint (k)"*).
 //!
-//! Two tools:
+//! Two answers:
 //!
 //! * [`cost_curve`] — the constrained-optimal cost for every `k` in
-//!   `0..=k_max`. The curve is non-increasing and flattens once `k`
-//!   reaches the unconstrained change count.
-//! * [`suggest_k`] — the *knee* of that curve: the smallest `k` whose
-//!   cost is within `tolerance` of the unconstrained optimum. Costs
-//!   stop improving once the budget covers the workload's major trends,
-//!   so the knee sits at "number of major shifts" — exactly the
+//!   `0..=k_max` — and [`suggest_k_elbow`], the *knee* of that curve.
+//!   Costs stop improving once the budget covers the workload's major
+//!   trends, so the knee sits at "number of major shifts" — exactly the
 //!   domain-knowledge rule of thumb §2 describes (*"choose a value of k
 //!   equal to or a bit larger than the number of anticipated
 //!   fluctuations"*), derived from data instead of domain knowledge.
+//! * [`robust_curve`] and [`suggest_robust_k`] — cross-validation: the
+//!   budget whose schedule, trained on one workload, costs least on
+//!   held-out ones (§6.3's W1-trained designs evaluated on W2 and W3).
 //!
 //! Every curve is one table build and one k-aware pass at `k_max`,
 //! whose lower layers hold every smaller budget's answer, ties
@@ -127,22 +127,6 @@ fn schedules(
         }
     }
     Ok(out)
-}
-
-/// The knee of a cost curve: the smallest `k` whose cost is within
-/// `tolerance` (fractional, e.g. `0.02` = 2%) of the curve's final
-/// (most permissive) cost. Returns `None` for an empty curve.
-///
-/// Sensitive to how far the curve was computed (the "floor" is the last
-/// point); prefer [`suggest_k_elbow`] when the curve has a long slowly
-/// improving tail, which real workloads with minor shifts do.
-pub fn suggest_k(curve: &[KCurvePoint], tolerance: f64) -> Option<usize> {
-    let last = curve.last()?;
-    let floor = last.cost.raw() as f64;
-    curve
-        .iter()
-        .find(|p| (p.cost.raw() as f64) <= floor * (1.0 + tolerance))
-        .map(|p| p.k)
 }
 
 /// Geometric knee detection (kneedle-style): normalize both axes to
@@ -307,39 +291,8 @@ mod tests {
         let p = Problem::paper_experiment();
         let cands = enumerate_configs(&o, None, Some(1)).unwrap();
         let curve = cost_curve(&o, &p, &cands, 10).unwrap();
-        let k = suggest_k(&curve, 0.02).unwrap();
+        let k = suggest_k_elbow(&curve).unwrap();
         assert_eq!(k, 2, "two major shifts ⇒ knee at 2: {curve:?}");
-    }
-
-    #[test]
-    fn suggest_k_edge_cases() {
-        assert_eq!(suggest_k(&[], 0.1), None);
-        let flat = [
-            KCurvePoint {
-                k: 0,
-                cost: c(100),
-                changes: 0,
-            },
-            KCurvePoint {
-                k: 1,
-                cost: c(100),
-                changes: 0,
-            },
-        ];
-        assert_eq!(suggest_k(&flat, 0.0), Some(0), "flat curve ⇒ k = 0");
-        let steep = [
-            KCurvePoint {
-                k: 0,
-                cost: c(1000),
-                changes: 0,
-            },
-            KCurvePoint {
-                k: 1,
-                cost: c(100),
-                changes: 1,
-            },
-        ];
-        assert_eq!(suggest_k(&steep, 0.5), Some(1));
     }
 
     #[test]

@@ -1,22 +1,19 @@
 //! `cdpd-obs` — zero-dependency observability for the cdpd workspace.
 //!
-//! Three cooperating layers:
+//! Two cooperating layers:
 //!
 //! * a **metrics registry** ([`metrics`]): named lock-free counters,
 //!   gauges, and log-2-bucketed histograms with percentile snapshots.
 //!   Handles are `&'static`, updates are single relaxed atomic RMWs,
 //!   and the whole registry can be snapshotted/diffed around an
-//!   operation ([`MetricsSnapshot::delta`]).
+//!   operation ([`MetricsSnapshot::delta`]), or exposed as OpenMetrics
+//!   text ([`openmetrics`]).
 //! * a **tracing layer** ([`trace`]): thread-local span stacks with
 //!   monotonic timing and per-span deltas of *tracked* counters, a
 //!   bounded in-memory ring sink, and a JSONL file sink gated by
 //!   `CDPD_TRACE=1` / `CDPD_TRACE_FILE=path` (optionally bounded by
 //!   `CDPD_TRACE_MAX_BYTES`). [`report`] folds recorded spans into a
 //!   flamegraph-style self/total-time tree.
-//! * a **time-series layer** ([`timeseries`]): bounded ring-buffer
-//!   series sampled from the registry ([`Sampler`]), with windowed
-//!   min/max/mean/last summaries and an OpenMetrics text exposition of
-//!   snapshots ([`openmetrics`]).
 //!
 //! Tracing is off by default; the [`span!`] macro then costs one relaxed
 //! atomic load and evaluates none of its attribute expressions.
@@ -39,14 +36,12 @@
 pub mod metrics;
 pub mod openmetrics;
 pub mod report;
-pub mod timeseries;
 pub mod trace;
 
 pub use metrics::{
     registry, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };
 pub use report::{aggregate, profile_since, Profile, ProfileNode};
-pub use timeseries::{sample_every, IntervalSampler, Sampler, SeriesWindow, TimeSeries};
 pub use trace::{AttrValue, Span, SpanRecord};
 
 /// Cached `&'static` handle to a registry counter.

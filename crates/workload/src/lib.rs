@@ -19,17 +19,14 @@
 //!   per window, the granularity at which the design advisor solves
 //!   (the paper's designs in Table 2 are per-500-query windows).
 //! * [`stream`] — the online counterpart: [`StatementStream`] builds
-//!   the same blocks and profiles one statement at a time, and
-//!   [`OnlineShiftDetector`] reproduces batch shift verdicts from a
-//!   live feed (bit-identical to the batch pipeline, by test).
+//!   the same blocks one statement at a time (bit-identical to the
+//!   batch pipeline, by test).
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 mod gen;
 mod mix;
 pub mod paper;
-pub mod perturb;
 pub mod session;
 mod spec;
 pub mod stream;
@@ -40,6 +37,6 @@ pub use gen::generate;
 pub use mix::{QueryMix, Template};
 pub use session::{partition, retarget, SessionWorkload};
 pub use spec::WorkloadSpec;
-pub use stream::{stream_trace, OnlineShiftDetector, StatementStream, StreamState};
+pub use stream::{stream_trace, StatementStream, StreamState};
 pub use summarize::{summarize, Block, SummarizedWorkload, WeightedStatement};
 pub use trace::Trace;

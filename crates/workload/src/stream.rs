@@ -1,37 +1,25 @@
 //! Streaming ingestion: the online counterpart of
-//! [`summarize`](crate::summarize::summarize) and
-//! [`analysis`](crate::analysis).
+//! [`summarize`](crate::summarize::summarize).
 //!
 //! The batch pipeline takes a complete [`Trace`] and windows it after
-//! the fact. A live advisor sees one statement at a time, so this
-//! module maintains the *same* artifacts incrementally:
-//!
-//! * [`StatementStream`] — pushes statements one by one, building each
-//!   window's weighted [`Block`] and shape [`WindowProfile`] as the
-//!   statements arrive (O(1) amortized per statement), with an optional
-//!   sliding-window capacity bound;
-//! * [`OnlineShiftDetector`] — consumes sealed profiles and maintains
-//!   boundary scores, grading them with the exact
-//!   [`grade_scores`] logic the batch
-//!   [`detect_shifts`](crate::analysis::detect_shifts) uses.
+//! the fact. A live advisor sees one statement at a time, so
+//! [`StatementStream`] pushes statements one by one, building each
+//! window's weighted [`Block`] as the statements arrive (O(1) amortized
+//! per statement), with an optional sliding-window capacity bound.
 //!
 //! **Batch equivalence** is the design invariant, proven by test: after
 //! pushing a whole trace through an *unbounded* stream,
 //! [`StatementStream::summarized`] is bit-identical to
-//! [`summarize`](crate::summarize::summarize)`(trace, window_len)`,
-//! [`StatementStream::profiles`]
-//! equals [`window_profiles`](crate::analysis::window_profiles), and
-//! the detector's final verdicts equal `detect_shifts`. Everything the
-//! online advisor builds on top inherits its batch-equivalence claim
-//! from these three identities.
+//! [`summarize`](crate::summarize::summarize)`(trace, window_len)`.
+//! Everything the online advisor builds on top inherits its
+//! batch-equivalence claim from this identity.
 
-use crate::analysis::{grade_scores, shape, Shift, WindowProfile};
 use crate::summarize::cost_signature;
 use crate::summarize::{Block, SummarizedWorkload, WeightedStatement};
 use crate::trace::Trace;
 use cdpd_sql::Dml;
 use cdpd_types::{Error, Result};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// In-progress state of the window currently being filled.
 #[derive(Clone, Debug, Default)]
@@ -41,8 +29,6 @@ struct OpenWindow {
     order: Vec<WeightedStatement>,
     /// `cost_signature → index into order` for O(1) merging.
     by_sig: HashMap<String, usize>,
-    /// Shape counts for the window profile.
-    shapes: BTreeMap<String, u64>,
     /// Raw statements in the window so far.
     len: usize,
 }
@@ -65,7 +51,6 @@ impl OpenWindow {
                 count: 1,
             }),
         }
-        *self.shapes.entry(shape(stmt)).or_insert(0) += 1;
         self.len += 1;
     }
 
@@ -76,21 +61,10 @@ impl OpenWindow {
             weighted: self.order.clone(),
         }
     }
-
-    fn profile(&self) -> WindowProfile {
-        let n = self.len as f64;
-        WindowProfile {
-            fractions: self
-                .shapes
-                .iter()
-                .map(|(k, &c)| (k.clone(), c as f64 / n))
-                .collect(),
-        }
-    }
 }
 
 /// A sliding window over a statement stream, maintaining per-window
-/// weighted blocks and shape profiles incrementally.
+/// weighted blocks incrementally.
 ///
 /// With `max_windows = None` (unbounded) the stream retains every
 /// sealed window and reproduces the batch pipeline exactly; with a
@@ -104,7 +78,6 @@ pub struct StatementStream {
     window_len: usize,
     max_windows: Option<usize>,
     sealed: VecDeque<Block>,
-    profiles: VecDeque<WindowProfile>,
     evicted: usize,
     pushed: usize,
     open: OpenWindow,
@@ -144,7 +117,6 @@ impl StatementStream {
             window_len,
             max_windows,
             sealed: VecDeque::new(),
-            profiles: VecDeque::new(),
             evicted: 0,
             pushed: 0,
             open: OpenWindow::default(),
@@ -169,6 +141,14 @@ impl StatementStream {
     /// True if nothing has been pushed.
     pub fn is_empty(&self) -> bool {
         self.pushed == 0
+    }
+
+    /// Statements in the open (unsealed) window. The next
+    /// [`StatementStream::push`] seals exactly when this is
+    /// `window_len - 1`; after a [`StatementStream::force_seal`] that is
+    /// no longer a function of [`StatementStream::len`].
+    pub fn open_len(&self) -> usize {
+        self.open.len
     }
 
     /// Number of sealed windows currently retained.
@@ -240,11 +220,9 @@ impl StatementStream {
         let _span = cdpd_obs::span!("stream.seal", window = index, statements = self.open.len);
         let open = std::mem::take(&mut self.open);
         self.sealed.push_back(open.block(start));
-        self.profiles.push_back(open.profile());
         if let Some(cap) = self.max_windows {
             while self.sealed.len() > cap {
                 self.sealed.pop_front();
-                self.profiles.pop_front();
                 self.evicted += 1;
                 cdpd_obs::counter!("workload.stream.evicted").inc();
             }
@@ -257,10 +235,10 @@ impl StatementStream {
         self.sealed.iter()
     }
 
-    /// The most recently sealed block and its profile, if any window
-    /// has sealed and is still retained.
-    pub fn last_sealed(&self) -> Option<(&Block, &WindowProfile)> {
-        self.sealed.back().zip(self.profiles.back())
+    /// The most recently sealed block, if any window has sealed and is
+    /// still retained.
+    pub fn last_sealed(&self) -> Option<&Block> {
+        self.sealed.back()
     }
 
     /// The retained windows as a [`SummarizedWorkload`], including the
@@ -278,28 +256,16 @@ impl StatementStream {
         }
     }
 
-    /// The retained window profiles, including the open partial window
-    /// — the streaming counterpart of
-    /// [`window_profiles`](crate::analysis::window_profiles).
-    pub fn profiles(&self) -> Vec<WindowProfile> {
-        let mut out: Vec<WindowProfile> = self.profiles.iter().cloned().collect();
-        if self.open.len > 0 {
-            out.push(self.open.profile());
-        }
-        out
-    }
-
     /// Snapshot the complete stream state for persistence. The open
-    /// window is captured as its weighted statements; the dedup map and
-    /// shape counts are derived on [`StatementStream::from_state`], so
-    /// the round trip is exact.
+    /// window is captured as its weighted statements; the dedup map is
+    /// derived on [`StatementStream::from_state`], so the round trip is
+    /// exact.
     pub fn state(&self) -> StreamState {
         StreamState {
             table: self.table.clone(),
             window_len: self.window_len,
             max_windows: self.max_windows,
             sealed: self.sealed.iter().cloned().collect(),
-            profiles: self.profiles.iter().cloned().collect(),
             evicted: self.evicted,
             pushed: self.pushed,
             open: self.open.order.clone(),
@@ -309,50 +275,61 @@ impl StatementStream {
     /// Rebuild a stream from a persisted [`StreamState`]: the inverse
     /// of [`StatementStream::state`]. A restored stream behaves
     /// identically to the one that was saved — same future seals, same
-    /// blocks, same profiles.
+    /// blocks.
     ///
     /// # Errors
-    /// The state must be internally consistent (valid window length
-    /// and capacity, matching sealed/profile counts, an open window
-    /// strictly smaller than `window_len`).
+    /// [`Error::Corrupt`] unless the state is internally consistent: a
+    /// valid window length and capacity, every statement on the
+    /// stream's table, an open window strictly smaller than
+    /// `window_len`, and a pushed count covering the retained
+    /// statements plus one per evicted window.
     pub fn from_state(state: StreamState) -> Result<StatementStream> {
+        let corrupt = |what: String| Error::Corrupt(format!("stream state: {what}"));
         let mut stream =
-            StatementStream::with_capacity(state.table, state.window_len, state.max_windows)?;
-        if state.sealed.len() != state.profiles.len() {
-            return Err(Error::InvalidArgument(format!(
-                "stream state has {} sealed blocks but {} profiles",
-                state.sealed.len(),
-                state.profiles.len()
+            StatementStream::with_capacity(state.table, state.window_len, state.max_windows)
+                .map_err(|e| corrupt(e.to_string()))?;
+        let sealed_stmts = state.sealed.iter().flat_map(|b| &b.weighted);
+        if let Some(ws) = sealed_stmts
+            .chain(&state.open)
+            .find(|ws| ws.statement.table() != stream.table)
+        {
+            return Err(corrupt(format!(
+                "statement on table {}, stream is for {}",
+                ws.statement.table(),
+                stream.table
             )));
         }
         let mut open = OpenWindow::default();
         for ws in state.open {
             if let Some(sig) = cost_signature(&ws.statement) {
                 if open.by_sig.insert(sig, open.order.len()).is_some() {
-                    return Err(Error::InvalidArgument(
-                        "open window has duplicate cost signatures".into(),
-                    ));
+                    return Err(corrupt("open window has duplicate cost signatures".into()));
                 }
             }
-            let shape_key = shape(&ws.statement);
-            *open.shapes.entry(shape_key).or_insert(0) += ws.count;
-            open.len += ws.count as usize;
+            open.len = usize::try_from(ws.count)
+                .ok()
+                .and_then(|n| open.len.checked_add(n))
+                .ok_or_else(|| corrupt("open window count overflows".into()))?;
             open.order.push(ws);
         }
         if open.len >= state.window_len {
-            return Err(Error::InvalidArgument(format!(
+            return Err(corrupt(format!(
                 "open window has {} statements, window length is {}",
                 open.len, state.window_len
             )));
         }
-        let retained: usize = state.sealed.iter().map(|b| b.len).sum();
-        if state.pushed < retained + open.len {
-            return Err(Error::InvalidArgument(
-                "stream state pushed count below retained statements".into(),
+        // Every evicted window held at least one statement.
+        let accounted = state
+            .sealed
+            .iter()
+            .try_fold(open.len, |sum, b| sum.checked_add(b.len))
+            .and_then(|n| n.checked_add(state.evicted));
+        if accounted.is_none_or(|n| state.pushed < n) {
+            return Err(corrupt(
+                "pushed count below the retained and evicted statements".into(),
             ));
         }
         stream.sealed = state.sealed.into();
-        stream.profiles = state.profiles.into();
         stream.evicted = state.evicted;
         stream.pushed = state.pushed;
         stream.open = open;
@@ -374,8 +351,6 @@ pub struct StreamState {
     pub max_windows: Option<usize>,
     /// Retained sealed blocks, oldest first.
     pub sealed: Vec<Block>,
-    /// Profiles of the retained sealed blocks, oldest first.
-    pub profiles: Vec<WindowProfile>,
     /// Sealed windows evicted before this snapshot.
     pub evicted: usize,
     /// Total raw statements ever pushed.
@@ -397,74 +372,9 @@ pub fn stream_trace(trace: &Trace, window_len: usize) -> Result<StatementStream>
     Ok(stream)
 }
 
-/// Online shift detection: consumes sealed [`WindowProfile`]s one at a
-/// time, maintains the boundary-score sequence incrementally, and
-/// grades it with the same two-means logic as the batch
-/// [`detect_shifts`](crate::analysis::detect_shifts).
-///
-/// Grading is a *global* judgement over all scores seen so far, so a
-/// shift's major/minor verdict can be revised as later windows arrive
-/// (the clusters move). The final verdicts — after every window has
-/// been observed — equal the batch function's output exactly, because
-/// both call [`grade_scores`] on the same score sequence.
-#[derive(Clone, Debug, Default)]
-pub struct OnlineShiftDetector {
-    last: Option<WindowProfile>,
-    scores: Vec<f64>,
-}
-
-impl OnlineShiftDetector {
-    /// A detector that has seen no windows.
-    pub fn new() -> OnlineShiftDetector {
-        OnlineShiftDetector::default()
-    }
-
-    /// Observe the next sealed window's profile. Returns the L1
-    /// boundary score against the previous window (`None` for the
-    /// first window — there is no boundary yet).
-    pub fn observe(&mut self, profile: &WindowProfile) -> Option<f64> {
-        let score = self.last.as_ref().map(|prev| prev.l1(profile));
-        if let Some(s) = score {
-            self.scores.push(s);
-        }
-        self.last = Some(profile.clone());
-        score
-    }
-
-    /// The boundary scores seen so far (`scores()[i]` is the boundary
-    /// entering window `i + 1`).
-    pub fn scores(&self) -> &[f64] {
-        &self.scores
-    }
-
-    /// Current shift verdicts over everything observed so far.
-    pub fn shifts(&self) -> Vec<Shift> {
-        grade_scores(&self.scores)
-    }
-
-    /// Number of shifts currently graded major — the online counterpart
-    /// of [`suggest_k_from_trace`](crate::analysis::suggest_k_from_trace).
-    pub fn suggested_k(&self) -> usize {
-        self.shifts().iter().filter(|s| s.major).count()
-    }
-
-    /// The last observed profile (the comparison baseline for the next
-    /// boundary score), for persistence.
-    pub fn last_profile(&self) -> Option<&WindowProfile> {
-        self.last.as_ref()
-    }
-
-    /// Rebuild a detector from persisted state: the last observed
-    /// profile and the boundary scores seen so far.
-    pub fn from_state(last: Option<WindowProfile>, scores: Vec<f64>) -> OnlineShiftDetector {
-        OnlineShiftDetector { last, scores }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{detect_shifts, window_profiles};
     use crate::summarize::summarize;
     use crate::{generate, paper};
 
@@ -481,7 +391,6 @@ mod tests {
         let trace = w1_trace();
         let stream = stream_trace(&trace, 500).unwrap();
         assert_eq!(stream.summarized(), summarize(&trace, 500).unwrap());
-        assert_eq!(stream.profiles(), window_profiles(&trace, 500).unwrap());
         assert_eq!(stream.windows_sealed(), 30);
         assert_eq!(stream.evicted(), 0);
     }
@@ -493,35 +402,6 @@ mod tests {
         // ragged tail block exactly like batch summarize's.
         let stream = stream_trace(&trace, 700).unwrap();
         assert_eq!(stream.summarized(), summarize(&trace, 700).unwrap());
-        assert_eq!(stream.profiles(), window_profiles(&trace, 700).unwrap());
-    }
-
-    #[test]
-    fn online_detector_matches_batch_verdicts() {
-        let trace = w1_trace();
-        let profiles = window_profiles(&trace, 500).unwrap();
-        let mut det = OnlineShiftDetector::new();
-        for p in &profiles {
-            det.observe(p);
-        }
-        assert_eq!(det.shifts(), detect_shifts(&profiles));
-        assert_eq!(det.suggested_k(), 2);
-    }
-
-    #[test]
-    fn detector_streams_with_the_stream() {
-        // Wire detector to stream seals: same verdicts as batch.
-        let trace = w1_trace();
-        let mut stream = StatementStream::new("t", 500).unwrap();
-        let mut det = OnlineShiftDetector::new();
-        for stmt in trace.statements() {
-            if stream.push(stmt).unwrap().is_some() {
-                let (_, profile) = stream.last_sealed().unwrap();
-                det.observe(profile);
-            }
-        }
-        let batch = detect_shifts(&window_profiles(&trace, 500).unwrap());
-        assert_eq!(det.shifts(), batch);
     }
 
     #[test]
@@ -559,18 +439,31 @@ mod tests {
     }
 
     #[test]
-    fn detector_first_window_scores_nothing() {
-        let mut det = OnlineShiftDetector::new();
-        let p = WindowProfile {
-            fractions: [("r:a".to_string(), 1.0)].into_iter().collect(),
+    fn state_round_trips_and_inconsistent_state_is_corrupt() {
+        let trace = w1_trace();
+        let mut stream = StatementStream::with_capacity("t", 500, Some(4)).unwrap();
+        stream.push_all(&trace.statements()[..2_250]).unwrap();
+        let state = stream.state();
+        let restored = StatementStream::from_state(state.clone()).unwrap();
+        assert_eq!(restored.state(), state);
+        assert_eq!(restored.open_len(), 250);
+
+        let corrupt = |edit: &dyn Fn(&mut StreamState)| {
+            let mut bad = state.clone();
+            edit(&mut bad);
+            let err = StatementStream::from_state(bad).err();
+            assert!(matches!(err, Some(Error::Corrupt(_))), "{err:?}");
         };
-        assert_eq!(det.observe(&p), None);
-        assert!(det.scores().is_empty());
-        assert!(det.shifts().is_empty());
-        let q = WindowProfile {
-            fractions: [("r:b".to_string(), 1.0)].into_iter().collect(),
-        };
-        assert_eq!(det.observe(&q), Some(2.0));
-        assert_eq!(det.suggested_k(), 1);
+        corrupt(&|s| s.window_len = 0);
+        corrupt(&|s| s.max_windows = Some(0));
+        corrupt(&|s| s.window_len = 250);
+        corrupt(&|s| s.pushed = 10);
+        corrupt(&|s| s.evicted = s.pushed);
+        corrupt(&|s| s.open[0].count = u64::MAX);
+        corrupt(&|s| s.table = "u".into());
+        corrupt(&|s| {
+            let dup = s.open[0].clone();
+            s.open.push(dup);
+        });
     }
 }

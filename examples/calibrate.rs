@@ -1,6 +1,5 @@
 //! Calibration quickstart: replay a paper workload with the
-//! predicted-vs-actual loop closed, sample the metrics registry into
-//! time series while it runs, and emit the final
+//! predicted-vs-actual loop closed and emit the final
 //! [`cdpd::CalibrationReport`] as JSON.
 //!
 //! ```sh
@@ -18,7 +17,6 @@ use cdpd::types::{ColumnDef, Schema, Value};
 use cdpd::workload::{generate, paper};
 use cdpd::{CalibrationMode, CalibrationOptions};
 use cdpd_testkit::Prng;
-use std::time::Duration;
 
 fn main() -> cdpd::types::Result<()> {
     // 1. The usual paper-shaped table: four integer columns, ~5 rows
@@ -67,12 +65,7 @@ fn main() -> cdpd::types::Result<()> {
         .collect();
     eprintln!("trace: {} statements over {windows} windows", trace.len());
 
-    // 3. Sample the global metrics registry into ring-buffer time
-    //    series while the replay runs: the `calibration.*` counters the
-    //    replay emits become inspectable trajectories.
-    let sampler = cdpd::obs::timeseries::sample_every(Duration::from_millis(2), 4096);
-
-    // 4. Replay under ModelAccount calibration: the oracle predicts
+    // 3. Replay under ModelAccount calibration: the oracle predicts
     //    from the live materialized shapes, the executor keeps its own
     //    model account, and the two must reconcile exactly.
     let options = ReplayOptions {
@@ -83,7 +76,6 @@ fn main() -> cdpd::types::Result<()> {
         },
     };
     let report = replay(&db, &trace, WINDOW, &schedule, Some(&[]), options)?;
-    let sampler = sampler.stop();
 
     let calib = report
         .calibration
@@ -92,20 +84,8 @@ fn main() -> cdpd::types::Result<()> {
         "calibration: {} samples, {} exact, drift {:.4} (band ±{:.1}), {} watchdog trip(s)",
         calib.samples, calib.exact, calib.drift, calib.band, calib.alerts
     );
-    for name in ["calibration.samples", "calibration.exact"] {
-        if let Some(series) = sampler.series(name) {
-            let w = series.window();
-            eprintln!(
-                "series {name}: {} points, {} -> {} (delta {})",
-                w.len,
-                w.first,
-                w.last,
-                w.delta()
-            );
-        }
-    }
 
-    // 5. The report itself: one line of JSON on stdout.
+    // 4. The report itself: one line of JSON on stdout.
     println!("{}", calib.to_json());
     Ok(())
 }

@@ -1,18 +1,22 @@
 //! Answering the paper's open question §8 — "how to choose an
-//! appropriate change constraint (k)?" — with the cost-curve extension:
-//! sweep k, plot constrained-optimal cost against it, and take the knee.
+//! appropriate change constraint (k)?" — two ways:
 //!
-//! For W1 (two major shifts) the knee lands at k = 2 without any domain
+//! * the cost-curve knee: sweep k, plot constrained-optimal cost
+//!   against it, and take the knee;
+//! * cross-validation (§6.3): train on W1, re-cost each budget's
+//!   schedule on W2 and W3, and take the budget cheapest on them.
+//!
+//! For W1 (two major shifts) both land at k = 2 without any domain
 //! knowledge about the workload's phase structure.
 //!
 //! ```sh
 //! cargo run --release --example pick_k
 //! ```
 
-use cdpd::core::{enumerate_configs, kselect, Problem};
+use cdpd::core::{enumerate_configs, kselect, CostOracle, Problem};
 use cdpd::engine::{Database, IndexSpec, WhatIfEngine};
 use cdpd::types::{ColumnDef, Schema, Value};
-use cdpd::workload::{generate, paper, summarize};
+use cdpd::workload::{generate, paper, summarize, Trace};
 use cdpd::EngineOracle;
 use cdpd_testkit::Prng;
 
@@ -45,8 +49,6 @@ fn main() -> cdpd::types::Result<()> {
         domain,
         window_len: WINDOW,
     };
-    let trace = generate(&paper::w1_with(&params), 42);
-    let workload = summarize(&trace, WINDOW)?;
     let structures: Vec<IndexSpec> = vec![
         IndexSpec::new("t", &["a"]),
         IndexSpec::new("t", &["b"]),
@@ -55,9 +57,13 @@ fn main() -> cdpd::types::Result<()> {
         IndexSpec::new("t", &["a", "b"]),
         IndexSpec::new("t", &["c", "d"]),
     ];
+    let oracle_for = |trace: &Trace| -> cdpd::types::Result<_> {
+        let workload = summarize(trace, WINDOW)?;
+        let whatif = WhatIfEngine::snapshot(&db, "t")?;
+        Ok(EngineOracle::new(whatif, structures.clone(), &workload)?.into_shared())
+    };
 
-    let oracle =
-        EngineOracle::new(WhatIfEngine::snapshot(&db, "t")?, structures, &workload)?.into_shared();
+    let oracle = oracle_for(&generate(&paper::w1_with(&params), 42))?;
     let problem = Problem::paper_experiment();
     let candidates = enumerate_configs(&oracle, None, Some(1))?;
 
@@ -76,32 +82,21 @@ fn main() -> cdpd::types::Result<()> {
         "\nknee of the curve: k = {knee}  \
          (W1 has exactly {knee} major shifts — the §2 rule of thumb, derived from data)"
     );
-    let tol = kselect::suggest_k(&curve, 0.10);
-    println!("within-10%-of-floor rule suggests: k = {tol:?}");
 
-    // Third opinion, and the most principled: cross-validation against
-    // perturbed tomorrows (re-sampled literals + out-of-phase drift).
-    let spec = paper::w1_with(&params);
-    let advice = cdpd::suggest_k_robust(
-        &db,
-        &spec,
-        &cdpd::KAdviceOptions {
-            structures: Some(structures_vec()),
-            k_max,
-            ..Default::default()
-        },
-    )?;
-    println!(
-        "cross-validated (train W1, hold out perturbed variants): k = {}",
-        advice.k
-    );
-
-    // Fourth opinion, needing no cost model at all: changepoint
-    // detection on the trace's per-window statement profiles.
-    let from_trace = cdpd::workload::analysis::suggest_k_from_trace(&trace, WINDOW)?;
-    println!("trace-side shift detection (no cost model): k = {from_trace}");
+    // Cross-validation: the W1-trained schedule at each budget, re-costed
+    // on W2 (minor shifts twice as often) and W3 (minor shifts out of
+    // phase).
+    let holdouts = [
+        oracle_for(&generate(&paper::w2_with(&params), 43))?,
+        oracle_for(&generate(&paper::w3_with(&params), 44))?,
+    ];
+    let holdout_refs: Vec<&dyn CostOracle> =
+        holdouts.iter().map(|h| h as &dyn CostOracle).collect();
+    let robust = kselect::robust_curve(&oracle, &holdout_refs, &problem, &candidates, k_max)?;
+    let cross = kselect::suggest_robust_k(&robust).expect("curve is non-empty");
+    println!("cross-validated (train W1, hold out W2, W3): k = {cross}");
     println!("\n{:>3} {:>14} {:>16}", "k", "train cost", "holdout cost");
-    for p in &advice.curve {
+    for p in &robust {
         println!(
             "{:>3} {:>14} {:>16}",
             p.k,
@@ -110,17 +105,5 @@ fn main() -> cdpd::types::Result<()> {
         );
     }
     println!("\ncost-curve oracle: {}", oracle.stats_snapshot());
-    println!("k-sweep train oracle: {}", advice.oracle_stats);
     Ok(())
-}
-
-fn structures_vec() -> Vec<IndexSpec> {
-    vec![
-        IndexSpec::new("t", &["a"]),
-        IndexSpec::new("t", &["b"]),
-        IndexSpec::new("t", &["c"]),
-        IndexSpec::new("t", &["d"]),
-        IndexSpec::new("t", &["a", "b"]),
-        IndexSpec::new("t", &["c", "d"]),
-    ]
 }

@@ -58,7 +58,6 @@ pub use cdpd_workload as workload;
 mod advisor;
 pub mod calibrate;
 mod candidates;
-pub mod kadvice;
 pub mod online;
 mod oracle;
 pub mod replay;
@@ -71,6 +70,5 @@ pub use calibrate::{
 pub use candidates::{candidate_indexes, candidate_indexes_capped};
 pub use cdpd_core::OracleStatsSnapshot;
 pub use cdpd_obs::MetricsSnapshot;
-pub use kadvice::{suggest_k_robust, KAdvice, KAdviceOptions};
 pub use online::{OnlineAdvisor, OnlineDecision, OnlineOptions};
 pub use oracle::EngineOracle;

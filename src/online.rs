@@ -4,8 +4,7 @@
 //! trace in, schedule out, everything rebuilt from scratch per call.
 //! [`OnlineAdvisor`] is the same optimizer run as a *session*: it
 //! consumes one statement at a time, maintains the sliding window
-//! ([`cdpd_workload::StatementStream`]), watches for workload shifts
-//! ([`cdpd_workload::OnlineShiftDetector`]), extends its cost oracle by
+//! ([`cdpd_workload::StatementStream`]), extends its cost oracle by
 //! one stage per sealed window ([`EngineOracle::append_block`] under a
 //! warm [`ProjectedOracle`] memo), and re-solves with the committed
 //! prefix pinned ([`cdpd_core::kaware::solve_with_prefix`]) under a
@@ -42,7 +41,7 @@ use cdpd_storage::codec::{
     put_bool, put_f64, put_list, put_opt, put_str, put_u16, put_u64, Reader,
 };
 use cdpd_types::{Error, Result};
-use cdpd_workload::{Block, OnlineShiftDetector, StatementStream, StreamState};
+use cdpd_workload::{Block, StatementStream, StreamState};
 
 /// Tuning knobs for [`OnlineAdvisor`].
 #[derive(Clone, Debug)]
@@ -126,9 +125,6 @@ pub struct OnlineDecision {
     /// Changes the committed schedule has spent within the retained
     /// horizon, counted as [`cdpd_core::Schedule`] counts them.
     pub changes_used: usize,
-    /// The shift detector's current suggestion for `k` (number of
-    /// major shifts observed so far).
-    pub suggested_k: usize,
     /// Predicted-vs-actual calibration state at this seal, when a
     /// driver has fed executed windows in
     /// ([`OnlineAdvisor::note_calibration`]); `None` in sessions that
@@ -145,7 +141,6 @@ pub struct OnlineAdvisor {
     table: String,
     options: OnlineOptions,
     stream: StatementStream,
-    detector: OnlineShiftDetector,
     /// Candidate vocabulary (bit order of every [`Config`] here).
     /// Append-only, so committed configs and memo entries stay valid
     /// as it grows.
@@ -224,7 +219,6 @@ impl OnlineAdvisor {
             table,
             options,
             stream,
-            detector: OnlineShiftDetector::new(),
             structures,
             derived,
             dropped_structures: 0,
@@ -264,7 +258,7 @@ impl OnlineAdvisor {
     /// (and therefore run the seal pipeline). Drivers use this to fold
     /// pending statistics deltas in *before* the re-solve.
     pub fn next_seals(&self) -> bool {
-        (self.stream.len() + 1).is_multiple_of(self.options.advisor.window_len)
+        self.stream.open_len() + 1 == self.options.advisor.window_len
     }
 
     /// Decisions emitted so far, one per sealed window.
@@ -315,11 +309,6 @@ impl OnlineAdvisor {
         self.rebuilds
     }
 
-    /// The shift detector's current suggestion for the change budget.
-    pub fn suggested_k(&self) -> usize {
-        self.detector.suggested_k()
-    }
-
     /// The session's options, as supplied at construction.
     pub fn options(&self) -> &OnlineOptions {
         &self.options
@@ -360,9 +349,9 @@ impl OnlineAdvisor {
     /// Seal the open window *now*, even though it is short of the
     /// statement-count boundary — the wall-clock boundary the serving
     /// loop imposes when traffic goes quiet — and run the full
-    /// seal-time pipeline (shift detection, vocabulary extension,
-    /// oracle sync, decision). Returns `None` when the open window is
-    /// empty: nothing observed since the last seal, nothing to decide.
+    /// seal-time pipeline (vocabulary extension, oracle sync,
+    /// decision). Returns `None` when the open window is empty: nothing
+    /// observed since the last seal, nothing to decide.
     ///
     /// # Errors
     /// Same conditions as [`OnlineAdvisor::ingest`].
@@ -374,9 +363,9 @@ impl OnlineAdvisor {
         self.seal_pipeline(db, window, evicted_before).map(Some)
     }
 
-    /// Everything that happens when window `window` seals: observe the
-    /// profile, extend the vocabulary, sync the oracle, decide. Shared
-    /// by the statement-count path ([`OnlineAdvisor::ingest`]) and the
+    /// Everything that happens when window `window` seals: extend the
+    /// vocabulary, sync the oracle, decide. Shared by the
+    /// statement-count path ([`OnlineAdvisor::ingest`]) and the
     /// wall-clock path ([`OnlineAdvisor::seal_now`]).
     fn seal_pipeline(
         &mut self,
@@ -389,12 +378,11 @@ impl OnlineAdvisor {
             // Stage indices shifted under the oracle: memo unusable.
             self.rebuild = true;
         }
-        let (block, profile) = self
+        let block = self
             .stream
             .last_sealed()
-            .map(|(b, p)| (b.clone(), p.clone()))
+            .cloned()
             .expect("caller just sealed this window");
-        self.detector.observe(&profile);
         if self.derived {
             self.extend_vocabulary(db, &block)?;
         }
@@ -619,7 +607,6 @@ impl OnlineAdvisor {
             resolved: tripped,
             solve_nanos,
             changes_used,
-            suggested_k: self.detector.suggested_k(),
             calibration: (self.calibration.windows() > 0).then(|| self.calibration.report()),
         })
     }
@@ -654,9 +641,9 @@ impl OnlineAdvisor {
     /// Serialize the session's complete dynamic state into an opaque
     /// blob, fit for [`Database::set_app_state`](cdpd_engine::Database::set_app_state).
     /// Everything observable round-trips: the sliding window (sealed
-    /// blocks, profiles, the open partial window), the shift detector,
-    /// the candidate vocabulary with its bit order, the committed
-    /// configuration sequence, past decisions, and counters. The warm
+    /// blocks and the open partial window), the candidate vocabulary
+    /// with its bit order, the committed configuration sequence, past
+    /// decisions, and counters. The warm
     /// oracle memo and the calibration tracker are deliberately *not*
     /// persisted — the memo is a cache (a restored session rebuilds it
     /// cold at the next window seal and then decides identically), and
@@ -672,10 +659,7 @@ impl OnlineAdvisor {
         put_u64(&mut out, st.evicted as u64);
         put_u64(&mut out, st.pushed as u64);
         put_list(&mut out, &st.sealed, put_block);
-        put_list(&mut out, &st.profiles, put_profile);
         put_weighted_list(&mut out, &st.open);
-        put_opt(&mut out, self.detector.last_profile(), put_profile);
-        put_list(&mut out, self.detector.scores(), |out, s| put_f64(out, *s));
         put_list(&mut out, &self.structures, |out, spec| spec.encode(out));
         put_bool(&mut out, self.derived);
         put_u64(&mut out, self.dropped_structures as u64);
@@ -691,7 +675,6 @@ impl OnlineAdvisor {
             put_bool(out, d.resolved);
             put_u64(out, d.solve_nanos);
             put_u64(out, d.changes_used as u64);
-            put_u64(out, d.suggested_k as u64);
         });
         put_u64(&mut out, self.resolves as u64);
         put_u64(&mut out, self.rebuilds as u64);
@@ -711,9 +694,12 @@ impl OnlineAdvisor {
     /// identical inputs.
     ///
     /// # Errors
-    /// The blob must be well-formed ([`Error::Corrupt`] otherwise),
-    /// `options` must agree with the persisted session shape, and every
-    /// persisted candidate structure must still validate against `db`.
+    /// The blob must be well-formed and internally consistent — a
+    /// coherent stream, one commit and one decision per sealed window,
+    /// every configuration within the saved vocabulary — or the error
+    /// is [`Error::Corrupt`]; `options` must agree with the persisted
+    /// session shape, and every persisted candidate structure must
+    /// still validate against `db`.
     pub fn restore(db: &Database, options: OnlineOptions, state: &[u8]) -> Result<OnlineAdvisor> {
         let mut r = Reader::new(state, "advisor state");
         r.magic(STATE_MAGIC)?;
@@ -735,21 +721,16 @@ impl OnlineAdvisor {
         let evicted = r.u64()? as usize;
         let pushed = r.u64()? as usize;
         let sealed = r.list(read_block)?;
-        let profiles = r.list(read_profile)?;
         let open = read_weighted_list(&mut r)?;
         let stream = StatementStream::from_state(StreamState {
             table: table.clone(),
             window_len,
             max_windows,
             sealed,
-            profiles,
             evicted,
             pushed,
             open,
         })?;
-        let last = r.opt(read_profile)?;
-        let scores = r.list(Reader::f64)?;
-        let detector = OnlineShiftDetector::from_state(last, scores);
         let structures = r.list(IndexSpec::decode)?;
         if structures.len() > options.max_candidates {
             return Err(Error::InvalidArgument(format!(
@@ -779,7 +760,6 @@ impl OnlineAdvisor {
                 resolved: r.bool()?,
                 solve_nanos: r.u64()?,
                 changes_used: r.u64()? as usize,
-                suggested_k: r.u64()? as usize,
                 // Runtime telemetry, deliberately not persisted.
                 calibration: None,
             })
@@ -792,6 +772,30 @@ impl OnlineAdvisor {
                 "saved oracle horizon starts past the committed sequence".into(),
             ));
         }
+        // One commit and one decision per sealed window, evicted ones
+        // included: the next seal slices the commits from the stream's
+        // eviction count.
+        let sealed_windows = stream.evicted() + stream.windows_sealed();
+        if committed.len() != sealed_windows || decisions.len() != sealed_windows {
+            return Err(Error::Corrupt(format!(
+                "saved session has {} commits and {} decisions over {sealed_windows} \
+                 sealed windows",
+                committed.len(),
+                decisions.len(),
+            )));
+        }
+        // Every configuration indexes the saved vocabulary.
+        let configs = std::iter::once(&initial)
+            .chain(&committed)
+            .chain(decisions.iter().map(|d| &d.config));
+        for cfg in configs {
+            if let Some(i) = cfg.structures().find(|&i| i >= structures.len()) {
+                return Err(Error::Corrupt(format!(
+                    "saved configuration names structure {i}, vocabulary has {}",
+                    structures.len()
+                )));
+            }
+        }
         // Validate the vocabulary against the (recovered) database,
         // exactly like a fresh session does.
         let whatif = WhatIfEngine::snapshot(db, &table)?;
@@ -803,7 +807,6 @@ impl OnlineAdvisor {
             table,
             options,
             stream,
-            detector,
             structures,
             derived,
             dropped_structures,
@@ -845,13 +848,12 @@ impl OnlineAdvisor {
     }
 }
 
-/// Magic + version of the [`OnlineAdvisor::save_state`] blob: v2
-/// persists configurations as word lists (width-agnostic). Any other
-/// magic is [`Error::Corrupt`].
-const STATE_MAGIC: &[u8; 8] = b"cdpdadv2";
+/// Magic + version of the [`OnlineAdvisor::save_state`] blob. Any
+/// other magic, earlier versions included, is [`Error::Corrupt`].
+const STATE_MAGIC: &[u8; 8] = b"cdpdadv3";
 
 /// A configuration as a `u16` word count and little-endian words: the
-/// width-agnostic form of the v2 blob. The count is bounded at
+/// width-agnostic form. The count is bounded at
 /// `MAX_STRUCTURE_INDEX / 64` words.
 fn put_config(out: &mut Vec<u8>, cfg: &Config) {
     let words = cfg.words();
@@ -885,7 +887,9 @@ fn put_weighted_list(out: &mut Vec<u8>, list: &[cdpd_workload::WeightedStatement
 fn read_weighted_list(r: &mut Reader<'_>) -> Result<Vec<cdpd_workload::WeightedStatement>> {
     r.list(|r| {
         let sql = r.str()?;
-        let statement = match cdpd_sql::parse(&sql)? {
+        let parsed = cdpd_sql::parse(&sql)
+            .map_err(|e| Error::Corrupt(format!("persisted statement does not parse: {e}")))?;
+        let statement = match parsed {
             cdpd_sql::Statement::Select(s) => Dml::Select(s),
             cdpd_sql::Statement::Update(u) => Dml::Update(u),
             cdpd_sql::Statement::Delete(d) => Dml::Delete(d),
@@ -911,20 +915,6 @@ fn read_block(r: &mut Reader<'_>) -> Result<Block> {
         start: r.u64()? as usize,
         len: r.u64()? as usize,
         weighted: read_weighted_list(r)?,
-    })
-}
-
-fn put_profile(out: &mut Vec<u8>, p: &cdpd_workload::analysis::WindowProfile) {
-    put_list(out, &p.fractions, |out, (k, v)| {
-        put_str(out, k);
-        put_f64(out, *v);
-    });
-}
-
-fn read_profile(r: &mut Reader<'_>) -> Result<cdpd_workload::analysis::WindowProfile> {
-    let fractions = r.list(|r| Ok((r.str()?, r.f64()?)))?;
-    Ok(cdpd_workload::analysis::WindowProfile {
-        fractions: fractions.into_iter().collect(),
     })
 }
 
@@ -987,10 +977,10 @@ mod tests {
         let mut decisions = Vec::new();
         for i in 0..200 {
             let col = if i < 100 { "a" } else { "c" };
-            assert_eq!(adv.next_seals(), (adv.len() + 1).is_multiple_of(50));
-            if let Some(d) = adv.ingest(&db, &q(col, i % 100)).unwrap() {
-                decisions.push(d);
-            }
+            let seals = adv.next_seals();
+            let decision = adv.ingest(&db, &q(col, i % 100)).unwrap();
+            assert_eq!(seals, decision.is_some(), "statement {i}");
+            decisions.extend(decision);
         }
         assert_eq!(decisions.len(), 4);
         assert_eq!(adv.decisions().len(), 4);
@@ -1014,6 +1004,21 @@ mod tests {
         // derived vocabulary grows (at most once per new column mix).
         assert!(adv.rebuilds() <= 2, "{} rebuilds", adv.rebuilds());
         assert_eq!(adv.live_specs(), decisions[3].specs);
+
+        // A wall-clock seal mid-window moves every later boundary off
+        // the multiples of window_len; next_seals must follow it.
+        for i in 0..20 {
+            assert!(adv.ingest(&db, &q("c", i)).unwrap().is_none());
+        }
+        assert!(adv.seal_now(&db).unwrap().is_some());
+        let mut seals = 0;
+        for i in 0..100 {
+            let predicted = adv.next_seals();
+            let sealed = adv.ingest(&db, &q("c", i)).unwrap().is_some();
+            assert_eq!(predicted, sealed, "statement {i} after seal_now");
+            seals += usize::from(sealed);
+        }
+        assert_eq!(seals, 2);
     }
 
     #[test]
@@ -1235,7 +1240,42 @@ mod tests {
     #[test]
     fn v1_blobs_are_rejected_as_corrupt() {
         let db = db_with(1_000, None);
-        let err = OnlineAdvisor::restore(&db, opts(30, Some(2)), b"cdpdadv1").err();
+        for old in [b"cdpdadv1", b"cdpdadv2"] {
+            let err = OnlineAdvisor::restore(&db, opts(30, Some(2)), old).err();
+            assert!(matches!(err, Some(Error::Corrupt(_))), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn config_outside_the_saved_vocabulary_is_corrupt() {
+        let db = db_with(2_000, None);
+        let options = opts(20, Some(2));
+        let mut adv = OnlineAdvisor::new(&db, "t", options.clone()).unwrap();
+        for i in 0..60 {
+            adv.ingest(&db, &q(if i < 30 { "a" } else { "b" }, i))
+                .unwrap();
+        }
+        let blob = adv.save_state();
+        OnlineAdvisor::restore(&db, options.clone(), &blob).unwrap();
+
+        // Re-encode the committed sequence with its first entry naming
+        // the structure one past the vocabulary: the blob still decodes
+        // cleanly.
+        let encode = |configs: &[Config]| {
+            let mut out = Vec::new();
+            put_list(&mut out, configs, put_config);
+            out
+        };
+        let committed = encode(adv.committed());
+        let mut patched = adv.committed().to_vec();
+        patched[0] = Config::single(adv.structures().len());
+        let at = blob
+            .windows(committed.len())
+            .position(|w| w == committed.as_slice())
+            .expect("the committed sequence is in the blob");
+        let mut bad = blob.clone();
+        bad.splice(at..at + committed.len(), encode(&patched));
+        let err = OnlineAdvisor::restore(&db, options, &bad).err();
         assert!(matches!(err, Some(Error::Corrupt(_))), "{err:?}");
     }
 

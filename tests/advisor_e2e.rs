@@ -295,35 +295,6 @@ fn per_statement_granularity_matches_agrawal_mode() {
 }
 
 #[test]
-fn one_call_robust_k_api() {
-    let db = paper_database(ROWS, 29);
-    let spec = paper::w1_with(&paper_params(ROWS, WINDOW));
-    let advice = cdpd::suggest_k_robust(
-        &db,
-        &spec,
-        &cdpd::KAdviceOptions {
-            structures: Some(paper_structures()),
-            k_max: 6,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(advice.k, 2, "{:?}", advice.curve);
-    assert_eq!(advice.curve.len(), 7);
-    // Degenerate option sets are rejected.
-    assert!(cdpd::suggest_k_robust(
-        &db,
-        &spec,
-        &cdpd::KAdviceOptions {
-            resampled_holdouts: 0,
-            rotations: vec![],
-            ..Default::default()
-        },
-    )
-    .is_err());
-}
-
-#[test]
 fn candidate_generation_is_schema_checked() {
     let db = paper_database(2_000, 26);
     let trace = Trace::from_selects("t", vec![cdpd::sql::SelectStmt::point("t", "a", 1)]);

@@ -851,7 +851,6 @@ fn assert_same_decisions(control: &[OnlineDecision], resumed: &[OnlineDecision])
         );
         assert_eq!(c.resolved, r.resolved, "decision {i}: resolved");
         assert_eq!(c.changes_used, r.changes_used, "decision {i}: changes_used");
-        assert_eq!(c.suggested_k, r.suggested_k, "decision {i}: suggested_k");
     }
 }
 

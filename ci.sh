@@ -128,6 +128,21 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
 grep -q '"correct":true' target/serve-write-smoke.json
 grep -q '"failed":0[,}]' target/serve-write-smoke.json
 
+echo "== the repository benchmark scans and adapts correctly through the wire =="
+# serve-scan checks its statements' answers (compiled predicates,
+# streaming folds) against the benchmark's brute-force reference over
+# its own copy of the rows; adapt checks answers while the advisor
+# builds and drops indexes under the traffic (byte-key builds).
+# serve-scan runs 3 s: its p99 needs 1,000 latency samples, which one
+# second of scans does not reliably give.
+for run in serve-scan:3 adapt:1; do
+  workload="${run%:*}"
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds "${run#*:}" --trace 0 | tail -n 1 > "target/$workload-smoke.json"
+  grep -q '"correct":true' "target/$workload-smoke.json"
+  grep -q '"failed":0[,}]' "target/$workload-smoke.json"
+done
+
 echo "== tmpdir hygiene: tests must not leak files into the workspace =="
 # Disk-backed tests create their stores under the OS tempdir and clean
 # up after themselves; anything untracked left inside the repo after a

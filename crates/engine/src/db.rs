@@ -510,7 +510,6 @@ impl Database {
     /// concurrently. Returns the resolved key columns, the loaded tree,
     /// and the build's measured I/O (scoped to this thread).
     fn build_index(
-        pager: &Arc<Pager>,
         snap: &TableSnapshot,
         spec: &IndexSpec,
     ) -> Result<(Vec<ColumnId>, BTree, IoStats)> {
@@ -525,22 +524,8 @@ impl Database {
             })
             .collect::<Result<Vec<_>>>()?;
 
-        // Scan the heap collecting (key, rid), then sort: the in-memory
-        // stand-in for an external sort.
-        let mut entries: Vec<(Vec<Value>, Rid)> =
-            Vec::with_capacity(snap.heap.row_count() as usize);
-        {
-            let mut scan = snap.heap.scan();
-            while let Some((rid, view)) = scan.next_row()? {
-                let key: Vec<Value> = columns
-                    .iter()
-                    .map(|c| view.value(c.index()))
-                    .collect::<Result<Vec<_>>>()?;
-                entries.push((key, rid));
-            }
-        }
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let btree = BTree::bulk_load(pager.clone(), entries)?;
+        let positions: Vec<usize> = columns.iter().map(|c| c.index()).collect();
+        let btree = BTree::build_from_heap(&snap.heap, &positions)?;
         Ok((columns, btree, scope.delta()))
     }
 
@@ -604,7 +589,7 @@ impl Database {
             (log, e.snapshot())
         };
         // Build: no lock held; DML from other sessions interleaves here.
-        let built = Self::build_index(&self.pager, &snap, spec);
+        let built = Self::build_index(&snap, spec);
         // Install: unregister the log first (even on build failure),
         // then catch up and publish under the write lock.
         let _phase = self.mutation_phase();
@@ -767,11 +752,10 @@ impl Database {
             (log, e.snapshot())
         };
         let built = {
-            let pager = &self.pager;
             let snap = &snap;
             crate::par::parallel_map(missing.len(), threads, |i| {
                 let _span = cdpd_obs::span!("ddl.create_index", index = missing[i].name());
-                Self::build_index(pager, snap, missing[i])
+                Self::build_index(snap, missing[i])
             })
         };
         let _phase = self.mutation_phase();

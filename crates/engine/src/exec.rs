@@ -1,11 +1,25 @@
 //! Plan execution against the storage substrate.
 //!
 //! The executor is deliberately dumb: it runs exactly the access path
-//! the planner chose and lets the pager count the I/O. Hot paths avoid
-//! per-row allocation: heap scans evaluate predicates through
-//! [`RowView`] column extraction, and index scans evaluate them by
-//! decoding fixed-width integer segments straight out of the
-//! memcomparable key bytes.
+//! the planner chose and lets the pager count the I/O. It changes the
+//! CPU spent per page, never which pages are read.
+//!
+//! Before the walk starts, the statement's conjuncts are compiled once
+//! into a [`Filter`] for the records the path judges: the keys of a
+//! covering index, else heap rows. Conjuncts on `INT` columns with
+//! integer literals become integer span tests read straight out of the
+//! encoded bytes; a `STR` column, a non-integer literal or an `OR`
+//! across columns falls back to decoding the [`Value`] and calling
+//! `Condition::matches` (the rule is spelled out in [`crate::filter`]).
+//! An index range scan stops on the same compiler's test of its upper
+//! bound.
+//!
+//! Every access path feeds one [`Sink`]: a count, the rids of the
+//! matches (the locate phase of UPDATE/DELETE), projected rows, or an
+//! aggregate folded in place. Hot paths avoid per-row allocation: a scan
+//! reads each row as a borrowed `RowView`, an index plan borrows each
+//! fetched row from its pinned page, and only projected rows or a decoded
+//! fallback value allocate.
 //!
 //! Execution borrows the [`TableEntry`] immutably, so it is part of
 //! the engine's shared read surface: any number of statements may
@@ -14,10 +28,11 @@
 //! interleaving).
 
 use crate::catalog::{IndexEntry, TableEntry};
+use crate::filter::{Field, Filter, Key, Layout, Record, Row};
 use crate::planner::{BoundCondition, Plan, PlannedQuery, Planner};
 use cdpd_sql::{AggFunc, Condition};
-use cdpd_storage::codec::{decode_key, encode_key, RowView};
-use cdpd_types::{ColumnId, Error, Result, Rid, Value, ValueType};
+use cdpd_storage::codec::{decode_key, encode_key};
+use cdpd_types::{ColumnId, Error, Result, Rid, Value};
 
 /// Result of executing one query.
 #[derive(Clone, Debug, PartialEq)]
@@ -42,127 +57,398 @@ pub(crate) fn execute(
 ) -> Result<ExecOutcome> {
     // Extremum plans answer the aggregate directly from one tree spine.
     if let Plan::IndexExtremum { index, max } = planned.plan {
-        return index_extremum(table, planner, planned, index, max);
+        return index_extremum(table, planner, index, max);
     }
-    // Aggregates and sorts need the rows regardless of caller intent.
-    let need_rows = planned.aggregate.is_some() || planned.order_by.is_some();
-    let materialize = (materialize || need_rows) && !planned.count_only;
-    let mut outcome = match &planned.plan {
-        Plan::SeqScan => seq_scan(table, planned, materialize)?,
-        Plan::IndexSeek {
-            index,
-            eq_prefix,
-            covering,
-        } => {
-            let probe = planner.seek_probe(planned, *index, *eq_prefix);
-            index_seek(
-                table,
-                planned,
-                planner,
-                *index,
-                &probe,
-                *covering,
-                materialize,
-            )?
-        }
-        Plan::IndexRange { index, covering } => {
-            index_range(table, planned, planner, *index, *covering, materialize)?
-        }
-        Plan::IndexOnlyScan { index } => index_only(table, planned, planner, *index, materialize)?,
-        Plan::IndexAnd { probes } => {
-            let rids = intersect_rids(table, planner, probes)?;
-            fetch_filtered(table, planned, &rids, materialize)?
-        }
-        Plan::IndexOr { probes } => {
-            let rids = union_rids(table, planner, probes)?;
-            fetch_filtered(table, planned, &rids, materialize)?
-        }
-        Plan::IndexExtremum { .. } => unreachable!("handled above"),
+    let mut sink = if let Some((func, col)) = planned.aggregate {
+        Sink::Fold(Fold::new(func, col))
+    } else if !planned.count_only && (materialize || planned.order_by.is_some()) {
+        Sink::Rows(output_columns(table, planned), Vec::new())
+    } else {
+        Sink::Count(0)
     };
-
-    if let Some((func, col)) = planned.aggregate {
-        let rows = outcome.rows.take().unwrap_or_default();
-        // The aggregate column is the sole output column
-        // (bind_projection); `count` stays the number of rows folded.
-        let _ = col;
-        outcome.count = rows.len() as u64;
-        outcome.aggregate = Some(fold_aggregate(func, rows)?);
-        outcome.rows = None;
-        return Ok(outcome);
+    walk(table, planner, planned, &mut sink)?;
+    let mut rows = match sink {
+        Sink::Fold(fold) => {
+            return Ok(ExecOutcome {
+                count: fold.n,
+                rows: None,
+                aggregate: Some(fold.finish()),
+            })
+        }
+        Sink::Count(n) => {
+            return Ok(ExecOutcome {
+                count: planned.limit.map_or(n, |limit| n.min(limit)),
+                rows: None,
+                aggregate: None,
+            })
+        }
+        Sink::Rows(_, rows) => rows,
+        Sink::Rids(_) => unreachable!("execute never collects rids"),
+    };
+    if let Some((col, desc)) = planned.order_by {
+        if !planned.plan_ordered || desc {
+            // The order column was appended as the last output column
+            // when absent from the projection; sort on the position
+            // output_columns() placed it at.
+            let pos = order_column_position(planned, col);
+            rows.sort_by(|a, b| a[pos].cmp(&b[pos]));
+        }
+        if desc {
+            rows.reverse();
+        }
     }
-
-    if let Some(rows) = &mut outcome.rows {
-        if let Some((col, desc)) = planned.order_by {
-            if !planned.plan_ordered || desc {
-                // The order column was appended as the last output
-                // column when absent from the projection; sort on the
-                // position output_columns() placed it at.
-                let pos = order_column_position(table, planned, col);
-                rows.sort_by(|a, b| a[pos].cmp(&b[pos]));
-            }
-            if desc {
-                rows.reverse();
-            }
-        }
-        if let Some(limit) = planned.limit {
-            rows.truncate(limit as usize);
-            outcome.count = rows.len() as u64;
-        }
-        // Strip a trailing order-by helper column not in the projection.
-        if let (Some(proj), Some((col, _))) = (&planned.projection, planned.order_by) {
-            if !proj.contains(&col) {
-                for row in rows.iter_mut() {
-                    row.pop();
-                }
-            }
-        }
-    } else if let Some(limit) = planned.limit {
-        outcome.count = outcome.count.min(limit);
+    if let Some(limit) = planned.limit {
+        rows.truncate(limit as usize);
     }
-    Ok(outcome)
+    // Strip a trailing order-by helper column not in the projection.
+    if let (Some(proj), Some((col, _))) = (&planned.projection, planned.order_by) {
+        if !proj.contains(&col) {
+            for row in rows.iter_mut() {
+                row.pop();
+            }
+        }
+    }
+    Ok(ExecOutcome {
+        count: rows.len() as u64,
+        rows: Some(rows),
+        aggregate: None,
+    })
+}
+
+/// Collect the rids of every row matching `planned`'s predicate, using
+/// the planned access path. This is the locate phase of UPDATE/DELETE:
+/// rids are fully materialized *before* any mutation, so the write
+/// phase cannot re-see rows it already changed (no Halloween problem).
+pub(crate) fn collect_rids(
+    table: &TableEntry,
+    planner: &Planner<'_>,
+    planned: &PlannedQuery,
+) -> Result<Vec<Rid>> {
+    let mut sink = Sink::Rids(Vec::new());
+    walk(table, planner, planned, &mut sink)?;
+    match sink {
+        Sink::Rids(rids) => Ok(rids),
+        _ => unreachable!("the sink keeps its kind"),
+    }
 }
 
 /// Position of the ORDER BY column in the executed output rows.
-fn order_column_position(table: &TableEntry, planned: &PlannedQuery, col: ColumnId) -> usize {
-    let _ = table;
+fn order_column_position(planned: &PlannedQuery, col: ColumnId) -> usize {
     match &planned.projection {
         Some(proj) => proj.iter().position(|c| *c == col).unwrap_or(proj.len()),
         None => col.index(), // SELECT * keeps schema order
     }
 }
 
-fn fold_aggregate(func: AggFunc, rows: Vec<Vec<Value>>) -> Result<Value> {
-    let values = rows.into_iter().map(|mut r| r.swap_remove(0));
-    match func {
-        AggFunc::Count => Ok(Value::Int(values.count() as i64)),
-        AggFunc::Min => Ok(values.min().unwrap_or(Value::Int(0))),
-        AggFunc::Max => Ok(values.max().unwrap_or(Value::Int(0))),
-        AggFunc::Sum | AggFunc::Avg => {
-            let mut sum: i64 = 0;
-            let mut n: i64 = 0;
-            for v in values {
-                let i = v
-                    .as_int()
-                    .ok_or_else(|| Error::TypeMismatch("SUM/AVG need an integer column".into()))?;
-                sum = sum.wrapping_add(i);
-                n += 1;
-            }
-            Ok(Value::Int(if func == AggFunc::Sum {
-                sum
-            } else if n == 0 {
-                0
-            } else {
-                sum / n
-            }))
+/// Output columns of the query, in order. When an ORDER BY column is
+/// not part of the projection it is appended as a helper column (the
+/// execute() wrapper sorts on it and strips it before returning).
+fn output_columns(table: &TableEntry, planned: &PlannedQuery) -> Vec<ColumnId> {
+    let mut cols = match &planned.projection {
+        Some(cols) => cols.clone(),
+        None => (0..table.schema.len())
+            .map(|i| ColumnId(i as u16))
+            .collect(),
+    };
+    if let Some((col, _)) = planned.order_by {
+        if !cols.contains(&col) {
+            cols.push(col);
         }
     }
+    cols
+}
+
+// --- Sinks ------------------------------------------------------------------
+
+/// Where an access path delivers each matching record.
+enum Sink {
+    /// Count the matches.
+    Count(u64),
+    /// Collect the matches' rids.
+    Rids(Vec<Rid>),
+    /// Project each match onto the output columns.
+    Rows(Vec<ColumnId>, Vec<Vec<Value>>),
+    /// Fold one column of each match into an aggregate.
+    Fold(Fold),
+}
+
+impl Sink {
+    /// The columns each match is read for.
+    fn columns(&self) -> &[ColumnId] {
+        match self {
+            Sink::Rows(cols, _) => cols,
+            Sink::Fold(fold) => std::slice::from_ref(&fold.col),
+            Sink::Count(_) | Sink::Rids(_) => &[],
+        }
+    }
+
+    /// Deliver one match; `fields` locates [`Sink::columns`] in it.
+    fn push(&mut self, rid: Rid, record: &mut impl Record, fields: &[Field]) -> Result<()> {
+        match self {
+            Sink::Count(n) => *n += 1,
+            Sink::Rids(rids) => rids.push(rid),
+            Sink::Rows(_, rows) => {
+                let row = fields
+                    .iter()
+                    .map(|f| record.value(*f))
+                    .collect::<Result<_>>()?;
+                rows.push(row);
+            }
+            Sink::Fold(fold) => fold.push(record, fields[0])?,
+        }
+        Ok(())
+    }
+}
+
+/// A single-column aggregate folded one match at a time. Empty input
+/// folds to `0` for every function; `SUM` wraps and `AVG` is the
+/// wrapped sum divided by the count, truncated.
+struct Fold {
+    func: AggFunc,
+    col: ColumnId,
+    /// Matches folded so far.
+    n: u64,
+    sum: i64,
+    best: Option<Value>,
+}
+
+impl Fold {
+    fn new(func: AggFunc, col: ColumnId) -> Fold {
+        Fold {
+            func,
+            col,
+            n: 0,
+            sum: 0,
+            best: None,
+        }
+    }
+
+    fn push(&mut self, record: &mut impl Record, field: Field) -> Result<()> {
+        self.n += 1;
+        match self.func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => {
+                let v = record.int(field).map_err(|e| match e {
+                    Error::TypeMismatch(_) => {
+                        Error::TypeMismatch("SUM/AVG need an integer column".into())
+                    }
+                    e => e,
+                })?;
+                self.sum = self.sum.wrapping_add(v);
+            }
+            AggFunc::Min | AggFunc::Max => {
+                let v = record.value(field)?;
+                let better = match &self.best {
+                    None => true,
+                    Some(best) if self.func == AggFunc::Min => v < *best,
+                    Some(best) => v > *best,
+                };
+                if better {
+                    self.best = Some(v);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Value {
+        match self.func {
+            AggFunc::Count => Value::Int(self.n as i64),
+            AggFunc::Sum => Value::Int(self.sum),
+            AggFunc::Avg if self.n == 0 => Value::Int(0),
+            AggFunc::Avg => Value::Int(self.sum / self.n as i64),
+            AggFunc::Min | AggFunc::Max => self.best.unwrap_or(Value::Int(0)),
+        }
+    }
+}
+
+// --- Access paths -------------------------------------------------------------
+
+/// How one access path judges its records: the statement's filter
+/// compiled for their layout (heap rows, or the keys of a covering
+/// index), and where the sink's columns sit in them.
+struct Judge<'t> {
+    table: &'t TableEntry,
+    layout: Layout<'t>,
+    filter: Filter,
+    fields: Vec<Field>,
+}
+
+impl<'t> Judge<'t> {
+    fn new(
+        table: &'t TableEntry,
+        layout: Layout<'t>,
+        planned: &PlannedQuery,
+        sink: &Sink,
+    ) -> Result<Judge<'t>> {
+        Ok(Judge {
+            table,
+            layout,
+            filter: Filter::compile(layout, &planned.conditions)?,
+            fields: sink
+                .columns()
+                .iter()
+                .map(|c| layout.field(*c))
+                .collect::<Result<_>>()?,
+        })
+    }
+
+    /// Judge index entries on their keys when `entry` covers the
+    /// statement, else on the heap rows they point at.
+    fn for_index(
+        table: &'t TableEntry,
+        entry: &'t IndexEntry,
+        covering: bool,
+        planned: &PlannedQuery,
+        sink: &Sink,
+    ) -> Result<Judge<'t>> {
+        let layout = if covering {
+            Layout::Key(&table.schema, &entry.columns)
+        } else {
+            Layout::Rows(&table.schema)
+        };
+        Judge::new(table, layout, planned, sink)
+    }
+
+    #[inline(always)]
+    fn record(&self, rid: Rid, record: &mut impl Record, sink: &mut Sink) -> Result<()> {
+        if self.filter.matches(record)? {
+            sink.push(rid, record, &self.fields)?;
+        }
+        Ok(())
+    }
+
+    fn fetch(&self, rid: Rid, sink: &mut Sink) -> Result<()> {
+        let row = self.table.heap.pin(rid)?;
+        self.record(rid, &mut Row(row.view()), sink)
+    }
+
+    /// One index entry (see [`Judge::for_index`]).
+    fn entry(&self, key: &[u8], rid: Rid, sink: &mut Sink) -> Result<()> {
+        match self.layout {
+            Layout::Key(..) => self.record(rid, &mut Key::new(key), sink),
+            Layout::Rows(_) => self.fetch(rid, sink),
+        }
+    }
+}
+
+/// Run `planned`'s access path, delivering every match to `sink`.
+fn walk(
+    table: &TableEntry,
+    planner: &Planner<'_>,
+    planned: &PlannedQuery,
+    sink: &mut Sink,
+) -> Result<()> {
+    let rows = Layout::Rows(&table.schema);
+    match &planned.plan {
+        Plan::SeqScan => {
+            let judge = Judge::new(table, rows, planned, sink)?;
+            let mut scan = table.heap.scan();
+            while let Some((rid, view)) = scan.next_row()? {
+                judge.record(rid, &mut Row(view), sink)?;
+            }
+        }
+        Plan::IndexSeek {
+            index,
+            eq_prefix,
+            covering,
+        } => {
+            let entry = index_entry(table, planner, *index)?;
+            let judge = Judge::for_index(table, entry, *covering, planned, sink)?;
+            let probe = planner.seek_probe(planned, *index, *eq_prefix);
+            let probe_bytes = encode_key(&probe);
+            let mut cursor = entry.btree.seek(&probe)?;
+            while let Some((key, rid)) = cursor.next_entry()? {
+                if !key.starts_with(&probe_bytes) {
+                    break;
+                }
+                judge.entry(key, rid, sink)?;
+            }
+        }
+        Plan::IndexRange { index, covering } => {
+            let entry = index_entry(table, planner, *index)?;
+            let judge = Judge::for_index(table, entry, *covering, planned, sink)?;
+            let leading = entry.columns[0];
+            let range = planned
+                .conditions
+                .iter()
+                .find(|c| c.column == leading && matches!(c.condition, Condition::Range { .. }))
+                .ok_or_else(|| Error::Corrupt("range plan without range condition".into()))?;
+            let Condition::Range {
+                lo,
+                hi,
+                hi_inclusive,
+                ..
+            } = &range.condition
+            else {
+                unreachable!("found as a range above")
+            };
+            // Keys ascend, so the scan ends at the first key past `hi`.
+            let below_hi = BoundCondition {
+                column: leading,
+                condition: Condition::Range {
+                    column: String::new(),
+                    lo: None,
+                    lo_inclusive: false,
+                    hi: hi.clone(),
+                    hi_inclusive: *hi_inclusive,
+                },
+                branch_columns: Vec::new(),
+            };
+            let keys = Layout::Key(&table.schema, &entry.columns);
+            let stop = hi
+                .is_some()
+                .then(|| Filter::compile(keys, [&below_hi]))
+                .transpose()?;
+            let mut cursor = match lo {
+                Some(lo) => entry.btree.seek(std::slice::from_ref(lo))?,
+                None => entry.btree.scan_all()?,
+            };
+            while let Some((key, rid)) = cursor.next_entry()? {
+                if let Some(stop) = &stop {
+                    if !stop.matches(&mut Key::new(key))? {
+                        break;
+                    }
+                }
+                // The entry may still fail the rest of the predicate,
+                // e.g. an exclusive lower bound.
+                judge.entry(key, rid, sink)?;
+            }
+        }
+        Plan::IndexOnlyScan { index } => {
+            let entry = index_entry(table, planner, *index)?;
+            let judge = Judge::for_index(table, entry, true, planned, sink)?;
+            let mut cursor = entry.btree.scan_all()?;
+            while let Some((key, rid)) = cursor.next_entry()? {
+                judge.entry(key, rid, sink)?;
+            }
+        }
+        Plan::IndexAnd { probes } | Plan::IndexOr { probes } => {
+            // The probes satisfied only their own term; every conjunct
+            // (for a union, the OR itself too) is re-checked on the row.
+            let rids = if matches!(planned.plan, Plan::IndexAnd { .. }) {
+                intersect_rids(table, planner, probes)?
+            } else {
+                union_rids(table, planner, probes)?
+            };
+            let judge = Judge::new(table, rows, planned, sink)?;
+            for rid in rids {
+                judge.fetch(rid, sink)?;
+            }
+        }
+        Plan::IndexExtremum { .. } => {
+            return Err(Error::Corrupt(
+                "extremum plans are answered from the tree spine".into(),
+            ))
+        }
+    }
+    Ok(())
 }
 
 /// `O(height)` MIN/MAX: read one end of the index.
 fn index_extremum(
     table: &TableEntry,
     planner: &Planner<'_>,
-    _planned: &PlannedQuery,
     index: usize,
     max: bool,
 ) -> Result<ExecOutcome> {
@@ -196,161 +482,6 @@ fn index_entry<'t>(
         .indexes
         .get(name)
         .ok_or_else(|| Error::NotFound(format!("index {name} is not materialized")))
-}
-
-/// Output columns of the query, in order. When an ORDER BY column is
-/// not part of the projection it is appended as a helper column (the
-/// execute() wrapper sorts on it and strips it before returning).
-fn output_columns(table: &TableEntry, planned: &PlannedQuery) -> Vec<ColumnId> {
-    let mut cols = match &planned.projection {
-        Some(cols) => cols.clone(),
-        None => (0..table.schema.len())
-            .map(|i| ColumnId(i as u16))
-            .collect(),
-    };
-    if let Some((col, _)) = planned.order_by {
-        if !cols.contains(&col) {
-            cols.push(col);
-        }
-    }
-    cols
-}
-
-/// Evaluate all conjuncts against a heap row.
-fn row_matches(view: &RowView<'_>, conds: &[BoundCondition]) -> Result<bool> {
-    for bc in conds {
-        let hit = if let Condition::Or(branches) = &bc.condition {
-            // Each branch reads its own column (branches of one OR may
-            // reference different columns).
-            let mut any = false;
-            for (b, col) in branches.iter().zip(&bc.branch_columns) {
-                if b.matches(&view.value(col.index())?) {
-                    any = true;
-                    break;
-                }
-            }
-            any
-        } else {
-            // Fast path: column value compared against literal(s).
-            bc.condition.matches(&view.value(bc.column.index())?)
-        };
-        if !hit {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-fn project_row(view: &RowView<'_>, cols: &[ColumnId]) -> Result<Vec<Value>> {
-    cols.iter().map(|c| view.value(c.index())).collect()
-}
-
-// --- Key-side predicate evaluation --------------------------------------
-
-/// Evaluates conditions directly on encoded index keys.
-///
-/// When every key column is `INT`, each column occupies a fixed 9-byte
-/// segment of the memcomparable key, so a condition on key position `p`
-/// decodes 8 bytes at offset `9p + 1` — no allocation. Otherwise the
-/// matcher falls back to a full `decode_key`.
-struct KeyMatcher {
-    /// (key position, condition) for every conjunct on a key column.
-    checks: Vec<(usize, Condition)>,
-    all_int: bool,
-}
-
-impl KeyMatcher {
-    /// Build a matcher for the conjuncts of `planned` that reference key
-    /// columns of `index` at or after `skip_prefix` (probe-satisfied
-    /// leading equalities are skipped).
-    fn new(
-        table: &TableEntry,
-        planner: &Planner<'_>,
-        planned: &PlannedQuery,
-        index: usize,
-        skip_prefix: usize,
-    ) -> KeyMatcher {
-        let cols = &planner.indexes()[index].columns;
-        let all_int = cols
-            .iter()
-            .all(|c| table.schema.column(*c).map(|d| d.ty) == Some(ValueType::Int));
-        let mut checks = Vec::new();
-        for bc in &planned.conditions {
-            if let Some(pos) = cols.iter().position(|c| *c == bc.column) {
-                if pos < skip_prefix && matches!(bc.condition, Condition::Eq { .. }) {
-                    continue; // satisfied by the probe
-                }
-                checks.push((pos, bc.condition.clone()));
-            }
-        }
-        KeyMatcher { checks, all_int }
-    }
-
-    fn decode_int_segment(key: &[u8], pos: usize) -> Option<i64> {
-        let off = pos * 9 + 1;
-        let seg = key.get(off..off + 8)?;
-        let raw = u64::from_be_bytes(seg.try_into().ok()?);
-        Some((raw ^ (1u64 << 63)) as i64)
-    }
-
-    fn matches(&self, key: &[u8]) -> Result<bool> {
-        if self.checks.is_empty() {
-            return Ok(true);
-        }
-        if self.all_int {
-            for (pos, cond) in &self.checks {
-                let v = Self::decode_int_segment(key, *pos)
-                    .ok_or_else(|| Error::Corrupt("short index key".into()))?;
-                if !cond.matches(&Value::Int(v)) {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        } else {
-            let vals = decode_key(key)?;
-            for (pos, cond) in &self.checks {
-                if !cond.matches(&vals[*pos]) {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-    }
-}
-
-/// Project output columns out of an index key (covering plans).
-fn project_key(
-    key: &[u8],
-    key_cols: &[ColumnId],
-    out_cols: &[ColumnId],
-    all_int: bool,
-) -> Result<Vec<Value>> {
-    if all_int {
-        out_cols
-            .iter()
-            .map(|c| {
-                let pos = key_cols
-                    .iter()
-                    .position(|k| k == c)
-                    .ok_or_else(|| Error::Corrupt("projection column not in key".into()))?;
-                KeyMatcher::decode_int_segment(key, pos)
-                    .map(Value::Int)
-                    .ok_or_else(|| Error::Corrupt("short index key".into()))
-            })
-            .collect()
-    } else {
-        let vals = decode_key(key)?;
-        out_cols
-            .iter()
-            .map(|c| {
-                let pos = key_cols
-                    .iter()
-                    .position(|k| k == c)
-                    .ok_or_else(|| Error::Corrupt("projection column not in key".into()))?;
-                Ok(vals[pos].clone())
-            })
-            .collect()
-    }
 }
 
 // --- Multi-index rid operators -------------------------------------------
@@ -428,347 +559,4 @@ fn intersect_rids(
         acc = out;
     }
     Ok(acc)
-}
-
-/// Fetch each rid from the heap and apply the *full* predicate (the
-/// probes satisfied only their own term; other conjuncts — and, for a
-/// union, the residual of the OR itself — are re-checked on the row).
-fn fetch_filtered(
-    table: &TableEntry,
-    planned: &PlannedQuery,
-    rids: &[Rid],
-    materialize: bool,
-) -> Result<ExecOutcome> {
-    let out_cols = output_columns(table, planned);
-    let mut count = 0u64;
-    let mut rows = materialize.then(Vec::new);
-    for &rid in rids {
-        let bytes = table.heap.fetch(rid)?;
-        let view = RowView::new(&bytes);
-        if row_matches(&view, &planned.conditions)? {
-            count += 1;
-            if let Some(rows) = &mut rows {
-                rows.push(project_row(&view, &out_cols)?);
-            }
-        }
-    }
-    Ok(ExecOutcome {
-        count,
-        rows,
-        aggregate: None,
-    })
-}
-
-// --- Access paths --------------------------------------------------------
-
-fn seq_scan(table: &TableEntry, planned: &PlannedQuery, materialize: bool) -> Result<ExecOutcome> {
-    let out_cols = output_columns(table, planned);
-    let mut count = 0u64;
-    let mut rows = materialize.then(Vec::new);
-    let mut scan = table.heap.scan();
-    while let Some((_rid, view)) = scan.next_row()? {
-        if row_matches(&view, &planned.conditions)? {
-            count += 1;
-            if let Some(rows) = &mut rows {
-                rows.push(project_row(&view, &out_cols)?);
-            }
-        }
-    }
-    Ok(ExecOutcome {
-        count,
-        rows,
-        aggregate: None,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn index_seek(
-    table: &TableEntry,
-    planned: &PlannedQuery,
-    planner: &Planner<'_>,
-    index: usize,
-    probe: &[Value],
-    covering: bool,
-    materialize: bool,
-) -> Result<ExecOutcome> {
-    let entry = index_entry(table, planner, index)?;
-    let matcher = KeyMatcher::new(table, planner, planned, index, probe.len());
-    let out_cols = output_columns(table, planned);
-    let probe_bytes = encode_key(probe);
-    let mut cursor = entry.btree.seek(probe)?;
-    let mut count = 0u64;
-    let mut rows = materialize.then(Vec::new);
-    while let Some((key, rid)) = cursor.next_entry()? {
-        if !key.starts_with(&probe_bytes) {
-            break;
-        }
-        if covering {
-            if matcher.matches(key)? {
-                count += 1;
-                if let Some(rows) = &mut rows {
-                    rows.push(project_key(
-                        key,
-                        &entry.columns,
-                        &out_cols,
-                        matcher.all_int,
-                    )?);
-                }
-            }
-        } else {
-            let bytes = table.heap.fetch(rid)?;
-            let view = RowView::new(&bytes);
-            if row_matches(&view, &planned.conditions)? {
-                count += 1;
-                if let Some(rows) = &mut rows {
-                    rows.push(project_row(&view, &out_cols)?);
-                }
-            }
-        }
-    }
-    Ok(ExecOutcome {
-        count,
-        rows,
-        aggregate: None,
-    })
-}
-
-fn index_range(
-    table: &TableEntry,
-    planned: &PlannedQuery,
-    planner: &Planner<'_>,
-    index: usize,
-    covering: bool,
-    materialize: bool,
-) -> Result<ExecOutcome> {
-    let entry = index_entry(table, planner, index)?;
-    let leading = entry.columns[0];
-    let range = planned
-        .conditions
-        .iter()
-        .find(|c| c.column == leading && matches!(c.condition, Condition::Range { .. }))
-        .ok_or_else(|| Error::Corrupt("range plan without range condition".into()))?;
-    let Condition::Range {
-        lo,
-        hi,
-        hi_inclusive,
-        ..
-    } = &range.condition
-    else {
-        unreachable!()
-    };
-    let matcher = KeyMatcher::new(table, planner, planned, index, 0);
-    let out_cols = output_columns(table, planned);
-
-    let mut cursor = match lo {
-        Some(lo) => entry.btree.seek(std::slice::from_ref(lo))?,
-        None => entry.btree.scan_all()?,
-    };
-    let mut count = 0u64;
-    let mut rows = materialize.then(Vec::new);
-    while let Some((key, rid)) = cursor.next_entry()? {
-        // Stop once the leading column exceeds the upper bound.
-        if let Some(hi) = hi {
-            let lead = if matcher.all_int {
-                Value::Int(
-                    KeyMatcher::decode_int_segment(key, 0)
-                        .ok_or_else(|| Error::Corrupt("short index key".into()))?,
-                )
-            } else {
-                decode_key(key)?.swap_remove(0)
-            };
-            if lead > *hi || (!hi_inclusive && lead == *hi) {
-                break;
-            }
-        }
-        if covering {
-            if matcher.matches(key)? {
-                count += 1;
-                if let Some(rows) = &mut rows {
-                    rows.push(project_key(
-                        key,
-                        &entry.columns,
-                        &out_cols,
-                        matcher.all_int,
-                    )?);
-                }
-            }
-        } else {
-            // The matcher (including the range itself) may still reject
-            // e.g. an exclusive lower bound; check on the fetched row.
-            let bytes = table.heap.fetch(rid)?;
-            let view = RowView::new(&bytes);
-            if row_matches(&view, &planned.conditions)? {
-                count += 1;
-                if let Some(rows) = &mut rows {
-                    rows.push(project_row(&view, &out_cols)?);
-                }
-            }
-        }
-    }
-    Ok(ExecOutcome {
-        count,
-        rows,
-        aggregate: None,
-    })
-}
-
-fn index_only(
-    table: &TableEntry,
-    planned: &PlannedQuery,
-    planner: &Planner<'_>,
-    index: usize,
-    materialize: bool,
-) -> Result<ExecOutcome> {
-    let entry = index_entry(table, planner, index)?;
-    let matcher = KeyMatcher::new(table, planner, planned, index, 0);
-    let out_cols = output_columns(table, planned);
-    let mut cursor = entry.btree.scan_all()?;
-    let mut count = 0u64;
-    let mut rows = materialize.then(Vec::new);
-    while let Some((key, _rid)) = cursor.next_entry()? {
-        if matcher.matches(key)? {
-            count += 1;
-            if let Some(rows) = &mut rows {
-                rows.push(project_key(
-                    key,
-                    &entry.columns,
-                    &out_cols,
-                    matcher.all_int,
-                )?);
-            }
-        }
-    }
-    Ok(ExecOutcome {
-        count,
-        rows,
-        aggregate: None,
-    })
-}
-
-/// Collect the rids of every row matching `planned`'s predicate, using
-/// the planned access path. This is the locate phase of UPDATE/DELETE:
-/// rids are fully materialized *before* any mutation, so the write
-/// phase cannot re-see rows it already changed (no Halloween problem).
-pub(crate) fn collect_rids(
-    table: &TableEntry,
-    planner: &Planner<'_>,
-    planned: &PlannedQuery,
-) -> Result<Vec<Rid>> {
-    let mut out = Vec::new();
-    match &planned.plan {
-        Plan::SeqScan => {
-            let mut scan = table.heap.scan();
-            while let Some((rid, view)) = scan.next_row()? {
-                if row_matches(&view, &planned.conditions)? {
-                    out.push(rid);
-                }
-            }
-        }
-        Plan::IndexSeek {
-            index,
-            eq_prefix,
-            covering,
-        } => {
-            let entry = index_entry(table, planner, *index)?;
-            let probe = planner.seek_probe(planned, *index, *eq_prefix);
-            let probe_bytes = encode_key(&probe);
-            let matcher = KeyMatcher::new(table, planner, planned, *index, probe.len());
-            let mut cursor = entry.btree.seek(&probe)?;
-            while let Some((key, rid)) = cursor.next_entry()? {
-                if !key.starts_with(&probe_bytes) {
-                    break;
-                }
-                if *covering {
-                    if matcher.matches(key)? {
-                        out.push(rid);
-                    }
-                } else {
-                    let bytes = table.heap.fetch(rid)?;
-                    if row_matches(&RowView::new(&bytes), &planned.conditions)? {
-                        out.push(rid);
-                    }
-                }
-            }
-        }
-        Plan::IndexRange { index, covering } => {
-            let entry = index_entry(table, planner, *index)?;
-            let leading = entry.columns[0];
-            let range = planned
-                .conditions
-                .iter()
-                .find(|c| c.column == leading && matches!(c.condition, Condition::Range { .. }))
-                .ok_or_else(|| Error::Corrupt("range plan without range condition".into()))?;
-            let Condition::Range {
-                lo,
-                hi,
-                hi_inclusive,
-                ..
-            } = &range.condition
-            else {
-                unreachable!()
-            };
-            let matcher = KeyMatcher::new(table, planner, planned, *index, 0);
-            let mut cursor = match lo {
-                Some(lo) => entry.btree.seek(std::slice::from_ref(lo))?,
-                None => entry.btree.scan_all()?,
-            };
-            while let Some((key, rid)) = cursor.next_entry()? {
-                if let Some(hi) = hi {
-                    let lead = if matcher.all_int {
-                        Value::Int(
-                            KeyMatcher::decode_int_segment(key, 0)
-                                .ok_or_else(|| Error::Corrupt("short index key".into()))?,
-                        )
-                    } else {
-                        decode_key(key)?.swap_remove(0)
-                    };
-                    if lead > *hi || (!hi_inclusive && lead == *hi) {
-                        break;
-                    }
-                }
-                if *covering {
-                    if matcher.matches(key)? {
-                        out.push(rid);
-                    }
-                } else {
-                    let bytes = table.heap.fetch(rid)?;
-                    if row_matches(&RowView::new(&bytes), &planned.conditions)? {
-                        out.push(rid);
-                    }
-                }
-            }
-        }
-        Plan::IndexOnlyScan { index } => {
-            let entry = index_entry(table, planner, *index)?;
-            let matcher = KeyMatcher::new(table, planner, planned, *index, 0);
-            let mut cursor = entry.btree.scan_all()?;
-            while let Some((key, rid)) = cursor.next_entry()? {
-                if matcher.matches(key)? {
-                    out.push(rid);
-                }
-            }
-        }
-        Plan::IndexAnd { probes } => {
-            for rid in intersect_rids(table, planner, probes)? {
-                let bytes = table.heap.fetch(rid)?;
-                if row_matches(&RowView::new(&bytes), &planned.conditions)? {
-                    out.push(rid);
-                }
-            }
-        }
-        Plan::IndexOr { probes } => {
-            for rid in union_rids(table, planner, probes)? {
-                let bytes = table.heap.fetch(rid)?;
-                if row_matches(&RowView::new(&bytes), &planned.conditions)? {
-                    out.push(rid);
-                }
-            }
-        }
-        Plan::IndexExtremum { .. } => {
-            return Err(Error::Corrupt(
-                "extremum plans never locate write targets".into(),
-            ))
-        }
-    }
-    Ok(out)
 }

@@ -26,6 +26,7 @@ mod catalog;
 mod cost;
 mod db;
 mod exec;
+mod filter;
 pub mod par;
 mod persist;
 mod planner;
@@ -36,6 +37,7 @@ pub use catalog::{IndexSpec, TableSnapshot};
 pub use cost::{CostModel, IndexShape};
 pub use db::{Database, DdlReport, QueryResult};
 pub use exec::ExecOutcome;
+pub use filter::Filter;
 pub use par::{default_threads, parallel_map};
 pub use planner::{BoundCondition, IndexInfo, PlannedWrite, PlannerFlags};
 pub use planner::{Plan, PlannedQuery, Planner};

@@ -83,7 +83,9 @@ impl Histogram {
                 let depth = c - prev_cum;
                 let frac_in_bucket =
                     match (prev_bound.and_then(Value::as_int), b.as_int(), v.as_int()) {
+                        // i128: a bucket may span i64::MIN..i64::MAX.
                         (Some(lo), Some(hi), Some(x)) if hi > lo => {
+                            let (lo, hi, x) = (lo as i128, hi as i128, x as i128);
                             ((x - lo) as f64 / (hi - lo) as f64).clamp(0.0, 1.0)
                         }
                         _ => 0.5,

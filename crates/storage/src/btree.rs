@@ -1,4 +1,5 @@
 use crate::codec::{decode_rid, encode_key, encode_rid, RID_LEN};
+use crate::heap::HeapFile;
 use crate::pager::{Page, Pager, PAGE_SIZE};
 use cdpd_types::{Error, PageId, Result, Rid, Value};
 use std::sync::Arc;
@@ -177,76 +178,121 @@ impl BTree {
         })
     }
 
-    /// Build a tree from entries **sorted by `(values, rid)`**.
-    ///
-    /// Leaves are packed left to right at ~90% fill, then internal
-    /// levels are built bottom-up; cost is one page write per built
-    /// page. This is the fast path used by `CREATE INDEX` after an
-    /// external sort of the heap.
+    /// `CREATE INDEX`'s scan → sort → load: index `heap` on the row
+    /// columns `columns` (in key order). Each row's key is encoded
+    /// straight from the row bytes into `key ++ rid`, the keys are
+    /// sorted as plain bytes (the in-memory stand-in for an external
+    /// sort), and [`BTree::bulk_load_keys`] packs them. The tree shares
+    /// the heap's pager.
+    pub fn build_from_heap(heap: &HeapFile, columns: &[usize]) -> Result<BTree> {
+        let mut keys = Vec::with_capacity(heap.row_count() as usize);
+        let mut scan = heap.scan();
+        while let Some((rid, row)) = scan.next_row()? {
+            let mut key = Vec::with_capacity(9 * columns.len() + RID_LEN);
+            for &col in columns {
+                row.encode_key_column(col, &mut key)?;
+            }
+            encode_rid(rid, &mut key);
+            keys.push(key);
+        }
+        keys.sort_unstable();
+        BTree::bulk_load_keys(heap.pager().clone(), keys)
+    }
+
+    /// Build a tree from entries **sorted by `(values, rid)`**: the
+    /// [`Value`] form of [`BTree::bulk_load_keys`], which it encodes
+    /// each entry for.
     ///
     /// # Errors
-    /// Returns [`Error::InvalidArgument`] if the input is not sorted or
-    /// contains duplicate `(values, rid)` pairs.
+    /// As [`BTree::bulk_load_keys`].
     pub fn bulk_load<I>(pager: Arc<Pager>, entries: I) -> Result<BTree>
     where
         I: IntoIterator<Item = (Vec<Value>, Rid)>,
     {
+        BTree::bulk_load_keys(pager, entries.into_iter().map(|(v, rid)| full_key(&v, rid)))
+    }
+
+    /// Build a tree from full entry keys (`encode_key(values) ++
+    /// encode_rid(rid)`) **in strictly ascending byte order** — the
+    /// order a plain byte sort gives, and, because the key codec is
+    /// memcomparable, the `(values, rid)` order.
+    ///
+    /// Leaves are packed left to right at ~90% fill, each written
+    /// straight into its page image, then internal levels are built
+    /// bottom-up. Every new leaf is chained by reading its predecessor
+    /// and writing it back with the link, so the build costs one write
+    /// per built page plus one read and one write per leaf link: the
+    /// transition I/O `CREATE INDEX` measures.
+    ///
+    /// # Errors
+    /// Returns [`Error::InvalidArgument`] if the keys are not strictly
+    /// ascending, and [`Error::TooLarge`] for a key no page can hold.
+    pub fn bulk_load_keys<I>(pager: Arc<Pager>, keys: I) -> Result<BTree>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[u8]>,
+    {
         let _span = cdpd_obs::span!("btree.bulk_load");
         let budget = PAGE_SIZE * FILL_NUM / FILL_DEN;
         let mut leaves: Vec<(Vec<u8>, PageId)> = Vec::new(); // (first key, page)
-        let mut cur: Vec<Vec<u8>> = Vec::new();
-        let mut cur_size = LEAF_HDR;
+        let mut image = [0u8; PAGE_SIZE];
+        let mut used = LEAF_HDR;
+        let mut in_leaf = 0u16;
         let mut entry_count = 0u64;
-        let mut leaf_count = 0u64;
         let mut prev_key: Option<Vec<u8>> = None;
 
-        let flush = |cur: &mut Vec<Vec<u8>>, leaves: &mut Vec<(Vec<u8>, PageId)>| -> Result<()> {
-            if cur.is_empty() {
-                return Ok(());
-            }
+        // Write the packed image as a new leaf and link its predecessor.
+        let flush = |image: &mut [u8; PAGE_SIZE],
+                     in_leaf: u16,
+                     leaves: &mut Vec<(Vec<u8>, PageId)>|
+         -> Result<()> {
             let pid = pager.allocate();
-            let first = cur[0].clone();
-            // Chain the previous leaf to this one.
             if let Some(&(_, prev_pid)) = leaves.last() {
-                let prev = pager.read(prev_pid)?;
-                let mut node = OwnedNode::decode(&prev)?;
-                if let OwnedNode::Leaf { next, .. } = &mut node {
-                    *next = Some(pid);
-                }
-                pager.write(prev_pid, Arc::new(node.encode()))?;
+                let mut prev = *pager.read(prev_pid)?;
+                prev[3..7].copy_from_slice(&(pid.raw() + 1).to_le_bytes());
+                pager.write(prev_pid, Arc::new(prev))?;
             }
-            let node = OwnedNode::Leaf {
-                entries: std::mem::take(cur),
-                next: None,
-            };
-            pager.write(pid, Arc::new(node.encode()))?;
+            image[0] = LEAF;
+            image[1..3].copy_from_slice(&in_leaf.to_le_bytes());
+            let first_len = rd_u16(&image[..], LEAF_HDR) as usize;
+            let first = image[LEAF_HDR + 2..LEAF_HDR + 2 + first_len].to_vec();
+            pager.write(pid, Arc::new(std::mem::replace(image, [0u8; PAGE_SIZE])))?;
             leaves.push((first, pid));
             Ok(())
         };
 
-        for (values, rid) in entries {
-            let key = full_key(&values, rid);
-            if let Some(prev) = &prev_key {
-                if *prev >= key {
+        for key in keys {
+            let key = key.as_ref();
+            if LEAF_HDR + 2 + key.len() > PAGE_SIZE {
+                return Err(Error::TooLarge(format!("index key of {} bytes", key.len())));
+            }
+            match &mut prev_key {
+                Some(prev) if prev.as_slice() >= key => {
                     return Err(Error::InvalidArgument(
                         "bulk_load input must be strictly sorted by (values, rid)".into(),
                     ));
                 }
+                Some(prev) => {
+                    prev.clear();
+                    prev.extend_from_slice(key);
+                }
+                None => prev_key = Some(key.to_vec()),
             }
-            prev_key = Some(key.clone());
-            if cur_size + 2 + key.len() > budget && !cur.is_empty() {
-                flush(&mut cur, &mut leaves)?;
-                leaf_count += 1;
-                cur_size = LEAF_HDR;
+            if used + 2 + key.len() > budget && in_leaf > 0 {
+                flush(&mut image, in_leaf, &mut leaves)?;
+                used = LEAF_HDR;
+                in_leaf = 0;
             }
-            cur_size += 2 + key.len();
-            cur.push(key);
+            image[used..used + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
+            image[used + 2..used + 2 + key.len()].copy_from_slice(key);
+            used += 2 + key.len();
+            in_leaf += 1;
             entry_count += 1;
         }
-        flush(&mut cur, &mut leaves)?;
-        if !leaves.is_empty() {
-            leaf_count += 1;
+        if in_leaf > 0 {
+            flush(&mut image, in_leaf, &mut leaves)?;
         }
+        let leaf_count = leaves.len() as u64;
 
         if leaves.is_empty() {
             return BTree::create(pager);

@@ -150,8 +150,26 @@ impl<'a> RowView<'a> {
         decode_value(&mut rest)
     }
 
+    /// The integer whose tag sits at byte `off`.
+    #[inline]
+    fn int_at(&self, off: usize) -> Result<i64> {
+        match self.bytes.get(off) {
+            Some(&TAG_INT) => {
+                let b = self
+                    .bytes
+                    .get(off + 1..off + 9)
+                    .ok_or_else(|| Error::Corrupt("truncated int column".into()))?;
+                Ok(i64::from_le_bytes(b.try_into().expect("slice is 8 bytes")))
+            }
+            Some(_) => Err(Error::TypeMismatch("column is not INT".into())),
+            None => Err(Error::Corrupt("row too short".into())),
+        }
+    }
+
     /// Fast path: column `col` as an integer without allocating.
     pub fn int(&self, col: usize) -> Result<i64> {
+        // Not routed through `int_at`: a heap scan reading `int(0)`
+        // measured 4–10% slower that way.
         let off = self.offset_of(col)?;
         match self.bytes.get(off) {
             Some(&TAG_INT) => {
@@ -166,6 +184,28 @@ impl<'a> RowView<'a> {
         }
     }
 
+    /// Column `col` as an integer when every column before it is `INT`:
+    /// those columns take 9 bytes each, so the value's tag sits at the
+    /// fixed offset `9·col` and no earlier tag is walked. The tag is
+    /// still checked.
+    #[inline]
+    pub fn int_fixed(&self, col: usize) -> Result<i64> {
+        self.int_at(9 * col)
+    }
+
+    /// Append the memcomparable key encoding of column `col` to `out`
+    /// (what [`encode_key_value`] writes for the decoded value), without
+    /// materializing an `INT` column as a [`Value`].
+    pub fn encode_key_column(&self, col: usize, out: &mut Vec<u8>) -> Result<()> {
+        let off = self.offset_of(col)?;
+        if self.bytes.get(off) == Some(&TAG_INT) {
+            encode_key_int(self.int_at(off)?, out);
+        } else {
+            encode_key_value(&self.value(col)?, out);
+        }
+        Ok(())
+    }
+
     /// Decode every value.
     pub fn decode_all(&self) -> Result<Vec<Value>> {
         decode_row(self.bytes)
@@ -177,15 +217,18 @@ impl<'a> RowView<'a> {
 const KEY_TAG_INT: u8 = 0x10;
 const KEY_TAG_STR: u8 = 0x20;
 
+/// Append the memcomparable encoding of one integer to `out`.
+fn encode_key_int(i: i64, out: &mut Vec<u8>) {
+    out.push(KEY_TAG_INT);
+    // Flip the sign bit so two's-complement order becomes unsigned byte
+    // order, then big-endian for memcmp.
+    out.extend_from_slice(&(((i as u64) ^ (1u64 << 63)).to_be_bytes()));
+}
+
 /// Append the memcomparable encoding of one value to `out`.
 pub fn encode_key_value(v: &Value, out: &mut Vec<u8>) {
     match v {
-        Value::Int(i) => {
-            out.push(KEY_TAG_INT);
-            // Flip the sign bit so two's-complement order becomes
-            // unsigned byte order, then big-endian for memcmp.
-            out.extend_from_slice(&(((*i as u64) ^ (1u64 << 63)).to_be_bytes()));
-        }
+        Value::Int(i) => encode_key_int(*i, out),
         Value::Str(s) => {
             out.push(KEY_TAG_STR);
             for &b in s.as_bytes() {
@@ -255,6 +298,23 @@ pub fn decode_key(mut bytes: &[u8]) -> Result<Vec<Value>> {
         }
     }
     Ok(out)
+}
+
+/// Key column `pos` as an integer when every key column before it is
+/// `INT`: each such column is a 9-byte segment, so the value is the 8
+/// bytes after the tag at offset `9·pos`. The tag is checked.
+pub fn key_int(key: &[u8], pos: usize) -> Result<i64> {
+    let off = 9 * pos;
+    match key.get(off..off + 9) {
+        Some([KEY_TAG_INT, rest @ ..]) => {
+            let raw = u64::from_be_bytes(rest.try_into().expect("slice is 8 bytes"));
+            Ok((raw ^ (1u64 << 63)) as i64)
+        }
+        Some(_) => Err(Error::Corrupt(format!(
+            "key column {pos} is not at its all-INT offset"
+        ))),
+        None => Err(Error::Corrupt("short index key".into())),
+    }
 }
 
 // --- Rid codec ----------------------------------------------------------

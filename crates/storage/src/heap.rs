@@ -2,6 +2,7 @@ use crate::codec::RowView;
 use crate::pager::{Page, Pager, PAGE_SIZE};
 use crate::slotted;
 use cdpd_types::{Error, PageId, Result, Rid};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Unordered tuple storage: a chain of slotted pages on a shared pager.
@@ -80,12 +81,19 @@ impl HeapFile {
         Ok(Rid::new(page, slot))
     }
 
-    /// Fetch one row by record id (one logical page read).
-    pub fn fetch(&self, rid: Rid) -> Result<Vec<u8>> {
+    /// Fetch one row by record id (one logical page read), borrowing
+    /// it from its pinned page: no copy, no allocation.
+    pub fn pin(&self, rid: Rid) -> Result<PinnedRow> {
         let page = self.pager.read(rid.page)?;
-        slotted::get(&page, rid.slot)
-            .map(<[u8]>::to_vec)
-            .ok_or_else(|| Error::Corrupt(format!("no live record at {rid:?}")))
+        let range = slotted::record_range(&page, rid.slot)
+            .ok_or_else(|| Error::Corrupt(format!("no live record at {rid:?}")))?;
+        Ok(PinnedRow { page, range })
+    }
+
+    /// Fetch one row by record id as an owned copy (one logical page
+    /// read).
+    pub fn fetch(&self, rid: Rid) -> Result<Vec<u8>> {
+        Ok(self.pin(rid)?.view().bytes().to_vec())
     }
 
     /// Update a row. Overwrites in place when the new encoding fits in
@@ -149,6 +157,20 @@ impl HeapFile {
     }
 }
 
+/// One row of a heap page, kept readable by holding the page snapshot
+/// it lives on (see [`HeapFile::pin`]).
+pub struct PinnedRow {
+    page: Page,
+    range: Range<usize>,
+}
+
+impl PinnedRow {
+    /// The row's encoded bytes.
+    pub fn view(&self) -> RowView<'_> {
+        RowView::new(&self.page[self.range.clone()])
+    }
+}
+
 /// Streaming cursor over a heap's live rows in physical order.
 ///
 /// Each page is read (and counted) exactly once per scan; rows are
@@ -177,14 +199,13 @@ impl HeapScan<'_> {
             while self.slot < nslots {
                 let slot = self.slot;
                 self.slot += 1;
-                if slotted::get(page, slot).is_some() {
+                if let Some(range) = slotted::record_range(page, slot) {
                     let pid = self.heap.pages[self.page_idx];
-                    // Re-borrow through self.current to give the view the
-                    // full lifetime of &mut self's borrow.
-                    let bytes =
-                        slotted::get(self.current.as_ref().expect("page pinned above"), slot)
-                            .expect("slot checked live");
-                    return Ok(Some((Rid::new(pid, slot), RowView::new(bytes))));
+                    // Slice through a fresh borrow of self.current: the
+                    // view must live as long as &mut self's borrow, which
+                    // the loop's borrow of `page` cannot.
+                    let page = self.current.as_ref().expect("page pinned above");
+                    return Ok(Some((Rid::new(pid, slot), RowView::new(&page[range]))));
                 }
             }
             self.current = None;

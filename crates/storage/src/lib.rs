@@ -53,6 +53,6 @@ mod wal;
 pub use btree::{BTree, BTreeCursor};
 pub use crc::crc64;
 pub use durable::{DurableOpen, DurableOptions, DurableStats};
-pub use heap::{HeapFile, HeapScan};
+pub use heap::{HeapFile, HeapScan, PinnedRow};
 pub use pager::{IoStats, Page, Pager, ThreadIoScope, PAGER_SHARDS, PAGE_SIZE};
 pub use vfs::{DiskVfs, MemVfs, Vfs, VfsFile};

@@ -17,6 +17,7 @@
 //! page — a property the B+-tree relies on, since it stores rids.
 
 use crate::pager::PAGE_SIZE;
+use std::ops::Range;
 
 const HEADER: usize = 4;
 const SLOT_BYTES: usize = 4;
@@ -72,8 +73,9 @@ pub fn insert(buf: &mut [u8; PAGE_SIZE], record: &[u8]) -> Option<u16> {
     Some(slot)
 }
 
-/// The record in `slot`, or `None` if the slot is out of range or dead.
-pub fn get(buf: &[u8; PAGE_SIZE], slot: u16) -> Option<&[u8]> {
+/// The byte range of the record in `slot`, or `None` if the slot is out
+/// of range or dead.
+pub fn record_range(buf: &[u8; PAGE_SIZE], slot: u16) -> Option<Range<usize>> {
     if slot >= slot_count(buf) {
         return None;
     }
@@ -83,7 +85,12 @@ pub fn get(buf: &[u8; PAGE_SIZE], slot: u16) -> Option<&[u8]> {
     if len == DEAD {
         return None;
     }
-    Some(&buf[off..off + len as usize])
+    Some(off..off + len as usize)
+}
+
+/// The record in `slot`, or `None` if the slot is out of range or dead.
+pub fn get(buf: &[u8; PAGE_SIZE], slot: u16) -> Option<&[u8]> {
+    record_range(buf, slot).map(|r| &buf[r])
 }
 
 /// Overwrite a live slot's record in place. Succeeds only when the new

@@ -1,7 +1,9 @@
 //! Property tests: the paged B+-tree must behave exactly like an
 //! in-memory ordered map over `(values, rid)` keys, under arbitrary
 //! interleavings of inserts and deletes, and seeks must match the
-//! model's range queries.
+//! model's range queries. `CREATE INDEX`'s byte-key build
+//! ([`BTree::build_from_heap`]) must produce, page for page and I/O for
+//! I/O, the tree a build over decoded `(values, rid)` entries produces.
 //!
 //! The durable variants run the same model against a file-backed pager:
 //! mutate → commit → checkpoint → reopen must reattach the identical
@@ -9,9 +11,9 @@
 //! through eviction + backend refetch), and corrupted data or checksum
 //! files must surface as clean [`Err`]s — never as wrong answers or UB.
 
-use cdpd_storage::codec::decode_key;
-use cdpd_storage::{BTree, DurableOptions, MemVfs, Pager, PAGE_SIZE};
-use cdpd_testkit::prop::{btree_set_of, vec_of, Config, Strategy};
+use cdpd_storage::codec::{decode_key, encode_row};
+use cdpd_storage::{crc64, BTree, DurableOptions, HeapFile, MemVfs, Pager, PAGE_SIZE};
+use cdpd_testkit::prop::{btree_set_of, string_of, vec_of, Config, Just, Strategy};
 use cdpd_testkit::{one_of, props};
 use cdpd_types::{PageId, Rid, Value};
 use std::collections::BTreeSet;
@@ -207,6 +209,123 @@ props! {
             n += 1;
         }
         assert_eq!(n, pairs.len());
+    }
+}
+
+// --- Byte-key index build -----------------------------------------------
+
+/// Key columns over rows `(INT, STR, INT)`: one `INT`, and composite
+/// keys with the `STR` column first and second.
+const KEYS: [&[usize]; 4] = [&[0], &[0, 1], &[1, 2], &[2, 0, 1]];
+
+/// A heap of `rows` on a pager of its own, so two identical heaps give
+/// their trees identical page ids.
+fn heap_of(rows: &[(i64, String, i64)]) -> HeapFile {
+    let mut heap = HeapFile::create(Arc::new(Pager::new()));
+    let mut bytes = Vec::new();
+    for (a, s, b) in rows {
+        bytes.clear();
+        encode_row(
+            &[Value::Int(*a), Value::from(s.as_str()), Value::Int(*b)],
+            &mut bytes,
+        );
+        heap.insert(&bytes).unwrap();
+    }
+    heap
+}
+
+/// The build over decoded values: scan, decode each key, sort by
+/// `(values, rid)`, bulk load.
+fn value_build(heap: &HeapFile, cols: &[usize]) -> BTree {
+    let mut entries: Vec<(Vec<Value>, Rid)> = Vec::new();
+    let mut scan = heap.scan();
+    while let Some((rid, row)) = scan.next_row().unwrap() {
+        entries.push((cols.iter().map(|&c| row.value(c).unwrap()).collect(), rid));
+    }
+    entries.sort();
+    BTree::bulk_load(heap.pager().clone(), entries).unwrap()
+}
+
+props! {
+    config: Config::with_cases(16);
+
+    fn byte_key_build_matches_value_build(
+        rows in vec_of(
+            (
+                one_of![4 => -3i64..4, 1 => Just(i64::MIN), 1 => Just(i64::MAX)],
+                string_of("ab\0", 0..4),
+                -2i64..3,
+            ),
+            0..1200,
+        ),
+        key in 0usize..4,
+    ) {
+        let cols = KEYS[*key];
+        let (by_value, by_bytes) = (heap_of(rows), heap_of(rows));
+        let before = (by_value.pager().stats(), by_bytes.pager().stats());
+        let want = value_build(&by_value, cols);
+        let got = BTree::build_from_heap(&by_bytes, cols).unwrap();
+        assert_eq!(
+            by_bytes.pager().stats().delta(before.1),
+            by_value.pager().stats().delta(before.0),
+            "build I/O"
+        );
+        assert_eq!(
+            (got.leaf_count(), got.height(), got.page_count(), got.entry_count()),
+            (want.leaf_count(), want.height(), want.page_count(), want.entry_count()),
+        );
+        let (mut a, mut b) = (got.scan_all().unwrap(), want.scan_all().unwrap());
+        while let Some((key, rid)) = a.next_entry().unwrap() {
+            assert_eq!(Some((key, rid)), b.next_entry().unwrap());
+        }
+        assert!(b.next_entry().unwrap().is_none());
+        for &p in got.pages() {
+            let (x, y) = (by_bytes.pager().read(p).unwrap(), by_value.pager().read(p).unwrap());
+            assert!(x[..] == y[..], "page {p:?} differs");
+        }
+    }
+}
+
+/// The loader's I/O, shape and page bytes on fixed inputs, recorded from
+/// the `Vec<Value>`-keyed loader the byte-key one replaced: `CREATE
+/// INDEX`'s measured transition cost and the tree it leaves must not
+/// move with the loader's implementation.
+#[test]
+fn bulk_load_io_and_pages_are_pinned() {
+    let pinned = [
+        (false, (46, 94, 48), (47, 2, 48), 0xba97_31c0_1ec1_d16f_u64),
+        (true, (65, 132, 67), (66, 2, 67), 0x4c53_4736_063b_1c25),
+    ];
+    for (composite, io_want, shape_want, crc_want) in pinned {
+        let mut entries: Vec<(Vec<Value>, Rid)> = (0..20_000i64)
+            .map(|i| {
+                let mut key = vec![Value::Int((i * 7919) % 5_000 - 2_500)];
+                if composite {
+                    key.push(Value::from(format!("s\0{}", i % 13).as_str()));
+                }
+                (key, Rid::new(PageId((i / 200) as u32), (i % 200) as u16))
+            })
+            .collect();
+        entries.sort();
+        let pager = Arc::new(Pager::new());
+        let before = pager.stats();
+        let tree = BTree::bulk_load(pager.clone(), entries).unwrap();
+        let io = pager.stats().delta(before);
+        let mut bytes = Vec::new();
+        for &p in tree.pages() {
+            bytes.extend_from_slice(&pager.read(p).unwrap()[..]);
+        }
+        assert_eq!(
+            (io.reads, io.writes, io.allocs),
+            io_want,
+            "composite {composite}"
+        );
+        assert_eq!(
+            (tree.leaf_count(), tree.height(), tree.page_count()),
+            shape_want,
+            "composite {composite}"
+        );
+        assert_eq!(crc64(&bytes), crc_want, "composite {composite}");
     }
 }
 

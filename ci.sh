@@ -114,11 +114,15 @@ cargo run --release --offline --quiet -p cdpd-bench --bin bench_diff
 echo "== the repository benchmark builds and advises correctly =="
 # benchmark/ is a package of its own and compiles against the advisor's
 # public API; one short timed `advise` run must finish with every
-# correctness check passed and no failed operation.
+# correctness check passed and no failed operation. Seed 1's
+# recommended schedule costs exactly 38.4555 pages per statement: a
+# pricing change that moves any what-if estimate the solver acts on
+# fails here.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload advise --seed 1 --seconds 1 --trace 0 | tail -n 1 > target/advise-smoke.json
 grep -q '"correct":true' target/advise-smoke.json
 grep -q '"failed":0[,}]' target/advise-smoke.json
+grep -q '"pages_per_op":{"value":38.4555,' target/advise-smoke.json
 
 echo "== the repository benchmark writes durably: acknowledged UPDATEs survive a restart =="
 # serve-write's correctness check reopens the durable store and reads

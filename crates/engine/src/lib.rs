@@ -39,7 +39,7 @@ pub use db::{Database, DdlReport, QueryResult};
 pub use exec::ExecOutcome;
 pub use filter::Filter;
 pub use par::{default_threads, parallel_map};
-pub use planner::{BoundCondition, IndexInfo, PlannedWrite, PlannerFlags};
+pub use planner::{BoundCondition, IndexInfo, PlannedWrite, PlannerFlags, Prepared};
 pub use planner::{Plan, PlannedQuery, Planner};
 pub use stats::{ColumnStats, Histogram, StatsRefresh, TableStats};
 pub use whatif::WhatIfEngine;

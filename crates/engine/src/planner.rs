@@ -1,11 +1,30 @@
-//! Cost-based access-path selection.
+//! Cost-based access-path selection, in two steps.
+//!
+//! * **Bind** ([`Planner::prepare`]; its query half also starts
+//!   [`Planner::plan`]) reads only the schema, the statistics and the
+//!   statement: column ids and literal checks, the projection, each
+//!   term's selectivity, the row estimate, the equality probes of
+//!   `IN`/`OR` terms, and a write's SET columns. Every error a
+//!   statement can raise is raised here.
+//! * **Choose** walks an index set and returns the cheapest candidate
+//!   path as index and term positions. It formats no names and
+//!   allocates nothing.
+//!
+//! [`Planner::plan`] is bind, choose, and materialising the winner into
+//! a [`PlannedQuery`]; [`Planner::plan_write`] is the same for a write's
+//! locate phase plus its write-side charges.
 //!
 //! The planner is configuration-driven: it receives a list of
 //! [`IndexInfo`]s describing the indexes *assumed to exist* and knows
 //! nothing about whether they are real B+-trees or hypothetical
 //! what-if structures. `Database` plans against its materialized
 //! indexes; [`crate::WhatIfEngine`] plans against estimated shapes.
-//! One planner, two callers — that is the what-if interface.
+//! One planner, two callers — that is the what-if interface. A bound
+//! statement does not depend on the index set, so the what-if engine
+//! binds each workload statement once ([`crate::WhatIfEngine::prepare`])
+//! and prices it under every configuration a solver asks about with
+//! choose alone ([`Planner::cost`]). It does depend on the statistics:
+//! after a statistics refresh a statement must be bound again.
 //!
 //! Planning is a pure function of the schema, the statistics snapshot,
 //! and the assumed index shapes — no interior mutability — so
@@ -16,6 +35,7 @@ use crate::cost::{CostModel, IndexShape};
 use crate::stats::TableStats;
 use cdpd_sql::{AggFunc, Condition, Dml, Projection, SelectStmt};
 use cdpd_types::{ColumnId, Cost, Error, Result, Schema, Value};
+use std::borrow::Borrow;
 
 /// An index as the planner sees it.
 #[derive(Clone, Debug)]
@@ -43,6 +63,81 @@ pub struct BoundCondition {
     /// For [`Condition::Or`] terms: the column id of each branch,
     /// parallel to the branch list. Empty for simple terms.
     pub branch_columns: Vec<ColumnId>,
+}
+
+impl BoundCondition {
+    /// Columns the term reads (every `Or` branch's column).
+    fn columns(&self) -> &[ColumnId] {
+        if self.branch_columns.is_empty() {
+            std::slice::from_ref(&self.column)
+        } else {
+            &self.branch_columns
+        }
+    }
+
+    fn is_eq(&self) -> bool {
+        matches!(self.condition, Condition::Eq { .. })
+    }
+}
+
+/// A query bound against one schema and statistics snapshot: everything
+/// path choice reads that does not depend on the index set.
+#[derive(Clone, Debug)]
+struct BoundQuery {
+    conditions: Vec<BoundCondition>,
+    /// Selectivity of each term, parallel to `conditions`.
+    selectivity: Vec<f64>,
+    projection: Option<Vec<ColumnId>>,
+    count_only: bool,
+    aggregate: Option<(AggFunc, ColumnId)>,
+    order_by: Option<(ColumnId, bool)>,
+    limit: Option<u64>,
+    /// Some term reads several columns. Key-side evaluation handles one
+    /// column per term, so no index covers the query.
+    multi_col_or: bool,
+    /// Independence-assumption row estimate over all conjuncts.
+    est_rows: f64,
+    /// Union-servable terms: term position and the column of each of
+    /// its deduplicated equality probes ([`Planner::or_probes`]). Boxed
+    /// so that the oracle's per-statement bound form holds no spare
+    /// capacity.
+    unions: Box<[(usize, Vec<ColumnId>)]>,
+}
+
+/// A workload statement (query, update or delete) bound for costing by
+/// [`Planner::prepare`]: the query that locates its rows and, for a
+/// write, what it modifies. Valid only under the schema and statistics
+/// it was bound against.
+#[derive(Clone, Debug)]
+pub struct Prepared {
+    query: BoundQuery,
+    write: Option<Write>,
+}
+
+impl Prepared {
+    /// The predicate conjuncts, bound to column ids.
+    pub fn conditions(&self) -> &[BoundCondition] {
+        &self.query.conditions
+    }
+}
+
+/// The write side of a [`Prepared`] statement.
+#[derive(Clone, Debug)]
+enum Write {
+    /// An `UPDATE` and the columns its SET list assigns.
+    Update(Vec<ColumnId>),
+    Delete,
+}
+
+impl Write {
+    /// Whether `info` needs per-row maintenance under this write: every
+    /// index for a delete, those keyed on a SET column for an update.
+    fn maintains(&self, info: &IndexInfo) -> bool {
+        match self {
+            Write::Update(set) => info.columns.iter().any(|c| set.contains(c)),
+            Write::Delete => true,
+        }
+    }
 }
 
 /// The chosen access path.
@@ -98,6 +193,39 @@ pub enum Plan {
         /// `(index position, probe value)` per probe; each probes that
         /// index's leading key column. Deduplicated at plan time.
         probes: Vec<(usize, Value)>,
+    },
+}
+
+/// The winner of [`Planner::choose`]: a [`Plan`] named by index and
+/// term positions, with no probe values copied.
+#[derive(Clone, Copy, Debug)]
+enum Choice {
+    SeqScan,
+    Extremum {
+        index: usize,
+        max: bool,
+    },
+    Seek {
+        index: usize,
+        eq_prefix: usize,
+        covering: bool,
+    },
+    Range {
+        index: usize,
+        covering: bool,
+    },
+    IndexOnly {
+        index: usize,
+    },
+    /// A rowid union over `BoundQuery::unions[union]`.
+    Or {
+        union: usize,
+    },
+    /// A rowid intersection of two `Eq` terms, each as
+    /// `(term position, index position)`.
+    And {
+        p: (usize, usize),
+        q: (usize, usize),
     },
 }
 
@@ -233,32 +361,36 @@ impl Default for PlannerFlags {
     }
 }
 
-/// Cost-based single-table planner.
-pub struct Planner<'a> {
+/// Cost-based single-table planner over an index list of owned
+/// [`IndexInfo`]s or of references to them.
+pub struct Planner<'a, I = IndexInfo> {
     schema: &'a Schema,
     stats: &'a TableStats,
-    indexes: &'a [IndexInfo],
+    indexes: &'a [I],
     flags: PlannerFlags,
 }
 
-impl<'a> Planner<'a> {
+impl Planner<'_> {
+    /// Fanout gate for rowid-union plans: beyond this many probes a
+    /// union of point seeks loses its locality advantage and the
+    /// planner stops generating the candidate (large IN lists fall
+    /// back to the scan-based paths).
+    pub const MAX_OR_PROBES: usize = 16;
+}
+
+impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
     /// Plan against `schema`/`stats` with `indexes` assumed available.
-    pub fn new(schema: &'a Schema, stats: &'a TableStats, indexes: &'a [IndexInfo]) -> Planner<'a> {
-        Planner {
-            schema,
-            stats,
-            indexes,
-            flags: PlannerFlags::default(),
-        }
+    pub fn new(schema: &'a Schema, stats: &'a TableStats, indexes: &'a [I]) -> Planner<'a, I> {
+        Self::with_flags(schema, stats, indexes, PlannerFlags::default())
     }
 
     /// Planner with non-default access-path flags (ablations).
     pub fn with_flags(
         schema: &'a Schema,
         stats: &'a TableStats,
-        indexes: &'a [IndexInfo],
+        indexes: &'a [I],
         flags: PlannerFlags,
-    ) -> Planner<'a> {
+    ) -> Planner<'a, I> {
         Planner {
             schema,
             stats,
@@ -267,257 +399,24 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Resolve and validate the statement, then pick the cheapest path.
-    pub fn plan(&self, stmt: &SelectStmt) -> Result<PlannedQuery> {
-        let conditions = self.bind_conditions(stmt)?;
-        let (projection, count_only, aggregate) = self.bind_projection(stmt)?;
-        let order_by = stmt
-            .order_by
-            .as_ref()
-            .map(|ob| {
-                self.schema
-                    .column_id(&ob.column)
-                    .map(|id| (id, ob.desc))
-                    .ok_or_else(|| Error::NotFound(format!("column {}", ob.column)))
-            })
-            .transpose()?;
-        if aggregate.is_some() && (order_by.is_some() || stmt.limit.is_some()) {
-            return Err(Error::InvalidArgument(
-                "ORDER BY / LIMIT on an aggregate query is meaningless (one result row)".into(),
-            ));
-        }
-
-        // Columns the plan must produce (projection + predicate).
-        let needed = Self::needed_columns(&conditions, &projection, count_only);
-        // Key-side evaluation handles one column per term; a
-        // multi-column OR needs the heap row, so such statements are
-        // never served covering.
-        let multi_col_or = conditions
-            .iter()
-            .any(|c| c.branch_columns.windows(2).any(|w| w[0] != w[1]));
-
-        let est_rows = self.estimate_rows(&conditions);
-        let mut best: Option<(Cost, u32, Plan, Option<String>)> = None;
-        let mut consider = |cost: Cost, rank: u32, plan: Plan, name: Option<String>| {
-            let better = match &best {
-                None => true,
-                Some((bc, br, ..)) => cost < *bc || (cost == *bc && rank < *br),
-            };
-            if better {
-                best = Some((cost, rank, plan, name));
-            }
-        };
-
-        consider(CostModel::seq_scan(self.stats), 3, Plan::SeqScan, None);
-
-        // Unpredicated MIN/MAX over an index's leading column: read one
-        // end of the tree.
-        if conditions.is_empty() {
-            if let Some((func @ (AggFunc::Min | AggFunc::Max), col)) = aggregate {
-                for (i, info) in self.indexes.iter().enumerate() {
-                    if info.columns[0] == col {
-                        consider(
-                            Cost::from_ios(info.shape.height as u64),
-                            0,
-                            Plan::IndexExtremum {
-                                index: i,
-                                max: func == AggFunc::Max,
-                            },
-                            Some(info.name.clone()),
-                        );
-                    }
-                }
-            }
-        }
-
-        for (i, info) in self.indexes.iter().enumerate() {
-            let covering = self.flags.covering_seeks && !multi_col_or && self.covers(info, &needed);
-
-            // Longest leading prefix bound by equality.
-            let eq_prefix = info
-                .columns
-                .iter()
-                .take_while(|col| {
-                    conditions
-                        .iter()
-                        .any(|c| c.column == **col && matches!(c.condition, Condition::Eq { .. }))
-                })
-                .count();
-
-            if eq_prefix > 0 {
-                let rows = self.eq_prefix_rows(info, eq_prefix);
-                let cost = CostModel::index_seek(self.stats, info.shape, rows, covering);
-                consider(
-                    cost,
-                    0,
-                    Plan::IndexSeek {
-                        index: i,
-                        eq_prefix,
-                        covering,
-                    },
-                    Some(info.name.clone()),
-                );
-                continue;
-            }
-
-            // Range on the leading key column?
-            let leading = info.columns[0];
-            let range = conditions
-                .iter()
-                .find(|c| c.column == leading && matches!(c.condition, Condition::Range { .. }));
-            if let Some(bc) = range.filter(|_| self.flags.range_scans) {
-                if let Condition::Range {
-                    lo,
-                    lo_inclusive,
-                    hi,
-                    hi_inclusive,
-                    ..
-                } = &bc.condition
-                {
-                    let frac = self.stats.column(leading).histogram.range_selectivity(
-                        lo.as_ref(),
-                        *lo_inclusive,
-                        hi.as_ref(),
-                        *hi_inclusive,
-                    );
-                    let rows = self.stats.row_count as f64 * frac;
-                    let cost = CostModel::index_range(self.stats, info.shape, frac, rows, covering);
-                    consider(
-                        cost,
-                        1,
-                        Plan::IndexRange { index: i, covering },
-                        Some(info.name.clone()),
-                    );
-                    continue;
-                }
-            }
-
-            if covering && self.flags.index_only_scans {
-                let cost = CostModel::index_only_scan(info.shape);
-                consider(
-                    cost,
-                    2,
-                    Plan::IndexOnlyScan { index: i },
-                    Some(info.name.clone()),
-                );
-            }
-        }
-
-        // Rowid-union candidates: one per IN / all-equality OR term
-        // (an OR is union-servable iff *every* branch expands to
-        // equality probes — snippet-1's rule). Each probe uses the
-        // cheapest index leading on its column; the union is fetched
-        // and residual-filtered, so the other conjuncts still apply.
-        if self.flags.or_unions {
-            'terms: for bc in &conditions {
-                let Some(probes) = self.or_probes(bc) else {
-                    continue;
-                };
-                let mut cost = Cost::ZERO;
-                let mut chosen: Vec<(usize, Value)> = Vec::with_capacity(probes.len());
-                let mut names: Vec<&str> = Vec::new();
-                for (col, v) in probes {
-                    // A probe column without a leading index sinks the
-                    // whole union: its branch rows would be missed.
-                    let Some((j, c)) = self.cheapest_probe(col) else {
-                        continue 'terms;
-                    };
-                    cost += c;
-                    if !names.contains(&self.indexes[j].name.as_str()) {
-                        names.push(self.indexes[j].name.as_str());
-                    }
-                    chosen.push((j, v));
-                }
-                let rows = self.stats.row_count as f64 * self.term_selectivity(bc);
-                cost += CostModel::rid_fetches(rows);
-                let name = names.join(", ");
-                consider(cost, 1, Plan::IndexOr { probes: chosen }, Some(name));
-            }
-        }
-
-        // Rowid-intersection candidates: pairs of equality conjuncts on
-        // distinct columns, each probed through its own leading index;
-        // the intersected rid list is fetched and residual-filtered.
-        if self.flags.and_intersections {
-            let eq_terms: Vec<(ColumnId, &Value)> = conditions
-                .iter()
-                .filter_map(|c| match &c.condition {
-                    Condition::Eq { value, .. } => Some((c.column, value)),
-                    _ => None,
-                })
-                .collect();
-            for (pi, (pcol, pval)) in eq_terms.iter().enumerate() {
-                for (qcol, qval) in eq_terms.iter().skip(pi + 1) {
-                    if pcol == qcol {
-                        continue;
-                    }
-                    let (Some((pj, pc)), Some((qj, qc))) =
-                        (self.cheapest_probe(*pcol), self.cheapest_probe(*qcol))
-                    else {
-                        continue;
-                    };
-                    let sel = self.stats.column(*pcol).eq_selectivity()
-                        * self.stats.column(*qcol).eq_selectivity();
-                    let rows = self.stats.row_count as f64 * sel;
-                    let cost = pc + qc + CostModel::rid_fetches(rows);
-                    let name = format!("{}, {}", self.indexes[pj].name, self.indexes[qj].name);
-                    consider(
-                        cost,
-                        1,
-                        Plan::IndexAnd {
-                            probes: vec![(pj, (*pval).clone()), (qj, (*qval).clone())],
-                        },
-                        Some(name),
-                    );
-                }
-            }
-        }
-
-        let (est_cost, _, plan, index_name) = best.expect("seq scan is always a candidate");
-        match &plan {
-            Plan::SeqScan => cdpd_obs::counter!("engine.planner.pick.seq_scan").inc(),
-            Plan::IndexSeek { .. } => cdpd_obs::counter!("engine.planner.pick.index_seek").inc(),
-            Plan::IndexRange { .. } => cdpd_obs::counter!("engine.planner.pick.index_range").inc(),
-            Plan::IndexOnlyScan { .. } => {
-                cdpd_obs::counter!("engine.planner.pick.index_only_scan").inc()
-            }
-            Plan::IndexExtremum { .. } => {
-                cdpd_obs::counter!("engine.planner.pick.index_extremum").inc()
-            }
-            Plan::IndexAnd { .. } => cdpd_obs::counter!("engine.planner.pick.index_and").inc(),
-            Plan::IndexOr { .. } => cdpd_obs::counter!("engine.planner.pick.index_or").inc(),
-        }
-        // Does the chosen path already emit rows in the requested order?
-        // Index cursors run ascending over the key, so an ascending
-        // ORDER BY on the index's leading column is free.
-        let plan_ordered = match (&plan, order_by) {
-            (_, None) => true,
-            (
-                Plan::IndexSeek { index, .. }
-                | Plan::IndexRange { index, .. }
-                | Plan::IndexOnlyScan { index },
-                Some((col, false)),
-            ) => self.indexes[*index].columns[0] == col,
-            _ => false,
-        };
-        Ok(PlannedQuery {
-            plan,
-            est_cost,
-            est_rows,
-            conditions,
-            projection,
-            count_only,
-            aggregate,
-            order_by,
-            limit: stmt.limit,
-            plan_ordered,
-            index_name,
-        })
+    /// The index list this planner was constructed with.
+    pub fn indexes(&self) -> &[I] {
+        self.indexes
     }
 
-    /// The index list this planner was constructed with.
-    pub fn indexes(&self) -> &[IndexInfo] {
-        self.indexes
+    fn index(&self, i: usize) -> &IndexInfo {
+        self.indexes[i].borrow()
+    }
+
+    fn infos(&self) -> impl Iterator<Item = &IndexInfo> {
+        self.indexes.iter().map(Borrow::borrow)
+    }
+
+    /// Resolve and validate the statement, then pick the cheapest path.
+    pub fn plan(&self, stmt: &SelectStmt) -> Result<PlannedQuery> {
+        let query = self.bind(stmt)?;
+        let (cost, choice) = self.choose(&query);
+        Ok(self.materialize(query, cost, choice))
     }
 
     /// Plan the write statements of Definition 1's "queries and
@@ -535,10 +434,105 @@ impl<'a> Planner<'a> {
     /// `stmt` must be an `UPDATE` or `DELETE` (queries go through
     /// [`Planner::plan`]); SET columns must exist and be type-correct.
     pub fn plan_write(&self, stmt: &Dml) -> Result<PlannedWrite> {
-        let (set_cols, is_update): (Vec<ColumnId>, bool) = match stmt {
-            Dml::Update(u) => {
-                let cols = u
-                    .set
+        if matches!(stmt, Dml::Select(_)) {
+            return Err(Error::InvalidArgument(
+                "plan_write takes UPDATE or DELETE statements".into(),
+            ));
+        }
+        let Prepared { query, write } = self.prepare(stmt)?;
+        let write = write.expect("a prepared UPDATE or DELETE has a write side");
+        let (find_cost, choice) = self.choose(&query);
+        let est_total = self.write_cost(&write, find_cost, query.est_rows);
+        let maintained = self
+            .infos()
+            .enumerate()
+            .filter(|(_, info)| write.maintains(info))
+            .map(|(i, _)| i)
+            .collect();
+        Ok(PlannedWrite {
+            find: self.materialize(query, find_cost, choice),
+            est_total,
+            maintained,
+            is_update: matches!(write, Write::Update(_)),
+        })
+    }
+
+    /// Estimated cost of a statement this planner's schema and
+    /// statistics [`Planner::prepare`]d, under this planner's index
+    /// set: bit for bit [`Planner::plan`]'s `est_cost` for a query and
+    /// [`Planner::plan_write`]'s `est_total` for a write. Allocates
+    /// nothing.
+    pub fn cost(&self, prepared: &Prepared) -> Cost {
+        let (cost, _) = self.choose(&prepared.query);
+        match &prepared.write {
+            None => cost,
+            Some(write) => self.write_cost(write, cost, prepared.query.est_rows),
+        }
+    }
+
+    /// Locate cost plus a heap write per affected row plus per-row
+    /// maintenance of every index `write` invalidates, in index order.
+    fn write_cost(&self, write: &Write, find_cost: Cost, rows: f64) -> Cost {
+        let mut total = find_cost + CostModel::heap_row_write().scale(rows.ceil() as u64);
+        for info in self.infos().filter(|info| write.maintains(info)) {
+            total += match write {
+                Write::Update(_) => CostModel::update_maintenance(info.shape, rows),
+                Write::Delete => CostModel::delete_maintenance(info.shape, rows),
+            };
+        }
+        total
+    }
+
+    /// Bind a query: resolve and type-check every column and literal,
+    /// and estimate what does not depend on the index set.
+    ///
+    /// # Errors
+    /// Unknown columns, mistyped literals, malformed `OR` terms, and
+    /// `ORDER BY` / `LIMIT` on an aggregate.
+    fn bind(&self, stmt: &SelectStmt) -> Result<BoundQuery> {
+        let conditions = self.bind_conditions(&stmt.conditions)?;
+        let (projection, count_only, aggregate) = self.bind_projection(&stmt.projection)?;
+        let order_by = stmt
+            .order_by
+            .as_ref()
+            .map(|ob| {
+                self.schema
+                    .column_id(&ob.column)
+                    .map(|id| (id, ob.desc))
+                    .ok_or_else(|| Error::NotFound(format!("column {}", ob.column)))
+            })
+            .transpose()?;
+        if aggregate.is_some() && (order_by.is_some() || stmt.limit.is_some()) {
+            return Err(Error::InvalidArgument(
+                "ORDER BY / LIMIT on an aggregate query is meaningless (one result row)".into(),
+            ));
+        }
+        Ok(self.bound(
+            conditions,
+            (projection, count_only, aggregate),
+            order_by,
+            stmt.limit,
+        ))
+    }
+
+    /// Bind any workload statement for costing. A write's locate phase
+    /// is bound as a `COUNT(*)` over its predicate: it needs only the
+    /// predicate columns (rids are collected first, then rows are
+    /// mutated — no Halloween hazard).
+    ///
+    /// # Errors
+    /// Unknown columns, mistyped literals (SET literals included),
+    /// malformed `OR` terms, and `ORDER BY` / `LIMIT` on an aggregate.
+    pub fn prepare(&self, stmt: &Dml) -> Result<Prepared> {
+        let write = match stmt {
+            Dml::Select(s) => {
+                return Ok(Prepared {
+                    query: self.bind(s)?,
+                    write: None,
+                })
+            }
+            Dml::Update(u) => Write::Update(
+                u.set
                     .iter()
                     .map(|(name, value)| {
                         let id = self
@@ -553,112 +547,314 @@ impl<'a> Planner<'a> {
                         }
                         Ok(id)
                     })
-                    .collect::<Result<Vec<_>>>()?;
-                (cols, true)
-            }
-            Dml::Delete(_) => (Vec::new(), false),
-            Dml::Select(_) => {
-                return Err(Error::InvalidArgument(
-                    "plan_write takes UPDATE or DELETE statements".into(),
-                ))
-            }
+                    .collect::<Result<Vec<_>>>()?,
+            ),
+            Dml::Delete(_) => Write::Delete,
         };
-        // The locate phase only needs the predicate columns (rids are
-        // collected first, then rows are mutated — no Halloween hazard).
-        let find_stmt = SelectStmt {
-            projection: Projection::CountStar,
-            table: stmt.table().to_owned(),
-            conditions: stmt.conditions().to_vec(),
-            order_by: None,
-            limit: None,
-        };
-        let find = self.plan(&find_stmt)?;
-        let rows = find.est_rows;
-
-        let maintained: Vec<usize> = self
-            .indexes
-            .iter()
-            .enumerate()
-            .filter(|(_, info)| {
-                if is_update {
-                    info.columns.iter().any(|c| set_cols.contains(c))
-                } else {
-                    true
-                }
-            })
-            .map(|(i, _)| i)
-            .collect();
-
-        let mut est_total = find.est_cost + CostModel::heap_row_write().scale(rows.ceil() as u64);
-        for &i in &maintained {
-            let shape = self.indexes[i].shape;
-            est_total += if is_update {
-                CostModel::update_maintenance(shape, rows)
-            } else {
-                CostModel::delete_maintenance(shape, rows)
-            };
-        }
-        Ok(PlannedWrite {
-            find,
-            est_total,
-            maintained,
-            is_update,
+        let conditions = self.bind_conditions(stmt.conditions())?;
+        Ok(Prepared {
+            query: self.bound(conditions, (None, true, None), None, None),
+            write: Some(write),
         })
     }
 
-    /// Columns the plan must produce: projection + predicate columns,
-    /// or `None` for `SELECT *` (every column).
-    fn needed_columns(
-        conditions: &[BoundCondition],
-        projection: &Option<Vec<ColumnId>>,
-        count_only: bool,
-    ) -> Option<Vec<ColumnId>> {
-        match (projection, count_only) {
-            (Some(proj), _) => {
-                let mut v = proj.clone();
-                for c in conditions {
-                    for col in Self::term_columns(c) {
-                        if !v.contains(&col) {
-                            v.push(col);
-                        }
-                    }
-                }
-                Some(v)
-            }
-            (None, true) => {
-                let mut v = Vec::new();
-                for c in conditions {
-                    for col in Self::term_columns(c) {
-                        if !v.contains(&col) {
-                            v.push(col);
-                        }
-                    }
-                }
-                Some(v)
-            }
-            (None, false) => None, // SELECT *
-        }
+    /// Everything path choice needs from bound terms and projection.
+    fn bound(
+        &self,
+        conditions: Vec<BoundCondition>,
+        (projection, count_only, aggregate): BoundProjection,
+        order_by: Option<(ColumnId, bool)>,
+        limit: Option<u64>,
+    ) -> BoundQuery {
+        let multi_col_or = conditions
+            .iter()
+            .any(|c| c.branch_columns.windows(2).any(|w| w[0] != w[1]));
+        let unions = conditions
+            .iter()
+            .enumerate()
+            .filter_map(|(t, bc)| {
+                let probes = Self::or_probes(bc)?;
+                Some((t, probes.into_iter().map(|(col, _)| col).collect()))
+            })
+            .collect();
+        let mut query = BoundQuery {
+            selectivity: vec![0.0; conditions.len()],
+            conditions,
+            projection,
+            count_only,
+            aggregate,
+            order_by,
+            limit,
+            multi_col_or,
+            est_rows: 0.0,
+            unions,
+        };
+        self.estimate(&mut query);
+        query
     }
 
-    /// Columns one bound term reads (every `Or` branch's column).
-    fn term_columns(c: &BoundCondition) -> Vec<ColumnId> {
-        if c.branch_columns.is_empty() {
-            vec![c.column]
-        } else {
-            c.branch_columns.clone()
-        }
+    /// Re-estimate a statement bound against older statistics of the
+    /// same table: only selectivities and the row estimate read the
+    /// statistics, so afterwards `prepared` is what
+    /// [`Planner::prepare`] would bind under this planner's.
+    pub(crate) fn reestimate(&self, prepared: &mut Prepared) {
+        self.estimate(&mut prepared.query);
     }
 
-    /// True if `info` holds every column in `needed` (`None` = all).
-    fn covers(&self, info: &IndexInfo, needed: &Option<Vec<ColumnId>>) -> bool {
-        match needed {
-            Some(cols) => cols.iter().all(|c| info.columns.contains(c)),
-            None => self
-                .schema
-                .columns()
+    /// Each term's selectivity and the independence-assumption row
+    /// estimate over all of them.
+    fn estimate(&self, query: &mut BoundQuery) {
+        for (sel, bc) in query.selectivity.iter_mut().zip(&query.conditions) {
+            *sel = self.term_selectivity(bc);
+        }
+        query.est_rows = self.stats.row_count as f64 * query.selectivity.iter().product::<f64>();
+    }
+
+    /// The cheapest candidate path for `query` under this planner's
+    /// index set, as `(cost, candidate)`: the minimum by cost, then by
+    /// rank (seek/extremum 0, range/union/intersection 1, index-only
+    /// scan 2, heap scan 3), then by generation order.
+    fn choose(&self, query: &BoundQuery) -> (Cost, Choice) {
+        let stats = self.stats;
+        let mut best = (CostModel::seq_scan(stats), 3u32, Choice::SeqScan);
+        let mut consider = |cost: Cost, rank: u32, choice: Choice| {
+            if cost < best.0 || (cost == best.0 && rank < best.1) {
+                best = (cost, rank, choice);
+            }
+        };
+
+        // Unpredicated MIN/MAX over an index's leading column: read one
+        // end of the tree.
+        if query.conditions.is_empty() {
+            if let Some((func @ (AggFunc::Min | AggFunc::Max), col)) = query.aggregate {
+                for (index, info) in self.infos().enumerate() {
+                    if info.columns[0] == col {
+                        let max = func == AggFunc::Max;
+                        let cost = Cost::from_ios(info.shape.height as u64);
+                        consider(cost, 0, Choice::Extremum { index, max });
+                    }
+                }
+            }
+        }
+
+        for (index, info) in self.infos().enumerate() {
+            let covering =
+                self.flags.covering_seeks && !query.multi_col_or && self.covers(info, query);
+
+            // Longest leading prefix bound by equality.
+            let eq_prefix = info
+                .columns
                 .iter()
-                .enumerate()
-                .all(|(j, _)| info.columns.contains(&ColumnId(j as u16))),
+                .take_while(|col| {
+                    query
+                        .conditions
+                        .iter()
+                        .any(|c| c.column == **col && c.is_eq())
+                })
+                .count();
+            if eq_prefix > 0 {
+                let rows = self.eq_prefix_rows(info, eq_prefix);
+                let cost = CostModel::index_seek(stats, info.shape, rows, covering);
+                let choice = Choice::Seek {
+                    index,
+                    eq_prefix,
+                    covering,
+                };
+                consider(cost, 0, choice);
+                continue;
+            }
+
+            // Range on the leading key column?
+            let leading = info.columns[0];
+            let range = query.conditions.iter().position(|c| {
+                c.column == leading && matches!(c.condition, Condition::Range { .. })
+            });
+            if let Some(t) = range.filter(|_| self.flags.range_scans) {
+                let frac = query.selectivity[t];
+                let rows = stats.row_count as f64 * frac;
+                let cost = CostModel::index_range(stats, info.shape, frac, rows, covering);
+                consider(cost, 1, Choice::Range { index, covering });
+                continue;
+            }
+
+            if covering && self.flags.index_only_scans {
+                let cost = CostModel::index_only_scan(info.shape);
+                consider(cost, 2, Choice::IndexOnly { index });
+            }
+        }
+
+        // Rowid-union candidates: one per IN / all-equality OR term.
+        // Each probe uses the cheapest index leading on its column; the
+        // union is fetched and residual-filtered, so the other
+        // conjuncts still apply.
+        if self.flags.or_unions {
+            'unions: for (union, (t, probes)) in query.unions.iter().enumerate() {
+                let mut cost = Cost::ZERO;
+                for col in probes {
+                    // A probe column without a leading index sinks the
+                    // whole union: its branch rows would be missed.
+                    let Some((_, c)) = self.cheapest_probe(*col) else {
+                        continue 'unions;
+                    };
+                    cost += c;
+                }
+                cost += CostModel::rid_fetches(stats.row_count as f64 * query.selectivity[*t]);
+                consider(cost, 1, Choice::Or { union });
+            }
+        }
+
+        // Rowid-intersection candidates: pairs of equality conjuncts on
+        // distinct columns, each probed through its own leading index;
+        // the intersected rid list is fetched and residual-filtered.
+        if self.flags.and_intersections {
+            let eq_terms = || {
+                query
+                    .conditions
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.is_eq())
+            };
+            for (pt, p) in eq_terms() {
+                for (qt, q) in eq_terms().filter(|(qt, _)| *qt > pt) {
+                    if p.column == q.column {
+                        continue;
+                    }
+                    let (Some((pj, pc)), Some((qj, qc))) =
+                        (self.cheapest_probe(p.column), self.cheapest_probe(q.column))
+                    else {
+                        continue;
+                    };
+                    let sel = stats.column(p.column).eq_selectivity()
+                        * stats.column(q.column).eq_selectivity();
+                    let rows = stats.row_count as f64 * sel;
+                    let cost = pc + qc + CostModel::rid_fetches(rows);
+                    consider(
+                        cost,
+                        1,
+                        Choice::And {
+                            p: (pt, pj),
+                            q: (qt, qj),
+                        },
+                    );
+                }
+            }
+        }
+
+        let (cost, _, choice) = best;
+        match choice {
+            Choice::SeqScan => cdpd_obs::counter!("engine.planner.pick.seq_scan").inc(),
+            Choice::Seek { .. } => cdpd_obs::counter!("engine.planner.pick.index_seek").inc(),
+            Choice::Range { .. } => cdpd_obs::counter!("engine.planner.pick.index_range").inc(),
+            Choice::IndexOnly { .. } => {
+                cdpd_obs::counter!("engine.planner.pick.index_only_scan").inc()
+            }
+            Choice::Extremum { .. } => {
+                cdpd_obs::counter!("engine.planner.pick.index_extremum").inc()
+            }
+            Choice::And { .. } => cdpd_obs::counter!("engine.planner.pick.index_and").inc(),
+            Choice::Or { .. } => cdpd_obs::counter!("engine.planner.pick.index_or").inc(),
+        }
+        (cost, choice)
+    }
+
+    /// Turn `choice` into the [`PlannedQuery`] the executor runs: index
+    /// names, probe values and the ordering flag.
+    fn materialize(&self, query: BoundQuery, est_cost: Cost, choice: Choice) -> PlannedQuery {
+        let name = |i: usize| Some(self.index(i).name.clone());
+        let (plan, index_name) = match choice {
+            Choice::SeqScan => (Plan::SeqScan, None),
+            Choice::Extremum { index, max } => (Plan::IndexExtremum { index, max }, name(index)),
+            Choice::Seek {
+                index,
+                eq_prefix,
+                covering,
+            } => (
+                Plan::IndexSeek {
+                    index,
+                    eq_prefix,
+                    covering,
+                },
+                name(index),
+            ),
+            Choice::Range { index, covering } => {
+                (Plan::IndexRange { index, covering }, name(index))
+            }
+            Choice::IndexOnly { index } => (Plan::IndexOnlyScan { index }, name(index)),
+            Choice::Or { union } => {
+                let mut names: Vec<&str> = Vec::new();
+                let term = &query.conditions[query.unions[union].0];
+                let probes = Self::or_probes(term)
+                    .expect("a union term has probes")
+                    .into_iter()
+                    .map(|(col, v)| {
+                        let (j, _) = self
+                            .cheapest_probe(col)
+                            .expect("a chosen union probes only indexed columns");
+                        let index_name = self.index(j).name.as_str();
+                        if !names.contains(&index_name) {
+                            names.push(index_name);
+                        }
+                        (j, v)
+                    })
+                    .collect();
+                (Plan::IndexOr { probes }, Some(names.join(", ")))
+            }
+            Choice::And {
+                p: (pt, pj),
+                q: (qt, qj),
+            } => {
+                let value = |t: usize| match &query.conditions[t].condition {
+                    Condition::Eq { value, .. } => value.clone(),
+                    _ => unreachable!("intersections probe Eq terms"),
+                };
+                let probes = vec![(pj, value(pt)), (qj, value(qt))];
+                let names = format!("{}, {}", self.index(pj).name, self.index(qj).name);
+                (Plan::IndexAnd { probes }, Some(names))
+            }
+        };
+        // Does the chosen path already emit rows in the requested order?
+        // Index cursors run ascending over the key, so an ascending
+        // ORDER BY on the index's leading column is free.
+        let plan_ordered = match (&plan, query.order_by) {
+            (_, None) => true,
+            (
+                Plan::IndexSeek { index, .. }
+                | Plan::IndexRange { index, .. }
+                | Plan::IndexOnlyScan { index },
+                Some((col, false)),
+            ) => self.index(*index).columns[0] == col,
+            _ => false,
+        };
+        PlannedQuery {
+            plan,
+            est_cost,
+            est_rows: query.est_rows,
+            conditions: query.conditions,
+            projection: query.projection,
+            count_only: query.count_only,
+            aggregate: query.aggregate,
+            order_by: query.order_by,
+            limit: query.limit,
+            plan_ordered,
+            index_name,
+        }
+    }
+
+    /// True if `info` holds every column the plan must produce: the
+    /// projection and every predicate column, or every column for
+    /// `SELECT *`.
+    fn covers(&self, info: &IndexInfo, query: &BoundQuery) -> bool {
+        let has = |c: &ColumnId| info.columns.contains(c);
+        match (&query.projection, query.count_only) {
+            (None, false) => (0..self.schema.columns().len()).all(|j| has(&ColumnId(j as u16))),
+            (projection, _) => {
+                projection.iter().flatten().all(has)
+                    && query
+                        .conditions
+                        .iter()
+                        .flat_map(BoundCondition::columns)
+                        .all(has)
+            }
         }
     }
 
@@ -677,114 +873,74 @@ impl<'a> Planner<'a> {
     /// oracle layer's configuration projection is built on.
     ///
     /// # Errors
-    /// Propagates binding errors (unknown columns, type mismatches) —
-    /// the same statements [`Planner::plan`]/[`Planner::plan_write`]
-    /// reject.
+    /// Binding errors (unknown columns, type mismatches): the
+    /// statements [`Planner::plan`]/[`Planner::plan_write`] reject.
     pub fn relevant_indexes(&self, stmt: &Dml) -> Result<Vec<bool>> {
-        match stmt {
-            Dml::Select(s) => self.relevant_for_select(s),
-            Dml::Delete(_) => {
-                // Deletes maintain every index: all relevant.
-                Ok(vec![true; self.indexes.len()])
-            }
-            Dml::Update(u) => {
-                let set_cols = u
-                    .set
-                    .iter()
-                    .map(|(name, _)| {
-                        self.schema
-                            .column_id(name)
-                            .ok_or_else(|| Error::NotFound(format!("column {name}")))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                // The locate phase plans this statement (see plan_write).
-                let find_stmt = SelectStmt {
-                    projection: Projection::CountStar,
-                    table: stmt.table().to_owned(),
-                    conditions: stmt.conditions().to_vec(),
-                    order_by: None,
-                    limit: None,
-                };
-                let mut relevant = self.relevant_for_select(&find_stmt)?;
-                for (r, info) in relevant.iter_mut().zip(self.indexes) {
-                    *r = *r || info.columns.iter().any(|c| set_cols.contains(c));
-                }
-                Ok(relevant)
-            }
-        }
+        Ok(self.relevant(&self.prepare(stmt)?))
     }
 
-    /// [`Planner::relevant_indexes`] for queries: true iff the index
-    /// generates at least one candidate in [`Planner::plan`]'s search
-    /// (seek, range, index-only scan, or extremum read) — mirrors the
-    /// candidate-generation conditions there exactly, flags included.
-    fn relevant_for_select(&self, stmt: &SelectStmt) -> Result<Vec<bool>> {
-        let conditions = self.bind_conditions(stmt)?;
-        let (projection, count_only, aggregate) = self.bind_projection(stmt)?;
-        let needed = Self::needed_columns(&conditions, &projection, count_only);
-        let multi_col_or = conditions
-            .iter()
-            .any(|c| c.branch_columns.windows(2).any(|w| w[0] != w[1]));
-        let extremum_col = match aggregate {
-            Some((AggFunc::Min | AggFunc::Max, col)) if conditions.is_empty() => Some(col),
+    /// [`Planner::relevant_indexes`] for a statement already bound
+    /// against this planner's schema and statistics.
+    pub fn relevant(&self, prepared: &Prepared) -> Vec<bool> {
+        let query = &prepared.query;
+        let extremum_col = match query.aggregate {
+            Some((AggFunc::Min | AggFunc::Max, col)) if query.conditions.is_empty() => Some(col),
             _ => None,
         };
-        // Columns probed by rowid-union candidates (IN / all-equality
-        // OR terms within the fanout gate): an index leading on one
-        // can join — and thereby change the cost of — a union plan.
-        // Marking it relevant even when a sibling probe column lacks an
-        // index over-approximates, which is safe: relevance masks only
-        // need to *keep* every cost-affecting index.
-        let mut union_cols: Vec<ColumnId> = Vec::new();
-        if self.flags.or_unions {
-            for bc in &conditions {
-                if let Some(probes) = self.or_probes(bc) {
-                    for (col, _) in probes {
-                        if !union_cols.contains(&col) {
-                            union_cols.push(col);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(self
-            .indexes
-            .iter()
+        self.infos()
             .map(|info| {
-                let leading = info.columns[0];
-                if extremum_col == Some(leading) {
-                    return true;
-                }
-                // Eq-leading serves seeks and IndexAnd probes alike.
-                let eq_lead = conditions
-                    .iter()
-                    .any(|c| c.column == leading && matches!(c.condition, Condition::Eq { .. }));
-                if eq_lead {
-                    return true;
-                }
-                if union_cols.contains(&leading) {
-                    return true;
-                }
-                let range_lead = self.flags.range_scans
-                    && conditions.iter().any(|c| {
-                        c.column == leading && matches!(c.condition, Condition::Range { .. })
-                    });
-                if range_lead {
-                    return true;
-                }
-                self.flags.index_only_scans
-                    && self.flags.covering_seeks
-                    && !multi_col_or
-                    && self.covers(info, &needed)
+                prepared.write.as_ref().is_some_and(|w| w.maintains(info))
+                    || self.generates_candidate(query, info, extremum_col)
             })
-            .collect())
+            .collect()
     }
 
-    fn bind_conditions(&self, stmt: &SelectStmt) -> Result<Vec<BoundCondition>> {
-        stmt.conditions
-            .iter()
-            .map(|cond| self.bind_condition(cond))
-            .collect()
+    /// True iff `info` generates at least one candidate in
+    /// [`Planner::choose`]'s search (seek, range, index-only scan,
+    /// extremum read, or a probe of a union or intersection) — mirrors
+    /// the candidate-generation conditions there, flags included.
+    fn generates_candidate(
+        &self,
+        query: &BoundQuery,
+        info: &IndexInfo,
+        extremum_col: Option<ColumnId>,
+    ) -> bool {
+        let leading = info.columns[0];
+        let leads = |pred: fn(&Condition) -> bool| {
+            query
+                .conditions
+                .iter()
+                .any(|c| c.column == leading && pred(&c.condition))
+        };
+        // Eq-leading serves seeks and IndexAnd probes alike. An index
+        // leading on a union probe column can join — and thereby
+        // change the cost of — a union plan. Marking it relevant even
+        // when a sibling probe column lacks an index over-approximates,
+        // which is safe: relevance masks only need to *keep* every
+        // cost-affecting index.
+        extremum_col == Some(leading)
+            || leads(|c| matches!(c, Condition::Eq { .. }))
+            || (self.flags.or_unions
+                && query
+                    .unions
+                    .iter()
+                    .any(|(_, probes)| probes.contains(&leading)))
+            || (self.flags.range_scans && leads(|c| matches!(c, Condition::Range { .. })))
+            || (self.flags.index_only_scans
+                && self.flags.covering_seeks
+                && !query.multi_col_or
+                && self.covers(info, query))
+    }
+
+    fn bind_conditions(&self, conditions: &[Condition]) -> Result<Vec<BoundCondition>> {
+        // Sized up front: a collect through `Result` would round a
+        // one-term statement up to four slots, and the oracle keeps a
+        // bound form per workload statement.
+        let mut bound = Vec::with_capacity(conditions.len());
+        for cond in conditions {
+            bound.push(self.bind_condition(cond)?);
+        }
+        Ok(bound)
     }
 
     /// Resolve one predicate term, type-checking every literal. `Or`
@@ -845,8 +1001,8 @@ impl<'a> Planner<'a> {
         Ok(column)
     }
 
-    fn bind_projection(&self, stmt: &SelectStmt) -> Result<BoundProjection> {
-        match &stmt.projection {
+    fn bind_projection(&self, projection: &Projection) -> Result<BoundProjection> {
+        match projection {
             Projection::Star => Ok((None, false, None)),
             Projection::CountStar => Ok((None, true, None)),
             Projection::Columns(cols) => {
@@ -870,15 +1026,6 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Independence-assumption row estimate over all conjuncts.
-    fn estimate_rows(&self, conditions: &[BoundCondition]) -> f64 {
-        let mut sel = 1.0f64;
-        for bc in conditions {
-            sel *= self.term_selectivity(bc);
-        }
-        self.stats.row_count as f64 * sel
-    }
-
     /// Selectivity of a simple (non-`Or`) condition on `column`.
     fn simple_selectivity(&self, column: ColumnId, cond: &Condition) -> f64 {
         let col = self.stats.column(column);
@@ -899,11 +1046,9 @@ impl<'a> Planner<'a> {
             Condition::In { values, .. } => {
                 // Sum per-value point estimates over *distinct* values
                 // (the executor probes each value once), capped at 1.
-                let mut seen: Vec<&Value> = Vec::new();
                 let mut sel = 0.0f64;
-                for v in values {
-                    if !seen.contains(&v) {
-                        seen.push(v);
+                for (i, v) in values.iter().enumerate() {
+                    if !values[..i].contains(v) {
                         sel += col.point_selectivity(v);
                     }
                 }
@@ -937,18 +1082,12 @@ impl<'a> Planner<'a> {
         self.stats.row_count as f64 * sel
     }
 
-    /// Fanout gate for rowid-union plans: beyond this many probes a
-    /// union of point seeks loses its locality advantage and the
-    /// planner stops generating the candidate (large IN lists fall
-    /// back to the scan-based paths).
-    pub const MAX_OR_PROBES: usize = 16;
-
     /// The deduplicated `(column, value)` equality probes a term
     /// expands into for a rowid-union plan, or `None` when the term is
     /// not union-servable: simple Eq/Range terms, an OR with a Range
     /// branch, an empty probe list, or fanout beyond
     /// [`Planner::MAX_OR_PROBES`].
-    fn or_probes(&self, bc: &BoundCondition) -> Option<Vec<(ColumnId, Value)>> {
+    fn or_probes(bc: &BoundCondition) -> Option<Vec<(ColumnId, Value)>> {
         let mut raw: Vec<(ColumnId, &Value)> = Vec::new();
         match &bc.condition {
             Condition::In { values, .. } => {
@@ -980,7 +1119,7 @@ impl<'a> Planner<'a> {
                 probes.push((c, v.clone()));
             }
         }
-        if probes.is_empty() || probes.len() > Self::MAX_OR_PROBES {
+        if probes.is_empty() || probes.len() > Planner::MAX_OR_PROBES {
             return None;
         }
         Some(probes)
@@ -991,7 +1130,7 @@ impl<'a> Planner<'a> {
     fn cheapest_probe(&self, col: ColumnId) -> Option<(usize, Cost)> {
         let rows = self.stats.eq_rows(col);
         let mut best: Option<(usize, Cost)> = None;
-        for (j, info) in self.indexes.iter().enumerate() {
+        for (j, info) in self.infos().enumerate() {
             if info.columns[0] == col {
                 let c = CostModel::index_probe(self.stats, info.shape, rows);
                 if best.is_none_or(|(_, bc)| c < bc) {
@@ -1004,7 +1143,7 @@ impl<'a> Planner<'a> {
 
     /// The probe values for an [`Plan::IndexSeek`], in key order.
     pub fn seek_probe(&self, planned: &PlannedQuery, index: usize, eq_prefix: usize) -> Vec<Value> {
-        self.indexes[index].columns[..eq_prefix]
+        self.index(index).columns[..eq_prefix]
             .iter()
             .map(|col| {
                 planned

@@ -37,23 +37,40 @@ pub struct Histogram {
 impl Histogram {
     /// Build from a (not necessarily sorted) sample with `buckets`
     /// buckets. Empty samples yield an empty histogram.
-    pub fn build(mut sample: Vec<Value>, buckets: usize) -> Histogram {
+    ///
+    /// An all-`Int` sample is sorted as plain `i64` keys. Equal values
+    /// are identical, so an unstable sort builds the same histogram as
+    /// a stable one.
+    pub fn build(sample: &[Value], buckets: usize) -> Histogram {
         assert!(buckets > 0, "histogram needs at least one bucket");
-        if sample.is_empty() {
+        if let Some(mut keys) = sample
+            .iter()
+            .map(Value::as_int)
+            .collect::<Option<Vec<i64>>>()
+        {
+            keys.sort_unstable();
+            return Self::from_sorted(keys.len(), buckets, |i| Value::Int(keys[i]));
+        }
+        let mut sample = sample.to_vec();
+        sample.sort_unstable();
+        Self::from_sorted(sample.len(), buckets, |i| sample[i].clone())
+    }
+
+    /// Equi-depth buckets over `n` sorted values, `at(i)` the `i`-th.
+    fn from_sorted(n: usize, buckets: usize, at: impl Fn(usize) -> Value) -> Histogram {
+        if n == 0 {
             return Histogram {
                 bounds: Vec::new(),
                 cum: Vec::new(),
                 min: None,
             };
         }
-        sample.sort();
-        let n = sample.len();
-        let min = Some(sample[0].clone());
+        let min = Some(at(0));
         let mut bounds: Vec<Value> = Vec::with_capacity(buckets);
         let mut cum: Vec<f64> = Vec::with_capacity(buckets);
         for b in 1..=buckets {
             let idx = (n * b / buckets).saturating_sub(1);
-            let bound = sample[idx].clone();
+            let bound = at(idx);
             let frac = (idx + 1) as f64 / n as f64;
             if bounds.last() == Some(&bound) {
                 *cum.last_mut().expect("non-empty") = frac.max(*cum.last().expect("non-empty"));
@@ -326,10 +343,15 @@ struct ColBuilder {
 
 impl ColBuilder {
     /// Fold one value in; a value new to `distinct` is also noted in
-    /// `added` when the commit mark is tracking.
+    /// `added` when the commit mark is tracking. The set hashes each
+    /// value once: an `Int` copies for free, so it is inserted outright;
+    /// a `Str` is looked up first so a repeat is never cloned.
     fn absorb(&mut self, v: &Value, sampled: bool, added: Option<&mut Vec<Value>>) {
-        if !self.distinct.contains(v) {
-            self.distinct.insert(v.clone());
+        let new = match v {
+            Value::Int(_) => self.distinct.insert(v.clone()),
+            Value::Str(_) => !self.distinct.contains(v) && self.distinct.insert(v.clone()),
+        };
+        if new {
             if let Some(added) = added {
                 added.push(v.clone());
             }
@@ -561,7 +583,7 @@ impl StatsMaintainer {
                     distinct: cb.distinct.len() as u64,
                     min: cb.min.clone(),
                     max: cb.max.clone(),
-                    histogram: Histogram::build(cb.sample.clone(), HISTOGRAM_BUCKETS),
+                    histogram: Histogram::build(&cb.sample, HISTOGRAM_BUCKETS),
                     avg_width: if rows == 0 {
                         0.0
                     } else {
@@ -584,7 +606,7 @@ mod tests {
     #[test]
     fn histogram_uniform_fractions() {
         let sample: Vec<Value> = (0..10_000).map(iv).collect();
-        let h = Histogram::build(sample, 64);
+        let h = Histogram::build(&sample, 64);
         let f = h.fraction_below(&iv(2500), false);
         assert!((f - 0.25).abs() < 0.05, "got {f}");
         let f = h.fraction_below(&iv(9999), true);
@@ -596,7 +618,7 @@ mod tests {
     #[test]
     fn histogram_range_selectivity() {
         let sample: Vec<Value> = (0..10_000).map(iv).collect();
-        let h = Histogram::build(sample, 64);
+        let h = Histogram::build(&sample, 64);
         let s = h.range_selectivity(Some(&iv(1000)), true, Some(&iv(2000)), true);
         assert!((s - 0.10).abs() < 0.05, "got {s}");
         let s = h.range_selectivity(None, false, Some(&iv(5000)), false);
@@ -606,7 +628,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_agnostic() {
-        let h = Histogram::build(Vec::new(), 8);
+        let h = Histogram::build(&[], 8);
         assert_eq!(h.bucket_count(), 0);
         assert_eq!(h.fraction_below(&iv(3), false), 0.5);
     }
@@ -616,7 +638,7 @@ mod tests {
         // 90% of values are < 10; equi-depth must reflect that.
         let mut sample: Vec<Value> = (0..9000).map(|i| iv(i % 10)).collect();
         sample.extend((0..1000).map(|i| iv(1000 + i)));
-        let h = Histogram::build(sample, 64);
+        let h = Histogram::build(&sample, 64);
         let f = h.fraction_below(&iv(100), false);
         assert!(f > 0.85, "got {f}");
     }
@@ -689,5 +711,68 @@ mod tests {
         assert_eq!(stats.row_count, 100);
         assert_eq!(stats.columns[0].distinct, 11);
         assert_eq!(stats.columns[0].max, Some(iv(11)));
+    }
+
+    /// FNV-1a over encoded bytes, for pinning them.
+    fn digest(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Column 0 repeats values and both integer extremes, column 1 is
+    /// all `Str` with repeats, column 2 mixes `Int` and `Str` (the
+    /// histogram's fallback sort), column 3 is nearly distinct.
+    fn pinned_row(i: i64) -> Vec<Value> {
+        let extreme = match i % 7 {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            _ => (i * 31) % 97 - 48,
+        };
+        let mixed = if i % 3 == 0 {
+            Value::Str(format!("m{}", i % 5))
+        } else {
+            iv(i % 11)
+        };
+        vec![
+            iv(extreme),
+            Value::Str(format!("s{}", i % 13)),
+            mixed,
+            iv(i.wrapping_mul(2_654_435_761) % 1_000_003),
+        ]
+    }
+
+    #[test]
+    fn statistics_bytes_are_pinned() {
+        // 45k expected rows: a sampling stride of 2.
+        let mut m = StatsMaintainer::new(4, 45_000);
+        assert_eq!(m.stride, 2);
+        for i in 0..3_000 {
+            m.add_row(&pinned_row(i));
+        }
+        let bytes = |f: &dyn Fn(&mut Vec<u8>)| {
+            let mut out = Vec::new();
+            f(&mut out);
+            digest(&out)
+        };
+        let analyzed = bytes(&|out| m.snapshot(17).encode(out));
+        let whole = bytes(&|out| m.encode(true, out));
+        m.advance_mark();
+        for i in 0..40 {
+            m.update_row(&pinned_row(i), &pinned_row(i + 5_000));
+        }
+        let delta = bytes(&|out| m.encode(false, out));
+        let refreshed = bytes(&|out| m.snapshot(17).encode(out));
+        // Digests of the bytes the stable-sort, contains-then-insert
+        // build wrote before integer keys and single-hash inserts.
+        assert_eq!(
+            [analyzed, whole, delta, refreshed],
+            [
+                0x825e_3e36_7d52_0de7,
+                0x2b4a_6300_1e8d_1dfd,
+                0xa088_98d7_6034_a00f,
+                0x90c4_e6c8_b53b_24a1
+            ]
+        );
     }
 }

@@ -12,10 +12,11 @@
 use crate::catalog::IndexSpec;
 use crate::cost::{CostModel, IndexShape};
 use crate::db::Database;
-use crate::planner::{IndexInfo, Planner};
+use crate::planner::{IndexInfo, Planner, Prepared};
 use crate::stats::TableStats;
 use cdpd_sql::{Dml, SelectStmt};
 use cdpd_types::{ColumnId, Cost, Error, Result, Schema};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -139,12 +140,12 @@ impl WhatIfEngine {
     /// built at [`WhatIfEngine::snapshot_live`] time, else the
     /// statistics estimate.
     ///
-    /// Resolving is the expensive, statement-independent half of a
-    /// what-if call (name formatting, column lookup, shape estimation);
+    /// Resolving is the statement-independent half of a what-if call
+    /// (name formatting, column lookup, shape estimation), as
+    /// [`WhatIfEngine::prepare`] is the configuration-independent half;
     /// a caller that costs many statements over one structure list
-    /// resolves it once and passes the result to
-    /// [`WhatIfEngine::dml_cost_resolved`] /
-    /// [`WhatIfEngine::relevant_resolved`]. A resolved structure is
+    /// resolves it once and passes it to [`WhatIfEngine::price`] /
+    /// [`WhatIfEngine::relevant_prepared`]. A resolved structure is
     /// only meaningful to the snapshot that resolved it — shapes follow
     /// the statistics.
     ///
@@ -195,17 +196,17 @@ impl WhatIfEngine {
         Ok(())
     }
 
+    fn planner<'s, I: Borrow<IndexInfo>>(&'s self, indexes: &'s [I]) -> Planner<'s, I> {
+        Planner::new(&self.schema, &self.stats, indexes)
+    }
+
     /// Estimated cost of executing `stmt` under hypothetical
     /// configuration `config` (`EXEC(S, C)`).
     pub fn exec_cost(&self, stmt: &SelectStmt, config: &[IndexSpec]) -> Result<Cost> {
-        self.select_cost(stmt, &self.resolve_structures(config)?)
-    }
-
-    fn select_cost(&self, stmt: &SelectStmt, indexes: &[IndexInfo]) -> Result<Cost> {
+        let indexes = self.resolve_structures(config)?;
         self.check_table(&stmt.table)?;
         cdpd_obs::tracked_counter!("engine.whatif.calls").inc();
-        let planner = Planner::new(&self.schema, &self.stats, indexes);
-        Ok(planner.plan(stmt)?.est_cost)
+        Ok(self.planner(&indexes).plan(stmt)?.est_cost)
     }
 
     /// Estimated cost of executing any workload statement (query,
@@ -216,21 +217,39 @@ impl WhatIfEngine {
     /// would invalidate, so update-heavy phases penalize configurations
     /// with many (or wide) indexes.
     pub fn dml_cost(&self, stmt: &Dml, config: &[IndexSpec]) -> Result<Cost> {
-        self.dml_cost_resolved(stmt, &self.resolve_structures(config)?)
+        let indexes = self.resolve_structures(config)?;
+        Ok(self.price(&self.prepare(stmt)?, &indexes))
     }
 
-    /// [`WhatIfEngine::dml_cost`] under a configuration this snapshot
-    /// already resolved ([`WhatIfEngine::resolve_structures`]).
-    pub fn dml_cost_resolved(&self, stmt: &Dml, indexes: &[IndexInfo]) -> Result<Cost> {
-        match stmt {
-            Dml::Select(s) => self.select_cost(s, indexes),
-            Dml::Update(_) | Dml::Delete(_) => {
-                self.check_table(stmt.table())?;
-                cdpd_obs::tracked_counter!("engine.whatif.calls").inc();
-                let planner = Planner::new(&self.schema, &self.stats, indexes);
-                Ok(planner.plan_write(stmt)?.est_total)
-            }
-        }
+    /// Bind `stmt` against this snapshot once, for pricing under any
+    /// number of configurations with [`WhatIfEngine::price`]. What a
+    /// statement binds to depends on the statistics, so a statement
+    /// prepared by one snapshot is priced only by that snapshot.
+    ///
+    /// # Errors
+    /// Every error pricing `stmt` can raise: a statement on another
+    /// table, unknown columns, mistyped literals.
+    pub fn prepare(&self, stmt: &Dml) -> Result<Prepared> {
+        self.check_table(stmt.table())?;
+        self.planner::<IndexInfo>(&[]).prepare(stmt)
+    }
+
+    /// Bring a statement another snapshot of this table
+    /// [`WhatIfEngine::prepare`]d up to this snapshot's statistics:
+    /// afterwards it prices exactly as if this snapshot had prepared
+    /// it. Binding to the schema is kept, so it allocates nothing.
+    pub fn reprepare(&self, prepared: &mut Prepared) {
+        self.planner::<IndexInfo>(&[]).reestimate(prepared);
+    }
+
+    /// `EXEC(S, C)` of a statement this snapshot
+    /// [`WhatIfEngine::prepare`]d, under structures it resolved
+    /// ([`WhatIfEngine::resolve_structures`]), owned or by reference:
+    /// bit for bit [`WhatIfEngine::dml_cost`]. Binding is already done,
+    /// so this only walks the index set; it allocates nothing.
+    pub fn price<I: Borrow<IndexInfo>>(&self, prepared: &Prepared, indexes: &[I]) -> Cost {
+        cdpd_obs::tracked_counter!("engine.whatif.calls").inc();
+        self.planner(indexes).cost(prepared)
     }
 
     /// Which of `structures` are *relevant* to `stmt` — can change its
@@ -250,15 +269,14 @@ impl WhatIfEngine {
     /// `structures` must belong to this table and name real columns;
     /// `stmt` must bind against the schema.
     pub fn relevant_structures(&self, stmt: &Dml, structures: &[IndexSpec]) -> Result<Vec<bool>> {
-        self.relevant_resolved(stmt, &self.resolve_structures(structures)?)
+        let structures = self.resolve_structures(structures)?;
+        Ok(self.relevant_prepared(&self.prepare(stmt)?, &structures))
     }
 
-    /// [`WhatIfEngine::relevant_structures`] over a structure list this
-    /// snapshot already resolved.
-    pub fn relevant_resolved(&self, stmt: &Dml, structures: &[IndexInfo]) -> Result<Vec<bool>> {
-        self.check_table(stmt.table())?;
-        let planner = Planner::new(&self.schema, &self.stats, structures);
-        planner.relevant_indexes(stmt)
+    /// [`WhatIfEngine::relevant_structures`] for a statement this
+    /// snapshot prepared, over a structure list it resolved.
+    pub fn relevant_prepared(&self, prepared: &Prepared, structures: &[IndexInfo]) -> Vec<bool> {
+        self.planner(structures).relevant(prepared)
     }
 
     /// Estimated cost of building one resolved structure: the `TRANS`

@@ -1,6 +1,5 @@
 use cdpd_core::{Config, CostOracle, OracleStats, ProjectableOracle, ProjectedOracle};
-use cdpd_engine::{CostModel, IndexInfo, IndexSpec, WhatIfEngine};
-use cdpd_sql::Dml;
+use cdpd_engine::{CostModel, IndexInfo, IndexSpec, Prepared, WhatIfEngine};
 use cdpd_types::{Cost, Error, Result};
 use cdpd_workload::SummarizedWorkload;
 use std::sync::Arc;
@@ -10,8 +9,9 @@ use std::sync::Arc;
 struct Part {
     /// Structures that can affect these statements' costs.
     mask: Config,
-    /// `(statement, multiplicity)` members.
-    members: Vec<(Dml, u64)>,
+    /// `(statement bound against the what-if snapshot, multiplicity)`
+    /// members.
+    members: Vec<(Prepared, u64)>,
 }
 
 /// The relevance vector the planner answers, as a [`Config`] mask.
@@ -34,10 +34,12 @@ fn mask_of(relevant: &[bool]) -> Config {
 /// structure lost, `SIZE` the sum of their pages.
 ///
 /// The structure list is resolved against the snapshot once
-/// ([`WhatIfEngine::resolve_structures`]; again on
-/// [`EngineOracle::refresh_whatif`], since shapes follow statistics),
-/// and every relevance mask, what-if call, transition and size reads
-/// the resolved form.
+/// ([`WhatIfEngine::resolve_structures`]), and every statement is bound
+/// once ([`WhatIfEngine::prepare`]); both again on
+/// [`EngineOracle::refresh_whatif`], since shapes and selectivities
+/// follow the statistics. Every relevance mask, what-if call,
+/// transition and size reads those resolved and bound forms, so a
+/// what-if call only walks the configuration's indexes.
 ///
 /// The oracle performs no caching itself, but it *exports relevance*:
 /// at construction it asks the planner which structures can affect
@@ -107,9 +109,10 @@ impl EngineOracle {
     /// stable, so a wrapping [`ProjectedOracle`] keeps every memo entry
     /// for earlier stages warm across the extension.
     ///
-    /// Every statement is probed once under the empty configuration so
-    /// unknown columns and type mismatches surface now, and the stage's
-    /// statements are grouped by their planner relevance mask.
+    /// Every statement is bound once: that binding surfaces unknown
+    /// columns and type mismatches now, gives the planner relevance
+    /// mask the stage's statements are grouped by, and is what every
+    /// later what-if call prices.
     ///
     /// # Errors
     /// A statement that does not bind against the oracle's table; the
@@ -122,17 +125,14 @@ impl EngineOracle {
         );
         let mut stage_parts: Vec<Part> = Vec::new();
         for w in &block.weighted {
-            self.whatif.dml_cost_resolved(&w.statement, &[])?;
-            let mask = mask_of(
-                &self
-                    .whatif
-                    .relevant_resolved(&w.statement, &self.resolved)?,
-            );
+            let prepared = self.whatif.prepare(&w.statement)?;
+            let mask = mask_of(&self.whatif.relevant_prepared(&prepared, &self.resolved));
+            let member = (prepared, w.count);
             match stage_parts.iter_mut().find(|p| p.mask == mask) {
-                Some(part) => part.members.push((w.statement.clone(), w.count)),
+                Some(part) => part.members.push(member),
                 None => stage_parts.push(Part {
                     mask,
-                    members: vec![(w.statement.clone(), w.count)],
+                    members: vec![member],
                 }),
             }
         }
@@ -153,11 +153,14 @@ impl EngineOracle {
     /// *costs* go stale, and which of those to evict is exactly what
     /// [`EngineOracle::part_references`] answers. The structure list is
     /// resolved again: shapes, and with them `TRANS` and `SIZE`, follow
-    /// the statistics.
+    /// the statistics. Every statement is prepared again
+    /// ([`WhatIfEngine::reprepare`]): its bound form carries
+    /// selectivities and row estimates from the old statistics.
     ///
     /// # Errors
-    /// The new snapshot must be over the same table and resolve every
-    /// candidate structure.
+    /// The new snapshot must be over the same table, with the same
+    /// schema the statements were bound to, and resolve every candidate
+    /// structure.
     pub fn refresh_whatif(&mut self, whatif: WhatIfEngine) -> Result<()> {
         if whatif.table() != self.whatif.table() {
             return Err(Error::InvalidArgument(format!(
@@ -166,7 +169,16 @@ impl EngineOracle {
                 self.whatif.table()
             )));
         }
+        if whatif.schema() != self.whatif.schema() {
+            return Err(Error::InvalidArgument(format!(
+                "table {} changed its schema since the oracle bound its statements",
+                whatif.table()
+            )));
+        }
         self.resolved = whatif.resolve_structures(&self.structures)?;
+        for (prepared, _) in self.parts.iter_mut().flatten().flat_map(|p| &mut p.members) {
+            whatif.reprepare(prepared);
+        }
         self.whatif = whatif;
         Ok(())
     }
@@ -178,9 +190,10 @@ impl EngineOracle {
     /// configuration, not the statistics, so predicate columns are the
     /// whole dependency).
     pub fn part_references(&self, stage: usize, part: usize, columns: &[String]) -> bool {
-        self.parts[stage][part].members.iter().any(|(stmt, _)| {
-            stmt.conditions().iter().any(|c| {
-                c.columns()
+        self.parts[stage][part].members.iter().any(|(prepared, _)| {
+            prepared.conditions().iter().any(|c| {
+                c.condition
+                    .columns()
                     .iter()
                     .any(|cc| columns.iter().any(|col| col == cc))
             })
@@ -283,19 +296,11 @@ impl ProjectableOracle for EngineOracle {
 
     fn exec_part(&self, stage: usize, part: usize, config: &Config) -> Cost {
         let part = &self.parts[stage][part];
-        let indexes: Vec<IndexInfo> = config
-            .structures()
-            .map(|i| self.resolved[i].clone())
-            .collect();
+        let indexes: Vec<&IndexInfo> = config.structures().map(|i| &self.resolved[i]).collect();
         self.stats.record_whatif_calls(part.members.len() as u64);
         part.members
             .iter()
-            .map(|(stmt, count)| {
-                self.whatif
-                    .dml_cost_resolved(stmt, &indexes)
-                    .expect("constructor validated statements and structures")
-                    .scale(*count)
-            })
+            .map(|(prepared, count)| self.whatif.price(prepared, &indexes).scale(*count))
             .sum()
     }
 }
@@ -524,6 +529,25 @@ mod tests {
             .count();
         assert!(hits >= 1);
         assert!((0..o.n_parts(0)).all(|p| !o.part_references(0, p, &z)));
+    }
+
+    #[test]
+    fn refresh_keeps_the_table_and_schema_statements_were_bound_to() {
+        let mut o = oracle(1_000);
+        let same = test_db(2_000);
+        o.refresh_whatif(WhatIfEngine::snapshot(&same, "t").unwrap())
+            .unwrap();
+        // Same table name, one more column: the bound column ids and
+        // selectivities would describe the wrong table.
+        let other = Database::new();
+        let mut columns: Vec<ColumnDef> = ["a", "b", "c", "d"].map(ColumnDef::int).to_vec();
+        columns.insert(0, ColumnDef::int("z"));
+        other.create_table("t", Schema::new(columns)).unwrap();
+        other.analyze("t").unwrap();
+        let err = o
+            .refresh_whatif(WhatIfEngine::snapshot(&other, "t").unwrap())
+            .unwrap_err();
+        assert!(err.to_string().contains("changed its schema"), "{err}");
     }
 
     #[test]

@@ -933,6 +933,15 @@ impl Database {
             codec::encode_row(&new_values, &mut new_bytes);
             let new_rid = entry.heap.update(rid, &new_bytes)?;
             for index in entry.indexes.values_mut() {
+                // An index none of whose key columns is SET keeps its
+                // entry unless the row moved.
+                let keyed = index
+                    .columns
+                    .iter()
+                    .any(|c| set.iter().any(|(s, _)| s == c));
+                if !keyed && new_rid == rid {
+                    continue;
+                }
                 let old_key: Vec<Value> = index
                     .columns
                     .iter()

@@ -370,6 +370,12 @@ impl ColBuilder {
 
 pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 const SAMPLE_TARGET: u64 = 20_000;
+/// The most values an `UPDATE` grows a column's sample to: twice the
+/// target, the most a stride of `rows / SAMPLE_TARGET` leaves an
+/// `ANALYZE` sample. Past it, updated values no longer enter the sample,
+/// so its memory, its commit records and each histogram rebuild stay
+/// bounded however many updates run.
+const UPDATE_SAMPLE_CAP: usize = 2 * SAMPLE_TARGET as usize;
 
 impl StatsMaintainer {
     pub(crate) fn new(n_columns: usize, expected_rows: u64) -> StatsMaintainer {
@@ -421,6 +427,7 @@ impl StatsMaintainer {
             let (ow, nw) = (o.encoded_len() as u64, n.encoded_len() as u64);
             self.bytes = self.bytes + nw - ow;
             cb.width_sum = cb.width_sum + nw - ow;
+            let sampled = sampled && cb.sample.len() < UPDATE_SAMPLE_CAP;
             cb.absorb(n, sampled, mark.added.get_mut(i));
             self.dirty[i] = true;
         }
@@ -711,6 +718,23 @@ mod tests {
         assert_eq!(stats.row_count, 100);
         assert_eq!(stats.columns[0].distinct, 11);
         assert_eq!(stats.columns[0].max, Some(iv(11)));
+    }
+
+    #[test]
+    fn updates_grow_the_sample_only_to_its_cap() {
+        let mut m = StatsMaintainer::new(1, 0);
+        let rows = UPDATE_SAMPLE_CAP as i64 - 10;
+        for i in 0..rows {
+            m.add_row(&[iv(i)]);
+        }
+        for i in 0..100 {
+            m.update_row(&[iv(i)], &[iv(-1 - i)]);
+        }
+        assert_eq!(m.cols[0].sample.len(), UPDATE_SAMPLE_CAP);
+        assert_eq!(m.update_events, 100, "the sampling clock still runs");
+        let stats = m.snapshot(1);
+        assert_eq!(stats.columns[0].distinct, rows as u64 + 100);
+        assert_eq!(stats.columns[0].min, Some(iv(-100)));
     }
 
     /// FNV-1a over encoded bytes, for pinning them.

@@ -110,7 +110,8 @@ fn run_statement(
     let sql = std::str::from_utf8(payload)
         .map_err(|_| Error::InvalidArgument("statement is not UTF-8".into()))?;
     let stmt = cdpd_sql::parse(sql)?;
-    let observed = as_dml(&stmt);
+    // Only an attached advisor observes the statement.
+    let observed = advisor_tx.and_then(|tx| Some((tx, as_dml(&stmt)?)));
     let scope = ThreadIoScope::start();
     let mut result = match (tag, stmt) {
         (OP_QUERY, Statement::Select(s)) => db.query(&s)?,
@@ -127,7 +128,7 @@ fn run_statement(
     // Report the statement's full thread-side cost (execution + index
     // maintenance + commit), not just the executor's measurement.
     result.io = scope.delta();
-    if let (Some(tx), Some(dml)) = (advisor_tx, observed) {
+    if let Some((tx, dml)) = observed {
         // The advisor loop may have shut down first; serving goes on.
         let _ = tx.send(dml);
     }

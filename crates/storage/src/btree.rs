@@ -1,4 +1,4 @@
-use crate::codec::{decode_rid, encode_key, encode_rid, RID_LEN};
+use crate::codec::{decode_rid, encode_key, encode_key_value, encode_rid, RID_LEN};
 use crate::heap::HeapFile;
 use crate::pager::{Page, Pager, PAGE_SIZE};
 use cdpd_types::{Error, PageId, Result, Rid, Value};
@@ -139,24 +139,37 @@ impl OwnedNode {
         }
         buf
     }
-
-    fn encoded_size(&self) -> usize {
-        match self {
-            OwnedNode::Leaf { entries, .. } => {
-                LEAF_HDR + entries.iter().map(|e| 2 + e.len()).sum::<usize>()
-            }
-            OwnedNode::Internal { keys, .. } => {
-                INT_HDR + keys.iter().map(|k| 2 + k.len() + 4).sum::<usize>()
-            }
-        }
-    }
 }
 
 /// Full entry key: memcomparable values followed by the rid.
 fn full_key(values: &[Value], rid: Rid) -> Vec<u8> {
-    let mut key = encode_key(values);
+    let mut key = Vec::with_capacity(9 * values.len() + RID_LEN);
+    for v in values {
+        encode_key_value(v, &mut key);
+    }
     encode_rid(rid, &mut key);
     key
+}
+
+/// Where `key` sits in a leaf, found by walking its entries: the byte
+/// offset of the first entry ≥ `key`, whether that entry is `key`
+/// itself, and the end of the used bytes.
+fn leaf_slot(page: &[u8; PAGE_SIZE], key: &[u8]) -> (usize, bool, usize) {
+    let count = rd_u16(page, 1) as usize;
+    let mut off = LEAF_HDR;
+    let mut slot = None;
+    for _ in 0..count {
+        let klen = rd_u16(page, off) as usize;
+        if slot.is_none() {
+            let entry = &page[off + 2..off + 2 + klen];
+            if entry >= key {
+                slot = Some((off, entry == key));
+            }
+        }
+        off += 2 + klen;
+    }
+    let (at, found) = slot.unwrap_or((off, false));
+    (at, found, off)
 }
 
 impl BTree {
@@ -346,12 +359,21 @@ impl BTree {
         })
     }
 
-    /// Insert `(values, rid)`. Cost: `height` reads to descend plus one
-    /// read-modify-write per touched node (more when nodes split).
+    /// Insert `(values, rid)`.
+    ///
+    /// A leaf with room is edited in place: the entries from the key's
+    /// position on shift right by one entry and the count goes up, the
+    /// bytes a decode → insert → encode would produce. That costs
+    /// `height + 1` reads (the descent reads the leaf, and the edit
+    /// reads it again) and one write — `CostModel::index_entry_op`'s
+    /// `height + 2`. A full leaf is decoded and split instead: each
+    /// split adds a write for the node it creates (a right sibling, or
+    /// a new root), and a read and a write for each parent the
+    /// separator reaches.
     ///
     /// # Errors
-    /// Returns [`Error::AlreadyExists`] if the exact `(values, rid)`
-    /// pair is already present.
+    /// Returns [`Error::AlreadyExists`], with no write, if the exact
+    /// `(values, rid)` pair is already present.
     pub fn insert(&mut self, values: &[Value], rid: Rid) -> Result<()> {
         let key = full_key(values, rid);
         if 2 + key.len() + LEAF_HDR > PAGE_SIZE {
@@ -374,27 +396,32 @@ impl BTree {
         }
 
         // Insert into the leaf.
-        let page = self.pager.read(pid)?;
-        let mut node = OwnedNode::decode(&page)?;
-        let OwnedNode::Leaf { entries, next: _ } = &mut node else {
+        let mut page = self.pager.read(pid)?;
+        if page[0] != LEAF {
             return Err(Error::Corrupt("descent did not reach a leaf".into()));
-        };
-        let pos = entries.partition_point(|e| e.as_slice() < key.as_slice());
-        if entries.get(pos).is_some_and(|e| *e == key) {
+        }
+        let (at, found, used) = leaf_slot(&page, &key);
+        if found {
             return Err(Error::AlreadyExists("duplicate (key, rid) in index".into()));
         }
-        entries.insert(pos, key);
         self.entry_count += 1;
-
-        if node.encoded_size() <= PAGE_SIZE {
-            self.pager.write(pid, Arc::new(node.encode()))?;
-            return Ok(());
+        let len = 2 + key.len();
+        if used + len <= PAGE_SIZE {
+            let buf = Arc::make_mut(&mut page);
+            buf.copy_within(at..used, at + len);
+            buf[at..at + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
+            buf[at + 2..at + len].copy_from_slice(&key);
+            let count = rd_u16(buf, 1) + 1;
+            buf[1..3].copy_from_slice(&count.to_le_bytes());
+            return self.pager.write(pid, page);
         }
 
         // Split the leaf: left keeps the first half, right gets the rest.
-        let OwnedNode::Leaf { entries, next } = node else {
-            unreachable!()
+        let OwnedNode::Leaf { mut entries, next } = OwnedNode::decode(&page)? else {
+            unreachable!("tag checked above")
         };
+        let pos = entries.partition_point(|e| e.as_slice() < key.as_slice());
+        entries.insert(pos, key);
         let mid = entries.len() / 2;
         let mut left_entries = entries;
         let right_entries = left_entries.split_off(mid);
@@ -425,19 +452,20 @@ impl BTree {
     ) -> Result<()> {
         while let Some((pid, idx)) = path.pop() {
             let page = self.pager.read(pid)?;
-            let mut node = OwnedNode::decode(&page)?;
-            let OwnedNode::Internal { keys, children } = &mut node else {
+            let OwnedNode::Internal {
+                mut keys,
+                mut children,
+            } = OwnedNode::decode(&page)?
+            else {
                 return Err(Error::Corrupt("path node is not internal".into()));
             };
             keys.insert(idx, sep);
             children.insert(idx + 1, right);
-            if node.encoded_size() <= PAGE_SIZE {
+            if INT_HDR + keys.iter().map(|k| 2 + k.len() + 4).sum::<usize>() <= PAGE_SIZE {
+                let node = OwnedNode::Internal { keys, children };
                 self.pager.write(pid, Arc::new(node.encode()))?;
                 return Ok(());
             }
-            let OwnedNode::Internal { keys, children } = node else {
-                unreachable!()
-            };
             let mid = keys.len() / 2;
             // keys[mid] moves up; left keeps [..mid], right gets [mid+1..].
             let mut lk = keys;
@@ -483,28 +511,34 @@ impl BTree {
         Ok(())
     }
 
-    /// Remove `(values, rid)`. Returns true if it was present. Nodes are
-    /// never merged; an empty leaf stays in the chain (documented
-    /// trade-off — rebuilds reclaim space).
+    /// Remove `(values, rid)`. Returns true if it was present.
+    ///
+    /// The leaf is edited in place: the entries after the key shift left
+    /// by one entry, the count goes down and the vacated tail bytes are
+    /// zeroed, the bytes a decode → remove → encode would produce. That
+    /// costs `height` reads and one write, or no write when the key is
+    /// absent. Nodes are never merged; an empty leaf stays in the chain
+    /// (documented trade-off — rebuilds reclaim space).
     pub fn delete(&mut self, values: &[Value], rid: Rid) -> Result<bool> {
         let key = full_key(values, rid);
         let mut pid = self.root;
         loop {
-            let page = self.pager.read(pid)?;
+            let mut page = self.pager.read(pid)?;
             match page[0] {
                 LEAF => {
-                    let mut node = OwnedNode::decode(&page)?;
-                    let OwnedNode::Leaf { entries, .. } = &mut node else {
-                        unreachable!()
-                    };
-                    let pos = entries.partition_point(|e| e.as_slice() < key.as_slice());
-                    if entries.get(pos).is_some_and(|e| *e == key) {
-                        entries.remove(pos);
-                        self.entry_count -= 1;
-                        self.pager.write(pid, Arc::new(node.encode()))?;
-                        return Ok(true);
+                    let (at, found, used) = leaf_slot(&page, &key);
+                    if !found {
+                        return Ok(false);
                     }
-                    return Ok(false);
+                    let len = 2 + key.len();
+                    let buf = Arc::make_mut(&mut page);
+                    buf.copy_within(at + len..used, at);
+                    buf[used - len..used].fill(0);
+                    let count = rd_u16(buf, 1) - 1;
+                    buf[1..3].copy_from_slice(&count.to_le_bytes());
+                    self.entry_count -= 1;
+                    self.pager.write(pid, page)?;
+                    return Ok(true);
                 }
                 INTERNAL => {
                     let idx = Self::descend_index(&page, &key);
@@ -1039,6 +1073,41 @@ mod tests {
             tree.height() as u64,
             "descent reads one page per level"
         );
+    }
+
+    #[test]
+    fn entry_ops_cost_pinned_reads_and_writes() {
+        // 300-byte keys: ~23 entries a node, so a few thousand entries
+        // reach height 3, and a bulk-loaded leaf has room for three more.
+        let key = |i: i64| vec![Value::from(format!("{i:0>300}").as_str())];
+        for (n, height) in [(10i64, 1u64), (100, 2), (2_000, 3)] {
+            let pager = Arc::new(Pager::new());
+            let entries = (0..n).map(|i| (key(2 * i), rid(0)));
+            let mut tree = BTree::bulk_load(pager.clone(), entries).unwrap();
+            assert_eq!(tree.height() as u64, height);
+            let pages = tree.page_count();
+            let mut io = |op: &mut dyn FnMut(&mut BTree)| {
+                let before = pager.stats();
+                op(&mut tree);
+                let d = pager.stats().delta(before);
+                (d.reads, d.writes, d.allocs)
+            };
+            let (mid, absent) = (key(n | 1), key(2 * n + 1));
+            let insert = io(&mut |t| t.insert(&mid, rid(0)).unwrap());
+            let duplicate = io(&mut |t| assert!(t.insert(&mid, rid(0)).is_err()));
+            let delete = io(&mut |t| assert!(t.delete(&mid, rid(0)).unwrap()));
+            let missing = io(&mut |t| assert!(!t.delete(&absent, rid(0)).unwrap()));
+            assert_eq!(insert, (height + 1, 1, 0), "insert at height {height}");
+            assert_eq!(
+                duplicate,
+                (height + 1, 0, 0),
+                "duplicate at height {height}"
+            );
+            assert_eq!(delete, (height, 1, 0), "delete at height {height}");
+            assert_eq!(missing, (height, 0, 0), "absent delete at height {height}");
+            assert_eq!(tree.page_count(), pages, "no op may split");
+            assert_eq!(tree.entry_count(), n as u64);
+        }
     }
 
     #[test]

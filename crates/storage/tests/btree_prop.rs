@@ -4,6 +4,9 @@
 //! model's range queries. `CREATE INDEX`'s byte-key build
 //! ([`BTree::build_from_heap`]) must produce, page for page and I/O for
 //! I/O, the tree a build over decoded `(values, rid)` entries produces.
+//! Inserts and deletes, which edit a leaf's bytes in place, must match
+//! op for op the decode → edit → encode path they replaced (`mod
+//! reference`): same answer, pager calls, tree shape and page bytes.
 //!
 //! The durable variants run the same model against a file-backed pager:
 //! mutate → commit → checkpoint → reopen must reattach the identical
@@ -11,7 +14,7 @@
 //! through eviction + backend refetch), and corrupted data or checksum
 //! files must surface as clean [`Err`]s — never as wrong answers or UB.
 
-use cdpd_storage::codec::{decode_key, encode_row};
+use cdpd_storage::codec::{decode_key, decode_rid, encode_row, RID_LEN};
 use cdpd_storage::{crc64, BTree, DurableOptions, HeapFile, MemVfs, Pager, PAGE_SIZE};
 use cdpd_testkit::prop::{btree_set_of, string_of, vec_of, Config, Just, Strategy};
 use cdpd_testkit::{one_of, props};
@@ -428,4 +431,496 @@ fn corrupt_checksum_file_fails_cleanly() {
 
     vfs.overwrite("sums", sums[..sums.len() / 2].to_vec());
     reopen_and_scan(&vfs, &parts).expect_err("truncated checksum file must not verify");
+}
+
+// --- In-place leaf edits against the decode → edit → encode path --------
+
+/// The entry insert and delete that decoded a whole node into owned
+/// entries, changed one entry and encoded a fresh page image, kept as
+/// the oracle for the in-place leaf edits that replaced them: same
+/// pager calls, same page images, same tree shape.
+mod reference {
+    use cdpd_storage::codec::{encode_key, encode_rid};
+    use cdpd_storage::{BTree, Pager, PAGE_SIZE};
+    use cdpd_types::{Error, PageId, Result, Rid, Value};
+    use std::sync::Arc;
+
+    const LEAF: u8 = 1;
+    const INTERNAL: u8 = 2;
+    const LEAF_HDR: usize = 7;
+    const INT_HDR: usize = 7;
+
+    fn rd_u16(buf: &[u8], off: usize) -> u16 {
+        u16::from_le_bytes([buf[off], buf[off + 1]])
+    }
+
+    fn rd_u32(buf: &[u8], off: usize) -> u32 {
+        u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
+    }
+
+    enum OwnedNode {
+        Leaf {
+            entries: Vec<Vec<u8>>,
+            next: Option<PageId>,
+        },
+        Internal {
+            keys: Vec<Vec<u8>>,
+            children: Vec<PageId>,
+        },
+    }
+
+    impl OwnedNode {
+        fn decode(page: &[u8; PAGE_SIZE]) -> Result<OwnedNode> {
+            match page[0] {
+                LEAF => {
+                    let count = rd_u16(page, 1) as usize;
+                    let next = match rd_u32(page, 3) {
+                        0 => None,
+                        n => Some(PageId(n - 1)),
+                    };
+                    let mut entries = Vec::with_capacity(count);
+                    let mut off = LEAF_HDR;
+                    for _ in 0..count {
+                        let klen = rd_u16(page, off) as usize;
+                        off += 2;
+                        entries.push(page[off..off + klen].to_vec());
+                        off += klen;
+                    }
+                    Ok(OwnedNode::Leaf { entries, next })
+                }
+                INTERNAL => {
+                    let count = rd_u16(page, 1) as usize;
+                    let mut children = Vec::with_capacity(count + 1);
+                    children.push(PageId(rd_u32(page, 3)));
+                    let mut keys = Vec::with_capacity(count);
+                    let mut off = INT_HDR;
+                    for _ in 0..count {
+                        let klen = rd_u16(page, off) as usize;
+                        off += 2;
+                        keys.push(page[off..off + klen].to_vec());
+                        off += klen;
+                        children.push(PageId(rd_u32(page, off)));
+                        off += 4;
+                    }
+                    Ok(OwnedNode::Internal { keys, children })
+                }
+                t => Err(Error::Corrupt(format!("unknown btree node tag {t}"))),
+            }
+        }
+
+        fn encode(&self) -> [u8; PAGE_SIZE] {
+            let mut buf = [0u8; PAGE_SIZE];
+            match self {
+                OwnedNode::Leaf { entries, next } => {
+                    buf[0] = LEAF;
+                    buf[1..3].copy_from_slice(&(entries.len() as u16).to_le_bytes());
+                    let next_enc = next.map_or(0, |p| p.raw() + 1);
+                    buf[3..7].copy_from_slice(&next_enc.to_le_bytes());
+                    let mut off = LEAF_HDR;
+                    for e in entries {
+                        buf[off..off + 2].copy_from_slice(&(e.len() as u16).to_le_bytes());
+                        off += 2;
+                        buf[off..off + e.len()].copy_from_slice(e);
+                        off += e.len();
+                    }
+                }
+                OwnedNode::Internal { keys, children } => {
+                    buf[0] = INTERNAL;
+                    buf[1..3].copy_from_slice(&(keys.len() as u16).to_le_bytes());
+                    buf[3..7].copy_from_slice(&children[0].raw().to_le_bytes());
+                    let mut off = INT_HDR;
+                    for (k, c) in keys.iter().zip(&children[1..]) {
+                        buf[off..off + 2].copy_from_slice(&(k.len() as u16).to_le_bytes());
+                        off += 2;
+                        buf[off..off + k.len()].copy_from_slice(k);
+                        off += k.len();
+                        buf[off..off + 4].copy_from_slice(&c.raw().to_le_bytes());
+                        off += 4;
+                    }
+                }
+            }
+            buf
+        }
+
+        fn encoded_size(&self) -> usize {
+            match self {
+                OwnedNode::Leaf { entries, .. } => {
+                    LEAF_HDR + entries.iter().map(|e| 2 + e.len()).sum::<usize>()
+                }
+                OwnedNode::Internal { keys, .. } => {
+                    INT_HDR + keys.iter().map(|k| 2 + k.len() + 4).sum::<usize>()
+                }
+            }
+        }
+    }
+
+    fn full_key(values: &[Value], rid: Rid) -> Vec<u8> {
+        let mut key = encode_key(values);
+        encode_rid(rid, &mut key);
+        key
+    }
+
+    fn descend_index(page: &[u8; PAGE_SIZE], probe: &[u8]) -> usize {
+        let count = rd_u16(page, 1) as usize;
+        let mut off = INT_HDR;
+        let mut idx = 0;
+        for _ in 0..count {
+            let klen = rd_u16(page, off) as usize;
+            let key = &page[off + 2..off + 2 + klen];
+            if key <= probe {
+                idx += 1;
+            } else {
+                break;
+            }
+            off += 2 + klen + 4;
+        }
+        idx
+    }
+
+    fn child_at(page: &[u8; PAGE_SIZE], idx: usize) -> PageId {
+        if idx == 0 {
+            return PageId(rd_u32(page, 3));
+        }
+        let count = rd_u16(page, 1) as usize;
+        let mut off = INT_HDR;
+        for i in 0..count {
+            let klen = rd_u16(page, off) as usize;
+            off += 2 + klen;
+            if i + 1 == idx {
+                return PageId(rd_u32(page, off));
+            }
+            off += 4;
+        }
+        unreachable!("child index out of range")
+    }
+
+    /// A tree's shape, mutated by the reference insert and delete.
+    pub struct RefTree {
+        pub pager: Arc<Pager>,
+        pub root: PageId,
+        pub height: u32,
+        pub pages: Vec<PageId>,
+        pub leaf_count: u64,
+        pub entry_count: u64,
+    }
+
+    impl RefTree {
+        /// The shape of `tree`, over `pager` (a page-for-page copy of
+        /// the tree's own pager).
+        pub fn adopt(pager: Arc<Pager>, tree: &BTree) -> RefTree {
+            RefTree {
+                pager,
+                root: tree.root(),
+                height: tree.height(),
+                pages: tree.pages().to_vec(),
+                leaf_count: tree.leaf_count(),
+                entry_count: tree.entry_count(),
+            }
+        }
+
+        pub fn insert(&mut self, values: &[Value], rid: Rid) -> Result<()> {
+            let key = full_key(values, rid);
+            if 2 + key.len() + LEAF_HDR > PAGE_SIZE {
+                return Err(Error::TooLarge(format!("index key of {} bytes", key.len())));
+            }
+            let mut path: Vec<(PageId, usize)> = Vec::new();
+            let mut pid = self.root;
+            loop {
+                let page = self.pager.read(pid)?;
+                match page[0] {
+                    LEAF => break,
+                    INTERNAL => {
+                        let idx = descend_index(&page, &key);
+                        path.push((pid, idx));
+                        pid = child_at(&page, idx);
+                    }
+                    t => return Err(Error::Corrupt(format!("unknown btree node tag {t}"))),
+                }
+            }
+            let page = self.pager.read(pid)?;
+            let mut node = OwnedNode::decode(&page)?;
+            let OwnedNode::Leaf { entries, next: _ } = &mut node else {
+                return Err(Error::Corrupt("descent did not reach a leaf".into()));
+            };
+            let pos = entries.partition_point(|e| e.as_slice() < key.as_slice());
+            if entries.get(pos).is_some_and(|e| *e == key) {
+                return Err(Error::AlreadyExists("duplicate (key, rid) in index".into()));
+            }
+            entries.insert(pos, key);
+            self.entry_count += 1;
+            if node.encoded_size() <= PAGE_SIZE {
+                self.pager.write(pid, Arc::new(node.encode()))?;
+                return Ok(());
+            }
+            let OwnedNode::Leaf { entries, next } = node else {
+                unreachable!()
+            };
+            let mid = entries.len() / 2;
+            let mut left_entries = entries;
+            let right_entries = left_entries.split_off(mid);
+            let sep = right_entries[0].clone();
+            let right_pid = self.pager.allocate();
+            self.pages.push(right_pid);
+            self.leaf_count += 1;
+            let right = OwnedNode::Leaf {
+                entries: right_entries,
+                next,
+            };
+            let left = OwnedNode::Leaf {
+                entries: left_entries,
+                next: Some(right_pid),
+            };
+            self.pager.write(right_pid, Arc::new(right.encode()))?;
+            self.pager.write(pid, Arc::new(left.encode()))?;
+            self.insert_separator(path, sep, right_pid)
+        }
+
+        fn insert_separator(
+            &mut self,
+            mut path: Vec<(PageId, usize)>,
+            mut sep: Vec<u8>,
+            mut right: PageId,
+        ) -> Result<()> {
+            while let Some((pid, idx)) = path.pop() {
+                let page = self.pager.read(pid)?;
+                let mut node = OwnedNode::decode(&page)?;
+                let OwnedNode::Internal { keys, children } = &mut node else {
+                    return Err(Error::Corrupt("path node is not internal".into()));
+                };
+                keys.insert(idx, sep);
+                children.insert(idx + 1, right);
+                if node.encoded_size() <= PAGE_SIZE {
+                    self.pager.write(pid, Arc::new(node.encode()))?;
+                    return Ok(());
+                }
+                let OwnedNode::Internal { keys, children } = node else {
+                    unreachable!()
+                };
+                let mid = keys.len() / 2;
+                let mut lk = keys;
+                let rk = lk.split_off(mid + 1);
+                let up = lk.pop().expect("mid separator exists");
+                let mut lc = children;
+                let rc = lc.split_off(mid + 1);
+                let right_pid = self.pager.allocate();
+                self.pages.push(right_pid);
+                let right_node = OwnedNode::Internal {
+                    keys: rk,
+                    children: rc,
+                };
+                self.pager.write(right_pid, Arc::new(right_node.encode()))?;
+                let left_node = OwnedNode::Internal {
+                    keys: lk,
+                    children: lc,
+                };
+                self.pager.write(pid, Arc::new(left_node.encode()))?;
+                sep = up;
+                right = right_pid;
+            }
+            let new_root = self.pager.allocate();
+            self.pages.push(new_root);
+            let node = OwnedNode::Internal {
+                keys: vec![sep],
+                children: vec![self.root, right],
+            };
+            self.pager.write(new_root, Arc::new(node.encode()))?;
+            self.root = new_root;
+            self.height += 1;
+            Ok(())
+        }
+
+        pub fn delete(&mut self, values: &[Value], rid: Rid) -> Result<bool> {
+            let key = full_key(values, rid);
+            let mut pid = self.root;
+            loop {
+                let page = self.pager.read(pid)?;
+                match page[0] {
+                    LEAF => {
+                        let mut node = OwnedNode::decode(&page)?;
+                        let OwnedNode::Leaf { entries, .. } = &mut node else {
+                            unreachable!()
+                        };
+                        let pos = entries.partition_point(|e| e.as_slice() < key.as_slice());
+                        if entries.get(pos).is_some_and(|e| *e == key) {
+                            entries.remove(pos);
+                            self.entry_count -= 1;
+                            self.pager.write(pid, Arc::new(node.encode()))?;
+                            return Ok(true);
+                        }
+                        return Ok(false);
+                    }
+                    INTERNAL => {
+                        let idx = descend_index(&page, &key);
+                        pid = child_at(&page, idx);
+                    }
+                    t => return Err(Error::Corrupt(format!("unknown btree node tag {t}"))),
+                }
+            }
+        }
+
+        /// The full keys of leaf `n` (counted along the leaf chain,
+        /// modulo the leaf count), in order.
+        pub fn leaf_keys(&self, n: usize) -> Vec<Vec<u8>> {
+            let mut pid = self.root;
+            let mut page = self.pager.read(pid).unwrap();
+            while page[0] == INTERNAL {
+                pid = child_at(&page, 0);
+                page = self.pager.read(pid).unwrap();
+            }
+            for _ in 0..n % self.leaf_count as usize {
+                let next = rd_u32(&page[..], 3);
+                page = self.pager.read(PageId(next - 1)).unwrap();
+            }
+            let OwnedNode::Leaf { entries, .. } = OwnedNode::decode(&page).unwrap() else {
+                unreachable!("the leaf chain holds leaves")
+            };
+            entries
+        }
+    }
+}
+
+/// Three key shapes: `INT`; composite `(INT, STR)`; and one `STR` of
+/// 0.6–1.2 KB, so a node holds 6–13 entries and inserts split leaves
+/// and internal nodes often. The `STR` band stays within a factor of
+/// two: a split halves a node by entry count, and keys more skewed than
+/// that can leave one half larger than a page.
+fn shaped_key(shape: u8, k: u16) -> Vec<Value> {
+    match shape {
+        0 => vec![Value::Int(i64::from(k) - 200)],
+        1 => vec![
+            Value::Int(i64::from(k % 16) - 8),
+            Value::from(format!("{}\0{}", k / 16, "y".repeat(usize::from(k) % 50)).as_str()),
+        ],
+        _ => vec![Value::from(
+            format!("{k}\0{}", "z".repeat(600 + usize::from(k) * 131 % 600)).as_str(),
+        )],
+    }
+}
+
+#[derive(Clone, Debug)]
+enum EntryOp {
+    /// Insert `(shaped_key(k), rid r)`.
+    Insert(u16, u32),
+    /// Delete `(shaped_key(k), rid r)`, present or not.
+    Delete(u16, u32),
+    /// Re-insert entry `j` of leaf `i`: `AlreadyExists`, no write.
+    InsertPresent(usize, usize),
+    /// Delete entry `j` of leaf `i`; `j = 0` on a non-leftmost leaf is
+    /// the key its parent separator equals.
+    DeletePresent(usize, usize),
+    /// Delete every entry of leaf `i`, leaving it empty in the chain.
+    DrainLeaf(usize),
+}
+
+fn entry_op_strategy() -> impl Strategy<Value = EntryOp> {
+    one_of![
+        6 => (0u16..400, 0u32..3).prop_map(|(k, r)| EntryOp::Insert(k, r)),
+        2 => (0u16..400, 0u32..3).prop_map(|(k, r)| EntryOp::Delete(k, r)),
+        1 => (0usize..64, 0usize..64).prop_map(|(i, j)| EntryOp::InsertPresent(i, j)),
+        2 => (0usize..64, 0usize..64).prop_map(|(i, j)| EntryOp::DeletePresent(i, j)),
+        2 => (0usize..64).prop_map(|i| EntryOp::DeletePresent(i, 0)),
+        1 => (0usize..64).prop_map(EntryOp::DrainLeaf),
+    ]
+}
+
+/// A full key back into the `(values, rid)` the public API takes.
+fn split_key(key: &[u8]) -> (Vec<Value>, Rid) {
+    let (values, rid) = key.split_at(key.len() - RID_LEN);
+    (decode_key(values).unwrap(), decode_rid(rid).unwrap())
+}
+
+/// Apply one insert or delete to both trees and require the same
+/// answer, the same pager calls, the same shape and the same bytes in
+/// every page.
+fn apply_both(
+    tree: &mut BTree,
+    reference: &mut reference::RefTree,
+    insert: bool,
+    (values, rid): &(Vec<Value>, Rid),
+) {
+    let (got_pager, want_pager) = (tree.pager().clone(), reference.pager.clone());
+    let before = (got_pager.stats(), want_pager.stats());
+    let (got, want) = if insert {
+        let got = tree.insert(values, *rid);
+        (
+            format!("{got:?}"),
+            format!("{:?}", reference.insert(values, *rid)),
+        )
+    } else {
+        let got = tree.delete(values, *rid);
+        (
+            format!("{got:?}"),
+            format!("{:?}", reference.delete(values, *rid)),
+        )
+    };
+    let op = if insert { "insert" } else { "delete" };
+    assert_eq!(got, want, "{op} {values:?} {rid:?}: result");
+    assert_eq!(
+        got_pager.stats().delta(before.0),
+        want_pager.stats().delta(before.1),
+        "{op} {values:?} {rid:?}: pager reads, writes and allocations"
+    );
+    assert_eq!(
+        (
+            tree.root(),
+            tree.height(),
+            tree.pages(),
+            tree.leaf_count(),
+            tree.entry_count()
+        ),
+        (
+            reference.root,
+            reference.height,
+            reference.pages.as_slice(),
+            reference.leaf_count,
+            reference.entry_count
+        ),
+        "{op} {values:?} {rid:?}: tree shape"
+    );
+    for &p in tree.pages() {
+        let (a, b) = (got_pager.read(p).unwrap(), want_pager.read(p).unwrap());
+        assert_eq!(crc64(&a[..]), crc64(&b[..]), "{op}: page {p:?} bytes");
+    }
+}
+
+props! {
+    config: Config::with_cases(48);
+
+    fn in_place_edits_match_reference(
+        shape in 0u8..3,
+        preload in btree_set_of((0u16..400, 0u32..3), 0..160),
+        ops in vec_of(entry_op_strategy(), 1..200),
+    ) {
+        let entries: Vec<(Vec<Value>, Rid)> = preload
+            .iter()
+            .map(|&(k, r)| (shaped_key(*shape, k), Rid::new(PageId(r), 0)))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let mut tree = BTree::bulk_load(Arc::new(Pager::new()), entries.clone()).unwrap();
+        let copy = Arc::new(Pager::new());
+        BTree::bulk_load(copy.clone(), entries).unwrap();
+        let mut reference = reference::RefTree::adopt(copy, &tree);
+        for op in ops {
+            match *op {
+                EntryOp::Insert(k, r) | EntryOp::Delete(k, r) => {
+                    let entry = (shaped_key(*shape, k), Rid::new(PageId(r), 0));
+                    let insert = matches!(op, EntryOp::Insert(..));
+                    apply_both(&mut tree, &mut reference, insert, &entry);
+                }
+                EntryOp::InsertPresent(i, j) | EntryOp::DeletePresent(i, j) => {
+                    let keys = reference.leaf_keys(i);
+                    if let Some(key) = keys.get(j % keys.len().max(1)) {
+                        let insert = matches!(op, EntryOp::InsertPresent(..));
+                        apply_both(&mut tree, &mut reference, insert, &split_key(key));
+                    }
+                }
+                EntryOp::DrainLeaf(i) => {
+                    for key in reference.leaf_keys(i) {
+                        apply_both(&mut tree, &mut reference, false, &split_key(&key));
+                    }
+                }
+            }
+        }
+    }
 }

@@ -54,6 +54,15 @@ for seed in 7 41 97 1234 4242 7777 90210 424242; do
   CDPD_SEED="$seed" cargo test -q --offline -p cdpd --test parallel_equiv
 done
 
+echo "== served advisor loop decides like drive, 8 seeds x {1, default} threads =="
+# One session through the wire, W1 then W4, waiting at every window
+# boundary for the advisor step (crates/server/tests/advisor_equiv.rs):
+# decision log, calibration report and final design equal drive's.
+for seed in 7 41 97 1234 4242 7777 90210 424242; do
+  echo "-- seed $seed --"
+  CDPD_SEED="$seed" cargo test -q --offline -p cdpd-server --test advisor_equiv
+done
+
 echo "== concurrency stress: racing writers serialize, 8 seeds =="
 # Statement-level serializability of the &self mutator surface
 # (tests/concurrent_writers.rs): disjoint sessions bit-identical to

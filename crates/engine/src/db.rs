@@ -447,6 +447,16 @@ impl Database {
     fn refresh_stats_inner(&self, table: &str) -> Result<StatsRefresh> {
         let _phase = self.mutation_phase();
         let entry = self.table(table)?;
+        // A clean table answers under the read lock: the advisor asks
+        // before every window seal, and a write lock would stall the
+        // readers in flight.
+        let clean = Self::read_entry(&entry)
+            .maintainer
+            .as_ref()
+            .is_some_and(|m| !m.is_dirty());
+        if clean {
+            return Ok(StatsRefresh::default());
+        }
         let entry = &mut *Self::write_entry(&entry);
         let Some(maintainer) = entry.maintainer.as_mut() else {
             return Err(Error::InvalidArgument(format!(

@@ -327,36 +327,20 @@ impl PlannedWrite {
     }
 }
 
-/// Access-path feature flags, for ablation studies: disabling a path
-/// shows how much of an experiment's outcome it carries. (Disabling
+/// Access-path flags for the one ablation a claim rests on: disabling
 /// `index_only_scans` demotes `I(a,b)` from the paper's Table 2 winner
-/// for mix A to a loser — the covering-scan path IS the Table 2 driver;
-/// see the ablation tests and `cdpd-bench`.)
+/// for mix A to a loser — the covering-scan path IS the Table 2 driver
+/// (EXPERIMENTS.md; pinned by `ablation_flags_disable_paths`).
 #[derive(Clone, Copy, Debug)]
 pub struct PlannerFlags {
     /// Allow full index-only scans of covering indexes.
     pub index_only_scans: bool,
-    /// Allow range scans over an index's leading column.
-    pub range_scans: bool,
-    /// Let seeks skip heap fetches when the index covers the query
-    /// (off = every seek fetches, like a non-covering secondary index).
-    pub covering_seeks: bool,
-    /// Allow rowid-intersection plans ([`Plan::IndexAnd`]) over pairs
-    /// of equality conjuncts served by distinct indexes.
-    pub and_intersections: bool,
-    /// Allow rowid-union plans ([`Plan::IndexOr`]) for `IN` lists and
-    /// `OR` disjunctions of equality/`IN` branches.
-    pub or_unions: bool,
 }
 
 impl Default for PlannerFlags {
     fn default() -> Self {
         PlannerFlags {
             index_only_scans: true,
-            range_scans: true,
-            covering_seeks: true,
-            and_intersections: true,
-            or_unions: true,
         }
     }
 }
@@ -638,8 +622,7 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
         }
 
         for (index, info) in self.infos().enumerate() {
-            let covering =
-                self.flags.covering_seeks && !query.multi_col_or && self.covers(info, query);
+            let covering = !query.multi_col_or && self.covers(info, query);
 
             // Longest leading prefix bound by equality.
             let eq_prefix = info
@@ -669,7 +652,7 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
             let range = query.conditions.iter().position(|c| {
                 c.column == leading && matches!(c.condition, Condition::Range { .. })
             });
-            if let Some(t) = range.filter(|_| self.flags.range_scans) {
+            if let Some(t) = range {
                 let frac = query.selectivity[t];
                 let rows = stats.row_count as f64 * frac;
                 let cost = CostModel::index_range(stats, info.shape, frac, rows, covering);
@@ -687,56 +670,52 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
         // Each probe uses the cheapest index leading on its column; the
         // union is fetched and residual-filtered, so the other
         // conjuncts still apply.
-        if self.flags.or_unions {
-            'unions: for (union, (t, probes)) in query.unions.iter().enumerate() {
-                let mut cost = Cost::ZERO;
-                for col in probes {
-                    // A probe column without a leading index sinks the
-                    // whole union: its branch rows would be missed.
-                    let Some((_, c)) = self.cheapest_probe(*col) else {
-                        continue 'unions;
-                    };
-                    cost += c;
-                }
-                cost += CostModel::rid_fetches(stats.row_count as f64 * query.selectivity[*t]);
-                consider(cost, 1, Choice::Or { union });
+        'unions: for (union, (t, probes)) in query.unions.iter().enumerate() {
+            let mut cost = Cost::ZERO;
+            for col in probes {
+                // A probe column without a leading index sinks the
+                // whole union: its branch rows would be missed.
+                let Some((_, c)) = self.cheapest_probe(*col) else {
+                    continue 'unions;
+                };
+                cost += c;
             }
+            cost += CostModel::rid_fetches(stats.row_count as f64 * query.selectivity[*t]);
+            consider(cost, 1, Choice::Or { union });
         }
 
         // Rowid-intersection candidates: pairs of equality conjuncts on
         // distinct columns, each probed through its own leading index;
         // the intersected rid list is fetched and residual-filtered.
-        if self.flags.and_intersections {
-            let eq_terms = || {
-                query
-                    .conditions
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.is_eq())
-            };
-            for (pt, p) in eq_terms() {
-                for (qt, q) in eq_terms().filter(|(qt, _)| *qt > pt) {
-                    if p.column == q.column {
-                        continue;
-                    }
-                    let (Some((pj, pc)), Some((qj, qc))) =
-                        (self.cheapest_probe(p.column), self.cheapest_probe(q.column))
-                    else {
-                        continue;
-                    };
-                    let sel = stats.column(p.column).eq_selectivity()
-                        * stats.column(q.column).eq_selectivity();
-                    let rows = stats.row_count as f64 * sel;
-                    let cost = pc + qc + CostModel::rid_fetches(rows);
-                    consider(
-                        cost,
-                        1,
-                        Choice::And {
-                            p: (pt, pj),
-                            q: (qt, qj),
-                        },
-                    );
+        let eq_terms = || {
+            query
+                .conditions
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.is_eq())
+        };
+        for (pt, p) in eq_terms() {
+            for (qt, q) in eq_terms().filter(|(qt, _)| *qt > pt) {
+                if p.column == q.column {
+                    continue;
                 }
+                let (Some((pj, pc)), Some((qj, qc))) =
+                    (self.cheapest_probe(p.column), self.cheapest_probe(q.column))
+                else {
+                    continue;
+                };
+                let sel = stats.column(p.column).eq_selectivity()
+                    * stats.column(q.column).eq_selectivity();
+                let rows = stats.row_count as f64 * sel;
+                let cost = pc + qc + CostModel::rid_fetches(rows);
+                consider(
+                    cost,
+                    1,
+                    Choice::And {
+                        p: (pt, pj),
+                        q: (qt, qj),
+                    },
+                );
             }
         }
 
@@ -920,16 +899,12 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
         // cost-affecting index.
         extremum_col == Some(leading)
             || leads(|c| matches!(c, Condition::Eq { .. }))
-            || (self.flags.or_unions
-                && query
-                    .unions
-                    .iter()
-                    .any(|(_, probes)| probes.contains(&leading)))
-            || (self.flags.range_scans && leads(|c| matches!(c, Condition::Range { .. })))
-            || (self.flags.index_only_scans
-                && self.flags.covering_seeks
-                && !query.multi_col_or
-                && self.covers(info, query))
+            || query
+                .unions
+                .iter()
+                .any(|(_, probes)| probes.contains(&leading))
+            || leads(|c| matches!(c, Condition::Range { .. }))
+            || (self.flags.index_only_scans && !query.multi_col_or && self.covers(info, query))
     }
 
     fn bind_conditions(&self, conditions: &[Condition]) -> Result<Vec<BoundCondition>> {
@@ -1424,7 +1399,6 @@ mod tests {
         // Ablated: the index cannot serve the b-query at all.
         let flags = PlannerFlags {
             index_only_scans: false,
-            ..Default::default()
         };
         let p = Planner::with_flags(&sc, &st, &idx, flags)
             .plan(&stmt)
@@ -1434,55 +1408,6 @@ mod tests {
             Plan::SeqScan,
             "without covering scans I(a,b) is useless for b"
         );
-
-        // covering_seeks off: seeks still chosen but pay heap fetches.
-        let stmt = match parse("SELECT a FROM t WHERE a = 5").unwrap() {
-            cdpd_sql::Statement::Select(s) => s,
-            _ => unreachable!(),
-        };
-        let with_cover = Planner::new(&sc, &st, &idx).plan(&stmt).unwrap();
-        let flags = PlannerFlags {
-            covering_seeks: false,
-            ..Default::default()
-        };
-        let without = Planner::with_flags(&sc, &st, &idx, flags)
-            .plan(&stmt)
-            .unwrap();
-        assert!(matches!(
-            without.plan,
-            Plan::IndexSeek {
-                covering: false,
-                ..
-            }
-        ));
-        assert!(without.est_cost > with_cover.est_cost);
-
-        // range_scans off: BETWEEN falls back to a scan.
-        let stmt = match parse("SELECT a FROM t WHERE a BETWEEN 10 AND 20").unwrap() {
-            cdpd_sql::Statement::Select(s) => s,
-            _ => unreachable!(),
-        };
-        let idx_a = [info("ix_a", &[0], &st)];
-        let flags = PlannerFlags {
-            range_scans: false,
-            ..Default::default()
-        };
-        let p = Planner::with_flags(&sc, &st, &idx_a, flags)
-            .plan(&stmt)
-            .unwrap();
-        // Without range scans the planner falls back to a covering
-        // index-only scan (still cheaper than the heap); with that off
-        // too, only the seq scan remains.
-        assert!(matches!(p.plan, Plan::IndexOnlyScan { .. }), "{:?}", p.plan);
-        let flags = PlannerFlags {
-            range_scans: false,
-            index_only_scans: false,
-            ..Default::default()
-        };
-        let p = Planner::with_flags(&sc, &st, &idx_a, flags)
-            .plan(&stmt)
-            .unwrap();
-        assert_eq!(p.plan, Plan::SeqScan);
     }
 
     fn dml(sql: &str) -> Dml {
@@ -1552,7 +1477,6 @@ mod tests {
         // plan() stops generating the candidate.
         let flags = PlannerFlags {
             index_only_scans: false,
-            ..Default::default()
         };
         let planner = Planner::with_flags(&sc, &st, &idx, flags);
         assert_eq!(planner.relevant_indexes(&q).unwrap(), vec![true, false]);
@@ -1735,38 +1659,6 @@ mod tests {
     }
 
     #[test]
-    fn new_path_ablation_flags() {
-        let (sc, st) = (schema(), stats(100_000));
-        let idx = [info("ix_a", &[0], &st), info("ix_b", &[1], &st)];
-
-        let no_unions = PlannerFlags {
-            or_unions: false,
-            ..Default::default()
-        };
-        let stmt = match parse("SELECT * FROM t WHERE a IN (1, 2, 3)").unwrap() {
-            cdpd_sql::Statement::Select(s) => s,
-            _ => unreachable!(),
-        };
-        let p = Planner::with_flags(&sc, &st, &idx, no_unions)
-            .plan(&stmt)
-            .unwrap();
-        assert_eq!(p.plan, Plan::SeqScan, "{:?}", p.plan);
-
-        let no_and = PlannerFlags {
-            and_intersections: false,
-            ..Default::default()
-        };
-        let stmt = match parse("SELECT * FROM t WHERE a = 5 AND b = 2").unwrap() {
-            cdpd_sql::Statement::Select(s) => s,
-            _ => unreachable!(),
-        };
-        let p = Planner::with_flags(&sc, &st, &idx, no_and)
-            .plan(&stmt)
-            .unwrap();
-        assert!(!matches!(p.plan, Plan::IndexAnd { .. }), "{:?}", p.plan);
-    }
-
-    #[test]
     fn fanout_gating_never_costs_more_than_scan_baseline() {
         // Property sweep: for IN lists of every size (including far past
         // the gate) and weak multi-branch ORs, the chosen plan's cost
@@ -1839,18 +1731,6 @@ mod tests {
         assert_eq!(
             rel("SELECT * FROM t WHERE (a = 1 OR b = 2)"),
             vec![true, true, true, false]
-        );
-        // Ablating unions turns both statements inert again.
-        let flags = PlannerFlags {
-            or_unions: false,
-            ..Default::default()
-        };
-        let ablated = Planner::with_flags(&sc, &st, &idx, flags);
-        assert_eq!(
-            ablated
-                .relevant_indexes(&dml("SELECT * FROM t WHERE a IN (1, 2)"))
-                .unwrap(),
-            vec![false; 4]
         );
         // Eq conjuncts feed both seeks and intersections: covered by
         // the existing eq-leading rule.

@@ -11,13 +11,17 @@
 //! `MIN`/`MAX`, `ORDER BY`, `LIMIT`, `UPDATE` and `DELETE`, and
 //! statements that fail to bind. Index sets are random subsets of a
 //! pool with composite, covering and shared-leading-column indexes, and
-//! every set is priced under all 32 [`PlannerFlags`] ablations.
+//! every set is priced with and without index-only scans (the one
+//! [`PlannerFlags`] ablation). The cases must produce a union, an
+//! intersection, an extremum, a range and a covering-seek plan, so
+//! every candidate generator is under the check.
 
-use cdpd_engine::{Database, IndexInfo, IndexSpec, Planner, PlannerFlags, WhatIfEngine};
+use cdpd_engine::{Database, IndexInfo, IndexSpec, Plan, Planner, PlannerFlags, WhatIfEngine};
 use cdpd_sql::{AggFunc, Condition, DeleteStmt, Dml, OrderBy, Projection, SelectStmt, UpdateStmt};
-use cdpd_testkit::prop::Config;
-use cdpd_testkit::{props, Prng};
+use cdpd_testkit::prop::{check, Config};
+use cdpd_testkit::Prng;
 use cdpd_types::{ColumnDef, Schema, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const COLUMNS: [&str; 5] = ["a", "b", "c", "d", "s"];
 
@@ -195,80 +199,133 @@ fn statement(rng: &mut Prng, domain: i64) -> Dml {
     }
 }
 
-fn all_flags() -> impl Iterator<Item = PlannerFlags> {
-    (0..32u32).map(|bits| PlannerFlags {
-        index_only_scans: bits & 1 != 0,
-        range_scans: bits & 2 != 0,
-        covering_seeks: bits & 4 != 0,
-        and_intersections: bits & 8 != 0,
-        or_unions: bits & 16 != 0,
-    })
+const FLAGS: [PlannerFlags; 2] = [
+    PlannerFlags {
+        index_only_scans: true,
+    },
+    PlannerFlags {
+        index_only_scans: false,
+    },
+];
+
+/// The plan kinds the cases must produce between them (the default 24
+/// cases do; a single case may not).
+const KINDS: [&str; 5] = [
+    "a union",
+    "an intersection",
+    "an extremum",
+    "a range",
+    "a covering seek",
+];
+
+fn kind(plan: &Plan) -> Option<usize> {
+    match plan {
+        Plan::IndexOr { .. } => Some(0),
+        Plan::IndexAnd { .. } => Some(1),
+        Plan::IndexExtremum { .. } => Some(2),
+        Plan::IndexRange { .. } => Some(3),
+        Plan::IndexSeek { covering: true, .. } => Some(4),
+        _ => None,
+    }
 }
 
-props! {
-    config: Config::with_cases(24);
+#[test]
+fn prepared_pricing_matches_planning_from_scratch() {
+    let regressions = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("regressions")
+        .join("prepared_prop.prepared_pricing_matches_planning_from_scratch.seeds");
+    let seen: [AtomicU64; KINDS.len()] = Default::default();
+    check(
+        "prepared_prop::prepared_pricing_matches_planning_from_scratch",
+        Some(&regressions),
+        &Config::with_cases(24),
+        (0u64..1_000_000,),
+        |&(seed,)| case(seed, &seen),
+    );
+    for (kind, n) in KINDS.iter().zip(&seen) {
+        assert!(n.load(Ordering::Relaxed) > 0, "no case planned {kind}");
+    }
+}
 
-    fn prepared_pricing_matches_planning_from_scratch(seed in 0u64..1_000_000) {
-        let mut rng = Prng::seed_from_u64(*seed);
-        // Enough rows that seeks, unions and intersections beat the
-        // heap scan, and domains from dense to nearly distinct.
-        let domain = rng.gen_range(20..3_000i64);
-        let db = database(&mut rng, 3_000, domain);
-        let whatif = WhatIfEngine::snapshot(&db, "t").unwrap();
-        let (schema, stats) = (whatif.schema(), whatif.stats());
-        let pool = whatif.resolve_structures(&pool()).unwrap();
-        let subsets: Vec<Vec<IndexInfo>> = (0..6)
-            .map(|_| {
-                let mut subset: Vec<IndexInfo> =
-                    pool.iter().filter(|_| rng.gen_bool(0.35)).cloned().collect();
-                rng.shuffle(&mut subset);
-                subset
-            })
-            .collect();
-        for _ in 0..30 {
-            let stmt = statement(&mut rng, domain);
-            let from_scratch = |indexes: &[IndexInfo], flags| {
-                let planner = Planner::with_flags(schema, stats, indexes, flags);
-                match &stmt {
-                    Dml::Select(s) => planner.plan(s).map(|p| p.est_cost),
-                    write => planner.plan_write(write).map(|p| p.est_total),
-                }
-            };
-            let prepared = match whatif.prepare(&stmt) {
-                Ok(prepared) => prepared,
-                Err(e) => {
-                    // The same error planning raises, under any index set.
-                    let planned = from_scratch(&pool, PlannerFlags::default());
-                    assert_eq!(planned.unwrap_err().to_string(), e.to_string(), "{stmt}");
-                    let unbound = Planner::new(schema, stats, &pool).relevant_indexes(&stmt);
-                    assert_eq!(unbound.unwrap_err().to_string(), e.to_string(), "{stmt}");
-                    continue;
-                }
-            };
-            for subset in &subsets {
-                let by_ref: Vec<&IndexInfo> = subset.iter().collect();
-                let priced = whatif.price(&prepared, &by_ref);
-                let planned = from_scratch(subset, PlannerFlags::default()).unwrap();
-                assert_eq!(priced, planned, "{stmt}");
-                for flags in all_flags() {
-                    let planner = Planner::with_flags(schema, stats, &by_ref[..], flags);
-                    let cost = planner.cost(&prepared);
-                    assert_eq!(cost, from_scratch(subset, flags).unwrap(), "{stmt} {flags:?}");
-                    let old = reference::cost(schema, stats, subset, flags, &stmt);
-                    assert_eq!(cost, old, "{stmt} {flags:?}");
+/// One case: a database, six index sets and 30 statements. Counts the
+/// kinds of the default-flag plans into `seen`.
+fn case(seed: u64, seen: &[AtomicU64; KINDS.len()]) {
+    let mut rng = Prng::seed_from_u64(seed);
+    // Enough rows that seeks, unions and intersections beat the
+    // heap scan, and domains from dense to nearly distinct.
+    let domain = rng.gen_range(20..3_000i64);
+    let db = database(&mut rng, 3_000, domain);
+    let whatif = WhatIfEngine::snapshot(&db, "t").unwrap();
+    let (schema, stats) = (whatif.schema(), whatif.stats());
+    let pool = whatif.resolve_structures(&pool()).unwrap();
+    let subsets: Vec<Vec<IndexInfo>> = (0..6)
+        .map(|_| {
+            let mut subset: Vec<IndexInfo> = pool
+                .iter()
+                .filter(|_| rng.gen_bool(0.35))
+                .cloned()
+                .collect();
+            rng.shuffle(&mut subset);
+            subset
+        })
+        .collect();
+    for _ in 0..30 {
+        let stmt = statement(&mut rng, domain);
+        let from_scratch = |indexes: &[IndexInfo], flags| {
+            let planner = Planner::with_flags(schema, stats, indexes, flags);
+            match &stmt {
+                Dml::Select(s) => planner.plan(s).map(|p| (p.est_cost, p.plan)),
+                write => planner
+                    .plan_write(write)
+                    .map(|p| (p.est_total, p.find.plan)),
+            }
+        };
+        let prepared = match whatif.prepare(&stmt) {
+            Ok(prepared) => prepared,
+            Err(e) => {
+                // The same error planning raises, under any index set.
+                let planned = from_scratch(&pool, PlannerFlags::default());
+                assert_eq!(planned.unwrap_err().to_string(), e.to_string(), "{stmt}");
+                let unbound = Planner::new(schema, stats, &pool).relevant_indexes(&stmt);
+                assert_eq!(unbound.unwrap_err().to_string(), e.to_string(), "{stmt}");
+                continue;
+            }
+        };
+        for subset in &subsets {
+            let by_ref: Vec<&IndexInfo> = subset.iter().collect();
+            let priced = whatif.price(&prepared, &by_ref);
+            let (planned, plan) = from_scratch(subset, PlannerFlags::default()).unwrap();
+            assert_eq!(priced, planned, "{stmt}");
+            if let Some(k) = kind(&plan) {
+                seen[k].fetch_add(1, Ordering::Relaxed);
+            }
+            for flags in FLAGS {
+                let planner = Planner::with_flags(schema, stats, &by_ref[..], flags);
+                let cost = planner.cost(&prepared);
+                assert_eq!(
+                    cost,
+                    from_scratch(subset, flags).unwrap().0,
+                    "{stmt} {flags:?}"
+                );
+                let old = reference::cost(schema, stats, subset, flags, &stmt);
+                assert_eq!(cost, old, "{stmt} {flags:?}");
 
-                    let relevant = planner.relevant(&prepared);
-                    let unbound = Planner::with_flags(schema, stats, subset, flags);
-                    assert_eq!(relevant, unbound.relevant_indexes(&stmt).unwrap(), "{stmt}");
-                    let old = reference::relevant(schema, subset, flags, &stmt);
-                    assert_eq!(relevant, old, "{stmt} {flags:?}");
-                    // Relevance is exact: the irrelevant indexes cannot
-                    // move the price.
-                    let kept: Vec<&IndexInfo> =
-                        by_ref.iter().zip(&relevant).filter(|(_, r)| **r).map(|(i, _)| *i).collect();
-                    let projected = Planner::with_flags(schema, stats, &kept[..], flags);
-                    assert_eq!(projected.cost(&prepared), cost, "{stmt} {flags:?}");
-                }
+                let relevant = planner.relevant(&prepared);
+                let unbound = Planner::with_flags(schema, stats, subset, flags);
+                assert_eq!(relevant, unbound.relevant_indexes(&stmt).unwrap(), "{stmt}");
+                let old = reference::relevant(schema, subset, flags, &stmt);
+                assert_eq!(relevant, old, "{stmt} {flags:?}");
+                // Relevance is exact: the irrelevant indexes cannot
+                // move the price.
+                let kept: Vec<&IndexInfo> = by_ref
+                    .iter()
+                    .zip(&relevant)
+                    .filter(|(_, r)| **r)
+                    .map(|(i, _)| *i)
+                    .collect();
+                let projected = Planner::with_flags(schema, stats, &kept[..], flags);
+                assert_eq!(projected.cost(&prepared), cost, "{stmt} {flags:?}");
             }
         }
     }
@@ -494,7 +551,7 @@ mod reference {
             }
         }
         for info in indexes {
-            let covering = flags.covering_seeks && !multi && covers(schema, info, &needed);
+            let covering = !multi && covers(schema, info, &needed);
             let eq_prefix = info
                 .columns
                 .iter()
@@ -513,7 +570,7 @@ mod reference {
             let range = terms
                 .iter()
                 .find(|t| t.column == leading && matches!(t.condition, Condition::Range { .. }));
-            if let Some(t) = range.filter(|_| flags.range_scans) {
+            if let Some(t) = range {
                 let frac = simple_sel(stats, leading, t.condition);
                 let rows = stats.row_count as f64 * frac;
                 consider(
@@ -526,43 +583,39 @@ mod reference {
                 consider(CostModel::index_only_scan(info.shape), 2);
             }
         }
-        if flags.or_unions {
-            'terms: for t in &terms {
-                let Some(probes) = or_probes(t) else { continue };
-                let mut cost = Cost::ZERO;
-                for (col, _) in probes {
-                    let Some((_, c)) = cheapest_probe(stats, indexes, col) else {
-                        continue 'terms;
-                    };
-                    cost += c;
-                }
-                cost += CostModel::rid_fetches(stats.row_count as f64 * term_sel(stats, t));
-                consider(cost, 1);
+        'terms: for t in &terms {
+            let Some(probes) = or_probes(t) else { continue };
+            let mut cost = Cost::ZERO;
+            for (col, _) in probes {
+                let Some((_, c)) = cheapest_probe(stats, indexes, col) else {
+                    continue 'terms;
+                };
+                cost += c;
             }
+            cost += CostModel::rid_fetches(stats.row_count as f64 * term_sel(stats, t));
+            consider(cost, 1);
         }
-        if flags.and_intersections {
-            let eq: Vec<ColumnId> = terms
-                .iter()
-                .filter(|t| is_eq(t))
-                .map(|t| t.column)
-                .collect();
-            for (pi, p) in eq.iter().enumerate() {
-                for q in eq.iter().skip(pi + 1) {
-                    if p == q {
-                        continue;
-                    }
-                    let (Some((_, pc)), Some((_, qc))) = (
-                        cheapest_probe(stats, indexes, *p),
-                        cheapest_probe(stats, indexes, *q),
-                    ) else {
-                        continue;
-                    };
-                    let s = stats.column(*p).eq_selectivity() * stats.column(*q).eq_selectivity();
-                    consider(
-                        pc + qc + CostModel::rid_fetches(stats.row_count as f64 * s),
-                        1,
-                    );
+        let eq: Vec<ColumnId> = terms
+            .iter()
+            .filter(|t| is_eq(t))
+            .map(|t| t.column)
+            .collect();
+        for (pi, p) in eq.iter().enumerate() {
+            for q in eq.iter().skip(pi + 1) {
+                if p == q {
+                    continue;
                 }
+                let (Some((_, pc)), Some((_, qc))) = (
+                    cheapest_probe(stats, indexes, *p),
+                    cheapest_probe(stats, indexes, *q),
+                ) else {
+                    continue;
+                };
+                let s = stats.column(*p).eq_selectivity() * stats.column(*q).eq_selectivity();
+                consider(
+                    pc + qc + CostModel::rid_fetches(stats.row_count as f64 * s),
+                    1,
+                );
             }
         }
         (best.expect("seq scan is a candidate").0, est_rows)
@@ -617,12 +670,10 @@ mod reference {
             _ => None,
         };
         let mut union_cols: Vec<ColumnId> = Vec::new();
-        if flags.or_unions {
-            for t in &terms {
-                for (col, _) in or_probes(t).unwrap_or_default() {
-                    if !union_cols.contains(&col) {
-                        union_cols.push(col);
-                    }
+        for t in &terms {
+            for (col, _) in or_probes(t).unwrap_or_default() {
+                if !union_cols.contains(&col) {
+                    union_cols.push(col);
                 }
             }
         }
@@ -634,14 +685,10 @@ mod reference {
                     || extremum == Some(leading)
                     || terms.iter().any(|t| t.column == leading && is_eq(t))
                     || union_cols.contains(&leading)
-                    || (flags.range_scans
-                        && terms.iter().any(|t| {
-                            t.column == leading && matches!(t.condition, Condition::Range { .. })
-                        }))
-                    || (flags.index_only_scans
-                        && flags.covering_seeks
-                        && !multi
-                        && covers(schema, info, &needed))
+                    || terms.iter().any(|t| {
+                        t.column == leading && matches!(t.condition, Condition::Range { .. })
+                    })
+                    || (flags.index_only_scans && !multi && covers(schema, info, &needed))
             })
             .collect()
     }

@@ -1,27 +1,38 @@
 //! The [`OnlineAdvisor`] as a serving-loop citizen.
 //!
-//! `replay::drive` owns the whole world: it executes statements,
-//! refreshes statistics, ingests, and applies decisions, all serially.
-//! In a server none of that holds — statements execute on session
-//! threads, concurrently, and the advisor only *observes*. This loop
-//! is the bridge: it drains the statement channel the sessions feed,
-//! seals windows on the advisor's statement-count boundary (via
-//! [`OnlineAdvisor::ingest`]) **or** on a wall-clock tick when traffic
-//! goes quiet (via [`OnlineAdvisor::seal_now`]), and applies each
-//! changed decision's DDL through [`Database::apply_configuration_with`]
-//! — an *online* build that interleaves with the foreground sessions
-//! instead of stalling them.
+//! Statements execute on session threads, concurrently; the advisor
+//! only observes them. This loop drains the channel the sessions feed —
+//! each executed workload statement with its predicted-vs-actual pair
+//! ([`cdpd::calibrate::pair`]) — and runs [`OnlineAdvisor::step`] on
+//! every message, or on a wall-clock tick when traffic goes quiet. The
+//! step is the one [`cdpd::replay::drive`] runs too: at each seal it
+//! folds the window's calibration, refreshes statistics, decides,
+//! persists the spent budget on a durable database, and applies a
+//! changed design as an *online* build that interleaves with the
+//! foreground sessions instead of stalling them. This loop only counts
+//! what the steps did.
 //!
 //! Advisor failures (an infeasible solve, a statement on the wrong
-//! table) are counted and skipped: an advisory subsystem must never
-//! take serving down with it.
+//! table, a failed build) are counted and skipped: an advisory
+//! subsystem must never take serving down with it. A failure after a
+//! window sealed stops the session, so every later step is counted as
+//! an error too; a restart resumes the state the last good seal saved.
 
-use cdpd::{OnlineAdvisor, OnlineDecision};
+use cdpd::calibrate::{CalibrationOptions, CostPair};
+use cdpd::online::Observed;
+use cdpd::OnlineAdvisor;
 use cdpd_engine::{Database, DdlReport};
 use cdpd_sql::Dml;
-use cdpd_types::Result;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
+
+/// What a session needs to feed the advisor loop: the channel, and the
+/// calibration knobs its pairs are made under.
+#[derive(Clone)]
+pub(crate) struct Feed {
+    pub(crate) tx: Sender<(Dml, Option<CostPair>)>,
+    pub(crate) calibration: CalibrationOptions,
+}
 
 /// The advisor's state and audit trail after the serving loop ends.
 pub struct AdvisorReport {
@@ -30,7 +41,7 @@ pub struct AdvisorReport {
     /// [`OnlineAdvisor::finish`] or state persistence.
     pub advisor: OnlineAdvisor,
     /// Design changes actually applied (decisions with
-    /// [`OnlineDecision::changed`]), in application order.
+    /// [`cdpd::OnlineDecision::changed`]), in application order.
     pub applied: Vec<DdlReport>,
     /// Advisor errors skipped to keep the serving loop alive.
     pub errors: u64,
@@ -42,96 +53,44 @@ pub struct AdvisorReport {
 /// [`crate::Server::run`].
 pub(crate) fn run(
     db: &Database,
-    mut advisor: OnlineAdvisor,
-    rx: &Receiver<Dml>,
+    advisor: OnlineAdvisor,
+    rx: &Receiver<(Dml, Option<CostPair>)>,
     tick: Duration,
     threads: usize,
 ) -> AdvisorReport {
-    let mut applied = Vec::new();
-    let mut errors = 0u64;
-    loop {
-        match rx.recv_timeout(tick) {
-            Ok(stmt) => {
-                let decision = advisor.ingest(db, &stmt);
-                note(
-                    db,
-                    &mut advisor,
-                    decision,
-                    threads,
-                    &mut applied,
-                    &mut errors,
-                );
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Quiet wire: seal whatever the open window holds so
-                // the design keeps adapting at wall-clock cadence.
-                let decision = advisor.seal_now(db);
-                note(
-                    db,
-                    &mut advisor,
-                    decision,
-                    threads,
-                    &mut applied,
-                    &mut errors,
-                );
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // Tail: the server is draining; decide on the final partial window.
-    let decision = advisor.seal_now(db);
-    note(
-        db,
-        &mut advisor,
-        decision,
-        threads,
-        &mut applied,
-        &mut errors,
-    );
-    AdvisorReport {
+    let mut report = AdvisorReport {
         advisor,
-        applied,
-        errors,
-    }
-}
-
-/// Fold one ingest/seal outcome into the loop state: apply a changed
-/// decision's DDL (concurrently with foreground sessions), count
-/// failures, never propagate.
-fn note(
-    db: &Database,
-    advisor: &mut OnlineAdvisor,
-    decision: Result<Option<OnlineDecision>>,
-    threads: usize,
-    applied: &mut Vec<DdlReport>,
-    errors: &mut u64,
-) {
-    let decision = match decision {
-        Ok(Some(d)) => d,
-        Ok(None) => return,
-        Err(_) => {
-            *errors += 1;
-            cdpd_obs::counter!("server.advisor.errors").inc();
-            return;
-        }
+        applied: Vec::new(),
+        errors: 0,
     };
-    cdpd_obs::counter!("server.advisor.decisions").inc();
-    if !decision.changed {
-        return;
-    }
-    let table = advisor.table().to_owned();
-    match db.apply_configuration_with(&table, &decision.specs, threads) {
-        Ok(report) => {
-            cdpd_obs::counter!("server.advisor.applied").inc();
-            // Keep the oracle priced against the post-DDL statistics.
-            if let Ok(refresh) = db.refresh_stats(&table) {
-                let _ = advisor.note_stats_refresh(db, &refresh);
+    loop {
+        let message = rx.recv_timeout(tick);
+        let input = match &message {
+            Ok((stmt, pair)) => Observed::Statement(stmt, *pair),
+            // A quiet wire seals whatever the open window holds, so the
+            // design keeps adapting at wall-clock cadence; so does the
+            // tail of a draining server, once every sender is gone.
+            Err(_) => Observed::Tick,
+        };
+        // Count, never propagate. A decision is counted once its DDL
+        // has been applied, so a client that sees
+        // `server.advisor.decisions` move knows the design has too.
+        match report.advisor.step(db, input, threads) {
+            Ok(None) => {}
+            Ok(Some(step)) => {
+                if let Some(ddl) = step.applied {
+                    cdpd_obs::counter!("server.advisor.applied").inc();
+                    report.applied.push(ddl);
+                }
+                cdpd_obs::counter!("server.advisor.decisions").inc();
             }
-            applied.push(report);
+            Err(_) => {
+                report.errors += 1;
+                cdpd_obs::counter!("server.advisor.errors").inc();
+            }
         }
-        Err(_) => {
-            *errors += 1;
-            cdpd_obs::counter!("server.advisor.errors").inc();
+        if let Err(RecvTimeoutError::Disconnected) = message {
+            return report;
         }
     }
 }

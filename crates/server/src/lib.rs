@@ -13,8 +13,10 @@
 //! docs).
 //!
 //! The design advisor runs *inside* the serving loop
-//! ([`advisor_loop`]): sessions forward the live statement stream over
-//! a channel, windows seal on statement count or wall clock, and
+//! ([`advisor_loop`]): sessions forward the live statement stream, with
+//! each statement's predicted-vs-actual pair, over a channel; the loop
+//! runs the same advisor step as `cdpd::replay::drive`, so windows seal
+//! on statement count or wall clock, the cost model is calibrated, and
 //! recommended DDL is applied as online index builds that interleave
 //! with foreground traffic.
 //!

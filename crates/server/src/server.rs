@@ -4,9 +4,12 @@
 //! thread (see [`crate::session`]). The [`OnlineAdvisor`] — when
 //! configured — runs on a dedicated thread *inside* the serving loop
 //! (see [`crate::advisor_loop`]): sessions forward every executed
-//! workload statement over a channel, the loop seals windows on
-//! statement count or wall clock, and applies recommended DDL through
-//! the same epoch-versioned catalog foreground traffic is using.
+//! workload statement with its predicted-vs-actual pair over a
+//! channel, and the loop runs [`OnlineAdvisor::step`] — the step
+//! [`cdpd::replay::drive`] runs — on each, applying recommended DDL
+//! through the epoch-versioned catalog foreground traffic is using.
+//! [`Server::run`] first resumes the advisor a durable database saved
+//! ([`OnlineAdvisor::resume`]), so a restart keeps the spent budget.
 //!
 //! Shutdown is cooperative: [`ServerHandle::shutdown`] sets a flag and
 //! pokes the listener with a loopback connection so `accept` returns.
@@ -14,15 +17,14 @@
 //! the advisor channel (letting the loop drain its queue and seal the
 //! tail window), and returns the advisor for inspection.
 
-use crate::advisor_loop::{self, AdvisorReport};
+use crate::advisor_loop::{self, AdvisorReport, Feed};
 use crate::session;
 use cdpd::OnlineAdvisor;
 use cdpd_engine::Database;
-use cdpd_sql::Dml;
 use cdpd_types::{Error, Result};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -86,7 +88,9 @@ impl Server {
     /// executed workload statement, windows additionally seal whenever
     /// `tick` elapses without traffic, and decisions are applied with
     /// up to `threads` concurrent index builds — interleaved with
-    /// foreground statements through the epoch-versioned catalog.
+    /// foreground statements through the epoch-versioned catalog. A
+    /// saved advisor state in the database is resumed under `advisor`'s
+    /// options instead.
     pub fn with_advisor(
         mut self,
         advisor: OnlineAdvisor,
@@ -116,14 +120,15 @@ impl Server {
         })
     }
 
-    /// Serve until [`ServerHandle::shutdown`]: accept connections,
-    /// spawn a session thread per connection, then drain — join every
-    /// session, stop the advisor loop, and report.
+    /// Serve until [`ServerHandle::shutdown`]: resume the advisor,
+    /// accept connections, spawn a session thread per connection, then
+    /// drain — join every session, stop the advisor loop, and report.
     ///
     /// # Errors
-    /// Accept-loop I/O errors propagate (individual session errors do
-    /// not — they end that session only). Advisor-loop panics surface
-    /// as [`Error::Corrupt`].
+    /// A saved advisor state that does not restore
+    /// ([`OnlineAdvisor::resume`]) and accept-loop I/O errors propagate
+    /// (individual session errors do not — they end that session only).
+    /// Advisor-loop panics surface as [`Error::Corrupt`].
     pub fn run(self) -> Result<ServerReport> {
         let Server {
             db,
@@ -131,19 +136,24 @@ impl Server {
             shutdown,
             advisor,
         } = self;
-        let (advisor_tx, advisor_join): (Option<Sender<Dml>>, Option<JoinHandle<AdvisorReport>>) =
-            match advisor {
-                Some((advisor, tick, threads)) => {
-                    let (tx, rx) = mpsc::channel();
-                    let db = db.clone();
-                    let join = std::thread::Builder::new()
-                        .name("cdpd-advisor".into())
-                        .spawn(move || advisor_loop::run(&db, advisor, &rx, tick, threads))
-                        .expect("spawn advisor thread");
-                    (Some(tx), Some(join))
-                }
-                None => (None, None),
-            };
+        let (feed, advisor_join): (Option<Feed>, Option<JoinHandle<AdvisorReport>>) = match advisor
+        {
+            Some((advisor, tick, threads)) => {
+                let advisor = advisor.resume(&db, threads)?;
+                let (tx, rx) = mpsc::channel();
+                let feed = Feed {
+                    tx,
+                    calibration: advisor.options().calibration.clone(),
+                };
+                let db = db.clone();
+                let join = std::thread::Builder::new()
+                    .name("cdpd-advisor".into())
+                    .spawn(move || advisor_loop::run(&db, advisor, &rx, tick, threads))
+                    .expect("spawn advisor thread");
+                (Some(feed), Some(join))
+            }
+            None => (None, None),
+        };
 
         let mut sessions: Vec<JoinHandle<()>> = Vec::new();
         let mut served = 0u64;
@@ -159,11 +169,11 @@ impl Server {
             let _ = stream.set_nodelay(true);
             served += 1;
             let db = db.clone();
-            let tx = advisor_tx.clone();
+            let feed = feed.clone();
             sessions.push(
                 std::thread::Builder::new()
                     .name(format!("cdpd-session-{served}"))
-                    .spawn(move || session::serve_connection(&db, stream, tx.as_ref()))
+                    .spawn(move || session::serve_connection(&db, stream, feed.as_ref()))
                     .expect("spawn session thread"),
             );
         }
@@ -172,7 +182,7 @@ impl Server {
         }
         // Closing the last sender ends the advisor loop after it
         // drains everything sessions already sent.
-        drop(advisor_tx);
+        drop(feed);
         let advisor = match advisor_join {
             Some(join) => Some(
                 join.join()

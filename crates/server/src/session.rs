@@ -9,30 +9,27 @@
 //! protocol violations (an oversized length prefix, after which the
 //! stream cannot be resynchronized) and transport errors end it.
 
+use crate::advisor_loop::Feed;
 use crate::proto::{
     self, MAX_PAYLOAD, OP_EXEC, OP_METRICS, OP_PING, OP_QUERY, STATUS_ERR, STATUS_OK,
 };
 use cdpd_engine::{Database, QueryResult};
-use cdpd_sql::{Dml, Statement};
+use cdpd_sql::Statement;
 use cdpd_storage::ThreadIoScope;
 use cdpd_types::{Error, Result};
 use std::net::TcpStream;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 /// Serve one accepted connection until the peer disconnects or breaks
 /// the protocol. Successfully executed workload statements (DML) are
-/// forwarded to `advisor_tx` when present — the live statement stream
-/// the in-loop advisor ingests.
-pub(crate) fn serve_connection(
-    db: &Arc<Database>,
-    stream: TcpStream,
-    advisor_tx: Option<&Sender<Dml>>,
-) {
+/// forwarded to `advisor` when present, each with its predicted-vs-
+/// actual pair — the live statement stream the in-loop advisor steps
+/// on.
+pub(crate) fn serve_connection(db: &Arc<Database>, stream: TcpStream, advisor: Option<&Feed>) {
     cdpd_obs::counter!("server.sessions.opened").inc();
     let _span = cdpd_obs::span!("server.session");
     let session_io = ThreadIoScope::start();
-    let outcome = session_loop(db, stream, advisor_tx);
+    let outcome = session_loop(db, stream, advisor);
     // Exact per-session attribution: everything this session's thread
     // did — statements, index maintenance, WAL commits — lands in its
     // thread-local ledger and is folded into the server totals here.
@@ -48,11 +45,7 @@ pub(crate) fn serve_connection(
     cdpd_obs::counter!("server.sessions.closed").inc();
 }
 
-fn session_loop(
-    db: &Arc<Database>,
-    mut stream: TcpStream,
-    advisor_tx: Option<&Sender<Dml>>,
-) -> Result<()> {
+fn session_loop(db: &Arc<Database>, mut stream: TcpStream, advisor: Option<&Feed>) -> Result<()> {
     loop {
         let (tag, payload) = match proto::read_frame(&mut stream) {
             Ok(Some(frame)) => frame,
@@ -75,7 +68,7 @@ fn session_loop(
             }
             OP_QUERY | OP_EXEC => {
                 cdpd_obs::counter!("server.statements").inc();
-                match run_statement(db, tag, &payload, advisor_tx) {
+                match run_statement(db, tag, &payload, advisor) {
                     Ok(result) => respond_ok(&mut stream, &proto::encode_result(&result))?,
                     Err(e) => {
                         // Statement failure: the session (and the epoch
@@ -105,13 +98,13 @@ fn run_statement(
     db: &Arc<Database>,
     tag: u8,
     payload: &[u8],
-    advisor_tx: Option<&Sender<Dml>>,
+    advisor: Option<&Feed>,
 ) -> Result<QueryResult> {
     let sql = std::str::from_utf8(payload)
         .map_err(|_| Error::InvalidArgument("statement is not UTF-8".into()))?;
     let stmt = cdpd_sql::parse(sql)?;
     // Only an attached advisor observes the statement.
-    let observed = advisor_tx.and_then(|tx| Some((tx, as_dml(&stmt)?)));
+    let observed = advisor.and_then(|feed| Some((feed, stmt.as_dml()?)));
     let scope = ThreadIoScope::start();
     let mut result = match (tag, stmt) {
         (OP_QUERY, Statement::Select(s)) => db.query(&s)?,
@@ -128,22 +121,12 @@ fn run_statement(
     // Report the statement's full thread-side cost (execution + index
     // maintenance + commit), not just the executor's measurement.
     result.io = scope.delta();
-    if let Some((tx, dml)) = observed {
+    if let Some((feed, dml)) = observed {
+        let pair = cdpd::calibrate::pair(&feed.calibration, &result, None);
         // The advisor loop may have shut down first; serving goes on.
-        let _ = tx.send(dml);
+        let _ = feed.tx.send((dml, pair));
     }
     Ok(result)
-}
-
-/// The workload-statement view of a parsed statement, if it has one
-/// (DDL is not part of the observed stream).
-fn as_dml(stmt: &Statement) -> Option<Dml> {
-    match stmt {
-        Statement::Select(s) => Some(Dml::Select(s.clone())),
-        Statement::Update(u) => Some(Dml::Update(u.clone())),
-        Statement::Delete(d) => Some(Dml::Delete(d.clone())),
-        _ => None,
-    }
 }
 
 fn respond_ok(stream: &mut TcpStream, payload: &[u8]) -> Result<()> {

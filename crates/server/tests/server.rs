@@ -6,9 +6,9 @@
 //! The obs registry is process-global and these tests run on sibling
 //! threads, so counter assertions are monotone (`>=`), never exact.
 
-use cdpd::{AdvisorOptions, OnlineAdvisor, OnlineOptions};
+use cdpd::{AdvisorOptions, CalibrationMode, CalibrationOptions, OnlineAdvisor, OnlineOptions};
 use cdpd_engine::{Database, IndexSpec};
-use cdpd_server::{proto, Client, Server, ServerHandle, ServerReport};
+use cdpd_server::{proto, AdvisorReport, Client, Server, ServerHandle, ServerReport};
 use cdpd_testkit::Prng;
 use cdpd_types::{ColumnDef, Error, Result, Schema, Value};
 use std::io::Write;
@@ -291,12 +291,11 @@ fn mid_statement_disconnect_leaves_the_server_healthy() {
     assert_eq!(report.sessions, 2, "both connections were served");
 }
 
-#[test]
-fn advisor_adapts_the_design_inside_the_serving_loop() {
-    const WINDOW: usize = 25;
-    const STATEMENTS: usize = 100;
+const WINDOW: usize = 25;
+const STATEMENTS: usize = 100;
 
-    let db = loaded_db(23);
+/// An advisor over I(a), I(b) and I(a,b), windows of 25.
+fn advisor_on(db: &Database, calibration: CalibrationOptions) -> OnlineAdvisor {
     let options = OnlineOptions {
         advisor: AdvisorOptions {
             k: Some(2),
@@ -309,9 +308,28 @@ fn advisor_adapts_the_design_inside_the_serving_loop() {
             max_structures_per_config: Some(1),
             ..AdvisorOptions::default()
         },
+        calibration,
         ..OnlineOptions::default()
     };
-    let advisor = OnlineAdvisor::new(&db, "t", options).expect("advisor opens");
+    OnlineAdvisor::new(db, "t", options).expect("advisor opens")
+}
+
+/// A counter's value in a METRICS exposition (0 when never bumped).
+fn counter(text: &str, family: &str) -> u64 {
+    let sample = format!("{family}_total ");
+    text.lines()
+        .find_map(|l| l.strip_prefix(sample.as_str()))
+        .map_or(0, |v| v.parse().expect("a count"))
+}
+
+/// Serve an a-heavy statement stream to `advisor` in the serving loop,
+/// hand the client to `then` before shutting down, and return the
+/// advisor's report.
+fn serve_a_stream(
+    db: &Arc<Database>,
+    advisor: OnlineAdvisor,
+    then: impl FnOnce(&mut Client),
+) -> AdvisorReport {
     let server = Server::bind(db.clone(), "127.0.0.1:0")
         .expect("bind")
         // A long tick: windows seal on statement count here; the
@@ -329,10 +347,16 @@ fn advisor_adapts_the_design_inside_the_serving_loop() {
             .exec(&format!("SELECT * FROM t WHERE a = {v}"))
             .expect("statement runs");
     }
+    then(&mut client);
     drop(client);
     let report = stop(&handle, join);
+    report.advisor.expect("advisor was in the loop")
+}
 
-    let advisor = report.advisor.expect("advisor was in the loop");
+#[test]
+fn advisor_adapts_the_design_inside_the_serving_loop() {
+    let db = loaded_db(23);
+    let advisor = serve_a_stream(&db, advisor_on(&db, CalibrationOptions::default()), |_| {});
     assert_eq!(advisor.errors, 0, "the advisor loop must stay clean");
     // 100 statements at window 25: at least four statement-count seals
     // (wall-clock seals can only add more).
@@ -362,4 +386,104 @@ fn advisor_adapts_the_design_inside_the_serving_loop() {
         "a-leading design expected, got {specs:?}"
     );
     assert!(!specs.is_empty(), "the decided index must be installed");
+}
+
+/// An injected mis-costing of index plans is visible through the wire:
+/// the served advisor folds every session's predicted-vs-actual pairs,
+/// so the drift watchdog trips and every decision carries calibration.
+#[test]
+fn served_advisor_trips_the_watchdog_on_a_mis_costing() {
+    let db = loaded_db(29);
+    let injected = CalibrationOptions {
+        index_cost_scale: 20.0,
+        ..CalibrationOptions::default()
+    };
+    let trips = |client: &mut Client| {
+        let text = client.metrics().expect("metrics");
+        counter(&text, "calibration_watchdog_trips")
+    };
+    // The counter is process-wide and only rises: wait, through the
+    // wire, for this stream's seals to move it.
+    let before = cdpd_obs::registry()
+        .snapshot()
+        .counter("calibration.watchdog_trips");
+    let mut after = before;
+    let advisor = serve_a_stream(&db, advisor_on(&db, injected), |client| {
+        let started = std::time::Instant::now();
+        while after == before && started.elapsed() < Duration::from_secs(60) {
+            after = trips(client);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    });
+    assert!(after > before, "calibration.watchdog_trips must move");
+    assert_eq!(advisor.errors, 0);
+    let decisions = advisor.advisor.decisions();
+    assert!(decisions.len() >= STATEMENTS / WINDOW);
+    assert!(
+        decisions.iter().all(|d| d.calibration.is_some()),
+        "every served decision carries calibration"
+    );
+    assert!(advisor.advisor.calibration().report().alerts > 0);
+}
+
+/// A served session has no live-shape oracle prediction, so under
+/// `ModelAccount` it sends no calibration pair — and the advisor keeps
+/// deciding instead of failing.
+#[test]
+fn served_model_account_advisor_keeps_deciding() {
+    let db = loaded_db(31);
+    let account = CalibrationOptions {
+        mode: CalibrationMode::ModelAccount,
+        ..CalibrationOptions::default()
+    };
+    let advisor = serve_a_stream(&db, advisor_on(&db, account), |_| {});
+    assert_eq!(advisor.errors, 0, "the advisor loop must stay clean");
+    let decisions = advisor.advisor.decisions();
+    assert!(decisions.len() >= STATEMENTS / WINDOW);
+    assert!(decisions.iter().any(|d| d.changed));
+    assert_eq!(advisor.advisor.calibration().windows(), 0);
+}
+
+/// A saved advisor state that does not restore — or that advises
+/// another table — stops the server instead of granting a fresh change
+/// budget.
+#[test]
+fn unrestorable_advisor_state_is_an_error() {
+    let serve = |db: Arc<Database>, advisor: OnlineAdvisor| {
+        let server = Server::bind(db, "127.0.0.1:0").expect("bind").with_advisor(
+            advisor,
+            Duration::from_secs(30),
+            2,
+        );
+        let (handle, join) = start(server);
+        // Ends a server that wrongly started serving.
+        handle.shutdown();
+        join.join().expect("server thread")
+    };
+
+    let db = loaded_db(37);
+    let advisor = advisor_on(&db, CalibrationOptions::default());
+    db.set_app_state(b"not an advisor state".to_vec())
+        .expect("in-memory state");
+    let outcome = serve(db, advisor);
+    assert!(matches!(outcome, Err(Error::Corrupt(_))), "served anyway");
+
+    // The saved session advises t; the advisor given is built for u.
+    let db = loaded_db(41);
+    let schema = ["a", "b", "c", "d"].map(ColumnDef::int).to_vec();
+    db.create_table("u", Schema::new(schema))
+        .expect("fresh table");
+    db.analyze("u").expect("table exists");
+    let on_t = advisor_on(&db, CalibrationOptions::default());
+    db.set_app_state(on_t.save_state())
+        .expect("in-memory state");
+    let mut options = on_t.options().clone();
+    options.advisor.structures = Some(vec![IndexSpec::new("u", &["a"])]);
+    let on_u = OnlineAdvisor::new(&db, "u", options).expect("advisor opens");
+    let outcome = serve(db, on_u);
+    assert!(
+        matches!(outcome, Err(Error::InvalidArgument(_))),
+        "served t's session as u's: {:?}",
+        outcome.err()
+    );
 }

@@ -409,6 +409,19 @@ pub enum Statement {
     },
 }
 
+impl Statement {
+    /// The workload-statement form of a `SELECT`, `UPDATE` or `DELETE`
+    /// (cloned); `None`, without cloning, for any other statement.
+    pub fn as_dml(&self) -> Option<Dml> {
+        match self {
+            Statement::Select(s) => Some(Dml::Select(s.clone())),
+            Statement::Update(u) => Some(Dml::Update(u.clone())),
+            Statement::Delete(d) => Some(Dml::Delete(d.clone())),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for Projection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -359,11 +359,6 @@ impl CalibrationTracker {
         self.in_breach
     }
 
-    /// The knobs this tracker runs under.
-    pub fn options(&self) -> &CalibrationOptions {
-        &self.options
-    }
-
     /// Snapshot the tracker into a report.
     pub fn report(&self) -> CalibrationReport {
         CalibrationReport {
@@ -502,25 +497,30 @@ fn inject(options: &CalibrationOptions, plan: &str, predicted_ios: u64) -> u64 {
     }
 }
 
-/// Pair one executed statement's result with its prediction and fold
-/// it into `window`. `oracle_prediction` carries the
+/// One executed statement's `(predicted, actual, path)` calibration
+/// pair, in page I/Os: the arguments of [`WindowCalibration::record`].
+pub type CostPair = (u64, u64, PathKind);
+
+/// The pair `options` compares for one executed statement, with any
+/// injected mis-costing applied. `oracle_prediction` carries the
 /// [`CalibrationMode::ModelAccount`] prediction in page I/Os (ignored
-/// under [`CalibrationMode::MeasuredIo`]).
-pub(crate) fn record_result(
+/// under [`CalibrationMode::MeasuredIo`]); without it that mode has no
+/// pair, which is what a served session — holding no live-shape oracle
+/// — gets.
+pub fn pair(
     options: &CalibrationOptions,
-    window: &mut WindowCalibration,
     r: &QueryResult,
     oracle_prediction: Option<u64>,
-) {
-    let path = PathKind::of_plan(&r.plan);
+) -> Option<CostPair> {
     let (predicted, actual) = match options.mode {
         CalibrationMode::MeasuredIo => (r.est_cost.ios(), r.io.total()),
-        CalibrationMode::ModelAccount => (
-            oracle_prediction.expect("ModelAccount requires a prediction"),
-            r.est_cost.ios(),
-        ),
+        CalibrationMode::ModelAccount => (oracle_prediction?, r.est_cost.ios()),
     };
-    window.record(inject(options, &r.plan, predicted), actual, path);
+    Some((
+        inject(options, &r.plan, predicted),
+        actual,
+        PathKind::of_plan(&r.plan),
+    ))
 }
 
 /// [`CalibrationMode::ModelAccount`] predictions for a batch of
@@ -794,5 +794,31 @@ mod tests {
         assert_eq!(inject(&opts, "SeqScan cost=12.0", 10), 10);
         let off = CalibrationOptions::default();
         assert_eq!(inject(&off, "IndexSeek(t_a) cost=3.0", 10), 10);
+    }
+
+    #[test]
+    fn model_account_without_a_prediction_has_no_pair() {
+        let r = QueryResult {
+            count: 1,
+            rows: None,
+            aggregate: None,
+            io: cdpd_storage::IoStats {
+                reads: 7,
+                ..Default::default()
+            },
+            est_cost: cdpd_types::Cost::from_ios(3),
+            plan: "IndexSeek(t_a) cost=3.0".into(),
+        };
+        let measured = CalibrationOptions::default();
+        assert_eq!(pair(&measured, &r, None), Some((3, 7, PathKind::IndexSeek)));
+        let account = CalibrationOptions {
+            mode: CalibrationMode::ModelAccount,
+            ..Default::default()
+        };
+        assert_eq!(pair(&account, &r, None), None);
+        assert_eq!(
+            pair(&account, &r, Some(4)),
+            Some((4, 3, PathKind::IndexSeek))
+        );
     }
 }

@@ -11,6 +11,10 @@
 //! rolling change budget `k` — so each boundary costs suffix work, not
 //! an O(n) cold solve.
 //!
+//! [`OnlineAdvisor::step`] wraps that core for the two drivers,
+//! [`crate::replay::drive`] and the server's advisor loop: at every seal
+//! it calibrates, refreshes statistics, persists and applies.
+//!
 //! The §7 *design alerter* is this loop's gate: every sealed window is
 //! scored for degradation (live design vs best single candidate), the
 //! signal rides on every [`OnlineDecision`], and
@@ -28,14 +32,14 @@
 
 use crate::advisor::{recommend_for_workload, AdvisorOptions, Recommendation};
 use crate::calibrate::{
-    CalibrationOptions, CalibrationReport, CalibrationTracker, WindowCalibration,
+    CalibrationOptions, CalibrationReport, CalibrationTracker, CostPair, WindowCalibration,
 };
 use crate::candidates::candidate_indexes;
 use crate::oracle::EngineOracle;
 use cdpd_core::{
     decompose, kaware, seqgraph, Config, CostOracle, Problem, ProjectableOracle, ProjectedOracle,
 };
-use cdpd_engine::{Database, IndexSpec, StatsRefresh, WhatIfEngine};
+use cdpd_engine::{Database, DdlReport, IndexSpec, StatsRefresh, WhatIfEngine};
 use cdpd_sql::Dml;
 use cdpd_storage::codec::{
     put_bool, put_f64, put_list, put_opt, put_str, put_u16, put_u64, Reader,
@@ -79,8 +83,8 @@ pub struct OnlineOptions {
     /// [`DEFAULT_MAX_CANDIDATES`].
     pub max_candidates: usize,
     /// Knobs for the predicted-vs-actual calibration tracker the
-    /// session folds executed windows into (drivers feed it via
-    /// [`OnlineAdvisor::note_calibration`]). The drift score and any
+    /// session folds executed windows into (drivers feed it pairs
+    /// through [`OnlineAdvisor::step`]). The drift score and any
     /// watchdog state ride on every [`OnlineDecision::calibration`].
     pub calibration: CalibrationOptions,
 }
@@ -126,17 +130,36 @@ pub struct OnlineDecision {
     /// horizon, counted as [`cdpd_core::Schedule`] counts them.
     pub changes_used: usize,
     /// Predicted-vs-actual calibration state at this seal, when a
-    /// driver has fed executed windows in
-    /// ([`OnlineAdvisor::note_calibration`]); `None` in sessions that
-    /// only ingest. Runtime telemetry, not decision state: it is *not*
-    /// persisted by [`OnlineAdvisor::save_state`], and restored
-    /// decisions carry `None`.
+    /// driver has fed calibration pairs in ([`OnlineAdvisor::step`]);
+    /// `None` in sessions that only ingest. Runtime telemetry, not
+    /// decision state: it is *not* persisted by
+    /// [`OnlineAdvisor::save_state`], and restored decisions carry
+    /// `None`.
     pub calibration: Option<CalibrationReport>,
 }
 
+/// What [`OnlineAdvisor::step`] observes.
+#[derive(Clone, Copy, Debug)]
+pub enum Observed<'a> {
+    /// A statement that ran, with its calibration pair
+    /// ([`crate::calibrate::pair`]) when the driver has one.
+    Statement(&'a Dml, Option<CostPair>),
+    /// A wall-clock boundary: seal the open window now, short of its
+    /// statement count (a no-op when it is empty).
+    Tick,
+}
+
+/// What [`OnlineAdvisor::step`] did when its input sealed a window.
+#[derive(Clone, Debug)]
+pub struct Step {
+    /// The seal's decision.
+    pub decision: OnlineDecision,
+    /// The DDL that applied it, when the decision changed the design.
+    pub applied: Option<DdlReport>,
+}
+
 /// A streaming advisory session over one table. See the module docs
-/// for the pipeline; see [`crate::replay::drive`] for a driver that
-/// executes statements and applies decisions.
+/// for the pipeline; [`OnlineAdvisor::step`] executes its decisions.
 pub struct OnlineAdvisor {
     table: String,
     options: OnlineOptions,
@@ -168,6 +191,11 @@ pub struct OnlineAdvisor {
     rebuilds: usize,
     /// Predicted-vs-actual drift over the windows a driver executed.
     calibration: CalibrationTracker,
+    /// Calibration pairs the open window has collected so far.
+    open_pairs: WindowCalibration,
+    /// Set while a sealed window is decided and applied; left set when
+    /// that fails, which stops the session ([`OnlineAdvisor::step`]).
+    stopped: bool,
 }
 
 impl OnlineAdvisor {
@@ -231,6 +259,8 @@ impl OnlineAdvisor {
             resolves: 0,
             rebuilds: 0,
             calibration,
+            open_pairs: WindowCalibration::default(),
+            stopped: false,
         })
     }
 
@@ -254,9 +284,9 @@ impl OnlineAdvisor {
         self.stream.is_empty()
     }
 
-    /// Whether the next [`OnlineAdvisor::ingest`] will seal a window
-    /// (and therefore run the seal pipeline). Drivers use this to fold
-    /// pending statistics deltas in *before* the re-solve.
+    /// Whether the next statement will seal a window (and therefore
+    /// run the seal pipeline); [`OnlineAdvisor::step`] refreshes
+    /// statistics before such a seal.
     pub fn next_seals(&self) -> bool {
         self.stream.open_len() + 1 == self.options.advisor.window_len
     }
@@ -315,20 +345,82 @@ impl OnlineAdvisor {
     }
 
     /// The predicted-vs-actual drift tracker. Empty until a driver
-    /// feeds executed windows in via
-    /// [`OnlineAdvisor::note_calibration`].
+    /// feeds calibration pairs in through [`OnlineAdvisor::step`].
     pub fn calibration(&self) -> &CalibrationTracker {
         &self.calibration
     }
 
-    /// Fold one executed window's predicted-vs-actual pairs into the
-    /// session's drift tracker ([`crate::replay::drive`] calls this
-    /// before the window's statements are ingested, so the seal-time
-    /// decision carries the window's drift). Returns `true` while the
-    /// drift is outside the configured band — the watchdog state that
-    /// also rides on [`OnlineDecision::calibration`].
-    pub fn note_calibration(&mut self, window: &WindowCalibration) -> bool {
-        self.calibration.observe_window(window)
+    /// The driver step: observe one executed statement with its
+    /// calibration pair, or a tick. When the input seals a window,
+    /// refresh statistics into the warm oracle, seal, fold the window's
+    /// pairs into the drift tracker and decide; for a changed decision,
+    /// save [`OnlineAdvisor::save_state`] into a durable database
+    /// *before* applying the design on up to `threads` builders, so a
+    /// crash can over-count the changes spent, never under-count them.
+    /// `None` when the input sealed nothing.
+    ///
+    /// # Errors
+    /// A statement on another table and refresh errors leave the
+    /// session as it was. Solver, persistence and DDL errors come after
+    /// the seal and stop the session: it refuses every later input, so
+    /// it never saves a stream a window ahead of its decisions.
+    pub fn step(
+        &mut self,
+        db: &Database,
+        input: Observed<'_>,
+        threads: usize,
+    ) -> Result<Option<Step>> {
+        let seals = match input {
+            Observed::Statement(..) => self.next_seals(),
+            Observed::Tick => self.stream.open_len() > 0,
+        };
+        // Before the seal, so a failed refresh leaves the window open.
+        if seals && !self.stopped {
+            let refresh = db.refresh_stats(&self.table)?;
+            self.note_stats_refresh(db, &refresh)?;
+        }
+        let Some(decision) = self.observe(db, input)? else {
+            return Ok(None);
+        };
+        let mut applied = None;
+        if decision.changed {
+            let _span = cdpd_obs::span!("online.apply", window = decision.window);
+            // A failed save or build stops the session, like a failed
+            // decision: the design would lag what the session commits.
+            self.stopped = true;
+            if db.is_durable() {
+                db.set_app_state(self.save_state())?;
+            }
+            applied = Some(db.apply_configuration_with(&self.table, &decision.specs, threads)?);
+            self.stopped = false;
+        }
+        Ok(Some(Step { decision, applied }))
+    }
+
+    /// Resume the session a database holds in its
+    /// [`Database::app_state`], under this session's options, and
+    /// re-apply its committed design: a crash between saving a change
+    /// and finishing its DDL leaves the database behind a change that
+    /// is already counted. Without saved state, `self` is returned.
+    ///
+    /// # Errors
+    /// A state that does not restore, or that advises another table,
+    /// is an error, never answered with a fresh budget; DDL errors
+    /// propagate.
+    pub fn resume(self, db: &Database, threads: usize) -> Result<OnlineAdvisor> {
+        let state = db.app_state();
+        if state.is_empty() {
+            return Ok(self);
+        }
+        let restored = OnlineAdvisor::restore(db, self.options, &state)?;
+        if restored.table != self.table {
+            return Err(Error::InvalidArgument(format!(
+                "the saved session advises table {}, this one {}",
+                restored.table, self.table
+            )));
+        }
+        db.apply_configuration_with(&restored.table, &restored.live_specs(), threads)?;
+        Ok(restored)
     }
 
     /// Ingest one observed statement. Returns a decision when this
@@ -337,43 +429,41 @@ impl OnlineAdvisor {
     /// # Errors
     /// The statement must target this session's table and validate
     /// against the schema; solver errors (e.g. an infeasible space
-    /// bound) propagate.
+    /// bound) propagate and stop the session ([`OnlineAdvisor::step`]).
     pub fn ingest(&mut self, db: &Database, stmt: &Dml) -> Result<Option<OnlineDecision>> {
-        let evicted_before = self.stream.evicted();
-        let Some(window) = self.stream.push(stmt)? else {
-            return Ok(None);
-        };
-        self.seal_pipeline(db, window, evicted_before).map(Some)
+        self.observe(db, Observed::Statement(stmt, None))
     }
 
-    /// Seal the open window *now*, even though it is short of the
-    /// statement-count boundary — the wall-clock boundary the serving
-    /// loop imposes when traffic goes quiet — and run the full
-    /// seal-time pipeline (vocabulary extension, oracle sync,
-    /// decision). Returns `None` when the open window is empty: nothing
-    /// observed since the last seal, nothing to decide.
-    ///
-    /// # Errors
-    /// Same conditions as [`OnlineAdvisor::ingest`].
-    pub fn seal_now(&mut self, db: &Database) -> Result<Option<OnlineDecision>> {
+    /// Push a statement and its pair, or tick; when that seals a
+    /// window, fold its pairs into the drift tracker, extend the
+    /// vocabulary, sync the oracle and decide.
+    fn observe(&mut self, db: &Database, input: Observed<'_>) -> Result<Option<OnlineDecision>> {
+        if self.stopped {
+            return Err(Error::InvalidArgument(format!(
+                "advisor session for {} stopped: a window failed after it sealed",
+                self.table
+            )));
+        }
         let evicted_before = self.stream.evicted();
-        let Some(window) = self.stream.force_seal() else {
+        let sealed = match input {
+            Observed::Statement(stmt, pair) => {
+                let sealed = self.stream.push(stmt)?;
+                if let Some((predicted, actual, path)) = pair {
+                    self.open_pairs.record(predicted, actual, path);
+                }
+                sealed
+            }
+            Observed::Tick => self.stream.force_seal(),
+        };
+        let Some(window) = sealed else {
             return Ok(None);
         };
-        self.seal_pipeline(db, window, evicted_before).map(Some)
-    }
-
-    /// Everything that happens when window `window` seals: extend the
-    /// vocabulary, sync the oracle, decide. Shared by the
-    /// statement-count path ([`OnlineAdvisor::ingest`]) and the
-    /// wall-clock path ([`OnlineAdvisor::seal_now`]).
-    fn seal_pipeline(
-        &mut self,
-        db: &Database,
-        window: usize,
-        evicted_before: usize,
-    ) -> Result<OnlineDecision> {
+        self.calibration
+            .observe_window(&std::mem::take(&mut self.open_pairs));
         let _span = cdpd_obs::span!("online.seal", window = window);
+        // Until its decision is in, the stream is a window ahead of the
+        // commits: an error on the way leaves the session stopped.
+        self.stopped = true;
         if self.stream.evicted() != evicted_before {
             // Stage indices shifted under the oracle: memo unusable.
             self.rebuild = true;
@@ -382,14 +472,15 @@ impl OnlineAdvisor {
             .stream
             .last_sealed()
             .cloned()
-            .expect("caller just sealed this window");
+            .expect("this call just sealed the window");
         if self.derived {
             self.extend_vocabulary(db, &block)?;
         }
         self.sync_oracle(db, &block)?;
         let decision = self.decide(window)?;
         self.decisions.push(decision.clone());
-        Ok(decision)
+        self.stopped = false;
+        Ok(Some(decision))
     }
 
     /// Ingest a batch, returning every decision made along the way.
@@ -822,6 +913,8 @@ impl OnlineAdvisor {
             // Like the memo, drift is runtime telemetry: it restarts
             // empty and refills as the restored session executes.
             calibration,
+            open_pairs: WindowCalibration::default(),
+            stopped: false,
         })
     }
 
@@ -887,18 +980,10 @@ fn put_weighted_list(out: &mut Vec<u8>, list: &[cdpd_workload::WeightedStatement
 fn read_weighted_list(r: &mut Reader<'_>) -> Result<Vec<cdpd_workload::WeightedStatement>> {
     r.list(|r| {
         let sql = r.str()?;
-        let parsed = cdpd_sql::parse(&sql)
-            .map_err(|e| Error::Corrupt(format!("persisted statement does not parse: {e}")))?;
-        let statement = match parsed {
-            cdpd_sql::Statement::Select(s) => Dml::Select(s),
-            cdpd_sql::Statement::Update(u) => Dml::Update(u),
-            cdpd_sql::Statement::Delete(d) => Dml::Delete(d),
-            _ => {
-                return Err(Error::Corrupt(format!(
-                    "persisted statement is not DML: {sql}"
-                )))
-            }
-        };
+        let statement = cdpd_sql::parse(&sql)
+            .map_err(|e| Error::Corrupt(format!("persisted statement does not parse: {e}")))?
+            .as_dml()
+            .ok_or_else(|| Error::Corrupt(format!("persisted statement is not DML: {sql}")))?;
         let count = r.u64()?;
         Ok(cdpd_workload::WeightedStatement { statement, count })
     })
@@ -1010,12 +1095,13 @@ mod tests {
         for i in 0..20 {
             assert!(adv.ingest(&db, &q("c", i)).unwrap().is_none());
         }
-        assert!(adv.seal_now(&db).unwrap().is_some());
+        assert!(adv.step(&db, Observed::Tick, 1).unwrap().is_some());
+        assert!(adv.step(&db, Observed::Tick, 1).unwrap().is_none());
         let mut seals = 0;
         for i in 0..100 {
             let predicted = adv.next_seals();
             let sealed = adv.ingest(&db, &q("c", i)).unwrap().is_some();
-            assert_eq!(predicted, sealed, "statement {i} after seal_now");
+            assert_eq!(predicted, sealed, "statement {i} after a tick");
             seals += usize::from(sealed);
         }
         assert_eq!(seals, 2);
@@ -1122,18 +1208,19 @@ mod tests {
             adv.ingest(&db, &q("a", i % 100)).unwrap();
         }
         assert!(!adv.decisions()[1].resolved, "design holds");
-        // A 10× systematic mis-costing trips the drift watchdog; the
-        // degradation estimate is now untrustworthy, so the next seal
-        // must re-solve even though it is still under the threshold.
-        let mut w = WindowCalibration::default();
-        w.record(100, 10, PathKind::IndexSeek);
-        assert!(adv.note_calibration(&w), "drift must trip");
+        // A 10× systematic mis-costing trips the drift watchdog as the
+        // window seals; the degradation estimate is now untrustworthy,
+        // so that seal must re-solve even though it is still under the
+        // threshold.
         let alerts = || cdpd_obs::registry().snapshot().counter("online.alerts");
         let before = alerts();
         let mut decision = None;
         for i in 0..50 {
-            decision = adv.ingest(&db, &q("a", i)).unwrap().or(decision);
+            let pair = Some((100, 10, PathKind::IndexSeek));
+            let step = adv.step(&db, Observed::Statement(&q("a", i), pair), 1);
+            decision = step.unwrap().map(|s| s.decision).or(decision);
         }
+        assert!(adv.calibration().in_breach(), "drift must trip");
         let d = decision.expect("the window sealed");
         assert!(d.resolved, "tripped drift forces a re-solve");
         assert!(d.degradation <= 0.5, "{}", d.degradation);
@@ -1235,6 +1322,24 @@ mod tests {
             adv.ingest(&db, &q("b", i)).unwrap();
         }
         assert_eq!(adv.decisions().len(), 3);
+    }
+
+    #[test]
+    fn step_refreshes_the_statistics_a_window_wrote_before_it_seals() {
+        let db = db_with(5_000, None);
+        let mut adv = OnlineAdvisor::new(&db, "t", opts(20, Some(2))).unwrap();
+        for i in 0..20 {
+            let sql = format!("UPDATE t SET b = {} WHERE a = {}", i % 3, i);
+            let stmt = cdpd_sql::parse(&sql).unwrap().as_dml().unwrap();
+            db.execute_dml(&stmt).unwrap();
+            let sealed = adv.step(&db, Observed::Statement(&stmt, None), 1).unwrap();
+            assert_eq!(sealed.is_some(), i == 19, "statement {i}");
+        }
+        let refresh = db.refresh_stats("t").unwrap();
+        assert!(
+            refresh.is_noop(),
+            "the seal folded the window's deltas: {refresh:?}"
+        );
     }
 
     #[test]

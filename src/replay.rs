@@ -6,10 +6,11 @@
 //! * [`replay`] — the batch form (Figure 3): a *precomputed* schedule
 //!   is applied window by window via online DDL, and every trace
 //!   statement executed with the pager counting logical page I/O;
-//! * [`drive`] — the online form: statements are executed and fed to
-//!   an [`OnlineAdvisor`] one at a time, its design decisions applied
-//!   as they are emitted, and its delta statistics folded in at every
-//!   window boundary. The schedule is *discovered en route*.
+//! * [`drive`] — the online form: each executed statement is fed with
+//!   its calibration pair to the advisor's one driver step
+//!   ([`OnlineAdvisor::step`]), which refreshes statistics, seals and
+//!   applies changed designs at window boundaries — the same step the
+//!   server's advisor loop runs. The schedule is *discovered en route*.
 //!
 //! Both drivers execute each window's *read statements* across a
 //! std-only scoped worker pool ([`cdpd_engine::parallel_map`]): a
@@ -24,8 +25,8 @@
 //!
 //! Both drivers also close the **predicted-vs-actual loop**: each
 //! statement's planner estimate is paired with the page I/O its
-//! thread-local scope measured, folded per window into a drift score
-//! ([`crate::calibrate`]), and surfaced on
+//! thread-local scope measured ([`calibrate::pair`]), folded per window
+//! into a drift score ([`crate::calibrate`]), and surfaced on
 //! [`ReplayReport::calibration`]. [`ReplayOptions::calibration`]
 //! exposes the knobs (comparison mode, drift band, fault injection);
 //! `tests/calibration.rs` uses them to prove the oracle and the
@@ -33,10 +34,10 @@
 
 use crate::advisor::Recommendation;
 use crate::calibrate::{
-    self, CalibrationOptions, CalibrationReport, CalibrationTracker, WindowCalibration,
+    self, CalibrationOptions, CalibrationReport, CalibrationTracker, CostPair, WindowCalibration,
 };
-use crate::online::OnlineAdvisor;
-use cdpd_engine::{default_threads, parallel_map, Database, IndexSpec};
+use crate::online::{Observed, OnlineAdvisor};
+use cdpd_engine::{default_threads, parallel_map, Database, DdlReport, IndexSpec};
 use cdpd_sql::Dml;
 use cdpd_types::{Error, Result};
 use cdpd_workload::Trace;
@@ -60,8 +61,9 @@ pub struct StageReport {
 pub struct ReplayReport {
     /// Per-window measurements.
     pub stages: Vec<StageReport>,
-    /// Logical I/O of the closing transition (when the schedule pins a
-    /// final configuration).
+    /// Logical I/O of the closing transition: the schedule's pinned
+    /// final configuration ([`replay`]), or the last window's decision
+    /// ([`drive`]).
     pub final_trans_io: u64,
     /// Wall-clock time of the whole replay.
     pub wall: Duration,
@@ -100,8 +102,9 @@ impl ReplayReport {
 }
 
 /// Execute window `stage` (`lo..hi` of the trace) with up to `threads`
-/// concurrent readers, returning `(exec_io, rows, statements)` — the
-/// core both drivers run.
+/// concurrent readers, returning `(exec_io, rows, pairs)` — the core
+/// both drivers run — where `pairs` holds each statement's calibration
+/// pair in trace order.
 ///
 /// The window is split at its writes: each maximal run of consecutive
 /// `SELECT`s executes across the scoped worker pool against `&db`
@@ -111,7 +114,6 @@ impl ReplayReport {
 /// serial replay would give them and later reads observe the writes.
 /// Per-statement I/O comes from thread-local scopes, so the summed
 /// `exec_io` is bit-identical to a serial run at any thread count.
-#[allow(clippy::too_many_arguments)]
 fn execute_window(
     db: &Database,
     trace: &Trace,
@@ -120,12 +122,12 @@ fn execute_window(
     hi: usize,
     threads: usize,
     calibration: &CalibrationOptions,
-    window: &mut WindowCalibration,
-) -> Result<(u64, u64, u64)> {
+) -> Result<(u64, u64, Vec<Option<CostPair>>)> {
     let _span = cdpd_obs::span!("replay.window", stage = stage, statements = hi - lo);
     let stmts = &trace.statements()[lo..hi];
     let mut exec_io = 0u64;
     let mut rows = 0u64;
+    let mut pairs = Vec::with_capacity(stmts.len());
     let mut i = 0;
     while i < stmts.len() {
         if matches!(stmts[i], Dml::Select(_)) {
@@ -145,7 +147,11 @@ fn execute_window(
             for (k, r) in results.iter().enumerate() {
                 exec_io += r.io.total();
                 rows += r.count;
-                calibrate::record_result(calibration, window, r, predicted.as_ref().map(|p| p[k]));
+                pairs.push(calibrate::pair(
+                    calibration,
+                    r,
+                    predicted.as_ref().map(|p| p[k]),
+                ));
             }
             i = j;
         } else {
@@ -155,11 +161,11 @@ fn execute_window(
             let r = db.execute_dml(&stmts[i])?;
             exec_io += r.io.total();
             rows += r.count;
-            calibrate::record_result(calibration, window, &r, predicted.map(|p| p[0]));
+            pairs.push(calibrate::pair(calibration, &r, predicted.map(|p| p[0])));
             i += 1;
         }
     }
-    Ok((exec_io, rows, (hi - lo) as u64))
+    Ok((exec_io, rows, pairs))
 }
 
 /// How [`replay`] executes a trace.
@@ -181,39 +187,30 @@ impl Default for ReplayOptions {
     }
 }
 
-/// The window loop under both drivers: enter window 0 with `first`,
-/// then execute each window and hand its statements and calibration
-/// pairs to `after`, whose answer is the design entering the next
-/// window (`None` keeps the live one). `final_trans_io` is left 0 and
-/// `calibration` unset for the caller.
+/// The window loop under both drivers: execute each window, then hand
+/// its statements and calibration pairs to `after`, whose answer is the
+/// DDL (if any) that changed the design entering the next window.
+/// `pending` is the transition made entering window 0; the one after
+/// the last window is `final_trans_io`. `calibration` is left unset for
+/// the caller.
 fn run_windows(
     db: &Database,
     trace: &Trace,
     window_len: usize,
     threads: usize,
     calibration: &CalibrationOptions,
-    first: Option<&[IndexSpec]>,
-    mut after: impl FnMut(&[Dml], &WindowCalibration) -> Result<Option<Vec<IndexSpec>>>,
+    mut pending: Option<DdlReport>,
+    mut after: impl FnMut(usize, &[Dml], Vec<Option<CostPair>>) -> Result<Option<DdlReport>>,
 ) -> Result<ReplayReport> {
     let start = Instant::now();
-    let transition = |stage: usize, specs: &[IndexSpec]| {
-        let _span = cdpd_obs::span!("replay.transition", stage = stage);
-        db.apply_configuration_with(trace.table(), specs, threads)
-    };
     let windows = trace.len().div_ceil(window_len);
     let mut stages = Vec::with_capacity(windows);
-    let mut statements = 0u64;
     let mut row_checksum = 0u64;
-    let mut pending = first.map(|specs| transition(0, specs)).transpose()?;
     for w in 0..windows {
         let lo = w * window_len;
         let hi = ((w + 1) * window_len).min(trace.len());
-        let mut window = WindowCalibration::default();
-        let (exec_io, rows, stmts) =
-            execute_window(db, trace, w, lo, hi, threads, calibration, &mut window)?;
+        let (exec_io, rows, pairs) = execute_window(db, trace, w, lo, hi, threads, calibration)?;
         row_checksum += rows;
-        statements += stmts;
-        let next = after(&trace.statements()[lo..hi], &window)?;
         stages.push(match pending.take() {
             Some(ddl) => StageReport {
                 trans_io: ddl.io.total(),
@@ -226,15 +223,13 @@ fn run_windows(
                 ..StageReport::default()
             },
         });
-        if let Some(specs) = next.filter(|_| w + 1 < windows) {
-            pending = Some(transition(w + 1, &specs)?);
-        }
+        pending = after(w, &trace.statements()[lo..hi], pairs)?;
     }
     Ok(ReplayReport {
         stages,
-        final_trans_io: 0,
+        final_trans_io: pending.map_or(0, |ddl| ddl.io.total()),
         wall: start.elapsed(),
-        statements,
+        statements: trace.len() as u64,
         row_checksum,
         calibration: None,
     })
@@ -269,18 +264,29 @@ pub fn replay(
     }
     let _span = cdpd_obs::span!("replay.run", stages = stage_specs.len());
     let start = Instant::now();
+    let transition = |stage: usize| -> Result<Option<DdlReport>> {
+        let Some(specs) = stage_specs.get(stage) else {
+            return Ok(None);
+        };
+        let _span = cdpd_obs::span!("replay.transition", stage = stage);
+        db.apply_configuration_with(trace.table(), specs, options.threads)
+            .map(Some)
+    };
     let mut tracker = CalibrationTracker::new(options.calibration.clone());
-    let mut next = stage_specs.iter().skip(1);
     let mut report = run_windows(
         db,
         trace,
         window_len,
         options.threads,
         &options.calibration,
-        stage_specs.first().map(Vec::as_slice),
-        |_, window| {
-            tracker.observe_window(window);
-            Ok(next.next().cloned())
+        transition(0)?,
+        |w, _, pairs| {
+            let mut window = WindowCalibration::default();
+            for (predicted, actual, path) in pairs.into_iter().flatten() {
+                window.record(predicted, actual, path);
+            }
+            tracker.observe_window(&window);
+            transition(w + 1)
         },
     )?;
     if let Some(specs) = final_specs {
@@ -315,25 +321,21 @@ pub fn replay_recommendation(
     )
 }
 
-/// Online replay: the thin driver over [`OnlineAdvisor`]. Each window
-/// is executed under the currently live design, then fed to the
-/// advisor statement by statement (with the window's statistics deltas
-/// folded in first, so the seal-time re-solve sees fresh stats); the
-/// decision the seal emits is applied entering the *next* window — the
-/// online loop has no hindsight, which is exactly the difference
-/// between this driver and [`replay`] of a batch recommendation.
-///
-/// The advisor's decision log stays on `advisor` ([`OnlineAdvisor::decisions`]),
-/// and a final [`OnlineAdvisor::finish`] gives the batch-quality
-/// hindsight recommendation for the whole observed trace.
+/// Online replay: the thin driver over [`OnlineAdvisor::step`]. Each
+/// window executes under the live design, then its statements are fed
+/// to the step with their calibration pairs; the one that seals the
+/// window makes the step decide and apply the design entering the
+/// *next* window — no hindsight, which is exactly the difference from
+/// [`replay`] of a batch recommendation. The last window's design
+/// change is [`ReplayReport::final_trans_io`]. The decision log stays on
+/// `advisor`; [`OnlineAdvisor::finish`] gives the hindsight answer.
 ///
 /// `threads` is [`ReplayOptions::threads`]; the calibration knobs are
-/// the session's own ([`crate::OnlineOptions::calibration`]), so the
-/// pairs recorded here and the tracker gating re-solves agree.
+/// the session's own ([`crate::OnlineOptions::calibration`]).
 ///
 /// # Errors
 /// The trace must target the advisor's table; execution, ingestion,
-/// and solver errors propagate.
+/// solver and DDL errors propagate.
 pub fn drive(
     db: &Database,
     trace: &Trace,
@@ -356,21 +358,14 @@ pub fn drive(
         threads,
         &calibration,
         None,
-        |stmts, window| {
-            // Fold this window's calibration pairs and statistics deltas
-            // before the advisor seals it, so the decision the seal
-            // emits carries this window's drift and the re-solve prices
-            // the post-write table.
-            advisor.note_calibration(window);
-            let refresh = db.refresh_stats(trace.table())?;
-            advisor.note_stats_refresh(db, &refresh)?;
-            let mut decision = None;
-            for stmt in stmts {
-                if let Some(d) = advisor.ingest(db, stmt)? {
-                    decision = Some(d);
+        |_, stmts, pairs| {
+            let mut applied = None;
+            for (stmt, pair) in stmts.iter().zip(pairs) {
+                if let Some(step) = advisor.step(db, Observed::Statement(stmt, pair), threads)? {
+                    applied = step.applied;
                 }
             }
-            Ok(decision.filter(|d| d.changed).map(|d| d.specs))
+            Ok(applied)
         },
     )?;
     report.calibration = Some(advisor.calibration().report());

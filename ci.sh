@@ -91,6 +91,15 @@ for seed in 0x5eed 0xc0ffee 0xdecade; do
     --test btree_prop in_place_edits_match_reference
 done
 
+echo "== B+-tree gate: arena index build byte-identical under a fixed seed matrix =="
+# CREATE INDEX's arena build must match the build that kept one key
+# vector per row in result, pager calls, tree shape and page bytes.
+for seed in 0x5eed 0xc0ffee 0xdecade; do
+  echo "-- prop seed $seed --"
+  CDPD_PROP_SEED="$seed" cargo test -q --offline -p cdpd-storage \
+    --test btree_prop arena_build_matches_reference
+done
+
 echo "== §7 and §8 entry points run: alerter-gated online loop, the two k answers =="
 # The alerter gate must hold some windows back (a gate that always
 # re-solves is no gate); W1's cost-vs-k curve must knee at its two

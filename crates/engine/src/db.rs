@@ -413,12 +413,12 @@ impl Database {
         let entry = self.table(table)?;
         let entry = &mut *Self::write_entry(&entry);
         let mut maintainer = StatsMaintainer::new(entry.schema.len(), entry.heap.row_count());
-        {
-            let mut scan = entry.heap.scan();
-            while let Some((_, view)) = scan.next_row()? {
-                maintainer.add_row(&view.decode_all()?);
-            }
-        }
+        let mut values = Vec::with_capacity(entry.schema.len());
+        entry.heap.for_each_row(|_, view| {
+            codec::decode_row_into(view.bytes(), &mut values)?;
+            maintainer.add_row(&values);
+            Ok(())
+        })?;
         maintainer.take_refresh(); // the scan itself is not pending DML
         let stats = Arc::new(maintainer.snapshot(entry.heap.page_count()));
         entry.stats = Some(stats.clone());

@@ -12,7 +12,11 @@
 //! across columns falls back to decoding the [`Value`] and calling
 //! `Condition::matches` (the rule is spelled out in [`crate::filter`]).
 //! An index range scan stops on the same compiler's test of its upper
-//! bound.
+//! bound. A sequential scan walks the heap a page at a time through
+//! `HeapFile::for_each_row`; when every conjunct is an integer test at
+//! a fixed row offset it checks the filter's
+//! [`RowKernel`](crate::RowKernel) form straight on the row bytes, and
+//! a `COUNT(*)` adds each answer without branching on it.
 //!
 //! Every access path feeds one [`Sink`]: a count, the rids of the
 //! matches (the locate phase of UPDATE/DELETE), projected rows, or an
@@ -183,6 +187,7 @@ impl Sink {
     }
 
     /// Deliver one match; `fields` locates [`Sink::columns`] in it.
+    #[inline]
     fn push(&mut self, rid: Rid, record: &mut impl Record, fields: &[Field]) -> Result<()> {
         match self {
             Sink::Count(n) => *n += 1,
@@ -223,6 +228,7 @@ impl Fold {
         }
     }
 
+    #[inline]
     fn push(&mut self, record: &mut impl Record, field: Field) -> Result<()> {
         self.n += 1;
         match self.func {
@@ -343,9 +349,20 @@ fn walk(
     match &planned.plan {
         Plan::SeqScan => {
             let judge = Judge::new(table, rows, planned, sink)?;
-            let mut scan = table.heap.scan();
-            while let Some((rid, view)) = scan.next_row()? {
-                judge.record(rid, &mut Row(view), sink)?;
+            match (judge.filter.row_kernel(), &mut *sink) {
+                (Some(kernel), Sink::Count(n)) => table.heap.for_each_row(|_, view| {
+                    *n += u64::from(kernel.matches(view)?);
+                    Ok(())
+                })?,
+                (Some(kernel), sink) => table.heap.for_each_row(|rid, view| {
+                    if kernel.matches(view)? {
+                        sink.push(rid, &mut Row(view), &judge.fields)?;
+                    }
+                    Ok(())
+                })?,
+                (None, sink) => table
+                    .heap
+                    .for_each_row(|rid, view| judge.record(rid, &mut Row(view), sink))?,
             }
         }
         Plan::IndexSeek {

@@ -176,10 +176,11 @@ impl Spans {
         }
     }
 
+    /// Whether `v` lies in a span, tested without branching on `v`.
     #[inline(always)]
     fn contains(&self, v: i64) -> bool {
-        let within = |&(lo, hi): &(i64, i64)| (lo <= v) & (v <= hi);
-        within(&self.first) || self.more.iter().any(within)
+        let within = |hit: bool, &(lo, hi): &(i64, i64)| hit | ((lo <= v) & (v <= hi));
+        self.more.iter().fold(within(false, &self.first), within)
     }
 }
 
@@ -197,6 +198,8 @@ enum Conjunct {
 #[derive(Debug)]
 pub struct Filter {
     conjuncts: Vec<Conjunct>,
+    /// Whether the layout is heap rows (else index keys).
+    rows: bool,
 }
 
 impl Filter {
@@ -234,7 +237,10 @@ impl Filter {
                 ),
             });
         }
-        Ok(Filter { conjuncts })
+        Ok(Filter {
+            conjuncts,
+            rows: matches!(layout, Layout::Rows(_)),
+        })
     }
 
     /// Compile `conditions` for the heap rows of `schema`.
@@ -259,6 +265,26 @@ impl Filter {
             .iter()
             .filter(|c| matches!(c, Conjunct::Int { .. }))
             .count()
+    }
+
+    /// The fixed-offset form of a heap-row filter: `Some` when every
+    /// conjunct is an integer test on an `INT` column behind only `INT`
+    /// columns (at byte offset `9·col`), `None` for a key filter or when
+    /// any conjunct reads a column behind a `STR` one or decodes.
+    pub fn row_kernel(&self) -> Option<RowKernel<'_>> {
+        if !self.rows {
+            return None;
+        }
+        let tests = self.conjuncts.iter().map(|conjunct| match conjunct {
+            Conjunct::Int {
+                field: Field::Int9(col),
+                spans,
+            } => Some((*col, spans)),
+            _ => None,
+        });
+        Some(RowKernel {
+            tests: tests.collect::<Option<_>>()?,
+        })
     }
 
     /// Whether `record` satisfies every conjunct.
@@ -295,6 +321,35 @@ impl Filter {
     /// every conjunct (for a filter from [`Filter::for_keys`]).
     pub fn matches_key(&self, key: &[u8]) -> Result<bool> {
         self.matches(&mut Key::new(key))
+    }
+}
+
+/// A heap-row [`Filter`] whose every conjunct is an integer test at a
+/// fixed offset, flattened for the sequential scan: the `(column,
+/// spans)` of each conjunct, in the filter's order.
+#[derive(Debug)]
+pub struct RowKernel<'f> {
+    tests: Vec<(usize, &'f Spans)>,
+}
+
+impl RowKernel<'_> {
+    /// Whether `row` satisfies every conjunct, answered and erring
+    /// exactly as [`Filter::matches_row`]: each integer is read with
+    /// [`RowView::int_fixed`] (the same tag check and errors), and a
+    /// read error surfaces only if every earlier conjunct held, which
+    /// is when the filter would have made that read. No test branches
+    /// on the value read, so a scan pays no misprediction per match.
+    #[inline(always)]
+    pub fn matches(&self, row: RowView<'_>) -> Result<bool> {
+        let mut all = true;
+        for &(col, spans) in &self.tests {
+            match row.int_fixed(col) {
+                Ok(v) => all &= spans.contains(v),
+                Err(e) if all => return Err(e),
+                Err(_) => return Ok(false),
+            }
+        }
+        Ok(all)
     }
 }
 

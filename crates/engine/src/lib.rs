@@ -37,7 +37,7 @@ pub use catalog::{IndexSpec, TableSnapshot};
 pub use cost::{CostModel, IndexShape};
 pub use db::{Database, DdlReport, QueryResult};
 pub use exec::ExecOutcome;
-pub use filter::Filter;
+pub use filter::{Filter, RowKernel};
 pub use par::{default_threads, parallel_map};
 pub use planner::{BoundCondition, IndexInfo, PlannedWrite, PlannerFlags, Prepared};
 pub use planner::{Plan, PlannedQuery, Planner};

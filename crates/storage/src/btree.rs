@@ -151,6 +151,18 @@ fn full_key(values: &[Value], rid: Rid) -> Vec<u8> {
     key
 }
 
+/// The 8 bytes of `key` from byte `from` on, zero-padded, as a
+/// big-endian integer. Among keys that agree on their first `from`
+/// bytes it never orders two keys against their byte order, so a sort
+/// can compare it first and compare the full keys only when it ties.
+fn sort_window(key: &[u8], from: usize) -> u64 {
+    let rest = key.get(from..).unwrap_or_default();
+    let mut head = [0u8; 8];
+    let n = rest.len().min(8);
+    head[..n].copy_from_slice(&rest[..n]);
+    u64::from_be_bytes(head)
+}
+
 /// Where `key` sits in a leaf, found by walking its entries: the byte
 /// offset of the first entry ≥ `key`, whether that entry is `key`
 /// itself, and the end of the used bytes.
@@ -192,24 +204,52 @@ impl BTree {
     }
 
     /// `CREATE INDEX`'s scan → sort → load: index `heap` on the row
-    /// columns `columns` (in key order). Each row's key is encoded
-    /// straight from the row bytes into `key ++ rid`, the keys are
-    /// sorted as plain bytes (the in-memory stand-in for an external
-    /// sort), and [`BTree::bulk_load_keys`] packs them. The tree shares
-    /// the heap's pager.
+    /// columns `columns` (in key order). One pass of
+    /// [`HeapFile::for_each_row`] encodes each row's `key ++ rid`
+    /// straight from the row bytes into one shared byte arena, sized up
+    /// front for `INT` keys. The `(start, end)` spans of those keys are
+    /// sorted by their bytes (the in-memory stand-in for an external
+    /// sort), comparing first the 8 bytes after the prefix every key
+    /// shares, kept beside each span, and the arena's bytes only where
+    /// those tie; [`BTree::bulk_load_keys`] packs the slices. Keys are
+    /// unique through their rid, so the order is the byte order of the
+    /// keys themselves, and nothing is allocated per row. The tree
+    /// shares the heap's pager.
     pub fn build_from_heap(heap: &HeapFile, columns: &[usize]) -> Result<BTree> {
-        let mut keys = Vec::with_capacity(heap.row_count() as usize);
-        let mut scan = heap.scan();
-        while let Some((rid, row)) = scan.next_row()? {
-            let mut key = Vec::with_capacity(9 * columns.len() + RID_LEN);
+        let rows = heap.row_count() as usize;
+        let mut arena = Vec::with_capacity(rows * (9 * columns.len() + RID_LEN));
+        let mut spans: Vec<(u64, u32, u32)> = Vec::with_capacity(rows);
+        let offset = |len: usize| {
+            u32::try_from(len).map_err(|_| Error::TooLarge(format!("{len} bytes of index keys")))
+        };
+        heap.for_each_row(|rid, row| {
+            let start = offset(arena.len())?;
             for &col in columns {
-                row.encode_key_column(col, &mut key)?;
+                row.encode_key_column(col, &mut arena)?;
             }
-            encode_rid(rid, &mut key);
-            keys.push(key);
+            encode_rid(rid, &mut arena);
+            spans.push((0, start, offset(arena.len())?));
+            Ok(())
+        })?;
+        let key = |&(_, start, end): &(u64, u32, u32)| &arena[start as usize..end as usize];
+        // Bytes every key shares cannot order two of them: the sort
+        // compares the 8 bytes after those first.
+        let shared = spans.first().map_or(0, |first| {
+            let first = key(first);
+            spans.iter().fold(first.len(), |shared, span| {
+                let other = key(span);
+                first[..shared]
+                    .iter()
+                    .zip(other)
+                    .take_while(|(a, b)| a == b)
+                    .count()
+            })
+        });
+        for span in &mut spans {
+            span.0 = sort_window(key(span), shared);
         }
-        keys.sort_unstable();
-        BTree::bulk_load_keys(heap.pager().clone(), keys)
+        spans.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a).cmp(key(b))));
+        BTree::bulk_load_keys(heap.pager().clone(), spans.iter().map(key))
     }
 
     /// Build a tree from entries **sorted by `(values, rid)`**: the
@@ -252,7 +292,7 @@ impl BTree {
         let mut used = LEAF_HDR;
         let mut in_leaf = 0u16;
         let mut entry_count = 0u64;
-        let mut prev_key: Option<Vec<u8>> = None;
+        let mut prev: Option<I::Item> = None;
 
         // Write the packed image as a new leaf and link its predecessor.
         let flush = |image: &mut [u8; PAGE_SIZE],
@@ -274,22 +314,15 @@ impl BTree {
             Ok(())
         };
 
-        for key in keys {
-            let key = key.as_ref();
+        for item in keys {
+            let key = item.as_ref();
             if LEAF_HDR + 2 + key.len() > PAGE_SIZE {
                 return Err(Error::TooLarge(format!("index key of {} bytes", key.len())));
             }
-            match &mut prev_key {
-                Some(prev) if prev.as_slice() >= key => {
-                    return Err(Error::InvalidArgument(
-                        "bulk_load input must be strictly sorted by (values, rid)".into(),
-                    ));
-                }
-                Some(prev) => {
-                    prev.clear();
-                    prev.extend_from_slice(key);
-                }
-                None => prev_key = Some(key.to_vec()),
+            if prev.as_ref().is_some_and(|prev| prev.as_ref() >= key) {
+                return Err(Error::InvalidArgument(
+                    "bulk_load input must be strictly sorted by (values, rid)".into(),
+                ));
             }
             if used + 2 + key.len() > budget && in_leaf > 0 {
                 flush(&mut image, in_leaf, &mut leaves)?;
@@ -301,6 +334,7 @@ impl BTree {
             used += 2 + key.len();
             in_leaf += 1;
             entry_count += 1;
+            prev = Some(item);
         }
         if in_leaf > 0 {
             flush(&mut image, in_leaf, &mut leaves)?;

@@ -59,12 +59,20 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) {
 }
 
 /// Decode a full row.
-pub fn decode_row(mut bytes: &[u8]) -> Result<Vec<Value>> {
+pub fn decode_row(bytes: &[u8]) -> Result<Vec<Value>> {
     let mut out = Vec::new();
+    decode_row_into(bytes, &mut out)?;
+    Ok(out)
+}
+
+/// Decode a full row into `out`, replacing its contents: a caller that
+/// decodes row after row reuses one buffer.
+pub fn decode_row_into(mut bytes: &[u8], out: &mut Vec<Value>) -> Result<()> {
+    out.clear();
     while !bytes.is_empty() {
         out.push(decode_value(&mut bytes)?);
     }
-    Ok(out)
+    Ok(())
 }
 
 fn decode_value(bytes: &mut &[u8]) -> Result<Value> {
@@ -80,22 +88,24 @@ fn decode_value(bytes: &mut &[u8]) -> Result<Value> {
             *bytes = rest;
             Ok(Value::Int(i64::from_le_bytes(*head)))
         }
-        TAG_STR => {
-            let (head, rest) = bytes
-                .split_first_chunk::<2>()
-                .ok_or_else(|| Error::Corrupt("truncated row: short str len".into()))?;
-            let len = u16::from_le_bytes(*head) as usize;
-            if rest.len() < len {
-                return Err(Error::Corrupt("truncated row: short str body".into()));
-            }
-            let s = std::str::from_utf8(&rest[..len])
-                .map_err(|_| Error::Corrupt("row string is not UTF-8".into()))?
-                .to_owned();
-            *bytes = &rest[len..];
-            Ok(Value::Str(s))
-        }
+        TAG_STR => Ok(Value::Str(decode_str(bytes)?.to_owned())),
         tag => Err(Error::Corrupt(format!("unknown value tag {tag:#x}"))),
     }
+}
+
+/// The body of a `STR` value whose tag was just consumed, borrowed.
+fn decode_str<'b>(bytes: &mut &'b [u8]) -> Result<&'b str> {
+    let (head, rest) = bytes
+        .split_first_chunk::<2>()
+        .ok_or_else(|| Error::Corrupt("truncated row: short str len".into()))?;
+    let len = u16::from_le_bytes(*head) as usize;
+    if rest.len() < len {
+        return Err(Error::Corrupt("truncated row: short str body".into()));
+    }
+    let s = std::str::from_utf8(&rest[..len])
+        .map_err(|_| Error::Corrupt("row string is not UTF-8".into()))?;
+    *bytes = &rest[len..];
+    Ok(s)
 }
 
 /// Zero-copy accessor over an encoded row.
@@ -110,15 +120,18 @@ pub struct RowView<'a> {
 
 impl<'a> RowView<'a> {
     /// Wrap encoded row bytes.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> RowView<'a> {
         RowView { bytes }
     }
 
     /// The raw encoded bytes.
+    #[inline]
     pub fn bytes(&self) -> &'a [u8] {
         self.bytes
     }
 
+    #[inline]
     fn offset_of(&self, col: usize) -> Result<usize> {
         let mut off = 0usize;
         for _ in 0..col {
@@ -150,20 +163,29 @@ impl<'a> RowView<'a> {
         decode_value(&mut rest)
     }
 
-    /// The integer whose tag sits at byte `off`.
-    #[inline]
+    /// The integer whose tag sits at byte `off`: one bounds check and
+    /// one tag test inline, the error built out of line.
+    #[inline(always)]
     fn int_at(&self, off: usize) -> Result<i64> {
-        match self.bytes.get(off) {
-            Some(&TAG_INT) => {
-                let b = self
-                    .bytes
-                    .get(off + 1..off + 9)
-                    .ok_or_else(|| Error::Corrupt("truncated int column".into()))?;
-                Ok(i64::from_le_bytes(b.try_into().expect("slice is 8 bytes")))
+        if let Some(b) = self.bytes.get(off..off + 9) {
+            if b[0] == TAG_INT {
+                return Ok(i64::from_le_bytes(
+                    b[1..].try_into().expect("slice is 8 bytes"),
+                ));
             }
-            Some(_) => Err(Error::TypeMismatch("column is not INT".into())),
-            None => Err(Error::Corrupt("row too short".into())),
         }
+        self.int_error(off)
+    }
+
+    /// Why no integer's tag sits at byte `off`.
+    #[cold]
+    #[inline(never)]
+    fn int_error(&self, off: usize) -> Result<i64> {
+        Err(match self.bytes.get(off) {
+            Some(&TAG_INT) => Error::Corrupt("truncated int column".into()),
+            Some(_) => Error::TypeMismatch("column is not INT".into()),
+            None => Error::Corrupt("row too short".into()),
+        })
     }
 
     /// Fast path: column `col` as an integer without allocating.
@@ -188,27 +210,24 @@ impl<'a> RowView<'a> {
     /// those columns take 9 bytes each, so the value's tag sits at the
     /// fixed offset `9·col` and no earlier tag is walked. The tag is
     /// still checked.
-    #[inline]
+    #[inline(always)]
     pub fn int_fixed(&self, col: usize) -> Result<i64> {
         self.int_at(9 * col)
     }
 
     /// Append the memcomparable key encoding of column `col` to `out`
     /// (what [`encode_key_value`] writes for the decoded value), without
-    /// materializing an `INT` column as a [`Value`].
+    /// materializing the column as a [`Value`]: it allocates nothing
+    /// beyond `out`'s growth.
+    #[inline]
     pub fn encode_key_column(&self, col: usize, out: &mut Vec<u8>) -> Result<()> {
         let off = self.offset_of(col)?;
-        if self.bytes.get(off) == Some(&TAG_INT) {
-            encode_key_int(self.int_at(off)?, out);
-        } else {
-            encode_key_value(&self.value(col)?, out);
+        match self.bytes.get(off) {
+            Some(&TAG_INT) => encode_key_int(self.int_at(off)?, out),
+            Some(&TAG_STR) => encode_key_str(decode_str(&mut &self.bytes[off + 1..])?, out),
+            _ => encode_key_value(&self.value(col)?, out),
         }
         Ok(())
-    }
-
-    /// Decode every value.
-    pub fn decode_all(&self) -> Result<Vec<Value>> {
-        decode_row(self.bytes)
     }
 }
 
@@ -218,6 +237,7 @@ const KEY_TAG_INT: u8 = 0x10;
 const KEY_TAG_STR: u8 = 0x20;
 
 /// Append the memcomparable encoding of one integer to `out`.
+#[inline]
 fn encode_key_int(i: i64, out: &mut Vec<u8>) {
     out.push(KEY_TAG_INT);
     // Flip the sign bit so two's-complement order becomes unsigned byte
@@ -225,21 +245,25 @@ fn encode_key_int(i: i64, out: &mut Vec<u8>) {
     out.extend_from_slice(&(((i as u64) ^ (1u64 << 63)).to_be_bytes()));
 }
 
+/// Append the memcomparable encoding of one string to `out`: NUL bytes
+/// escape to `00 FF` and `00 00` terminates, so a prefix sorts first.
+fn encode_key_str(s: &str, out: &mut Vec<u8>) {
+    out.push(KEY_TAG_STR);
+    for &b in s.as_bytes() {
+        if b == 0x00 {
+            out.extend_from_slice(&[0x00, 0xFF]);
+        } else {
+            out.push(b);
+        }
+    }
+    out.extend_from_slice(&[0x00, 0x00]);
+}
+
 /// Append the memcomparable encoding of one value to `out`.
 pub fn encode_key_value(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Int(i) => encode_key_int(*i, out),
-        Value::Str(s) => {
-            out.push(KEY_TAG_STR);
-            for &b in s.as_bytes() {
-                if b == 0x00 {
-                    out.extend_from_slice(&[0x00, 0xFF]);
-                } else {
-                    out.push(b);
-                }
-            }
-            out.extend_from_slice(&[0x00, 0x00]);
-        }
+        Value::Str(s) => encode_key_str(s, out),
     }
 }
 
@@ -323,6 +347,7 @@ pub fn key_int(key: &[u8], pos: usize) -> Result<i64> {
 pub const RID_LEN: usize = 6;
 
 /// Append the order-preserving 6-byte encoding of `rid`.
+#[inline]
 pub fn encode_rid(rid: Rid, out: &mut Vec<u8>) {
     out.extend_from_slice(&rid.page.raw().to_be_bytes());
     out.extend_from_slice(&rid.slot.to_be_bytes());
@@ -625,7 +650,9 @@ mod tests {
         assert_eq!(view.int(2).unwrap(), 30);
         assert!(view.int(1).is_err(), "str column is not int");
         assert!(view.value(3).is_err(), "out of range column");
-        assert_eq!(view.decode_all().unwrap(), row);
+        let mut out = vec![iv(7)];
+        decode_row_into(view.bytes(), &mut out).unwrap();
+        assert_eq!(out, row, "decoding replaces the buffer's contents");
     }
 
     #[test]

@@ -13,13 +13,13 @@ use std::sync::Arc;
 /// its page count is the full-scan cost, exactly the quantity the cost
 /// model's `EXEC` estimate for a sequential scan uses.
 ///
-/// All read paths ([`HeapFile::scan`], [`HeapFile::fetch`]) take
-/// `&self` and go through the lock-striped pager, so any number of
-/// threads may scan one heap concurrently (pages are copy-on-write
-/// `Arc`s — a reader holds an immutable snapshot of each page it
-/// touches); mutation stays `&mut self`, so writers must hold an
-/// exclusive handle (the engine serializes them under a per-table
-/// write lock).
+/// All read paths ([`HeapFile::for_each_row`], [`HeapFile::scan`],
+/// [`HeapFile::fetch`]) take `&self` and go through the lock-striped
+/// pager, so any number of threads may scan one heap concurrently
+/// (pages are copy-on-write `Arc`s — a reader holds an immutable
+/// snapshot of each page it touches); mutation stays `&mut self`, so
+/// writers must hold an exclusive handle (the engine serializes them
+/// under a per-table write lock).
 ///
 /// The handle itself is `Clone`: a clone shares the pager and pins the
 /// page chain *as of the clone* — the epoch-snapshot mechanism online
@@ -124,7 +124,41 @@ impl HeapFile {
         Ok(deleted)
     }
 
-    /// Begin a full scan. Use as a streaming iterator:
+    /// Visit every live row in physical order: `visit(rid, row)` for
+    /// each, stopping at the first error it returns. Each page is read
+    /// once, in chain order, and its slot directory is walked in one
+    /// loop that skips tombstones. The visitor is generic and inlined,
+    /// so it compiles into the caller's crate and no per-row call
+    /// crosses a crate boundary; the executor's sequential scan,
+    /// `CREATE INDEX` and `ANALYZE` all walk the heap through it.
+    ///
+    /// ```ignore
+    /// let mut sum = 0;
+    /// heap.for_each_row(|_rid, row| {
+    ///     sum += row.int(0)?;
+    ///     Ok(())
+    /// })?;
+    /// ```
+    #[inline]
+    pub fn for_each_row<F>(&self, mut visit: F) -> Result<()>
+    where
+        F: FnMut(Rid, RowView<'_>) -> Result<()>,
+    {
+        for &pid in &self.pages {
+            let page = self.pager.read(pid)?;
+            let mut next = 0;
+            while let Some((slot, range)) = slotted::next_live(&page, next) {
+                visit(Rid::new(pid, slot), RowView::new(&page[range]))?;
+                next = slot + 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Begin a full scan as a streaming cursor: the same rows and page
+    /// reads as [`HeapFile::for_each_row`], one call per row. Production
+    /// scans use the visitor; the cursor stays for callers that must
+    /// pause between rows (tests, and the benchmark's heap-scan probe).
     ///
     /// ```ignore
     /// let mut scan = heap.scan();
@@ -174,7 +208,9 @@ impl PinnedRow {
 /// Streaming cursor over a heap's live rows in physical order.
 ///
 /// Each page is read (and counted) exactly once per scan; rows are
-/// exposed as zero-copy [`RowView`]s into the pinned page.
+/// exposed as zero-copy [`RowView`]s into the pinned page. It walks
+/// each page with the same slot walker as [`HeapFile::for_each_row`],
+/// which production scans use instead.
 pub struct HeapScan<'h> {
     heap: &'h HeapFile,
     page_idx: usize,
@@ -185,31 +221,26 @@ pub struct HeapScan<'h> {
 impl HeapScan<'_> {
     /// Advance to the next live row. Returns `None` at end of heap.
     #[allow(clippy::should_implement_trait)]
+    #[inline]
     pub fn next_row(&mut self) -> Result<Option<(Rid, RowView<'_>)>> {
         loop {
-            if self.current.is_none() {
-                let Some(&pid) = self.heap.pages.get(self.page_idx) else {
-                    return Ok(None);
-                };
-                self.current = Some(self.heap.pager.read(pid)?);
-                self.slot = 0;
-            }
-            let page = self.current.as_ref().expect("page pinned above");
-            let nslots = slotted::slot_count(page);
-            while self.slot < nslots {
-                let slot = self.slot;
-                self.slot += 1;
-                if let Some(range) = slotted::record_range(page, slot) {
-                    let pid = self.heap.pages[self.page_idx];
+            if let Some(page) = &self.current {
+                if let Some((slot, range)) = slotted::next_live(page, self.slot) {
+                    self.slot = slot + 1;
+                    let rid = Rid::new(self.heap.pages[self.page_idx], slot);
                     // Slice through a fresh borrow of self.current: the
-                    // view must live as long as &mut self's borrow, which
-                    // the loop's borrow of `page` cannot.
+                    // view must live as long as &mut self's borrow.
                     let page = self.current.as_ref().expect("page pinned above");
-                    return Ok(Some((Rid::new(pid, slot), RowView::new(&page[range]))));
+                    return Ok(Some((rid, RowView::new(&page[range]))));
                 }
+                self.current = None;
+                self.page_idx += 1;
             }
-            self.current = None;
-            self.page_idx += 1;
+            let Some(&pid) = self.heap.pages.get(self.page_idx) else {
+                return Ok(None);
+            };
+            self.current = Some(self.heap.pager.read(pid)?);
+            self.slot = 0;
         }
     }
 }

@@ -24,6 +24,7 @@ const SLOT_BYTES: usize = 4;
 /// Tombstone length marking a deleted slot.
 pub const DEAD: u16 = u16::MAX;
 
+#[inline]
 fn read_u16(buf: &[u8; PAGE_SIZE], off: usize) -> u16 {
     u16::from_le_bytes([buf[off], buf[off + 1]])
 }
@@ -33,6 +34,7 @@ fn write_u16(buf: &mut [u8; PAGE_SIZE], off: usize, v: u16) {
 }
 
 /// Number of slots on the page (including tombstones).
+#[inline]
 pub fn slot_count(buf: &[u8; PAGE_SIZE]) -> u16 {
     read_u16(buf, 0)
 }
@@ -128,9 +130,25 @@ pub fn delete(buf: &mut [u8; PAGE_SIZE], slot: u16) -> bool {
     true
 }
 
-/// Iterate live records as `(slot, bytes)`.
-pub fn iter(buf: &[u8; PAGE_SIZE]) -> impl Iterator<Item = (u16, &[u8])> {
-    (0..slot_count(buf)).filter_map(move |s| get(buf, s).map(|r| (s, r)))
+/// The first live record at or after `slot`: its slot and byte range,
+/// or `None` past the last slot. Tombstones are skipped. This is the
+/// one slot-directory walk every heap scan shares.
+#[inline]
+pub fn next_live(buf: &[u8; PAGE_SIZE], mut slot: u16) -> Option<(u16, Range<usize>)> {
+    let count = slot_count(buf);
+    while slot < count {
+        let dir = PAGE_SIZE - (slot as usize + 1) * SLOT_BYTES;
+        let [o0, o1, l0, l1] = buf[dir..dir + SLOT_BYTES] else {
+            unreachable!("a slot entry is {SLOT_BYTES} bytes")
+        };
+        let len = u16::from_le_bytes([l0, l1]);
+        if len != DEAD {
+            let off = u16::from_le_bytes([o0, o1]) as usize;
+            return Some((slot, off..off + len as usize));
+        }
+        slot += 1;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -177,8 +195,13 @@ mod tests {
         assert!(!delete(&mut p, 0), "double delete is a no-op");
         assert!(!delete(&mut p, 9), "out of range");
         assert_eq!(get(&p, 0), None);
-        let live: Vec<_> = iter(&p).collect();
-        assert_eq!(live, vec![(1u16, &b"b"[..])]);
+        let (slot, range) = next_live(&p, 0).unwrap();
+        assert_eq!(
+            (slot, &p[range]),
+            (1, &b"b"[..]),
+            "the tombstone is skipped"
+        );
+        assert_eq!(next_live(&p, 2), None);
     }
 
     #[test]
@@ -201,7 +224,7 @@ mod tests {
     fn zeroed_page_is_empty() {
         let p = page();
         assert_eq!(slot_count(&p), 0);
-        assert_eq!(iter(&p).count(), 0);
+        assert_eq!(next_live(&p, 0), None);
         assert_eq!(free_space(&p), PAGE_SIZE - HEADER);
     }
 

@@ -2,13 +2,18 @@
 //! leaf: a counting global allocator shows that a non-splitting
 //! `BTree::insert` and a `BTree::delete` make the same small number of
 //! allocations (the entry key, the descent path and the edited page
-//! image) in a leaf of one entry as in a leaf of 433.
+//! image) in a leaf of one entry as in a leaf of 433. An index build
+//! allocates per built leaf, never per row: `BTree::build_from_heap`
+//! over 20,000 rows makes no more allocations than over 2,000 beyond a
+//! few per extra leaf (the build that kept a key vector per row made
+//! 18,000 more).
 //!
-//! This binary holds one test and counts only the allocations of the
-//! thread that runs it, so the harness's own threads cannot disturb
-//! the counts.
+//! Each test counts only the allocations of the thread that runs it,
+//! so the harness's own threads and the other test cannot disturb the
+//! counts.
 
-use cdpd_storage::{BTree, Pager};
+use cdpd_storage::codec::encode_row;
+use cdpd_storage::{BTree, HeapFile, Pager};
 use cdpd_types::{PageId, Rid, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -88,4 +93,38 @@ fn entry_ops_allocate_the_same_in_sparse_and_full_leaves() {
     let (insert, delete) = full;
     assert!(insert <= 3, "insert made {insert} allocations");
     assert!(delete <= 2, "delete made {delete} allocations");
+}
+
+/// Allocations and leaves of indexing `rows` `INT` rows on their first
+/// column, after a warm-up build of the same heap.
+fn build_allocs(rows: i64) -> (u64, u64) {
+    let mut heap = HeapFile::create(Arc::new(Pager::new()));
+    let mut bytes = Vec::new();
+    for i in 0..rows {
+        bytes.clear();
+        encode_row(&[Value::Int((i * 7919) % rows), Value::Int(i)], &mut bytes);
+        heap.insert(&bytes).unwrap();
+    }
+    BTree::build_from_heap(&heap, &[0]).unwrap();
+    let before = allocs();
+    let tree = BTree::build_from_heap(&heap, &[0]).unwrap();
+    (allocs() - before, tree.leaf_count())
+}
+
+/// Allocations a bulk load makes per leaf: the leaf's page image, its
+/// predecessor's re-linked image and its first key (the separator its
+/// parent gets), plus its share of internal nodes and vector growth.
+const PER_LEAF: u64 = 5;
+
+#[test]
+fn index_build_allocates_per_leaf_not_per_row() {
+    let (small, small_leaves) = build_allocs(2_000);
+    let (large, large_leaves) = build_allocs(20_000);
+    let leaves = large_leaves - small_leaves;
+    assert!(leaves > 30, "{small_leaves} vs {large_leaves} leaves");
+    assert!(
+        large <= small + PER_LEAF * leaves + 16,
+        "{small} allocations at 2k rows ({small_leaves} leaves), \
+         {large} at 20k ({large_leaves} leaves)"
+    );
 }

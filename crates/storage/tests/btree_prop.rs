@@ -7,6 +7,9 @@
 //! Inserts and deletes, which edit a leaf's bytes in place, must match
 //! op for op the decode → edit → encode path they replaced (`mod
 //! reference`): same answer, pager calls, tree shape and page bytes.
+//! The arena build must match the build that kept one key vector per
+//! row (also in `mod reference`) the same way, over heaps with deleted,
+//! rewritten and moved rows.
 //!
 //! The durable variants run the same model against a file-backed pager:
 //! mutate → commit → checkpoint → reopen must reattach the identical
@@ -438,12 +441,31 @@ fn corrupt_checksum_file_fails_cleanly() {
 /// The entry insert and delete that decoded a whole node into owned
 /// entries, changed one entry and encoded a fresh page image, kept as
 /// the oracle for the in-place leaf edits that replaced them: same
-/// pager calls, same page images, same tree shape.
+/// pager calls, same page images, same tree shape. Also the index build
+/// that gave every row's key a vector of its own, the oracle for the
+/// arena build that replaced it.
 mod reference {
-    use cdpd_storage::codec::{encode_key, encode_rid};
-    use cdpd_storage::{BTree, Pager, PAGE_SIZE};
+    use cdpd_storage::codec::{encode_key, encode_rid, RID_LEN};
+    use cdpd_storage::{BTree, HeapFile, Pager, PAGE_SIZE};
     use cdpd_types::{Error, PageId, Result, Rid, Value};
     use std::sync::Arc;
+
+    /// `CREATE INDEX`'s build over one `Vec<u8>` key per row: scan,
+    /// encode `key ++ rid`, sort the vectors, bulk load.
+    pub fn build_from_heap(heap: &HeapFile, columns: &[usize]) -> Result<BTree> {
+        let mut keys = Vec::with_capacity(heap.row_count() as usize);
+        let mut scan = heap.scan();
+        while let Some((rid, row)) = scan.next_row()? {
+            let mut key = Vec::with_capacity(9 * columns.len() + RID_LEN);
+            for &col in columns {
+                row.encode_key_column(col, &mut key)?;
+            }
+            encode_rid(rid, &mut key);
+            keys.push(key);
+        }
+        keys.sort_unstable();
+        BTree::bulk_load_keys(heap.pager().clone(), keys)
+    }
 
     const LEAF: u8 = 1;
     const INTERNAL: u8 = 2;
@@ -921,6 +943,114 @@ props! {
                     }
                 }
             }
+        }
+    }
+}
+
+// --- Arena index build against the per-row-key build ---------------------
+
+/// One change to a heap of `(INT, STR)` rows. Row indices pick among
+/// the live rows, modulo their number.
+#[derive(Clone, Debug)]
+enum HeapOp {
+    /// Append a row.
+    Insert(i64, String),
+    /// Delete `len` consecutive live rows from the `i`-th on: long runs
+    /// empty whole pages.
+    DeleteRun(usize, usize),
+    /// Rewrite the `i`-th live row: in place when it does not grow,
+    /// else it moves to the end of the heap.
+    Rewrite(usize, i64, String),
+}
+
+fn heap_row() -> impl Strategy<Value = (i64, String)> {
+    (
+        one_of![4 => -3i64..4, 1 => Just(i64::MIN), 1 => Just(i64::MAX)],
+        string_of("ab\0z", 0..24),
+    )
+}
+
+fn heap_op_strategy() -> impl Strategy<Value = HeapOp> {
+    one_of![
+        3 => heap_row().prop_map(|(a, s)| HeapOp::Insert(a, s)),
+        2 => (0usize..2048, 1usize..8).prop_map(|(i, n)| HeapOp::DeleteRun(i, n)),
+        1 => (0usize..2048, 200usize..700).prop_map(|(i, n)| HeapOp::DeleteRun(i, n)),
+        3 => (0usize..2048, heap_row()).prop_map(|(i, (a, s))| HeapOp::Rewrite(i, a, s)),
+    ]
+}
+
+/// Load `rows`, then apply `ops`, on a pager of its own.
+fn heap_after(rows: &[(i64, String)], ops: &[HeapOp]) -> HeapFile {
+    let encode = |a: i64, s: &str| {
+        let mut bytes = Vec::new();
+        encode_row(&[Value::Int(a), Value::from(s)], &mut bytes);
+        bytes
+    };
+    let mut heap = HeapFile::create(Arc::new(Pager::new()));
+    let mut live: Vec<Rid> = rows
+        .iter()
+        .map(|(a, s)| heap.insert(&encode(*a, s)).unwrap())
+        .collect();
+    for op in ops {
+        match op {
+            HeapOp::Insert(a, s) => live.push(heap.insert(&encode(*a, s)).unwrap()),
+            HeapOp::DeleteRun(i, n) if !live.is_empty() => {
+                let from = i % live.len();
+                let to = live.len().min(from + n);
+                for rid in live.drain(from..to) {
+                    assert!(heap.delete(rid).unwrap());
+                }
+            }
+            HeapOp::Rewrite(i, a, s) if !live.is_empty() => {
+                let at = i % live.len();
+                live[at] = heap.update(live[at], &encode(*a, s)).unwrap();
+            }
+            _ => {}
+        }
+    }
+    heap
+}
+
+/// Key columns over `(INT, STR)` rows: `INT`, composite `(INT, STR)`
+/// and `STR`.
+const HEAP_KEYS: [&[usize]; 3] = [&[0], &[0, 1], &[1]];
+
+props! {
+    config: Config::with_cases(16);
+
+    fn arena_build_matches_reference(
+        rows in vec_of(heap_row(), 0..1500),
+        ops in vec_of(heap_op_strategy(), 0..40),
+        key in 0usize..3,
+    ) {
+        let cols = HEAP_KEYS[*key];
+        let (ours, theirs) = (heap_after(rows, ops), heap_after(rows, ops));
+        let (got_pager, want_pager) = (ours.pager().clone(), theirs.pager().clone());
+        let before = (got_pager.stats(), want_pager.stats());
+        let got = BTree::build_from_heap(&ours, cols);
+        let want = reference::build_from_heap(&theirs, cols);
+        assert_eq!(
+            got_pager.stats().delta(before.0),
+            want_pager.stats().delta(before.1),
+            "build: pager reads, writes and allocations"
+        );
+        let (got, want) = match (got, want) {
+            (Ok(got), Ok(want)) => (got, want),
+            (got, want) => panic!(
+                "build results differ: {:?} vs {:?}",
+                got.err(),
+                want.err()
+            ),
+        };
+        assert_eq!(
+            (got.root(), got.height(), got.pages(), got.leaf_count(), got.entry_count()),
+            (want.root(), want.height(), want.pages(), want.leaf_count(), want.entry_count()),
+            "tree shape"
+        );
+        assert_eq!(got.entry_count(), ours.row_count());
+        for &p in got.pages() {
+            let (a, b) = (got_pager.read(p).unwrap(), want_pager.read(p).unwrap());
+            assert_eq!(crc64(&a[..]), crc64(&b[..]), "page {p:?} bytes");
         }
     }
 }

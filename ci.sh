@@ -67,7 +67,9 @@ echo "== concurrency stress: racing writers serialize, 8 seeds =="
 # Statement-level serializability of the &self mutator surface
 # (tests/concurrent_writers.rs): disjoint sessions bit-identical to
 # serial, commuting inserts under racing DDL, online-build catch-up
-# equal to a quiesced rebuild. CDPD_SEED varies traces and interleaving.
+# (single builds, and a two-index design change at 1 and 2 build
+# threads) equal to a quiesced rebuild. CDPD_SEED varies traces and
+# interleaving.
 for seed in 7 41 97 1234 4242 7777 90210 424242; do
   echo "-- seed $seed --"
   CDPD_SEED="$seed" cargo test -q --offline -p cdpd --test concurrent_writers
@@ -98,6 +100,15 @@ for seed in 0x5eed 0xc0ffee 0xdecade; do
   echo "-- prop seed $seed --"
   CDPD_PROP_SEED="$seed" cargo test -q --offline -p cdpd-storage \
     --test btree_prop arena_build_matches_reference
+done
+
+echo "== B+-tree gate: mixed-length keys up to the cap split to fit under a fixed seed matrix =="
+# Keys from empty to the cap, in mixed lengths and any order, must
+# match the ordered-set model; a key over the cap is refused with no I/O.
+for seed in 0x5eed 0xc0ffee 0xdecade; do
+  echo "-- prop seed $seed --"
+  CDPD_PROP_SEED="$seed" cargo test -q --offline -p cdpd-storage \
+    --test btree_prop mixed_length_keys_match_model
 done
 
 echo "== §7 and §8 entry points run: alerter-gated online loop, the two k answers =="

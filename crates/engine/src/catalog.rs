@@ -1,3 +1,4 @@
+use crate::cost::IndexShape;
 use cdpd_storage::{codec, BTree, HeapFile};
 use cdpd_types::{ColumnId, Result, Rid, Schema, TableId, Value};
 use std::fmt;
@@ -73,6 +74,17 @@ pub(crate) struct IndexEntry {
     pub(crate) spec: IndexSpec,
     pub(crate) columns: Vec<ColumnId>,
     pub(crate) btree: BTree,
+}
+
+impl IndexEntry {
+    /// The tree's shape, read from the live B+-tree.
+    pub(crate) fn shape(&self) -> IndexShape {
+        IndexShape {
+            leaf_pages: self.btree.leaf_count(),
+            height: self.btree.height(),
+            total_pages: self.btree.page_count(),
+        }
+    }
 }
 
 /// One row-level change appended to every active build log by a DML

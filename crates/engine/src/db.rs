@@ -1,14 +1,14 @@
 use crate::catalog::{BuildLog, IndexEntry, IndexSpec, RowDelta, TableEntry, TableSnapshot};
 use crate::cost::IndexShape;
 use crate::exec::{self, ExecOutcome};
-use crate::planner::{IndexInfo, PlannedQuery, Planner};
+use crate::planner::{IndexInfo, Planner};
 use crate::stats::{StatsMaintainer, StatsRefresh, TableStats};
-use cdpd_sql::{DeleteStmt, Dml, SelectStmt, Statement, UpdateStmt};
+use cdpd_sql::{Dml, SelectStmt, Statement};
 use cdpd_storage::{codec, BTree, IoStats, Pager, ThreadIoScope};
 use cdpd_types::{ColumnId, Error, Result, Rid, Schema, TableId, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Result of one executed query: output plus measured cost.
 #[derive(Clone, Debug)]
@@ -66,15 +66,18 @@ pub struct DdlReport {
 ///   `TableSnapshot`; `Database::pin` hands out the current epoch's
 ///   snapshot as one `Arc` clone. Pinned snapshots are immutable —
 ///   successors are installed under the table write lock, never edits.
-/// * **Online index builds** ([`Database::create_index`],
-///   [`Database::apply_configuration_with`]) pin a snapshot, register a
-///   build log, and scan/sort/bulk-load with *no lock held* — DML from
-///   other sessions interleaves freely, appending row deltas to the
-///   log under the table write lock. At install the build drains the
-///   log into the new tree (idempotently: tolerant deletes,
-///   duplicate-skipping inserts) and publishes it atomically, so the
-///   installed index is exactly what a blocking build at the install
-///   point would have produced.
+/// * **Online index builds.** Every change to a table's index set —
+///   [`Database::create_index`], [`Database::drop_index`],
+///   [`Database::apply_configuration_with`] and SQL `CREATE`/`DROP
+///   INDEX` — goes through one routine, `Database::change_indexes`. It
+///   drops, then pins one snapshot, registers one build log, and
+///   scans/sorts/bulk-loads every new index with *no lock held* — DML
+///   from other sessions interleaves freely, appending row deltas to
+///   the log under the table write lock. At install it drains the log
+///   into the new trees through the same per-row edit DML uses
+///   (idempotently: tolerant deletes, duplicate-skipping inserts) and
+///   publishes them atomically, so each installed index is exactly what
+///   a blocking build at the install point would have produced.
 /// * On a durable database, a **commit phase lock** orders mutation
 ///   against WAL commits: statement mutation holds it shared,
 ///   [`Pager::commit`] runs under it exclusively — so a commit only
@@ -361,16 +364,12 @@ impl Database {
                 "row does not match schema of {table}"
             )));
         }
+        Self::check_keys(entry, values)?;
         let mut bytes = Vec::with_capacity(values.iter().map(Value::encoded_len).sum());
         codec::encode_row(values, &mut bytes);
         let rid = entry.heap.insert(&bytes)?;
         for index in entry.indexes.values_mut() {
-            let key: Vec<Value> = index
-                .columns
-                .iter()
-                .map(|c| values[c.index()].clone())
-                .collect();
-            index.btree.insert(&key, rid)?;
+            Self::edit_index(index, None, Some((values, rid)))?;
         }
         if let Some(m) = entry.maintainer.as_mut() {
             m.add_row(values);
@@ -494,16 +493,7 @@ impl Database {
         Ok(guard
             .indexes
             .values()
-            .map(|e| {
-                (
-                    e.spec.clone(),
-                    IndexShape {
-                        leaf_pages: e.btree.leaf_count(),
-                        height: e.btree.height(),
-                        total_pages: e.btree.page_count(),
-                    },
-                )
-            })
+            .map(|e| (e.spec.clone(), e.shape()))
             .collect())
     }
 
@@ -517,12 +507,10 @@ impl Database {
     /// without touching the catalog. Runs lock-free against the frozen
     /// page chain (pager pages are copy-on-write), so any number of
     /// builds — and foreground DML on the live entry — proceed
-    /// concurrently. Returns the resolved key columns, the loaded tree,
-    /// and the build's measured I/O (scoped to this thread).
-    fn build_index(
-        snap: &TableSnapshot,
-        spec: &IndexSpec,
-    ) -> Result<(Vec<ColumnId>, BTree, IoStats)> {
+    /// concurrently. Returns the index and the build's measured I/O
+    /// (scoped to this thread).
+    fn build_index(snap: &TableSnapshot, spec: &IndexSpec) -> Result<(IndexEntry, IoStats)> {
+        let _span = cdpd_obs::span!("ddl.create_index", index = spec.name());
         let scope = ThreadIoScope::start();
         let columns: Vec<ColumnId> = spec
             .columns
@@ -533,148 +521,212 @@ impl Database {
                     .ok_or_else(|| Error::NotFound(format!("column {c}")))
             })
             .collect::<Result<Vec<_>>>()?;
-
         let positions: Vec<usize> = columns.iter().map(|c| c.index()).collect();
         let btree = BTree::build_from_heap(&snap.heap, &positions)?;
-        Ok((columns, btree, scope.delta()))
+        let index = IndexEntry {
+            spec: spec.clone(),
+            columns,
+            btree,
+        };
+        Ok((index, scope.delta()))
+    }
+
+    /// Move one row's entry in `index` from `old` to `new`, each a
+    /// `(row values, rid)` and either absent: the one place a row's
+    /// values become an index key. The tree is left alone when the rid
+    /// and the key columns are unchanged. Deleting an absent entry is
+    /// no error; inserting a present one is [`Error::AlreadyExists`].
+    fn edit_index(
+        index: &mut IndexEntry,
+        old: Option<(&[Value], Rid)>,
+        new: Option<(&[Value], Rid)>,
+    ) -> Result<()> {
+        let columns = &index.columns;
+        if let (Some((was, from)), Some((now, to))) = (old, new) {
+            if from == to && columns.iter().all(|c| was[c.index()] == now[c.index()]) {
+                return Ok(());
+            }
+        }
+        let key = |values: &[Value]| -> Vec<Value> {
+            columns.iter().map(|c| values[c.index()].clone()).collect()
+        };
+        if let Some((values, rid)) = old {
+            index.btree.delete(&key(values), rid)?;
+        }
+        if let Some((values, rid)) = new {
+            index.btree.insert(&key(values), rid)?;
+        }
+        Ok(())
+    }
+
+    /// Refuse, before a statement changes anything, a row whose key in
+    /// one of `entry`'s indexes is over the B+-tree's cap.
+    fn check_keys(entry: &TableEntry, values: &[Value]) -> Result<()> {
+        entry.indexes.values().try_for_each(|index| {
+            BTree::check_key(index.columns.iter().map(|c| &values[c.index()]))
+        })
     }
 
     /// Replay the row deltas DML logged while an online build was
-    /// scanning into the freshly bulk-loaded tree, in chronological
-    /// order. Each delta is applied idempotently — the scan may or may
-    /// not have seen the row the delta describes, so an insert of an
-    /// already-present `(key, rid)` and a delete of an absent one are
-    /// both fine — which makes the installed tree exactly what a build
-    /// at the install point would have produced.
-    fn catch_up_index(btree: &mut BTree, columns: &[ColumnId], deltas: &[RowDelta]) -> Result<()> {
+    /// scanning into the freshly bulk-loaded index, in chronological
+    /// order. The scan may or may not have seen the row a delta
+    /// describes, so an insert of an already-present `(key, rid)` and a
+    /// delete of an absent one are both fine — which makes the
+    /// installed tree exactly what a build at the install point would
+    /// have produced.
+    fn catch_up(index: &mut IndexEntry, deltas: &[RowDelta]) -> Result<()> {
+        let _span = cdpd_obs::span!("ddl.create_index", index = index.spec.name());
         for delta in deltas {
-            match delta {
+            let edit = match delta {
                 RowDelta::Insert(values, rid) => {
-                    let key: Vec<Value> =
-                        columns.iter().map(|c| values[c.index()].clone()).collect();
-                    match btree.insert(&key, *rid) {
-                        Ok(()) | Err(Error::AlreadyExists(_)) => {}
-                        Err(e) => return Err(e),
-                    }
+                    Self::edit_index(index, None, Some((values, *rid)))
                 }
                 RowDelta::Delete(values, rid) => {
-                    let key: Vec<Value> =
-                        columns.iter().map(|c| values[c.index()].clone()).collect();
-                    btree.delete(&key, *rid)?;
+                    Self::edit_index(index, Some((values, *rid)), None)
                 }
+            };
+            match edit {
+                Ok(()) | Err(Error::AlreadyExists(_)) => {}
+                Err(e) => return Err(e),
             }
         }
         Ok(())
     }
 
-    /// `CREATE INDEX`: an *online* scan → sort → bulk load. The build
-    /// registers a side log and pins the table's current epoch snapshot
-    /// under the write lock, then scans and loads with **no lock held**
-    /// — concurrent sessions keep reading and writing the table, their
-    /// row deltas accumulating in the log — and finally reacquires the
-    /// write lock to drain the log into the new tree and install it
-    /// atomically. The report's `io` is the measured transition cost of
-    /// this build (scan + load + catch-up).
-    pub fn create_index(&self, spec: &IndexSpec) -> Result<DdlReport> {
-        let report = self.create_index_inner(spec)?;
-        self.commit_if_durable()?;
-        Ok(report)
+    /// Refuse to build an index `e` already holds, or one `builds` names
+    /// twice.
+    fn check_free(e: &TableEntry, builds: &[&IndexSpec]) -> Result<()> {
+        for (i, spec) in builds.iter().enumerate() {
+            if e.indexes.contains_key(&spec.name()) || builds[..i].contains(spec) {
+                return Err(Error::AlreadyExists(format!("index {}", spec.name())));
+            }
+        }
+        Ok(())
     }
 
-    fn create_index_inner(&self, spec: &IndexSpec) -> Result<DdlReport> {
-        let _span = cdpd_obs::span!("ddl.create_index", index = spec.name());
-        let name = spec.name();
-        let entry = self.table(&spec.table)?;
-        // Register: under the phase + table write lock, check the name
-        // is free, register a build log for concurrent DML to feed, and
-        // pin the current snapshot.
+    /// Every change to `table`'s index set: `CREATE INDEX`, `DROP
+    /// INDEX` and design changes. The report's `io` is the measured
+    /// transition cost.
+    ///
+    /// 1. Drops `drops`, each under the table write lock; a tree's pages
+    ///    return to the free list, and a touch of page 0 accounts the
+    ///    catalog write.
+    /// 2. Registers one build log for concurrent DML to feed and pins
+    ///    one snapshot, under the phase and table write lock.
+    /// 3. Builds `builds` from that snapshot with **no lock held**, up
+    ///    to `threads` at once ([`crate::par::parallel_map`]; inline,
+    ///    index by index, at one thread or for one build). Sessions
+    ///    keep reading and writing the table, their row deltas
+    ///    accumulating in the log.
+    /// 4. Retakes the locks, unregisters the log and catches every new
+    ///    tree up from it.
+    /// 5. Installs the indexes in `builds` order and bumps the epoch
+    ///    once.
+    ///
+    /// A build, a name or a catch-up that fails installs nothing and
+    /// returns the built trees' pages.
+    fn change_indexes(
+        &self,
+        table: &str,
+        drops: &[&IndexSpec],
+        builds: &[&IndexSpec],
+        threads: usize,
+    ) -> Result<DdlReport> {
+        let entry = self.table(table)?;
+        let mut report = DdlReport::default();
+        for spec in drops {
+            let _span = cdpd_obs::span!("ddl.drop_index", index = spec.name());
+            let scope = ThreadIoScope::start();
+            let _phase = self.mutation_phase();
+            let e = &mut *Self::write_entry(&entry);
+            let name = spec.name();
+            let Some(dropped) = e.indexes.remove(&name) else {
+                return Err(Error::NotFound(format!("index {name}")));
+            };
+            e.note_index_dropped(&name);
+            e.bump_epoch();
+            self.pager.free(&dropped.btree.into_pages());
+            if self.pager.page_count() > 0 {
+                self.pager.update(cdpd_types::PageId(0), |_| ())?;
+            }
+            report.io += scope.delta();
+            report.dropped.push(name);
+        }
+        if builds.is_empty() {
+            return Ok(report);
+        }
         let (log, snap) = {
             let _phase = self.mutation_phase();
             let e = &mut *Self::write_entry(&entry);
-            if e.indexes.contains_key(&name) {
-                return Err(Error::AlreadyExists(format!("index {name}")));
-            }
-            let log: BuildLog = Arc::new(Mutex::new(Vec::new()));
+            Self::check_free(e, builds)?;
+            let log = BuildLog::default();
             e.build_logs.push(log.clone());
             (log, e.snapshot())
         };
-        // Build: no lock held; DML from other sessions interleaves here.
-        let built = Self::build_index(&snap, spec);
-        // Install: unregister the log first (even on build failure),
-        // then catch up and publish under the write lock.
+        // A failed build must not lose the trees the others built.
+        let built = crate::par::parallel_map(builds.len(), threads, |i| {
+            Ok(Self::build_index(&snap, builds[i]))
+        })?;
         let _phase = self.mutation_phase();
         let e = &mut *Self::write_entry(&entry);
         e.build_logs.retain(|l| !Arc::ptr_eq(l, &log));
-        let (columns, btree, io) = built?;
-        if e.indexes.contains_key(&name) {
-            // A racing session installed the same index while we built;
-            // surrender and return our tree's pages.
-            self.pager.free(&btree.into_pages());
-            return Err(Error::AlreadyExists(format!("index {name}")));
-        }
-        let mut btree = btree;
-        let scope = ThreadIoScope::start();
         let deltas = std::mem::take(&mut *log.lock().expect("build log poisoned"));
-        Self::catch_up_index(&mut btree, &columns, &deltas)?;
-        let catchup = scope.delta();
-        e.indexes.insert(
-            name.clone(),
-            IndexEntry {
-                spec: spec.clone(),
-                columns,
-                btree,
-            },
-        );
+        let mut indexes = Vec::with_capacity(builds.len());
+        let mut built_all = Ok(());
+        for result in built {
+            match result {
+                Ok(index) => indexes.push(index),
+                Err(err) if built_all.is_ok() => built_all = Err(err),
+                Err(_) => {}
+            }
+        }
+        let scope = ThreadIoScope::start();
+        let caught_up = built_all
+            .and_then(|()| Self::check_free(e, builds))
+            .and_then(|()| {
+                indexes
+                    .iter_mut()
+                    .try_for_each(|(index, _)| Self::catch_up(index, &deltas))
+            });
+        if let Err(err) = caught_up {
+            for (index, _) in indexes {
+                self.pager.free(&index.btree.into_pages());
+            }
+            return Err(err);
+        }
+        report.io += scope.delta();
+        for (index, io) in indexes {
+            report.io += io;
+            report.created.push(index.spec.name());
+            e.indexes.insert(index.spec.name(), index);
+        }
         e.bump_epoch();
-        Ok(DdlReport {
-            io: IoStats {
-                reads: io.reads + catchup.reads,
-                writes: io.writes + catchup.writes,
-                allocs: io.allocs + catchup.allocs,
-            },
-            created: vec![name],
-            dropped: Vec::new(),
-        })
+        Ok(report)
+    }
+
+    /// `CREATE INDEX`: an *online* scan → sort → bulk load through
+    /// `Database::change_indexes` — concurrent sessions keep reading
+    /// and writing the table while it builds. The report's `io` is the
+    /// measured transition cost of this build (scan + load + catch-up).
+    pub fn create_index(&self, spec: &IndexSpec) -> Result<DdlReport> {
+        let report = self.change_indexes(&spec.table, &[], &[spec], 1)?;
+        self.commit_if_durable()?;
+        Ok(report)
     }
 
     /// `DROP INDEX`. Cost model: one catalog write; the tree's pages
     /// return to the free list for reuse by later builds.
     pub fn drop_index(&self, spec: &IndexSpec) -> Result<DdlReport> {
-        let report = self.drop_index_inner(spec)?;
+        let report = self.change_indexes(&spec.table, &[spec], &[], 1)?;
         self.commit_if_durable()?;
         Ok(report)
-    }
-
-    fn drop_index_inner(&self, spec: &IndexSpec) -> Result<DdlReport> {
-        let _span = cdpd_obs::span!("ddl.drop_index", index = spec.name());
-        let scope = ThreadIoScope::start();
-        let _phase = self.mutation_phase();
-        let entry = self.table(&spec.table)?;
-        let entry = &mut *Self::write_entry(&entry);
-        let name = spec.name();
-        let Some(dropped) = entry.indexes.remove(&name) else {
-            return Err(Error::NotFound(format!("index {name}")));
-        };
-        entry.note_index_dropped(&name);
-        entry.bump_epoch();
-        self.pager.free(&dropped.btree.into_pages());
-        // Account the catalog write on a real page so measured TRANS
-        // matches the model: touch page 0 if it exists, else skip.
-        if self.pager.page_count() > 0 {
-            self.pager.update(cdpd_types::PageId(0), |_| ())?;
-        }
-        Ok(DdlReport {
-            io: scope.delta(),
-            created: Vec::new(),
-            dropped: vec![name],
-        })
     }
 
     /// Morph `table`'s index set into exactly `target`: drop what is no
     /// longer wanted, build what is missing. Returns the combined
     /// measured transition cost — the real-world `TRANS(C_i, C_j)`.
     ///
-    /// Builds run serially; use
+    /// Builds run one at a time; use
     /// [`Database::apply_configuration_with`] to build missing indexes
     /// concurrently.
     pub fn apply_configuration(&self, table: &str, target: &[IndexSpec]) -> Result<DdlReport> {
@@ -682,137 +734,61 @@ impl Database {
     }
 
     /// [`Database::apply_configuration`] with up to `threads` concurrent
-    /// index builds.
+    /// index builds, through `Database::change_indexes`.
     ///
-    /// Drops are applied first, serially (each is one catalog touch).
-    /// Missing indexes are then built concurrently: every build needs
-    /// only a shared read view of the heap, so worker threads scan and
-    /// bulk-load in parallel against the lock-striped pager, and the
-    /// finished trees are installed into the catalog serially in
+    /// Drops are applied first, one at a time (each is one catalog
+    /// touch). Missing indexes are then built from one pinned snapshot:
+    /// every build needs only a shared read view of the heap, so worker
+    /// threads scan and bulk-load in parallel against the lock-striped
+    /// pager, and the finished trees are installed together in
     /// `target` order. The report is deterministic regardless of
     /// `threads`: `created`/`dropped` orders follow `target`/name
     /// order, and each build's I/O is measured on its own thread
     /// ([`ThreadIoScope`]) so the summed transition cost is
-    /// bit-identical to a serial application.
+    /// bit-identical to a one-thread application.
     pub fn apply_configuration_with(
         &self,
         table: &str,
         target: &[IndexSpec],
         threads: usize,
     ) -> Result<DdlReport> {
-        let report = self.apply_configuration_inner(table, target, threads)?;
+        if let Some(spec) = target.iter().find(|s| s.table != table) {
+            return Err(Error::InvalidArgument(format!(
+                "configuration index {} is not on table {table}",
+                spec.name()
+            )));
+        }
+        let current = self.index_specs(table)?;
+        let drops: Vec<&IndexSpec> = current.iter().filter(|s| !target.contains(s)).collect();
+        let builds: Vec<&IndexSpec> = target.iter().filter(|s| !current.contains(s)).collect();
+        let report = self.change_indexes(table, &drops, &builds, threads)?;
         // One commit for the whole design change: drops and builds land
         // as a single WAL transaction.
         self.commit_if_durable()?;
         Ok(report)
     }
 
-    fn apply_configuration_inner(
-        &self,
+    /// Run `f` with a planner over `entry`'s statistics and
+    /// materialized indexes; without statistics, the `run analyze()`
+    /// error.
+    fn with_planner<T>(
+        entry: &TableEntry,
         table: &str,
-        target: &[IndexSpec],
-        threads: usize,
-    ) -> Result<DdlReport> {
-        for spec in target {
-            if spec.table != table {
-                return Err(Error::InvalidArgument(format!(
-                    "configuration index {} is not on table {table}",
-                    spec.name()
-                )));
-            }
-        }
-        let current = self.index_specs(table)?;
-        let mut report = DdlReport::default();
-        for spec in &current {
-            if !target.contains(spec) {
-                let r = self.drop_index_inner(spec)?;
-                report.io.reads += r.io.reads;
-                report.io.writes += r.io.writes;
-                report.io.allocs += r.io.allocs;
-                report.dropped.extend(r.dropped);
-            }
-        }
-        let missing: Vec<&IndexSpec> = target.iter().filter(|s| !current.contains(s)).collect();
-        if missing.len() <= 1 || threads <= 1 {
-            for spec in missing {
-                let r = self.create_index_inner(spec)?;
-                report.io.reads += r.io.reads;
-                report.io.writes += r.io.writes;
-                report.io.allocs += r.io.allocs;
-                report.created.extend(r.created);
-            }
-            return Ok(report);
-        }
-        // Online parallel build: register ONE shared log and pin one
-        // snapshot under the write lock, fan the scans/loads out with
-        // no lock held (DML from other sessions interleaves, feeding
-        // the log), then reacquire the lock to catch up and install
-        // every tree in one atomic step.
-        let entry = self.table(table)?;
-        let (log, snap) = {
-            let _phase = self.mutation_phase();
-            let e = &mut *Self::write_entry(&entry);
-            for spec in &missing {
-                if e.indexes.contains_key(&spec.name()) {
-                    return Err(Error::AlreadyExists(format!("index {}", spec.name())));
-                }
-            }
-            let log: BuildLog = Arc::new(Mutex::new(Vec::new()));
-            e.build_logs.push(log.clone());
-            (log, e.snapshot())
-        };
-        let built = {
-            let snap = &snap;
-            crate::par::parallel_map(missing.len(), threads, |i| {
-                let _span = cdpd_obs::span!("ddl.create_index", index = missing[i].name());
-                Self::build_index(snap, missing[i])
-            })
-        };
-        let _phase = self.mutation_phase();
-        let entry = &mut *Self::write_entry(&entry);
-        entry.build_logs.retain(|l| !Arc::ptr_eq(l, &log));
-        let built = built?;
-        let deltas = std::mem::take(&mut *log.lock().expect("build log poisoned"));
-        for (spec, (columns, mut btree, io)) in missing.iter().zip(built) {
-            if entry.indexes.contains_key(&spec.name()) {
-                self.pager.free(&btree.into_pages());
-                return Err(Error::AlreadyExists(format!("index {}", spec.name())));
-            }
-            let scope = ThreadIoScope::start();
-            Self::catch_up_index(&mut btree, &columns, &deltas)?;
-            let catchup = scope.delta();
-            entry.indexes.insert(
-                spec.name(),
-                IndexEntry {
-                    spec: (*spec).clone(),
-                    columns,
-                    btree,
-                },
-            );
-            report.io.reads += io.reads + catchup.reads;
-            report.io.writes += io.writes + catchup.writes;
-            report.io.allocs += io.allocs + catchup.allocs;
-            report.created.push(spec.name());
-        }
-        entry.bump_epoch();
-        Ok(report)
-    }
-
-    /// Planner inputs for `table`'s materialized indexes.
-    fn index_infos(entry: &TableEntry) -> Vec<IndexInfo> {
-        entry
+        f: impl FnOnce(&Planner<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let stats = entry.stats.as_deref().ok_or_else(|| {
+            Error::InvalidArgument(format!("table {table} has no statistics; run analyze()"))
+        })?;
+        let infos: Vec<IndexInfo> = entry
             .indexes
             .values()
             .map(|e| IndexInfo {
                 name: e.spec.name(),
                 columns: e.columns.clone(),
-                shape: IndexShape {
-                    leaf_pages: e.btree.leaf_count(),
-                    height: e.btree.height(),
-                    total_pages: e.btree.page_count(),
-                },
+                shape: e.shape(),
             })
-            .collect()
+            .collect();
+        f(&Planner::new(&entry.schema, stats, &infos))
     }
 
     /// Execute a query on the shareable read surface: `&self`, so any
@@ -823,28 +799,22 @@ impl Database {
     pub fn execute_select(&self, stmt: &SelectStmt, materialize: bool) -> Result<QueryResult> {
         let entry = self.table(&stmt.table)?;
         let entry = &*Self::read_entry(&entry);
-        let stats = entry.stats.as_deref().ok_or_else(|| {
-            Error::InvalidArgument(format!(
-                "table {} has no statistics; run analyze()",
-                stmt.table
-            ))
-        })?;
-        let infos = Self::index_infos(entry);
-        let planner = Planner::new(&entry.schema, stats, &infos);
-        let planned: PlannedQuery = planner.plan(stmt)?;
-        let scope = ThreadIoScope::start();
-        let ExecOutcome {
-            count,
-            rows,
-            aggregate,
-        } = exec::execute(entry, &planner, &planned, materialize)?;
-        Ok(QueryResult {
-            count,
-            rows,
-            aggregate,
-            io: scope.delta(),
-            est_cost: planned.est_cost,
-            plan: planned.describe(),
+        Self::with_planner(entry, &stmt.table, |planner| {
+            let planned = planner.plan(stmt)?;
+            let scope = ThreadIoScope::start();
+            let ExecOutcome {
+                count,
+                rows,
+                aggregate,
+            } = exec::execute(entry, planner, &planned, materialize)?;
+            Ok(QueryResult {
+                count,
+                rows,
+                aggregate,
+                io: scope.delta(),
+                est_cost: planned.est_cost,
+                plan: planned.describe(),
+            })
         })
     }
 
@@ -863,15 +833,9 @@ impl Database {
     pub fn explain(&self, stmt: &SelectStmt) -> Result<String> {
         let entry = self.table(&stmt.table)?;
         let entry = &*Self::read_entry(&entry);
-        let stats = entry.stats.as_deref().ok_or_else(|| {
-            Error::InvalidArgument(format!(
-                "table {} has no statistics; run analyze()",
-                stmt.table
-            ))
-        })?;
-        let infos = Self::index_infos(entry);
-        let planner = Planner::new(&entry.schema, stats, &infos);
-        Ok(planner.plan(stmt)?.describe())
+        Self::with_planner(entry, &stmt.table, |planner| {
+            Ok(planner.plan(stmt)?.describe())
+        })
     }
 
     /// Execute a workload statement (query, update, or delete).
@@ -882,8 +846,7 @@ impl Database {
     pub fn execute_dml(&self, stmt: &Dml) -> Result<QueryResult> {
         match stmt {
             Dml::Select(s) => self.query_count(s),
-            Dml::Update(u) => self.run_update(u),
-            Dml::Delete(d) => self.run_delete(d),
+            write => self.run_write(write),
         }
     }
 
@@ -894,128 +857,74 @@ impl Database {
         entry: &TableEntry,
         stmt: &Dml,
     ) -> Result<(Vec<Rid>, crate::planner::PlannedWrite)> {
-        let stats = entry.stats.as_deref().ok_or_else(|| {
-            Error::InvalidArgument(format!(
-                "table {} has no statistics; run analyze()",
-                stmt.table()
-            ))
-        })?;
-        let infos = Self::index_infos(entry);
-        let planner = Planner::new(&entry.schema, stats, &infos);
-        let planned = planner.plan_write(stmt)?;
-        let rids = exec::collect_rids(entry, &planner, &planned.find)?;
-        Ok((rids, planned))
-    }
-
-    fn run_update(&self, stmt: &UpdateStmt) -> Result<QueryResult> {
-        let result = self.run_update_inner(stmt)?;
-        self.commit_if_durable()?;
-        Ok(result)
-    }
-
-    fn run_update_inner(&self, stmt: &UpdateStmt) -> Result<QueryResult> {
-        let scope = ThreadIoScope::start();
-        let _phase = self.mutation_phase();
-        let dml = Dml::Update(stmt.clone());
-        let entry = self.table(&stmt.table)?;
-        let entry = &mut *Self::write_entry(&entry);
-        let (rids, planned) = Self::locate_write(entry, &dml)?;
-        let set: Vec<(ColumnId, Value)> = stmt
-            .set
-            .iter()
-            .map(|(name, value)| {
-                let id = entry
-                    .schema
-                    .column_id(name)
-                    .expect("validated by plan_write");
-                (id, value.clone())
-            })
-            .collect();
-        let count = rids.len() as u64;
-        for rid in rids {
-            let old_bytes = entry.heap.fetch(rid)?;
-            let old_values = codec::decode_row(&old_bytes)?;
-            let mut new_values = old_values.clone();
-            for (col, value) in &set {
-                new_values[col.index()] = value.clone();
-            }
-            let mut new_bytes = Vec::with_capacity(old_bytes.len());
-            codec::encode_row(&new_values, &mut new_bytes);
-            let new_rid = entry.heap.update(rid, &new_bytes)?;
-            for index in entry.indexes.values_mut() {
-                // An index none of whose key columns is SET keeps its
-                // entry unless the row moved.
-                let keyed = index
-                    .columns
-                    .iter()
-                    .any(|c| set.iter().any(|(s, _)| s == c));
-                if !keyed && new_rid == rid {
-                    continue;
-                }
-                let old_key: Vec<Value> = index
-                    .columns
-                    .iter()
-                    .map(|c| old_values[c.index()].clone())
-                    .collect();
-                let new_key: Vec<Value> = index
-                    .columns
-                    .iter()
-                    .map(|c| new_values[c.index()].clone())
-                    .collect();
-                if old_key != new_key || new_rid != rid {
-                    index.btree.delete(&old_key, rid)?;
-                    index.btree.insert(&new_key, new_rid)?;
-                }
-            }
-            if let Some(m) = entry.maintainer.as_mut() {
-                m.update_row(&old_values, &new_values);
-            }
-            entry.log_delta(|| RowDelta::Delete(old_values.clone(), rid));
-            entry.log_delta(|| RowDelta::Insert(new_values.clone(), new_rid));
-        }
-        if count > 0 {
-            entry.bump_epoch();
-        }
-        Ok(QueryResult {
-            count,
-            rows: None,
-            aggregate: None,
-            io: scope.delta(),
-            est_cost: planned.est_total,
-            plan: planned.describe(),
+        Self::with_planner(entry, stmt.table(), |planner| {
+            let planned = planner.plan_write(stmt)?;
+            let rids = exec::collect_rids(entry, planner, &planned.find)?;
+            Ok((rids, planned))
         })
     }
 
-    fn run_delete(&self, stmt: &DeleteStmt) -> Result<QueryResult> {
-        let result = self.run_delete_inner(stmt)?;
+    /// `UPDATE` or `DELETE`: locate every affected row, then change each
+    /// in the heap, its indexes, the statistics and the build logs.
+    fn run_write(&self, dml: &Dml) -> Result<QueryResult> {
+        let result = self.run_write_inner(dml)?;
         self.commit_if_durable()?;
         Ok(result)
     }
 
-    fn run_delete_inner(&self, stmt: &DeleteStmt) -> Result<QueryResult> {
+    fn run_write_inner(&self, dml: &Dml) -> Result<QueryResult> {
         let scope = ThreadIoScope::start();
         let _phase = self.mutation_phase();
-        let dml = Dml::Delete(stmt.clone());
-        let entry = self.table(&stmt.table)?;
+        let entry = self.table(dml.table())?;
         let entry = &mut *Self::write_entry(&entry);
-        let (rids, planned) = Self::locate_write(entry, &dml)?;
+        let (rids, planned) = Self::locate_write(entry, dml)?;
+        // The assignments of an UPDATE; a DELETE has none.
+        let set: Option<Vec<(ColumnId, Value)>> = match dml {
+            Dml::Update(stmt) => Some(
+                stmt.set
+                    .iter()
+                    .map(|(name, value)| {
+                        let id = entry.schema.column_id(name);
+                        (id.expect("validated by plan_write"), value.clone())
+                    })
+                    .collect(),
+            ),
+            _ => None,
+        };
         let count = rids.len() as u64;
         for rid in rids {
             let old_bytes = entry.heap.fetch(rid)?;
             let old_values = codec::decode_row(&old_bytes)?;
-            entry.heap.delete(rid)?;
+            let new = match &set {
+                Some(set) => {
+                    let mut new_values = old_values.clone();
+                    for (col, value) in set {
+                        new_values[col.index()] = value.clone();
+                    }
+                    Self::check_keys(entry, &new_values)?;
+                    let mut new_bytes = Vec::with_capacity(old_bytes.len());
+                    codec::encode_row(&new_values, &mut new_bytes);
+                    Some((new_values, entry.heap.update(rid, &new_bytes)?))
+                }
+                None => {
+                    entry.heap.delete(rid)?;
+                    None
+                }
+            };
+            let new = new.as_ref().map(|(values, rid)| (values.as_slice(), *rid));
             for index in entry.indexes.values_mut() {
-                let key: Vec<Value> = index
-                    .columns
-                    .iter()
-                    .map(|c| old_values[c.index()].clone())
-                    .collect();
-                index.btree.delete(&key, rid)?;
+                Self::edit_index(index, Some((&old_values, rid)), new)?;
             }
             if let Some(m) = entry.maintainer.as_mut() {
-                m.delete_row(&old_values);
+                match new {
+                    Some((new_values, _)) => m.update_row(&old_values, new_values),
+                    None => m.delete_row(&old_values),
+                }
             }
             entry.log_delta(|| RowDelta::Delete(old_values.clone(), rid));
+            if let Some((new_values, new_rid)) = new {
+                entry.log_delta(|| RowDelta::Insert(new_values.to_vec(), new_rid));
+            }
         }
         if count > 0 {
             entry.bump_epoch();
@@ -1084,8 +993,8 @@ impl Database {
     pub fn execute_statement(&self, stmt: Statement) -> Result<QueryResult> {
         match stmt {
             Statement::Select(stmt) => self.query(&stmt),
-            Statement::Update(stmt) => self.run_update(&stmt),
-            Statement::Delete(stmt) => self.run_delete(&stmt),
+            Statement::Update(stmt) => self.run_write(&Dml::Update(stmt)),
+            Statement::Delete(stmt) => self.run_write(&Dml::Delete(stmt)),
             Statement::CreateTable { name, columns } => {
                 let schema = Schema::new(
                     columns
@@ -1094,7 +1003,7 @@ impl Database {
                         .collect(),
                 );
                 self.create_table(&name, schema)?;
-                Ok(Self::ddl_result())
+                Ok(Self::ddl_result(IoStats::default(), "Ddl".into()))
             }
             // Index names are canonicalized from table + columns
             // (`ix_<table>_<cols>`); the name in CREATE INDEX is
@@ -1103,14 +1012,8 @@ impl Database {
             Statement::CreateIndex { table, columns, .. } => {
                 let spec = IndexSpec { table, columns };
                 let report = self.create_index(&spec)?;
-                Ok(QueryResult {
-                    count: 0,
-                    rows: None,
-                    aggregate: None,
-                    io: report.io,
-                    est_cost: cdpd_types::Cost::ZERO,
-                    plan: format!("CreateIndex({})", report.created.join(",")),
-                })
+                let plan = format!("CreateIndex({})", report.created.join(","));
+                Ok(Self::ddl_result(report.io, plan))
             }
             Statement::DropIndex { name } => {
                 let spec = self
@@ -1127,30 +1030,24 @@ impl Database {
                     })
                     .ok_or_else(|| Error::NotFound(format!("index {name}")))?;
                 let report = self.drop_index(&spec)?;
-                Ok(QueryResult {
-                    count: 0,
-                    rows: None,
-                    aggregate: None,
-                    io: report.io,
-                    est_cost: cdpd_types::Cost::ZERO,
-                    plan: format!("DropIndex({})", report.dropped.join(",")),
-                })
+                let plan = format!("DropIndex({})", report.dropped.join(","));
+                Ok(Self::ddl_result(report.io, plan))
             }
             Statement::Insert { table, values } => {
                 self.insert(&table, &values)?;
-                Ok(Self::ddl_result())
+                Ok(Self::ddl_result(IoStats::default(), "Ddl".into()))
             }
         }
     }
 
-    fn ddl_result() -> QueryResult {
+    fn ddl_result(io: IoStats, plan: String) -> QueryResult {
         QueryResult {
             count: 0,
             rows: None,
             aggregate: None,
-            io: IoStats::default(),
+            io,
             est_cost: cdpd_types::Cost::ZERO,
-            plan: "Ddl".into(),
+            plan,
         }
     }
 }
@@ -1775,5 +1672,57 @@ mod tests {
             .unwrap();
         assert_eq!(scan.count, brute.count);
         assert!(scan.count > 0);
+    }
+
+    /// Three short and three 2,750-byte keys in one leaf: a split by
+    /// entry count alone leaves a right half larger than a page, and a
+    /// panic there, under the table's write lock, would poison the lock
+    /// for every session. The leaf splits to fit, other sessions keep
+    /// being served, and a key over the cap is refused by INSERT,
+    /// UPDATE and CREATE INDEX before a page moves.
+    #[test]
+    fn long_index_keys_split_and_over_cap_keys_are_refused() {
+        let db = Database::new();
+        db.execute_sql("CREATE TABLE t (a INT, s TEXT)").unwrap();
+        db.execute_sql("CREATE INDEX i ON t (s)").unwrap();
+        for i in 0..3 {
+            db.execute_sql(&format!("INSERT INTO t VALUES ({i}, 'a{i}')"))
+                .unwrap();
+        }
+        for i in 0..3 {
+            let long = format!("z{i}{}", "x".repeat(2_748));
+            db.execute_sql(&format!("INSERT INTO t VALUES ({i}, '{long}')"))
+                .unwrap();
+        }
+        db.analyze("t").unwrap();
+        let other_session =
+            |sql: &str| std::thread::scope(|s| s.spawn(|| db.execute_sql(sql)).join().unwrap());
+        assert_eq!(other_session("SELECT COUNT(*) FROM t").unwrap().count, 6);
+        let pages = || (db.page_count(), db.pager().free_count());
+        let before = pages();
+        let over = "y".repeat(5_000);
+        for sql in [
+            format!("INSERT INTO t VALUES (9, '{over}')"),
+            format!("UPDATE t SET s = '{over}' WHERE a = 1"),
+        ] {
+            let err = db.execute_sql(&sql).unwrap_err();
+            assert!(matches!(err, Error::TooLarge(_)), "{err:?}");
+        }
+        assert_eq!(pages(), before, "a refused key changes no page");
+        assert_eq!(other_session("SELECT COUNT(*) FROM t").unwrap().count, 6);
+        assert_eq!(
+            other_session("SELECT a FROM t WHERE s = 'a1'")
+                .unwrap()
+                .count,
+            1
+        );
+        db.execute_sql("CREATE TABLE u (s TEXT)").unwrap();
+        db.execute_sql(&format!("INSERT INTO u VALUES ('{over}')"))
+            .unwrap();
+        let before = pages();
+        let err = db.execute_sql("CREATE INDEX j ON u (s)").unwrap_err();
+        assert!(matches!(err, Error::TooLarge(_)), "{err:?}");
+        assert_eq!(pages(), before, "a refused build allocates no page");
+        assert!(!db.has_index(&IndexSpec::new("u", &["s"])));
     }
 }

@@ -582,11 +582,12 @@ fn failed_commit_then_drop_recovers_the_acknowledged_prefix() {
     }
 }
 
-/// A statement fails *midway* — the heap insert lands, the index insert
-/// refuses the key — and commits nothing itself. Its page writes ride
-/// the next acknowledged commit of any statement, so that commit's
-/// delta must carry the failed statement's table too: the recovered
-/// database equals the live one, rows and page counts alike.
+/// A call fails *midway* — an `insert_many` batch lands its first row,
+/// then the index refuses the next row's key — and commits nothing
+/// itself. Its page writes ride the next acknowledged commit of any
+/// statement, so that commit's delta must carry the failed call's table
+/// too: the recovered database equals the live one, rows and page
+/// counts alike.
 #[test]
 fn statement_that_fails_midway_is_carried_by_the_next_commit() {
     let vfs = MemVfs::new();
@@ -595,10 +596,12 @@ fn statement_that_fails_midway_is_carried_by_the_next_commit() {
     db.create_index(&IndexSpec::new("t", &["d"])).unwrap();
     db.create_table("u", abcd_schema()).unwrap();
     for len in [4200, 4300, 4400] {
-        // Fits a heap page, not a B-tree key.
-        let row = [iv(100), iv(0), iv(0), Value::Str("\0".repeat(len))];
+        // The second row fits a heap page, not a B-tree key.
+        let kept = [iv(100), iv(0), iv(0), Value::Str(format!("kept{len}"))];
+        let refused = [iv(100), iv(0), iv(0), Value::Str("\0".repeat(len))];
         let seq = db.committed_seq();
-        assert!(matches!(db.insert("t", &row), Err(Error::TooLarge(_))));
+        let batch = db.insert_many("t", [&kept[..], &refused[..]]);
+        assert!(matches!(batch, Err(Error::TooLarge(_))));
         assert_eq!(db.committed_seq(), seq);
     }
     // An unrelated commit logs the failed statements' pages.

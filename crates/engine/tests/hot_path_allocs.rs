@@ -1,7 +1,9 @@
 //! The executor's hot paths allocate per statement, never per row: a
 //! counting global allocator shows that a sequential-scan `SUM`, a
 //! `COUNT(*)`, and point `SELECT`s (scanned and index-served) make the
-//! same number of allocations over 2,000 rows as over 20,000.
+//! same number of allocations over 2,000 rows as over 20,000. So do
+//! the write paths: a one-row `INSERT`, an `UPDATE` of an indexed and
+//! of an unindexed column, and a one-row `DELETE`.
 //!
 //! This binary holds one test and counts only the allocations of the
 //! thread that runs it, so the harness's own threads cannot disturb
@@ -55,6 +57,26 @@ const STATEMENTS: [&str; 4] = [
     "SELECT b FROM t WHERE a = 777",
 ];
 
+/// Write statements, after the `SELECT`s, as (warm-up, measured)
+/// pairs: each statement changes exactly one row, located through the
+/// index on `a` (the indexed `UPDATE` moves its row past the loaded
+/// range, where the measured one finds it).
+const WRITES: [(&str, &str); 4] = [
+    (
+        "INSERT INTO t VALUES (100000001, 0, 0, 0)",
+        "INSERT INTO t VALUES (100000002, 0, 0, 0)",
+    ),
+    (
+        "UPDATE t SET a = 100000003 WHERE a = 777",
+        "UPDATE t SET a = 100000004 WHERE a = 100000003",
+    ),
+    (
+        "UPDATE t SET b = 5 WHERE a = 778",
+        "UPDATE t SET b = 6 WHERE a = 778",
+    ),
+    ("DELETE FROM t WHERE a = 779", "DELETE FROM t WHERE a = 780"),
+];
+
 /// `rows` rows, `a` indexed; `c < 500` matches half of them and
 /// `a = 777` / `d = 777` exactly one.
 fn database(rows: i64) -> Database {
@@ -80,6 +102,18 @@ fn allocations(db: &Database, stmt: &SelectStmt) -> (u64, String) {
     (n, plan)
 }
 
+/// Allocations of the measured write of `pair`, after its warm-up.
+fn write_allocations(db: &Database, (warm_up, measured): (&str, &str)) -> (u64, String) {
+    let plan = db.execute_sql(warm_up).unwrap().plan;
+    let stmt = parse(measured).unwrap();
+    let before = allocs();
+    let result = db.execute_statement(stmt).unwrap();
+    let n = allocs() - before;
+    let rows = u64::from(!measured.starts_with("INSERT"));
+    assert_eq!(result.count, rows, "{measured}: rows changed");
+    (n, plan)
+}
+
 #[test]
 fn statements_allocate_the_same_at_2k_and_20k_rows() {
     let (small, large) = (database(2_000), database(20_000));
@@ -94,6 +128,16 @@ fn statements_allocate_the_same_at_2k_and_20k_rows() {
         assert!(
             at_20k.abs_diff(at_2k) <= 4,
             "{sql} ({plan_20k}): {at_2k} allocations at 2k rows, {at_20k} at 20k"
+        );
+    }
+    for pair in WRITES {
+        let (at_2k, plan_2k) = write_allocations(&small, pair);
+        let (at_20k, plan_20k) = write_allocations(&large, pair);
+        assert_eq!(plan_2k, plan_20k, "{}: plans differ", pair.1);
+        assert!(
+            at_20k.abs_diff(at_2k) <= 4,
+            "{} ({plan_20k}): {at_2k} allocations at 2k rows, {at_20k} at 20k",
+            pair.1
         );
     }
 }

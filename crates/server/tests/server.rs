@@ -291,6 +291,55 @@ fn mid_statement_disconnect_leaves_the_server_healthy() {
     assert_eq!(report.sessions, 2, "both connections were served");
 }
 
+/// Three short and three 2,750-byte index keys in one leaf: a split by
+/// entry count alone leaves a right half larger than a page, and a
+/// panic there, under the table's write lock, would wedge the table for
+/// every session. Through the wire none of the statements panics, a
+/// key over the cap is refused with `TooLarge`, and the table keeps
+/// serving every session.
+#[test]
+fn long_index_keys_never_wedge_the_table() {
+    let db = Arc::new(Database::new());
+    let (handle, join) = start(Server::bind(db.clone(), "127.0.0.1:0").expect("bind"));
+    let mut writer = Client::connect(handle.addr()).expect("connect");
+    writer
+        .exec("CREATE TABLE t (a INT, s TEXT)")
+        .expect("create table");
+    writer
+        .exec("CREATE INDEX i ON t (s)")
+        .expect("create index");
+    for i in 0..3 {
+        writer
+            .exec(&format!("INSERT INTO t VALUES ({i}, 'a{i}')"))
+            .expect("short key");
+    }
+    for i in 0..3 {
+        let long = format!("z{i}{}", "x".repeat(2_748));
+        writer
+            .exec(&format!("INSERT INTO t VALUES ({i}, '{long}')"))
+            .expect("long key");
+    }
+    let over = "y".repeat(5_000);
+    let err = writer
+        .exec(&format!("INSERT INTO t VALUES (9, '{over}')"))
+        .expect_err("a key over the cap is refused");
+    assert!(matches!(err, Error::TooLarge(_)), "{err:?}");
+    db.analyze("t").expect("analyze");
+    let mut reader = Client::connect(handle.addr()).expect("second session");
+    let count = reader.exec("SELECT COUNT(*) FROM t").expect("count");
+    assert_eq!(count.count, 6);
+    writer
+        .exec("INSERT INTO t VALUES (7, 'b')")
+        .expect("the writer keeps writing");
+    let seek = reader
+        .exec("SELECT a FROM t WHERE s = 'b'")
+        .expect("index seek");
+    assert_eq!(seek.count, 1);
+    drop((writer, reader));
+    let report = stop(&handle, join);
+    assert_eq!(report.sessions, 2);
+}
+
 const WINDOW: usize = 25;
 const STATEMENTS: usize = 100;
 

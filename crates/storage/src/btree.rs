@@ -1,4 +1,4 @@
-use crate::codec::{decode_rid, encode_key, encode_key_value, encode_rid, RID_LEN};
+use crate::codec::{decode_rid, encode_key, encode_key_value, encode_rid, key_value_len, RID_LEN};
 use crate::heap::HeapFile;
 use crate::pager::{Page, Pager, PAGE_SIZE};
 use cdpd_types::{Error, PageId, Result, Rid, Value};
@@ -41,6 +41,16 @@ const LEAF: u8 = 1;
 const INTERNAL: u8 = 2;
 const LEAF_HDR: usize = 7; // tag + count u16 + next u32
 const INT_HDR: usize = 7; // tag + count u16 + child0 u32
+/// Bytes a node has for its entries: a page less its header, which is
+/// the same size in both kinds of node.
+const NODE_ROOM: usize = PAGE_SIZE - LEAF_HDR;
+const _: () = assert!(LEAF_HDR == INT_HDR);
+/// The longest full entry key (`encode_key(values) ++ rid`) a tree
+/// admits. An entry of it — in an internal node a 2-byte length, the
+/// key and a 4-byte child pointer — takes at most half a node's room,
+/// so a node that overflows by one entry always splits into two that
+/// fit (see `split_point`).
+pub const MAX_KEY_LEN: usize = NODE_ROOM / 2 - 2 - 4;
 /// Bulk-load fill fraction: leaves are packed to ~90% so a freshly built
 /// index absorbs some inserts before splitting, like real systems.
 const FILL_NUM: usize = 9;
@@ -141,6 +151,43 @@ impl OwnedNode {
     }
 }
 
+/// Refuse a full entry key of `len` bytes over [`MAX_KEY_LEN`].
+fn check_key_len(len: usize) -> Result<()> {
+    if len > MAX_KEY_LEN {
+        return Err(Error::TooLarge(format!(
+            "index key of {len} bytes (at most {MAX_KEY_LEN})"
+        )));
+    }
+    Ok(())
+}
+
+/// Where a node holding `keys` splits: the left node keeps
+/// `keys[..mid]` and the right one gets `keys[mid + gap..]` (`gap` is 1
+/// in an internal node, whose `keys[mid]` moves up to the parent). An
+/// entry takes `2 + key.len() + extra` bytes. The count midpoint when
+/// both halves fit, else after the longest prefix that fits and leaves
+/// the right node an entry; under [`MAX_KEY_LEN`] that one always fits.
+fn split_point(keys: &[Vec<u8>], extra: usize, gap: usize) -> Result<usize> {
+    let size = |keys: &[Vec<u8>]| keys.iter().map(|k| 2 + k.len() + extra).sum::<usize>();
+    let fits =
+        |mid: usize| size(&keys[..mid]) <= NODE_ROOM && size(&keys[mid + gap..]) <= NODE_ROOM;
+    let mut used = 0;
+    let longest = keys
+        .iter()
+        .take_while(|k| {
+            used += 2 + k.len() + extra;
+            used <= NODE_ROOM
+        })
+        .count();
+    [
+        keys.len() / 2,
+        longest.min(keys.len().saturating_sub(1 + gap)),
+    ]
+    .into_iter()
+    .find(|&mid| fits(mid))
+    .ok_or_else(|| Error::TooLarge("index node too full of long keys to split".into()))
+}
+
 /// Full entry key: memcomparable values followed by the rid.
 fn full_key(values: &[Value], rid: Rid) -> Vec<u8> {
     let mut key = Vec::with_capacity(9 * values.len() + RID_LEN);
@@ -215,6 +262,10 @@ impl BTree {
     /// unique through their rid, so the order is the byte order of the
     /// keys themselves, and nothing is allocated per row. The tree
     /// shares the heap's pager.
+    ///
+    /// # Errors
+    /// Returns [`Error::TooLarge`] for a key over [`MAX_KEY_LEN`] from
+    /// the encode pass, before any page is allocated.
     pub fn build_from_heap(heap: &HeapFile, columns: &[usize]) -> Result<BTree> {
         let rows = heap.row_count() as usize;
         let mut arena = Vec::with_capacity(rows * (9 * columns.len() + RID_LEN));
@@ -228,6 +279,7 @@ impl BTree {
                 row.encode_key_column(col, &mut arena)?;
             }
             encode_rid(rid, &mut arena);
+            check_key_len(arena.len() - start as usize)?;
             spans.push((0, start, offset(arena.len())?));
             Ok(())
         })?;
@@ -250,6 +302,13 @@ impl BTree {
         }
         spans.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a).cmp(key(b))));
         BTree::bulk_load_keys(heap.pager().clone(), spans.iter().map(key))
+    }
+
+    /// Refuse, with no I/O, the key columns `values` of an entry that
+    /// [`BTree::insert`] would refuse as over [`MAX_KEY_LEN`]: a writer
+    /// checks a row before it changes the heap.
+    pub fn check_key<'v>(values: impl IntoIterator<Item = &'v Value>) -> Result<()> {
+        check_key_len(values.into_iter().map(key_value_len).sum::<usize>() + RID_LEN)
     }
 
     /// Build a tree from entries **sorted by `(values, rid)`**: the
@@ -279,7 +338,8 @@ impl BTree {
     ///
     /// # Errors
     /// Returns [`Error::InvalidArgument`] if the keys are not strictly
-    /// ascending, and [`Error::TooLarge`] for a key no page can hold.
+    /// ascending, and [`Error::TooLarge`] for a key over
+    /// [`MAX_KEY_LEN`].
     pub fn bulk_load_keys<I>(pager: Arc<Pager>, keys: I) -> Result<BTree>
     where
         I: IntoIterator,
@@ -316,9 +376,7 @@ impl BTree {
 
         for item in keys {
             let key = item.as_ref();
-            if LEAF_HDR + 2 + key.len() > PAGE_SIZE {
-                return Err(Error::TooLarge(format!("index key of {} bytes", key.len())));
-            }
+            check_key_len(key.len())?;
             if prev.as_ref().is_some_and(|prev| prev.as_ref() >= key) {
                 return Err(Error::InvalidArgument(
                     "bulk_load input must be strictly sorted by (values, rid)".into(),
@@ -407,12 +465,11 @@ impl BTree {
     ///
     /// # Errors
     /// Returns [`Error::AlreadyExists`], with no write, if the exact
-    /// `(values, rid)` pair is already present.
+    /// `(values, rid)` pair is already present, and [`Error::TooLarge`],
+    /// with no I/O, for a key over [`MAX_KEY_LEN`].
     pub fn insert(&mut self, values: &[Value], rid: Rid) -> Result<()> {
         let key = full_key(values, rid);
-        if 2 + key.len() + LEAF_HDR > PAGE_SIZE {
-            return Err(Error::TooLarge(format!("index key of {} bytes", key.len())));
-        }
+        check_key_len(key.len())?;
         // Descend, remembering the path of (page, child index taken).
         let mut path: Vec<(PageId, usize)> = Vec::new();
         let mut pid = self.root;
@@ -438,9 +495,9 @@ impl BTree {
         if found {
             return Err(Error::AlreadyExists("duplicate (key, rid) in index".into()));
         }
-        self.entry_count += 1;
         let len = 2 + key.len();
         if used + len <= PAGE_SIZE {
+            self.entry_count += 1;
             let buf = Arc::make_mut(&mut page);
             buf.copy_within(at..used, at + len);
             buf[at..at + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
@@ -450,13 +507,14 @@ impl BTree {
             return self.pager.write(pid, page);
         }
 
-        // Split the leaf: left keeps the first half, right gets the rest.
+        // Split the leaf at `split_point`.
         let OwnedNode::Leaf { mut entries, next } = OwnedNode::decode(&page)? else {
             unreachable!("tag checked above")
         };
         let pos = entries.partition_point(|e| e.as_slice() < key.as_slice());
         entries.insert(pos, key);
-        let mid = entries.len() / 2;
+        let mid = split_point(&entries, 0, 0)?;
+        self.entry_count += 1;
         let mut left_entries = entries;
         let right_entries = left_entries.split_off(mid);
         let sep = right_entries[0].clone();
@@ -500,7 +558,7 @@ impl BTree {
                 self.pager.write(pid, Arc::new(node.encode()))?;
                 return Ok(());
             }
-            let mid = keys.len() / 2;
+            let mid = split_point(&keys, 4, 1)?;
             // keys[mid] moves up; left keeps [..mid], right gets [mid+1..].
             let mut lk = keys;
             let rk = lk.split_off(mid + 1);

@@ -267,6 +267,14 @@ pub fn encode_key_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
+/// The number of bytes [`encode_key_value`] appends for `v`.
+pub fn key_value_len(v: &Value) -> usize {
+    match v {
+        Value::Int(_) => 9,
+        Value::Str(s) => 3 + s.len() + s.bytes().filter(|&b| b == 0).count(),
+    }
+}
+
 /// Memcomparable encoding of a value tuple.
 ///
 /// Guarantees: `encode_key(a) < encode_key(b)` (byte order) iff `a < b`

@@ -50,7 +50,7 @@ mod heap;
 mod pager;
 mod wal;
 
-pub use btree::{BTree, BTreeCursor};
+pub use btree::{BTree, BTreeCursor, MAX_KEY_LEN};
 pub use crc::crc64;
 pub use durable::{DurableOpen, DurableOptions, DurableStats};
 pub use heap::{HeapFile, HeapScan, PinnedRow};

@@ -102,6 +102,14 @@ impl IoStats {
     }
 }
 
+impl std::ops::AddAssign for IoStats {
+    fn add_assign(&mut self, other: IoStats) {
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.allocs += other.allocs;
+    }
+}
+
 thread_local! {
     /// Per-thread logical-I/O ledger, incremented in lockstep with every
     /// pager's atomic counters. One statement executes entirely on one

@@ -11,17 +11,21 @@
 //! row (also in `mod reference`) the same way, over heaps with deleted,
 //! rewritten and moved rows.
 //!
+//! Keys of mixed lengths, from empty up to the key cap and past it, must
+//! split into nodes that fit and match the model too; a key over the
+//! cap is refused with no I/O.
+//!
 //! The durable variants run the same model against a file-backed pager:
 //! mutate → commit → checkpoint → reopen must reattach the identical
 //! tree (with both unbounded and tiny page caches, so recovery reads go
 //! through eviction + backend refetch), and corrupted data or checksum
 //! files must surface as clean [`Err`]s — never as wrong answers or UB.
 
-use cdpd_storage::codec::{decode_key, decode_rid, encode_row, RID_LEN};
-use cdpd_storage::{crc64, BTree, DurableOptions, HeapFile, MemVfs, Pager, PAGE_SIZE};
-use cdpd_testkit::prop::{btree_set_of, string_of, vec_of, Config, Just, Strategy};
+use cdpd_storage::codec::{decode_key, decode_rid, encode_key, encode_row, RID_LEN};
+use cdpd_storage::{crc64, BTree, DurableOptions, HeapFile, MemVfs, Pager, MAX_KEY_LEN, PAGE_SIZE};
+use cdpd_testkit::prop::{any_bool, btree_set_of, string_of, vec_of, Config, Just, Strategy};
 use cdpd_testkit::{one_of, props};
-use cdpd_types::{PageId, Rid, Value};
+use cdpd_types::{Error, PageId, Rid, Value};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -804,8 +808,8 @@ mod reference {
 /// Three key shapes: `INT`; composite `(INT, STR)`; and one `STR` of
 /// 0.6–1.2 KB, so a node holds 6–13 entries and inserts split leaves
 /// and internal nodes often. The `STR` band stays within a factor of
-/// two: a split halves a node by entry count, and keys more skewed than
-/// that can leave one half larger than a page.
+/// two so every split is the count-midpoint split `mod reference`
+/// makes; `mixed_length_keys_match_model` covers the others.
 fn shaped_key(shape: u8, k: u16) -> Vec<Value> {
     match shape {
         0 => vec![Value::Int(i64::from(k) - 200)],
@@ -1052,5 +1056,118 @@ props! {
             let (a, b) = (got_pager.read(p).unwrap(), want_pager.read(p).unwrap());
             assert_eq!(crc64(&a[..]), crc64(&b[..]), "page {p:?} bytes");
         }
+    }
+}
+
+// --- Mixed-length keys up to the cap ----------------------------------
+
+/// The longest `STR` of `x`s whose full entry key is exactly the cap:
+/// a tag, the bytes, a two-byte terminator and the rid.
+const LONGEST: usize = MAX_KEY_LEN - 3 - RID_LEN;
+
+/// A `STR` key of `len` characters: a lead letter, then `x`s, or NUL
+/// bytes (which escape to two key bytes each).
+fn long_key(lead: u8, len: usize, nul: bool) -> String {
+    let pad = if nul { '\0' } else { 'x' };
+    std::iter::once(char::from(b'a' + lead))
+        .chain(std::iter::repeat(pad))
+        .take(len)
+        .collect()
+}
+
+#[derive(Clone, Debug)]
+enum LongOp {
+    /// Insert `(long_key(lead, len, nul), rid r)`.
+    Insert(u8, usize, bool, u32),
+    /// Delete `(long_key(lead, len, nul), rid r)`, present or not.
+    Delete(u8, usize, bool, u32),
+    /// Delete the `i`-th entry of the model, modulo its size.
+    DeletePresent(usize),
+    /// Seek to `long_key(lead, len, false)`.
+    Seek(u8, usize),
+}
+
+/// Key lengths from empty to the cap, exactly the cap, and past it.
+fn long_len() -> impl Strategy<Value = usize> {
+    one_of![
+        2 => 0usize..8,
+        2 => 8usize..700,
+        3 => 700usize..LONGEST + 1,
+        1 => Just(LONGEST),
+        1 => LONGEST + 1..LONGEST + 40,
+    ]
+}
+
+fn long_op_strategy() -> impl Strategy<Value = LongOp> {
+    one_of![
+        6 => (0u8..6, long_len(), any_bool(), 0u32..3)
+            .prop_map(|(lead, len, nul, r)| LongOp::Insert(lead, len, nul && len % 3 == 0, r)),
+        2 => (0u8..6, long_len(), any_bool(), 0u32..3)
+            .prop_map(|(lead, len, nul, r)| LongOp::Delete(lead, len, nul && len % 3 == 0, r)),
+        2 => (0usize..256).prop_map(LongOp::DeletePresent),
+        1 => (0u8..6, 0usize..64).prop_map(|(lead, len)| LongOp::Seek(lead, len)),
+    ]
+}
+
+fn long_entries(tree: &BTree) -> Vec<(String, u32)> {
+    let mut out = Vec::new();
+    let mut cur = tree.scan_all().unwrap();
+    while let Some((k, rid)) = cur.next_entry().unwrap() {
+        let value = decode_key(k).unwrap().remove(0);
+        out.push((value.as_str().unwrap().to_owned(), rid.page.raw()));
+    }
+    out
+}
+
+props! {
+    config: Config::with_cases(48);
+
+    fn mixed_length_keys_match_model(ops in vec_of(long_op_strategy(), 1..250)) {
+        let pager = Arc::new(Pager::new());
+        let mut tree = BTree::create(pager.clone()).unwrap();
+        let mut model: BTreeSet<(String, u32)> = BTreeSet::new();
+        let rid = |r: u32| Rid::new(PageId(r), 0);
+        for op in ops {
+            match *op {
+                LongOp::Insert(lead, len, nul, r) => {
+                    let key = long_key(lead, len, nul);
+                    let values = [Value::from(key.as_str())];
+                    let over = encode_key(&values).len() + RID_LEN > MAX_KEY_LEN;
+                    assert_eq!(BTree::check_key(&values).is_err(), over, "check_key, {len} chars");
+                    let before = (pager.stats(), pager.page_count());
+                    let got = tree.insert(&values, rid(r));
+                    if over {
+                        assert!(matches!(got, Err(Error::TooLarge(_))), "{len} chars: {got:?}");
+                        assert_eq!((pager.stats(), pager.page_count()), before, "refusal is free");
+                    } else if model.insert((key, r)) {
+                        got.unwrap();
+                    } else {
+                        assert!(matches!(got, Err(Error::AlreadyExists(_))), "{got:?}");
+                    }
+                }
+                LongOp::Delete(lead, len, nul, r) => {
+                    let key = long_key(lead, len, nul);
+                    let removed = tree.delete(&[Value::from(key.as_str())], rid(r)).unwrap();
+                    assert_eq!(removed, model.remove(&(key, r)));
+                }
+                LongOp::DeletePresent(i) => {
+                    if let Some((key, r)) = model.iter().nth(i % model.len().max(1)).cloned() {
+                        assert!(tree.delete(&[Value::from(key.as_str())], rid(r)).unwrap());
+                        model.remove(&(key, r));
+                    }
+                }
+                LongOp::Seek(lead, len) => {
+                    let probe = long_key(lead, len, false);
+                    let mut cur = tree.seek(&[Value::from(probe.as_str())]).unwrap();
+                    let got = cur.next_entry().unwrap().map(|(k, rid)| {
+                        let value = decode_key(k).unwrap().remove(0);
+                        (value.as_str().unwrap().to_owned(), rid.page.raw())
+                    });
+                    assert_eq!(got, model.range((probe, 0)..).next().cloned(), "seek");
+                }
+            }
+        }
+        assert_eq!(long_entries(&tree), model.iter().cloned().collect::<Vec<_>>());
+        assert_eq!(tree.entry_count() as usize, model.len());
     }
 }

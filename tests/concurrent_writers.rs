@@ -17,10 +17,11 @@
 //!    final logical state (sorted rows, index set, per-value counts)
 //!    must equal the serial replay's — and summed per-thread scopes
 //!    must still equal the global pager delta exactly.
-//! 3. **DML racing one online build**: writers update/delete/insert
-//!    against the build's pinned snapshot; the delta catch-up must
-//!    leave the installed tree answering exactly like an index built
-//!    from the quiesced heap.
+//! 3. **DML racing online builds**: writers update/delete/insert
+//!    against the builds' pinned snapshot — two `create_index` calls,
+//!    or one two-index design change sharing one log at one and two
+//!    build threads; the delta catch-up must leave the installed trees
+//!    answering exactly like indexes built from the quiesced heap.
 //!
 //! Seeds honour `CDPD_SEED` and session counts `CDPD_THREADS`, so the
 //! CI stress gate can sweep 8 seeds × {1, 2, 8} sessions.
@@ -126,10 +127,8 @@ fn assert_same_result(serial: &QueryResult, concurrent: &QueryResult, what: &str
 
 fn sum_io(deltas: &[IoStats]) -> IoStats {
     let mut total = IoStats::default();
-    for d in deltas {
-        total.reads += d.reads;
-        total.writes += d.writes;
-        total.allocs += d.allocs;
+    for &d in deltas {
+        total += d;
     }
     total
 }
@@ -399,85 +398,115 @@ fn commuting_inserts_with_racing_ddl_serialize() {
 
 // --- Configuration 3: DML racing one online build --------------------
 
-/// Writers mutate `t` for the whole duration of two online index
-/// builds; afterwards the installed trees (base scan + delta catch-up)
-/// must answer exactly like trees rebuilt from the quiesced heap.
+/// Writers mutate a fresh `t` for the whole duration of `build`, which
+/// installs I(a) and I(c,d) online; afterwards the installed trees
+/// (base scan + delta catch-up) must answer exactly like trees rebuilt
+/// from the quiesced heap.
+fn race_builds_against_dml(seed: u64, what: &str, build: impl Fn(&Database)) {
+    let db = common::paper_database(ROWS, seed);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for w in 0..2u64 {
+            let db = &db;
+            let stop = &stop;
+            s.spawn(move || {
+                let mut rng = Prng::seed_from_u64(seed ^ (0xDEADu64 << w));
+                while !stop.load(Ordering::Relaxed) {
+                    let v = rng.gen_range(0..DOMAIN);
+                    match rng.gen_range(0..4i64) {
+                        0 => {
+                            db.execute_sql(&format!(
+                                "UPDATE t SET c = {} WHERE a = {v}",
+                                rng.gen_range(0..DOMAIN)
+                            ))
+                            .expect("racing update");
+                        }
+                        1 => {
+                            db.execute_sql(&format!("DELETE FROM t WHERE b = {v} AND d = {v}"))
+                                .expect("racing delete");
+                        }
+                        _ => {
+                            let row: Vec<Value> = (0..4)
+                                .map(|_| Value::Int(rng.gen_range(0..DOMAIN)))
+                                .collect();
+                            db.insert("t", &row).expect("racing insert");
+                        }
+                    }
+                }
+            });
+        }
+        // Builds race the writers: their base scans read a pinned
+        // snapshot, then catch up from the delta logs at install.
+        build(&db);
+        stop.store(true, Ordering::Relaxed);
+    });
+
+    // Quiesced: compare the online-built trees' answers against a
+    // drop + rebuild from the now-static heap.
+    let online_a = point_counts(&db, "a");
+    let online_c = point_counts(&db, "c");
+    let rows = sorted_rows(&db);
+    db.drop_index(&IndexSpec::new("t", &["a"])).expect("drop");
+    db.drop_index(&IndexSpec::new("t", &["c", "d"]))
+        .expect("drop");
+    db.create_index(&IndexSpec::new("t", &["a"]))
+        .expect("quiesced rebuild");
+    db.create_index(&IndexSpec::new("t", &["c", "d"]))
+        .expect("quiesced rebuild");
+    assert_eq!(
+        online_a,
+        point_counts(&db, "a"),
+        "seed {seed}, {what}: online-built I(a) diverges from quiesced rebuild"
+    );
+    assert_eq!(
+        online_c,
+        point_counts(&db, "c"),
+        "seed {seed}, {what}: online-built I(c,d) diverges from quiesced rebuild"
+    );
+    assert_eq!(
+        rows,
+        sorted_rows(&db),
+        "seed {seed}, {what}: rebuild must not disturb the heap"
+    );
+    let total: u64 = online_a.iter().sum();
+    assert_eq!(
+        total,
+        rows.len() as u64,
+        "seed {seed}, {what}: per-value counts must cover every surviving row"
+    );
+}
+
+/// Two `create_index` calls race the writers, one after the other.
 #[test]
 fn online_build_catch_up_matches_quiesced_rebuild() {
     for seed in seeds() {
-        let db = common::paper_database(ROWS, seed);
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            for w in 0..2u64 {
-                let db = &db;
-                let stop = &stop;
-                s.spawn(move || {
-                    let mut rng = Prng::seed_from_u64(seed ^ (0xDEADu64 << w));
-                    while !stop.load(Ordering::Relaxed) {
-                        let v = rng.gen_range(0..DOMAIN);
-                        match rng.gen_range(0..4i64) {
-                            0 => {
-                                db.execute_sql(&format!(
-                                    "UPDATE t SET c = {} WHERE a = {v}",
-                                    rng.gen_range(0..DOMAIN)
-                                ))
-                                .expect("racing update");
-                            }
-                            1 => {
-                                db.execute_sql(&format!("DELETE FROM t WHERE b = {v} AND d = {v}"))
-                                    .expect("racing delete");
-                            }
-                            _ => {
-                                let row: Vec<Value> = (0..4)
-                                    .map(|_| Value::Int(rng.gen_range(0..DOMAIN)))
-                                    .collect();
-                                db.insert("t", &row).expect("racing insert");
-                            }
-                        }
-                    }
-                });
-            }
-            // Builds race the writers: their base scans read a pinned
-            // snapshot, then catch up from the delta logs at install.
+        race_builds_against_dml(seed, "create_index", |db| {
             db.create_index(&IndexSpec::new("t", &["a"]))
                 .expect("online build I(a)");
             db.create_index(&IndexSpec::new("t", &["c", "d"]))
                 .expect("online build I(c,d)");
-            stop.store(true, Ordering::Relaxed);
         });
+    }
+}
 
-        // Quiesced: compare the online-built trees' answers against a
-        // drop + rebuild from the now-static heap.
-        let online_a = point_counts(&db, "a");
-        let online_c = point_counts(&db, "c");
-        let rows = sorted_rows(&db);
-        db.drop_index(&IndexSpec::new("t", &["a"])).expect("drop");
-        db.drop_index(&IndexSpec::new("t", &["c", "d"]))
-            .expect("drop");
-        db.create_index(&IndexSpec::new("t", &["a"]))
-            .expect("quiesced rebuild");
-        db.create_index(&IndexSpec::new("t", &["c", "d"]))
-            .expect("quiesced rebuild");
-        assert_eq!(
-            online_a,
-            point_counts(&db, "a"),
-            "seed {seed}: online-built I(a) diverges from quiesced rebuild"
-        );
-        assert_eq!(
-            online_c,
-            point_counts(&db, "c"),
-            "seed {seed}: online-built I(c,d) diverges from quiesced rebuild"
-        );
-        assert_eq!(
-            rows,
-            sorted_rows(&db),
-            "seed {seed}: rebuild must not disturb the heap"
-        );
-        let total: u64 = online_a.iter().sum();
-        assert_eq!(
-            total,
-            rows.len() as u64,
-            "seed {seed}: per-value counts must cover every surviving row"
-        );
+/// One design change races the writers: both indexes build from one
+/// pinned snapshot and catch up from one shared log, at one and at two
+/// build threads.
+#[test]
+fn online_design_change_catch_up_matches_quiesced_rebuild() {
+    let target = [
+        IndexSpec::new("t", &["a"]),
+        IndexSpec::new("t", &["c", "d"]),
+    ];
+    for seed in seeds() {
+        for threads in [1, 2] {
+            let what = format!("apply_configuration_with at {threads} threads");
+            race_builds_against_dml(seed, &what, |db| {
+                let report = db
+                    .apply_configuration_with("t", &target, threads)
+                    .expect("online design change");
+                assert_eq!(report.created.len(), 2, "{what}: both indexes built");
+            });
+        }
     }
 }

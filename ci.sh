@@ -37,6 +37,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 echo "== table1 regenerates =="
 cargo run --release --offline -p cdpd-bench --bin table1
 
+echo "== fig3 regenerates =="
+# Replays W1/W2/W3 under both W1-derived designs at the default scale;
+# tests/paper_fig3.rs pins the same bars at test scale.
+cargo run --release --offline -p cdpd-bench --bin fig3
+
 echo "== tracing reconciles with the I/O ledgers at 1, 2 and 8 threads =="
 # Span-attributed tracked counters must sum to the registry delta on
 # every thread count: a fan-out that spawns workers outside any span

@@ -80,7 +80,7 @@ pub fn solve_with_prefix(
     }
     let _span = cdpd_obs::span!("solve.kaware.warm", k = k, prefix = prefix.len());
     crate::warm::check_prefix(oracle, problem, prefix)?;
-    let used = crate::warm::prefix_changes(problem, prefix);
+    let used = problem.changes(prefix);
     let Some(remaining) = k.checked_sub(used) else {
         return Err(Error::Infeasible(format!(
             "committed prefix already uses {used} changes, over the budget of {k}"

@@ -97,7 +97,7 @@ fn schedules(
     if let Err(e) = warm::check_prefix(oracle, problem, prefix) {
         return omit(e);
     }
-    let spent = warm::prefix_changes(problem, prefix);
+    let spent = problem.changes(prefix);
     let Some(room) = k_max.checked_sub(spent) else {
         return Ok(Vec::new());
     };

@@ -75,6 +75,22 @@ impl Problem {
     pub fn fits(&self, oracle: &dyn CostOracle, config: &Config) -> bool {
         self.space_bound.is_none_or(|b| oracle.size(config) <= b)
     }
+
+    /// Design changes `configs` spends against `k` when they follow
+    /// [`Problem::initial`]: every stage whose configuration differs
+    /// from the previous one, except a change at stage 0 unless
+    /// [`Problem::count_initial_change`] is set.
+    pub fn changes(&self, configs: &[Config]) -> usize {
+        let mut prev = &self.initial;
+        let mut changes = 0;
+        for (stage, cfg) in configs.iter().enumerate() {
+            if cfg != prev && (stage > 0 || self.count_initial_change) {
+                changes += 1;
+            }
+            prev = cfg;
+        }
+        changes
+    }
 }
 
 /// The closure-backed inner oracle [`SyntheticOracle`] memoizes.

@@ -26,13 +26,9 @@ impl Schedule {
     pub fn evaluate(oracle: &dyn CostOracle, problem: &Problem, configs: Vec<Config>) -> Schedule {
         let mut exec_cost = Cost::ZERO;
         let mut trans_cost = Cost::ZERO;
-        let mut changes = 0usize;
         let mut prev = &problem.initial;
         for (stage, cfg) in configs.iter().enumerate() {
             trans_cost += oracle.trans(prev, cfg);
-            if cfg != prev && (stage > 0 || problem.count_initial_change) {
-                changes += 1;
-            }
             exec_cost += oracle.exec(stage, cfg);
             prev = cfg;
         }
@@ -40,10 +36,10 @@ impl Schedule {
             trans_cost += oracle.trans(prev, f);
         }
         Schedule {
+            changes: problem.changes(&configs),
             configs,
             exec_cost,
             trans_cost,
-            changes,
         }
     }
 

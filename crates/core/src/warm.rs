@@ -72,21 +72,6 @@ pub(crate) fn suffix_problem(problem: &Problem, prefix: &[Config]) -> Problem {
     }
 }
 
-/// Changes the committed prefix has already spent, counted exactly the
-/// way [`crate::schedule::Schedule::evaluate`] counts them (a change at
-/// stage 0 is free unless `count_initial_change`).
-pub(crate) fn prefix_changes(problem: &Problem, prefix: &[Config]) -> usize {
-    let mut changes = 0;
-    let mut prev = &problem.initial;
-    for (stage, cfg) in prefix.iter().enumerate() {
-        if cfg != prev && (stage > 0 || problem.count_initial_change) {
-            changes += 1;
-        }
-        prev = cfg;
-    }
-    changes
-}
-
 /// Reject prefixes longer than the workload or violating the space
 /// bound (a committed prefix was feasible when committed; re-checking
 /// catches stats drift and caller bugs cheaply).
@@ -165,11 +150,8 @@ mod tests {
                 Config::from_bits(0b10),
             ];
             let s = Schedule::evaluate(&o, &p, cfgs.clone());
-            assert_eq!(
-                prefix_changes(&p, &cfgs),
-                s.changes,
-                "strict={count_initial}"
-            );
+            assert_eq!(p.changes(&cfgs), s.changes, "strict={count_initial}");
+            assert_eq!(s.changes, 1 + usize::from(count_initial));
         }
     }
 

@@ -1,4 +1,5 @@
 use crate::cost::IndexShape;
+use crate::planner::IndexInfo;
 use cdpd_storage::{codec, BTree, HeapFile};
 use cdpd_types::{ColumnId, Result, Rid, Schema, TableId, Value};
 use std::fmt;
@@ -69,20 +70,34 @@ impl fmt::Display for IndexSpec {
     }
 }
 
-/// A materialized index: spec resolved to column ids plus its B+-tree.
+/// A materialized index: its spec, the planner's view of it, and its
+/// B+-tree.
 pub(crate) struct IndexEntry {
     pub(crate) spec: IndexSpec,
-    pub(crate) columns: Vec<ColumnId>,
+    /// Canonical name, key columns resolved to column ids, and the
+    /// tree's shape. Built once at install; the shape is kept current
+    /// by `Database::edit_index`, the one place the tree changes.
+    pub(crate) info: IndexInfo,
     pub(crate) btree: BTree,
 }
 
 impl IndexEntry {
-    /// The tree's shape, read from the live B+-tree.
-    pub(crate) fn shape(&self) -> IndexShape {
+    /// An entry for `btree`, the index `spec` keyed on `columns`.
+    pub(crate) fn new(spec: IndexSpec, columns: Vec<ColumnId>, btree: BTree) -> IndexEntry {
+        let info = IndexInfo {
+            name: spec.name(),
+            columns,
+            shape: Self::shape_of(&btree),
+        };
+        IndexEntry { spec, info, btree }
+    }
+
+    /// The shape of a live B+-tree.
+    pub(crate) fn shape_of(btree: &BTree) -> IndexShape {
         IndexShape {
-            leaf_pages: self.btree.leaf_count(),
-            height: self.btree.height(),
-            total_pages: self.btree.page_count(),
+            leaf_pages: btree.leaf_count(),
+            height: btree.height(),
+            total_pages: btree.page_count(),
         }
     }
 }

@@ -1,10 +1,10 @@
 use crate::catalog::{BuildLog, IndexEntry, IndexSpec, RowDelta, TableEntry, TableSnapshot};
 use crate::cost::IndexShape;
 use crate::exec::{self, ExecOutcome};
-use crate::planner::{IndexInfo, Planner};
+use crate::planner::{IndexInfo, PathKind, Plan, Planner};
 use crate::stats::{StatsMaintainer, StatsRefresh, TableStats};
 use cdpd_sql::{Dml, SelectStmt, Statement};
-use cdpd_storage::{codec, BTree, IoStats, Pager, ThreadIoScope};
+use cdpd_storage::{codec, BTree, HeapFile, IoStats, Pager, ThreadIoScope};
 use cdpd_types::{ColumnId, Error, Result, Rid, Schema, TableId, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -27,6 +27,13 @@ pub struct QueryResult {
     pub est_cost: cdpd_types::Cost,
     /// One-line plan description.
     pub plan: String,
+    /// Access path of the executed statement: a query's
+    /// [`Plan::kind`], [`PathKind::Write`] for an `UPDATE` or `DELETE`,
+    /// [`PathKind::Other`] for anything else.
+    pub path: PathKind,
+    /// Whether the statement read through an index: a query's plan, or
+    /// the plan that located a write's rows, is not a heap scan.
+    pub index_backed: bool,
 }
 
 /// Result of a DDL operation (or a whole design change).
@@ -493,7 +500,7 @@ impl Database {
         Ok(guard
             .indexes
             .values()
-            .map(|e| (e.spec.clone(), e.shape()))
+            .map(|e| (e.spec.clone(), e.info.shape))
             .collect())
     }
 
@@ -523,12 +530,7 @@ impl Database {
             .collect::<Result<Vec<_>>>()?;
         let positions: Vec<usize> = columns.iter().map(|c| c.index()).collect();
         let btree = BTree::build_from_heap(&snap.heap, &positions)?;
-        let index = IndexEntry {
-            spec: spec.clone(),
-            columns,
-            btree,
-        };
-        Ok((index, scope.delta()))
+        Ok((IndexEntry::new(spec.clone(), columns, btree), scope.delta()))
     }
 
     /// Move one row's entry in `index` from `old` to `new`, each a
@@ -536,12 +538,14 @@ impl Database {
     /// values become an index key. The tree is left alone when the rid
     /// and the key columns are unchanged. Deleting an absent entry is
     /// no error; inserting a present one is [`Error::AlreadyExists`].
+    /// The planner's view of the tree's shape follows every edit, a
+    /// failed one included.
     fn edit_index(
         index: &mut IndexEntry,
         old: Option<(&[Value], Rid)>,
         new: Option<(&[Value], Rid)>,
     ) -> Result<()> {
-        let columns = &index.columns;
+        let columns = &index.info.columns;
         if let (Some((was, from)), Some((now, to))) = (old, new) {
             if from == to && columns.iter().all(|c| was[c.index()] == now[c.index()]) {
                 return Ok(());
@@ -550,20 +554,25 @@ impl Database {
         let key = |values: &[Value]| -> Vec<Value> {
             columns.iter().map(|c| values[c.index()].clone()).collect()
         };
-        if let Some((values, rid)) = old {
-            index.btree.delete(&key(values), rid)?;
-        }
-        if let Some((values, rid)) = new {
-            index.btree.insert(&key(values), rid)?;
-        }
-        Ok(())
+        let mut edit = || -> Result<()> {
+            if let Some((values, rid)) = old {
+                index.btree.delete(&key(values), rid)?;
+            }
+            if let Some((values, rid)) = new {
+                index.btree.insert(&key(values), rid)?;
+            }
+            Ok(())
+        };
+        let edited = edit();
+        index.info.shape = IndexEntry::shape_of(&index.btree);
+        edited
     }
 
     /// Refuse, before a statement changes anything, a row whose key in
     /// one of `entry`'s indexes is over the B+-tree's cap.
     fn check_keys(entry: &TableEntry, values: &[Value]) -> Result<()> {
         entry.indexes.values().try_for_each(|index| {
-            BTree::check_key(index.columns.iter().map(|c| &values[c.index()]))
+            BTree::check_key(index.info.columns.iter().map(|c| &values[c.index()]))
         })
     }
 
@@ -768,26 +777,23 @@ impl Database {
         Ok(report)
     }
 
-    /// Run `f` with a planner over `entry`'s statistics and
-    /// materialized indexes; without statistics, the `run analyze()`
-    /// error.
+    /// Run `f` with a planner over `entry`'s statistics and the
+    /// planner views of its materialized indexes; without statistics,
+    /// the `run analyze()` error. One `Vec` of references, whatever the
+    /// number of indexes.
     fn with_planner<T>(
         entry: &TableEntry,
         table: &str,
-        f: impl FnOnce(&Planner<'_>) -> Result<T>,
+        f: impl FnOnce(&Planner<'_, &IndexInfo>) -> Result<T>,
     ) -> Result<T> {
         let stats = entry.stats.as_deref().ok_or_else(|| {
             Error::InvalidArgument(format!("table {table} has no statistics; run analyze()"))
         })?;
-        let infos: Vec<IndexInfo> = entry
+        debug_assert!(entry
             .indexes
             .values()
-            .map(|e| IndexInfo {
-                name: e.spec.name(),
-                columns: e.columns.clone(),
-                shape: e.shape(),
-            })
-            .collect();
+            .all(|e| e.info.shape == IndexEntry::shape_of(&e.btree)));
+        let infos: Vec<&IndexInfo> = entry.indexes.values().map(|e| &e.info).collect();
         f(&Planner::new(&entry.schema, stats, &infos))
     }
 
@@ -814,6 +820,8 @@ impl Database {
                 io: scope.delta(),
                 est_cost: planned.est_cost,
                 plan: planned.describe(),
+                path: planned.plan.kind(),
+                index_backed: planned.plan != Plan::SeqScan,
             })
         })
     }
@@ -891,10 +899,11 @@ impl Database {
             ),
             _ => None,
         };
-        let count = rids.len() as u64;
+        // Every row's new image is built and checked before the first
+        // change, so a refused row leaves the whole statement undone.
+        let mut rows = Vec::with_capacity(rids.len());
         for rid in rids {
-            let old_bytes = entry.heap.fetch(rid)?;
-            let old_values = codec::decode_row(&old_bytes)?;
+            let old_values = codec::decode_row(entry.heap.pin(rid)?.view().bytes())?;
             let new = match &set {
                 Some(set) => {
                     let mut new_values = old_values.clone();
@@ -902,8 +911,20 @@ impl Database {
                         new_values[col.index()] = value.clone();
                     }
                     Self::check_keys(entry, &new_values)?;
-                    let mut new_bytes = Vec::with_capacity(old_bytes.len());
+                    let len = new_values.iter().map(Value::encoded_len).sum();
+                    let mut new_bytes = Vec::with_capacity(len);
                     codec::encode_row(&new_values, &mut new_bytes);
+                    HeapFile::check_row(&new_bytes)?;
+                    Some((new_values, new_bytes))
+                }
+                None => None,
+            };
+            rows.push((rid, old_values, new));
+        }
+        let count = rows.len() as u64;
+        for (rid, old_values, new) in rows {
+            let new = match new {
+                Some((new_values, new_bytes)) => {
                     Some((new_values, entry.heap.update(rid, &new_bytes)?))
                 }
                 None => {
@@ -936,6 +957,8 @@ impl Database {
             io: scope.delta(),
             est_cost: planned.est_total,
             plan: planned.describe(),
+            path: PathKind::Write,
+            index_backed: planned.find.plan != Plan::SeqScan,
         })
     }
 
@@ -1048,6 +1071,8 @@ impl Database {
             io,
             est_cost: cdpd_types::Cost::ZERO,
             plan,
+            path: PathKind::Other,
+            index_backed: false,
         }
     }
 }
@@ -1724,5 +1749,80 @@ mod tests {
         assert!(matches!(err, Error::TooLarge(_)), "{err:?}");
         assert_eq!(pages(), before, "a refused build allocates no page");
         assert!(!db.has_index(&IndexSpec::new("u", &["s"])));
+    }
+
+    /// Runs `statements` and then `check` on an in-memory database, and
+    /// on a durable one with a reopen in between. `statements` end with
+    /// a refused one; a committed statement after it carries whatever
+    /// it left behind into the log.
+    fn in_process_and_reopened(statements: impl Fn(&Database), check: impl Fn(&Database)) {
+        let db = Database::new();
+        statements(&db);
+        check(&db);
+        let vfs = cdpd_storage::MemVfs::new();
+        let open = || {
+            let vfs = Arc::new(vfs.clone());
+            Database::open_with_vfs(vfs, cdpd_storage::DurableOptions::default()).unwrap()
+        };
+        let db = open();
+        statements(&db);
+        db.execute_sql("CREATE TABLE later (z INT)").unwrap();
+        drop(db);
+        check(&open());
+    }
+
+    #[test]
+    fn over_wide_update_is_refused_before_it_deletes_the_row() {
+        let statements = |db: &Database| {
+            db.execute_sql("CREATE TABLE t (a INT, s TEXT)").unwrap();
+            db.execute_sql("CREATE INDEX i ON t (a)").unwrap();
+            let rows: Vec<Vec<Value>> = (0..2_000)
+                .map(|i| vec![Value::Int(i), Value::Str(format!("r{i}"))])
+                .collect();
+            db.insert_many("t", rows.iter().map(Vec::as_slice)).unwrap();
+            db.analyze("t").unwrap();
+            let wide = "w".repeat(8_300);
+            let err = db
+                .execute_sql(&format!("UPDATE t SET s = '{wide}' WHERE a = 1"))
+                .unwrap_err();
+            assert!(matches!(err, Error::TooLarge(_)), "{err:?}");
+        };
+        in_process_and_reopened(statements, |db| {
+            let count = |sql: &str| db.execute_sql(sql).unwrap().count;
+            assert_eq!(count("SELECT COUNT(*) FROM t"), 2_000);
+            assert_eq!(count("SELECT COUNT(*) FROM t WHERE a = 1"), 1);
+            let row = db.execute_sql("SELECT s FROM t WHERE a = 1").unwrap();
+            assert_eq!(row.rows, Some(vec![vec![Value::Str("r1".into())]]));
+            assert_eq!(count("UPDATE t SET s = 'u' WHERE a = 1"), 1);
+            assert_eq!(count("DELETE FROM t WHERE a = 1"), 1);
+            assert_eq!(count("SELECT COUNT(*) FROM t"), 1_999);
+        });
+    }
+
+    #[test]
+    fn multi_row_update_refused_on_a_later_row_changes_no_row() {
+        let long = "v".repeat(1_500);
+        let statements = |db: &Database| {
+            db.execute_sql("CREATE TABLE x (a INT, s TEXT, t TEXT)")
+                .unwrap();
+            db.execute_sql("CREATE INDEX i ON x (s, t)").unwrap();
+            db.execute_sql("INSERT INTO x VALUES (1, 'p', 'q')")
+                .unwrap();
+            let wide = "w".repeat(3_000);
+            db.execute_sql(&format!("INSERT INTO x VALUES (2, 'p', '{wide}')"))
+                .unwrap();
+            db.analyze("x").unwrap();
+            let err = db
+                .execute_sql(&format!("UPDATE x SET s = '{long}'"))
+                .unwrap_err();
+            assert!(matches!(err, Error::TooLarge(_)), "{err:?}");
+        };
+        in_process_and_reopened(statements, |db| {
+            let count = |sql: &str| db.execute_sql(sql).unwrap().count;
+            let moved = format!("SELECT COUNT(*) FROM x WHERE a = 1 AND s = '{long}'");
+            assert_eq!(count(&moved), 0);
+            assert_eq!(count("SELECT COUNT(*) FROM x WHERE s = 'p'"), 2);
+            assert_eq!(count("SELECT COUNT(*) FROM x WHERE a = 1 AND s = 'p'"), 1);
+        });
     }
 }

@@ -33,7 +33,7 @@
 
 use crate::catalog::{IndexEntry, TableEntry};
 use crate::filter::{Field, Filter, Key, Layout, Record, Row};
-use crate::planner::{BoundCondition, Plan, PlannedQuery, Planner};
+use crate::planner::{BoundCondition, IndexInfo, Plan, PlannedQuery, Planner};
 use cdpd_sql::{AggFunc, Condition};
 use cdpd_storage::codec::{decode_key, encode_key};
 use cdpd_types::{ColumnId, Error, Result, Rid, Value};
@@ -55,7 +55,7 @@ pub struct ExecOutcome {
 /// are applied here, on top of the chosen access path.
 pub(crate) fn execute(
     table: &TableEntry,
-    planner: &Planner<'_>,
+    planner: &Planner<'_, &IndexInfo>,
     planned: &PlannedQuery,
     materialize: bool,
 ) -> Result<ExecOutcome> {
@@ -125,7 +125,7 @@ pub(crate) fn execute(
 /// phase cannot re-see rows it already changed (no Halloween problem).
 pub(crate) fn collect_rids(
     table: &TableEntry,
-    planner: &Planner<'_>,
+    planner: &Planner<'_, &IndexInfo>,
     planned: &PlannedQuery,
 ) -> Result<Vec<Rid>> {
     let mut sink = Sink::Rids(Vec::new());
@@ -309,7 +309,7 @@ impl<'t> Judge<'t> {
         sink: &Sink,
     ) -> Result<Judge<'t>> {
         let layout = if covering {
-            Layout::Key(&table.schema, &entry.columns)
+            Layout::Key(&table.schema, &entry.info.columns)
         } else {
             Layout::Rows(&table.schema)
         };
@@ -341,7 +341,7 @@ impl<'t> Judge<'t> {
 /// Run `planned`'s access path, delivering every match to `sink`.
 fn walk(
     table: &TableEntry,
-    planner: &Planner<'_>,
+    planner: &Planner<'_, &IndexInfo>,
     planned: &PlannedQuery,
     sink: &mut Sink,
 ) -> Result<()> {
@@ -385,7 +385,7 @@ fn walk(
         Plan::IndexRange { index, covering } => {
             let entry = index_entry(table, planner, *index)?;
             let judge = Judge::for_index(table, entry, *covering, planned, sink)?;
-            let leading = entry.columns[0];
+            let leading = entry.info.columns[0];
             let range = planned
                 .conditions
                 .iter()
@@ -412,7 +412,7 @@ fn walk(
                 },
                 branch_columns: Vec::new(),
             };
-            let keys = Layout::Key(&table.schema, &entry.columns);
+            let keys = Layout::Key(&table.schema, &entry.info.columns);
             let stop = hi
                 .is_some()
                 .then(|| Filter::compile(keys, [&below_hi]))
@@ -440,18 +440,16 @@ fn walk(
                 judge.entry(key, rid, sink)?;
             }
         }
-        Plan::IndexAnd { probes } | Plan::IndexOr { probes } => {
-            // The probes satisfied only their own term; every conjunct
-            // (for a union, the OR itself too) is re-checked on the row.
-            let rids = if matches!(planned.plan, Plan::IndexAnd { .. }) {
-                intersect_rids(table, planner, probes)?
-            } else {
-                union_rids(table, planner, probes)?
-            };
-            let judge = Judge::new(table, rows, planned, sink)?;
-            for rid in rids {
-                judge.fetch(rid, sink)?;
-            }
+        Plan::IndexAnd { probes } => {
+            let value = |t: usize| planned.conditions[t].eq_value().expect("an Eq term");
+            let probes = probes.map(|(t, j)| (j, value(t)));
+            let rids = intersect_rids(table, planner, &probes)?;
+            fetch_rids(table, planned, rids, sink)?;
+        }
+        Plan::IndexOr { term } => {
+            let probes = planner.union_probes(&planned.conditions[*term]);
+            let rids = union_rids(table, planner, &probes)?;
+            fetch_rids(table, planned, rids, sink)?;
         }
         Plan::IndexExtremum { .. } => {
             return Err(Error::Corrupt(
@@ -465,7 +463,7 @@ fn walk(
 /// `O(height)` MIN/MAX: read one end of the index.
 fn index_extremum(
     table: &TableEntry,
-    planner: &Planner<'_>,
+    planner: &Planner<'_, &IndexInfo>,
     index: usize,
     max: bool,
 ) -> Result<ExecOutcome> {
@@ -491,7 +489,7 @@ fn index_extremum(
 
 fn index_entry<'t>(
     table: &'t TableEntry,
-    planner: &Planner<'_>,
+    planner: &Planner<'_, &IndexInfo>,
     index: usize,
 ) -> Result<&'t IndexEntry> {
     let name = &planner.indexes()[index].name;
@@ -503,11 +501,27 @@ fn index_entry<'t>(
 
 // --- Multi-index rid operators -------------------------------------------
 
+/// Fetch the rows a rid operator collected. The probes satisfied only
+/// their own term; every conjunct (for a union, the OR itself too) is
+/// re-checked on the row.
+fn fetch_rids(
+    table: &TableEntry,
+    planned: &PlannedQuery,
+    rids: Vec<Rid>,
+    sink: &mut Sink,
+) -> Result<()> {
+    let judge = Judge::new(table, Layout::Rows(&table.schema), planned, sink)?;
+    for rid in rids {
+        judge.fetch(rid, sink)?;
+    }
+    Ok(())
+}
+
 /// The sorted, deduplicated rid list of one equality probe
 /// `(index, value)` on the index's leading key column.
 fn probe_rids(
     table: &TableEntry,
-    planner: &Planner<'_>,
+    planner: &Planner<'_, &IndexInfo>,
     index: usize,
     value: &Value,
 ) -> Result<Vec<Rid>> {
@@ -531,8 +545,8 @@ fn probe_rids(
 /// rid set of an [`Plan::IndexOr`] before heap fetch.
 fn union_rids(
     table: &TableEntry,
-    planner: &Planner<'_>,
-    probes: &[(usize, Value)],
+    planner: &Planner<'_, &IndexInfo>,
+    probes: &[(usize, &Value)],
 ) -> Result<Vec<Rid>> {
     let mut all = Vec::new();
     for (index, value) in probes {
@@ -547,8 +561,8 @@ fn union_rids(
 /// [`Plan::IndexAnd`] before heap fetch.
 fn intersect_rids(
     table: &TableEntry,
-    planner: &Planner<'_>,
-    probes: &[(usize, Value)],
+    planner: &Planner<'_, &IndexInfo>,
+    probes: &[(usize, &Value)],
 ) -> Result<Vec<Rid>> {
     let mut iter = probes.iter();
     let Some((i0, v0)) = iter.next() else {

@@ -40,6 +40,6 @@ pub use exec::ExecOutcome;
 pub use filter::{Filter, RowKernel};
 pub use par::{default_threads, parallel_map};
 pub use planner::{BoundCondition, IndexInfo, PlannedWrite, PlannerFlags, Prepared};
-pub use planner::{Plan, PlannedQuery, Planner};
+pub use planner::{PathKind, Plan, PlannedQuery, Planner};
 pub use stats::{ColumnStats, Histogram, StatsRefresh, TableStats};
 pub use whatif::WhatIfEngine;

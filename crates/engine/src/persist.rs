@@ -154,8 +154,8 @@ fn encode_table(out: &mut Vec<u8>, name: &str, e: &TableEntry, whole: bool) -> b
     put_len(out, e.indexes.len());
     for (name, ix) in &e.indexes {
         ix.spec.encode(out);
-        put_u16(out, ix.columns.len() as u16);
-        for c in &ix.columns {
+        put_u16(out, ix.info.columns.len() as u16);
+        for c in &ix.info.columns {
             put_u16(out, c.0);
         }
         put_u32(out, ix.btree.root().0);
@@ -267,12 +267,7 @@ pub(crate) fn decode_catalog(
                     ix.leaf_count,
                     ix.entry_count,
                 );
-                let entry = IndexEntry {
-                    spec: ix.spec,
-                    columns: ix.columns,
-                    btree,
-                };
-                (name, entry)
+                (name, IndexEntry::new(ix.spec, ix.columns, btree))
             })
             .collect();
         // Epochs are per-process: a recovered catalog restarts at 0 with

@@ -7,12 +7,14 @@
 //!   `IN`/`OR` terms, and a write's SET columns. Every error a
 //!   statement can raise is raised here.
 //! * **Choose** walks an index set and returns the cheapest candidate
-//!   path as index and term positions. It formats no names and
-//!   allocates nothing.
+//!   as the [`Plan`] the executor runs, named by index and term
+//!   positions. It formats no names and allocates nothing.
 //!
-//! [`Planner::plan`] is bind, choose, and materialising the winner into
-//! a [`PlannedQuery`]; [`Planner::plan_write`] is the same for a write's
-//! locate phase plus its write-side charges.
+//! [`Planner::plan`] is bind and choose, plus the winner's index names
+//! and ordering flag in a [`PlannedQuery`]; [`Planner::plan_write`] is
+//! the same for a write's locate phase plus its write-side charges. The
+//! executor reads its probe values from the bound terms
+//! ([`Planner::seek_probe`], [`Planner::union_probes`]).
 //!
 //! The planner is configuration-driven: it receives a list of
 //! [`IndexInfo`]s describing the indexes *assumed to exist* and knows
@@ -78,6 +80,57 @@ impl BoundCondition {
     fn is_eq(&self) -> bool {
         matches!(self.condition, Condition::Eq { .. })
     }
+
+    /// The literal of an `Eq` term.
+    pub(crate) fn eq_value(&self) -> Option<&Value> {
+        match &self.condition {
+            Condition::Eq { value, .. } => Some(value),
+            _ => None,
+        }
+    }
+
+    /// The deduplicated `(column, value)` equality probes the term
+    /// expands into for a rowid-union plan, or `None` when the term is
+    /// not union-servable: simple Eq/Range terms, an OR with a Range
+    /// branch, an empty probe list, or fanout beyond
+    /// [`Planner::MAX_OR_PROBES`].
+    fn or_probes(&self) -> Option<Vec<(ColumnId, &Value)>> {
+        let mut raw: Vec<(ColumnId, &Value)> = Vec::new();
+        match &self.condition {
+            Condition::In { values, .. } => {
+                for v in values {
+                    raw.push((self.column, v));
+                }
+            }
+            Condition::Or(branches) => {
+                for (b, col) in branches.iter().zip(&self.branch_columns) {
+                    match b {
+                        Condition::Eq { value, .. } => raw.push((*col, value)),
+                        Condition::In { values, .. } => {
+                            for v in values {
+                                raw.push((*col, v));
+                            }
+                        }
+                        // A Range branch has no equality probe: the
+                        // whole term falls out of the union path.
+                        _ => return None,
+                    }
+                }
+            }
+            _ => return None,
+        }
+        // Plan-time dedup: repeated IN values probe once.
+        let mut probes: Vec<(ColumnId, &Value)> = Vec::new();
+        for (c, v) in raw {
+            if !probes.iter().any(|(pc, pv)| *pc == c && *pv == v) {
+                probes.push((c, v));
+            }
+        }
+        if probes.is_empty() || probes.len() > Planner::MAX_OR_PROBES {
+            return None;
+        }
+        Some(probes)
+    }
 }
 
 /// A query bound against one schema and statistics snapshot: everything
@@ -140,13 +193,14 @@ impl Write {
     }
 }
 
-/// The chosen access path.
-#[derive(Clone, Debug, PartialEq)]
+/// The chosen access path, named by index and term positions: what
+/// the planner chooses and the executor runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Plan {
     /// Scan the heap, filter, project.
     SeqScan,
     /// Descend the index with an equality probe on the leading
-    /// `eq_prefix` key columns.
+    /// `eq_prefix` key columns ([`Planner::seek_probe`]).
     IndexSeek {
         /// Position in the planner's index list.
         index: usize,
@@ -176,57 +230,94 @@ pub enum Plan {
         /// True for `MAX` (rightmost entry), false for `MIN`.
         max: bool,
     },
-    /// Rowid intersection: equality probes on two (or more) distinct
-    /// indexes, each collecting the rids of one `Eq` conjunct; the
-    /// sorted rid lists are intersected, the survivors fetched from the
-    /// heap and residual-filtered.
+    /// Rowid intersection: equality probes on two distinct indexes,
+    /// each collecting the rids of one `Eq` conjunct; the sorted rid
+    /// lists are intersected, the survivors fetched from the heap and
+    /// residual-filtered.
     IndexAnd {
-        /// `(index position, probe value)` per participant; each probes
-        /// that index's leading key column.
-        probes: Vec<(usize, Value)>,
+        /// `(term position, index position)` per participant: the
+        /// term's `Eq` literal probes that index's leading key column.
+        probes: [(usize, usize); 2],
     },
-    /// Rowid union: one equality probe per `IN` value or `OR` branch
-    /// (probes may target different indexes); the sorted rid lists are
+    /// Rowid union: one equality probe per distinct `IN` value or `OR`
+    /// branch of one term, each through the cheapest index leading on
+    /// its column ([`Planner::union_probes`]); the sorted rid lists are
     /// deduplicated, the union fetched from the heap and
     /// residual-filtered.
     IndexOr {
-        /// `(index position, probe value)` per probe; each probes that
-        /// index's leading key column. Deduplicated at plan time.
-        probes: Vec<(usize, Value)>,
+        /// Position of the `IN` or all-equality `OR` term.
+        term: usize,
     },
 }
 
-/// The winner of [`Planner::choose`]: a [`Plan`] named by index and
-/// term positions, with no probe values copied.
-#[derive(Clone, Copy, Debug)]
-enum Choice {
+impl Plan {
+    /// The access path this plan takes.
+    pub fn kind(&self) -> PathKind {
+        match self {
+            Plan::SeqScan => PathKind::SeqScan,
+            Plan::IndexSeek { .. } => PathKind::IndexSeek,
+            Plan::IndexRange { .. } => PathKind::IndexRange,
+            Plan::IndexOnlyScan { .. } => PathKind::IndexOnlyScan,
+            Plan::IndexExtremum { .. } => PathKind::IndexExtremum,
+            Plan::IndexAnd { .. } => PathKind::IndexAnd,
+            Plan::IndexOr { .. } => PathKind::IndexOr,
+        }
+    }
+}
+
+/// The access path of an executed statement: a query's [`Plan::kind`],
+/// or what else the statement was. Reports enumerate kinds in
+/// declaration order ([`PathKind::ALL`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum PathKind {
+    /// Full heap scan.
     SeqScan,
-    Extremum {
-        index: usize,
-        max: bool,
-    },
-    Seek {
-        index: usize,
-        eq_prefix: usize,
-        covering: bool,
-    },
-    Range {
-        index: usize,
-        covering: bool,
-    },
-    IndexOnly {
-        index: usize,
-    },
-    /// A rowid union over `BoundQuery::unions[union]`.
-    Or {
-        union: usize,
-    },
-    /// A rowid intersection of two `Eq` terms, each as
-    /// `(term position, index position)`.
-    And {
-        p: (usize, usize),
-        q: (usize, usize),
-    },
+    /// B-tree point lookup (possibly covering).
+    IndexSeek,
+    /// B-tree range scan.
+    IndexRange,
+    /// Index-only scan over a covering index.
+    IndexOnlyScan,
+    /// MIN/MAX answered by an index edge descent.
+    IndexExtremum,
+    /// Rowid intersection of equality probes on distinct indexes.
+    IndexAnd,
+    /// Rowid union of equality probes (IN lists / OR disjunctions).
+    IndexOr,
+    /// `UPDATE`/`DELETE` (locate phase plus index maintenance).
+    Write,
+    /// Any other statement (DDL, `INSERT`).
+    Other,
+}
+
+impl PathKind {
+    /// Every variant, in declaration order.
+    pub const ALL: [PathKind; 9] = [
+        PathKind::SeqScan,
+        PathKind::IndexSeek,
+        PathKind::IndexRange,
+        PathKind::IndexOnlyScan,
+        PathKind::IndexExtremum,
+        PathKind::IndexAnd,
+        PathKind::IndexOr,
+        PathKind::Write,
+        PathKind::Other,
+    ];
+
+    /// Stable snake_case label used in metric names and JSON reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            PathKind::SeqScan => "seq_scan",
+            PathKind::IndexSeek => "index_seek",
+            PathKind::IndexRange => "index_range",
+            PathKind::IndexOnlyScan => "index_only_scan",
+            PathKind::IndexExtremum => "index_extremum",
+            PathKind::IndexAnd => "index_and",
+            PathKind::IndexOr => "index_or",
+            PathKind::Write => "write",
+            PathKind::Other => "other",
+        }
+    }
 }
 
 /// Planner output: the plan, its cost estimate, and bound predicate.
@@ -288,12 +379,15 @@ impl PlannedQuery {
                 self.index_name.as_deref().unwrap_or("?"),
                 probes.len()
             ),
-            Plan::IndexOr { probes } => format!(
-                "IndexOr({}, {} probe{})",
-                self.index_name.as_deref().unwrap_or("?"),
-                probes.len(),
-                if probes.len() == 1 { "" } else { "s" }
-            ),
+            Plan::IndexOr { term } => {
+                let probes = self.conditions[*term].or_probes().map_or(0, |p| p.len());
+                format!(
+                    "IndexOr({}, {} probe{})",
+                    self.index_name.as_deref().unwrap_or("?"),
+                    probes,
+                    if probes == 1 { "" } else { "s" }
+                )
+            }
         };
         format!("{kind} cost={}", self.est_cost)
     }
@@ -399,8 +493,8 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
     /// Resolve and validate the statement, then pick the cheapest path.
     pub fn plan(&self, stmt: &SelectStmt) -> Result<PlannedQuery> {
         let query = self.bind(stmt)?;
-        let (cost, choice) = self.choose(&query);
-        Ok(self.materialize(query, cost, choice))
+        let (cost, plan) = self.choose(&query);
+        Ok(self.planned(query, cost, plan))
     }
 
     /// Plan the write statements of Definition 1's "queries and
@@ -425,7 +519,7 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
         }
         let Prepared { query, write } = self.prepare(stmt)?;
         let write = write.expect("a prepared UPDATE or DELETE has a write side");
-        let (find_cost, choice) = self.choose(&query);
+        let (find_cost, plan) = self.choose(&query);
         let est_total = self.write_cost(&write, find_cost, query.est_rows);
         let maintained = self
             .infos()
@@ -434,7 +528,7 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
             .map(|(i, _)| i)
             .collect();
         Ok(PlannedWrite {
-            find: self.materialize(query, find_cost, choice),
+            find: self.planned(query, find_cost, plan),
             est_total,
             maintained,
             is_update: matches!(write, Write::Update(_)),
@@ -557,7 +651,7 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
             .iter()
             .enumerate()
             .filter_map(|(t, bc)| {
-                let probes = Self::or_probes(bc)?;
+                let probes = bc.or_probes()?;
                 Some((t, probes.into_iter().map(|(col, _)| col).collect()))
             })
             .collect();
@@ -595,15 +689,15 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
     }
 
     /// The cheapest candidate path for `query` under this planner's
-    /// index set, as `(cost, candidate)`: the minimum by cost, then by
-    /// rank (seek/extremum 0, range/union/intersection 1, index-only
-    /// scan 2, heap scan 3), then by generation order.
-    fn choose(&self, query: &BoundQuery) -> (Cost, Choice) {
+    /// index set, as `(cost, plan)`: the minimum by cost, then by rank
+    /// (seek/extremum 0, range/union/intersection 1, index-only scan 2,
+    /// heap scan 3), then by generation order.
+    fn choose(&self, query: &BoundQuery) -> (Cost, Plan) {
         let stats = self.stats;
-        let mut best = (CostModel::seq_scan(stats), 3u32, Choice::SeqScan);
-        let mut consider = |cost: Cost, rank: u32, choice: Choice| {
+        let mut best = (CostModel::seq_scan(stats), 3u32, Plan::SeqScan);
+        let mut consider = |cost: Cost, rank: u32, plan: Plan| {
             if cost < best.0 || (cost == best.0 && rank < best.1) {
-                best = (cost, rank, choice);
+                best = (cost, rank, plan);
             }
         };
 
@@ -615,7 +709,7 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
                     if info.columns[0] == col {
                         let max = func == AggFunc::Max;
                         let cost = Cost::from_ios(info.shape.height as u64);
-                        consider(cost, 0, Choice::Extremum { index, max });
+                        consider(cost, 0, Plan::IndexExtremum { index, max });
                     }
                 }
             }
@@ -638,12 +732,12 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
             if eq_prefix > 0 {
                 let rows = self.eq_prefix_rows(info, eq_prefix);
                 let cost = CostModel::index_seek(stats, info.shape, rows, covering);
-                let choice = Choice::Seek {
+                let plan = Plan::IndexSeek {
                     index,
                     eq_prefix,
                     covering,
                 };
-                consider(cost, 0, choice);
+                consider(cost, 0, plan);
                 continue;
             }
 
@@ -656,13 +750,13 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
                 let frac = query.selectivity[t];
                 let rows = stats.row_count as f64 * frac;
                 let cost = CostModel::index_range(stats, info.shape, frac, rows, covering);
-                consider(cost, 1, Choice::Range { index, covering });
+                consider(cost, 1, Plan::IndexRange { index, covering });
                 continue;
             }
 
             if covering && self.flags.index_only_scans {
                 let cost = CostModel::index_only_scan(info.shape);
-                consider(cost, 2, Choice::IndexOnly { index });
+                consider(cost, 2, Plan::IndexOnlyScan { index });
             }
         }
 
@@ -670,7 +764,7 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
         // Each probe uses the cheapest index leading on its column; the
         // union is fetched and residual-filtered, so the other
         // conjuncts still apply.
-        'unions: for (union, (t, probes)) in query.unions.iter().enumerate() {
+        'unions: for (t, probes) in query.unions.iter() {
             let mut cost = Cost::ZERO;
             for col in probes {
                 // A probe column without a leading index sinks the
@@ -681,7 +775,7 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
                 cost += c;
             }
             cost += CostModel::rid_fetches(stats.row_count as f64 * query.selectivity[*t]);
-            consider(cost, 1, Choice::Or { union });
+            consider(cost, 1, Plan::IndexOr { term: *t });
         }
 
         // Rowid-intersection candidates: pairs of equality conjuncts on
@@ -708,100 +802,62 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
                     * stats.column(q.column).eq_selectivity();
                 let rows = stats.row_count as f64 * sel;
                 let cost = pc + qc + CostModel::rid_fetches(rows);
-                consider(
-                    cost,
-                    1,
-                    Choice::And {
-                        p: (pt, pj),
-                        q: (qt, qj),
-                    },
-                );
+                let probes = [(pt, pj), (qt, qj)];
+                consider(cost, 1, Plan::IndexAnd { probes });
             }
         }
 
-        let (cost, _, choice) = best;
-        match choice {
-            Choice::SeqScan => cdpd_obs::counter!("engine.planner.pick.seq_scan").inc(),
-            Choice::Seek { .. } => cdpd_obs::counter!("engine.planner.pick.index_seek").inc(),
-            Choice::Range { .. } => cdpd_obs::counter!("engine.planner.pick.index_range").inc(),
-            Choice::IndexOnly { .. } => {
+        let (cost, _, plan) = best;
+        match plan {
+            Plan::SeqScan => cdpd_obs::counter!("engine.planner.pick.seq_scan").inc(),
+            Plan::IndexSeek { .. } => cdpd_obs::counter!("engine.planner.pick.index_seek").inc(),
+            Plan::IndexRange { .. } => cdpd_obs::counter!("engine.planner.pick.index_range").inc(),
+            Plan::IndexOnlyScan { .. } => {
                 cdpd_obs::counter!("engine.planner.pick.index_only_scan").inc()
             }
-            Choice::Extremum { .. } => {
+            Plan::IndexExtremum { .. } => {
                 cdpd_obs::counter!("engine.planner.pick.index_extremum").inc()
             }
-            Choice::And { .. } => cdpd_obs::counter!("engine.planner.pick.index_and").inc(),
-            Choice::Or { .. } => cdpd_obs::counter!("engine.planner.pick.index_or").inc(),
+            Plan::IndexAnd { .. } => cdpd_obs::counter!("engine.planner.pick.index_and").inc(),
+            Plan::IndexOr { .. } => cdpd_obs::counter!("engine.planner.pick.index_or").inc(),
         }
-        (cost, choice)
+        (cost, plan)
     }
 
-    /// Turn `choice` into the [`PlannedQuery`] the executor runs: index
-    /// names, probe values and the ordering flag.
-    fn materialize(&self, query: BoundQuery, est_cost: Cost, choice: Choice) -> PlannedQuery {
-        let name = |i: usize| Some(self.index(i).name.clone());
-        let (plan, index_name) = match choice {
-            Choice::SeqScan => (Plan::SeqScan, None),
-            Choice::Extremum { index, max } => (Plan::IndexExtremum { index, max }, name(index)),
-            Choice::Seek {
-                index,
-                eq_prefix,
-                covering,
-            } => (
-                Plan::IndexSeek {
-                    index,
-                    eq_prefix,
-                    covering,
-                },
-                name(index),
-            ),
-            Choice::Range { index, covering } => {
-                (Plan::IndexRange { index, covering }, name(index))
-            }
-            Choice::IndexOnly { index } => (Plan::IndexOnlyScan { index }, name(index)),
-            Choice::Or { union } => {
+    /// `plan` with what the executor and the plan description read
+    /// besides: the bound query, index names and the ordering flag.
+    fn planned(&self, query: BoundQuery, est_cost: Cost, plan: Plan) -> PlannedQuery {
+        let name = |i: usize| self.index(i).name.as_str();
+        let index_name = match plan {
+            Plan::SeqScan => None,
+            Plan::IndexSeek { index, .. }
+            | Plan::IndexRange { index, .. }
+            | Plan::IndexOnlyScan { index }
+            | Plan::IndexExtremum { index, .. } => Some(name(index).to_owned()),
+            Plan::IndexAnd {
+                probes: [(_, p), (_, q)],
+            } => Some(format!("{}, {}", name(p), name(q))),
+            Plan::IndexOr { term } => {
                 let mut names: Vec<&str> = Vec::new();
-                let term = &query.conditions[query.unions[union].0];
-                let probes = Self::or_probes(term)
-                    .expect("a union term has probes")
-                    .into_iter()
-                    .map(|(col, v)| {
-                        let (j, _) = self
-                            .cheapest_probe(col)
-                            .expect("a chosen union probes only indexed columns");
-                        let index_name = self.index(j).name.as_str();
-                        if !names.contains(&index_name) {
-                            names.push(index_name);
-                        }
-                        (j, v)
-                    })
-                    .collect();
-                (Plan::IndexOr { probes }, Some(names.join(", ")))
-            }
-            Choice::And {
-                p: (pt, pj),
-                q: (qt, qj),
-            } => {
-                let value = |t: usize| match &query.conditions[t].condition {
-                    Condition::Eq { value, .. } => value.clone(),
-                    _ => unreachable!("intersections probe Eq terms"),
-                };
-                let probes = vec![(pj, value(pt)), (qj, value(qt))];
-                let names = format!("{}, {}", self.index(pj).name, self.index(qj).name);
-                (Plan::IndexAnd { probes }, Some(names))
+                for (j, _) in self.union_probes(&query.conditions[term]) {
+                    if !names.contains(&name(j)) {
+                        names.push(name(j));
+                    }
+                }
+                Some(names.join(", "))
             }
         };
         // Does the chosen path already emit rows in the requested order?
         // Index cursors run ascending over the key, so an ascending
         // ORDER BY on the index's leading column is free.
-        let plan_ordered = match (&plan, query.order_by) {
+        let plan_ordered = match (plan, query.order_by) {
             (_, None) => true,
             (
                 Plan::IndexSeek { index, .. }
                 | Plan::IndexRange { index, .. }
                 | Plan::IndexOnlyScan { index },
                 Some((col, false)),
-            ) => self.index(*index).columns[0] == col,
+            ) => self.index(index).columns[0] == col,
             _ => false,
         };
         PlannedQuery {
@@ -1057,49 +1113,6 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
         self.stats.row_count as f64 * sel
     }
 
-    /// The deduplicated `(column, value)` equality probes a term
-    /// expands into for a rowid-union plan, or `None` when the term is
-    /// not union-servable: simple Eq/Range terms, an OR with a Range
-    /// branch, an empty probe list, or fanout beyond
-    /// [`Planner::MAX_OR_PROBES`].
-    fn or_probes(bc: &BoundCondition) -> Option<Vec<(ColumnId, Value)>> {
-        let mut raw: Vec<(ColumnId, &Value)> = Vec::new();
-        match &bc.condition {
-            Condition::In { values, .. } => {
-                for v in values {
-                    raw.push((bc.column, v));
-                }
-            }
-            Condition::Or(branches) => {
-                for (b, col) in branches.iter().zip(&bc.branch_columns) {
-                    match b {
-                        Condition::Eq { value, .. } => raw.push((*col, value)),
-                        Condition::In { values, .. } => {
-                            for v in values {
-                                raw.push((*col, v));
-                            }
-                        }
-                        // A Range branch has no equality probe: the
-                        // whole term falls out of the union path.
-                        _ => return None,
-                    }
-                }
-            }
-            _ => return None,
-        }
-        // Plan-time dedup: repeated IN values probe once.
-        let mut probes: Vec<(ColumnId, Value)> = Vec::new();
-        for (c, v) in raw {
-            if !probes.iter().any(|(pc, pv)| *pc == c && pv == v) {
-                probes.push((c, v.clone()));
-            }
-        }
-        if probes.is_empty() || probes.len() > Planner::MAX_OR_PROBES {
-            return None;
-        }
-        Some(probes)
-    }
-
     /// Cheapest single-value equality probe on `col`: index position
     /// and probe cost, or `None` when no index leads on `col`.
     fn cheapest_probe(&self, col: ColumnId) -> Option<(usize, Cost)> {
@@ -1124,11 +1137,26 @@ impl<'a, I: Borrow<IndexInfo>> Planner<'a, I> {
                 planned
                     .conditions
                     .iter()
-                    .find_map(|c| match &c.condition {
-                        Condition::Eq { value, .. } if c.column == *col => Some(value.clone()),
-                        _ => None,
-                    })
+                    .filter(|c| c.column == *col)
+                    .find_map(BoundCondition::eq_value)
                     .expect("eq_prefix column must have an Eq condition")
+                    .clone()
+            })
+            .collect()
+    }
+
+    /// The `(index position, value)` probes of an [`Plan::IndexOr`]
+    /// over `term`: one per distinct value, each through the cheapest
+    /// index leading on its column.
+    pub fn union_probes<'t>(&self, term: &'t BoundCondition) -> Vec<(usize, &'t Value)> {
+        term.or_probes()
+            .expect("a union term has probes")
+            .into_iter()
+            .map(|(col, v)| {
+                let (j, _) = self
+                    .cheapest_probe(col)
+                    .expect("a chosen union probes only indexed columns");
+                (j, v)
             })
             .collect()
     }
@@ -1501,13 +1529,18 @@ mod tests {
         let (sc, st) = (schema(), stats(100_000));
         let idx = [info("ix_a", &[0], &st)];
         let p = plan_sql("SELECT * FROM t WHERE a IN (1, 2, 3)", &sc, &st, &idx);
-        match &p.plan {
-            Plan::IndexOr { probes } => {
-                assert_eq!(probes.len(), 3);
-                assert!(probes.iter().all(|(i, _)| *i == 0));
-            }
+        let planner = Planner::new(&sc, &st, &idx);
+        let probes = |p: &PlannedQuery| match p.plan {
+            Plan::IndexOr { term } => planner
+                .union_probes(&p.conditions[term])
+                .into_iter()
+                .map(|(i, v)| (i, v.clone()))
+                .collect::<Vec<_>>(),
             other => panic!("expected IndexOr: {other:?}"),
-        }
+        };
+        let three = probes(&p);
+        assert_eq!(three.len(), 3);
+        assert!(three.iter().all(|(i, _)| *i == 0));
         assert!(p.est_cost < CostModel::seq_scan(&st));
         assert!(
             p.describe().starts_with("IndexOr(ix_a, 3 probes)"),
@@ -1517,10 +1550,7 @@ mod tests {
 
         // Duplicate values probe once (plan-time dedup).
         let p = plan_sql("SELECT * FROM t WHERE a IN (7, 7, 7)", &sc, &st, &idx);
-        match &p.plan {
-            Plan::IndexOr { probes } => assert_eq!(probes, &vec![(0, Value::Int(7))]),
-            other => panic!("expected IndexOr: {other:?}"),
-        }
+        assert_eq!(probes(&p), vec![(0, Value::Int(7))]);
         assert!(
             p.describe().starts_with("IndexOr(ix_a, 1 probe)"),
             "{}",
@@ -1552,11 +1582,8 @@ mod tests {
 
         // Single-element IN behaves like a one-probe union.
         let p = plan_sql("SELECT * FROM t WHERE a IN (5)", &sc, &st, &idx);
-        assert!(
-            matches!(&p.plan, Plan::IndexOr { probes } if probes.len() == 1),
-            "{:?}",
-            p.plan
-        );
+        assert_eq!(p.plan, Plan::IndexOr { term: 0 });
+        assert_eq!(planner.union_probes(&p.conditions[0]).len(), 1);
 
         // Beyond the fanout gate the candidate is not generated at all.
         let many: Vec<String> = (0..(Planner::MAX_OR_PROBES as i64 + 1))
@@ -1572,12 +1599,9 @@ mod tests {
         let (sc, st) = (schema(), stats(100_000));
         let idx = [info("ix_a", &[0], &st), info("ix_b", &[1], &st)];
         let p = plan_sql("SELECT * FROM t WHERE (a = 1 OR b = 2)", &sc, &st, &idx);
-        match &p.plan {
-            Plan::IndexOr { probes } => {
-                assert_eq!(probes, &vec![(0, Value::Int(1)), (1, Value::Int(2))]);
-            }
-            other => panic!("expected IndexOr: {other:?}"),
-        }
+        assert_eq!(p.plan, Plan::IndexOr { term: 0 });
+        let probes = Planner::new(&sc, &st, &idx).union_probes(&p.conditions[0]);
+        assert_eq!(probes, vec![(0, &Value::Int(1)), (1, &Value::Int(2))]);
         assert!(
             p.describe().starts_with("IndexOr(ix_a, ix_b, 2 probes)"),
             "{}",
@@ -1626,12 +1650,12 @@ mod tests {
         let (sc, st) = (schema(), coarse_stats(100_000));
         let idx = [info("ix_a", &[0], &st), info("ix_b", &[1], &st)];
         let p = plan_sql("SELECT * FROM t WHERE a = 5 AND b = 2", &sc, &st, &idx);
-        match &p.plan {
-            Plan::IndexAnd { probes } => {
-                assert_eq!(probes, &vec![(0, Value::Int(5)), (1, Value::Int(2))]);
+        assert_eq!(
+            p.plan,
+            Plan::IndexAnd {
+                probes: [(0, 0), (1, 1)]
             }
-            other => panic!("expected IndexAnd: {other:?}"),
-        }
+        );
         assert!(
             p.describe().starts_with("IndexAnd(ix_a, ix_b, 2 probes)"),
             "{}",
@@ -1738,6 +1762,15 @@ mod tests {
             rel("SELECT * FROM t WHERE a = 1 AND b = 2"),
             vec![true, true, true, false]
         );
+    }
+
+    #[test]
+    fn path_kinds_enumerate_in_declaration_order() {
+        for (i, kind) in PathKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "{kind:?}");
+        }
+        assert_eq!(Plan::SeqScan.kind(), PathKind::SeqScan);
+        assert_eq!(Plan::IndexOr { term: 0 }.kind(), PathKind::IndexOr);
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! `COUNT(*)`, and point `SELECT`s (scanned and index-served) make the
 //! same number of allocations over 2,000 rows as over 20,000. So do
 //! the write paths: a one-row `INSERT`, an `UPDATE` of an indexed and
-//! of an unindexed column, and a one-row `DELETE`.
+//! of an unindexed column, and a one-row `DELETE`. Planning allocates
+//! per statement, never per index: a point `SELECT` makes as many
+//! allocations on a table with five indexes as on one with one.
 //!
-//! This binary holds one test and counts only the allocations of the
-//! thread that runs it, so the harness's own threads cannot disturb
-//! the counts.
+//! Each test counts only the allocations of the thread that runs it,
+//! so the harness's other threads cannot disturb the counts.
 
 use cdpd_engine::{Database, IndexSpec};
 use cdpd_sql::{parse, SelectStmt, Statement};
@@ -80,6 +81,11 @@ const WRITES: [(&str, &str); 4] = [
 /// `rows` rows, `a` indexed; `c < 500` matches half of them and
 /// `a = 777` / `d = 777` exactly one.
 fn database(rows: i64) -> Database {
+    database_with(rows, &[&["a"]])
+}
+
+/// [`database`] with `indexes` built instead of the one on `a`.
+fn database_with(rows: i64, indexes: &[&[&str]]) -> Database {
     let db = Database::new();
     let schema = Schema::new(["a", "b", "c", "d"].map(ColumnDef::int).to_vec());
     db.create_table("t", schema).unwrap();
@@ -88,7 +94,9 @@ fn database(rows: i64) -> Database {
         .collect();
     db.insert_many("t", rows.iter().map(Vec::as_slice)).unwrap();
     db.analyze("t").unwrap();
-    db.create_index(&IndexSpec::new("t", &["a"])).unwrap();
+    for columns in indexes {
+        db.create_index(&IndexSpec::new("t", columns)).unwrap();
+    }
     db
 }
 
@@ -140,4 +148,20 @@ fn statements_allocate_the_same_at_2k_and_20k_rows() {
             pair.1
         );
     }
+}
+
+#[test]
+fn point_select_allocates_the_same_under_one_and_five_indexes() {
+    let one = database(2_000);
+    let five = database_with(2_000, &[&["a"], &["b"], &["c"], &["d"], &["c", "d"]]);
+    let Ok(Statement::Select(stmt)) = parse("SELECT b FROM t WHERE a = 777") else {
+        panic!("a SELECT");
+    };
+    let (under_one, plan_one) = allocations(&one, &stmt);
+    let (under_five, plan_five) = allocations(&five, &stmt);
+    assert_eq!(plan_one, plan_five);
+    assert_eq!(
+        under_five, under_one,
+        "{plan_five}: {under_one} allocations under one index, {under_five} under five"
+    );
 }

@@ -297,6 +297,8 @@ mod tests {
             },
             est_cost: cdpd_types::Cost::ZERO,
             plan: "IndexScan(ix_t_a)".into(),
+            path: cdpd_engine::PathKind::Other,
+            index_backed: false,
         };
         let decoded = decode_result(&encode_result(&result)).unwrap();
         assert_eq!(decoded.count, 3);
@@ -319,6 +321,8 @@ mod tests {
             },
             est_cost: cdpd_types::Cost::ZERO,
             plan: "Scan".into(),
+            path: cdpd_engine::PathKind::Other,
+            index_backed: false,
         });
         let int = |v: i64| [&[0x01][..], &v.to_le_bytes()].concat();
         let mut want = Vec::new();
@@ -371,6 +375,8 @@ mod tests {
             io: IoStats::default(),
             est_cost: cdpd_types::Cost::ZERO,
             plan: "Scan".into(),
+            path: cdpd_engine::PathKind::Other,
+            index_backed: false,
         });
         for cut in 0..payload.len() {
             assert!(decode_result(&payload[..cut]).is_err());

@@ -59,11 +59,19 @@ impl HeapFile {
         &self.pages
     }
 
-    /// Insert an encoded row, returning its record id.
-    pub fn insert(&mut self, row: &[u8]) -> Result<Rid> {
+    /// Refuse an encoded row too large for any page, as
+    /// [`HeapFile::insert`] and [`HeapFile::update`] do before they
+    /// change anything.
+    pub fn check_row(row: &[u8]) -> Result<()> {
         if row.len() + 8 > PAGE_SIZE {
             return Err(Error::TooLarge(format!("row of {} bytes", row.len())));
         }
+        Ok(())
+    }
+
+    /// Insert an encoded row, returning its record id.
+    pub fn insert(&mut self, row: &[u8]) -> Result<Rid> {
+        Self::check_row(row)?;
         if let Some(&last) = self.pages.last() {
             let slot = self.pager.update(last, |buf| slotted::insert(buf, row))?;
             if let Some(slot) = slot {
@@ -99,8 +107,10 @@ impl HeapFile {
     /// Update a row. Overwrites in place when the new encoding fits in
     /// the old slot (rid unchanged); otherwise tombstones the old slot
     /// and reinserts, returning the row's new rid. Errors if `rid` does
-    /// not name a live row.
+    /// not name a live row, and leaves it alone if `row` is too large
+    /// for any page.
     pub fn update(&mut self, rid: Rid, row: &[u8]) -> Result<Rid> {
+        Self::check_row(row)?;
         let updated = self
             .pager
             .update(rid.page, |buf| slotted::update(buf, rid.slot, row))?;

@@ -181,6 +181,25 @@ mod tests {
         assert_eq!(w3l, "BBAABBAABBDDCCDDCCDDBBAABBAABB");
     }
 
+    /// Fig. 3's W2/W3 order, as a count: W1's unconstrained schedule
+    /// follows W1's mix window by window, so W2 and W3 pay for every
+    /// window whose mix differs from W1's. W2 runs the other mix in half
+    /// the windows and W3 in all of them, so W3's penalty is about twice
+    /// W2's whatever a mismatched window costs.
+    #[test]
+    fn fig3_mismatched_windows_per_pattern() {
+        let mismatched = |pattern: &[char; 30]| {
+            pattern
+                .iter()
+                .zip(&W1_PATTERN)
+                .filter(|(p, w)| p != w)
+                .count()
+        };
+        assert_eq!(mismatched(&W1_PATTERN), 0);
+        assert_eq!(mismatched(&W2_PATTERN), 15);
+        assert_eq!(mismatched(&W3_PATTERN), 30);
+    }
+
     #[test]
     fn major_shifts_align_across_workloads() {
         // Phases: windows 0..10 use {A,B}, 10..20 use {C,D}, 20..30 {A,B}.

@@ -7,12 +7,12 @@
 //! window's weighted [`Block`] as the statements arrive (O(1) amortized
 //! per statement), with an optional sliding-window capacity bound.
 //!
-//! **Batch equivalence** is the design invariant, proven by test: after
-//! pushing a whole trace through an *unbounded* stream,
-//! [`StatementStream::summarized`] is bit-identical to
-//! [`summarize`](crate::summarize::summarize)`(trace, window_len)`.
-//! Everything the online advisor builds on top inherits its
-//! batch-equivalence claim from this identity.
+//! **Batch equivalence** is the design invariant, and holds by
+//! construction: [`summarize`](crate::summarize::summarize)`(trace,
+//! window_len)` *is* [`StatementStream::summarized`] after pushing the
+//! whole trace through an *unbounded* stream, so the window-grouping
+//! loop is written once. Everything the online advisor builds on top
+//! inherits its batch-equivalence claim from this identity.
 
 use crate::summarize::cost_signature;
 use crate::summarize::{Block, SummarizedWorkload, WeightedStatement};
@@ -24,8 +24,7 @@ use std::collections::{HashMap, VecDeque};
 /// In-progress state of the window currently being filled.
 #[derive(Clone, Debug, Default)]
 struct OpenWindow {
-    /// Deduplicated weighted statements, in first-seen order — the same
-    /// representation `summarize` builds per block.
+    /// Deduplicated weighted statements, in first-seen order.
     order: Vec<WeightedStatement>,
     /// `cost_signature → index into order` for O(1) merging.
     by_sig: HashMap<String, usize>,
@@ -359,9 +358,8 @@ pub struct StreamState {
     pub open: Vec<WeightedStatement>,
 }
 
-/// Feed a whole trace through a fresh unbounded stream — the batch
-/// entry point expressed as a replay, used by equivalence tests and as
-/// a convenience for offline callers migrating to the streaming API.
+/// Feed a whole trace through a fresh unbounded stream: the body of
+/// the batch entry point [`summarize`](crate::summarize::summarize).
 ///
 /// # Errors
 /// Same conditions as [`StatementStream::new`] and

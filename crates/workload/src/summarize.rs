@@ -1,7 +1,6 @@
 use crate::trace::Trace;
 use cdpd_sql::{Condition, Dml};
-use cdpd_types::{Error, Result};
-use std::collections::HashMap;
+use cdpd_types::Result;
 
 /// One statement with a multiplicity.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -91,45 +90,7 @@ pub(crate) fn cost_signature(stmt: &Dml) -> Option<String> {
 /// reports designs, and the difference between a 15,000-stage and a
 /// 30-stage sequence graph.
 pub fn summarize(trace: &Trace, window_len: usize) -> Result<SummarizedWorkload> {
-    if window_len == 0 {
-        return Err(Error::InvalidArgument("window_len must be positive".into()));
-    }
-    let mut blocks = Vec::new();
-    let stmts = trace.statements();
-    let mut start = 0;
-    while start < stmts.len() {
-        let end = (start + window_len).min(stmts.len());
-        let mut order: Vec<WeightedStatement> = Vec::new();
-        let mut by_sig: HashMap<String, usize> = HashMap::new();
-        for stmt in &stmts[start..end] {
-            match cost_signature(stmt) {
-                Some(sig) => match by_sig.get(&sig) {
-                    Some(&i) => order[i].count += 1,
-                    None => {
-                        by_sig.insert(sig, order.len());
-                        order.push(WeightedStatement {
-                            statement: stmt.clone(),
-                            count: 1,
-                        });
-                    }
-                },
-                None => order.push(WeightedStatement {
-                    statement: stmt.clone(),
-                    count: 1,
-                }),
-            }
-        }
-        blocks.push(Block {
-            start,
-            len: end - start,
-            weighted: order,
-        });
-        start = end;
-    }
-    Ok(SummarizedWorkload {
-        table: trace.table().to_owned(),
-        blocks,
-    })
+    Ok(crate::stream::stream_trace(trace, window_len)?.summarized())
 }
 
 #[cfg(test)]

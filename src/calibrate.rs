@@ -36,96 +36,9 @@ use cdpd_engine::{Database, QueryResult, WhatIfEngine};
 use cdpd_sql::Dml;
 use cdpd_types::Result;
 
-/// Access path of an executed plan, parsed from its one-line
-/// description ([`cdpd_engine::QueryResult::plan`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PathKind {
-    /// Full heap scan.
-    SeqScan,
-    /// B-tree point lookup (possibly covering).
-    IndexSeek,
-    /// B-tree range scan.
-    IndexRange,
-    /// Index-only scan over a covering index.
-    IndexOnlyScan,
-    /// MIN/MAX answered by an index edge descent.
-    IndexExtremum,
-    /// Rowid intersection of equality probes on distinct indexes.
-    IndexAnd,
-    /// Rowid union of equality probes (IN lists / OR disjunctions).
-    IndexOr,
-    /// `UPDATE`/`DELETE` (find phase plus index maintenance).
-    Write,
-    /// Anything this parser does not recognize.
-    Other,
-}
-
-impl PathKind {
-    /// Every variant, in the order reports enumerate them.
-    pub const ALL: [PathKind; 9] = [
-        PathKind::SeqScan,
-        PathKind::IndexSeek,
-        PathKind::IndexRange,
-        PathKind::IndexOnlyScan,
-        PathKind::IndexExtremum,
-        PathKind::IndexAnd,
-        PathKind::IndexOr,
-        PathKind::Write,
-        PathKind::Other,
-    ];
-
-    /// Classify a plan description by its prefix.
-    pub fn of_plan(plan: &str) -> PathKind {
-        if plan.starts_with("SeqScan") {
-            PathKind::SeqScan
-        } else if plan.starts_with("IndexSeek") {
-            PathKind::IndexSeek
-        } else if plan.starts_with("IndexRange") {
-            PathKind::IndexRange
-        } else if plan.starts_with("IndexOnlyScan") {
-            PathKind::IndexOnlyScan
-        } else if plan.starts_with("IndexExtremum") {
-            PathKind::IndexExtremum
-        } else if plan.starts_with("IndexAnd") {
-            PathKind::IndexAnd
-        } else if plan.starts_with("IndexOr") {
-            PathKind::IndexOr
-        } else if plan.starts_with("Update via") || plan.starts_with("Delete via") {
-            PathKind::Write
-        } else {
-            PathKind::Other
-        }
-    }
-
-    /// Stable snake_case label used in metric names and JSON reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            PathKind::SeqScan => "seq_scan",
-            PathKind::IndexSeek => "index_seek",
-            PathKind::IndexRange => "index_range",
-            PathKind::IndexOnlyScan => "index_only_scan",
-            PathKind::IndexExtremum => "index_extremum",
-            PathKind::IndexAnd => "index_and",
-            PathKind::IndexOr => "index_or",
-            PathKind::Write => "write",
-            PathKind::Other => "other",
-        }
-    }
-
-    fn slot(self) -> usize {
-        match self {
-            PathKind::SeqScan => 0,
-            PathKind::IndexSeek => 1,
-            PathKind::IndexRange => 2,
-            PathKind::IndexOnlyScan => 3,
-            PathKind::IndexExtremum => 4,
-            PathKind::IndexAnd => 5,
-            PathKind::IndexOr => 6,
-            PathKind::Write => 7,
-            PathKind::Other => 8,
-        }
-    }
-}
+/// Access path of an executed statement, as
+/// [`cdpd_engine::QueryResult::path`] carries it.
+pub use cdpd_engine::PathKind;
 
 /// Which quantities a calibration pass compares. See the module docs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -233,7 +146,7 @@ impl WindowCalibration {
                 cdpd_obs::counter!("calibration.exact").inc();
             }
         }
-        let slot = &mut self.per_path[path.slot()];
+        let slot = &mut self.per_path[path as usize];
         slot.samples += 1;
         slot.predicted_ios += predicted_ios;
         slot.actual_ios += actual_ios;
@@ -259,7 +172,9 @@ impl WindowCalibration {
 
     /// The per-path breakdown, ordered like [`PathKind::ALL`].
     pub fn by_path(&self) -> impl Iterator<Item = (PathKind, &PathCalibration)> {
-        PathKind::ALL.iter().map(|&p| (p, &self.per_path[p.slot()]))
+        PathKind::ALL
+            .iter()
+            .map(|&p| (p, &self.per_path[p as usize]))
     }
 
     fn merge(&mut self, other: &WindowCalibration) {
@@ -481,16 +396,11 @@ impl CalibrationReport {
     }
 }
 
-/// True when the executed plan went through an index (including the
-/// find phase of a write) — the surface
-/// [`CalibrationOptions::index_cost_scale`] injects into.
-fn index_backed(plan: &str) -> bool {
-    plan.contains("Index")
-}
-
-/// Apply the fault-injection scale to a predicted cost.
-fn inject(options: &CalibrationOptions, plan: &str, predicted_ios: u64) -> u64 {
-    if options.index_cost_scale != 1.0 && index_backed(plan) {
+/// Apply the fault-injection scale to the predicted cost of a
+/// statement that read through an index
+/// ([`cdpd_engine::QueryResult::index_backed`]).
+fn inject(options: &CalibrationOptions, index_backed: bool, predicted_ios: u64) -> u64 {
+    if options.index_cost_scale != 1.0 && index_backed {
         (predicted_ios as f64 * options.index_cost_scale) as u64
     } else {
         predicted_ios
@@ -516,11 +426,7 @@ pub fn pair(
         CalibrationMode::MeasuredIo => (r.est_cost.ios(), r.io.total()),
         CalibrationMode::ModelAccount => (oracle_prediction?, r.est_cost.ios()),
     };
-    Some((
-        inject(options, &r.plan, predicted),
-        actual,
-        PathKind::of_plan(&r.plan),
-    ))
+    Some((inject(options, r.index_backed, predicted), actual, r.path))
 }
 
 /// [`CalibrationMode::ModelAccount`] predictions for a batch of
@@ -555,6 +461,32 @@ mod tests {
     use super::*;
     use cdpd_testkit::json::{self, Json};
 
+    /// The rules that used to read the access path off the plan text.
+    /// They survive only here, as the reference the typed
+    /// [`QueryResult::path`] is checked against.
+    fn kind_of_text(plan: &str) -> PathKind {
+        let prefixes = [
+            ("SeqScan", PathKind::SeqScan),
+            ("IndexSeek", PathKind::IndexSeek),
+            ("IndexRange", PathKind::IndexRange),
+            ("IndexOnlyScan", PathKind::IndexOnlyScan),
+            ("IndexExtremum", PathKind::IndexExtremum),
+            ("IndexAnd", PathKind::IndexAnd),
+            ("IndexOr", PathKind::IndexOr),
+            ("Update via", PathKind::Write),
+            ("Delete via", PathKind::Write),
+        ];
+        prefixes
+            .iter()
+            .find(|(prefix, _)| plan.starts_with(prefix))
+            .map_or(PathKind::Other, |(_, kind)| *kind)
+    }
+
+    /// The text rule [`QueryResult::index_backed`] is checked against.
+    fn index_backed_text(plan: &str) -> bool {
+        plan.contains("Index")
+    }
+
     #[test]
     fn path_kinds_parse_plan_prefixes() {
         let cases = [
@@ -574,14 +506,16 @@ mod tests {
             ("something new", PathKind::Other),
         ];
         for (plan, want) in cases {
-            assert_eq!(PathKind::of_plan(plan), want, "{plan}");
+            assert_eq!(kind_of_text(plan), want, "{plan}");
         }
         assert_eq!(PathKind::ALL.len(), 9);
+        for (slot, kind) in PathKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, slot, "{}", kind.label());
+        }
     }
 
-    /// Satellite guarantee: every string [`Plan::describe`] can emit —
-    /// produced here by *executing* one statement per access path
-    /// against a live database — maps to a non-`Other` kind.
+    /// The typed path and index flag every result carries equal the
+    /// text rules above, on a live plan of every kind.
     #[test]
     fn every_live_plan_describe_string_round_trips() {
         use cdpd_types::Value;
@@ -608,6 +542,7 @@ mod tests {
                 .unwrap();
         }
         let sqls = [
+            "SELECT * FROM t WHERE a >= 3",
             "SELECT a FROM t",
             "SELECT a FROM t WHERE a = 5",
             "SELECT a FROM t WHERE a BETWEEN 3 AND 6",
@@ -616,9 +551,11 @@ mod tests {
             "SELECT * FROM t WHERE c IN (1, 2, 3)",
             "SELECT * FROM t WHERE (c = 1 OR c = 4000)",
             "UPDATE t SET b = 9 WHERE a = 5",
+            "UPDATE t SET b = 8 WHERE (a = 1 OR b >= 10)",
             "DELETE FROM t WHERE c IN (1, 2)",
         ];
         let mut seen = std::collections::BTreeSet::new();
+        let mut writes_backed = std::collections::BTreeSet::new();
         for sql in sqls {
             let stmt = match cdpd_sql::parse(sql).unwrap() {
                 cdpd_sql::Statement::Select(s) => Dml::Select(s),
@@ -626,14 +563,24 @@ mod tests {
                 cdpd_sql::Statement::Delete(d) => Dml::Delete(d),
                 _ => unreachable!(),
             };
-            let plan = db.execute_dml(&stmt).unwrap().plan;
-            let kind = PathKind::of_plan(&plan);
-            assert_ne!(kind, PathKind::Other, "{sql} -> {plan}");
-            seen.insert(kind.label());
+            let r = db.execute_dml(&stmt).unwrap();
+            assert_eq!(r.path, kind_of_text(&r.plan), "{sql} -> {}", r.plan);
+            assert_eq!(
+                r.index_backed,
+                index_backed_text(&r.plan),
+                "{sql} -> {}",
+                r.plan
+            );
+            assert_ne!(r.path, PathKind::Other, "{sql} -> {}", r.plan);
+            seen.insert(r.path.label());
+            if r.path == PathKind::Write {
+                writes_backed.insert(r.index_backed);
+            }
         }
-        // The sample must actually exercise the two new paths.
-        assert!(seen.contains("index_and"), "{seen:?}");
-        assert!(seen.contains("index_or"), "{seen:?}");
+        // Every read path and the write path, and writes located both
+        // through an index and by a heap scan.
+        assert_eq!(seen.len(), PathKind::ALL.len() - 1, "{seen:?}");
+        assert_eq!(writes_backed.len(), 2);
     }
 
     #[test]
@@ -782,18 +729,10 @@ mod tests {
             index_cost_scale: 4.0,
             ..Default::default()
         };
-        assert_eq!(inject(&opts, "IndexSeek(t_a) cost=3.0", 10), 40);
-        assert_eq!(
-            inject(
-                &opts,
-                "Update via IndexSeek(t_a) maintaining 1 index(es)",
-                10
-            ),
-            40
-        );
-        assert_eq!(inject(&opts, "SeqScan cost=12.0", 10), 10);
+        assert_eq!(inject(&opts, true, 10), 40);
+        assert_eq!(inject(&opts, false, 10), 10);
         let off = CalibrationOptions::default();
-        assert_eq!(inject(&off, "IndexSeek(t_a) cost=3.0", 10), 10);
+        assert_eq!(inject(&off, true, 10), 10);
     }
 
     #[test]
@@ -808,6 +747,8 @@ mod tests {
             },
             est_cost: cdpd_types::Cost::from_ios(3),
             plan: "IndexSeek(t_a) cost=3.0".into(),
+            path: PathKind::IndexSeek,
+            index_backed: true,
         };
         let measured = CalibrationOptions::default();
         assert_eq!(pair(&measured, &r, None), Some((3, 7, PathKind::IndexSeek)));

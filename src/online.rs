@@ -676,15 +676,7 @@ impl OnlineAdvisor {
         };
         self.committed.push(config.clone());
 
-        // Changes spent within the horizon, counted like Schedule does.
-        let mut changes_used = 0;
-        let mut prev = &horizon.initial;
-        for (s, cfg) in self.committed[self.oracle_first..].iter().enumerate() {
-            if cfg != prev && (s > 0 || horizon.count_initial_change) {
-                changes_used += 1;
-            }
-            prev = cfg;
-        }
+        let changes_used = horizon.changes(&self.committed[self.oracle_first..]);
 
         Ok(OnlineDecision {
             window,

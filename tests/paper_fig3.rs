@@ -63,6 +63,20 @@ fn fig3_orderings_hold() {
         }
     }
 
+    // Measured I/O is deterministic, so the six bars are pinned: a
+    // change that moves one must re-pin it and say why.
+    let pinned = [
+        (("W1", "unc"), 49_342),
+        (("W1", "k2"), 55_212),
+        (("W2", "unc"), 60_859),
+        (("W2", "k2"), 54_542),
+        (("W3", "unc"), 74_458),
+        (("W3", "k2"), 56_209),
+    ];
+    for (bar, want) in pinned {
+        assert_eq!(io[&bar], want, "{bar:?} total I/O");
+    }
+
     let g = |w: &str, d: &str| *io.get(&(w, d)).unwrap() as f64;
 
     // W1: unconstrained is optimal for it; constrained somewhat slower.

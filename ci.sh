@@ -116,6 +116,16 @@ for seed in 0x5eed 0xc0ffee 0xdecade; do
     --test btree_prop mixed_length_keys_match_model
 done
 
+echo "== B+-tree gate: in-node bisection lands where the linear walk does under a fixed seed matrix =="
+# Seeks over INT, (INT, INT), STR and mixed-width trees must yield the
+# entries and the reads of the entry-by-entry walk; a tree bisects
+# exactly when its keys have one length.
+for seed in 0x5eed 0xc0ffee 0xdecade; do
+  echo "-- prop seed $seed --"
+  CDPD_PROP_SEED="$seed" cargo test -q --offline -p cdpd-storage \
+    --test btree_prop node_search_matches_linear_walk
+done
+
 echo "== §7 and §8 entry points run: alerter-gated online loop, the two k answers =="
 # The alerter gate must hold some windows back (a gate that always
 # re-solves is no gate); W1's cost-vs-k curve must knee at its two

@@ -15,8 +15,10 @@
 //! bound. A sequential scan walks the heap a page at a time through
 //! `HeapFile::for_each_row`; when every conjunct is an integer test at
 //! a fixed row offset it checks the filter's
-//! [`RowKernel`](crate::RowKernel) form straight on the row bytes, and
-//! a `COUNT(*)` adds each answer without branching on it.
+//! [`RowKernel`](crate::RowKernel) form straight on the row bytes; a
+//! `COUNT(*)` adds each answer without branching on it, and a `SUM` or
+//! `AVG` of a fixed-offset `INT` column folds it the same way
+//! ([`RowKernel::sum`](crate::RowKernel::sum)).
 //!
 //! Every access path feeds one [`Sink`]: a count, the rids of the
 //! matches (the locate phase of UPDATE/DELETE), projected rows, or an
@@ -32,7 +34,7 @@
 //! interleaving).
 
 use crate::catalog::{IndexEntry, TableEntry};
-use crate::filter::{Field, Filter, Key, Layout, Record, Row};
+use crate::filter::{sum_operand, Field, Filter, Key, Layout, Record, Row};
 use crate::planner::{BoundCondition, IndexInfo, Plan, PlannedQuery, Planner};
 use cdpd_sql::{AggFunc, Condition};
 use cdpd_storage::codec::{decode_key, encode_key};
@@ -228,18 +230,22 @@ impl Fold {
         }
     }
 
+    /// The heap-row column a `SUM`/`AVG` adds, when it sits at a fixed
+    /// offset (`fields` is where [`Sink::columns`] sit).
+    fn sums(&self, fields: &[Field]) -> Option<usize> {
+        match (self.func, fields) {
+            (AggFunc::Sum | AggFunc::Avg, &[Field::Int9(col)]) => Some(col),
+            _ => None,
+        }
+    }
+
     #[inline]
     fn push(&mut self, record: &mut impl Record, field: Field) -> Result<()> {
         self.n += 1;
         match self.func {
             AggFunc::Count => {}
             AggFunc::Sum | AggFunc::Avg => {
-                let v = record.int(field).map_err(|e| match e {
-                    Error::TypeMismatch(_) => {
-                        Error::TypeMismatch("SUM/AVG need an integer column".into())
-                    }
-                    e => e,
-                })?;
+                let v = record.int(field).map_err(sum_operand)?;
                 self.sum = self.sum.wrapping_add(v);
             }
             AggFunc::Min | AggFunc::Max => {
@@ -349,18 +355,27 @@ fn walk(
     match &planned.plan {
         Plan::SeqScan => {
             let judge = Judge::new(table, rows, planned, sink)?;
-            match (judge.filter.row_kernel(), &mut *sink) {
-                (Some(kernel), Sink::Count(n)) => table.heap.for_each_row(|_, view| {
+            let sum_column = match &*sink {
+                Sink::Fold(fold) => fold.sums(&judge.fields),
+                _ => None,
+            };
+            match (judge.filter.row_kernel(), &mut *sink, sum_column) {
+                (Some(kernel), Sink::Count(n), _) => table.heap.for_each_row(|_, view| {
                     *n += u64::from(kernel.matches(view)?);
                     Ok(())
                 })?,
-                (Some(kernel), sink) => table.heap.for_each_row(|rid, view| {
+                (Some(kernel), Sink::Fold(fold), Some(col)) => {
+                    let (sum, n) = kernel.sum(&table.heap, col)?;
+                    fold.sum = fold.sum.wrapping_add(sum);
+                    fold.n += n;
+                }
+                (Some(kernel), sink, _) => table.heap.for_each_row(|rid, view| {
                     if kernel.matches(view)? {
                         sink.push(rid, &mut Row(view), &judge.fields)?;
                     }
                     Ok(())
                 })?,
-                (None, sink) => table
+                (None, sink, _) => table
                     .heap
                     .for_each_row(|rid, view| judge.record(rid, &mut Row(view), sink))?,
             }

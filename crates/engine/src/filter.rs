@@ -24,6 +24,7 @@
 use crate::planner::BoundCondition;
 use cdpd_sql::Condition;
 use cdpd_storage::codec::{decode_key, key_int, RowView};
+use cdpd_storage::HeapFile;
 use cdpd_types::{ColumnId, Error, Result, Schema, Value, ValueType};
 
 /// Where one column's value sits in a record.
@@ -350,6 +351,53 @@ impl RowKernel<'_> {
             }
         }
         Ok(all)
+    }
+
+    /// The wrapping `SUM` of the `INT` column `col` (read at the fixed
+    /// offset `9·col`) over the rows of `heap` this kernel matches, and
+    /// their number. It answers and errs as a loop of
+    /// [`RowKernel::matches`] that adds a matched row's `col`: a
+    /// matched row's type mismatch there says `SUM/AVG need an integer
+    /// column`, and an unmatched row's `col` raises nothing. No row
+    /// branches on its
+    /// answer: each adds `v & -hit` and `hit`. A kernel of one conjunct
+    /// with one span tests `lo ≤ v ≤ hi` inline.
+    pub fn sum(&self, heap: &HeapFile, col: usize) -> Result<(i64, u64)> {
+        let mut acc = (0i64, 0u64);
+        match self.tests[..] {
+            [(c, spans)] if spans.more.is_empty() => {
+                let (lo, hi) = spans.first;
+                heap.for_each_row(|_, row| {
+                    let v = row.int_fixed(c)?;
+                    fold_sum(&mut acc, (lo <= v) & (v <= hi), row, col)
+                })?
+            }
+            _ => heap.for_each_row(|_, row| fold_sum(&mut acc, self.matches(row)?, row, col))?,
+        }
+        Ok(acc)
+    }
+}
+
+/// Add `row`'s `INT` column `col` to `sum` and one to `n` when `hit`,
+/// without branching on it; only a hit raises `col`'s read error.
+#[inline(always)]
+fn fold_sum((sum, n): &mut (i64, u64), hit: bool, row: RowView<'_>, col: usize) -> Result<()> {
+    let v = match row.int_fixed(col) {
+        Ok(v) => v,
+        Err(e) if hit => return Err(sum_operand(e)),
+        Err(_) => 0,
+    };
+    *sum = sum.wrapping_add(v & -i64::from(hit));
+    *n += u64::from(hit);
+    Ok(())
+}
+
+/// The error `SUM`/`AVG` raise for a column value they cannot add: a
+/// type mismatch says so, any other error passes through.
+pub(crate) fn sum_operand(e: Error) -> Error {
+    match e {
+        Error::TypeMismatch(_) => Error::TypeMismatch("SUM/AVG need an integer column".into()),
+        e => e,
     }
 }
 

@@ -259,6 +259,12 @@ pub(crate) fn decode_catalog(
             .indexes
             .into_iter()
             .map(|(name, ix)| {
+                // An index on `INT` columns only has one key length;
+                // the catalog does not record it.
+                let all_int = ix
+                    .columns
+                    .iter()
+                    .all(|c| t.schema.column(*c).map(|d| d.ty) == Some(ValueType::Int));
                 let btree = BTree::from_parts(
                     pager.clone(),
                     ix.root,
@@ -266,6 +272,7 @@ pub(crate) fn decode_catalog(
                     ix.pages,
                     ix.leaf_count,
                     ix.entry_count,
+                    all_int.then(|| BTree::int_key_width(ix.columns.len())),
                 );
                 (name, IndexEntry::new(ix.spec, ix.columns, btree))
             })

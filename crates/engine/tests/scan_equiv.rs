@@ -13,6 +13,9 @@
 //!   an `INT` column behind only `INT` ones, answers and errs exactly as
 //!   `Filter::matches_row` on any row bytes (mistyped and truncated rows
 //!   included), and agrees with `Condition::matches` on well-typed rows;
+//!   its branch-free `SUM` (`RowKernel::sum`) sums, counts and errs as
+//!   the per-row loop that adds each matched row's column, on the same
+//!   bytes: an unmatched row never errs on the summed column;
 //! * a sequential scan's count, rows and aggregates, and the rows an
 //!   UPDATE or DELETE locates, equal the cursor path that runs
 //!   `Filter::matches_row` row by row.
@@ -433,6 +436,82 @@ props! {
         let keys = [ColumnId(0), ColumnId(1), ColumnId(2)];
         let key_filter = Filter::for_keys(&schema, &keys, &conds).unwrap();
         assert!(key_filter.row_kernel().is_none(), "a key filter has no row kernel");
+    }
+}
+
+/// The per-row `SUM` the kernel's fold must equal: each row judged by
+/// the filter, a matched row's `col` read and added (wrapping), its
+/// type mismatch raised as `SUM`/`AVG` raise it.
+fn reference_sum(heap: &HeapFile, filter: &Filter, col: usize) -> Result<(i64, u64)> {
+    let (mut sum, mut n) = (0i64, 0u64);
+    let mut scan = heap.scan();
+    while let Some((_, row)) = scan.next_row()? {
+        if filter.matches_row(row)? {
+            let v = row.int_fixed(col).map_err(|e| match e {
+                Error::TypeMismatch(_) => {
+                    Error::TypeMismatch("SUM/AVG need an integer column".into())
+                }
+                e => e,
+            })?;
+            sum = sum.wrapping_add(v);
+            n += 1;
+        }
+    }
+    Ok((sum, n))
+}
+
+/// On a heap of `rows` (mistyped and truncated ones included), the
+/// kernel's `SUM` of every column equals [`reference_sum`], errors
+/// included.
+fn check_kernel_sum(shape: usize, conds: &[BoundCondition], rows: &[RawRow]) {
+    let schema = schema_of(shape);
+    let filter = Filter::for_rows(&schema, conds).unwrap();
+    let Some(kernel) = filter.row_kernel() else {
+        return;
+    };
+    let mut heap = HeapFile::create(Arc::new(Pager::new()));
+    for raw in rows {
+        heap.insert(&encode_raw(shape, raw).1).unwrap();
+    }
+    for col in 0..3 {
+        let got = kernel.sum(&heap, col);
+        let want = reference_sum(&heap, &filter, col);
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{want:?}"),
+            "SUM of column {col} under {conds:?} on shape {shape}"
+        );
+    }
+}
+
+props! {
+    config: Config::with_cases(256);
+
+    fn kernel_sum_agrees_with_the_per_row_fold(
+        shape in 0usize..3,
+        conjuncts in one_of![
+            3 => conjunct().prop_map(|c| vec![c]),
+            1 => vec_of(conjunct(), 0..4),
+        ],
+        rows in vec_of(raw_row(), 1..40),
+    ) {
+        let conds: Vec<BoundCondition> =
+            conjuncts.iter().map(|c| bound(c, *shape, false)).collect();
+        check_kernel_sum(*shape, &conds, rows);
+        // Rows on and beside each literal of the first conjunct, so its
+        // span edges decide matches.
+        if let Some(first) = conds.first() {
+            let col = first.column.index();
+            let mut probes = rows.clone();
+            for lit in literals(&first.condition) {
+                for v in [lit.wrapping_sub(1), lit, lit.wrapping_add(1)] {
+                    let mut probe = rows[0].clone();
+                    probe.0[col] = (v, String::new(), false);
+                    probes.push(probe);
+                }
+            }
+            check_kernel_sum(*shape, &conds, &probes);
+        }
     }
 }
 

@@ -6,11 +6,13 @@ use crate::proto::{
     self, RemoteResult, OP_EXEC, OP_METRICS, OP_PING, OP_QUERY, STATUS_ERR, STATUS_OK,
 };
 use cdpd_types::{Error, Result};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
-/// A connected session.
+/// A connected session. Replies are read through one buffer, so a reply
+/// that arrived in one segment costs one `recv`.
 pub struct Client {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -23,11 +25,13 @@ impl Client {
         // Request/response frames are small and latency-bound; never
         // let Nagle hold one back waiting for a delayed ACK.
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        Ok(Client {
+            stream: BufReader::new(stream),
+        })
     }
 
     fn call(&mut self, tag: u8, payload: &[u8]) -> Result<Vec<u8>> {
-        proto::write_frame(&mut self.stream, tag, payload)?;
+        proto::write_frame(self.stream.get_mut(), tag, payload)?;
         let (status, body) = proto::read_frame(&mut self.stream)?
             .ok_or_else(|| Error::Io(std::io::Error::other("server closed the connection")))?;
         match status {
@@ -89,6 +93,6 @@ impl Client {
     /// The underlying stream (for tests that need to half-send a frame
     /// and hang up).
     pub fn stream(&mut self) -> &mut TcpStream {
-        &mut self.stream
+        self.stream.get_mut()
     }
 }

@@ -52,24 +52,37 @@ pub const STATUS_ERR: u8 = b'-';
 /// metric expositions must all fit in one frame.
 pub const MAX_PAYLOAD: usize = 1 << 20;
 
+/// Append one frame to `out`: the header, then the payload `body`
+/// appends, encoded in place. On error `out` is left as it was.
+///
+/// # Errors
+/// The payload must fit [`MAX_PAYLOAD`].
+pub(crate) fn put_frame(out: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+    let start = out.len();
+    out.push(tag);
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let len = out.len() - start - 5;
+    if len > MAX_PAYLOAD {
+        out.truncate(start);
+        return Err(Error::TooLarge(format!(
+            "frame payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
+        )));
+    }
+    out[start + 1..start + 5].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
+}
+
 /// Write one frame.
 ///
 /// # Errors
 /// The payload must fit [`MAX_PAYLOAD`]; I/O errors propagate.
 pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> Result<()> {
-    if payload.len() > MAX_PAYLOAD {
-        return Err(Error::TooLarge(format!(
-            "frame payload of {} bytes exceeds the {MAX_PAYLOAD}-byte cap",
-            payload.len()
-        )));
-    }
     // One write per frame: a header-only segment followed by a payload
     // segment interacts badly with Nagle + delayed ACK on real sockets
     // (tens of milliseconds per request), so coalesce before writing.
     let mut frame = Vec::with_capacity(5 + payload.len());
-    frame.push(tag);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
+    put_frame(&mut frame, tag, |out| out.extend_from_slice(payload))?;
     w.write_all(&frame)?;
     w.flush()?;
     Ok(())
@@ -77,6 +90,11 @@ pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> Result<()> {
 
 /// Read one frame. Returns `Ok(None)` on clean EOF at a frame
 /// boundary (the peer closed between requests).
+///
+/// It makes three `read` calls on `r` (a byte, the rest of the header,
+/// the payload), so a socket is read through a [`std::io::BufReader`]:
+/// then a frame that arrived whole costs one `recv`, and frames that
+/// arrived together are read out of the buffer in order.
 ///
 /// # Errors
 /// A frame announcing more than [`MAX_PAYLOAD`] bytes is rejected
@@ -134,10 +152,16 @@ const HAS_AGGREGATE: u8 = 2;
 /// Encode a [`QueryResult`] as an OK payload.
 pub fn encode_result(r: &QueryResult) -> Vec<u8> {
     let mut out = Vec::new();
-    put_u64(&mut out, r.count);
-    put_u64(&mut out, r.io.reads);
-    put_u64(&mut out, r.io.writes);
-    put_u64(&mut out, r.io.allocs);
+    encode_result_into(r, &mut out);
+    out
+}
+
+/// Append [`encode_result`]'s payload to `out`.
+pub(crate) fn encode_result_into(r: &QueryResult, out: &mut Vec<u8>) {
+    put_u64(out, r.count);
+    put_u64(out, r.io.reads);
+    put_u64(out, r.io.writes);
+    put_u64(out, r.io.allocs);
     let mut flags = 0;
     if r.rows.is_some() {
         flags |= HAS_ROWS;
@@ -145,15 +169,14 @@ pub fn encode_result(r: &QueryResult) -> Vec<u8> {
     if r.aggregate.is_some() {
         flags |= HAS_AGGREGATE;
     }
-    put_u8(&mut out, flags);
+    put_u8(out, flags);
     if let Some(agg) = &r.aggregate {
-        put_row(&mut out, std::slice::from_ref(agg));
+        put_row(out, std::slice::from_ref(agg));
     }
     if let Some(rows) = &r.rows {
-        put_list(&mut out, rows, |out, row| put_row(out, row));
+        put_list(out, rows, |out, row| put_row(out, row));
     }
-    put_str(&mut out, &r.plan);
-    out
+    put_str(out, &r.plan);
 }
 
 /// Decode an OK payload back into a [`RemoteResult`]: the inverse of

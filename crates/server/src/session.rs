@@ -8,6 +8,12 @@
 //! reported in an error frame and the session keeps serving; only
 //! protocol violations (an oversized length prefix, after which the
 //! stream cannot be resynchronized) and transport errors end it.
+//!
+//! Requests are read through one buffer per connection, so a frame
+//! that arrived in one segment costs one `recv`, and frames that arrived
+//! together are answered from the buffer in order. Each reply is encoded
+//! once, straight into a reply buffer the session reuses, and leaves in
+//! one `write`.
 
 use crate::advisor_loop::Feed;
 use crate::proto::{
@@ -17,8 +23,42 @@ use cdpd_engine::{Database, QueryResult};
 use cdpd_sql::Statement;
 use cdpd_storage::ThreadIoScope;
 use cdpd_types::{Error, Result};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+
+/// Reply capacity a session keeps between replies; a larger reply
+/// (a big result set, the metrics text) gives the rest back.
+const REPLY_KEEP: usize = 64 << 10;
+
+/// One connection: its read buffer and its reply buffer.
+struct Conn {
+    reader: BufReader<TcpStream>,
+    reply: Vec<u8>,
+}
+
+impl Conn {
+    /// Send one frame whose payload `body` encodes into the reply
+    /// buffer.
+    fn send(&mut self, tag: u8, body: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        self.reply.clear();
+        self.reply.shrink_to(REPLY_KEEP);
+        proto::put_frame(&mut self.reply, tag, body)?;
+        cdpd_obs::counter!("server.bytes_out").add(self.reply.len() as u64);
+        self.reader.get_mut().write_all(&self.reply)?;
+        Ok(())
+    }
+
+    fn respond_ok(&mut self, payload: &[u8]) -> Result<()> {
+        self.send(STATUS_OK, |out| out.extend_from_slice(payload))
+    }
+
+    fn respond_err(&mut self, err: &Error) -> Result<()> {
+        let payload = proto::encode_error(err);
+        let payload = &payload[..payload.len().min(MAX_PAYLOAD)];
+        self.send(STATUS_ERR, |out| out.extend_from_slice(payload))
+    }
+}
 
 /// Serve one accepted connection until the peer disconnects or breaks
 /// the protocol. Successfully executed workload statements (DML) are
@@ -45,46 +85,49 @@ pub(crate) fn serve_connection(db: &Arc<Database>, stream: TcpStream, advisor: O
     cdpd_obs::counter!("server.sessions.closed").inc();
 }
 
-fn session_loop(db: &Arc<Database>, mut stream: TcpStream, advisor: Option<&Feed>) -> Result<()> {
+fn session_loop(db: &Arc<Database>, stream: TcpStream, advisor: Option<&Feed>) -> Result<()> {
+    let mut conn = Conn {
+        reader: BufReader::new(stream),
+        reply: Vec::new(),
+    };
     loop {
-        let (tag, payload) = match proto::read_frame(&mut stream) {
+        let (tag, payload) = match proto::read_frame(&mut conn.reader) {
             Ok(Some(frame)) => frame,
             Ok(None) => return Ok(()), // clean disconnect
             Err(e) => {
                 // Oversized announcement: tell the peer why before
                 // hanging up. Mid-frame EOF: nobody is listening.
                 if matches!(e, Error::TooLarge(_)) {
-                    let _ = respond_err(&mut stream, &e);
+                    let _ = conn.respond_err(&e);
                 }
                 return Err(e);
             }
         };
         cdpd_obs::counter!("server.bytes_in").add(5 + payload.len() as u64);
         match tag {
-            OP_PING => respond_ok(&mut stream, &[])?,
+            OP_PING => conn.respond_ok(&[])?,
             OP_METRICS => {
                 let text = cdpd_obs::openmetrics::render(&cdpd_obs::registry().snapshot());
-                respond_ok(&mut stream, text.as_bytes())?;
+                conn.respond_ok(text.as_bytes())?;
             }
             OP_QUERY | OP_EXEC => {
                 cdpd_obs::counter!("server.statements").inc();
                 match run_statement(db, tag, &payload, advisor) {
-                    Ok(result) => respond_ok(&mut stream, &proto::encode_result(&result))?,
+                    Ok(result) => {
+                        conn.send(STATUS_OK, |out| proto::encode_result_into(&result, out))?
+                    }
                     Err(e) => {
                         // Statement failure: the session (and the epoch
                         // catalog under it) stays fully usable.
                         cdpd_obs::counter!("server.errors").inc();
-                        respond_err(&mut stream, &e)?;
+                        conn.respond_err(&e)?;
                     }
                 }
             }
             other => {
                 // Unknown but well-framed op: recoverable.
                 cdpd_obs::counter!("server.errors").inc();
-                respond_err(
-                    &mut stream,
-                    &Error::InvalidArgument(format!("unknown op {other:#x}")),
-                )?;
+                conn.respond_err(&Error::InvalidArgument(format!("unknown op {other:#x}")))?;
             }
         }
     }
@@ -127,16 +170,4 @@ fn run_statement(
         let _ = feed.tx.send((dml, pair));
     }
     Ok(result)
-}
-
-fn respond_ok(stream: &mut TcpStream, payload: &[u8]) -> Result<()> {
-    cdpd_obs::counter!("server.bytes_out").add(5 + payload.len() as u64);
-    proto::write_frame(stream, STATUS_OK, payload)
-}
-
-fn respond_err(stream: &mut TcpStream, err: &Error) -> Result<()> {
-    let mut payload = proto::encode_error(err);
-    payload.truncate(MAX_PAYLOAD);
-    cdpd_obs::counter!("server.bytes_out").add(5 + payload.len() as u64);
-    proto::write_frame(stream, STATUS_ERR, &payload)
 }

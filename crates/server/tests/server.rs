@@ -11,8 +11,9 @@ use cdpd_engine::{Database, IndexSpec};
 use cdpd_server::{proto, AdvisorReport, Client, Server, ServerHandle, ServerReport};
 use cdpd_testkit::Prng;
 use cdpd_types::{ColumnDef, Error, Result, Schema, Value};
-use std::io::Write;
-use std::net::TcpStream;
+use std::collections::VecDeque;
+use std::io::{BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -289,6 +290,224 @@ fn mid_statement_disconnect_leaves_the_server_healthy() {
 
     let report = stop(&handle, join);
     assert_eq!(report.sessions, 2, "both connections were served");
+}
+
+/// The bytes of one frame.
+fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    proto::write_frame(&mut out, tag, payload).expect("frame fits");
+    out
+}
+
+/// What a statement's reply says, less its I/O (which a warm or cold
+/// page cache may move).
+fn answer(r: &cdpd_server::RemoteResult) -> (u64, Option<Vec<Vec<Value>>>, Option<Value>, String) {
+    (r.count, r.rows.clone(), r.aggregate.clone(), r.plan.clone())
+}
+
+#[test]
+fn a_frame_sent_one_byte_per_write_is_served() {
+    let db = loaded_db(23);
+    let (handle, join) = start(Server::bind(db, "127.0.0.1:0").expect("bind"));
+    let sql = "SELECT * FROM t WHERE a = 5";
+    let want = Client::connect(handle.addr())
+        .expect("connect")
+        .query(sql)
+        .expect("query");
+
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    for byte in frame(proto::OP_QUERY, sql.as_bytes()) {
+        stream.write_all(&[byte]).expect("one byte sent");
+    }
+    let (status, body) = proto::read_frame(&mut stream)
+        .expect("reply arrives")
+        .expect("frame, not EOF");
+    assert_eq!(status, proto::STATUS_OK);
+    let got = proto::decode_result(&body).expect("result payload");
+    assert_eq!(answer(&got), answer(&want));
+    drop(stream);
+    assert_eq!(stop(&handle, join).sessions, 2);
+}
+
+/// Frames a client sends back to back, in one `write`, are answered in
+/// the order sent, each as if it had come alone; an error in the middle
+/// leaves the rest served.
+#[test]
+fn frames_sent_in_one_write_are_answered_in_order() {
+    let db = loaded_db(29);
+    let (handle, join) = start(Server::bind(db, "127.0.0.1:0").expect("bind"));
+    let requests: [(u8, &str); 5] = [
+        (proto::OP_EXEC, "SELECT * FROM t WHERE a = 1"),
+        (b'Z', ""),
+        (proto::OP_QUERY, "SELECT MIN(b) FROM t"),
+        (proto::OP_PING, ""),
+        (proto::OP_QUERY, "SELECT * FROM t WHERE a = 2"),
+    ];
+    let mut serial = Client::connect(handle.addr()).expect("connect");
+    let want: Vec<_> = requests
+        .iter()
+        .map(|&(tag, sql)| match serial.raw(tag, sql.as_bytes()) {
+            Ok(_) if tag == proto::OP_PING => Ok(None),
+            Ok(body) => Ok(Some(answer(&proto::decode_result(&body).expect("result")))),
+            Err(e) => Err(e.to_string()),
+        })
+        .collect();
+    assert!(want[1].is_err() && want.iter().filter(|w| w.is_ok()).count() == 4);
+
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let batch: Vec<u8> = requests
+        .iter()
+        .flat_map(|&(tag, sql)| frame(tag, sql.as_bytes()))
+        .collect();
+    stream.write_all(&batch).expect("batch sent");
+    let mut replies = BufReader::new(stream);
+    for (&(tag, _), want) in requests.iter().zip(&want) {
+        let (status, body) = proto::read_frame(&mut replies)
+            .expect("reply arrives")
+            .expect("frame, not EOF");
+        let got = match status {
+            proto::STATUS_OK if tag == proto::OP_PING => Ok(None),
+            proto::STATUS_OK => Ok(Some(answer(&proto::decode_result(&body).expect("result")))),
+            _ => Err(proto::decode_error(&body).to_string()),
+        };
+        assert_eq!(&got, want, "reply to {}", char::from(tag));
+    }
+    drop((serial, replies));
+    assert_eq!(stop(&handle, join).sessions, 2);
+}
+
+/// An announcement over the cap is refused from its header alone: the
+/// reader stops there, whatever of the body it could already see, and
+/// the server answers before the body arrives.
+#[test]
+fn oversized_announcement_is_refused_without_reading_its_body() {
+    let announced = (proto::MAX_PAYLOAD as u32) + 1;
+    let mut forged = vec![proto::OP_EXEC];
+    forged.extend_from_slice(&announced.to_le_bytes());
+    let body = vec![b'x'; 100];
+    let bytes = [forged.as_slice(), &body].concat();
+    let mut reader = BufReader::new(&bytes[..]);
+    assert!(matches!(
+        proto::read_frame(&mut reader),
+        Err(Error::TooLarge(_))
+    ));
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("in memory");
+    assert_eq!(rest, body, "only the header was consumed");
+
+    // Through the wire: header and the start of a body in one write.
+    let db = loaded_db(31);
+    let (handle, join) = start(Server::bind(db, "127.0.0.1:0").expect("bind"));
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.write_all(&bytes).expect("sent");
+    let (status, reply) = proto::read_frame(&mut stream)
+        .expect("error frame arrives")
+        .expect("frame, not EOF");
+    assert_eq!(status, proto::STATUS_ERR);
+    assert!(matches!(proto::decode_error(&reply), Error::TooLarge(_)));
+    assert!(
+        matches!(proto::read_frame(&mut stream), Ok(None) | Err(_)),
+        "the connection is closed"
+    );
+    drop(stream);
+    stop(&handle, join);
+}
+
+/// A client whose stream ends mid-frame ends its own session and no
+/// other: the server hangs up on it without a reply, and a session open
+/// beside it keeps serving.
+#[test]
+fn a_mid_frame_eof_ends_only_that_session() {
+    let db = loaded_db(37);
+    let (handle, join) = start(Server::bind(db, "127.0.0.1:0").expect("bind"));
+    let mut other = Client::connect(handle.addr()).expect("connect");
+    other.ping().expect("ping");
+
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let sql = b"SELECT * FROM t WHERE a = 1";
+    stream
+        .write_all(&frame(proto::OP_EXEC, sql)[..5 + sql.len() / 2])
+        .expect("half a frame sent");
+    stream.shutdown(Shutdown::Write).expect("EOF mid-frame");
+    let mut reply = Vec::new();
+    stream
+        .read_to_end(&mut reply)
+        .expect("the server closes the connection");
+    assert!(reply.is_empty(), "no reply to half a frame: {reply:?}");
+
+    other.ping().expect("the other session still serves");
+    let r = other
+        .exec("SELECT * FROM t WHERE a = 1")
+        .expect("statement runs");
+    assert!(r.count > 0);
+    drop((other, stream));
+    assert_eq!(stop(&handle, join).sessions, 2);
+}
+
+/// A reader that hands out what it holds one segment per `read` call,
+/// as a socket hands out what has arrived, and counts the calls.
+struct Segments {
+    segments: VecDeque<Vec<u8>>,
+    reads: usize,
+}
+
+impl Read for Segments {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        let Some(segment) = self.segments.front_mut() else {
+            return Ok(0);
+        };
+        let n = buf.len().min(segment.len());
+        buf[..n].copy_from_slice(&segment[..n]);
+        segment.drain(..n);
+        if segment.is_empty() {
+            self.segments.pop_front();
+        }
+        Ok(n)
+    }
+}
+
+/// Read through a buffer, a frame that arrived whole costs one `read`
+/// of the source, and a frame that arrived with the one before it none;
+/// read directly, each costs one call per header part and payload.
+#[test]
+fn a_buffered_frame_costs_one_read() {
+    let long = format!("SELECT * FROM t WHERE a IN ({})", "7, ".repeat(700) + "7");
+    let frames = [
+        frame(proto::OP_EXEC, b"SELECT * FROM t WHERE a = 1"),
+        frame(proto::OP_PING, b""),
+        frame(proto::OP_QUERY, long.as_bytes()),
+    ];
+    // Each frame its own segment, then the first two in one.
+    let segments = || {
+        let mut segments: VecDeque<Vec<u8>> = frames.iter().cloned().collect();
+        segments.push_back([frames[0].as_slice(), &frames[1]].concat());
+        segments
+    };
+    let order = [0, 1, 2, 0, 1];
+    let reads_per_frame = |buffered: bool| {
+        let mut source = Segments {
+            segments: segments(),
+            reads: 0,
+        };
+        let mut counts = Vec::new();
+        let mut reader = BufReader::new(&mut source);
+        for &i in &order {
+            let before = reader.get_ref().reads;
+            let got = if buffered {
+                proto::read_frame(&mut reader)
+            } else {
+                proto::read_frame(reader.get_mut())
+            };
+            let (tag, payload) = got.expect("well formed").expect("a frame");
+            assert_eq!(frame(tag, &payload), frames[i]);
+            counts.push(reader.get_ref().reads - before);
+        }
+        counts
+    };
+    assert_eq!(reads_per_frame(true), [1, 1, 1, 1, 0]);
+    assert_eq!(reads_per_frame(false), [3, 2, 3, 3, 2]);
 }
 
 /// Three short and three 2,750-byte index keys in one leaf: a split by

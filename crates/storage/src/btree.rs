@@ -1,3 +1,27 @@
+//! The paged B+-tree behind every index.
+//!
+//! # In-node search
+//!
+//! A node is a 7-byte header and its entries in key order, each a
+//! 2-byte length and the key, plus a 4-byte child pointer in an
+//! internal node. Every descent, seek and leaf edit finds its place in a
+//! node through one search (`search`): the number of leading entries a
+//! test passes — separators `≤ probe` in an internal node, keys
+//! `< probe` in a leaf — and the byte offset where that run ends.
+//!
+//! A tree whose entry keys all have one length (an index on `INT`
+//! columns: `9·n + RID_LEN` bytes, since there is no NULL; internal
+//! separators are full entry keys too) has fixed-stride nodes, and the
+//! search is a binary search over entry positions. Each entry it probes
+//! must carry that length in its prefix, else [`Error::Corrupt`]. A
+//! tree holding keys of more than one length (`STR` columns) walks the
+//! entries in order. The tree records its width: bulk load and the first
+//! insert into a tree that never held a key set it, an insert of another
+//! length clears it for good, and [`BTree::from_parts`] takes it from
+//! the caller. The page format is the same either way: nodes carry no
+//! slot array, so the search changes the CPU per node, never the bytes
+//! written or the pages read.
+
 use crate::codec::{decode_rid, encode_key, encode_key_value, encode_rid, key_value_len, RID_LEN};
 use crate::heap::HeapFile;
 use crate::pager::{Page, Pager, PAGE_SIZE};
@@ -35,6 +59,37 @@ pub struct BTree {
     pages: Vec<PageId>,
     leaf_count: u64,
     entry_count: u64,
+    width: Width,
+}
+
+/// What a tree knows of the lengths of its entry keys.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Width {
+    /// The tree has never held a key.
+    Unset,
+    /// Every key it has held is this many bytes long.
+    Fixed(usize),
+    /// Keys of more than one length, or lengths not known.
+    Mixed,
+}
+
+impl Width {
+    /// The width after a key of `len` bytes is stored.
+    fn with(self, len: usize) -> Width {
+        match self {
+            Width::Unset => Width::Fixed(len),
+            Width::Fixed(w) if w == len => self,
+            _ => Width::Mixed,
+        }
+    }
+
+    /// The stride the in-node search may assume, if any.
+    fn fixed(self) -> Option<usize> {
+        match self {
+            Width::Fixed(w) => Some(w),
+            Width::Unset | Width::Mixed => None,
+        }
+    }
 }
 
 const LEAF: u8 = 1;
@@ -210,25 +265,92 @@ fn sort_window(key: &[u8], from: usize) -> u64 {
     u64::from_be_bytes(head)
 }
 
-/// Where `key` sits in a leaf, found by walking its entries: the byte
-/// offset of the first entry ≥ `key`, whether that entry is `key`
-/// itself, and the end of the used bytes.
-fn leaf_slot(page: &[u8; PAGE_SIZE], key: &[u8]) -> (usize, bool, usize) {
+/// The in-node search (see the module docs): the number of leading
+/// entries of `page` whose keys pass `before`, and the byte offset of
+/// the entry after them (the end of the entries when all pass). Keys
+/// ascend, so the entries that pass are a prefix. An entry takes `2 +
+/// key + extra` bytes: `extra` is 4 in an internal node. With `width`
+/// every key is that long, the search is binary, and a probed entry
+/// whose length prefix says otherwise is [`Error::Corrupt`].
+fn search(
+    page: &[u8; PAGE_SIZE],
+    extra: usize,
+    width: Option<usize>,
+    before: impl Fn(&[u8]) -> bool,
+) -> Result<(usize, usize)> {
     let count = rd_u16(page, 1) as usize;
-    let mut off = LEAF_HDR;
-    let mut slot = None;
-    for _ in 0..count {
-        let klen = rd_u16(page, off) as usize;
-        if slot.is_none() {
-            let entry = &page[off + 2..off + 2 + klen];
-            if entry >= key {
-                slot = Some((off, entry == key));
+    let Some(w) = width else {
+        let mut off = LEAF_HDR;
+        for i in 0..count {
+            let klen = rd_u16(page, off) as usize;
+            if !before(&page[off + 2..off + 2 + klen]) {
+                return Ok((i, off));
             }
+            off += 2 + klen + extra;
         }
-        off += 2 + klen;
+        return Ok((count, off));
+    };
+    let stride = 2 + w + extra;
+    if LEAF_HDR + count * stride > PAGE_SIZE {
+        return Err(Error::Corrupt(format!(
+            "btree node of {count} {w}-byte keys overflows its page"
+        )));
     }
-    let (at, found) = slot.unwrap_or((off, false));
-    (at, found, off)
+    let (mut lo, mut hi) = (0, count);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let off = LEAF_HDR + mid * stride;
+        let klen = rd_u16(page, off) as usize;
+        if klen != w {
+            return Err(Error::Corrupt(format!(
+                "btree entry of {klen} bytes in a node of {w}-byte keys"
+            )));
+        }
+        if before(&page[off + 2..off + 2 + w]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Ok((lo, LEAF_HDR + lo * stride))
+}
+
+/// The child of internal node `page` to descend into for `probe`, and
+/// its index: the search for separators `≤ probe`.
+///
+/// Separators are the *first key of their right sibling* (both in
+/// splits and bulk load), so a key equal to a separator lives in the
+/// RIGHT subtree — descent must treat `sep == probe` as "go right".
+/// (Using `sep < probe` here once sent separator-equal keys left:
+/// deletes of a node's first key silently missed, leaving stale
+/// index entries after updates. Regression-tested below.)
+///
+/// This rule is also correct for prefix seeks: every subtree left of
+/// the chosen child has all keys < its separator ≤ probe, so the
+/// first entry ≥ probe cannot be there.
+fn descend(page: &[u8; PAGE_SIZE], probe: &[u8], width: Option<usize>) -> Result<(usize, PageId)> {
+    let (idx, off) = search(page, 4, width, |sep| sep <= probe)?;
+    // Child `idx` is the pointer just before entry `idx`; child 0 is the
+    // header's last 4 bytes.
+    Ok((idx, PageId(rd_u32(page, off - 4))))
+}
+
+/// Where `key` sits in a leaf: the byte offset of the first entry ≥
+/// `key`, whether that entry is `key` itself, and the end of the used
+/// bytes.
+fn leaf_slot(
+    page: &[u8; PAGE_SIZE],
+    key: &[u8],
+    width: Option<usize>,
+) -> Result<(usize, bool, usize)> {
+    let count = rd_u16(page, 1) as usize;
+    let (idx, at) = search(page, 0, width, |entry| entry < key)?;
+    let used = match width {
+        Some(w) => LEAF_HDR + count * (2 + w),
+        None => (idx..count).fold(at, |off, _| off + 2 + rd_u16(page, off) as usize),
+    };
+    let found = at < used && page.get(at + 2..at + 2 + rd_u16(page, at) as usize) == Some(key);
+    Ok((at, found, used))
 }
 
 impl BTree {
@@ -247,6 +369,7 @@ impl BTree {
             pages: vec![root],
             leaf_count: 1,
             entry_count: 0,
+            width: Width::Unset,
         })
     }
 
@@ -352,6 +475,7 @@ impl BTree {
         let mut used = LEAF_HDR;
         let mut in_leaf = 0u16;
         let mut entry_count = 0u64;
+        let mut width = Width::Unset;
         let mut prev: Option<I::Item> = None;
 
         // Write the packed image as a new leaf and link its predecessor.
@@ -392,6 +516,7 @@ impl BTree {
             used += 2 + key.len();
             in_leaf += 1;
             entry_count += 1;
+            width = width.with(key.len());
             prev = Some(item);
         }
         if in_leaf > 0 {
@@ -448,6 +573,7 @@ impl BTree {
             pages,
             leaf_count,
             entry_count,
+            width,
         })
     }
 
@@ -471,6 +597,7 @@ impl BTree {
         let key = full_key(values, rid);
         check_key_len(key.len())?;
         // Descend, remembering the path of (page, child index taken).
+        let width = self.width.fixed();
         let mut path: Vec<(PageId, usize)> = Vec::new();
         let mut pid = self.root;
         loop {
@@ -478,9 +605,9 @@ impl BTree {
             match page[0] {
                 LEAF => break,
                 INTERNAL => {
-                    let idx = Self::descend_index(&page, &key);
+                    let (idx, child) = descend(&page, &key, width)?;
                     path.push((pid, idx));
-                    pid = Self::child_at(&page, idx);
+                    pid = child;
                 }
                 t => return Err(Error::Corrupt(format!("unknown btree node tag {t}"))),
             }
@@ -491,10 +618,11 @@ impl BTree {
         if page[0] != LEAF {
             return Err(Error::Corrupt("descent did not reach a leaf".into()));
         }
-        let (at, found, used) = leaf_slot(&page, &key);
+        let (at, found, used) = leaf_slot(&page, &key, width)?;
         if found {
             return Err(Error::AlreadyExists("duplicate (key, rid) in index".into()));
         }
+        self.width = self.width.with(key.len());
         let len = 2 + key.len();
         if used + len <= PAGE_SIZE {
             self.entry_count += 1;
@@ -613,12 +741,13 @@ impl BTree {
     /// (documented trade-off — rebuilds reclaim space).
     pub fn delete(&mut self, values: &[Value], rid: Rid) -> Result<bool> {
         let key = full_key(values, rid);
+        let width = self.width.fixed();
         let mut pid = self.root;
         loop {
             let mut page = self.pager.read(pid)?;
             match page[0] {
                 LEAF => {
-                    let (at, found, used) = leaf_slot(&page, &key);
+                    let (at, found, used) = leaf_slot(&page, &key, width)?;
                     if !found {
                         return Ok(false);
                     }
@@ -632,60 +761,10 @@ impl BTree {
                     self.pager.write(pid, page)?;
                     return Ok(true);
                 }
-                INTERNAL => {
-                    let idx = Self::descend_index(&page, &key);
-                    pid = Self::child_at(&page, idx);
-                }
+                INTERNAL => pid = descend(&page, &key, width)?.1,
                 t => return Err(Error::Corrupt(format!("unknown btree node tag {t}"))),
             }
         }
-    }
-
-    /// Child index to follow for `probe`: `partition_point(sep ≤ probe)`.
-    ///
-    /// Separators are the *first key of their right sibling* (both in
-    /// splits and bulk load), so a key equal to a separator lives in the
-    /// RIGHT subtree — descent must treat `sep == probe` as "go right".
-    /// (Using `sep < probe` here once sent separator-equal keys left:
-    /// deletes of a node's first key silently missed, leaving stale
-    /// index entries after updates. Regression-tested below.)
-    ///
-    /// This rule is also correct for prefix seeks: every subtree left of
-    /// the chosen child has all keys < its separator ≤ probe, so the
-    /// first entry ≥ probe cannot be there.
-    fn descend_index(page: &[u8; PAGE_SIZE], probe: &[u8]) -> usize {
-        let count = rd_u16(page, 1) as usize;
-        let mut off = INT_HDR;
-        let mut idx = 0;
-        for _ in 0..count {
-            let klen = rd_u16(page, off) as usize;
-            let key = &page[off + 2..off + 2 + klen];
-            if key <= probe {
-                idx += 1;
-            } else {
-                break;
-            }
-            off += 2 + klen + 4;
-        }
-        idx
-    }
-
-    fn child_at(page: &[u8; PAGE_SIZE], idx: usize) -> PageId {
-        if idx == 0 {
-            return PageId(rd_u32(page, 3));
-        }
-        let count = rd_u16(page, 1) as usize;
-        debug_assert!(idx <= count);
-        let mut off = INT_HDR;
-        for i in 0..count {
-            let klen = rd_u16(page, off) as usize;
-            off += 2 + klen;
-            if i + 1 == idx {
-                return PageId(rd_u32(page, off));
-            }
-            off += 4;
-        }
-        unreachable!("child index out of range")
     }
 
     /// Cursor positioned at the first entry whose key is ≥ the
@@ -735,8 +814,9 @@ impl BTree {
                     return Ok(Some((vals.to_vec(), decode_rid(ridb)?)));
                 }
                 INTERNAL => {
-                    let count = rd_u16(&*page, 1) as usize;
-                    pid = Self::child_at(&page, count);
+                    // Every separator passes: the rightmost child.
+                    let (_, end) = search(&page, 4, self.width.fixed(), |_| true)?;
+                    pid = PageId(rd_u32(&*page, end - 4));
                 }
                 t => return Err(Error::Corrupt(format!("unknown btree node tag {t}"))),
             }
@@ -744,6 +824,7 @@ impl BTree {
     }
 
     fn seek_raw(&self, probe: &[u8]) -> Result<BTreeCursor<'_>> {
+        let width = self.width.fixed();
         let mut pid = self.root;
         loop {
             let page = self.pager.read(pid)?;
@@ -758,10 +839,7 @@ impl BTree {
                     cursor.skip_below(probe)?;
                     return Ok(cursor);
                 }
-                INTERNAL => {
-                    let idx = Self::descend_index(&page, probe);
-                    pid = Self::child_at(&page, idx);
-                }
+                INTERNAL => pid = descend(&page, probe, width)?.1,
                 t => return Err(Error::Corrupt(format!("unknown btree node tag {t}"))),
             }
         }
@@ -797,6 +875,9 @@ impl BTree {
     /// shape its accessors ([`BTree::root`], [`BTree::height`],
     /// [`BTree::pages`], [`BTree::leaf_count`], [`BTree::entry_count`])
     /// reported at commit time; the node contents come from the pager.
+    /// `key_width` is the one length every entry key has, when the
+    /// caller knows it (an index on `INT` columns; see
+    /// [`BTree::int_key_width`]), and `None` otherwise.
     pub fn from_parts(
         pager: Arc<Pager>,
         root: PageId,
@@ -804,6 +885,7 @@ impl BTree {
         pages: Vec<PageId>,
         leaf_count: u64,
         entry_count: u64,
+        key_width: Option<usize>,
     ) -> BTree {
         BTree {
             pager,
@@ -812,7 +894,19 @@ impl BTree {
             pages,
             leaf_count,
             entry_count,
+            width: key_width.map_or(Width::Mixed, Width::Fixed),
         }
+    }
+
+    /// The one length every entry key of the tree has, when it has one:
+    /// then its nodes are searched by bisection (see the module docs).
+    pub fn key_width(&self) -> Option<usize> {
+        self.width.fixed()
+    }
+
+    /// The entry-key length of an index on `columns` `INT` columns.
+    pub fn int_key_width(columns: usize) -> usize {
+        columns * key_value_len(&Value::Int(0)) + RID_LEN
     }
 
     /// Number of leaf pages (= full index-only scan cost in reads).
@@ -844,22 +938,15 @@ pub struct BTreeCursor<'t> {
 }
 
 impl BTreeCursor<'_> {
-    /// Advance within the starting leaf past entries `< probe`.
+    /// Move from the starting leaf past the entries `< probe`, into
+    /// the following leaves while a whole leaf is below it.
     fn skip_below(&mut self, probe: &[u8]) -> Result<()> {
+        let width = self.tree.width.fixed();
         loop {
-            let count = rd_u16(&*self.page, 1);
-            if self.idx >= count {
-                if !self.advance_leaf()? {
-                    return Ok(());
-                }
-                continue;
-            }
-            let klen = rd_u16(&*self.page, self.off) as usize;
-            let key = &self.page[self.off + 2..self.off + 2 + klen];
-            if key < probe {
-                self.idx += 1;
-                self.off += 2 + klen;
-            } else {
+            let (idx, off) = search(&self.page, 0, width, |key| key < probe)?;
+            self.idx = idx as u16;
+            self.off = off;
+            if idx < rd_u16(&*self.page, 1) as usize || !self.advance_leaf()? {
                 return Ok(());
             }
         }

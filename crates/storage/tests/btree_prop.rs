@@ -9,7 +9,9 @@
 //! reference`): same answer, pager calls, tree shape and page bytes.
 //! The arena build must match the build that kept one key vector per
 //! row (also in `mod reference`) the same way, over heaps with deleted,
-//! rewritten and moved rows.
+//! rewritten and moved rows. Seeks, which bisect the nodes of a tree
+//! whose keys have one length, must land where the entry-by-entry walk
+//! (`reference::LinearCursor`) lands, at the same reads.
 //!
 //! Keys of mixed lengths, from empty up to the key cap and past it, must
 //! split into nodes that fit and match the model too; a key over the
@@ -21,8 +23,10 @@
 //! through eviction + backend refetch), and corrupted data or checksum
 //! files must surface as clean [`Err`]s — never as wrong answers or UB.
 
-use cdpd_storage::codec::{decode_key, decode_rid, encode_key, encode_row, RID_LEN};
-use cdpd_storage::{crc64, BTree, DurableOptions, HeapFile, MemVfs, Pager, MAX_KEY_LEN, PAGE_SIZE};
+use cdpd_storage::codec::{decode_key, decode_rid, encode_key, encode_rid, encode_row, RID_LEN};
+use cdpd_storage::{
+    crc64, BTree, DurableOptions, HeapFile, MemVfs, Pager, ThreadIoScope, MAX_KEY_LEN, PAGE_SIZE,
+};
 use cdpd_testkit::prop::{any_bool, btree_set_of, string_of, vec_of, Config, Just, Strategy};
 use cdpd_testkit::{one_of, props};
 use cdpd_types::{Error, PageId, Rid, Value};
@@ -176,14 +180,15 @@ props! {
                 tree.pages().to_vec(),
                 tree.leaf_count(),
                 tree.entry_count(),
+                tree.key_width(),
             )
         };
 
         let open = Pager::open_durable(Arc::new(vfs), opts).unwrap();
         assert_eq!(open.app_deltas.last().unwrap_or(&open.app_image), b"end");
-        let (root, height, pages, leaves, entries) = parts;
+        let (root, height, pages, leaves, entries, width) = parts;
         let mut tree =
-            BTree::from_parts(Arc::new(open.pager), root, height, pages, leaves, entries);
+            BTree::from_parts(Arc::new(open.pager), root, height, pages, leaves, entries, width);
         assert_matches_model(&tree, &model);
         assert_eq!(tree.entry_count() as usize, model.len());
         // Seeks against the recovered tree still match the model.
@@ -341,7 +346,7 @@ fn bulk_load_io_and_pages_are_pinned() {
 
 // --- Corruption negatives ----------------------------------------------
 
-type Parts = (PageId, u32, Vec<PageId>, u64, u64);
+type Parts = (PageId, u32, Vec<PageId>, u64, u64, Option<usize>);
 
 /// A checkpointed multi-level tree on a `MemVfs`, ready to be damaged.
 fn checkpointed_tree(vfs: &MemVfs) -> Parts {
@@ -371,6 +376,7 @@ fn checkpointed_tree(vfs: &MemVfs) -> Parts {
         tree.pages().to_vec(),
         tree.leaf_count(),
         tree.entry_count(),
+        tree.key_width(),
     )
 }
 
@@ -383,8 +389,16 @@ fn reopen_and_scan(vfs: &MemVfs, parts: &Parts) -> cdpd_types::Result<usize> {
         checkpoint_wal_bytes: 0,
     };
     let open = Pager::open_durable(Arc::new(vfs.clone()), opts)?;
-    let (root, height, pages, leaves, entries) = parts.clone();
-    let tree = BTree::from_parts(Arc::new(open.pager), root, height, pages, leaves, entries);
+    let (root, height, pages, leaves, entries, width) = parts.clone();
+    let tree = BTree::from_parts(
+        Arc::new(open.pager),
+        root,
+        height,
+        pages,
+        leaves,
+        entries,
+        width,
+    );
     let mut cur = tree.scan_all()?;
     let mut n = 0;
     while cur.next_entry()?.is_some() {
@@ -450,7 +464,7 @@ fn corrupt_checksum_file_fails_cleanly() {
 /// arena build that replaced it.
 mod reference {
     use cdpd_storage::codec::{encode_key, encode_rid, RID_LEN};
-    use cdpd_storage::{BTree, HeapFile, Pager, PAGE_SIZE};
+    use cdpd_storage::{BTree, HeapFile, Page, Pager, PAGE_SIZE};
     use cdpd_types::{Error, PageId, Result, Rid, Value};
     use std::sync::Arc;
 
@@ -618,6 +632,72 @@ mod reference {
             off += 4;
         }
         unreachable!("child index out of range")
+    }
+
+    /// The seek the in-node search replaced: every node is walked entry
+    /// by entry, separators `≤ probe` to the right, leaf keys `< probe`
+    /// skipped, onto the following leaves while a whole leaf is below
+    /// the probe.
+    pub struct LinearCursor {
+        pager: Arc<Pager>,
+        page: Page,
+        idx: usize,
+        off: usize,
+    }
+
+    impl LinearCursor {
+        pub fn seek(pager: Arc<Pager>, root: PageId, probe: &[u8]) -> Result<LinearCursor> {
+            let mut page = pager.read(root)?;
+            while page[0] == INTERNAL {
+                let child = child_at(&page, descend_index(&page, probe));
+                page = pager.read(child)?;
+            }
+            let mut cur = LinearCursor {
+                pager,
+                page,
+                idx: 0,
+                off: LEAF_HDR,
+            };
+            loop {
+                if cur.idx >= rd_u16(&cur.page[..], 1) as usize {
+                    if !cur.advance()? {
+                        return Ok(cur);
+                    }
+                    continue;
+                }
+                let klen = rd_u16(&cur.page[..], cur.off) as usize;
+                if &cur.page[cur.off + 2..cur.off + 2 + klen] >= probe {
+                    return Ok(cur);
+                }
+                cur.idx += 1;
+                cur.off += 2 + klen;
+            }
+        }
+
+        fn advance(&mut self) -> Result<bool> {
+            let next = rd_u32(&self.page[..], 3);
+            if next == 0 {
+                return Ok(false);
+            }
+            self.page = self.pager.read(PageId(next - 1))?;
+            self.idx = 0;
+            self.off = LEAF_HDR;
+            Ok(true)
+        }
+
+        /// The next full entry key (values and rid).
+        pub fn next_key(&mut self) -> Result<Option<Vec<u8>>> {
+            while self.idx >= rd_u16(&self.page[..], 1) as usize {
+                if !self.advance()? {
+                    return Ok(None);
+                }
+            }
+            let klen = rd_u16(&self.page[..], self.off) as usize;
+            let key = self.page[self.off + 2..self.off + 2 + klen].to_vec();
+            self.idx += 1;
+            self.off += 2 + klen;
+            Ok(Some(key))
+        }
     }
 
     /// A tree's shape, mutated by the reference insert and delete.
@@ -1169,5 +1249,216 @@ props! {
         }
         assert_eq!(long_entries(&tree), model.iter().cloned().collect::<Vec<_>>());
         assert_eq!(tree.entry_count() as usize, model.len());
+    }
+}
+
+// --- In-node search against the linear walk -----------------------------
+
+/// Four key shapes: `INT`; `(INT, INT)`; one `STR` of 1–300 characters;
+/// and `INT` for even `k` but a `STR` for odd, so a tree whose keys
+/// have one length gets a second.
+fn search_key(shape: u8, k: u16) -> Vec<Value> {
+    let int = Value::Int(i64::from(k) * 3 - 1_800);
+    let text = || Value::from(format!("{k:04}{}", "t".repeat(usize::from(k) * 7 % 300)).as_str());
+    match shape {
+        0 => vec![int],
+        1 => vec![Value::Int(i64::from(k % 37) - 18), int],
+        2 => vec![text()],
+        _ if k.is_multiple_of(2) => vec![int],
+        _ => vec![text()],
+    }
+}
+
+#[derive(Clone, Debug)]
+enum SearchOp {
+    /// Insert `(search_key(k), rid r)`.
+    Insert(u16, u32),
+    /// Delete `(search_key(k), rid r)`, present or not.
+    Delete(u16, u32),
+    /// Delete the `i`-th present entry, modulo their number.
+    DeletePresent(usize),
+    /// Reattach the tree through `BTree::from_parts`.
+    Reattach,
+    /// Seek to `search_key(k)`, and to its leading column.
+    Seek(u16),
+}
+
+fn search_op_strategy() -> impl Strategy<Value = SearchOp> {
+    one_of![
+        6 => (0u16..1200, 0u32..3).prop_map(|(k, r)| SearchOp::Insert(k, r)),
+        2 => (0u16..1200, 0u32..3).prop_map(|(k, r)| SearchOp::Delete(k, r)),
+        2 => (0usize..4096).prop_map(SearchOp::DeletePresent),
+        1 => Just(SearchOp::Reattach),
+        2 => (0u16..1300).prop_map(SearchOp::Seek),
+    ]
+}
+
+/// Entries read per seek, after the cursor's first.
+const SEEK_STEPS: usize = 6;
+
+/// Seek `values` on `tree` and with the linear walk over the same pages.
+/// Both must yield the same entries from where they land, and the
+/// thread's ledger must count the same reads for the seek and for each
+/// step after it.
+fn check_seek(tree: &BTree, values: &[Value]) {
+    let probe = encode_key(values);
+    let scope = ThreadIoScope::start();
+    let mut cur = tree.seek(values).unwrap();
+    let mut got = vec![(None, scope.delta().reads)];
+    for _ in 0..SEEK_STEPS {
+        let entry = cur.next_entry().unwrap().map(|(vals, rid)| {
+            let mut key = vals.to_vec();
+            encode_rid(rid, &mut key);
+            key
+        });
+        got.push((entry, scope.delta().reads));
+    }
+    let scope = ThreadIoScope::start();
+    let mut cur = reference::LinearCursor::seek(tree.pager().clone(), tree.root(), &probe).unwrap();
+    let mut want = vec![(None, scope.delta().reads)];
+    for _ in 0..SEEK_STEPS {
+        want.push((cur.next_key().unwrap(), scope.delta().reads));
+    }
+    assert_eq!(got, want, "seek {values:?}");
+}
+
+props! {
+    config: Config::with_cases(32);
+
+    fn node_search_matches_linear_walk(
+        shape in 0u8..4,
+        preload in btree_set_of((0u16..1200, 0u32..3), 0..900),
+        ops in vec_of(search_op_strategy(), 1..150),
+    ) {
+        let shape = *shape;
+        // The mixed shape starts from `INT` keys only.
+        let preload: BTreeSet<(u16, u32)> = preload
+            .iter()
+            .map(|&(k, r)| (if shape == 3 { k & !1 } else { k }, r))
+            .collect();
+        let entry = |k: u16, r: u32| (search_key(shape, k), Rid::new(PageId(r), 0));
+        let key_len = |k: u16| encode_key(&search_key(shape, k)).len() + RID_LEN;
+        let mut entries: Vec<_> = preload.iter().map(|&(k, r)| entry(k, r)).collect();
+        entries.sort();
+        let mut tree = BTree::bulk_load(Arc::new(Pager::new()), entries).unwrap();
+        let mut model = preload;
+        // Every key length the tree has held, and whether a reattach
+        // left its width unknown.
+        let mut lengths: BTreeSet<usize> = model.iter().map(|&(k, _)| key_len(k)).collect();
+        let mut unknown = false;
+        for op in ops {
+            match *op {
+                SearchOp::Insert(k, r) => {
+                    let (values, rid) = entry(k, r);
+                    let got = tree.insert(&values, rid);
+                    if model.insert((k, r)) {
+                        got.unwrap();
+                        lengths.insert(key_len(k));
+                    } else {
+                        assert!(matches!(got, Err(Error::AlreadyExists(_))), "{got:?}");
+                    }
+                }
+                SearchOp::Delete(k, r) => {
+                    let (values, rid) = entry(k, r);
+                    assert_eq!(tree.delete(&values, rid).unwrap(), model.remove(&(k, r)));
+                }
+                SearchOp::DeletePresent(i) => {
+                    if let Some(&(k, r)) = model.iter().nth(i % model.len().max(1)) {
+                        let (values, rid) = entry(k, r);
+                        assert!(tree.delete(&values, rid).unwrap());
+                        model.remove(&(k, r));
+                    }
+                }
+                SearchOp::Reattach => {
+                    // As the engine reattaches: an index on `INT` columns
+                    // states its key width, any other passes on what the
+                    // tree knew.
+                    let width = match shape {
+                        0 | 1 => Some(BTree::int_key_width(usize::from(shape) + 1)),
+                        _ => tree.key_width(),
+                    };
+                    match width {
+                        Some(w) => {
+                            lengths.insert(w);
+                        }
+                        None => unknown = true,
+                    }
+                    tree = BTree::from_parts(
+                        tree.pager().clone(),
+                        tree.root(),
+                        tree.height(),
+                        tree.pages().to_vec(),
+                        tree.leaf_count(),
+                        tree.entry_count(),
+                        width,
+                    );
+                }
+                SearchOp::Seek(k) => {
+                    let values = search_key(shape, k);
+                    check_seek(&tree, &values);
+                    check_seek(&tree, &values[..1]);
+                }
+            }
+            // One key length: the tree bisects; more, or not known: it
+            // walks.
+            let one = (!unknown && lengths.len() == 1).then(|| *lengths.first().unwrap());
+            assert_eq!(tree.key_width(), one, "key width after {op:?}");
+            if shape < 2 && !lengths.is_empty() {
+                assert_eq!(one, Some(BTree::int_key_width(usize::from(shape) + 1)));
+            }
+        }
+        if shape == 2 && lengths.len() > 1 {
+            assert_eq!(tree.key_width(), None, "STR keys of two lengths walk");
+        }
+        check_seek(&tree, &[]);
+        for k in (0..1300).step_by(11) {
+            check_seek(&tree, &search_key(shape, k));
+        }
+        let mut cur = tree.scan_all().unwrap();
+        let mut n = 0;
+        while cur.next_entry().unwrap().is_some() {
+            n += 1;
+        }
+        assert_eq!((n, tree.entry_count() as usize), (model.len(), model.len()));
+    }
+}
+
+/// A tree that claims a key length its nodes do not have is corrupt:
+/// every seek, insert and delete that bisects a node says so. One leaf,
+/// so no misread child pointer can fail the read first.
+#[test]
+fn a_wrong_key_width_is_corrupt() {
+    let entries: Vec<(Vec<Value>, Rid)> = (0..100i64)
+        .map(|i| (vec![Value::Int(i)], Rid::new(PageId(0), i as u16)))
+        .collect();
+    let tree = BTree::bulk_load(Arc::new(Pager::new()), entries).unwrap();
+    assert_eq!(
+        (tree.height(), tree.key_width()),
+        (1, Some(BTree::int_key_width(1)))
+    );
+    for wrong in [BTree::int_key_width(1) - 1, BTree::int_key_width(2)] {
+        let mut bad = BTree::from_parts(
+            tree.pager().clone(),
+            tree.root(),
+            tree.height(),
+            tree.pages().to_vec(),
+            tree.leaf_count(),
+            tree.entry_count(),
+            Some(wrong),
+        );
+        let probe = [Value::Int(70)];
+        let rid = Rid::new(PageId(9), 0);
+        assert!(
+            matches!(bad.seek(&probe), Err(Error::Corrupt(_))),
+            "{wrong}"
+        );
+        assert!(
+            matches!(bad.insert(&probe, rid), Err(Error::Corrupt(_))),
+            "{wrong}"
+        );
+        assert!(
+            matches!(bad.delete(&probe, rid), Err(Error::Corrupt(_))),
+            "{wrong}"
+        );
     }
 }

@@ -89,6 +89,17 @@ for seed in 0x5eed 0xc0ffee 0xdecade; do
     --test recovery_prop kill_at_any_point_recovers_to_committed_prefix
 done
 
+echo "== atomicity gate: a statement failed at any page write is undone whole, under a fixed seed matrix =="
+# INSERT, insert_many, UPDATE (key-changing, row-moving, over-cap on a
+# later row), DELETE and CREATE INDEX, each failed at its 1st, 2nd, …
+# page write, must leave every live page, shape, statistic and answer
+# as a twin that never ran it — in memory, and durably across a reopen.
+for seed in 0x5eed 0xc0ffee 0xdecade; do
+  echo "-- prop seed $seed --"
+  CDPD_PROP_SEED="$seed" cargo test -q --offline -p cdpd-engine \
+    --test atomicity_prop a_failed_statement_leaves_the_database_as_it_found_it
+done
+
 echo "== B+-tree gate: in-place leaf edits byte-identical under a fixed seed matrix =="
 # Every insert and delete must match the decode → edit → encode
 # reference in answer, pager calls, tree shape and page bytes.

@@ -13,8 +13,15 @@
 //!   the rows a range on `c` matches (a quarter to a half of them). Both
 //!   fold every row without branching on its answer; the ratio is
 //!   asserted at most 1.3.
+//! * `write/insert_ns_per_row`, `write/update_all_ns_per_row` and their
+//!   ratio `write/update_over_insert`: loading a 200k-row, four-`INT`
+//!   table through `insert_many`, then `UPDATE t SET d = 1 WHERE b >= 0`
+//!   over it with an index on `b`, in memory: one streaming pass over
+//!   the located rows inside one undo scope, whose pre-images copy each
+//!   heap page once. The ratio is gated, as both timings move together
+//!   with the host's speed.
 
-use cdpd::engine::{parallel_map, Database};
+use cdpd::engine::{parallel_map, Database, IndexSpec};
 use cdpd::sql::{AggFunc, Condition, Projection, SelectStmt};
 use cdpd::storage::{BTree, Pager};
 use cdpd::testkit::Prng;
@@ -129,6 +136,41 @@ fn count_and_sum_ns_per_row() -> (f64, f64) {
     )
 }
 
+/// Ns per row of loading a 200k-row table through `insert_many` (best
+/// of 5 fresh tables), and of an `UPDATE` that then rewrites every row
+/// (best of 5).
+fn insert_and_update_ns_per_row() -> (f64, f64) {
+    const ROWS: i64 = 200_000;
+    let mut rng = Prng::seed_from_u64(0x0bd8);
+    let rows: Vec<Vec<Value>> = (0..ROWS)
+        .map(|_| (0..4).map(|_| Value::Int(rng.gen_range(0..ROWS))).collect())
+        .collect();
+    let (mut insert, mut db) = (u64::MAX, None);
+    for _ in 0..5 {
+        drop(db.take());
+        let start = Instant::now();
+        let fresh = Database::new();
+        let columns = ["a", "b", "c", "d"].map(ColumnDef::int).to_vec();
+        fresh
+            .create_table("t", Schema::new(columns))
+            .expect("fresh table");
+        fresh
+            .insert_many("t", rows.iter().map(Vec::as_slice))
+            .expect("rows fit");
+        insert = insert.min(start.elapsed().as_nanos() as u64);
+        db = Some(fresh);
+    }
+    let db = db.expect("loaded");
+    db.analyze("t").expect("table exists");
+    db.create_index(&IndexSpec::new("t", &["b"]))
+        .expect("fresh index");
+    let update = best_of(5, || {
+        let result = db.execute_sql("UPDATE t SET d = 1 WHERE b >= 0");
+        assert_eq!(result.expect("update runs").count, ROWS as u64);
+    });
+    (insert as f64 / ROWS as f64, update as f64 / ROWS as f64)
+}
+
 fn bench_storage(criterion: &mut Criterion) {
     let mut group = criterion.benchmark_group("storage");
     group.metric("pager/scaling_x8", pager_scaling());
@@ -146,6 +188,11 @@ fn bench_storage(criterion: &mut Criterion) {
     group.metric("scan/sum_ns_per_row", sum);
     let ratio = sum / count;
     group.gated_metric("scan/sum_over_count", ratio, Better::Lower, 0.75);
+    let (insert, update) = insert_and_update_ns_per_row();
+    group.metric("write/insert_ns_per_row", insert);
+    group.metric("write/update_all_ns_per_row", update);
+    let update_ratio = update / insert;
+    group.gated_metric("write/update_over_insert", update_ratio, Better::Lower, 0.6);
     group.finish();
     assert!(
         ratio <= 1.3,

@@ -1,6 +1,6 @@
 use crate::cost::IndexShape;
 use crate::planner::IndexInfo;
-use cdpd_storage::{codec, BTree, HeapFile};
+use cdpd_storage::{codec, BTree, HeapFile, TreeMark};
 use cdpd_types::{ColumnId, Result, Rid, Schema, TableId, Value};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -105,7 +105,8 @@ impl IndexEntry {
 /// One row-level change appended to every active build log by a DML
 /// statement that runs while an online index build is scanning. An
 /// `UPDATE` logs a `Delete` of the old image followed by an `Insert`
-/// of the new one (at the row's possibly-moved rid).
+/// of the new one (at the row's possibly-moved rid); a statement that
+/// fails then logs what its undo puts back (`Database::log_undone`).
 pub(crate) enum RowDelta {
     /// Row `rid` now holds these values.
     Insert(Vec<Value>, Rid),
@@ -152,12 +153,10 @@ pub(crate) struct CommitMark {
     /// next frame carries it whole.
     pub(crate) committed: bool,
     /// A mutator has taken the table's write lock since that commit
-    /// (`Database::write_entry`). Set when the lock is *taken*, not when
-    /// the statement succeeds: a statement that fails midway has
-    /// already changed shapes and dirtied pages, and the next
-    /// acknowledged commit logs those pages — so it must log this
-    /// table's shape with them. A committed table with this clear
-    /// contributes nothing.
+    /// (`Database::write_entry`), whether or not its statement
+    /// succeeded: a failed DML statement is undone but leaves its pages
+    /// dirty, and a failed DDL step may already have dropped an index.
+    /// A committed table with this clear contributes nothing.
     pub(crate) touched: bool,
     /// Length of the heap's page chain at that commit (chains only grow).
     pub(crate) heap_pages: usize,
@@ -200,6 +199,9 @@ pub(crate) struct TableEntry {
     /// waits on, or stalls, the table's readers); mutators holding the
     /// write lock reach it lock-free via `get_mut`.
     pub(crate) mark: Mutex<CommitMark>,
+    /// Each index's tree state as the running statement found it, in
+    /// name order; kept between statements so marking allocates nothing.
+    pub(crate) tree_marks: Vec<TreeMark>,
 }
 
 impl TableEntry {
@@ -216,6 +218,7 @@ impl TableEntry {
             version: None,
             build_logs: Vec::new(),
             mark: Mutex::default(),
+            tree_marks: Vec::new(),
         }
     }
 

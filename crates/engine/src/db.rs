@@ -1,10 +1,10 @@
 use crate::catalog::{BuildLog, IndexEntry, IndexSpec, RowDelta, TableEntry, TableSnapshot};
 use crate::cost::IndexShape;
-use crate::exec::{self, ExecOutcome};
+use crate::exec;
 use crate::planner::{IndexInfo, PathKind, Plan, Planner};
 use crate::stats::{StatsMaintainer, StatsRefresh, TableStats};
 use cdpd_sql::{Dml, SelectStmt, Statement};
-use cdpd_storage::{codec, BTree, HeapFile, IoStats, Pager, ThreadIoScope};
+use cdpd_storage::{codec, BTree, HeapFile, HeapMark, IoStats, Pager, ThreadIoScope, UndoScope};
 use cdpd_types::{ColumnId, Error, Result, Rid, Schema, TableId, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -85,6 +85,10 @@ pub struct DdlReport {
 ///   (idempotently: tolerant deletes, duplicate-skipping inserts) and
 ///   publishes them atomically, so each installed index is exactly what
 ///   a blocking build at the install point would have produced.
+/// * **Atomic statements.** A DML statement — an `insert_many` call
+///   included — runs inside one pager [`UndoScope`]: if it fails, the
+///   pager puts back every page it changed and the table's in-memory
+///   state returns to its marks (`Database::statement`).
 /// * On a durable database, a **commit phase lock** orders mutation
 ///   against WAL commits: statement mutation holds it shared,
 ///   [`Pager::commit`] runs under it exclusively — so a commit only
@@ -284,6 +288,11 @@ impl Database {
         entry.read().expect("table lock poisoned")
     }
 
+    /// `f` of `table`'s entry, under the table's read lock.
+    fn read<T>(&self, table: &str, f: impl FnOnce(&TableEntry) -> T) -> Result<T> {
+        self.table(table).map(|entry| f(&Self::read_entry(&entry)))
+    }
+
     /// The table write lock, for a mutator: the table is marked touched
     /// as the lock is taken, so the next commit frame carries its shape
     /// on every exit path — including a statement that fails after it
@@ -318,11 +327,8 @@ impl Database {
     /// mutations return the same cached `Arc`.
     pub fn pin(&self, table: &str) -> Result<Arc<TableSnapshot>> {
         let entry = self.table(table)?;
-        {
-            let guard = Self::read_entry(&entry);
-            if let Some(v) = &guard.version {
-                return Ok(v.clone());
-            }
+        if let Some(v) = Self::read_entry(&entry).version.clone() {
+            return Ok(v);
         }
         // Cache miss: the last statement was a mutation. Escalate to
         // the write lock just long enough to rebuild the snapshot.
@@ -332,75 +338,127 @@ impl Database {
         Ok(snap)
     }
 
-    /// The current catalog epoch of `table` (bumped by every mutating
-    /// statement on it; per-process, reset by recovery).
-    pub fn table_epoch(&self, table: &str) -> Result<u64> {
-        let entry = self.table(table)?;
-        let guard = Self::read_entry(&entry);
-        Ok(guard.epoch)
-    }
-
     /// The schema of `table` (shared, cheap to clone).
     pub fn schema(&self, table: &str) -> Result<Arc<Schema>> {
-        let entry = self.table(table)?;
-        let guard = Self::read_entry(&entry);
-        Ok(guard.schema.clone())
+        self.read(table, |e| e.schema.clone())
     }
 
     /// Statistics for `table`, if `ANALYZE` has run (shared, cheap to
     /// clone).
     pub fn stats(&self, table: &str) -> Result<Option<Arc<TableStats>>> {
-        let entry = self.table(table)?;
-        let guard = Self::read_entry(&entry);
-        Ok(guard.stats.clone())
+        self.read(table, |e| e.stats.clone())
     }
 
     /// Insert one row, maintaining all indexes.
     pub fn insert(&self, table: &str, values: &[Value]) -> Result<Rid> {
-        let rid = self.insert_inner(table, values)?;
-        self.commit_if_durable()?;
-        Ok(rid)
+        let (_, rid) = self.insert_rows(table, [values])?;
+        Ok(rid.expect("one row inserted"))
     }
 
-    fn insert_inner(&self, table: &str, values: &[Value]) -> Result<Rid> {
-        let _phase = self.mutation_phase();
-        let entry = self.table(table)?;
-        let entry = &mut *Self::write_entry(&entry);
-        if !entry.schema.validates(values) {
-            return Err(Error::TypeMismatch(format!(
-                "row does not match schema of {table}"
-            )));
-        }
-        Self::check_keys(entry, values)?;
-        let mut bytes = Vec::with_capacity(values.iter().map(Value::encoded_len).sum());
-        codec::encode_row(values, &mut bytes);
-        let rid = entry.heap.insert(&bytes)?;
-        for index in entry.indexes.values_mut() {
-            Self::edit_index(index, None, Some((values, rid)))?;
-        }
-        if let Some(m) = entry.maintainer.as_mut() {
-            m.add_row(values);
-        }
-        entry.log_delta(|| RowDelta::Insert(values.to_vec(), rid));
-        entry.bump_epoch();
-        Ok(rid)
+    /// Bulk-insert rows (convenience for loaders), atomically per call:
+    /// a refused row leaves none of the batch behind. The call holds
+    /// the table's write lock for the whole batch. On a durable
+    /// database the batch is one commit — one WAL transaction — so bulk
+    /// loads do not pay a per-row serialization.
+    pub fn insert_many<'r, I>(&self, table: &str, rows: I) -> Result<u64>
+    where
+        I: IntoIterator<Item = &'r [Value]>,
+        I::IntoIter: Clone,
+    {
+        Ok(self.insert_rows(table, rows)?.0)
     }
 
-    /// Bulk-insert rows (convenience for loaders). On a durable
-    /// database the whole batch is one commit — one WAL transaction —
-    /// so bulk loads do not pay a per-row serialization.
-    pub fn insert_many<'r>(
+    /// Insert `rows` as one [`Database::statement`]; once every page edit
+    /// has succeeded, fold them into the statistics. Returns the row
+    /// count and the last row's rid.
+    fn insert_rows<'r, I>(&self, table: &str, rows: I) -> Result<(u64, Option<Rid>)>
+    where
+        I: IntoIterator<Item = &'r [Value]>,
+        I::IntoIter: Clone,
+    {
+        let rows = rows.into_iter();
+        self.statement(table, |entry, _| {
+            let (mut n, mut last, mut bytes) = (0, None, vec![]);
+            for values in rows.clone() {
+                if !entry.schema.validates(values) {
+                    let msg = format!("row does not match schema of {table}");
+                    return Err(Error::TypeMismatch(msg));
+                }
+                Self::check_keys(entry, values)?;
+                bytes.clear();
+                codec::encode_row(values, &mut bytes);
+                let rid = entry.heap.insert(&bytes)?;
+                for index in entry.indexes.values_mut() {
+                    Self::edit_index(index, None, Some((values, rid)))?;
+                }
+                entry.log_delta(|| RowDelta::Insert(values.to_vec(), rid));
+                (n, last) = (n + 1, Some(rid));
+            }
+            if let Some(m) = entry.maintainer.as_mut() {
+                rows.for_each(|values| m.add_row(values));
+            }
+            Ok((n > 0, (n, last)))
+        })
+    }
+
+    /// Run `edit` as one statement on `table`, then commit: under the
+    /// commit phase and the table's write lock, in one [`UndoScope`].
+    /// If `edit` fails, the online builds on the table hear of it
+    /// (`Database::log_undone`), the pager undoes its pages and the heap
+    /// and the trees, with their planner views, return to their marks —
+    /// before the phase guard drops. The epoch moves when `edit` says so.
+    fn statement<T>(
         &self,
         table: &str,
-        rows: impl IntoIterator<Item = &'r [Value]>,
-    ) -> Result<u64> {
-        let mut n = 0;
-        for row in rows {
-            self.insert_inner(table, row)?;
-            n += 1;
-        }
+        edit: impl FnOnce(&mut TableEntry, &UndoScope<'_>) -> Result<(bool, T)>,
+    ) -> Result<T> {
+        let done = {
+            let _phase = self.mutation_phase();
+            let entry = self.table(table)?;
+            let e = &mut *Self::write_entry(&entry);
+            let undo = self.pager.undo_scope();
+            let heap = e.heap.mark();
+            e.tree_marks.clear();
+            e.tree_marks
+                .extend(e.indexes.values().map(|index| index.btree.mark()));
+            let (changed, done) = edit(e, &undo).or_else(|err| {
+                let logged = Self::log_undone(e, &undo, heap);
+                e.heap.roll_back(heap);
+                for (index, &tree) in e.indexes.values_mut().zip(&e.tree_marks) {
+                    index.btree.roll_back(tree);
+                    index.info.shape = IndexEntry::shape_of(&index.btree);
+                }
+                logged.and(Err(err))
+            })?;
+            undo.commit();
+            if changed {
+                e.bump_epoch();
+            }
+            done
+        };
         self.commit_if_durable()?;
-        Ok(n)
+        Ok(done)
+    }
+
+    /// Log, for the online builds scanning `entry`, that `undo` is about
+    /// to undo a failed statement begun at `heap`, whose row changes so
+    /// far are logged. A build may have read a page midway, when each
+    /// slot held its row before, no row or its row now (a statement frees
+    /// a slot at most once, then fills it at most once). So each row a
+    /// changed page holds now is logged deleted, then each before inserted.
+    fn log_undone(entry: &TableEntry, undo: &UndoScope<'_>, heap: HeapMark) -> Result<()> {
+        if entry.build_logs.is_empty() {
+            return Ok(());
+        }
+        let mut values = Vec::new();
+        HeapFile::for_each_changed_row(&entry.heap, undo, heap, |before, rid, row| {
+            codec::decode_row_into(row.bytes(), &mut values)?;
+            entry.log_delta(|| match before {
+                false => RowDelta::Delete(values.clone(), rid),
+                true => RowDelta::Insert(values.clone(), rid),
+            });
+            Ok(())
+        })
     }
 
     /// Full-scan `table` and rebuild its statistics. The scan's
@@ -408,30 +466,22 @@ impl Database {
     /// DML can be folded in and [`Database::refresh_stats`] can rebuild
     /// statistics without another scan.
     pub fn analyze(&self, table: &str) -> Result<Arc<TableStats>> {
-        let stats = self.analyze_inner(table)?;
-        self.commit_if_durable()?;
-        Ok(stats)
-    }
-
-    fn analyze_inner(&self, table: &str) -> Result<Arc<TableStats>> {
-        let _span = cdpd_obs::span!("engine.analyze", table = table);
-        let _phase = self.mutation_phase();
-        let entry = self.table(table)?;
-        let entry = &mut *Self::write_entry(&entry);
-        let mut maintainer = StatsMaintainer::new(entry.schema.len(), entry.heap.row_count());
-        let mut values = Vec::with_capacity(entry.schema.len());
-        entry.heap.for_each_row(|_, view| {
-            codec::decode_row_into(view.bytes(), &mut values)?;
-            maintainer.add_row(&values);
-            Ok(())
-        })?;
-        maintainer.take_refresh(); // the scan itself is not pending DML
-        let stats = Arc::new(maintainer.snapshot(entry.heap.page_count()));
-        entry.stats = Some(stats.clone());
-        entry.maintainer = Some(maintainer);
-        entry.note_stats_replaced();
-        entry.bump_epoch();
-        Ok(stats)
+        self.statement(table, |entry, _| {
+            let _span = cdpd_obs::span!("engine.analyze", table = table);
+            let mut maintainer = StatsMaintainer::new(entry.schema.len(), entry.heap.row_count());
+            let mut values = Vec::with_capacity(entry.schema.len());
+            entry.heap.for_each_row(|_, view| {
+                codec::decode_row_into(view.bytes(), &mut values)?;
+                maintainer.add_row(&values);
+                Ok(())
+            })?;
+            maintainer.take_refresh(); // the scan itself is not pending DML
+            let stats = Arc::new(maintainer.snapshot(entry.heap.page_count()));
+            entry.stats = Some(stats.clone());
+            entry.maintainer = Some(maintainer);
+            entry.note_stats_replaced();
+            Ok((true, stats))
+        })
     }
 
     /// Rebuild `table`'s statistics from the retained analyze state —
@@ -442,50 +492,35 @@ impl Database {
     /// # Errors
     /// The table must exist and have been `ANALYZE`d at least once.
     pub fn refresh_stats(&self, table: &str) -> Result<StatsRefresh> {
-        let refresh = self.refresh_stats_inner(table)?;
-        // A no-op refresh mutated nothing; skip the commit entirely.
-        if !refresh.is_noop() {
-            self.commit_if_durable()?;
-        }
-        Ok(refresh)
-    }
-
-    fn refresh_stats_inner(&self, table: &str) -> Result<StatsRefresh> {
-        let _phase = self.mutation_phase();
-        let entry = self.table(table)?;
-        // A clean table answers under the read lock: the advisor asks
-        // before every window seal, and a write lock would stall the
-        // readers in flight.
-        let clean = Self::read_entry(&entry)
-            .maintainer
-            .as_ref()
-            .is_some_and(|m| !m.is_dirty());
-        if clean {
+        // A clean table answers under the read lock, with no commit: the
+        // advisor asks before every window seal, and a write lock would
+        // stall the readers in flight.
+        let clean = |e: &TableEntry| e.maintainer.as_ref().is_some_and(|m| !m.is_dirty());
+        if self.read(table, clean)? {
             return Ok(StatsRefresh::default());
         }
-        let entry = &mut *Self::write_entry(&entry);
-        let Some(maintainer) = entry.maintainer.as_mut() else {
-            return Err(Error::InvalidArgument(format!(
-                "table {table} has no statistics; run analyze()"
-            )));
-        };
-        if !maintainer.is_dirty() {
-            return Ok(StatsRefresh::default());
-        }
-        let _span = cdpd_obs::span!("engine.refresh_stats", table = table);
-        cdpd_obs::counter!("engine.stats.refreshes").inc();
-        let refresh = maintainer.take_refresh();
-        entry.stats = Some(Arc::new(maintainer.snapshot(entry.heap.page_count())));
-        entry.note_stats_replaced();
-        entry.bump_epoch();
-        Ok(refresh)
+        self.statement(table, |entry, _| {
+            let Some(maintainer) = entry.maintainer.as_mut() else {
+                let msg = format!("table {table} has no statistics; run analyze()");
+                return Err(Error::InvalidArgument(msg));
+            };
+            if !maintainer.is_dirty() {
+                return Ok((false, StatsRefresh::default()));
+            }
+            let _span = cdpd_obs::span!("engine.refresh_stats", table = table);
+            cdpd_obs::counter!("engine.stats.refreshes").inc();
+            let refresh = maintainer.take_refresh();
+            entry.stats = Some(Arc::new(maintainer.snapshot(entry.heap.page_count())));
+            entry.note_stats_replaced();
+            Ok((true, refresh))
+        })
     }
 
     /// The materialized index specs on `table`, in name order.
     pub fn index_specs(&self, table: &str) -> Result<Vec<IndexSpec>> {
-        let entry = self.table(table)?;
-        let guard = Self::read_entry(&entry);
-        Ok(guard.indexes.values().map(|e| e.spec.clone()).collect())
+        self.read(table, |e| {
+            e.indexes.values().map(|i| i.spec.clone()).collect()
+        })
     }
 
     /// Materialized shapes of `table`'s built indexes, exactly as the
@@ -495,19 +530,23 @@ impl Database {
     /// the what-if planner against the real catalog (see
     /// [`crate::WhatIfEngine::snapshot_live`]).
     pub fn index_shapes(&self, table: &str) -> Result<Vec<(IndexSpec, IndexShape)>> {
-        let entry = self.table(table)?;
-        let guard = Self::read_entry(&entry);
-        Ok(guard
-            .indexes
-            .values()
-            .map(|e| (e.spec.clone(), e.info.shape))
-            .collect())
+        let shape = |i: &IndexEntry| (i.spec.clone(), i.info.shape);
+        self.read(table, |e| e.indexes.values().map(shape).collect())
+    }
+
+    /// Each of `table`'s index trees' [`BTree::key_width`], in name
+    /// order: for tests that compare two databases tree by tree.
+    #[doc(hidden)]
+    pub fn index_key_widths(&self, table: &str) -> Result<Vec<Option<usize>>> {
+        self.read(table, |e| {
+            e.indexes.values().map(|i| i.btree.key_width()).collect()
+        })
     }
 
     /// Whether `spec` is materialized.
     pub fn has_index(&self, spec: &IndexSpec) -> bool {
-        self.table(&spec.table)
-            .is_ok_and(|t| Self::read_entry(&t).indexes.contains_key(&spec.name()))
+        self.read(&spec.table, |e| e.indexes.contains_key(&spec.name()))
+            .unwrap_or(false)
     }
 
     /// Scan → sort → bulk-load one index over a pinned snapshot's heap,
@@ -537,13 +576,15 @@ impl Database {
     /// `(row values, rid)` and either absent: the one place a row's
     /// values become an index key. The tree is left alone when the rid
     /// and the key columns are unchanged. Deleting an absent entry is
-    /// no error; inserting a present one is [`Error::AlreadyExists`].
-    /// The planner's view of the tree's shape follows every edit, a
-    /// failed one included.
-    fn edit_index(
+    /// no error; inserting a present one is [`Error::AlreadyExists`],
+    /// with no change. The planner's view of the tree's shape follows
+    /// every edit that succeeds; a statement that fails midway rolls the
+    /// view back with the tree (`Database::statement`), and a failed
+    /// catch-up frees the whole tree.
+    fn edit_index<'v>(
         index: &mut IndexEntry,
-        old: Option<(&[Value], Rid)>,
-        new: Option<(&[Value], Rid)>,
+        old: Option<(&'v [Value], Rid)>,
+        new: Option<(&'v [Value], Rid)>,
     ) -> Result<()> {
         let columns = &index.info.columns;
         if let (Some((was, from)), Some((now, to))) = (old, new) {
@@ -551,21 +592,15 @@ impl Database {
                 return Ok(());
             }
         }
-        let key = |values: &[Value]| -> Vec<Value> {
-            columns.iter().map(|c| values[c.index()].clone()).collect()
-        };
-        let mut edit = || -> Result<()> {
-            if let Some((values, rid)) = old {
-                index.btree.delete(&key(values), rid)?;
-            }
-            if let Some((values, rid)) = new {
-                index.btree.insert(&key(values), rid)?;
-            }
-            Ok(())
-        };
-        let edited = edit();
+        let key = |values: &'v [Value]| columns.iter().map(|c| &values[c.index()]);
+        if let Some((values, rid)) = old {
+            index.btree.delete(key(values), rid)?;
+        }
+        if let Some((values, rid)) = new {
+            index.btree.insert(key(values), rid)?;
+        }
         index.info.shape = IndexEntry::shape_of(&index.btree);
-        edited
+        Ok(())
     }
 
     /// Refuse, before a statement changes anything, a row whose key in
@@ -808,15 +843,11 @@ impl Database {
         Self::with_planner(entry, &stmt.table, |planner| {
             let planned = planner.plan(stmt)?;
             let scope = ThreadIoScope::start();
-            let ExecOutcome {
-                count,
-                rows,
-                aggregate,
-            } = exec::execute(entry, planner, &planned, materialize)?;
+            let out = exec::execute(entry, planner, &planned, materialize)?;
             Ok(QueryResult {
-                count,
-                rows,
-                aggregate,
+                count: out.count,
+                rows: out.rows,
+                aggregate: out.aggregate,
                 io: scope.delta(),
                 est_cost: planned.est_cost,
                 plan: planned.describe(),
@@ -839,11 +870,11 @@ impl Database {
 
     /// Plan a query without executing it.
     pub fn explain(&self, stmt: &SelectStmt) -> Result<String> {
-        let entry = self.table(&stmt.table)?;
-        let entry = &*Self::read_entry(&entry);
-        Self::with_planner(entry, &stmt.table, |planner| {
-            Ok(planner.plan(stmt)?.describe())
-        })
+        self.read(&stmt.table, |entry| {
+            Self::with_planner(entry, &stmt.table, |planner| {
+                Ok(planner.plan(stmt)?.describe())
+            })
+        })?
     }
 
     /// Execute a workload statement (query, update, or delete).
@@ -858,98 +889,20 @@ impl Database {
         }
     }
 
-    /// Locate the rows a write statement affects, using the cost-based
-    /// access path. Returns rids plus the plan (fully materialized
-    /// before mutation — no Halloween hazard).
-    fn locate_write(
-        entry: &TableEntry,
-        stmt: &Dml,
-    ) -> Result<(Vec<Rid>, crate::planner::PlannedWrite)> {
-        Self::with_planner(entry, stmt.table(), |planner| {
-            let planned = planner.plan_write(stmt)?;
-            let rids = exec::collect_rids(entry, planner, &planned.find)?;
-            Ok((rids, planned))
-        })
-    }
-
-    /// `UPDATE` or `DELETE`: locate every affected row, then change each
-    /// in the heap, its indexes, the statistics and the build logs.
+    /// `UPDATE` or `DELETE` as one [`Database::statement`]: locate every
+    /// affected row through the cost-based access path — all of them
+    /// before the first change, so no Halloween hazard — then change
+    /// them ([`Database::write_rows`]).
     fn run_write(&self, dml: &Dml) -> Result<QueryResult> {
-        let result = self.run_write_inner(dml)?;
-        self.commit_if_durable()?;
-        Ok(result)
-    }
-
-    fn run_write_inner(&self, dml: &Dml) -> Result<QueryResult> {
         let scope = ThreadIoScope::start();
-        let _phase = self.mutation_phase();
-        let entry = self.table(dml.table())?;
-        let entry = &mut *Self::write_entry(&entry);
-        let (rids, planned) = Self::locate_write(entry, dml)?;
-        // The assignments of an UPDATE; a DELETE has none.
-        let set: Option<Vec<(ColumnId, Value)>> = match dml {
-            Dml::Update(stmt) => Some(
-                stmt.set
-                    .iter()
-                    .map(|(name, value)| {
-                        let id = entry.schema.column_id(name);
-                        (id.expect("validated by plan_write"), value.clone())
-                    })
-                    .collect(),
-            ),
-            _ => None,
-        };
-        // Every row's new image is built and checked before the first
-        // change, so a refused row leaves the whole statement undone.
-        let mut rows = Vec::with_capacity(rids.len());
-        for rid in rids {
-            let old_values = codec::decode_row(entry.heap.pin(rid)?.view().bytes())?;
-            let new = match &set {
-                Some(set) => {
-                    let mut new_values = old_values.clone();
-                    for (col, value) in set {
-                        new_values[col.index()] = value.clone();
-                    }
-                    Self::check_keys(entry, &new_values)?;
-                    let len = new_values.iter().map(Value::encoded_len).sum();
-                    let mut new_bytes = Vec::with_capacity(len);
-                    codec::encode_row(&new_values, &mut new_bytes);
-                    HeapFile::check_row(&new_bytes)?;
-                    Some((new_values, new_bytes))
-                }
-                None => None,
-            };
-            rows.push((rid, old_values, new));
-        }
-        let count = rows.len() as u64;
-        for (rid, old_values, new) in rows {
-            let new = match new {
-                Some((new_values, new_bytes)) => {
-                    Some((new_values, entry.heap.update(rid, &new_bytes)?))
-                }
-                None => {
-                    entry.heap.delete(rid)?;
-                    None
-                }
-            };
-            let new = new.as_ref().map(|(values, rid)| (values.as_slice(), *rid));
-            for index in entry.indexes.values_mut() {
-                Self::edit_index(index, Some((&old_values, rid)), new)?;
-            }
-            if let Some(m) = entry.maintainer.as_mut() {
-                match new {
-                    Some((new_values, _)) => m.update_row(&old_values, new_values),
-                    None => m.delete_row(&old_values),
-                }
-            }
-            entry.log_delta(|| RowDelta::Delete(old_values.clone(), rid));
-            if let Some((new_values, new_rid)) = new {
-                entry.log_delta(|| RowDelta::Insert(new_values.to_vec(), new_rid));
-            }
-        }
-        if count > 0 {
-            entry.bump_epoch();
-        }
+        let (count, planned) = self.statement(dml.table(), |entry, undo| {
+            let (rids, planned) = Self::with_planner(entry, dml.table(), |planner| {
+                let planned = planner.plan_write(dml)?;
+                Ok((exec::collect_rids(entry, planner, &planned.find)?, planned))
+            })?;
+            Self::write_rows(entry, undo, &rids, dml)?;
+            Ok((!rids.is_empty(), (rids.len() as u64, planned)))
+        })?;
         Ok(QueryResult {
             count,
             rows: None,
@@ -962,18 +915,79 @@ impl Database {
         })
     }
 
+    /// Change the rows `rids` in one pass: each row's new image — the
+    /// `UPDATE`'s assignments applied, none for a `DELETE` — goes to the
+    /// heap, to every index and to the build logs. Only once the last
+    /// page edit has succeeded does each row reach the statistics, its
+    /// old image read again from its page's pre-image in `undo`.
+    fn write_rows(
+        entry: &mut TableEntry,
+        undo: &UndoScope<'_>,
+        rids: &[Rid],
+        dml: &Dml,
+    ) -> Result<()> {
+        let schema = entry.schema.clone();
+        let column = |name: &str| schema.column_id(name).expect("validated by plan_write");
+        let set: Option<Vec<_>> = match dml {
+            Dml::Update(stmt) => Some(stmt.set.iter().map(|(n, v)| (column(n), v)).collect()),
+            _ => None,
+        };
+        // The new image, for an UPDATE.
+        let assign = |old: &Vec<Value>, new: &mut Vec<Value>| {
+            if let Some(set) = &set {
+                new.clone_from(old);
+                for &(col, value) in set {
+                    new[col.index()] = value.clone();
+                }
+            }
+        };
+        let (mut old, mut new, mut bytes) = (vec![], vec![], vec![]);
+        for &rid in rids {
+            codec::decode_row_into(entry.heap.pin(rid)?.view().bytes(), &mut old)?;
+            let to = if set.is_some() {
+                assign(&old, &mut new);
+                Self::check_keys(entry, &new)?;
+                bytes.clear();
+                codec::encode_row(&new, &mut bytes);
+                Some(entry.heap.update(rid, &bytes)?)
+            } else {
+                entry.heap.delete(rid).map(|_| None)?
+            };
+            for index in entry.indexes.values_mut() {
+                Self::edit_index(index, Some((&old, rid)), to.map(|to| (&new[..], to)))?;
+            }
+            entry.log_delta(|| RowDelta::Delete(old.clone(), rid));
+            if let Some(to) = to {
+                entry.log_delta(|| RowDelta::Insert(new.clone(), to));
+            }
+        }
+        let Some(m) = entry.maintainer.as_mut() else {
+            return Ok(());
+        };
+        for &rid in rids {
+            codec::decode_row_into(HeapFile::pin_before(undo, rid)?.view().bytes(), &mut old)?;
+            assign(&old, &mut new);
+            match &set {
+                Some(_) => m.update_row(&old, &new),
+                None => m.delete_row(&old),
+            }
+        }
+        Ok(())
+    }
+
     /// Parse and execute a `;`-separated SQL script, returning one
-    /// result per statement. Execution stops at the first error
-    /// (statements already executed stay applied — no transactions).
-    /// Errors are tagged with the zero-based statement index (`parse`
-    /// errors by the `;` count before the failing offset), so a failure
-    /// in a multi-statement script is attributable even when scripts
-    /// are replayed out of band.
+    /// result per statement. Each statement is atomic; the script is
+    /// not: execution stops at the first error, which that statement
+    /// leaves undone and the ones before it applied. Errors are tagged
+    /// with the zero-based statement index (`parse` errors by the `;`
+    /// count before the failing offset), so a failure in a
+    /// multi-statement script is attributable even when scripts are
+    /// replayed out of band.
     pub fn execute_script(&self, sql: &str) -> Result<Vec<QueryResult>> {
         let stmts = cdpd_sql::parse_many(sql).map_err(|e| {
             if let Error::Parse { offset, .. } = e {
                 let index = sql[..offset.min(sql.len())].matches(';').count();
-                Self::tag_statement(e, index)
+                e.map_message(|m| format!("statement {index}: {m}"))
             } else {
                 e
             }
@@ -983,27 +997,9 @@ impl Database {
             .enumerate()
             .map(|(i, stmt)| {
                 self.execute_statement(stmt)
-                    .map_err(|e| Self::tag_statement(e, i))
+                    .map_err(|e| e.map_message(|m| format!("statement {i}: {m}")))
             })
             .collect()
-    }
-
-    /// Prefix an error's message with the index of the script statement
-    /// that produced it.
-    fn tag_statement(err: Error, index: usize) -> Error {
-        let tag = |m: String| format!("statement {index}: {m}");
-        match err {
-            Error::Parse { offset, message } => Error::Parse {
-                offset,
-                message: tag(message),
-            },
-            Error::NotFound(m) => Error::NotFound(tag(m)),
-            Error::AlreadyExists(m) => Error::AlreadyExists(tag(m)),
-            Error::TypeMismatch(m) => Error::TypeMismatch(tag(m)),
-            Error::InvalidArgument(m) => Error::InvalidArgument(tag(m)),
-            Error::Corrupt(m) => Error::Corrupt(tag(m)),
-            other => other,
-        }
     }
 
     /// Parse and execute one SQL statement.
@@ -1047,8 +1043,7 @@ impl Database {
                     .find_map(|t| {
                         Self::read_entry(t)
                             .indexes
-                            .values()
-                            .find(|e| e.spec.name() == name)
+                            .get(&name)
                             .map(|e| e.spec.clone())
                     })
                     .ok_or_else(|| Error::NotFound(format!("index {name}")))?;

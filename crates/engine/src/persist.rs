@@ -291,6 +291,7 @@ pub(crate) fn decode_catalog(
             version: None,
             build_logs: Vec::new(),
             mark: Mutex::default(),
+            tree_marks: Vec::new(),
         };
         advance_mark(&entry);
         tables.insert(name, Arc::new(RwLock::new(entry)));

@@ -584,10 +584,10 @@ fn failed_commit_then_drop_recovers_the_acknowledged_prefix() {
 
 /// A call fails *midway* — an `insert_many` batch lands its first row,
 /// then the index refuses the next row's key — and commits nothing
-/// itself. Its page writes ride the next acknowledged commit of any
-/// statement, so that commit's delta must carry the failed call's table
-/// too: the recovered database equals the live one, rows and page
-/// counts alike.
+/// itself. The batch is undone whole, but its pages stay dirty and ride
+/// the next acknowledged commit of any statement, so that commit's
+/// delta carries the failed call's table too: the recovered database
+/// equals the live one, rows and page counts alike.
 #[test]
 fn statement_that_fails_midway_is_carried_by_the_next_commit() {
     let vfs = MemVfs::new();
@@ -612,7 +612,7 @@ fn statement_that_fails_midway_is_carried_by_the_next_commit() {
         panic!("not a select")
     };
     let live = (db.query(&all).unwrap().rows.unwrap(), db.page_count());
-    assert_eq!(live.0.len(), 5, "the heap kept the failed statements' rows");
+    assert_eq!(live.0.len(), 2, "the refused batches left no row behind");
     drop(db);
     let db = open_mem(&vfs);
     let recovered = (db.query(&all).unwrap().rows.unwrap(), db.page_count());
@@ -620,5 +620,5 @@ fn statement_that_fails_midway_is_carried_by_the_next_commit() {
     // And the recovered shape still takes writes.
     db.insert("t", &[iv(7), iv(7), iv(7), Value::Str("seven".into())])
         .unwrap();
-    assert_eq!(db.query(&all).unwrap().rows.unwrap().len(), 6);
+    assert_eq!(db.query(&all).unwrap().rows.unwrap().len(), 3);
 }

@@ -4,10 +4,11 @@
 //! the session's own thread, so a [`ThreadIoScope`] around it measures
 //! *exactly* that statement's logical I/O even while other sessions
 //! hammer the same pager — the per-session attribution the obs ledger
-//! tests reconcile against the global counters. Statement errors are
-//! reported in an error frame and the session keeps serving; only
-//! protocol violations (an oversized length prefix, after which the
-//! stream cannot be resynchronized) and transport errors end it.
+//! tests reconcile against the global counters. Statement errors — a
+//! result too large for one frame among them — are reported in an
+//! error frame and the session keeps serving; only protocol violations
+//! (an oversized length prefix, after which the stream cannot be
+//! resynchronized) and transport errors end it.
 //!
 //! Requests are read through one buffer per connection, so a frame
 //! that arrived in one segment costs one `recv`, and frames that arrived
@@ -112,16 +113,22 @@ fn session_loop(db: &Arc<Database>, stream: TcpStream, advisor: Option<&Feed>) -
             }
             OP_QUERY | OP_EXEC => {
                 cdpd_obs::counter!("server.statements").inc();
-                match run_statement(db, tag, &payload, advisor) {
+                let failed = match run_statement(db, tag, &payload, advisor) {
                     Ok(result) => {
-                        conn.send(STATUS_OK, |out| proto::encode_result_into(&result, out))?
+                        match conn.send(STATUS_OK, |out| proto::encode_result_into(&result, out)) {
+                            // A result over the frame cap left nothing on
+                            // the wire: it fails its statement instead.
+                            Err(e @ Error::TooLarge(_)) => Some(e),
+                            sent => sent.map(|()| None)?,
+                        }
                     }
-                    Err(e) => {
-                        // Statement failure: the session (and the epoch
-                        // catalog under it) stays fully usable.
-                        cdpd_obs::counter!("server.errors").inc();
-                        conn.respond_err(&e)?;
-                    }
+                    Err(e) => Some(e),
+                };
+                if let Some(e) = failed {
+                    // Statement failure: the session (and the epoch
+                    // catalog under it) stays fully usable.
+                    cdpd_obs::counter!("server.errors").inc();
+                    conn.respond_err(&e)?;
                 }
             }
             other => {

@@ -559,6 +559,33 @@ fn long_index_keys_never_wedge_the_table() {
     assert_eq!(report.sessions, 2);
 }
 
+/// A result set too large for one frame fails its statement with
+/// `TooLarge` and the session keeps serving.
+#[test]
+fn a_result_over_the_frame_cap_is_an_error_not_a_hang_up() {
+    let db = Arc::new(Database::new());
+    let schema = Schema::new(["a", "b", "c", "d"].map(ColumnDef::int).to_vec());
+    db.create_table("t", schema).expect("fresh table");
+    let rows: Vec<Vec<Value>> = (0..40_000)
+        .map(|i| [i, i, i, i].map(Value::Int).to_vec())
+        .collect();
+    db.insert_many("t", rows.iter().map(Vec::as_slice))
+        .expect("rows match the schema");
+    db.analyze("t").expect("table exists");
+    let (handle, join) = start(Server::bind(db, "127.0.0.1:0").expect("bind"));
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let err = client
+        .query("SELECT * FROM t")
+        .expect_err("40,000 rows do not fit one frame");
+    assert!(matches!(err, Error::TooLarge(_)), "{err:?}");
+    client
+        .ping()
+        .expect("the session outlives the refused result");
+    drop(client);
+    let report = stop(&handle, join);
+    assert_eq!(report.sessions, 1);
+}
+
 const WINDOW: usize = 25;
 const STATEMENTS: usize = 100;
 

@@ -26,6 +26,7 @@ use crate::codec::{decode_rid, encode_key, encode_key_value, encode_rid, key_val
 use crate::heap::HeapFile;
 use crate::pager::{Page, Pager, PAGE_SIZE};
 use cdpd_types::{Error, PageId, Result, Rid, Value};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// A paged B+-tree index over memcomparable keys.
@@ -57,6 +58,18 @@ pub struct BTree {
     root: PageId,
     height: u32,
     pages: Vec<PageId>,
+    leaf_count: u64,
+    entry_count: u64,
+    width: Width,
+}
+
+/// A [`BTree`]'s root, height, page-list length, counts and key width
+/// at one moment.
+#[derive(Clone, Copy, Debug)]
+pub struct TreeMark {
+    root: PageId,
+    height: u32,
+    pages: usize,
     leaf_count: u64,
     entry_count: u64,
     width: Width,
@@ -244,8 +257,9 @@ fn split_point(keys: &[Vec<u8>], extra: usize, gap: usize) -> Result<usize> {
 }
 
 /// Full entry key: memcomparable values followed by the rid.
-fn full_key(values: &[Value], rid: Rid) -> Vec<u8> {
-    let mut key = Vec::with_capacity(9 * values.len() + RID_LEN);
+fn full_key<'v>(values: impl IntoIterator<Item = &'v Value>, rid: Rid) -> Vec<u8> {
+    let values = values.into_iter();
+    let mut key = Vec::with_capacity(9 * values.size_hint().0 + RID_LEN);
     for v in values {
         encode_key_value(v, &mut key);
     }
@@ -353,6 +367,19 @@ fn leaf_slot(
     Ok((at, found, used))
 }
 
+thread_local! {
+    /// What [`before_next_build`] set to run.
+    static BUILD_HOOK: Cell<Option<Box<dyn FnOnce()>>> = const { Cell::new(None) };
+}
+
+/// Run `hook` when this thread's next [`BTree::build_from_heap`] starts,
+/// before its scan reads the heap. For tests that change a table while
+/// an online index build is between its snapshot and its scan.
+#[doc(hidden)]
+pub fn before_next_build(hook: impl FnOnce() + 'static) {
+    BUILD_HOOK.with(|h| h.set(Some(Box::new(hook))));
+}
+
 impl BTree {
     /// Create an empty tree (a single empty leaf) on `pager`.
     pub fn create(pager: Arc<Pager>) -> Result<BTree> {
@@ -390,6 +417,9 @@ impl BTree {
     /// Returns [`Error::TooLarge`] for a key over [`MAX_KEY_LEN`] from
     /// the encode pass, before any page is allocated.
     pub fn build_from_heap(heap: &HeapFile, columns: &[usize]) -> Result<BTree> {
+        if let Some(hook) = BUILD_HOOK.with(Cell::take) {
+            hook();
+        }
         let rows = heap.row_count() as usize;
         let mut arena = Vec::with_capacity(rows * (9 * columns.len() + RID_LEN));
         let mut spans: Vec<(u64, u32, u32)> = Vec::with_capacity(rows);
@@ -452,12 +482,14 @@ impl BTree {
     /// order a plain byte sort gives, and, because the key codec is
     /// memcomparable, the `(values, rid)` order.
     ///
-    /// Leaves are packed left to right at ~90% fill, each written
-    /// straight into its page image, then internal levels are built
-    /// bottom-up. Every new leaf is chained by reading its predecessor
-    /// and writing it back with the link, so the build costs one write
-    /// per built page plus one read and one write per leaf link: the
-    /// transition I/O `CREATE INDEX` measures.
+    /// Leaves are packed left to right at ~90% fill, each straight into
+    /// its page image, then internal levels are built bottom-up. A leaf
+    /// is held until its successor's page id is known, then written once
+    /// with its link, so the build costs one write per built page and no
+    /// read: the transition I/O `CREATE INDEX` measures. No keys build
+    /// one empty leaf. A build that fails frees every page it allocated,
+    /// so it must not run inside an [`crate::UndoScope`], which would
+    /// free them again.
     ///
     /// # Errors
     /// Returns [`Error::InvalidArgument`] if the keys are not strictly
@@ -469,6 +501,32 @@ impl BTree {
         I::Item: AsRef<[u8]>,
     {
         let _span = cdpd_obs::span!("btree.bulk_load");
+        let mut tree = BTree {
+            pager,
+            root: PageId(0),
+            height: 1,
+            pages: Vec::new(),
+            leaf_count: 0,
+            entry_count: 0,
+            width: Width::Unset,
+        };
+        if let Err(e) = tree.load(keys) {
+            tree.pager.free(&tree.pages);
+            return Err(e);
+        }
+        cdpd_obs::counter!("storage.btree.bulk_loads").inc();
+        cdpd_obs::counter!("storage.btree.bulk_load_pages").add(tree.page_count());
+        Ok(tree)
+    }
+
+    /// [`BTree::bulk_load_keys`]'s build into this empty tree, listing
+    /// each page in `pages` as it is allocated.
+    fn load<I>(&mut self, keys: I) -> Result<()>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[u8]>,
+    {
+        let (pager, pages) = (&*self.pager, &mut self.pages);
         let budget = PAGE_SIZE * FILL_NUM / FILL_DEN;
         let mut leaves: Vec<(Vec<u8>, PageId)> = Vec::new(); // (first key, page)
         let mut image = [0u8; PAGE_SIZE];
@@ -477,23 +535,24 @@ impl BTree {
         let mut entry_count = 0u64;
         let mut width = Width::Unset;
         let mut prev: Option<I::Item> = None;
+        // The last packed leaf, written once its successor's id is known.
+        let mut held: Option<(PageId, Page)> = None;
 
-        // Write the packed image as a new leaf and link its predecessor.
-        let flush = |image: &mut [u8; PAGE_SIZE],
-                     in_leaf: u16,
-                     leaves: &mut Vec<(Vec<u8>, PageId)>|
-         -> Result<()> {
+        // Give the packed image a page, and write the held leaf linked
+        // to it.
+        let mut flush = |image: &mut [u8; PAGE_SIZE], in_leaf: u16| -> Result<()> {
             let pid = pager.allocate();
-            if let Some(&(_, prev_pid)) = leaves.last() {
-                let mut prev = *pager.read(prev_pid)?;
-                prev[3..7].copy_from_slice(&(pid.raw() + 1).to_le_bytes());
-                pager.write(prev_pid, Arc::new(prev))?;
-            }
+            pages.push(pid);
             image[0] = LEAF;
             image[1..3].copy_from_slice(&in_leaf.to_le_bytes());
             let first_len = rd_u16(&image[..], LEAF_HDR) as usize;
             let first = image[LEAF_HDR + 2..LEAF_HDR + 2 + first_len].to_vec();
-            pager.write(pid, Arc::new(std::mem::replace(image, [0u8; PAGE_SIZE])))?;
+            let page = Arc::new(std::mem::replace(image, [0u8; PAGE_SIZE]));
+            if let Some((prev_pid, mut prev)) = held.replace((pid, page)) {
+                let link = &mut Arc::get_mut(&mut prev).expect("held leaf is unshared")[3..7];
+                link.copy_from_slice(&(pid.raw() + 1).to_le_bytes());
+                pager.write(prev_pid, prev)?;
+            }
             leaves.push((first, pid));
             Ok(())
         };
@@ -507,7 +566,7 @@ impl BTree {
                 ));
             }
             if used + 2 + key.len() > budget && in_leaf > 0 {
-                flush(&mut image, in_leaf, &mut leaves)?;
+                flush(&mut image, in_leaf)?;
                 used = LEAF_HDR;
                 in_leaf = 0;
             }
@@ -519,15 +578,13 @@ impl BTree {
             width = width.with(key.len());
             prev = Some(item);
         }
-        if in_leaf > 0 {
-            flush(&mut image, in_leaf, &mut leaves)?;
+        if in_leaf > 0 || entry_count == 0 {
+            flush(&mut image, in_leaf)?;
         }
-        let leaf_count = leaves.len() as u64;
-
-        if leaves.is_empty() {
-            return BTree::create(pager);
+        if let Some((pid, page)) = held {
+            pager.write(pid, page)?;
         }
-        let mut pages: Vec<PageId> = leaves.iter().map(|&(_, pid)| pid).collect();
+        self.leaf_count = leaves.len() as u64;
 
         // Build internal levels bottom-up until one node remains.
         let mut height = 1u32;
@@ -545,8 +602,8 @@ impl BTree {
                         children: std::mem::replace(&mut children, vec![pid]),
                     };
                     let ipid = pager.allocate();
-                    pager.write(ipid, Arc::new(node.encode()))?;
                     pages.push(ipid);
+                    pager.write(ipid, Arc::new(node.encode()))?;
                     next_level.push((std::mem::replace(&mut first_key, sep), ipid));
                     size = INT_HDR;
                 } else {
@@ -557,27 +614,20 @@ impl BTree {
             }
             let node = OwnedNode::Internal { keys, children };
             let ipid = pager.allocate();
-            pager.write(ipid, Arc::new(node.encode()))?;
             pages.push(ipid);
+            pager.write(ipid, Arc::new(node.encode()))?;
             next_level.push((first_key, ipid));
             level = next_level;
             height += 1;
         }
-
-        cdpd_obs::counter!("storage.btree.bulk_loads").inc();
-        cdpd_obs::counter!("storage.btree.bulk_load_pages").add(pages.len() as u64);
-        Ok(BTree {
-            pager,
-            root: level[0].1,
-            height,
-            pages,
-            leaf_count,
-            entry_count,
-            width,
-        })
+        (self.root, self.height) = (level[0].1, height);
+        (self.entry_count, self.width) = (entry_count, width);
+        Ok(())
     }
 
-    /// Insert `(values, rid)`.
+    /// Insert `(values, rid)`. `values` are the key columns in key
+    /// order, as a slice or any iterator over them (so a caller need
+    /// not collect a row's key columns first).
     ///
     /// A leaf with room is edited in place: the entries from the key's
     /// position on shift right by one entry and the count goes up, the
@@ -593,7 +643,11 @@ impl BTree {
     /// Returns [`Error::AlreadyExists`], with no write, if the exact
     /// `(values, rid)` pair is already present, and [`Error::TooLarge`],
     /// with no I/O, for a key over [`MAX_KEY_LEN`].
-    pub fn insert(&mut self, values: &[Value], rid: Rid) -> Result<()> {
+    pub fn insert<'v>(
+        &mut self,
+        values: impl IntoIterator<Item = &'v Value>,
+        rid: Rid,
+    ) -> Result<()> {
         let key = full_key(values, rid);
         check_key_len(key.len())?;
         // Descend, remembering the path of (page, child index taken).
@@ -731,7 +785,8 @@ impl BTree {
         Ok(())
     }
 
-    /// Remove `(values, rid)`. Returns true if it was present.
+    /// Remove `(values, rid)`, `values` taken as by [`BTree::insert`].
+    /// Returns true if it was present.
     ///
     /// The leaf is edited in place: the entries after the key shift left
     /// by one entry, the count goes down and the vacated tail bytes are
@@ -739,7 +794,11 @@ impl BTree {
     /// costs `height` reads and one write, or no write when the key is
     /// absent. Nodes are never merged; an empty leaf stays in the chain
     /// (documented trade-off — rebuilds reclaim space).
-    pub fn delete(&mut self, values: &[Value], rid: Rid) -> Result<bool> {
+    pub fn delete<'v>(
+        &mut self,
+        values: impl IntoIterator<Item = &'v Value>,
+        rid: Rid,
+    ) -> Result<bool> {
         let key = full_key(values, rid);
         let width = self.width.fixed();
         let mut pid = self.root;
@@ -896,6 +955,30 @@ impl BTree {
             entry_count,
             width: key_width.map_or(Width::Mixed, Width::Fixed),
         }
+    }
+
+    /// The tree's in-memory state, for [`BTree::roll_back`].
+    pub fn mark(&self) -> TreeMark {
+        TreeMark {
+            root: self.root,
+            height: self.height,
+            pages: self.pages.len(),
+            leaf_count: self.leaf_count,
+            entry_count: self.entry_count,
+            width: self.width,
+        }
+    }
+
+    /// Return to `mark`, after an [`crate::UndoScope`] has undone the
+    /// pages a failed statement changed since. Page lists only grow
+    /// under inserts and deletes, so this drops the pages added since.
+    pub fn roll_back(&mut self, mark: TreeMark) {
+        self.root = mark.root;
+        self.height = mark.height;
+        self.pages.truncate(mark.pages);
+        self.leaf_count = mark.leaf_count;
+        self.entry_count = mark.entry_count;
+        self.width = mark.width;
     }
 
     /// The one length every entry key of the tree has, when it has one:

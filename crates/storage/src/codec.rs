@@ -36,8 +36,10 @@ const TAG_STR: u8 = 0x02;
 
 // --- Row codec ---------------------------------------------------------
 
-/// Append the row encoding of `values` to `out`.
+/// Append the row encoding of `values` to `out`, reserving its length
+/// first.
 pub fn encode_row(values: &[Value], out: &mut Vec<u8>) {
+    out.reserve(values.iter().map(Value::encoded_len).sum());
     for v in values {
         encode_value(v, out);
     }

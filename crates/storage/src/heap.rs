@@ -1,5 +1,5 @@
 use crate::codec::RowView;
-use crate::pager::{Page, Pager, PAGE_SIZE};
+use crate::pager::{Page, Pager, UndoScope, PAGE_SIZE};
 use crate::slotted;
 use cdpd_types::{Error, PageId, Result, Rid};
 use std::ops::Range;
@@ -62,7 +62,7 @@ impl HeapFile {
     /// Refuse an encoded row too large for any page, as
     /// [`HeapFile::insert`] and [`HeapFile::update`] do before they
     /// change anything.
-    pub fn check_row(row: &[u8]) -> Result<()> {
+    fn check_row(row: &[u8]) -> Result<()> {
         if row.len() + 8 > PAGE_SIZE {
             return Err(Error::TooLarge(format!("row of {} bytes", row.len())));
         }
@@ -92,7 +92,18 @@ impl HeapFile {
     /// Fetch one row by record id (one logical page read), borrowing
     /// it from its pinned page: no copy, no allocation.
     pub fn pin(&self, rid: Rid) -> Result<PinnedRow> {
-        let page = self.pager.read(rid.page)?;
+        Self::pin_on(self.pager.read(rid.page)?, rid)
+    }
+
+    /// Row `rid` as it was when `undo` opened, read from its page's
+    /// pre-image: no I/O. The statement must have changed that page.
+    pub fn pin_before(undo: &UndoScope<'_>, rid: Rid) -> Result<PinnedRow> {
+        let page = undo.pre_image(rid.page);
+        let page = page.ok_or_else(|| Error::Corrupt(format!("no pre-image of {rid:?}")))?;
+        Self::pin_on(page, rid)
+    }
+
+    fn pin_on(page: Page, rid: Rid) -> Result<PinnedRow> {
         let range = slotted::record_range(&page, rid.slot)
             .ok_or_else(|| Error::Corrupt(format!("no live record at {rid:?}")))?;
         Ok(PinnedRow { page, range })
@@ -165,6 +176,33 @@ impl HeapFile {
         Ok(())
     }
 
+    /// Visit the rows of each page of this heap that `undo` has changed
+    /// or that joined the chain after `mark`: first those it holds now,
+    /// as `visit(false, rid, row)`, then those it held when `undo`
+    /// opened, as `visit(true, rid, row)` (a page that joined has none).
+    pub fn for_each_changed_row<F>(
+        &self,
+        undo: &UndoScope<'_>,
+        mark: HeapMark,
+        mut visit: F,
+    ) -> Result<()>
+    where
+        F: FnMut(bool, Rid, RowView<'_>) -> Result<()>,
+    {
+        for (i, &pid) in self.pages.iter().enumerate() {
+            let before = undo.pre_image(pid);
+            if before.is_some() || i >= mark.pages {
+                walk_page(pid, &self.pager.read(pid)?, |rid, row| {
+                    visit(false, rid, row)
+                })?;
+            }
+            if let Some(before) = before {
+                walk_page(pid, &before, |rid, row| visit(true, rid, row))?;
+            }
+        }
+        Ok(())
+    }
+
     /// Begin a full scan as a streaming cursor: the same rows and page
     /// reads as [`HeapFile::for_each_row`], one call per row. Production
     /// scans use the visitor; the cursor stays for callers that must
@@ -185,6 +223,22 @@ impl HeapFile {
         }
     }
 
+    /// The heap's in-memory state, for [`HeapFile::roll_back`].
+    pub fn mark(&self) -> HeapMark {
+        HeapMark {
+            pages: self.pages.len(),
+            row_count: self.row_count,
+        }
+    }
+
+    /// Return to `mark`, after an [`UndoScope`] has undone the pages a
+    /// failed statement changed since. Page chains only grow under DML,
+    /// so this drops the pages added since.
+    pub fn roll_back(&mut self, mark: HeapMark) {
+        self.pages.truncate(mark.pages);
+        self.row_count = mark.row_count;
+    }
+
     /// Number of live rows.
     pub fn row_count(&self) -> u64 {
         self.row_count
@@ -199,6 +253,30 @@ impl HeapFile {
     pub fn pager(&self) -> &Arc<Pager> {
         &self.pager
     }
+}
+
+/// Visit every live row of heap page `pid`, whose image is `page`, in
+/// slot order: one loop over the slot directory that skips tombstones.
+/// [`HeapFile::for_each_row`] keeps its own copy of this loop: routed
+/// through here, sequential scans measured slower.
+#[inline]
+fn walk_page<F>(pid: PageId, page: &Page, mut visit: F) -> Result<()>
+where
+    F: FnMut(Rid, RowView<'_>) -> Result<()>,
+{
+    let mut next = 0;
+    while let Some((slot, range)) = slotted::next_live(page, next) {
+        visit(Rid::new(pid, slot), RowView::new(&page[range]))?;
+        next = slot + 1;
+    }
+    Ok(())
+}
+
+/// A [`HeapFile`]'s page-chain length and row count at one moment.
+#[derive(Clone, Copy, Debug)]
+pub struct HeapMark {
+    pages: usize,
+    row_count: u64,
 }
 
 /// One row of a heap page, kept readable by holding the page snapshot

@@ -12,7 +12,10 @@
 //!   exact atomic I/O ledger; every page access anywhere in the system
 //!   is accounted here, which is what makes measured costs
 //!   deterministic. [`ThreadIoScope`] attributes I/O to the current
-//!   thread so per-statement accounting stays exact under concurrency.
+//!   thread so per-statement accounting stays exact under concurrency,
+//!   and an [`UndoScope`] makes one thread's statement undoable: it
+//!   keeps each page's image at its first change and puts them back
+//!   if the statement fails.
 //! * slotted pages ([`slotted`]) — variable-length record layout used by
 //!   heap pages.
 //! * [`codec`] — row serialization, an order-preserving
@@ -50,9 +53,10 @@ mod heap;
 mod pager;
 mod wal;
 
-pub use btree::{BTree, BTreeCursor, MAX_KEY_LEN};
+pub use btree::{before_next_build, BTree, BTreeCursor, TreeMark, MAX_KEY_LEN};
 pub use crc::crc64;
 pub use durable::{DurableOpen, DurableOptions, DurableStats};
-pub use heap::{HeapFile, HeapScan, PinnedRow};
-pub use pager::{IoStats, Page, Pager, ThreadIoScope, PAGER_SHARDS, PAGE_SIZE};
+pub use heap::{HeapFile, HeapMark, HeapScan, PinnedRow};
+pub use pager::{at_nth_write, fail_nth_write, IoStats, Page, Pager, ThreadIoScope, UndoScope};
+pub use pager::{PAGER_SHARDS, PAGE_SIZE};
 pub use vfs::{DiskVfs, MemVfs, Vfs, VfsFile};

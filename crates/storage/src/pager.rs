@@ -5,9 +5,9 @@ use crate::durable::{
 use crate::vfs::Vfs;
 use crate::wal::WalWriter;
 use cdpd_types::{Error, PageId, Result};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Size of a page in bytes. 8 KiB matches the SQL Server page size used
 /// in the paper's experiments, so page-count arithmetic (≈200 rows per
@@ -168,6 +168,104 @@ impl ThreadIoScope {
     }
 }
 
+/// The pages one thread's open [`UndoScope`] must put back or free.
+struct UndoLog {
+    /// Address of the pager the scope is open on; 0 when none is open.
+    pager: usize,
+    /// Pages the scope changed, each listed at its first change; their
+    /// frames hold the pre-images.
+    touched: Vec<PageId>,
+    /// Pages the scope allocated, in allocation order.
+    allocated: Vec<PageId>,
+}
+
+thread_local! {
+    /// This thread's undo log. Its buffers outlive each scope, so a
+    /// statement that fits the last one's capacity allocates nothing.
+    static UNDO: RefCell<UndoLog> = const {
+        RefCell::new(UndoLog {
+            pager: 0,
+            touched: Vec::new(),
+            allocated: Vec::new(),
+        })
+    };
+    /// Countdown to this thread's write hook (0: none), and the hook.
+    static WRITE_HOOK: Cell<u64> = const { Cell::new(0) };
+    static HOOK: Cell<Option<WriteHook>> = const { Cell::new(None) };
+}
+
+/// What [`at_nth_write`] runs.
+type WriteHook = Box<dyn FnOnce() -> Result<()>>;
+
+/// Run `hook` just before the `n`-th [`Pager::update`] or
+/// [`Pager::write`] that this thread makes from now on, holding no
+/// pager lock; if it returns an error, that write fails with it and
+/// changes nothing (`n = 0` disarms). For tests that act at a chosen
+/// point inside a statement.
+#[doc(hidden)]
+pub fn at_nth_write(n: u64, hook: impl FnOnce() -> Result<()> + 'static) {
+    WRITE_HOOK.with(|c| c.set(n));
+    HOOK.with(|h| h.set(Some(Box::new(hook))));
+}
+
+/// Fail the `n`-th [`Pager::update`] or [`Pager::write`] that this
+/// thread makes from now on, before it changes anything (`0` disarms).
+/// For tests of what a failed statement leaves behind.
+#[doc(hidden)]
+pub fn fail_nth_write(n: u64) {
+    at_nth_write(n, || {
+        Err(Error::Io(std::io::Error::other("injected write fault")))
+    });
+}
+
+/// Count one write toward [`at_nth_write`]'s hook, running it at the
+/// chosen write.
+fn write_hook() -> Result<()> {
+    if WRITE_HOOK.with(|c| c.replace(c.get().saturating_sub(1))) != 1 {
+        return Ok(());
+    }
+    HOOK.with(Cell::take).map_or(Ok(()), |hook| hook())
+}
+
+/// A statement's undo scope: from [`Pager::undo_scope`] until
+/// [`UndoScope::commit`], every page this thread changes keeps the
+/// image it had when the scope opened, and every page it allocates is
+/// listed. Dropping the scope uncommitted puts each of those images
+/// back and frees those pages, so what the statement did to the pager
+/// is undone whole. The pre-image is the frame's `Arc` — a refcount,
+/// not a copy — though the page's next in-place change then copies it.
+///
+/// Only allocation is undone, never a free: the one caller frees pages
+/// only in DDL, outside any scope.
+pub struct UndoScope<'p> {
+    pager: &'p Pager,
+    keep: bool,
+}
+
+impl UndoScope<'_> {
+    /// The image page `id` had when the scope opened, if the scope has
+    /// changed it. Reading it is no I/O.
+    pub fn pre_image(&self, id: PageId) -> Option<Page> {
+        let shard = &self.pager.shards[shard_of(id)];
+        let frames = shard.frames.read().expect("pager lock poisoned");
+        match &frames.frames.get(slot_of(id))?.undo {
+            Undo::Kept(page) => Some(page.clone()),
+            Undo::Clear | Undo::Fresh => None,
+        }
+    }
+
+    /// Keep every change the scope made.
+    pub fn commit(mut self) {
+        self.keep = true;
+    }
+}
+
+impl Drop for UndoScope<'_> {
+    fn drop(&mut self) {
+        self.pager.close_undo_scope(!self.keep);
+    }
+}
+
 /// One cache frame: the page image (absent when evicted to the file
 /// backend), its durable-tier dirty bits, and a clock-LRU stamp.
 ///
@@ -185,11 +283,24 @@ impl ThreadIoScope {
 /// it. `dirty_log ⊆ dirty_page` always, and dirty frames are pinned
 /// (never evicted), so an evicted frame can always be refetched from
 /// the data file.
+/// `undo` — what an open [`UndoScope`] knows of the page.
 struct Frame {
     page: Option<Page>,
     dirty_log: bool,
     dirty_page: bool,
     stamp: AtomicU64,
+    undo: Undo,
+}
+
+/// A frame's part in an open [`UndoScope`]. A frame is `Clear` unless
+/// the scope has changed or allocated its page, so telling a page's
+/// first change in the scope from a later one costs one match.
+enum Undo {
+    Clear,
+    /// The scope allocated the page; undoing frees it.
+    Fresh,
+    /// The page as the scope found it.
+    Kept(Page),
 }
 
 impl Frame {
@@ -199,6 +310,7 @@ impl Frame {
             dirty_log: false,
             dirty_page: false,
             stamp: AtomicU64::new(0),
+            undo: Undo::Clear,
         }
     }
 }
@@ -494,22 +606,99 @@ impl Pager {
                 let popped = shard.free.lock().expect("pager lock poisoned").pop();
                 if let Some(id) = popped {
                     self.free_len.fetch_sub(1, Ordering::Release);
-                    let mut frames = shard.frames.write().expect("pager lock poisoned");
                     // A recovered free-list page may predate any frame
                     // this process has materialized; `install` grows
                     // the table to reach it.
-                    self.install(shard, &mut frames, slot_of(id), blank_page());
-                    return id;
+                    return self.install_fresh(id);
                 }
             }
         }
         let raw = self.next.fetch_add(1, Ordering::Relaxed);
         assert!(raw != u32::MAX, "page count exceeds u32");
-        let id = PageId(raw);
+        self.install_fresh(PageId(raw))
+    }
+
+    /// Install a blank page as `id`, just allocated, and list it in this
+    /// thread's open undo scope.
+    fn install_fresh(&self, id: PageId) -> PageId {
         let shard = &self.shards[shard_of(id)];
         let mut frames = shard.frames.write().expect("pager lock poisoned");
-        self.install(shard, &mut frames, slot_of(id), blank_page());
+        let slot = slot_of(id);
+        self.install(shard, &mut frames, slot, blank_page());
+        if self.in_undo_scope() {
+            frames.frames[slot].undo = Undo::Fresh;
+            UNDO.with(|u| u.borrow_mut().allocated.push(id));
+        }
         id
+    }
+
+    /// Open a statement's [`UndoScope`] on this thread.
+    ///
+    /// # Panics
+    /// If this thread already has one open.
+    pub fn undo_scope(&self) -> UndoScope<'_> {
+        UNDO.with(|u| {
+            let mut log = u.borrow_mut();
+            assert_eq!(log.pager, 0, "an undo scope is already open on this thread");
+            log.pager = self as *const Pager as usize;
+        });
+        UndoScope {
+            pager: self,
+            keep: false,
+        }
+    }
+
+    /// Whether this thread has an undo scope open on this pager.
+    fn in_undo_scope(&self) -> bool {
+        UNDO.with(|u| u.borrow().pager == self as *const Pager as usize)
+    }
+
+    /// Inside this thread's undo scope, keep the frame at `slot` as the
+    /// pre-image of page `id` at the scope's first change to it,
+    /// fetching it first if it was evicted.
+    fn keep_pre_image(
+        &self,
+        shard: &PageShard,
+        frames: &mut FrameTable,
+        slot: usize,
+        id: PageId,
+    ) -> Result<()> {
+        if !matches!(frames.frame_mut(slot).undo, Undo::Clear) || !self.in_undo_scope() {
+            return Ok(());
+        }
+        self.make_resident(shard, frames, slot, id)?;
+        let frame = &mut frames.frames[slot];
+        frame.undo = Undo::Kept(frame.page.clone().expect("frame resident"));
+        UNDO.with(|u| u.borrow_mut().touched.push(id));
+        Ok(())
+    }
+
+    /// End this thread's undo scope: put every kept pre-image back and
+    /// free the allocated pages (`undo`), or just forget them. Runs from
+    /// `Drop`, so it takes locks a panic may have poisoned.
+    fn close_undo_scope(&self, undo: bool) {
+        UNDO.with(|u| {
+            let log = &mut *u.borrow_mut();
+            log.pager = 0;
+            for &id in log.touched.iter().chain(&log.allocated) {
+                let shard = &self.shards[shard_of(id)];
+                let mut frames = shard.frames.write().unwrap_or_else(PoisonError::into_inner);
+                let frame = &mut frames.frames[slot_of(id)];
+                if let Undo::Kept(pre) = std::mem::replace(&mut frame.undo, Undo::Clear) {
+                    if undo {
+                        frame.page = Some(pre);
+                    }
+                }
+            }
+            if undo {
+                // Freed in reverse, pages taken from the free lists go
+                // back in their order.
+                log.allocated.reverse();
+                self.free(&log.allocated);
+            }
+            log.touched.clear();
+            log.allocated.clear();
+        });
     }
 
     /// Put `page` into the frame at `slot` (growing the table to reach
@@ -660,12 +849,14 @@ impl Pager {
         if id.raw() >= self.next.load(Ordering::Relaxed) {
             return Err(Self::out_of_range(id));
         }
+        write_hook()?;
         let shard = &self.shards[shard_of(id)];
         let mut frames = shard.frames.write().expect("pager lock poisoned");
         let slot = slot_of(id);
         if frames.frames.len() <= slot && self.durable.is_none() {
             return Err(Self::out_of_range(id));
         }
+        self.keep_pre_image(shard, &mut frames, slot, id)?;
         self.install(shard, &mut frames, slot, page);
         self.writes.fetch_add(1, Ordering::Relaxed);
         note_thread_io(0, 1, 0);
@@ -682,25 +873,15 @@ impl Pager {
         if id.raw() >= self.next.load(Ordering::Relaxed) {
             return Err(Self::out_of_range(id));
         }
+        write_hook()?;
         let shard = &self.shards[shard_of(id)];
         let mut frames = shard.frames.write().expect("pager lock poisoned");
         let slot = slot_of(id);
         if frames.frames.len() <= slot && self.durable.is_none() {
             return Err(Self::out_of_range(id));
         }
-        if frames.frame_mut(slot).page.is_none() {
-            // Evicted: refetch before mutating. The frame write lock is
-            // held across the fetch, which is fine for the single-writer
-            // workloads that mutate through `update`.
-            let Some(d) = &self.durable else {
-                return Err(Self::out_of_range(id));
-            };
-            let page = d.fetch(id)?;
-            d.backend_fetches.fetch_add(1, Ordering::Relaxed);
-            cdpd_obs::tracked_counter!("storage.backend.fetches").inc();
-            frames.frames[slot].page = Some(page);
-            shard.resident.fetch_add(1, Ordering::Relaxed);
-        }
+        self.make_resident(shard, &mut frames, slot, id)?;
+        self.keep_pre_image(shard, &mut frames, slot, id)?;
         let frame = &mut frames.frames[slot];
         let buf = Arc::make_mut(frame.page.as_mut().expect("frame resident"));
         let r = f(buf);
@@ -713,6 +894,30 @@ impl Pager {
         cdpd_obs::tracked_counter!("storage.pager.reads").inc();
         cdpd_obs::tracked_counter!("storage.pager.writes").inc();
         Ok(r)
+    }
+
+    /// Refetch the evicted page `id` into its frame at `slot` before it
+    /// is mutated. The frame write lock is held across the fetch, which
+    /// is fine for the single-writer workloads that mutate pages.
+    fn make_resident(
+        &self,
+        shard: &PageShard,
+        frames: &mut FrameTable,
+        slot: usize,
+        id: PageId,
+    ) -> Result<()> {
+        if frames.frame_mut(slot).page.is_some() {
+            return Ok(());
+        }
+        let Some(d) = &self.durable else {
+            return Err(Self::out_of_range(id));
+        };
+        let page = d.fetch(id)?;
+        d.backend_fetches.fetch_add(1, Ordering::Relaxed);
+        cdpd_obs::tracked_counter!("storage.backend.fetches").inc();
+        frames.frames[slot].page = Some(page);
+        shard.resident.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Commit every mutation since the last commit, with `app_meta` as
@@ -1066,6 +1271,57 @@ mod tests {
         pager.update(id, |b| b[0] = 9).unwrap();
         assert_eq!(held[0], 0, "outstanding handle must not see the update");
         assert_eq!(pager.read(id).unwrap()[0], 9);
+    }
+
+    #[test]
+    fn undo_scope_puts_pages_back_and_frees_its_allocations() {
+        let pager = Pager::new();
+        let (a, b) = (pager.allocate(), pager.allocate());
+        pager.update(a, |buf| buf[0] = 1).unwrap();
+        pager.free(&[b]);
+        let live = pager.page_count() - pager.free_count();
+        let undo = pager.undo_scope();
+        pager.update(a, |buf| buf[0] = 2).unwrap();
+        pager.update(a, |buf| buf[1] = 3).unwrap();
+        assert_eq!(undo.pre_image(a).unwrap()[..2], [1, 0]);
+        let reused = pager.allocate();
+        let fresh = pager.allocate();
+        assert_eq!(reused, b);
+        pager.write(fresh, Arc::new([9; PAGE_SIZE])).unwrap();
+        assert!(
+            undo.pre_image(fresh).is_none(),
+            "an allocated page has no pre-image"
+        );
+        drop(undo);
+        assert_eq!(pager.read(a).unwrap()[..2], [1, 0]);
+        assert_eq!(pager.page_count() - pager.free_count(), live);
+        assert_eq!(pager.allocate(), b, "the free list keeps its order");
+
+        let undo = pager.undo_scope();
+        pager.update(a, |buf| buf[0] = 4).unwrap();
+        undo.commit();
+        let undo = pager.undo_scope();
+        pager.update(a, |buf| buf[0] = 5).unwrap();
+        assert_eq!(
+            undo.pre_image(a).unwrap()[0],
+            4,
+            "a committed change is kept"
+        );
+    }
+
+    #[test]
+    fn injected_fault_fails_the_nth_write_only() {
+        let pager = Pager::new();
+        let id = pager.allocate();
+        fail_nth_write(2);
+        pager.update(id, |buf| buf[0] = 1).unwrap();
+        assert!(pager.write(id, blank_page()).is_err());
+        assert_eq!(
+            pager.read(id).unwrap()[0],
+            1,
+            "the failed write changed nothing"
+        );
+        pager.update(id, |buf| buf[0] = 2).unwrap();
     }
 
     #[test]

@@ -308,8 +308,8 @@ props! {
 #[test]
 fn bulk_load_io_and_pages_are_pinned() {
     let pinned = [
-        (false, (46, 94, 48), (47, 2, 48), 0xba97_31c0_1ec1_d16f_u64),
-        (true, (65, 132, 67), (66, 2, 67), 0x4c53_4736_063b_1c25),
+        (false, (0, 48, 48), (47, 2, 48), 0xba97_31c0_1ec1_d16f_u64),
+        (true, (0, 67, 67), (66, 2, 67), 0x4c53_4736_063b_1c25),
     ];
     for (composite, io_want, shape_want, crc_want) in pinned {
         let mut entries: Vec<(Vec<Value>, Rid)> = (0..20_000i64)

@@ -45,6 +45,25 @@ impl Error {
             message: message.into(),
         }
     }
+
+    /// The same error with `f` applied to its message — every variant
+    /// carries one but [`Error::Io`], which is returned as it is.
+    pub fn map_message(self, f: impl FnOnce(String) -> String) -> Error {
+        match self {
+            Error::Parse { offset, message } => Error::Parse {
+                offset,
+                message: f(message),
+            },
+            Error::NotFound(m) => Error::NotFound(f(m)),
+            Error::AlreadyExists(m) => Error::AlreadyExists(f(m)),
+            Error::TypeMismatch(m) => Error::TypeMismatch(f(m)),
+            Error::Corrupt(m) => Error::Corrupt(f(m)),
+            Error::TooLarge(m) => Error::TooLarge(f(m)),
+            Error::Infeasible(m) => Error::Infeasible(f(m)),
+            Error::InvalidArgument(m) => Error::InvalidArgument(f(m)),
+            Error::Io(e) => Error::Io(e),
+        }
+    }
 }
 
 impl fmt::Display for Error {
